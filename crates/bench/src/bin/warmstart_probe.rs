@@ -19,10 +19,20 @@
 //!   so three of every four points solve in a handful of pivots. The
 //!   gate is serial-vs-serial: it measures the algorithmic win, not
 //!   scheduling. Single-core hosts skip it only because they are the
-//!   noisy shared-runner case the repeats cannot fully de-noise.
+//!   noisy shared-runner case the repeats cannot fully de-noise;
+//! * **kept-basis identity (always enforced)** — a `PreparedLp` chained
+//!   along the grid keeps its last optimal basis factored across the
+//!   budget moves; every warm answer must equal, bit for bit, the one a
+//!   fresh `PreparedLp` gives warm-solving the same problem from the
+//!   same snapshot, and at least one point must take the kept-basis
+//!   shortcut;
+//! * **warm floor (enforced when the host has ≥ 2 cores)** — a
+//!   `SolveContext` point that re-solves in zero pivots must cost, on
+//!   average, at most a quarter of a cold `size_buffers` point.
 
-use socbuf_core::SizingConfig;
-use socbuf_soc::templates;
+use socbuf_core::{size_buffers, SizingConfig, SizingLp, SolveContext};
+use socbuf_lp::{LpSolution, PreparedLp, SimplexOptions};
+use socbuf_soc::{templates, Architecture};
 use socbuf_sweep::{BudgetSweep, SweepReport, WorkPool};
 use std::time::{Duration, Instant};
 
@@ -57,6 +67,110 @@ fn timed_run(
         std::process::exit(2);
     });
     (report, t.elapsed())
+}
+
+/// The solve ladder's first rung, which every point of the grid solves
+/// on.
+fn first_rung() -> SimplexOptions {
+    SimplexOptions {
+        perturbation: 1e-6,
+        max_iterations: 30_000,
+        ..SimplexOptions::default()
+    }
+}
+
+fn same_bits(a: &LpSolution, b: &LpSolution) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    bits(a.values()) == bits(b.values())
+        && a.objective().to_bits() == b.objective().to_bits()
+        && bits(a.duals()) == bits(b.duals())
+        && a.basis_snapshot() == b.basis_snapshot()
+        && a.iterations() == b.iterations()
+}
+
+/// Chains a `PreparedLp` along the grid and checks each warm answer
+/// against a fresh `PreparedLp` warm-solving from the same snapshot.
+/// Returns the failure count.
+fn kept_basis_identity(arch: &Architecture, grid: &[usize], sizing: &SizingConfig) -> i32 {
+    let lp = SizingLp::build(arch, grid[0], sizing).expect("grid point builds");
+    let budget_row = lp.problem().row_ids().last().expect("budget row");
+    let opts = first_rung();
+    let prepare = || PreparedLp::new_with_scaling(lp.problem().clone(), sizing.equilibrate);
+    let mut chained = prepare().expect("assembles");
+    let mut snapshot = match chained.solve_with(&opts) {
+        Ok(sol) => sol.basis_snapshot(),
+        Err(e) => {
+            eprintln!("SMOKE FAIL: kept-basis chain start: {e}");
+            return 1;
+        }
+    };
+    let (mut failures, mut identical, mut shortcuts) = (0, 0, 0);
+    for &budget in &grid[1..] {
+        let rhs = sizing.alpha * budget as f64;
+        chained.set_rhs(budget_row, rhs).expect("budget move");
+        let kept = chained.kept_basis() == Some(&snapshot);
+        let mut fresh = prepare().expect("assembles");
+        fresh.set_rhs(budget_row, rhs).expect("budget move");
+        match (
+            chained.solve_warm(&opts, &snapshot),
+            fresh.solve_warm(&opts, &snapshot),
+        ) {
+            (Ok(a), Ok(b)) if same_bits(&a, &b) => {
+                identical += 1;
+                shortcuts += usize::from(kept && a.iterations() == 0);
+                snapshot = a.basis_snapshot();
+            }
+            (a, b) => {
+                eprintln!(
+                    "SMOKE FAIL: budget {budget}: kept-basis warm solve differs from a fresh \
+                     one (kept ok={}, fresh ok={})",
+                    a.is_ok(),
+                    b.is_ok()
+                );
+                failures += 1;
+            }
+        }
+    }
+    println!(
+        "kept-basis chain: {identical} warm points bit-identical to fresh, {shortcuts} via the \
+         shortcut"
+    );
+    if shortcuts == 0 {
+        eprintln!("SMOKE FAIL: no grid point took the kept-basis shortcut");
+        failures += 1;
+    }
+    failures
+}
+
+/// Mean wall time of the zero-pivot warm points of a `SolveContext`
+/// chain along the grid (`None` when no point re-solved in zero
+/// pivots), and of cold `size_buffers` points.
+fn warm_floor(
+    arch: &Architecture,
+    grid: &[usize],
+    sizing: &SizingConfig,
+) -> (Option<Duration>, Duration) {
+    let mut ctx = SolveContext::new(arch, sizing);
+    let mut warm = Vec::new();
+    for (i, &budget) in grid.iter().enumerate() {
+        let t = Instant::now();
+        let out = ctx.size_buffers(budget).expect("warm point sizes");
+        let dt = t.elapsed();
+        if i > 0 && out.lp_iterations == 0 {
+            warm.push(dt);
+        }
+    }
+    let cold: Vec<Duration> = grid
+        .iter()
+        .step_by(4)
+        .map(|&budget| {
+            let t = Instant::now();
+            size_buffers(arch, budget, sizing).expect("cold point sizes");
+            t.elapsed()
+        })
+        .collect();
+    let mean = |v: &[Duration]| v.iter().sum::<Duration>() / v.len().max(1) as u32;
+    ((!warm.is_empty()).then(|| mean(&warm)), mean(&cold))
 }
 
 /// CI-sized gate; exits nonzero on regression.
@@ -140,6 +254,29 @@ fn smoke() -> i32 {
         }
     } else {
         println!("speedup gate SKIPPED: single-core host (determinism + agreement still enforced)");
+    }
+
+    // --- Kept-basis warm solves: bit-identical to fresh ones. ---------
+    failures += kept_basis_identity(&np, &grid, &sizing);
+
+    // --- Warm floor: a 0-pivot point against a cold one. ---------------
+    let (warm, cold) = warm_floor(&np, &grid, &sizing);
+    let Some(warm) = warm else {
+        eprintln!("SMOKE FAIL: no warm point of the grid re-solved in 0 pivots");
+        return failures + 1;
+    };
+    let ratio = warm.as_secs_f64() / cold.as_secs_f64().max(1e-12);
+    println!("0-pivot warm point {warm:?} vs cold point {cold:?} -> {ratio:.3}x");
+    if cores >= 2 {
+        if ratio > 0.25 {
+            eprintln!(
+                "SMOKE FAIL: a 0-pivot warm point costs {ratio:.3}x a cold point \
+                 (need <= 0.25x) on a {cores}-core host"
+            );
+            failures += 1;
+        }
+    } else {
+        println!("warm-floor gate SKIPPED: single-core host");
     }
 
     if failures == 0 {

@@ -325,15 +325,20 @@ impl SizingLp {
     /// the whole formulation per sweep point:
     ///
     /// * the budget row's rhs moves to `α · budget` (RHS-only delta);
-    /// * every cut row's birth-side coefficients and every full-state
-    ///   loss cost are rescaled to `λ_nominal · factor` (a
-    ///   pattern-preserving coefficient delta), bitwise identical to
-    ///   what [`SizingLp::build`] on
-    ///   [`socbuf_soc::Architecture::scale_rates`]`(factor, 1.0)` would
-    ///   assemble (both compute `rate * factor` from the same nominal
-    ///   rates; only the loss *weights* of multi-source bridge queues
-    ///   can differ at the last ulp, since they are rate-ratio
-    ///   weighted).
+    /// * each queue's cut-row birth-side coefficients and full-state loss
+    ///   cost are rescaled to `λ_nominal · factor` (a pattern-preserving
+    ///   coefficient delta). A queue whose λ is bit-equal to the one the
+    ///   form already holds is skipped: rewriting it would store the
+    ///   same bits. So a budget-only move is a pure rhs delta, and the
+    ///   prepared problem keeps its factored basis
+    ///   ([`socbuf_lp::PreparedLp::kept_basis`]).
+    ///
+    /// The coefficients match what [`SizingLp::build`] on
+    /// [`socbuf_soc::Architecture::scale_rates`]`(factor, 1.0)` would
+    /// assemble up to the last ulp: that sums the scaled flow rates,
+    /// `Σ (rate · factor)`, where this scales the nominal sum, and the
+    /// loss *weights* of multi-source bridge queues are rate-ratio
+    /// weighted.
     ///
     /// `nominal` must be the factor-1 architecture this LP's queue
     /// order came from. The retarget also refreshes this LP's own
@@ -359,6 +364,9 @@ impl SizingLp {
         let n = self.state_cap;
         for (q, queue) in nominal.queues().iter().enumerate() {
             let lambda = queue.offered_rate * factor;
+            if lambda.to_bits() == self.lambdas[q].to_bits() {
+                continue;
+            }
             self.lambdas[q] = lambda;
             let mu = nominal.bus(queue.bus).service_rate();
             let block = &self.vars[q];
@@ -799,6 +807,47 @@ mod tests {
                 "queue loss rate drifted: warm {w} vs cold {c}"
             );
         }
+    }
+
+    #[test]
+    fn budget_only_retarget_is_a_pure_rhs_delta() {
+        // At an unchanged load factor the retarget must touch only the
+        // budget row: every cut-row term and every cost keeps its bits,
+        // so the prepared problem keeps its factored basis. A load move
+        // rewrites the coefficients and drops it.
+        let arch = socbuf_soc::templates::figure1();
+        let cfg = SizingConfig::small();
+        let mut lp = SizingLp::build(&arch, 22, &cfg).unwrap();
+        let mut prepared =
+            socbuf_lp::PreparedLp::new_with_scaling(lp.problem().clone(), cfg.equilibrate).unwrap();
+        let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
+        let basis = prepared.solve_with(options).unwrap().basis_snapshot();
+        let cut_rows: Vec<RowId> = lp.cut_rows.iter().flatten().copied().collect();
+        let coefficients = |p: &LpProblem| {
+            let terms: Vec<Vec<(usize, u64)>> = cut_rows
+                .iter()
+                .map(|&r| {
+                    let (terms, _, _) = p.row(r);
+                    terms
+                        .iter()
+                        .map(|(v, c)| (v.index(), c.to_bits()))
+                        .collect()
+                })
+                .collect();
+            let costs: Vec<u64> = p.vars().map(|v| p.objective_coeff(v).to_bits()).collect();
+            (terms, costs)
+        };
+        let before = coefficients(prepared.problem());
+
+        lp.retarget(&mut prepared, &arch, 31, 1.0).unwrap();
+        assert_eq!(coefficients(prepared.problem()), before);
+        let (_, _, rhs) = prepared.problem().row(lp.budget_row.unwrap());
+        assert_eq!(rhs, cfg.alpha * 31.0);
+        assert_eq!(prepared.kept_basis(), Some(&basis));
+
+        lp.retarget(&mut prepared, &arch, 31, 1.1).unwrap();
+        assert_ne!(coefficients(prepared.problem()), before);
+        assert!(prepared.kept_basis().is_none());
     }
 
     #[test]

@@ -181,8 +181,7 @@ impl SolveContext {
     ///
     /// Same as [`size_buffers`].
     pub fn size_buffers(&mut self, budget: usize) -> Result<SizingOutcome, CoreError> {
-        let arch = self.arch.clone();
-        self.size_buffers_scaled(&arch, 1.0, budget)
+        self.size_point(None, 1.0, budget)
     }
 
     /// Sizes a load-scaled variant of the nominal architecture:
@@ -202,12 +201,28 @@ impl SolveContext {
         factor: f64,
         budget: usize,
     ) -> Result<SizingOutcome, CoreError> {
+        self.size_point(Some(scaled), factor, budget)
+    }
+
+    /// One sizing point; `scaled = None` means the nominal architecture,
+    /// which is then borrowed from the context rather than cloned.
+    fn size_point(
+        &mut self,
+        scaled: Option<&Architecture>,
+        factor: f64,
+        budget: usize,
+    ) -> Result<SizingOutcome, CoreError> {
         let solution = self.solve_sizing(scaled, factor, budget)?;
         let Translation {
             allocation,
             requirements,
             efforts,
-        } = translate(scaled, &solution, budget, &self.config)?;
+        } = translate(
+            scaled.unwrap_or(&self.arch),
+            &solution,
+            budget,
+            &self.config,
+        )?;
         Ok(SizingOutcome {
             allocation,
             efforts,
@@ -223,7 +238,7 @@ impl SolveContext {
 
     fn solve_sizing(
         &mut self,
-        scaled: &Architecture,
+        scaled: Option<&Architecture>,
         factor: f64,
         budget: usize,
     ) -> Result<SizingSolution, CoreError> {
@@ -236,6 +251,7 @@ impl SolveContext {
         if budget == 0 {
             return Err(CoreError::BadConfig("budget must be positive".into()));
         }
+        let point_arch = scaled.unwrap_or(&self.arch);
         if self.state.is_none() {
             // Chain start: build exactly what the cold path builds (at
             // this point's own budget/factor) and cache its assembly —
@@ -243,7 +259,7 @@ impl SolveContext {
             // which the whole chain then shares (in-place deltas are
             // rescaled with the cached factors, so warm bases stay
             // meaningful across retargets).
-            let lp = SizingLp::build(scaled, budget, &self.config)?;
+            let lp = SizingLp::build(point_arch, budget, &self.config)?;
             let prepared =
                 PreparedLp::new_with_scaling(lp.problem().clone(), self.config.equilibrate)?;
             self.state = Some(WarmState {
@@ -296,7 +312,7 @@ impl SolveContext {
                     // route it through the cold path (rare: tiny budgets).
                     // The cached form and basis stay valid for the next
                     // point of the chain.
-                    let lp = SizingLp::build(scaled, budget, &self.config)?;
+                    let lp = SizingLp::build(point_arch, budget, &self.config)?;
                     return lp.solve();
                 }
                 Err(LpError::IterationLimit { limit }) => {

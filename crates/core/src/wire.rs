@@ -2282,6 +2282,42 @@ mod tests {
     }
 
     #[test]
+    fn scaled_architectures_survive_a_wire_round_trip_bit_for_bit() {
+        // `scale_rates` must sum queue offered rates in the builder's
+        // order, or the rebuilt architecture differs in the last ulp and
+        // a served load point sizes differently from the in-process one.
+        let config = SizingConfig::small();
+        for arch in [
+            templates::figure1(),
+            templates::amba(),
+            templates::coreconnect(),
+            templates::network_processor(),
+        ] {
+            for step in 0..8 {
+                let factor = 1.0 - 0.05 * step as f64;
+                let scaled = arch.scale_rates(factor, 1.0).unwrap();
+                let text = architecture_to_json(&scaled);
+                let back = architecture_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+                for q in scaled.queue_ids() {
+                    assert_eq!(
+                        scaled.queue(q).offered_rate.to_bits(),
+                        back.queue(q).offered_rate.to_bits(),
+                        "factor {factor}, queue {q:?}"
+                    );
+                }
+                let a = size_buffers(&scaled, 40, &config).unwrap();
+                let b = size_buffers(&back, 40, &config).unwrap();
+                assert_eq!(a.allocation.as_slice(), b.allocation.as_slice());
+                assert_eq!(
+                    a.predicted_loss_rate.to_bits(),
+                    b.predicted_loss_rate.to_bits(),
+                    "factor {factor}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn string_escaping_roundtrips() {
         let nasty = "quote\" backslash\\ newline\n tab\t nul\u{0} bell\u{7} \
                      unicode λµ😀 del\u{7f} \u{08}\u{0c}\r";

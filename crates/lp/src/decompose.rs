@@ -899,7 +899,7 @@ mod tests {
         let (sol, _) = solve_decomposed(&p, &opts).unwrap();
         let snapshot = sol.basis_snapshot();
         assert_eq!(snapshot.engine(), LpEngine::Decomposed);
-        let prepared = PreparedLp::new(p).unwrap();
+        let mut prepared = PreparedLp::new(p).unwrap();
         let warm = prepared
             .solve_warm(&opts.with_engine(LpEngine::Decomposed), &snapshot)
             .unwrap();

@@ -47,7 +47,9 @@
 //!   rate-scaling deltas, and re-enters the revised simplex from the
 //!   previous basis (bounded dual-simplex repair, cold fallback when the
 //!   basis is stale) — how the sweep campaigns make families of nearly
-//!   identical LPs cheap.
+//!   identical LPs cheap. Across RHS-only deltas it keeps the last
+//!   optimal basis factored, so a re-solve that stays on that basis
+//!   costs one triangular solve.
 //!
 //! * **block-angular decomposition** ([`LpEngine::Decomposed`], entry
 //!   point [`solve_decomposed`]) — detects the

@@ -25,6 +25,18 @@
 //! in original units. See `crate::standard_form`'s module docs for the
 //! exact unscaling contract.
 //!
+//! **A revised solve's final basis is kept.** The revised engine ends
+//! an optimal solve on a fresh LU factor of its basis. [`PreparedLp`]
+//! keeps that factor, together with the part of the solution that
+//! depends only on the basis, `A` and `c`: duals, reduced costs, the
+//! basic flags and the snapshot. [`PreparedLp::set_rhs`] keeps them;
+//! [`PreparedLp::set_row_coeffs`] and [`PreparedLp::set_objective_coeff`]
+//! drop them. A warm solve from the kept basis first tries the rhs-only
+//! shortcut: one triangular solve for `x_B = B⁻¹ b` and the warm path's
+//! feasibility checks. If they pass, the basis is still optimal (reduced
+//! costs do not depend on `b`) and the answer is bitwise the one the
+//! full warm path gives in zero pivots. If not, the full warm path runs.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,10 +62,14 @@
 //! # }
 //! ```
 
+use std::sync::Arc;
+
+use socbuf_linalg::SparseLu;
+
 use crate::problem::{LpProblem, RowId, VarId};
-use crate::revised::{run_revised, run_revised_warm, BasisSnapshot, LpEngine};
-use crate::simplex::{run_simplex, SimplexOptions};
-use crate::solution::LpSolution;
+use crate::revised::{resolve_on_factor, run_revised, run_revised_warm, BasisSnapshot, LpEngine};
+use crate::simplex::{run_simplex, BasicSolution, SimplexOptions};
+use crate::solution::{DualHalf, LpSolution};
 use crate::standard_form::{build_standard_form, StandardForm};
 use crate::LpError;
 
@@ -67,6 +83,19 @@ pub struct PreparedLp {
     /// User row → standard-form row (user rows map one-to-one; the
     /// extra standard-form rows are variable upper bounds).
     sf_row_of: Vec<usize>,
+    /// The last revised solve's final basis, while only right-hand sides
+    /// have changed since (see the module docs).
+    kept: Option<KeptBasis>,
+}
+
+/// A basis priced optimal for the current `A` and `c`: its fresh factor
+/// and the basis-only half of its solution.
+#[derive(Debug)]
+struct KeptBasis {
+    lu: SparseLu,
+    dual: Arc<DualHalf>,
+    /// The tolerance the basis was priced under.
+    tolerance: f64,
 }
 
 impl PreparedLp {
@@ -115,6 +144,7 @@ impl PreparedLp {
             problem,
             sf,
             sf_row_of,
+            kept: None,
         })
     }
 
@@ -124,8 +154,16 @@ impl PreparedLp {
         &self.problem
     }
 
+    /// The basis whose factor this problem keeps: the last revised
+    /// solve's optimal basis, as long as only right-hand sides changed
+    /// since. A [`PreparedLp::solve_warm`] from this snapshot skips
+    /// factorization and pricing while the basis stays feasible.
+    pub fn kept_basis(&self) -> Option<&BasisSnapshot> {
+        self.kept.as_ref().map(|k| k.dual.snapshot())
+    }
+
     /// Re-targets one constraint's right-hand side in place — the
-    /// budget-style delta. `O(row nnz)`.
+    /// budget-style delta. `O(row nnz)`. The kept basis stays.
     ///
     /// # Errors
     ///
@@ -158,7 +196,7 @@ impl PreparedLp {
     /// rate-scaling delta. The terms must cover exactly the row's
     /// existing variables (after accumulating duplicates and dropping
     /// zeros), in any order; only the numeric values may change.
-    /// `O(row nnz · log)`.
+    /// `O(row nnz · log)`. Drops the kept basis.
     ///
     /// # Errors
     ///
@@ -216,6 +254,7 @@ impl PreparedLp {
                  the standard form must be rebuilt"
             )));
         }
+        self.kept = None;
         self.sf.update_row_values_in_place(i, &normalized)?;
         self.sf
             .set_rhs_in_place(i, shifted)
@@ -224,7 +263,8 @@ impl PreparedLp {
         Ok(())
     }
 
-    /// Rewrites one objective coefficient in place.
+    /// Rewrites one objective coefficient in place. Drops the kept
+    /// basis.
     ///
     /// # Errors
     ///
@@ -243,6 +283,7 @@ impl PreparedLp {
             )));
         }
         let min_form = if self.sf.negated_obj { -coeff } else { coeff };
+        self.kept = None;
         self.sf.set_cost_in_place(v.index(), min_form);
         self.problem.set_obj_coeff(v.index(), coeff);
         Ok(())
@@ -250,12 +291,13 @@ impl PreparedLp {
 
     /// Cold solve on the cached standard form — bitwise identical to
     /// [`LpProblem::solve_with`] on the current problem (the form is
-    /// the same; only the rebuild is skipped).
+    /// the same; only the rebuild is skipped). A revised solve keeps its
+    /// final basis (see [`PreparedLp::kept_basis`]).
     ///
     /// # Errors
     ///
     /// Same as [`LpProblem::solve_with`].
-    pub fn solve_with(&self, options: &SimplexOptions) -> Result<LpSolution, LpError> {
+    pub fn solve_with(&mut self, options: &SimplexOptions) -> Result<LpSolution, LpError> {
         let basic = match options.engine {
             LpEngine::Revised => run_revised(&self.sf, options)?,
             LpEngine::Tableau => run_simplex(&self.sf, options)?,
@@ -267,7 +309,7 @@ impl PreparedLp {
                     .map(|(sol, _)| sol);
             }
         };
-        LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)
+        self.finish(basic, options)
     }
 
     /// Warm solve from an exported basis (revised and decomposed
@@ -279,21 +321,72 @@ impl PreparedLp {
     /// count (and wall time) differ. See
     /// [`crate::LpSolution::basis_snapshot`].
     ///
+    /// A snapshot equal to [`PreparedLp::kept_basis`] (solved under the
+    /// same tolerance and engine) first takes the rhs-only shortcut
+    /// described in the module docs; its answer is bitwise the full warm
+    /// path's.
+    ///
     /// # Errors
     ///
     /// Same as [`PreparedLp::solve_with`].
     pub fn solve_warm(
-        &self,
+        &mut self,
         options: &SimplexOptions,
         snapshot: &BasisSnapshot,
     ) -> Result<LpSolution, LpError> {
         let basic = match options.engine {
             LpEngine::Revised | LpEngine::Decomposed => {
+                if let Some(sol) = self.resolve_kept(options, snapshot) {
+                    return Ok(sol);
+                }
                 run_revised_warm(&self.sf, options, snapshot)?
             }
             LpEngine::Tableau => run_simplex(&self.sf, options)?,
         };
-        LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)
+        self.finish(basic, options)
+    }
+
+    /// The rhs-only shortcut: `None` unless `snapshot` is the kept basis
+    /// and that basis is still feasible for the current rhs.
+    fn resolve_kept(
+        &self,
+        options: &SimplexOptions,
+        snapshot: &BasisSnapshot,
+    ) -> Option<LpSolution> {
+        let kept = self.kept.as_ref()?;
+        let ours = kept.dual.snapshot();
+        if ours.rows() != snapshot.rows()
+            || ours.num_cols() != snapshot.num_cols()
+            || ours.engine() != options.engine
+            || kept.tolerance.to_bits() != options.tolerance.to_bits()
+        {
+            return None;
+        }
+        let basic = resolve_on_factor(&self.sf, options, snapshot.rows(), &kept.lu)?;
+        Some(LpSolution::from_primal(
+            &self.problem,
+            &self.sf,
+            &basic,
+            options.engine,
+            Arc::clone(&kept.dual),
+        ))
+    }
+
+    /// Builds the solution and keeps the factor the engine ended on.
+    fn finish(
+        &mut self,
+        mut basic: BasicSolution,
+        options: &SimplexOptions,
+    ) -> Result<LpSolution, LpError> {
+        let sol = LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)?;
+        if let Some(lu) = basic.factor.take() {
+            self.kept = Some(KeptBasis {
+                lu,
+                dual: Arc::clone(sol.dual_half()),
+                tolerance: options.tolerance,
+            });
+        }
+        Ok(sol)
     }
 
     /// Crate-internal view of the cached standard form (the decomposed
@@ -324,7 +417,7 @@ mod tests {
     fn prepared_cold_solve_matches_problem_solve() {
         let (p, _, _) = wyndor();
         let direct = p.solve().unwrap();
-        let prepared = PreparedLp::new(p).unwrap();
+        let mut prepared = PreparedLp::new(p).unwrap();
         let cached = prepared.solve_with(&SimplexOptions::default()).unwrap();
         assert_eq!(direct.values(), cached.values());
         assert_eq!(direct.objective(), cached.objective());
@@ -434,7 +527,7 @@ mod tests {
             .unwrap();
         p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Eq, 2.0)
             .unwrap();
-        let prepared = PreparedLp::new(p).unwrap();
+        let mut prepared = PreparedLp::new(p).unwrap();
         let opts = SimplexOptions::default();
         let tableau = prepared
             .solve_with(&opts.with_engine(LpEngine::Tableau))
@@ -449,7 +542,7 @@ mod tests {
     #[test]
     fn warm_solve_from_optimal_basis_takes_zero_pivots() {
         let (p, _, _) = wyndor();
-        let prepared = PreparedLp::new(p).unwrap();
+        let mut prepared = PreparedLp::new(p).unwrap();
         let opts = SimplexOptions::default();
         let cold = prepared.solve_with(&opts).unwrap();
         let warm = prepared.solve_warm(&opts, &cold.basis_snapshot()).unwrap();
@@ -533,7 +626,7 @@ mod tests {
         let mut p = LpProblem::new(Sense::Minimize);
         let x = p.add_var("x", 1.0);
         p.add_constraint([(x, 1e6)], Relation::Ge, 1e-4).unwrap();
-        let prepared = PreparedLp::new_with_scaling(p, false).unwrap();
+        let mut prepared = PreparedLp::new_with_scaling(p, false).unwrap();
         let sol = prepared.solve_with(&SimplexOptions::default()).unwrap();
         assert!(!sol.scaling_stats().applied);
         // Unmeasured: the conditioning probe never ran.
@@ -543,7 +636,7 @@ mod tests {
     #[test]
     fn garbage_snapshot_falls_back_to_cold() {
         let (p, _, _) = wyndor();
-        let prepared = PreparedLp::new(p).unwrap();
+        let mut prepared = PreparedLp::new(p).unwrap();
         let opts = SimplexOptions::default();
         let cold = prepared.solve_with(&opts).unwrap();
         for snapshot in [

@@ -450,11 +450,7 @@ impl<'a> Revised<'a> {
             return Ok(None);
         };
         let tols = RevisedTolerances::derive(options.tolerance);
-        for x in xb.iter_mut() {
-            if *x < 0.0 && *x > -tols.feasibility_dust {
-                *x = 0.0;
-            }
-        }
+        clamp_dust(&mut xb, tols.feasibility_dust);
         let refactor_interval = if options.refactor_interval == 0 {
             64
         } else {
@@ -500,17 +496,7 @@ impl<'a> Revised<'a> {
     /// problem's — [`finish_phase_two`] returns
     /// [`LpError::ResidualArtificial`] instead.
     fn art_mass_bound(&self) -> f64 {
-        let b_scale: f64 = 1.0 + self.b.iter().map(|v| v.abs()).sum::<f64>();
-        crate::simplex::breakdown_threshold(self.tols.base, self.perturbation, self.m()) * b_scale
-            + self.art_allowance
-    }
-
-    /// Total (non-negative) mass sitting on artificial-owned rows.
-    fn art_mass(&self) -> f64 {
-        (0..self.m())
-            .filter(|&i| self.basis[i] >= self.n_sf)
-            .map(|i| self.xb[i].max(0.0))
-            .sum()
+        art_mass_bound(&self.tols, self.perturbation, &self.b) + self.art_allowance
     }
 
     /// Column `j` of the standard form + artificials as sparse terms.
@@ -560,13 +546,7 @@ impl<'a> Revised<'a> {
             .map_err(|e| LpError::InvalidModel(format!("basis refactorization failed: {e}")))?;
         self.etas.clear();
         self.xb = self.ftran(&self.b.clone())?;
-        // Feasibility-preserving cleanup of factorization dust.
-        let dust = self.tols.feasibility_dust;
-        for x in self.xb.iter_mut() {
-            if *x < 0.0 && *x > -dust {
-                *x = 0.0;
-            }
-        }
+        clamp_dust(&mut self.xb, self.tols.feasibility_dust);
         Ok(())
     }
 
@@ -962,7 +942,7 @@ impl<'a> Revised<'a> {
                 }
                 // Only a verdict from a fresh factorization is trusted.
                 self.refactorize()?;
-                if (0..m).all(|i| self.basis[i] >= self.n_sf || self.xb[i] >= -feas) {
+                if primal_feasible(&self.basis, self.n_sf, &self.xb, feas) {
                     return Ok(true);
                 }
                 continue;
@@ -1029,8 +1009,12 @@ impl<'a> Revised<'a> {
 
     /// Extracts the solution in the tableau engine's `BasicSolution`
     /// shape: rows still owned by an artificial are reported inactive
-    /// (they are redundant), everything else maps one to one.
-    fn into_basic(self) -> BasicSolution {
+    /// (they are redundant), everything else maps one to one. `priced`
+    /// says the current basis is the one the last pricing found optimal;
+    /// with an empty eta file the LU then *is* that basis's fresh
+    /// factor, which is handed out as it stands — never refactorized
+    /// just to be kept.
+    fn into_basic(self, priced: bool) -> BasicSolution {
         let m = self.m();
         let mut x = vec![0.0; self.n_sf];
         let mut basis = vec![usize::MAX; m];
@@ -1048,8 +1032,57 @@ impl<'a> Revised<'a> {
             basis,
             row_active,
             iterations: self.iterations,
+            factor: (priced && self.etas.is_empty()).then_some(self.lu),
         }
     }
+}
+
+/// Clamps negative basic values above `-dust` to zero: at that
+/// magnitude they are factorization round-off, not infeasibility.
+fn clamp_dust(xb: &mut [f64], dust: f64) {
+    for x in xb.iter_mut() {
+        if *x < 0.0 && *x > -dust {
+            *x = 0.0;
+        }
+    }
+}
+
+/// `1 + ‖b‖₁`, the scale the artificial residual and mass bounds are
+/// measured against.
+fn b_scale(b: &[f64]) -> f64 {
+    1.0 + b.iter().map(|v| v.abs()).sum::<f64>()
+}
+
+/// The θ = 0 guard's redundancy bound before any re-perturbation
+/// allowance; see [`Revised::art_mass_bound`].
+fn art_mass_bound(tols: &RevisedTolerances, perturbation: f64, b: &[f64]) -> f64 {
+    crate::simplex::breakdown_threshold(tols.base, perturbation, b.len()) * b_scale(b)
+}
+
+// The helpers below read a basis in either numbering: the solver's
+// (artificials are `n_sf..`) or a snapshot's (`usize::MAX` marks the
+// row of a re-seeded artificial). Both put artificials at `≥ n_sf`.
+
+/// Σ |x_B| over artificial-owned rows.
+fn art_residual(basis: &[usize], n_sf: usize, xb: &[f64]) -> f64 {
+    (0..basis.len())
+        .filter(|&i| basis[i] >= n_sf)
+        .map(|i| xb[i].abs())
+        .sum()
+}
+
+/// Total (non-negative) mass sitting on artificial-owned rows.
+fn art_mass(basis: &[usize], n_sf: usize, xb: &[f64]) -> f64 {
+    (0..basis.len())
+        .filter(|&i| basis[i] >= n_sf)
+        .map(|i| xb[i].max(0.0))
+        .sum()
+}
+
+/// Whether every structural basic value is at least `-dust`
+/// (artificial-owned rows are not enforced).
+fn primal_feasible(basis: &[usize], n_sf: usize, xb: &[f64], dust: f64) -> bool {
+    (0..basis.len()).all(|i| basis[i] >= n_sf || xb[i] >= -dust)
 }
 
 /// Sparse column access that treats artificial columns as unit vectors.
@@ -1101,6 +1134,7 @@ pub(crate) fn run_revised(
             basis: Vec::new(),
             row_active: Vec::new(),
             iterations: 0,
+            factor: None,
         });
     }
     let n_art: usize = sf.needs_artificial.iter().filter(|&&x| x).count();
@@ -1170,6 +1204,9 @@ fn finish_phase_two(
     max_iterations: usize,
 ) -> Result<BasicSolution, LpError> {
     let m = solver.m();
+    // Whether the basis is still the one the last pricing found optimal:
+    // a repair that gives up may leave pivots behind that no pricing saw.
+    let mut priced = true;
     for _ in 0..3 {
         let PhaseOutcome::Optimal = outcome else {
             break;
@@ -1177,15 +1214,21 @@ fn finish_phase_two(
         if !solver.etas.is_empty() {
             solver.refactorize()?;
         }
-        let feasible = (0..m).all(|i| {
-            solver.basis[i] >= solver.n_sf || solver.xb[i] >= -solver.tols.feasibility_dust
-        });
-        if feasible {
+        if primal_feasible(
+            &solver.basis,
+            solver.n_sf,
+            &solver.xb,
+            solver.tols.feasibility_dust,
+        ) {
             break;
         }
+        let pivots = solver.iterations;
         match solver.dual_repair(4 * m + 100) {
             Ok(true) => outcome = solver.run_phase(Phase::Two, options, max_iterations)?,
-            Ok(false) | Err(LpError::InvalidModel(_)) => break,
+            Ok(false) | Err(LpError::InvalidModel(_)) => {
+                priced = solver.iterations == pivots;
+                break;
+            }
             Err(e) => return Err(e),
         }
     }
@@ -1194,12 +1237,12 @@ fn finish_phase_two(
             // The θ = 0 contract, enforced: `run_phase`'s Optimal
             // verdict always comes off a fresh factorization, so `xb`
             // is `B⁻¹b` exact to factorization precision here.
-            let residual = solver.art_mass();
+            let residual = art_mass(&solver.basis, solver.n_sf, &solver.xb);
             let bound = solver.art_mass_bound();
             if residual > bound {
                 return Err(LpError::ResidualArtificial { residual, bound });
             }
-            Ok(solver.into_basic())
+            Ok(solver.into_basic(priced))
         }
         PhaseOutcome::Unbounded(col) => Err(LpError::Unbounded { column: col }),
     }
@@ -1239,12 +1282,7 @@ pub(crate) fn run_revised_warm(
     // silently solve a relaxation: fall back cold. The scale separates
     // round-off of a dependent row (‖b‖-relative, tiny) from a genuinely
     // binding row (order of its rhs).
-    let b_scale: f64 = 1.0 + solver.b.iter().map(|v| v.abs()).sum::<f64>();
-    let art_residual: f64 = (0..m)
-        .filter(|&i| solver.basis[i] >= solver.n_sf)
-        .map(|i| solver.xb[i].abs())
-        .sum();
-    if art_residual > 1e-3 * b_scale {
+    if art_residual(&solver.basis, solver.n_sf, &solver.xb) > 1e-3 * b_scale(&solver.b) {
         return run_revised(sf, options);
     }
 
@@ -1277,6 +1315,51 @@ pub(crate) fn run_revised_warm(
         }
         Err(e) => Err(e),
     }
+}
+
+/// The rhs-only fast path of [`crate::PreparedLp::solve_warm`]:
+/// re-solves on a kept factor of the snapshot's basis. `lu` must be the
+/// fresh factor a solve of the current `A` and `c` ended on, with this
+/// very basis priced optimal. Reduced costs do not depend on `b`, so
+/// they are still optimal and only `x_B = B⁻¹ b` is new. This computes
+/// it and runs [`run_revised_warm`]'s checks on it (artificial residual,
+/// primal feasibility, artificial mass) with the same arithmetic, so a
+/// basis that passes gets bitwise the answer the warm path would give
+/// in zero pivots. `None` when a check fails; the caller then runs the
+/// full warm path.
+pub(crate) fn resolve_on_factor(
+    sf: &StandardForm,
+    options: &SimplexOptions,
+    basis: &[usize],
+    lu: &SparseLu,
+) -> Option<BasicSolution> {
+    let n_sf = sf.a.cols();
+    let tols = RevisedTolerances::derive(options.tolerance);
+    let b = sf.perturbed_b(options.perturbation);
+    let mut xb = lu.solve(&b).ok()?;
+    clamp_dust(&mut xb, tols.feasibility_dust);
+    if art_residual(basis, n_sf, &xb) > 1e-3 * b_scale(&b)
+        || !primal_feasible(basis, n_sf, &xb, tols.feasibility_dust)
+        || art_mass(basis, n_sf, &xb) > art_mass_bound(&tols, options.perturbation, &b)
+    {
+        return None;
+    }
+    let mut x = vec![0.0; n_sf];
+    let mut row_active = vec![true; basis.len()];
+    for (i, &col) in basis.iter().enumerate() {
+        if col < n_sf {
+            x[col] = xb[i].max(0.0);
+        } else {
+            row_active[i] = false;
+        }
+    }
+    Some(BasicSolution {
+        x,
+        basis: basis.to_vec(),
+        row_active,
+        iterations: 0,
+        factor: None,
+    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! after a run of degenerate pivots (guaranteeing termination), switching
 //! back once progress resumes.
 
-use socbuf_linalg::{Lu, Matrix};
+use socbuf_linalg::{Lu, Matrix, SparseLu};
 
 use crate::decompose::ExecutorHandle;
 use crate::revised::{run_revised, LpEngine};
@@ -131,6 +131,10 @@ pub(crate) struct BasicSolution {
     pub row_active: Vec<bool>,
     /// Total pivot count over both phases.
     pub iterations: usize,
+    /// A fresh factorization of the final basis, when the engine ends on
+    /// one it priced optimal (the revised engine; see
+    /// [`crate::PreparedLp`] for who keeps it).
+    pub factor: Option<SparseLu>,
 }
 
 struct Tableau {
@@ -756,6 +760,7 @@ pub(crate) fn run_simplex(
         basis: t.basis,
         row_active: t.active,
         iterations,
+        factor: None,
     })
 }
 

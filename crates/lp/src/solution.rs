@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use socbuf_linalg::{Lu, Matrix};
 
 use crate::problem::{LpProblem, RowId, VarId};
@@ -26,13 +28,23 @@ use crate::LpError;
 pub struct LpSolution {
     values: Vec<f64>,
     objective: f64,
+    /// Shared with [`crate::PreparedLp`]'s factor cache, which hands the
+    /// same half to every re-solve that ends on this basis.
+    dual: Arc<DualHalf>,
+    iterations: usize,
+    engine: LpEngine,
+    scaling: ScalingStats,
+}
+
+/// The part of a solution fixed by the final basis, `A` and `c` alone:
+/// a right-hand-side change that keeps the basis optimal leaves all of it
+/// unchanged, so [`crate::PreparedLp`] reuses it instead of recomputing.
+#[derive(Debug)]
+pub(crate) struct DualHalf {
     duals: Vec<f64>,
     reduced: Vec<f64>,
     basic: Vec<bool>,
-    iterations: usize,
-    engine: LpEngine,
     snapshot: BasisSnapshot,
-    scaling: ScalingStats,
 }
 
 impl LpSolution {
@@ -42,17 +54,53 @@ impl LpSolution {
         basic: &BasicSolution,
         engine: LpEngine,
     ) -> Result<LpSolution, LpError> {
-        let n = p.num_vars();
+        let dual = Arc::new(DualHalf::from_basic(p, sf, basic, engine)?);
+        Ok(LpSolution::from_primal(p, sf, basic, engine, dual))
+    }
+
+    /// Completes a solution whose basis-only half is already known: only
+    /// the primal values and the objective are computed from `basic`.
+    pub(crate) fn from_primal(
+        p: &LpProblem,
+        sf: &StandardForm,
+        basic: &BasicSolution,
+        engine: LpEngine,
+        dual: Arc<DualHalf>,
+    ) -> LpSolution {
         // Unscaling contract (see `standard_form`'s module docs): the
         // engines solved the equilibrated form, so primal values are
         // `x = C·x̃` (then shifted), duals `y = R·ỹ` and reduced costs
         // `d = d̃ / c_j` — all exact, the factors being powers of two.
+        let n = p.num_vars();
         let mut values = vec![0.0; n];
         for j in 0..n {
             values[j] = sf.shift[j] + sf.col_scale(j) * basic.x[j];
         }
         let objective: f64 = p.obj_vec().iter().zip(&values).map(|(c, x)| c * x).sum();
+        LpSolution {
+            values,
+            objective,
+            dual,
+            iterations: basic.iterations,
+            engine,
+            scaling: sf.scaling_stats,
+        }
+    }
 
+    /// The basis-only half, for [`crate::PreparedLp`] to keep.
+    pub(crate) fn dual_half(&self) -> &Arc<DualHalf> {
+        &self.dual
+    }
+}
+
+impl DualHalf {
+    fn from_basic(
+        p: &LpProblem,
+        sf: &StandardForm,
+        basic: &BasicSolution,
+        engine: LpEngine,
+    ) -> Result<DualHalf, LpError> {
+        let n = p.num_vars();
         // --- Recover duals from the final basis: solve Bᵀ y = c_B. ----
         // The basis matrix is gathered from the CSR standard form by one
         // row sweep (scatter entries whose column is basic) instead of
@@ -145,19 +193,21 @@ impl LpSolution {
             })
             .collect();
 
-        Ok(LpSolution {
-            values,
-            objective,
+        Ok(DualHalf {
             duals,
             reduced,
             basic: basic_flags,
-            iterations: basic.iterations,
-            engine,
             snapshot: BasisSnapshot::new(snapshot_basis, sf.a.cols(), engine),
-            scaling: sf.scaling_stats,
         })
     }
 
+    /// The basis this half belongs to.
+    pub(crate) fn snapshot(&self) -> &BasisSnapshot {
+        &self.snapshot
+    }
+}
+
+impl LpSolution {
     /// Optimal objective value, in the problem's own sense.
     pub fn objective(&self) -> f64 {
         self.objective
@@ -183,12 +233,12 @@ impl LpSolution {
     ///
     /// Panics if `r` does not belong to the solved problem.
     pub fn dual(&self, r: RowId) -> f64 {
-        self.duals[r.index()]
+        self.dual.duals[r.index()]
     }
 
     /// All row duals, in creation order.
     pub fn duals(&self) -> &[f64] {
-        &self.duals
+        &self.dual.duals
     }
 
     /// Reduced cost of a variable (see the type-level docs for the sign
@@ -198,7 +248,7 @@ impl LpSolution {
     ///
     /// Panics if `v` does not belong to the solved problem.
     pub fn reduced_cost(&self, v: VarId) -> f64 {
-        self.reduced[v.index()]
+        self.dual.reduced[v.index()]
     }
 
     /// Whether the variable is basic in the final simplex basis.
@@ -211,7 +261,7 @@ impl LpSolution {
     ///
     /// Panics if `v` does not belong to the solved problem.
     pub fn is_basic(&self, v: VarId) -> bool {
-        self.basic[v.index()]
+        self.dual.basic[v.index()]
     }
 
     /// Total simplex pivots used across both phases.
@@ -243,6 +293,6 @@ impl LpSolution {
     /// the problem is subsequently mutated, and a solver that finds it
     /// stale simply falls back to a cold solve.
     pub fn basis_snapshot(&self) -> BasisSnapshot {
-        self.snapshot.clone()
+        self.dual.snapshot.clone()
     }
 }

@@ -321,10 +321,11 @@ pub enum Request {
         /// Which manifest chunk to execute.
         chunk: usize,
         /// Seed the chunk's warm chain from this server's cached
-        /// context basis, when one exists. Seeding changes pivot counts
-        /// (part of the rendered bytes), so this must stay `false` on
-        /// the byte-identity merge path — it is the opt-in
-        /// warm-transfer mode, measured by the trace's pivot count.
+        /// context basis, when one exists (warm transfer). Seeding may
+        /// lower pivot counts, but report bytes are unaffected:
+        /// `lp_iterations` is a trace-only field on this path, so
+        /// seeded and unseeded chunks merge byte-identically. The
+        /// trace's pivot count measures what seeding saved.
         seed_from_cache: bool,
     },
     /// Stream a campaign's chunk reports as they complete: one chunk

@@ -477,9 +477,15 @@ impl Architecture {
         for bridge in &mut scaled.bridges {
             bridge.latency /= mu_factor;
         }
-        // `offered_rate` is Σ of flow rates, so it scales with λ.
+        // `offered_rate` is Σ of flow rates. Re-sum the scaled rates in
+        // the builder's order rather than scaling the old sum: `(Σ r)·f`
+        // and `Σ (r·f)` can differ in the last ulp, and a wire round trip
+        // (which rebuilds through the builder) must reproduce this value.
         for queue in &mut scaled.queues {
-            queue.offered_rate *= lambda_factor;
+            queue.offered_rate = queue
+                .flows
+                .iter()
+                .fold(0.0, |sum, f| sum + scaled.flows[f.0].rate);
         }
         Ok(scaled)
     }

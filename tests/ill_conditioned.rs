@@ -20,7 +20,7 @@
 //!   strictness contract this PR's satellite work closes).
 
 use proptest::prelude::*;
-use socbuf::lp::{verify_optimality, LpEngine, LpError, SimplexOptions};
+use socbuf::lp::{verify_optimality, LpEngine, LpError, PreparedLp, SimplexOptions};
 use socbuf::sizing::{size_buffers, SizingConfig, SizingLp, SolveContext};
 use socbuf::soc::templates;
 
@@ -140,6 +140,68 @@ fn warm_chains_match_cold_solves_on_ill_conditioned_corpus() {
             }
         }
     }
+}
+
+#[test]
+fn kept_basis_budget_chains_are_bitwise_fresh_warm_solves() {
+    // A `PreparedLp` keeps the factor of its last optimal basis across
+    // budget (rhs-only) moves. On the equilibrated corpus its warm
+    // answers must equal, bit for bit, those of a fresh `PreparedLp`
+    // that replays the same moves and warm-solves from the same basis.
+    let options = opts(LpEngine::Revised, true);
+    let (mut applied, mut shortcuts) = (0usize, 0usize);
+    for seed in 0..25u64 {
+        let arch = templates::ill_conditioned(seed);
+        let lp = SizingLp::build(&arch, 10, &cfg(8)).unwrap();
+        let budget_row = lp.problem().row_ids().last().unwrap();
+        let mut chained = PreparedLp::new_with_scaling(lp.problem().clone(), true).unwrap();
+        let Ok(first) = chained.solve_with(&options) else {
+            continue;
+        };
+        applied += usize::from(first.scaling_stats().applied);
+        let mut snapshot = first.basis_snapshot();
+        let mut moves = Vec::new();
+        for budget in [14.0, 20.0, 30.0, 12.0, 40.0, 60.0] {
+            moves.push(0.5 * budget);
+            chained.set_rhs(budget_row, 0.5 * budget).unwrap();
+            let kept = chained.kept_basis() == Some(&snapshot);
+            let mut fresh = PreparedLp::new_with_scaling(lp.problem().clone(), true).unwrap();
+            for &rhs in &moves {
+                fresh.set_rhs(budget_row, rhs).unwrap();
+            }
+            let label = format!("seed {seed} budget {budget}");
+            match (
+                chained.solve_warm(&options, &snapshot),
+                fresh.solve_warm(&options, &snapshot),
+            ) {
+                (Ok(a), Ok(b)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a.values()), bits(b.values()), "{label}: values");
+                    assert_eq!(a.objective().to_bits(), b.objective().to_bits(), "{label}");
+                    assert_eq!(bits(a.duals()), bits(b.duals()), "{label}: duals");
+                    for v in chained.problem().vars() {
+                        assert_eq!(
+                            a.reduced_cost(v).to_bits(),
+                            b.reduced_cost(v).to_bits(),
+                            "{label}: reduced cost of {v:?}"
+                        );
+                        assert_eq!(a.is_basic(v), b.is_basic(v), "{label}");
+                    }
+                    assert_eq!(a.basis_snapshot(), b.basis_snapshot(), "{label}");
+                    assert_eq!(a.iterations(), b.iterations(), "{label}");
+                    shortcuts += usize::from(kept && a.iterations() == 0);
+                    snapshot = a.basis_snapshot();
+                }
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}"),
+                (a, b) => panic!("{label}: kept {a:?} vs fresh {b:?}"),
+            }
+        }
+    }
+    assert!(applied > 0, "the corpus must exercise equilibration");
+    assert!(
+        shortcuts > 0,
+        "the corpus must exercise the kept-basis shortcut"
+    );
 }
 
 proptest! {
