@@ -9,21 +9,19 @@
 //!
 //! `--smoke` runs the CI gate:
 //!
-//! * **byte-identical merge (always enforced)** — fanning the
-//!   manifest's chunks over two shard processes and merging the chunk
-//!   reports must reproduce the serial run's CSV and JSONL byte for
-//!   byte, for every shard assignment the round-robin produces;
-//! * **coverage verification (always enforced)** — the reducer must
-//!   reject a dropped chunk and a duplicated chunk with the named
-//!   structured errors;
-//! * **warm transfer (always enforced)** — a shard seeded with a
-//!   [`socbuf_core::BasisSnapshot`] exported from a warm peer must
-//!   solve its first chunk with measurably fewer simplex pivots than
-//!   the same chunk cold (and identical semantic bytes);
+//! * **byte-identical merge (always enforced)** — streaming the
+//!   manifest's chunks from two shard processes and merging the frames
+//!   must reproduce the serial run's CSV and JSONL byte for byte, for
+//!   every shard assignment the round-robin produces;
+//! * **coverage verification (always enforced)** — per-chunk reports,
+//!   fetched one `sweep_stream` chunk at a time, must be rejected by
+//!   the reducer with the named structured errors when a chunk is
+//!   dropped or duplicated;
 //! * **fan-out wall time (enforced when the host has ≥ 2 cores)** —
-//!   best-of-repeats: two shards must finish the campaign faster than
-//!   one shard over the same sockets. Skipped on single-core hosts,
-//!   same policy as `serve_probe`.
+//!   best of 2 repeats: a 1-shard fan-out, whose shard runs its chunks
+//!   on its own pool, must finish the campaign faster than the serial
+//!   in-process run. Skipped on single-core hosts, same policy as
+//!   `serve_probe`.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -34,10 +32,13 @@ use socbuf_core::wire::CampaignManifest;
 use socbuf_core::SizingConfig;
 use socbuf_serve::{Client, RetryPolicy, ShardFleet};
 use socbuf_soc::templates;
-use socbuf_sweep::{merge_chunk_reports, run_manifest, BudgetSweep, MergeError, WorkPool};
+use socbuf_sweep::{
+    merge_chunk_reports, run_manifest, BudgetSweep, MergeError, SweepKind, SweepReport, VecSink,
+    WorkPool,
+};
 
-/// Heavy enough per point that warm-chain and seeding effects are
-/// measurable, light enough for CI (same scale as `serve_probe`).
+/// Heavy enough per point that fan-out effects are measurable, light
+/// enough for CI (same scale as `serve_probe`).
 fn smoke_sizing() -> SizingConfig {
     SizingConfig {
         state_cap: 16,
@@ -109,40 +110,52 @@ impl Drop for ShardProcess {
 }
 
 /// Times one whole-campaign fan-out over `shards` (chunks round-robin,
-/// merge included).
-fn timed_fanout(
-    manifest: &CampaignManifest,
-    shards: &[&ShardProcess],
-) -> (socbuf_sweep::SweepReport, Duration) {
+/// streamed and merged).
+fn timed_fanout(manifest: &CampaignManifest, shards: &[&ShardProcess]) -> (SweepReport, Duration) {
     let mut fleet = ShardFleet::new(
         shards.iter().map(|s| s.client()).collect(),
         RetryPolicy::default(),
     );
     let t = Instant::now();
-    let reports = fleet.run_manifest(manifest, false).unwrap_or_else(|e| {
-        eprintln!("fan-out failed: {e}");
-        std::process::exit(2);
-    });
-    let merged = merge_chunk_reports(manifest, &reports).unwrap_or_else(|e| {
-        eprintln!("merge failed: {e}");
-        std::process::exit(2);
-    });
+    let (sink, _) = fleet
+        .run_manifest_to_sink(manifest, VecSink::new())
+        .unwrap_or_else(|e| {
+            eprintln!("fan-out failed: {e}");
+            std::process::exit(2);
+        });
+    let merged = SweepReport {
+        kind: SweepKind::from_tag(manifest.shape.kind_tag()).expect("manifest kind"),
+        points: sink.into_points(),
+    };
     (merged, t.elapsed())
 }
+
+/// Best wall time of the serial in-process run over `repeats`.
+fn best_serial(manifest: &CampaignManifest, repeats: usize) -> (SweepReport, Duration) {
+    let mut best = None;
+    let mut best_time = Duration::MAX;
+    for _ in 0..repeats {
+        let t = Instant::now();
+        let report = run_manifest(manifest, &WorkPool::serial()).expect("serial run");
+        best_time = best_time.min(t.elapsed());
+        best = Some(report);
+    }
+    (best.expect("at least one repeat"), best_time)
+}
+
+/// Best-of repeats for the wall-time gate.
+const SMOKE_REPEATS: usize = 2;
 
 /// CI-sized gate; exits nonzero on regression.
 fn smoke() -> i32 {
     let arch = templates::network_processor();
-    let config = smoke_sizing();
     let mut sweep = BudgetSweep::new(&arch, smoke_budgets());
-    sweep.sizing = config.clone();
+    sweep.sizing = smoke_sizing();
     let manifest = sweep.manifest().expect("sizing-only campaign");
     let mut failures = 0;
 
     // The reference bytes from the serial, in-process pipeline.
-    let t = Instant::now();
-    let serial = run_manifest(&manifest, &WorkPool::serial()).expect("serial run");
-    let serial_time = t.elapsed();
+    let (serial, serial_time) = best_serial(&manifest, SMOKE_REPEATS);
 
     let shard_a = ShardProcess::spawn();
     let shard_b = ShardProcess::spawn();
@@ -166,7 +179,16 @@ fn smoke() -> i32 {
     // --- Coverage verification: dropped and duplicated chunks. ---------
     let mut client_b = shard_b.client();
     let reports: Vec<_> = (0..manifest.chunks.len())
-        .map(|c| client_b.sweep_chunk(&manifest, c, false).unwrap().report)
+        .map(|c| {
+            let mut report = None;
+            client_b
+                .sweep_stream(&manifest, Some(&[c]), |reply| {
+                    report = Some(reply.report);
+                    Ok(())
+                })
+                .expect("single-chunk stream");
+            report.expect("a single-chunk stream carries one frame")
+        })
         .collect();
     match merge_chunk_reports(&manifest, &reports[..reports.len() - 1]) {
         Err(MergeError::MissingChunk { .. }) => {}
@@ -185,60 +207,23 @@ fn smoke() -> i32 {
         }
     }
 
-    // --- Warm transfer: snapshot-seeded chunk beats cold on pivots. ----
-    // Shard B's cache is still empty (chunk execution is cache-free),
-    // so its cold chunk-0 pivots are a clean baseline.
-    let cold = client_b.sweep_chunk(&manifest, 0, true).unwrap();
-    if cold.trace.warm {
-        eprintln!("SMOKE FAIL: empty-cache shard reported a seeded (warm) chunk");
-        failures += 1;
-    }
-    // Warm shard A with a size query at the campaign's first budget,
-    // then ship its basis to B.
-    let mut client_a = shard_a.client();
-    client_a.size(&arch, &config, smoke_budgets()[0]).unwrap();
-    let snapshot = client_a.snapshot_export(&arch, &config).unwrap();
-    client_b.snapshot_import(&arch, &config, &snapshot).unwrap();
-    let seeded = client_b.sweep_chunk(&manifest, 0, true).unwrap();
-    if !seeded.trace.warm {
-        eprintln!("SMOKE FAIL: imported snapshot did not seed the chunk");
-        failures += 1;
-    }
-    if seeded.trace.pivots >= cold.trace.pivots {
-        eprintln!(
-            "SMOKE FAIL: seeded chunk spent {} pivots, cold spent {} — warm transfer \
-             must measurably reduce pivots",
-            seeded.trace.pivots, cold.trace.pivots
-        );
-        failures += 1;
-    }
-    println!(
-        "chunk 0 pivots: cold {} -> snapshot-seeded {}",
-        cold.trace.pivots, seeded.trace.pivots
-    );
-
-    // --- Fan-out wall time: 2 shards beat 1 (multi-core hosts). --------
-    const SMOKE_REPEATS: usize = 2;
+    // --- Fan-out wall time: 1 pooled shard beats serial (multi-core). --
     let mut best_one = Duration::MAX;
-    let mut best_two = two_shard_time;
     for _ in 0..SMOKE_REPEATS {
-        let (_, t1) = timed_fanout(&manifest, &[&shard_a]);
-        let (_, t2) = timed_fanout(&manifest, &[&shard_a, &shard_b]);
-        best_one = best_one.min(t1);
-        best_two = best_two.min(t2);
+        best_one = best_one.min(timed_fanout(&manifest, &[&shard_a]).1);
     }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "best fan-out: 1 shard {best_one:?} vs 2 shards {best_two:?} ({:.2}x)",
-        best_one.as_secs_f64() / best_two.as_secs_f64().max(1e-12)
+        "best of {SMOKE_REPEATS}: serial {serial_time:?} vs 1-shard fan-out {best_one:?} ({:.2}x)",
+        serial_time.as_secs_f64() / best_one.as_secs_f64().max(1e-12)
     );
     if cores >= 2 {
-        if best_two >= best_one {
+        if best_one >= serial_time {
             eprintln!(
-                "SMOKE FAIL: 2-shard fan-out {best_two:?} not faster than 1 shard \
-                 {best_one:?} on a {cores}-core host"
+                "SMOKE FAIL: 1-shard fan-out {best_one:?} not faster than the serial run \
+                 {serial_time:?} on a {cores}-core host"
             );
             failures += 1;
         }

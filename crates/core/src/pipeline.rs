@@ -124,10 +124,6 @@ pub struct SolveContext {
     arch: Architecture,
     config: SizingConfig,
     state: Option<WarmState>,
-    /// A basis imported from outside the chain (typically shipped
-    /// cross-process by a coordinator), consumed when the first
-    /// [`WarmState`] is built so the chain's opening solve warm-starts.
-    seed: Option<BasisSnapshot>,
 }
 
 #[derive(Debug)]
@@ -145,31 +141,6 @@ impl SolveContext {
             arch: arch.clone(),
             config: config.clone(),
             state: None,
-            seed: None,
-        }
-    }
-
-    /// The basis this context would warm-start its next solve from: the
-    /// most recent solve's exported basis, or an imported seed on a
-    /// context that has not solved yet. `None` on a fully cold context.
-    pub fn basis_snapshot(&self) -> Option<&BasisSnapshot> {
-        self.state
-            .as_ref()
-            .and_then(|s| s.basis.as_ref())
-            .or(self.seed.as_ref())
-    }
-
-    /// Seeds the chain with a basis exported elsewhere (usually by a
-    /// coordinator process, via the wire codec), so this context's
-    /// *first* solve warm-starts instead of running the full cold
-    /// two-phase path. A snapshot whose shape does not match the chain's
-    /// LP is detected on import by the solver, which falls back cold —
-    /// seeding changes pivot counts and wall time, never answers.
-    pub fn import_basis(&mut self, snapshot: BasisSnapshot) {
-        match &mut self.state {
-            Some(state) if state.basis.is_none() => state.basis = Some(snapshot),
-            Some(_) => {} // an in-chain basis is fresher than any import
-            None => self.seed = Some(snapshot),
         }
     }
 
@@ -265,9 +236,7 @@ impl SolveContext {
             self.state = Some(WarmState {
                 lp,
                 prepared,
-                // An imported seed (if any) plays the role of the
-                // previous point's basis for the opening solve.
-                basis: self.seed.take(),
+                basis: None,
             });
         } else {
             let state = self.state.as_mut().expect("just checked");

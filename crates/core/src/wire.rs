@@ -34,7 +34,7 @@
 
 use std::fmt::Write as _;
 
-use socbuf_lp::{BasisSnapshot, ChunkPolicy, LpEngine, ScalingStats};
+use socbuf_lp::{ChunkPolicy, LpEngine, ScalingStats};
 use socbuf_soc::templates::RandomArchParams;
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
@@ -1147,7 +1147,7 @@ pub fn sizing_outcome_from_json(
 }
 
 // ---------------------------------------------------------------------
-// Sharding codecs: campaign manifests, chunk reports, basis snapshots
+// Sharding codecs: campaign manifests and chunk reports
 // ---------------------------------------------------------------------
 
 /// FNV-1a 64-bit hash — the manifest's config-hash function. Chosen for
@@ -1785,50 +1785,17 @@ pub struct ChunkReport {
 impl ChunkReport {
     /// Serializes the report as one canonical JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = self.header_json();
-        out.pop(); // strip the closing '}' to append the points inline
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            p.push(&mut out);
-        }
-        out.push_str("]}");
-        out
+        render_chunk_report(
+            self.config_hash,
+            &self.kind,
+            self.chunk,
+            self.start..self.end,
+            &self.points,
+            |out, p| p.push(out),
+        )
     }
 
-    /// The chunk-tagged JSONL rendering: a header line naming the chunk
-    /// (and how many point lines follow), then one self-contained point
-    /// object per line — streamable, byte-stable, and safely
-    /// concatenable across chunks because every line says which chunk
-    /// and campaign it belongs to via the header above it.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = self.header_json();
-        out.push('\n');
-        for p in &self.points {
-            p.push(&mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    fn header_json(&self) -> String {
-        let mut out = String::from("{\"chunk\":");
-        push_usize(&mut out, self.chunk);
-        out.push_str(",\"kind\":");
-        push_str(&mut out, &self.kind);
-        out.push_str(",\"config_hash\":");
-        push_str(&mut out, &config_hash_to_hex(self.config_hash));
-        out.push_str(",\"start\":");
-        push_usize(&mut out, self.start);
-        out.push_str(",\"end\":");
-        push_usize(&mut out, self.end);
-        out.push('}');
-        out
-    }
-
-    /// Parses the single-object rendering.
+    /// Parses the canonical rendering.
     ///
     /// # Errors
     ///
@@ -1843,36 +1810,7 @@ impl ChunkReport {
             &["chunk", "kind", "config_hash", "start", "end", "points"],
         )?;
         let points = field(v, "chunk report", "points")?.arr("points")?.to_vec();
-        Self::assemble(v, points)
-    }
-
-    /// Parses the chunk-tagged JSONL rendering (header line + one point
-    /// per line).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] for malformed lines, a missing header, or a point
-    /// count that disagrees with the header's range.
-    pub fn from_jsonl(text: &str) -> Result<ChunkReport, WireError> {
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| WireError::Schema("chunk report: empty document".into()))?;
-        let header = JsonValue::parse(header)?;
-        reject_unknown(
-            &header,
-            "chunk report",
-            &["chunk", "kind", "config_hash", "start", "end"],
-        )?;
-        let mut points = Vec::new();
-        for line in lines {
-            points.push(JsonValue::parse(line)?);
-        }
-        Self::assemble(&header, points)
-    }
-
-    fn assemble(header: &JsonValue, points: Vec<JsonValue>) -> Result<ChunkReport, WireError> {
-        let kind = field(header, "chunk report", "kind")?.str("kind")?;
+        let kind = field(v, "chunk report", "kind")?.str("kind")?;
         if !matches!(kind, "budget" | "load" | "random") {
             return Err(WireError::Schema(format!(
                 "chunk report: unknown kind \"{kind}\""
@@ -1880,13 +1818,13 @@ impl ChunkReport {
         }
         let report = ChunkReport {
             config_hash: config_hash_from_hex(
-                field(header, "chunk report", "config_hash")?.str("config_hash")?,
+                field(v, "chunk report", "config_hash")?.str("config_hash")?,
                 "config_hash",
             )?,
             kind: kind.to_string(),
-            chunk: field(header, "chunk report", "chunk")?.usize("chunk")?,
-            start: field(header, "chunk report", "start")?.usize("start")?,
-            end: field(header, "chunk report", "end")?.usize("end")?,
+            chunk: field(v, "chunk report", "chunk")?.usize("chunk")?,
+            start: field(v, "chunk report", "start")?.usize("start")?,
+            end: field(v, "chunk report", "end")?.usize("end")?,
             points,
         };
         if report.end <= report.start {
@@ -1924,332 +1862,38 @@ impl ChunkReport {
     }
 }
 
-/// Incremental twin of [`ChunkReport::to_jsonl`]: emits the report's
-/// lines one at a time — header first, then one point per call — so a
-/// shard can stream a chunk onto a socket or into a file as points are
-/// produced, without ever materializing the whole report string. The
-/// concatenation of the emitted lines is byte-identical to
-/// `to_jsonl()` on the assembled report.
-///
-/// The writer enforces the same invariants [`ChunkReport::from_jsonl`]
-/// checks on arrival (kind tag, non-empty range, in-order indices, no
-/// `frontier` field, exact point count), so a completed emission is
-/// always parseable.
-pub struct ChunkJsonlWriter {
-    header: ChunkReport,
-    written: usize,
-}
-
-impl ChunkJsonlWriter {
-    /// A writer for one chunk's identity. Validates what can be
-    /// validated up front.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] for an unknown kind tag or an empty
-    /// range.
-    pub fn new(
-        config_hash: u64,
-        kind: &str,
-        chunk: usize,
-        start: usize,
-        end: usize,
-    ) -> Result<ChunkJsonlWriter, WireError> {
-        if !matches!(kind, "budget" | "load" | "random") {
-            return Err(WireError::Schema(format!(
-                "chunk report: unknown kind \"{kind}\""
-            )));
-        }
-        if end <= start {
-            return Err(WireError::Schema(format!(
-                "chunk report: empty range {start}..{end}"
-            )));
-        }
-        Ok(ChunkJsonlWriter {
-            header: ChunkReport {
-                config_hash,
-                kind: kind.to_string(),
-                chunk,
-                start,
-                end,
-                points: Vec::new(),
-            },
-            written: 0,
-        })
-    }
-
-    /// The header line (newline-terminated). Emit exactly once, before
-    /// any point line.
-    pub fn header_line(&self) -> String {
-        let mut out = self.header.header_json();
-        out.push('\n');
-        out
-    }
-
-    /// Renders the next point's line (newline-terminated). Points must
-    /// arrive in item order.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] when the chunk is already full, the
-    /// point's `index` is not the next item index, or the point
-    /// carries a `frontier` field.
-    pub fn point_line(&mut self, point: &JsonValue) -> Result<String, WireError> {
-        let need = self.header.end - self.header.start;
-        if self.written == need {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {}..{} needs {} points, got {}",
-                self.header.start,
-                self.header.end,
-                need,
-                need + 1
-            )));
-        }
-        let what = format!("points[{}]", self.written);
-        let index = field(point, &what, "index")?.usize("index")?;
-        if index != self.header.start + self.written {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} has index {index}, expected {}",
-                self.header.start + self.written
-            )));
-        }
-        if point.get("frontier").is_some() {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} carries a \"frontier\" flag — the frontier is a \
-                 global property only the merged report may render"
-            )));
-        }
-        self.written += 1;
-        let mut out = String::new();
-        point.push(&mut out);
-        out.push('\n');
-        Ok(out)
-    }
-
-    /// Point lines still owed before the emission is complete.
-    pub fn remaining(&self) -> usize {
-        (self.header.end - self.header.start) - self.written
-    }
-
-    /// Verifies the emission is complete (every point line emitted).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] naming the shortfall.
-    pub fn finish(self) -> Result<(), WireError> {
-        let need = self.header.end - self.header.start;
-        if self.written != need {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {}..{} needs {} points, got {}",
-                self.header.start, self.header.end, need, self.written
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// One parsed line of a chunk's JSONL rendering, as
-/// [`ChunkJsonlReader`] hands it back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChunkLine {
-    /// The header line: the chunk's identity.
-    Header {
-        /// The campaign's config hash.
-        config_hash: u64,
-        /// The campaign kind tag.
-        kind: String,
-        /// Chunk index within the manifest.
-        chunk: usize,
-        /// First work-item index covered (inclusive).
-        start: usize,
-        /// One past the last work-item index covered.
-        end: usize,
-    },
-    /// A point line, already index-checked against its position.
-    Point {
-        /// The point's work-item index.
-        index: usize,
-        /// The point object (opaque to this codec, minus the checked
-        /// `index` and rejected `frontier` fields).
-        point: JsonValue,
-    },
-}
-
-/// Incremental twin of [`ChunkReport::from_jsonl`]: feed it one line at
-/// a time and get back the parsed header or point immediately, with the
-/// same validations the batch parser applies — but holding only
-/// counters, never the accumulated report. A consumer that forwards
-/// each point as it arrives (a streaming reducer, a renderer) runs in
-/// constant memory per chunk.
-pub struct ChunkJsonlReader {
-    range: Option<(usize, usize)>,
-    seen: usize,
-}
-
-impl Default for ChunkJsonlReader {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChunkJsonlReader {
-    /// A reader expecting a header line first.
-    pub fn new() -> ChunkJsonlReader {
-        ChunkJsonlReader {
-            range: None,
-            seen: 0,
-        }
-    }
-
-    /// Parses and validates the next line.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] for malformed JSON, a bad header (unknown kind,
-    /// empty range), an out-of-order point index, a `frontier` field,
-    /// or more point lines than the header's range allows.
-    pub fn push_line(&mut self, line: &str) -> Result<ChunkLine, WireError> {
-        let v = JsonValue::parse(line)?;
-        let Some((start, end)) = self.range else {
-            reject_unknown(
-                &v,
-                "chunk report",
-                &["chunk", "kind", "config_hash", "start", "end"],
-            )?;
-            let kind = field(&v, "chunk report", "kind")?.str("kind")?;
-            if !matches!(kind, "budget" | "load" | "random") {
-                return Err(WireError::Schema(format!(
-                    "chunk report: unknown kind \"{kind}\""
-                )));
-            }
-            let start = field(&v, "chunk report", "start")?.usize("start")?;
-            let end = field(&v, "chunk report", "end")?.usize("end")?;
-            if end <= start {
-                return Err(WireError::Schema(format!(
-                    "chunk report: empty range {start}..{end}"
-                )));
-            }
-            self.range = Some((start, end));
-            return Ok(ChunkLine::Header {
-                config_hash: config_hash_from_hex(
-                    field(&v, "chunk report", "config_hash")?.str("config_hash")?,
-                    "config_hash",
-                )?,
-                kind: kind.to_string(),
-                chunk: field(&v, "chunk report", "chunk")?.usize("chunk")?,
-                start,
-                end,
-            });
-        };
-        if self.seen == end - start {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {start}..{end} needs {} points, got {}",
-                end - start,
-                end - start + 1
-            )));
-        }
-        let what = format!("points[{}]", self.seen);
-        let index = field(&v, &what, "index")?.usize("index")?;
-        if index != start + self.seen {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} has index {index}, expected {}",
-                start + self.seen
-            )));
-        }
-        if v.get("frontier").is_some() {
-            return Err(WireError::Schema(format!(
-                "chunk report: {what} carries a \"frontier\" flag — the frontier is a \
-                 global property only the merged report may render"
-            )));
-        }
-        self.seen += 1;
-        Ok(ChunkLine::Point { index, point: v })
-    }
-
-    /// Whether the header arrived and every point line with it.
-    pub fn is_complete(&self) -> bool {
-        matches!(self.range, Some((start, end)) if self.seen == end - start)
-    }
-
-    /// Verifies the document was complete.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] for a missing header (`"empty document"`)
-    /// or a point-count shortfall.
-    pub fn finish(self) -> Result<(), WireError> {
-        let Some((start, end)) = self.range else {
-            return Err(WireError::Schema("chunk report: empty document".into()));
-        };
-        if self.seen != end - start {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {start}..{end} needs {} points, got {}",
-                end - start,
-                self.seen
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Serializes a [`BasisSnapshot`] as canonical JSON — how a coordinator
-/// ships a warm basis to a shard. Inactive rows (`usize::MAX`) travel
-/// as `null`.
-pub fn basis_snapshot_to_json(s: &BasisSnapshot) -> String {
-    let mut out = String::from("{\"basis\":[");
-    for (i, &col) in s.rows().iter().enumerate() {
+/// Renders one chunk report from its identity and its points, each
+/// appended as canonical JSON by `push_point`. [`ChunkReport::to_json`]
+/// renders parsed points through it, and a shard renders solver output
+/// through it directly, so both produce the same bytes without a
+/// parse-and-re-render round trip.
+pub fn render_chunk_report<P>(
+    config_hash: u64,
+    kind: &str,
+    chunk: usize,
+    range: std::ops::Range<usize>,
+    points: &[P],
+    mut push_point: impl FnMut(&mut String, &P),
+) -> String {
+    let mut out = String::from("{\"chunk\":");
+    push_usize(&mut out, chunk);
+    out.push_str(",\"kind\":");
+    push_str(&mut out, kind);
+    out.push_str(",\"config_hash\":");
+    push_str(&mut out, &config_hash_to_hex(config_hash));
+    out.push_str(",\"start\":");
+    push_usize(&mut out, range.start);
+    out.push_str(",\"end\":");
+    push_usize(&mut out, range.end);
+    out.push_str(",\"points\":[");
+    for (i, p) in points.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        if col == usize::MAX {
-            out.push_str("null");
-        } else {
-            push_usize(&mut out, col);
-        }
+        push_point(&mut out, p);
     }
-    out.push_str("],\"cols\":");
-    push_usize(&mut out, s.num_cols());
-    out.push_str(",\"engine\":");
-    push_str(&mut out, &s.engine().to_string());
-    out.push('}');
+    out.push_str("]}");
     out
-}
-
-/// Parses a [`BasisSnapshot`]. Every basic column must lie below
-/// `cols`; `null` entries mark inactive rows. A *shape-plausible but
-/// stale* snapshot still parses — staleness against a concrete LP is
-/// detected at import by the solver, which falls back cold, so a bad
-/// snapshot can cost time but never change an answer.
-///
-/// # Errors
-///
-/// [`WireError::Schema`] for non-objects, unknown engines, or basis
-/// entries at or beyond `cols`.
-pub fn basis_snapshot_from_json(v: &JsonValue) -> Result<BasisSnapshot, WireError> {
-    reject_unknown(v, "snapshot", &["basis", "cols", "engine"])?;
-    let cols = field(v, "snapshot", "cols")?.usize("cols")?;
-    let mut basis = Vec::new();
-    for (i, entry) in field(v, "snapshot", "basis")?
-        .arr("basis")?
-        .iter()
-        .enumerate()
-    {
-        let col = match entry {
-            JsonValue::Null => usize::MAX,
-            other => {
-                let col = other.usize("basis entry")?;
-                if col >= cols {
-                    return Err(WireError::Schema(format!(
-                        "snapshot: basis[{i}] = {col} is out of range for {cols} columns"
-                    )));
-                }
-                col
-            }
-        };
-        basis.push(col);
-    }
-    let engine = lp_engine_from_tag(field(v, "snapshot", "engine")?.str("engine")?)?;
-    Ok(BasisSnapshot::new(basis, cols, engine))
 }
 
 #[cfg(test)]

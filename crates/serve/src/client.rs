@@ -2,9 +2,10 @@
 //! lifecycle tests and the `serve_probe` bench bin both drive.
 //!
 //! One [`Client`] owns one connection and issues request/response pairs
-//! in strict alternation. Replies carry both the typed decoding *and*
+//! in strict alternation (a `sweep_stream` request is answered by a
+//! sequence of frames). Replies carry both the typed decoding *and*
 //! the canonical JSON text of the semantic payload
-//! ([`SizeReply::result_json`], [`SweepReply::report_json`]): because
+//! ([`SizeReply::result_json`], [`ChunkReply::report_json`]): because
 //! the server renders canonically and [`JsonValue`] re-renders
 //! canonically, that text is byte-for-byte what the server computed —
 //! which is what the byte-parity checks compare against the direct
@@ -20,10 +21,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use socbuf_core::wire::{
-    basis_snapshot_from_json, sizing_outcome_from_json, CampaignManifest, ChunkReport, JsonValue,
-    WireError,
+    sizing_outcome_from_json, CampaignManifest, ChunkReport, JsonValue, WireError,
 };
-use socbuf_core::{BasisSnapshot, SizingConfig, SizingOutcome};
+use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
 use socbuf_sweep::{MergeError, PointSink, ReduceStats, StreamingReducer};
 
@@ -96,16 +96,7 @@ pub struct SizeReply {
     pub trace: Trace,
 }
 
-/// A decoded `sweep` reply.
-#[derive(Debug)]
-pub struct SweepReply {
-    /// Canonical JSON of the report (`{"kind":…,"points":[…]}`).
-    pub report_json: String,
-    /// How the server served this request.
-    pub trace: Trace,
-}
-
-/// A decoded `sweep_chunk` reply.
+/// One decoded chunk frame of a `sweep_stream` answer.
 #[derive(Debug)]
 pub struct ChunkReply {
     /// The decoded chunk report, ready for the merge reducer.
@@ -113,8 +104,7 @@ pub struct ChunkReply {
     /// Canonical JSON of the chunk report — byte-for-byte what the
     /// server rendered.
     pub report_json: String,
-    /// How the server served this request (`warm` is true when the
-    /// chunk was basis-seeded from the shard's cache).
+    /// How the server served this chunk.
     pub trace: Trace,
 }
 
@@ -131,19 +121,6 @@ pub struct StreamEndReply {
     pub frames: u64,
     /// Points across those chunk frames.
     pub points: u64,
-}
-
-/// A decoded `frontier` reply.
-#[derive(Debug)]
-pub struct FrontierReply {
-    /// Canonical JSON of the underlying report.
-    pub report_json: String,
-    /// Indices of Pareto-efficient points.
-    pub indices: Vec<usize>,
-    /// Human-readable frontier table.
-    pub table: String,
-    /// How the server served this request.
-    pub trace: Trace,
 }
 
 /// Connection tuning for a [`Client`].
@@ -373,63 +350,6 @@ impl Client {
         }
     }
 
-    /// Runs a budget sweep on the server.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`].
-    pub fn sweep(
-        &mut self,
-        arch: &Architecture,
-        config: &SizingConfig,
-        budgets: &[usize],
-    ) -> Result<SweepReply, ClientError> {
-        let req = Request::Sweep {
-            arch: arch.clone(),
-            config: config.clone(),
-            budgets: budgets.to_vec(),
-        };
-        match self.request(&req)? {
-            Response::Sweep { report, trace } => Ok(SweepReply {
-                report_json: report,
-                trace,
-            }),
-            _ => Err(unexpected("sweep")),
-        }
-    }
-
-    /// Runs a budget sweep and extracts its Pareto frontier.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`].
-    pub fn frontier(
-        &mut self,
-        arch: &Architecture,
-        config: &SizingConfig,
-        budgets: &[usize],
-    ) -> Result<FrontierReply, ClientError> {
-        let req = Request::Frontier {
-            arch: arch.clone(),
-            config: config.clone(),
-            budgets: budgets.to_vec(),
-        };
-        match self.request(&req)? {
-            Response::Frontier {
-                report,
-                indices,
-                table,
-                trace,
-            } => Ok(FrontierReply {
-                report_json: report,
-                indices,
-                table,
-                trace,
-            }),
-            _ => Err(unexpected("frontier")),
-        }
-    }
-
     /// Fetches the server's counters.
     ///
     /// # Errors
@@ -454,50 +374,15 @@ impl Client {
         }
     }
 
-    /// Executes one manifest chunk on the server.
-    ///
-    /// With `seed_from_cache` the shard seeds its first solve from a
-    /// cached basis when one exists (warm transfer — pivot counts may
-    /// drop; report bytes are unaffected because `lp_iterations` is a
-    /// trace-only field on this path).
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`] —
-    /// including structured manifest rejections (stale config hash,
-    /// out-of-range chunk) surfaced as [`ClientError::Remote`].
-    pub fn sweep_chunk(
-        &mut self,
-        manifest: &CampaignManifest,
-        chunk: usize,
-        seed_from_cache: bool,
-    ) -> Result<ChunkReply, ClientError> {
-        let req = Request::SweepChunk {
-            manifest: manifest.clone(),
-            chunk,
-            seed_from_cache,
-        };
-        match self.request(&req)? {
-            Response::Chunk { report, trace } => {
-                let decoded = ChunkReport::from_json(&JsonValue::parse(&report)?)?;
-                Ok(ChunkReply {
-                    report: decoded,
-                    report_json: report,
-                    trace,
-                })
-            }
-            _ => Err(unexpected("sweep_chunk")),
-        }
-    }
-
     /// Streams manifest chunks from the server, invoking `on_chunk`
     /// for each chunk frame as it arrives, until the terminal
     /// [`Response::StreamEnd`] summary.
     ///
-    /// `chunks` selects the chunk indices to execute (`None` = every
-    /// chunk, in manifest order). The callback typically feeds each
-    /// report straight into a merge reducer so only in-flight points
-    /// stay resident — this is the verb behind
+    /// `chunks` selects the chunk indices to execute, in the order
+    /// frames should arrive (`None` = every chunk, in manifest order;
+    /// `Some(&[k])` fetches chunk `k` alone). The callback typically
+    /// feeds each report straight into a merge reducer so only
+    /// in-flight points stay resident — this is the verb behind
     /// [`ShardFleet::run_manifest_to_sink`].
     ///
     /// The terminal summary is verified against what was actually
@@ -579,53 +464,6 @@ impl Client {
         }
     }
 
-    /// Exports the cached warm basis for an architecture/config pair.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Remote`] when the server has no warm context (or
-    /// an unsolved one) for the pair; transport/protocol failures
-    /// otherwise.
-    pub fn snapshot_export(
-        &mut self,
-        arch: &Architecture,
-        config: &SizingConfig,
-    ) -> Result<BasisSnapshot, ClientError> {
-        let req = Request::SnapshotExport {
-            arch: arch.clone(),
-            config: config.clone(),
-        };
-        match self.request(&req)? {
-            Response::Snapshot { snapshot } => {
-                Ok(basis_snapshot_from_json(&JsonValue::parse(&snapshot)?)?)
-            }
-            _ => Err(unexpected("snapshot_export")),
-        }
-    }
-
-    /// Imports a basis into the server's cache so its next solve for
-    /// this architecture/config pair starts warm.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or remote failures as [`ClientError`].
-    pub fn snapshot_import(
-        &mut self,
-        arch: &Architecture,
-        config: &SizingConfig,
-        snapshot: &BasisSnapshot,
-    ) -> Result<(), ClientError> {
-        let req = Request::SnapshotImport {
-            arch: arch.clone(),
-            config: config.clone(),
-            snapshot: snapshot.clone(),
-        };
-        match self.request(&req)? {
-            Response::Imported => Ok(()),
-            _ => Err(unexpected("snapshot_import")),
-        }
-    }
-
     /// Runs `op`, retrying on backpressure (`busy`) with the policy's
     /// deterministic backoff. Any other failure — and the final
     /// attempt's `busy` — propagates unchanged.
@@ -664,16 +502,19 @@ fn unexpected(req: &str) -> ClientError {
 }
 
 /// Coordinator-side fan-out: one connection per shard, chunks assigned
-/// round-robin (`chunk c` → `shard c % n`), replies slotted back into
-/// chunk order so the result vector feeds
-/// `socbuf_sweep::merge_chunk_reports` directly.
+/// round-robin (`chunk c` → `shard c % n`), each shard's share streamed
+/// back over one `sweep_stream` request and merged in index order
+/// ([`ShardFleet::run_manifest_to_sink`]). A caller that wants the
+/// whole report collects into a `socbuf_sweep::VecSink` and builds a
+/// `SweepReport` from its points.
 ///
 /// The assignment is a pure function of `(num_chunks, shards)` — never
 /// of timing — so reruns issue identical request sequences. Each shard
-/// executes its chunks sequentially on its own thread, retrying
-/// backpressure under the fleet's [`RetryPolicy`]. Warm chains inside
-/// a chunk are preserved by construction (a chunk never splits), which
-/// is what keeps the merged bytes identical to a serial run.
+/// runs its share on its own pool and answers on its own coordinator
+/// thread, retrying backpressure under the fleet's [`RetryPolicy`].
+/// Warm chains inside a chunk are preserved by construction (a chunk
+/// never splits), which is what keeps the merged bytes identical to a
+/// serial run.
 pub struct ShardFleet {
     clients: Vec<Client>,
     retry: RetryPolicy,
@@ -701,73 +542,20 @@ impl ShardFleet {
         self.clients.len()
     }
 
-    /// Executes every chunk of `manifest` across the fleet and returns
-    /// the reports in chunk order.
-    ///
-    /// # Errors
-    ///
-    /// The failure from the lowest-indexed failing shard; on any
-    /// failure the whole fan-out is abandoned (partial coverage would
-    /// be rejected by the reducer anyway).
-    pub fn run_manifest(
-        &mut self,
-        manifest: &CampaignManifest,
-        seed_from_cache: bool,
-    ) -> Result<Vec<ChunkReport>, ClientError> {
-        let shards = self.clients.len();
-        let num_chunks = manifest.chunks.len();
-        let retry = self.retry;
-        let mut per_shard: Vec<Result<Vec<(usize, ChunkReport)>, ClientError>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter_mut()
-                .enumerate()
-                .map(|(shard, client)| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        let mut chunk = shard;
-                        while chunk < num_chunks {
-                            let reply = client.with_retry(&retry, |c| {
-                                c.sweep_chunk(manifest, chunk, seed_from_cache)
-                            })?;
-                            done.push((chunk, reply.report));
-                            chunk += shards;
-                        }
-                        Ok(done)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                per_shard.push(handle.join().expect("shard thread panicked"));
-            }
-        });
-        let mut slots: Vec<Option<ChunkReport>> = (0..num_chunks).map(|_| None).collect();
-        for shard in per_shard {
-            for (chunk, report) in shard? {
-                slots[chunk] = Some(report);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("round-robin covers every chunk"))
-            .collect())
-    }
-
     /// Streams every chunk of `manifest` across the fleet into `sink`,
     /// merging frames through a shared [`StreamingReducer`] as they
     /// arrive.
     ///
-    /// The chunk assignment is the same pure `chunk c` → `shard c % n`
-    /// round-robin as [`run_manifest`](Self::run_manifest), but no
-    /// per-chunk report vector is ever materialised: each shard issues
+    /// The chunk assignment is the pure `chunk c` → `shard c % n`
+    /// round-robin, and no per-chunk report vector is ever
+    /// materialised: each shard issues
     /// one `sweep_stream` request for its subset and ingests frames
     /// into the reducer the moment they land, so the coordinator's
     /// resident footprint is the reducer's out-of-order parking lot
     /// ([`ReduceStats::peak_resident_points`]), not the campaign. The
     /// sink sees points in strict index order regardless of how shard
     /// streams interleave, which keeps the merged bytes identical to
-    /// the batch path.
+    /// the serial run.
     ///
     /// # Errors
     ///

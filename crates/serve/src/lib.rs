@@ -10,10 +10,9 @@
 //! parallelism. This crate is the std-only network front for those
 //! pieces:
 //!
-//! * [`protocol`] — the versioned, length-prefixed JSON protocol
-//!   (`size`, `sweep`, `frontier`, `sweep_chunk`, `sweep_stream`,
-//!   `snapshot_export`, `snapshot_import`, `health`, `drain`),
-//!   documented in full on the module;
+//! * [`protocol`] — the versioned, length-prefixed JSON protocol (v2:
+//!   `size`, `sweep_stream`, `health`, `drain`), documented in full on
+//!   the module;
 //! * [`cache`] — the keyed LRU of warm contexts with hit/miss/pivot
 //!   counters;
 //! * [`server`] — TCP/Unix listeners, per-connection handlers,
@@ -22,30 +21,26 @@
 //!   shard processes;
 //! * [`client`] — the blocking client the tests and the bench bins
 //!   share, plus [`ShardFleet`], the coordinator-side fan-out that
-//!   round-robins manifest chunks over shard connections — either
-//!   collecting reports in merge order ([`ShardFleet::run_manifest`])
-//!   or streaming frames straight into a bounded-memory merge reducer
+//!   round-robins manifest chunks over shard connections and streams
+//!   their frames straight into a bounded-memory merge reducer
 //!   ([`ShardFleet::run_manifest_to_sink`]).
 //!
-//! # Sharded campaigns
+//! # Campaigns
 //!
-//! A coordinator renders a [`socbuf_core::wire::CampaignManifest`]
-//! once, fans its chunks out over `sweep_chunk` requests to any number
-//! of shard servers, and reduces the replies with
-//! `socbuf_sweep::merge_chunk_reports` — the merged report is
-//! byte-identical to a serial single-host run for **any** partition of
-//! chunks over shards, because chunks follow the campaign's own
-//! [`socbuf_core::ChunkPolicy`] warm-chain boundaries. Warmth travels
-//! separately: `snapshot_export`/`snapshot_import` move a
-//! [`socbuf_core::BasisSnapshot`] between shards so a cold shard's
-//! first solve starts from a transferred basis (fewer pivots, traced —
-//! never rendered). The `sweep_stream` verb is the streaming twin:
-//! one request per shard, chunk-report frames pushed back as each
-//! chunk completes, merged on the coordinator through
-//! `socbuf_sweep::StreamingReducer` so no per-chunk report vector is
-//! ever materialised — same bytes, bounded memory. The
-//! `shard_probe --smoke` and `scale_probe --smoke` bench bins pin all
-//! of this end to end over real sockets.
+//! Every campaign is a [`socbuf_core::wire::CampaignManifest`] run
+//! through one path. In process, `socbuf_sweep::run_manifest_sink`
+//! executes it on a `WorkPool`. Over the wire, a `sweep_stream` request
+//! carries the manifest (and optionally a subset of its chunks); the
+//! server runs the chunks on its own pool with the same ordered
+//! scheduler and writes each chunk-report frame as soon as it is next
+//! in the requested order. A coordinator streams each shard's share and
+//! merges the frames through `socbuf_sweep::StreamingReducer` — the
+//! merged bytes are identical to a serial single-host run for **any**
+//! partition of chunks over shards, because chunks follow the
+//! campaign's own [`socbuf_core::ChunkPolicy`] warm-chain boundaries,
+//! and memory stays bounded. The `shard_probe --smoke` and
+//! `scale_probe --smoke` bench bins pin all of this end to end over
+//! real sockets.
 //!
 //! # The byte-parity contract
 //!
@@ -86,8 +81,8 @@ pub mod server;
 
 pub use cache::{cache_key, CacheStats, ContextCache};
 pub use client::{
-    ChunkReply, Client, ClientConfig, ClientError, FrontierReply, RetryPolicy, ShardFleet,
-    SizeReply, StreamEndReply, StreamMergeError, SweepReply,
+    ChunkReply, Client, ClientConfig, ClientError, RetryPolicy, ShardFleet, SizeReply,
+    StreamEndReply, StreamMergeError,
 };
 pub use protocol::{
     Health, Request, Response, StreamGauges, Trace, VerbCounts, MAX_FRAME_BYTES, PROTOCOL_VERSION,

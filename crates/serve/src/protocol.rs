@@ -21,58 +21,54 @@
 //!
 //! # Requests
 //!
-//! Every request is an object with `"v": 1` (the protocol version —
-//! other values are rejected) and a `"req"` discriminator:
+//! Every request is an object with `"v": 2` (the protocol version —
+//! other values are rejected by name) and a `"req"` discriminator:
 //!
-//! | `req`             | extra fields                                 | answer |
-//! |-------------------|----------------------------------------------|--------|
-//! | `size`            | `arch`, `config`, `budget`                   | one sizing outcome + trace |
-//! | `sweep`           | `arch`, `config`, `budgets` (array)          | a [`SweepReport`] + trace |
-//! | `frontier`        | `arch`, `config`, `budgets` (array)          | report + Pareto indices + table + trace |
-//! | `sweep_chunk`     | `manifest`, `chunk`, `seed_from_cache`       | one chunk-tagged report + trace |
-//! | `sweep_stream`    | `manifest`, optional `chunks` (array)        | one chunk frame per chunk, then a `stream_end` frame |
-//! | `snapshot_export` | `arch`, `config`                             | the cached context's basis |
-//! | `snapshot_import` | `arch`, `config`, `snapshot`                 | import acknowledgement |
-//! | `health`          | —                                            | cache/backpressure/verb counters |
-//! | `drain`           | —                                            | drain acknowledgement |
+//! | `req`          | extra fields                        | answer |
+//! |----------------|-------------------------------------|--------|
+//! | `size`         | `arch`, `config`, `budget`          | one sizing outcome + trace |
+//! | `sweep_stream` | `manifest`, optional `chunks` (array) | one chunk frame per chunk, then a `stream_end` frame |
+//! | `health`       | —                                   | cache/backpressure/verb counters |
+//! | `drain`        | —                                   | drain acknowledgement |
 //!
 //! `arch` and `config` use the [`socbuf_core::wire`] schemas
 //! ([`architecture_to_json`], [`sizing_config_to_json`]); `config` may
 //! be `{}` for the defaults. `manifest` is a
-//! [`socbuf_core::wire::CampaignManifest`] document and `snapshot` a
-//! [`socbuf_core::wire::basis_snapshot_to_json`] document — the shard
-//! verbs: a coordinator ships manifest chunks to shard servers
-//! (`sweep_chunk`), and may move a warm basis between shards
-//! (`snapshot_export` → `snapshot_import`) so a freshly started shard
-//! solves its first chunk warm.
+//! [`socbuf_core::wire::CampaignManifest`] document: every campaign —
+//! a budget sweep, a frontier, one shard's share of a fleet — is a
+//! manifest streamed with `sweep_stream`.
+//!
+//! Protocol v1 also had `sweep`, `frontier`, `sweep_chunk`,
+//! `snapshot_export` and `snapshot_import`. Each was a special case of
+//! `sweep_stream` or existed only to move warm bases between shards;
+//! v2 refuses them by name, and refuses any `"v": 1` frame with the
+//! version error.
 //!
 //! # Responses
 //!
-//! Every response is an object with `"v": 1` and `"ok"`:
+//! Every response is an object with `"v": 2` and `"ok"`:
 //!
-//! * `size` → `{"v":1,"ok":true,"result":<outcome>,"trace":<trace>}`,
+//! * `size` → `{"v":2,"ok":true,"result":<outcome>,"trace":<trace>}`,
 //!   where `result` is the **semantic** outcome rendering
 //!   ([`sizing_outcome_semantic_json`]) — a pure function of
 //!   (architecture, config, budget), byte-identical whether the server
 //!   answered from a cold solve or a warm cache hit. Path-dependent
 //!   data (pivot count, timings, warm/cold) lives in `trace`.
-//! * `sweep` → `{"v":1,"ok":true,"report":<report>,"trace":<trace>}`
-//!   with `report` from [`SweepReport::to_json`].
-//! * `frontier` → like `sweep`, plus `"frontier":[indices]` and a
-//!   human-readable `"table"` string.
-//! * `health` → `{"v":1,"ok":true,"health":{…}}` (see [`Health`]).
-//! * `drain` → `{"v":1,"ok":true,"draining":true}`.
+//! * `health` → `{"v":2,"ok":true,"health":{…}}` (see [`Health`]).
+//! * `drain` → `{"v":2,"ok":true,"draining":true}`.
 //! * `sweep_stream` → the one verb that answers with **more than one
-//!   frame**: each selected chunk arrives as its own `chunk_report`
-//!   frame (identical in shape to a `sweep_chunk` answer) the moment
-//!   the server finishes it, followed by a terminal
-//!   `{"v":1,"ok":true,"stream_end":{"config_hash":"…","frames":N,"points":N}}`
+//!   frame**: each selected chunk arrives as its own
+//!   `{"v":2,"ok":true,"chunk_report":<report>,"trace":<trace>}` frame
+//!   (`report` as [`socbuf_core::wire::ChunkReport::to_json`]) in the
+//!   requested order, as soon as it is next, followed by a terminal
+//!   `{"v":2,"ok":true,"stream_end":{"config_hash":"…","frames":N,"points":N}}`
 //!   summary the client checks against what it consumed. A failure
 //!   mid-stream arrives as an ordinary error frame in the same
 //!   position and ends the stream. The optional `chunks` request field
-//!   selects a subset of manifest chunks (a fleet coordinator gives
-//!   each shard its share); omitted means all chunks, in order.
-//! * failures → `{"v":1,"ok":false,"error":"…"}`; when the server
+//!   selects a subset of manifest chunks, in any order (a fleet
+//!   coordinator gives each shard its share); omitted means all
+//!   chunks, in order.
+//! * failures → `{"v":2,"ok":false,"error":"…"}`; when the server
 //!   refused for backpressure the error is `"busy"` and a
 //!   `"retry_after_ms"` hint is attached.
 //!
@@ -90,17 +86,33 @@
 use std::io::{self, Read, Write};
 
 use socbuf_core::wire::{
-    architecture_from_json, architecture_to_json, basis_snapshot_from_json, basis_snapshot_to_json,
-    config_hash_from_hex, config_hash_to_hex, push_f64, push_str, push_usize,
-    sizing_config_from_json, sizing_config_to_json, sizing_outcome_semantic_json, CampaignManifest,
-    JsonValue, WireError,
+    architecture_from_json, architecture_to_json, config_hash_from_hex, config_hash_to_hex,
+    push_f64, push_str, push_usize, sizing_config_from_json, sizing_config_to_json,
+    sizing_outcome_semantic_json, CampaignManifest, JsonValue, WireError,
 };
-use socbuf_core::{BasisSnapshot, SizingConfig, SizingOutcome};
+use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
-use socbuf_sweep::SweepReport;
 
 /// The one protocol version this build speaks.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
+
+/// Verbs protocol v1 had and v2 refuses by name, each with the hint its
+/// refusal carries.
+const REMOVED_VERBS: [(&str, &str); 5] = [
+    ("sweep", "stream a manifest with sweep_stream"),
+    ("frontier", "stream a manifest with sweep_stream"),
+    ("sweep_chunk", "stream one chunk with sweep_stream"),
+    ("snapshot_export", "warm chains live inside manifest chunks"),
+    ("snapshot_import", "warm chains live inside manifest chunks"),
+];
+
+/// Starts a canonical protocol object: `{"v":<PROTOCOL_VERSION>,`.
+fn open_frame() -> String {
+    let mut out = String::from("{\"v\":");
+    push_usize(&mut out, PROTOCOL_VERSION as usize);
+    out.push(',');
+    out
+}
 
 /// Upper bound on a frame payload (16 MiB). Chosen far above any real
 /// request (architectures are a few KiB) so the only thing it rejects
@@ -294,44 +306,9 @@ pub enum Request {
         /// Total buffer budget.
         budget: usize,
     },
-    /// Run a warm-chained budget sweep.
-    Sweep {
-        /// The architecture to sweep.
-        arch: Architecture,
-        /// Pipeline configuration.
-        config: SizingConfig,
-        /// The budget grid.
-        budgets: Vec<usize>,
-    },
-    /// Run a budget sweep and extract its Pareto frontier.
-    Frontier {
-        /// The architecture to sweep.
-        arch: Architecture,
-        /// Pipeline configuration.
-        config: SizingConfig,
-        /// The budget grid.
-        budgets: Vec<usize>,
-    },
-    /// Execute one chunk of a sharded campaign manifest (the shard
-    /// worker's unit of work).
-    SweepChunk {
-        /// The campaign manifest (shape, config, chunk partition,
-        /// config hash) — verified on parse.
-        manifest: CampaignManifest,
-        /// Which manifest chunk to execute.
-        chunk: usize,
-        /// Seed the chunk's warm chain from this server's cached
-        /// context basis, when one exists (warm transfer). Seeding may
-        /// lower pivot counts, but report bytes are unaffected:
-        /// `lp_iterations` is a trace-only field on this path, so
-        /// seeded and unseeded chunks merge byte-identically. The
-        /// trace's pivot count measures what seeding saved.
-        seed_from_cache: bool,
-    },
-    /// Stream a campaign's chunk reports as they complete: one chunk
-    /// frame per selected chunk, then a terminal
-    /// [`Response::StreamEnd`] summary. The streaming twin of
-    /// repeated `sweep_chunk` round-trips — one request, a pipelined
+    /// Stream a campaign's chunk reports: one chunk frame per selected
+    /// chunk, in the order selected, then a terminal
+    /// [`Response::StreamEnd`] summary — one request, a pipelined
     /// sequence of answers, no whole-campaign materialization on
     /// either side.
     SweepStream {
@@ -339,26 +316,9 @@ pub enum Request {
         manifest: CampaignManifest,
         /// The manifest chunks to stream, in the order given (`None`
         /// = every chunk, in manifest order). A fleet coordinator
-        /// passes each shard its assigned subset.
+        /// passes each shard its assigned subset; a single chunk is
+        /// `Some(vec![k])`.
         chunks: Option<Vec<usize>>,
-    },
-    /// Export the cached warm context's basis for (arch, config), so a
-    /// coordinator can move warmth to another shard.
-    SnapshotExport {
-        /// The architecture keying the cached context.
-        arch: Architecture,
-        /// The sizing config keying the cached context.
-        config: SizingConfig,
-    },
-    /// Import a basis into this server's context for (arch, config) —
-    /// the receiving half of a warm transfer.
-    SnapshotImport {
-        /// The architecture keying the context.
-        arch: Architecture,
-        /// The sizing config keying the context.
-        config: SizingConfig,
-        /// The basis to seed the context's next solve with.
-        snapshot: BasisSnapshot,
     },
     /// Report server counters.
     Health,
@@ -369,7 +329,8 @@ pub enum Request {
 impl Request {
     /// Renders this request as canonical protocol JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"v\":1,\"req\":");
+        let mut out = open_frame();
+        out.push_str("\"req\":");
         match self {
             Request::Size {
                 arch,
@@ -382,46 +343,6 @@ impl Request {
                 out.push_str(&sizing_config_to_json(config));
                 out.push_str(",\"budget\":");
                 push_usize(&mut out, *budget);
-            }
-            Request::Sweep {
-                arch,
-                config,
-                budgets,
-            }
-            | Request::Frontier {
-                arch,
-                config,
-                budgets,
-            } => {
-                out.push_str(if matches!(self, Request::Sweep { .. }) {
-                    "\"sweep\""
-                } else {
-                    "\"frontier\""
-                });
-                out.push_str(",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(config));
-                out.push_str(",\"budgets\":[");
-                for (i, b) in budgets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_usize(&mut out, *b);
-                }
-                out.push(']');
-            }
-            Request::SweepChunk {
-                manifest,
-                chunk,
-                seed_from_cache,
-            } => {
-                out.push_str("\"sweep_chunk\",\"manifest\":");
-                out.push_str(&manifest.to_json());
-                out.push_str(",\"chunk\":");
-                push_usize(&mut out, *chunk);
-                out.push_str(",\"seed_from_cache\":");
-                out.push_str(if *seed_from_cache { "true" } else { "false" });
             }
             Request::SweepStream { manifest, chunks } => {
                 out.push_str("\"sweep_stream\",\"manifest\":");
@@ -437,24 +358,6 @@ impl Request {
                     out.push(']');
                 }
             }
-            Request::SnapshotExport { arch, config } => {
-                out.push_str("\"snapshot_export\",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(config));
-            }
-            Request::SnapshotImport {
-                arch,
-                config,
-                snapshot,
-            } => {
-                out.push_str("\"snapshot_import\",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(config));
-                out.push_str(",\"snapshot\":");
-                out.push_str(&basis_snapshot_to_json(snapshot));
-            }
             Request::Health => out.push_str("\"health\""),
             Request::Drain => out.push_str("\"drain\""),
         }
@@ -466,7 +369,8 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// [`WireError`] for malformed JSON, an unsupported version, an
+    /// [`WireError`] for malformed JSON, an unsupported version, a verb
+    /// removed in protocol v2 (named, with what replaces it), an
     /// unknown `req`, or payload schema violations.
     pub fn parse(text: &str) -> Result<Request, WireError> {
         let v = JsonValue::parse(text)?;
@@ -483,28 +387,15 @@ impl Request {
             .get("req")
             .ok_or_else(|| WireError::Schema("request: missing field \"req\"".into()))?
             .str("req")?;
-        let arch_config = |v: &JsonValue| -> Result<(Architecture, SizingConfig), WireError> {
-            let arch = architecture_from_json(
-                v.get("arch")
-                    .ok_or_else(|| WireError::Schema("request: missing field \"arch\"".into()))?,
-            )?;
-            let config =
-                sizing_config_from_json(v.get("config").ok_or_else(|| {
-                    WireError::Schema("request: missing field \"config\"".into())
-                })?)?;
-            Ok((arch, config))
-        };
-        let budgets = |v: &JsonValue| -> Result<Vec<usize>, WireError> {
-            v.get("budgets")
-                .ok_or_else(|| WireError::Schema("request: missing field \"budgets\"".into()))?
-                .arr("budgets")?
-                .iter()
-                .map(|b| b.usize("budget"))
-                .collect()
-        };
         match req {
             "size" => {
-                let (arch, config) = arch_config(&v)?;
+                let arch =
+                    architecture_from_json(v.get("arch").ok_or_else(|| {
+                        WireError::Schema("request: missing field \"arch\"".into())
+                    })?)?;
+                let config = sizing_config_from_json(v.get("config").ok_or_else(|| {
+                    WireError::Schema("request: missing field \"config\"".into())
+                })?)?;
                 let budget = v
                     .get("budget")
                     .ok_or_else(|| WireError::Schema("request: missing field \"budget\"".into()))?
@@ -513,43 +404,6 @@ impl Request {
                     arch,
                     config,
                     budget,
-                })
-            }
-            "sweep" => {
-                let (arch, config) = arch_config(&v)?;
-                Ok(Request::Sweep {
-                    arch,
-                    config,
-                    budgets: budgets(&v)?,
-                })
-            }
-            "frontier" => {
-                let (arch, config) = arch_config(&v)?;
-                Ok(Request::Frontier {
-                    arch,
-                    config,
-                    budgets: budgets(&v)?,
-                })
-            }
-            "sweep_chunk" => {
-                let manifest =
-                    CampaignManifest::from_json(v.get("manifest").ok_or_else(|| {
-                        WireError::Schema("request: missing field \"manifest\"".into())
-                    })?)?;
-                let chunk = v
-                    .get("chunk")
-                    .ok_or_else(|| WireError::Schema("request: missing field \"chunk\"".into()))?
-                    .usize("chunk")?;
-                let seed_from_cache = v
-                    .get("seed_from_cache")
-                    .ok_or_else(|| {
-                        WireError::Schema("request: missing field \"seed_from_cache\"".into())
-                    })?
-                    .bool("seed_from_cache")?;
-                Ok(Request::SweepChunk {
-                    manifest,
-                    chunk,
-                    seed_from_cache,
                 })
             }
             "sweep_stream" => {
@@ -568,26 +422,16 @@ impl Request {
                 };
                 Ok(Request::SweepStream { manifest, chunks })
             }
-            "snapshot_export" => {
-                let (arch, config) = arch_config(&v)?;
-                Ok(Request::SnapshotExport { arch, config })
-            }
-            "snapshot_import" => {
-                let (arch, config) = arch_config(&v)?;
-                let snapshot = basis_snapshot_from_json(v.get("snapshot").ok_or_else(|| {
-                    WireError::Schema("request: missing field \"snapshot\"".into())
-                })?)?;
-                Ok(Request::SnapshotImport {
-                    arch,
-                    config,
-                    snapshot,
-                })
-            }
             "health" => Ok(Request::Health),
             "drain" => Ok(Request::Drain),
-            other => Err(WireError::Schema(format!(
-                "unknown request kind \"{other}\""
-            ))),
+            other => Err(WireError::Schema(
+                match REMOVED_VERBS.iter().find(|(verb, _)| *verb == other) {
+                    Some((verb, hint)) => {
+                        format!("verb \"{verb}\" was removed in protocol v2; {hint}")
+                    }
+                    None => format!("unknown request kind \"{other}\""),
+                },
+            )),
         }
     }
 }
@@ -660,18 +504,8 @@ impl Trace {
 pub struct VerbCounts {
     /// `size` requests served.
     pub size: u64,
-    /// `sweep` requests served.
-    pub sweep: u64,
-    /// `frontier` requests served.
-    pub frontier: u64,
-    /// `sweep_chunk` requests served.
-    pub sweep_chunk: u64,
     /// `sweep_stream` requests served.
     pub sweep_stream: u64,
-    /// `snapshot_export` requests served.
-    pub snapshot_export: u64,
-    /// `snapshot_import` requests served.
-    pub snapshot_import: u64,
     /// `health` requests served.
     pub health: u64,
     /// `drain` requests served.
@@ -683,18 +517,8 @@ impl VerbCounts {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"size\":");
         push_usize(&mut out, self.size as usize);
-        out.push_str(",\"sweep\":");
-        push_usize(&mut out, self.sweep as usize);
-        out.push_str(",\"frontier\":");
-        push_usize(&mut out, self.frontier as usize);
-        out.push_str(",\"sweep_chunk\":");
-        push_usize(&mut out, self.sweep_chunk as usize);
         out.push_str(",\"sweep_stream\":");
         push_usize(&mut out, self.sweep_stream as usize);
-        out.push_str(",\"snapshot_export\":");
-        push_usize(&mut out, self.snapshot_export as usize);
-        out.push_str(",\"snapshot_import\":");
-        push_usize(&mut out, self.snapshot_import as usize);
         out.push_str(",\"health\":");
         push_usize(&mut out, self.health as usize);
         out.push_str(",\"drain\":");
@@ -716,12 +540,7 @@ impl VerbCounts {
         };
         Ok(VerbCounts {
             size: u("size")?,
-            sweep: u("sweep")?,
-            frontier: u("frontier")?,
-            sweep_chunk: u("sweep_chunk")?,
             sweep_stream: u("sweep_stream")?,
-            snapshot_export: u("snapshot_export")?,
-            snapshot_import: u("snapshot_import")?,
             health: u("health")?,
             drain: u("drain")?,
         })
@@ -729,21 +548,18 @@ impl VerbCounts {
 }
 
 /// Streaming-pipeline gauges reported by a `health` request: how much
-/// result data has moved through the server's streaming verbs, and the
-/// largest number of points the pipeline ever held resident at once
-/// (per-chunk, since the server streams each chunk out as soon as it
-/// is rendered — the reducer-side high-water mark is a *client*
-/// figure). `frames` and `bytes` are lifetime-monotone; the peak only
-/// ever rises.
+/// result data has moved through `sweep_stream`, and the largest chunk
+/// ever written as one frame (the reducer-side high-water mark is a
+/// *client* figure). `frames` and `bytes` are lifetime-monotone; the
+/// peak only ever rises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamGauges {
-    /// Result frames written by streaming verbs (chunk frames and
-    /// terminal summaries) since start.
+    /// Result frames written by `sweep_stream` (chunk frames, terminal
+    /// summaries and error frames) since start.
     pub frames: u64,
-    /// Payload bytes written by streaming verbs since start.
+    /// Payload bytes written by `sweep_stream` since start.
     pub bytes: u64,
-    /// Largest number of points resident in the streaming pipeline at
-    /// once (the biggest single chunk streamed).
+    /// Largest chunk, in points, written as one frame.
     pub peak_resident_points: u64,
 }
 
@@ -897,32 +713,14 @@ pub enum Response {
         /// How the request was served.
         trace: Trace,
     },
-    /// Answer to `sweep`: a rendered [`SweepReport::to_json`] document.
-    Sweep {
-        /// Canonical report JSON.
-        report: String,
-        /// How the request was served.
-        trace: Trace,
-    },
-    /// Answer to `frontier`: the report, its Pareto indices, and a
-    /// human-readable table.
-    Frontier {
-        /// Canonical report JSON.
-        report: String,
-        /// Indices of Pareto-efficient points (report order).
-        indices: Vec<usize>,
-        /// [`SweepReport::frontier_table`] text.
-        table: String,
-        /// How the request was served.
-        trace: Trace,
-    },
-    /// Answer to `sweep_chunk`: a canonical chunk-report document
+    /// One chunk frame of a `sweep_stream` answer: a canonical
+    /// chunk-report document
     /// ([`socbuf_core::wire::ChunkReport::to_json`]).
     Chunk {
         /// Canonical chunk-report JSON.
         report: String,
-        /// How the chunk was served (`warm` = the chain was seeded
-        /// from the cache; `pivots` = the chunk's total).
+        /// How the chunk was served (`warm` is always false: a chunk's
+        /// warm chain starts cold; `pivots` = the chunk's total).
         trace: Trace,
     },
     /// Terminal frame of a `sweep_stream` answer: what the server
@@ -937,14 +735,6 @@ pub enum Response {
         /// Points across those chunk frames.
         points: u64,
     },
-    /// Answer to `snapshot_export`: a canonical basis document
-    /// ([`basis_snapshot_to_json`]).
-    Snapshot {
-        /// Canonical basis-snapshot JSON.
-        snapshot: String,
-    },
-    /// Answer to `snapshot_import`.
-    Imported,
     /// Answer to `health`.
     Health(Health),
     /// Drain acknowledgement.
@@ -971,57 +761,14 @@ impl Response {
         }
     }
 
-    /// Builds the `sweep` response for a report.
-    pub fn for_report(report: &SweepReport, trace: Trace) -> Response {
-        Response::Sweep {
-            report: report.to_json(),
-            trace,
-        }
-    }
-
-    /// Builds the `frontier` response for a report.
-    pub fn for_frontier(report: &SweepReport, trace: Trace) -> Response {
-        Response::Frontier {
-            report: report.to_json(),
-            indices: report.pareto_frontier(),
-            table: report.frontier_table(),
-            trace,
-        }
-    }
-
     /// Renders this response as canonical protocol JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"v\":1,\"ok\":");
+        let mut out = open_frame();
+        out.push_str("\"ok\":");
         match self {
             Response::Size { result, trace } => {
                 out.push_str("true,\"result\":");
                 out.push_str(result);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
-            Response::Sweep { report, trace } => {
-                out.push_str("true,\"report\":");
-                out.push_str(report);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
-            Response::Frontier {
-                report,
-                indices,
-                table,
-                trace,
-            } => {
-                out.push_str("true,\"report\":");
-                out.push_str(report);
-                out.push_str(",\"frontier\":[");
-                for (i, idx) in indices.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_usize(&mut out, *idx);
-                }
-                out.push_str("],\"table\":");
-                push_str(&mut out, table);
                 out.push_str(",\"trace\":");
                 out.push_str(&trace.to_json());
             }
@@ -1044,11 +791,6 @@ impl Response {
                 push_usize(&mut out, *points as usize);
                 out.push('}');
             }
-            Response::Snapshot { snapshot } => {
-                out.push_str("true,\"snapshot\":");
-                out.push_str(snapshot);
-            }
-            Response::Imported => out.push_str("true,\"imported\":true"),
             Response::Health(h) => {
                 out.push_str("true,\"health\":");
                 out.push_str(&h.to_json());
@@ -1142,48 +884,15 @@ impl Response {
                 points: u("points")?,
             });
         }
-        if let Some(s) = v.get("snapshot") {
-            return Ok(Response::Snapshot {
-                snapshot: s.render(),
-            });
-        }
-        if v.get("imported").is_some() {
-            return Ok(Response::Imported);
-        }
         if let Some(h) = v.get("health") {
             return Ok(Response::Health(Health::from_json(h)?));
         }
         if v.get("draining").is_some() {
             return Ok(Response::Draining);
         }
-        if let Some(report) = v.get("report") {
-            let report = report.render();
-            return Ok(match v.get("frontier") {
-                Some(f) => Response::Frontier {
-                    report,
-                    indices: f
-                        .arr("frontier")?
-                        .iter()
-                        .map(|i| i.usize("frontier index"))
-                        .collect::<Result<_, _>>()?,
-                    table: v
-                        .get("table")
-                        .ok_or_else(|| {
-                            WireError::Schema("response: frontier without \"table\"".into())
-                        })?
-                        .str("table")?
-                        .to_string(),
-                    trace: trace(&v)?,
-                },
-                None => Response::Sweep {
-                    report,
-                    trace: trace(&v)?,
-                },
-            });
-        }
         Err(WireError::Schema(
             "response matches no known shape \
-             (expected result/report/chunk_report/stream_end/snapshot/imported/health/draining)"
+             (expected result/chunk_report/stream_end/health/draining)"
                 .into(),
         ))
     }
@@ -1197,10 +906,10 @@ mod tests {
     #[test]
     fn frames_roundtrip_and_reject_oversize() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"v\":1}").unwrap();
+        write_frame(&mut buf, "{\"v\":2}").unwrap();
         write_frame(&mut buf, "").unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"v\":1}"));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"v\":2}"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at boundary");
 
@@ -1229,28 +938,11 @@ mod tests {
             config.clone(),
         )
         .unwrap();
-        let snapshot =
-            BasisSnapshot::new(vec![0, 2, usize::MAX], 5, socbuf_core::LpEngine::Revised);
         for req in [
             Request::Size {
                 arch: arch.clone(),
                 config: config.clone(),
                 budget: 24,
-            },
-            Request::Sweep {
-                arch: arch.clone(),
-                config: config.clone(),
-                budgets: vec![8, 16, 24],
-            },
-            Request::Frontier {
-                arch: arch.clone(),
-                config: config.clone(),
-                budgets: vec![8, 16],
-            },
-            Request::SweepChunk {
-                manifest: manifest.clone(),
-                chunk: 1,
-                seed_from_cache: true,
             },
             Request::SweepStream {
                 manifest: manifest.clone(),
@@ -1259,15 +951,6 @@ mod tests {
             Request::SweepStream {
                 manifest,
                 chunks: Some(vec![1, 0]),
-            },
-            Request::SnapshotExport {
-                arch: arch.clone(),
-                config: config.clone(),
-            },
-            Request::SnapshotImport {
-                arch: arch.clone(),
-                config: config.clone(),
-                snapshot,
             },
             Request::Health,
             Request::Drain,
@@ -1280,11 +963,36 @@ mod tests {
 
     #[test]
     fn version_and_kind_are_checked() {
-        assert!(Request::parse("{\"v\":2,\"req\":\"health\"}").is_err());
+        let refusal = |text: &str| match Request::parse(text) {
+            Err(WireError::Schema(message)) => message,
+            other => panic!("{text} must be refused by schema, got {other:?}"),
+        };
+        assert!(Request::parse("{\"v\":2,\"req\":\"health\"}").is_ok());
+        // A v1 frame gets the named version error, whatever its verb.
+        for verb in ["health", "size", "sweep"] {
+            let message = refusal(&format!("{{\"v\":1,\"req\":\"{verb}\"}}"));
+            assert!(
+                message.contains("unsupported protocol version 1"),
+                "{message}"
+            );
+        }
+        // Each verb v2 removed is refused by name under v2.
+        for verb in [
+            "sweep",
+            "frontier",
+            "sweep_chunk",
+            "snapshot_export",
+            "snapshot_import",
+        ] {
+            let message = refusal(&format!("{{\"v\":2,\"req\":\"{verb}\"}}"));
+            let named = format!("verb \"{verb}\" was removed in protocol v2; ");
+            assert!(message.starts_with(&named), "{message}");
+        }
+        let message = refusal("{\"v\":2,\"req\":\"explode\"}");
+        assert!(message.contains("unknown request kind"), "{message}");
         assert!(Request::parse("{\"req\":\"health\"}").is_err());
-        assert!(Request::parse("{\"v\":1,\"req\":\"explode\"}").is_err());
         assert!(Request::parse("not json").is_err());
-        assert!(Response::parse("{\"v\":7,\"ok\":true}").is_err());
+        assert!(Response::parse("{\"v\":1,\"ok\":true}").is_err());
     }
 
     #[test]
@@ -1314,12 +1022,7 @@ mod tests {
             },
             requests: VerbCounts {
                 size: 7,
-                sweep: 2,
-                frontier: 1,
-                sweep_chunk: 4,
                 sweep_stream: 2,
-                snapshot_export: 1,
-                snapshot_import: 1,
                 health: 3,
                 drain: 0,
             },
@@ -1327,10 +1030,6 @@ mod tests {
         for resp in [
             Response::Size {
                 result: "{\"allocation\":[1,2]}".into(),
-                trace,
-            },
-            Response::Sweep {
-                report: "{\"kind\":\"budget\",\"points\":[]}".into(),
                 trace,
             },
             Response::Chunk {
@@ -1341,16 +1040,6 @@ mod tests {
                 config_hash: 0xab,
                 frames: 3,
                 points: 10,
-            },
-            Response::Snapshot {
-                snapshot: "{\"basis\":[0,null],\"cols\":3,\"engine\":\"revised\"}".into(),
-            },
-            Response::Imported,
-            Response::Frontier {
-                report: "{\"kind\":\"budget\",\"points\":[]}".into(),
-                indices: vec![0, 2],
-                table: " point \"quoted\"\nrows\n".into(),
-                trace,
             },
             Response::Health(health),
             Response::Draining,

@@ -4,18 +4,21 @@
 //! # Threading model
 //!
 //! One accept thread per [`Server`]; one handler thread per connection.
-//! Handlers solve on their own thread (the LP layer's
+//! Handlers solve `size` requests on their own thread (the LP layer's
 //! [`socbuf_core::ExecutorHandle`] additionally fans the decomposed
-//! engine's block solves onto the server's [`WorkPool`]); `sweep` and
-//! `frontier` requests fan their whole budget grid onto the pool via
-//! the campaign engine. Concurrency is bounded twice: the pool's width
+//! engine's block solves onto the server's [`WorkPool`]). A
+//! `sweep_stream` request runs its chunks on the pool's free workers
+//! with the same ordered scheduler an in-process campaign uses
+//! ([`socbuf_sweep::CampaignPlan::run_chunks`]): each chunk is one warm
+//! chain, solved serially on one worker, and the connection thread
+//! writes each chunk's frame as soon as that chunk is next in the
+//! requested order. Concurrency is bounded twice: the pool's width
 //! bounds intra-request parallelism, and the in-flight token counter
 //! bounds how many requests may solve at once — a request arriving
 //! beyond that bound is refused immediately with `busy` and a
-//! `retry_after_ms` hint rather than queued without bound. The
-//! `sweep_stream` verb holds one in-flight token for its whole
-//! multi-frame answer: a stream is one long solve, not many cheap
-//! ones.
+//! `retry_after_ms` hint rather than queued without bound. A stream
+//! holds one in-flight token for its whole multi-frame answer: it is
+//! one long solve, not many cheap ones.
 //!
 //! # Determinism
 //!
@@ -48,9 +51,9 @@ use std::time::{Duration, Instant};
 
 use std::sync::atomic::AtomicU64;
 
-use socbuf_core::wire::{basis_snapshot_to_json, CampaignManifest, ManifestShape};
-use socbuf_core::{BasisSnapshot, ExecutorHandle, SolveContext};
-use socbuf_sweep::{execute_manifest_chunk_traced, BudgetSweep, SweepReport, WorkPool};
+use socbuf_core::wire::CampaignManifest;
+use socbuf_core::{ExecutorHandle, SolveContext};
+use socbuf_sweep::{chunk_report_json, plan_manifest, SweepError, WorkPool};
 
 use crate::cache::{cache_key, ContextCache};
 use crate::protocol::{
@@ -90,12 +93,7 @@ impl Default for ServerConfig {
 #[derive(Default)]
 struct VerbCounters {
     size: AtomicU64,
-    sweep: AtomicU64,
-    frontier: AtomicU64,
-    sweep_chunk: AtomicU64,
     sweep_stream: AtomicU64,
-    snapshot_export: AtomicU64,
-    snapshot_import: AtomicU64,
     health: AtomicU64,
     drain: AtomicU64,
 }
@@ -105,12 +103,7 @@ impl VerbCounters {
     fn count(&self, request: &Request) {
         let counter = match request {
             Request::Size { .. } => &self.size,
-            Request::Sweep { .. } => &self.sweep,
-            Request::Frontier { .. } => &self.frontier,
-            Request::SweepChunk { .. } => &self.sweep_chunk,
             Request::SweepStream { .. } => &self.sweep_stream,
-            Request::SnapshotExport { .. } => &self.snapshot_export,
-            Request::SnapshotImport { .. } => &self.snapshot_import,
             Request::Health => &self.health,
             Request::Drain => &self.drain,
         };
@@ -120,12 +113,7 @@ impl VerbCounters {
     fn snapshot(&self) -> VerbCounts {
         VerbCounts {
             size: self.size.load(Ordering::Relaxed),
-            sweep: self.sweep.load(Ordering::Relaxed),
-            frontier: self.frontier.load(Ordering::Relaxed),
-            sweep_chunk: self.sweep_chunk.load(Ordering::Relaxed),
             sweep_stream: self.sweep_stream.load(Ordering::Relaxed),
-            snapshot_export: self.snapshot_export.load(Ordering::Relaxed),
-            snapshot_import: self.snapshot_import.load(Ordering::Relaxed),
             health: self.health.load(Ordering::Relaxed),
             drain: self.drain.load(Ordering::Relaxed),
         }
@@ -144,9 +132,9 @@ struct Shared {
     stopping: AtomicBool,
     verbs: VerbCounters,
     /// Streaming-pipeline gauges (see [`StreamGauges`]): frames and
-    /// payload bytes written by streaming verbs, and the largest chunk
-    /// (in points) the pipeline ever held resident. The first two only
-    /// grow; the peak is maintained with `fetch_max`.
+    /// payload bytes written by `sweep_stream`, and the largest chunk
+    /// (in points) written as one frame. The first two only grow; the
+    /// peak is maintained with `fetch_max`.
     stream_frames: AtomicU64,
     stream_bytes: AtomicU64,
     stream_peak_points: AtomicU64,
@@ -496,49 +484,6 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
             shared.draining.store(true, Ordering::Release);
             reply(Response::Draining)
         }
-        // Snapshot verbs are cache operations, not solves: they skip
-        // the in-flight bound and stay available while draining —
-        // exporting warmth off a draining shard is exactly when a
-        // coordinator needs them.
-        Request::SnapshotExport { arch, config } => Handled::Reply({
-            let key = cache_key(&arch, &config);
-            match shared.cache.checkout(&key) {
-                None => Response::Error {
-                    message: "no warm context cached for this architecture/config".into(),
-                }
-                .to_json(),
-                Some(ctx) => {
-                    let snapshot = ctx.basis_snapshot().cloned();
-                    shared.cache.checkin(key, ctx);
-                    match snapshot {
-                        Some(s) => Response::Snapshot {
-                            snapshot: basis_snapshot_to_json(&s),
-                        }
-                        .to_json(),
-                        None => Response::Error {
-                            message: "cached context has no basis to export (it has not solved)"
-                                .into(),
-                        }
-                        .to_json(),
-                    }
-                }
-            }
-        }),
-        Request::SnapshotImport {
-            arch,
-            config,
-            snapshot,
-        } => {
-            let key = cache_key(&arch, &config);
-            let mut ctx = shared.cache.checkout(&key).unwrap_or_else(|| {
-                let mut config = config.clone();
-                config.executor = shared.executor.clone();
-                SolveContext::new(&arch, &config)
-            });
-            ctx.import_basis(snapshot);
-            shared.cache.checkin(key, ctx);
-            reply(Response::Imported)
-        }
         solve_request => {
             if shared.draining.load(Ordering::Acquire) {
                 return reply(Response::Error {
@@ -564,24 +509,22 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
                 }
             }
             let token = InflightToken(&shared.inflight);
-            // The stream verb hands its work (and the token) back to
-            // the connection loop, which owns the socket for the
-            // multi-frame answer.
-            if let Request::SweepStream { manifest, chunks } = solve_request {
-                return Handled::Stream {
+            match solve_request {
+                // The stream verb hands its work (and the token) back to
+                // the connection loop, which owns the socket for the
+                // multi-frame answer.
+                Request::SweepStream { manifest, chunks } => Handled::Stream {
                     manifest: Box::new(manifest),
                     chunks,
                     received,
                     token,
-                };
-            }
-            let _token = token;
-            Handled::Reply(match solve_request {
+                },
                 Request::Size {
                     arch,
                     config,
                     budget,
                 } => {
+                    let _token = token;
                     let key = cache_key(&arch, &config);
                     let cached = shared.cache.checkout(&key);
                     let warm = cached.is_some();
@@ -598,7 +541,7 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
                     // (a bad budget must not cost the next caller their
                     // warm basis).
                     shared.cache.checkin(key, ctx);
-                    match solved {
+                    reply(match solved {
                         Ok(outcome) => {
                             shared.cache.record_solve(warm, outcome.lp_iterations);
                             let trace = Trace {
@@ -607,54 +550,51 @@ fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
                                 queue_wait_us,
                                 solve_us,
                             };
-                            Response::for_outcome(&outcome, trace).to_json()
+                            Response::for_outcome(&outcome, trace)
                         }
                         Err(e) => Response::Error {
                             message: e.to_string(),
-                        }
-                        .to_json(),
-                    }
+                        },
+                    })
                 }
-                Request::Sweep {
-                    arch,
-                    config,
-                    budgets,
-                } => match run_sweep(shared, &arch, config, budgets, received) {
-                    Ok((report, trace)) => Response::for_report(&report, trace).to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
-                },
-                Request::Frontier {
-                    arch,
-                    config,
-                    budgets,
-                } => match run_sweep(shared, &arch, config, budgets, received) {
-                    Ok((report, trace)) => Response::for_frontier(&report, trace).to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
-                },
-                Request::SweepChunk {
-                    manifest,
-                    chunk,
-                    seed_from_cache,
-                } => match run_chunk(shared, &manifest, chunk, seed_from_cache, received) {
-                    Ok((report, trace)) => Response::Chunk { report, trace }.to_json(),
-                    Err(message) => Response::Error { message }.to_json(),
-                },
-                Request::Health
-                | Request::Drain
-                | Request::SweepStream { .. }
-                | Request::SnapshotExport { .. }
-                | Request::SnapshotImport { .. } => unreachable!("handled above"),
-            })
+                Request::Health | Request::Drain => unreachable!("handled above"),
+            }
         }
     }
 }
 
-/// Writes a `sweep_stream` answer: one chunk frame per selected chunk
-/// as it completes, then the terminal summary frame. Chunks run
-/// sequentially on the server's pool (each chunk already fans its
-/// points across workers), so at most one chunk's points are resident
-/// at a time — that residency is the `peak_resident_points` gauge.
-/// Returns `false` when the connection died mid-stream.
+/// Why a `sweep_stream` answer stopped before its summary frame.
+enum StreamStop {
+    /// The stream failed; the message goes out as its error frame.
+    Failed(String),
+    /// The connection died mid-stream; nothing more can be written.
+    Disconnected,
+}
+
+impl From<SweepError> for StreamStop {
+    fn from(e: SweepError) -> Self {
+        StreamStop::Failed(e.to_string())
+    }
+}
+
+/// Writes a `sweep_stream` answer: plans the manifest once, runs the
+/// selected chunks on the server's pool with the ordered scheduler, and
+/// writes one chunk frame per chunk, on this connection thread, as soon
+/// as that chunk is next in the requested order; then the terminal
+/// summary frame. A failure (an out-of-range index, a failing point, a
+/// shutdown) takes the next frame's slot as an error frame and ends the
+/// stream.
+///
+/// The stream fans out over the workers the other in-flight requests
+/// leave free, at least one: on a server whose cores are already busy
+/// with other requests, extra threads would only contend with them.
+/// Width changes wall time, never bytes.
+///
+/// Each chunk's trace carries the stream's queue wait (frame receipt to
+/// the start of solving) and, as `solve_us`, the time since the
+/// previous frame was written (or solving started): what the client
+/// waited for this chunk. Summed over a stream they give its solve
+/// wall time. Returns `false` when the connection died mid-stream.
 fn stream_sweep(
     shared: &Shared,
     conn: &mut Conn,
@@ -663,93 +603,55 @@ fn stream_sweep(
     received: Instant,
 ) -> bool {
     let selected: Vec<usize> = chunks.unwrap_or_else(|| (0..manifest.chunks.len()).collect());
+    // The in-flight count includes this stream's own token.
+    let others = shared.inflight.load(Ordering::Relaxed).saturating_sub(1);
+    let pool = WorkPool::new(shared.pool.workers().saturating_sub(others).max(1));
     let mut frames: u64 = 0;
     let mut points: u64 = 0;
-    for &chunk in &selected {
-        if shared.stopping.load(Ordering::Acquire) {
-            let payload = Response::Error {
-                message: "draining".into(),
-            }
-            .to_json();
-            shared.count_stream_frame(&payload);
-            return write_frame(conn, &payload).is_ok();
-        }
-        let queue_wait_us = received.elapsed().as_micros() as u64;
-        let solving = Instant::now();
-        let payload = match execute_manifest_chunk_traced(manifest, chunk, &shared.pool, None) {
-            Err(e) => {
-                // An error frame takes the failing chunk's slot and
-                // ends the stream; the client sees it in place of the
-                // terminal summary.
-                let payload = Response::Error {
-                    message: e.to_string(),
+    let streamed = plan_manifest(manifest, &pool)
+        .map_err(StreamStop::from)
+        .and_then(|plan| {
+            let queue_wait_us = received.elapsed().as_micros() as u64;
+            let mut since = Instant::now();
+            plan.run_chunks(&pool, &selected, |chunk, solved| {
+                if shared.stopping.load(Ordering::Acquire) {
+                    return Err(StreamStop::Failed("draining".into()));
+                }
+                let pivots = solved.iter().map(|p| p.lp_iterations).sum();
+                shared.cache.record_solve(false, pivots);
+                shared
+                    .stream_peak_points
+                    .fetch_max(solved.len() as u64, Ordering::Relaxed);
+                frames += 1;
+                points += solved.len() as u64;
+                let payload = Response::Chunk {
+                    report: chunk_report_json(manifest, chunk, &solved),
+                    trace: Trace {
+                        warm: false,
+                        pivots,
+                        queue_wait_us,
+                        solve_us: since.elapsed().as_micros() as u64,
+                    },
                 }
                 .to_json();
                 shared.count_stream_frame(&payload);
-                return write_frame(conn, &payload).is_ok();
-            }
-            Ok((report, stats)) => {
-                shared.cache.record_solve(false, stats.pivots);
-                shared
-                    .stream_peak_points
-                    .fetch_max(stats.points as u64, Ordering::Relaxed);
-                frames += 1;
-                points += stats.points as u64;
-                Response::Chunk {
-                    report: report.to_json(),
-                    trace: Trace {
-                        warm: false,
-                        pivots: stats.pivots,
-                        queue_wait_us,
-                        solve_us: solving.elapsed().as_micros() as u64,
-                    },
-                }
-                .to_json()
-            }
-        };
-        shared.count_stream_frame(&payload);
-        if write_frame(conn, &payload).is_err() {
-            return false;
-        }
-    }
-    let payload = Response::StreamEnd {
-        config_hash: manifest.config_hash,
-        frames,
-        points,
+                write_frame(conn, &payload).map_err(|_| StreamStop::Disconnected)?;
+                since = Instant::now();
+                Ok(())
+            })
+        });
+    let payload = match streamed {
+        Ok(_) => Response::StreamEnd {
+            config_hash: manifest.config_hash,
+            frames,
+            points,
+        },
+        Err(StreamStop::Failed(message)) => Response::Error { message },
+        Err(StreamStop::Disconnected) => return false,
     }
     .to_json();
     shared.count_stream_frame(&payload);
     write_frame(conn, &payload).is_ok()
-}
-
-/// Runs a warm-chained budget sweep on the server's pool.
-fn run_sweep(
-    shared: &Shared,
-    arch: &socbuf_soc::Architecture,
-    config: socbuf_core::SizingConfig,
-    budgets: Vec<usize>,
-    received: Instant,
-) -> Result<(SweepReport, Trace), String> {
-    let mut sweep = BudgetSweep::new(arch, budgets);
-    sweep.sizing = config;
-    sweep.warm_start = true;
-    let queue_wait_us = received.elapsed().as_micros() as u64;
-    let solving = Instant::now();
-    let report = sweep.run(&shared.pool).map_err(|e| e.to_string())?;
-    let solve_us = solving.elapsed().as_micros() as u64;
-    let pivots: usize = report.points.iter().map(|p| p.lp_iterations).sum();
-    // Campaign chains manage their own warmth; the cache counters only
-    // track `size` contexts, so a sweep records as one cold solve.
-    shared.cache.record_solve(false, pivots);
-    Ok((
-        report,
-        Trace {
-            warm: false,
-            pivots,
-            queue_wait_us,
-            solve_us,
-        },
-    ))
 }
 
 /// The shard-worker mode: binds an ephemeral loopback TCP listener,
@@ -777,58 +679,4 @@ pub fn shard_worker_main(config: ServerConfig) -> io::Result<()> {
     let _ = io::stdin().lock().read_to_end(&mut sink);
     server.shutdown();
     Ok(())
-}
-
-/// The architecture a manifest's cached contexts are keyed under
-/// (random campaigns have none — every seed is its own architecture).
-fn manifest_arch(manifest: &CampaignManifest) -> Option<&socbuf_soc::Architecture> {
-    match &manifest.shape {
-        ManifestShape::Budget { arch, .. } | ManifestShape::Load { arch, .. } => Some(arch),
-        ManifestShape::Random { .. } => None,
-    }
-}
-
-/// Executes one manifest chunk on the server's pool, optionally seeding
-/// its warm chain from the cached context for the manifest's
-/// (architecture, config) key. The cache is only *read* (checkout,
-/// clone the basis, checkin unchanged): chunk chains are private to the
-/// request, so a chunk can never pollute the warmth `size` requests
-/// rely on.
-fn run_chunk(
-    shared: &Shared,
-    manifest: &CampaignManifest,
-    chunk: usize,
-    seed_from_cache: bool,
-    received: Instant,
-) -> Result<(String, Trace), String> {
-    let seed: Option<BasisSnapshot> = if seed_from_cache {
-        manifest_arch(manifest).and_then(|arch| {
-            let key = cache_key(arch, &manifest.config);
-            shared.cache.checkout(&key).and_then(|ctx| {
-                let snapshot = ctx.basis_snapshot().cloned();
-                shared.cache.checkin(key, ctx);
-                snapshot
-            })
-        })
-    } else {
-        None
-    };
-    let warm = seed.is_some();
-    let queue_wait_us = received.elapsed().as_micros() as u64;
-    let solving = Instant::now();
-    // Pivot counts are trace-only (never rendered into the report), so
-    // they ride the traced execution path.
-    let (report, stats) = execute_manifest_chunk_traced(manifest, chunk, &shared.pool, seed)
-        .map_err(|e| e.to_string())?;
-    let solve_us = solving.elapsed().as_micros() as u64;
-    shared.cache.record_solve(warm, stats.pivots);
-    Ok((
-        report.to_json(),
-        Trace {
-            warm,
-            pivots: stats.pivots,
-            queue_wait_us,
-            solve_us,
-        },
-    ))
 }

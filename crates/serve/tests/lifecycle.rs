@@ -4,19 +4,68 @@
 //!   pipeline for the same request;
 //! * cache eviction never changes answers (warm ≡ cold);
 //! * drain completes in-flight requests and refuses new ones;
-//! * backpressure refuses with `busy` + a retry hint, then recovers.
+//! * backpressure refuses with `busy` + a retry hint, then recovers;
+//! * protocol v1 frames and the verbs v2 removed are refused by name;
+//! * `sweep_stream` on a pooled server keeps the requested order and
+//!   the serial bytes.
 
-use socbuf_core::wire::sizing_outcome_semantic_json;
+use socbuf_core::wire::{sizing_outcome_semantic_json, CampaignManifest, ChunkReport, JsonValue};
 use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_serve::{
-    Client, ClientConfig, ClientError, Health, RetryPolicy, Server, ServerConfig, ShardFleet,
+    ChunkReply, Client, ClientConfig, ClientError, Health, Request, RetryPolicy, Server,
+    ServerConfig, ShardFleet, StreamEndReply,
 };
 use socbuf_soc::templates;
-use socbuf_sweep::{merge_chunk_reports, run_manifest, BudgetSweep, ReportStream, WorkPool};
+use socbuf_sweep::{
+    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, BudgetSweep, ReportStream,
+    SweepReport, VecSink, WorkPool,
+};
 
 /// The semantic bytes the server must reproduce for (arch, budget).
 fn expected(arch: &socbuf_soc::Architecture, budget: usize, config: &SizingConfig) -> String {
     sizing_outcome_semantic_json(&size_buffers(arch, budget, config).expect("direct solve"))
+}
+
+/// A budget manifest for `arch` under `config`.
+fn budget_manifest(
+    arch: &socbuf_soc::Architecture,
+    config: &SizingConfig,
+    budgets: Vec<usize>,
+) -> CampaignManifest {
+    let mut sweep = BudgetSweep::new(arch, budgets);
+    sweep.sizing = config.clone();
+    sweep.manifest().unwrap()
+}
+
+/// Streams `chunks` of `manifest`, collecting every chunk frame.
+fn stream(
+    client: &mut Client,
+    manifest: &CampaignManifest,
+    chunks: Option<&[usize]>,
+) -> Result<(Vec<ChunkReply>, StreamEndReply), ClientError> {
+    let mut frames = Vec::new();
+    let end = client.sweep_stream(manifest, chunks, |reply| {
+        frames.push(reply);
+        Ok(())
+    })?;
+    Ok((frames, end))
+}
+
+/// A heavy whole-manifest stream on its own connection, so it is still
+/// in flight (holding its in-flight token) while the test pokes the
+/// server from another.
+fn heavy_stream(
+    addr: std::net::SocketAddr,
+) -> std::thread::JoinHandle<Result<(Vec<ChunkReply>, StreamEndReply), ClientError>> {
+    let heavy_config = SizingConfig {
+        state_cap: 16,
+        ..SizingConfig::small()
+    };
+    let manifest = budget_manifest(&templates::amba(), &heavy_config, (20..60).collect());
+    std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(addr).unwrap();
+        stream(&mut client, &manifest, None)
+    })
 }
 
 #[test]
@@ -147,20 +196,7 @@ fn drain_completes_inflight_requests_and_refuses_new_ones() {
     // A deliberately heavy request so it is still in flight when the
     // drain lands (and still correct if it finishes first — the
     // assertions below hold either way).
-    let heavy_config = SizingConfig {
-        state_cap: 16,
-        ..SizingConfig::small()
-    };
-    let budgets: Vec<usize> = (20..60).collect();
-
-    let sweeper = {
-        let arch = templates::amba();
-        let config = heavy_config.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect_tcp(addr).unwrap();
-            client.sweep(&arch, &config, &budgets)
-        })
-    };
+    let sweeper = heavy_stream(addr);
     // Give the sweep a moment to enter the server.
     std::thread::sleep(std::time::Duration::from_millis(30));
 
@@ -176,11 +212,14 @@ fn drain_completes_inflight_requests_and_refuses_new_ones() {
     // …health still answers and reports the drain…
     assert!(client.health().unwrap().draining);
     // …and the in-flight sweep completes normally.
-    let report = sweeper
+    let (frames, end) = sweeper
         .join()
         .unwrap()
         .expect("in-flight sweep must complete");
-    assert!(report.report_json.contains("\"points\":[{"));
+    assert_eq!(end.points, 40);
+    for frame in &frames {
+        assert!(frame.report_json.contains("\"points\":[{"));
+    }
     server.shutdown();
 }
 
@@ -196,20 +235,7 @@ fn backpressure_refuses_with_busy_then_recovers() {
     )
     .unwrap();
     let addr = server.tcp_addr().unwrap();
-    let heavy_config = SizingConfig {
-        state_cap: 16,
-        ..SizingConfig::small()
-    };
-    let budgets: Vec<usize> = (20..60).collect();
-
-    let sweeper = {
-        let arch = templates::amba();
-        let config = heavy_config.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect_tcp(addr).unwrap();
-            client.sweep(&arch, &config, &budgets)
-        })
-    };
+    let sweeper = heavy_stream(addr);
     std::thread::sleep(std::time::Duration::from_millis(30));
 
     // While the only in-flight slot is held, size requests bounce.
@@ -277,6 +303,30 @@ fn malformed_and_mismatched_requests_fail_without_killing_the_connection() {
         "version mismatch must be named: {reply}"
     );
 
+    // A protocol v1 frame gets the named version error…
+    let reply = client.request_raw("{\"v\":1,\"req\":\"health\"}").unwrap();
+    assert!(
+        reply.contains("\"ok\":false") && reply.contains("unsupported protocol version 1"),
+        "a v1 frame must be refused by version: {reply}"
+    );
+    // …and each verb v2 removed, sent as v2, gets its removal error.
+    for verb in [
+        "sweep",
+        "frontier",
+        "sweep_chunk",
+        "snapshot_export",
+        "snapshot_import",
+    ] {
+        let reply = client
+            .request_raw(&format!("{{\"v\":2,\"req\":\"{verb}\"}}"))
+            .unwrap();
+        let named = format!("verb \\\"{verb}\\\" was removed in protocol v2");
+        assert!(
+            reply.contains("\"ok\":false") && reply.contains(&named),
+            "removed verb {verb} must be refused by name: {reply}"
+        );
+    }
+
     // Domain validation surfaces the pipeline's own message…
     let arch = templates::amba();
     let config = SizingConfig::small();
@@ -314,31 +364,10 @@ fn assert_monotone(before: &Health, after: &Health, at: &str) {
     );
     for (name, b, a) in [
         ("size", before.requests.size, after.requests.size),
-        ("sweep", before.requests.sweep, after.requests.sweep),
-        (
-            "frontier",
-            before.requests.frontier,
-            after.requests.frontier,
-        ),
-        (
-            "sweep_chunk",
-            before.requests.sweep_chunk,
-            after.requests.sweep_chunk,
-        ),
         (
             "sweep_stream",
             before.requests.sweep_stream,
             after.requests.sweep_stream,
-        ),
-        (
-            "snapshot_export",
-            before.requests.snapshot_export,
-            after.requests.snapshot_export,
-        ),
-        (
-            "snapshot_import",
-            before.requests.snapshot_import,
-            after.requests.snapshot_import,
         ),
         ("health", before.requests.health, after.requests.health),
         ("drain", before.requests.drain, after.requests.drain),
@@ -404,7 +433,7 @@ fn health_counters_stay_monotone_across_warm_cold_and_evicting_traffic() {
 
     assert_eq!(h3.requests.size, 3, "three size requests were issued");
     assert_eq!(h3.requests.health, 4, "four health requests were issued");
-    assert_eq!(h3.requests.sweep, 0);
+    assert_eq!(h3.requests.sweep_stream, 0);
     server.shutdown();
 }
 
@@ -456,12 +485,10 @@ fn a_stalled_server_times_out_instead_of_hanging_the_client() {
 }
 
 #[test]
-fn fleet_fan_out_merges_byte_identically_and_snapshots_transfer_warmth() {
+fn fleet_fan_out_merges_byte_identically() {
     let arch = templates::amba();
     let config = SizingConfig::small();
-    let mut sweep = BudgetSweep::new(&arch, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
-    sweep.sizing = config.clone();
-    let manifest = sweep.manifest().unwrap();
+    let manifest = budget_manifest(&arch, &config, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
     let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
 
     let shard_a = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -477,40 +504,32 @@ fn fleet_fan_out_merges_byte_identically_and_snapshots_transfer_warmth() {
         ],
         RetryPolicy::default(),
     );
-    let reports = fleet.run_manifest(&manifest, false).unwrap();
-    let merged = merge_chunk_reports(&manifest, &reports).unwrap();
+    let (sink, stats) = fleet
+        .run_manifest_to_sink(&manifest, VecSink::new())
+        .unwrap();
+    let merged = SweepReport {
+        kind: serial.kind,
+        points: sink.into_points(),
+    };
     assert_eq!(merged.to_csv(), serial.to_csv());
     assert_eq!(merged.to_jsonl(), serial.to_jsonl());
+    assert_eq!(stats.chunks, manifest.chunks.len());
 
-    // Warmth transfer: a size query warms shard A's cache (chunk
-    // execution runs through the plan, not the cache); a fresh shard
-    // refuses to export, accepts A's snapshot, and then serves a
-    // basis-seeded chunk whose bytes are unchanged.
-    let mut client_a = Client::connect_tcp(addr_a).unwrap();
-    client_a.size(&arch, &config, 24).unwrap();
-    let snapshot = client_a.snapshot_export(&arch, &config).unwrap();
-
+    // A fresh shard serving one chunk alone answers the bytes the
+    // in-process chunk execution renders.
     let shard_c = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client_c = Client::connect_tcp(shard_c.tcp_addr().unwrap()).unwrap();
-    match client_c.snapshot_export(&arch, &config) {
-        Err(ClientError::Remote { message, .. }) => {
-            assert!(message.contains("no warm context"), "got: {message}")
-        }
-        other => panic!("cold shard must refuse to export, got {other:?}"),
-    }
-    client_c.snapshot_import(&arch, &config, &snapshot).unwrap();
-    let seeded = client_c.sweep_chunk(&manifest, 0, true).unwrap();
-    assert!(seeded.trace.warm, "an imported basis must seed the chunk");
-    // Pivot counts are trace-only — they never reach report bytes — so
-    // a basis-seeded chunk renders byte-identically to an unseeded one.
+    let (frames, _) = stream(&mut client_c, &manifest, Some(&[0])).unwrap();
+    let (local, _) = execute_manifest_chunk_traced(&manifest, 0, &WorkPool::serial()).unwrap();
+    assert_eq!(frames.len(), 1);
+    assert!(!frames[0].trace.warm, "a chunk's warm chain starts cold");
     assert_eq!(
-        seeded.report_json,
-        reports[0].to_json(),
-        "basis seeding changed a rendered byte"
+        frames[0].report_json,
+        local.to_json(),
+        "a served chunk changed a rendered byte"
     );
     let health_c = client_c.health().unwrap();
-    assert_eq!(health_c.requests.snapshot_import, 1);
-    assert_eq!(health_c.requests.sweep_chunk, 1);
+    assert_eq!(health_c.requests.sweep_stream, 1);
 
     shard_a.shutdown();
     shard_b.shutdown();
@@ -518,12 +537,102 @@ fn fleet_fan_out_merges_byte_identically_and_snapshots_transfer_warmth() {
 }
 
 #[test]
+fn pooled_streams_keep_the_requested_order_and_the_serial_bytes() {
+    let arch = templates::amba();
+    let config = SizingConfig::small();
+    let manifest = budget_manifest(&arch, &config, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
+    assert_eq!(manifest.chunks.len(), 3);
+    let on = |workers| {
+        Server::bind_tcp(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let (pooled, serial_server) = (on(4), on(1));
+    let mut client = Client::connect_tcp(pooled.tcp_addr().unwrap()).unwrap();
+    let mut serial_client = Client::connect_tcp(serial_server.tcp_addr().unwrap()).unwrap();
+
+    // A non-monotone subset arrives in the requested order.
+    let order = [2usize, 0];
+    let (frames, end) = stream(&mut client, &manifest, Some(&order)).unwrap();
+    let (serial_frames, _) = stream(&mut serial_client, &manifest, Some(&order)).unwrap();
+    let arrived: Vec<usize> = frames.iter().map(|f| f.report.chunk).collect();
+    assert_eq!(arrived, order, "frames must arrive in the requested order");
+    assert_eq!(end.frames, 2);
+
+    // The chunk-report form of the serial run's points: its JSONL
+    // lines, parsed, without the merged report's global frontier flag.
+    let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
+    let parsed: Vec<JsonValue> = serial
+        .to_jsonl()
+        .lines()
+        .map(|line| match JsonValue::parse(line).unwrap() {
+            JsonValue::Obj(fields) => JsonValue::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(k, _)| k != "frontier")
+                    .collect(),
+            ),
+            other => panic!("a point renders as an object, got {other:?}"),
+        })
+        .collect();
+    for (frame, serial_frame) in frames.iter().zip(&serial_frames) {
+        assert_eq!(
+            frame.report_json, serial_frame.report_json,
+            "chunk {}: a 4-worker server changed a byte",
+            frame.report.chunk
+        );
+        let range = manifest.chunks[frame.report.chunk];
+        let want = ChunkReport {
+            config_hash: manifest.config_hash,
+            kind: "budget".into(),
+            chunk: frame.report.chunk,
+            start: range.start,
+            end: range.end,
+            points: parsed[range.start..range.end].to_vec(),
+        }
+        .to_json();
+        assert_eq!(frame.report_json, want, "chunk {}", frame.report.chunk);
+    }
+
+    // The raw frame on the wire, before any client re-rendering, carries
+    // exactly those bytes.
+    let mut raw = Client::connect_tcp(pooled.tcp_addr().unwrap()).unwrap();
+    let first = raw
+        .request_raw(
+            &Request::SweepStream {
+                manifest: manifest.clone(),
+                chunks: Some(vec![2]),
+            }
+            .to_json(),
+        )
+        .unwrap();
+    let embedded = format!("\"chunk_report\":{},\"trace\":", frames[0].report_json);
+    assert!(first.contains(&embedded), "raw chunk frame: {first}");
+
+    // An out-of-range index ends the stream with an error frame, and
+    // the connection keeps serving.
+    match stream(&mut client, &manifest, Some(&[0, 7])) {
+        Err(ClientError::Remote { message, .. }) => {
+            assert!(message.contains("out of range"), "got: {message}")
+        }
+        other => panic!("an out-of-range chunk must be refused, got {other:?}"),
+    }
+    assert_eq!(client.health().unwrap().requests.sweep_stream, 3);
+
+    pooled.shutdown();
+    serial_server.shutdown();
+}
+
+#[test]
 fn sweep_stream_reproduces_batch_bytes_and_moves_the_streaming_gauges() {
     let arch = templates::amba();
     let config = SizingConfig::small();
-    let mut sweep = BudgetSweep::new(&arch, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
-    sweep.sizing = config.clone();
-    let manifest = sweep.manifest().unwrap();
+    let manifest = budget_manifest(&arch, &config, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
     let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
 
     let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -581,9 +690,7 @@ fn sweep_stream_reproduces_batch_bytes_and_moves_the_streaming_gauges() {
 fn fleet_streaming_merge_is_byte_identical_to_the_batch_path() {
     let arch = templates::amba();
     let config = SizingConfig::small();
-    let mut sweep = BudgetSweep::new(&arch, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
-    sweep.sizing = config.clone();
-    let manifest = sweep.manifest().unwrap();
+    let manifest = budget_manifest(&arch, &config, vec![10, 12, 14, 16, 18, 20, 24, 28, 32, 40]);
     let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
 
     let shard_a = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -629,9 +736,12 @@ fn unix_socket_transport_serves_identically() {
     assert_eq!(again.result_json, reply.result_json);
     assert!(again.trace.warm);
 
-    let frontier = client.frontier(&arch, &config, &[24, 28, 32]).unwrap();
-    assert!(!frontier.indices.is_empty());
-    assert!(frontier.table.contains("budget"));
+    let manifest = budget_manifest(&arch, &config, vec![24, 28, 32]);
+    let (frames, _) = stream(&mut client, &manifest, None).unwrap();
+    let reports: Vec<ChunkReport> = frames.into_iter().map(|f| f.report).collect();
+    let frontier = merge_chunk_reports(&manifest, &reports).unwrap();
+    assert!(!frontier.pareto_frontier().is_empty());
+    assert!(frontier.frontier_table().contains("budget"));
 
     server.shutdown();
     assert!(!path.exists(), "shutdown must remove the socket file");

@@ -10,9 +10,8 @@
 
 use socbuf_core::wire::{CampaignManifest, ManifestShape};
 use socbuf_core::{
-    evaluate_policies_sized, evaluate_policies_with, size_buffers, BasisSnapshot, ChunkPolicy,
-    CoreError, PipelineConfig, ReplicationPool, SerialPool, SizingConfig, SizingOutcome,
-    SolveContext,
+    evaluate_policies_sized, evaluate_policies_with, size_buffers, ChunkPolicy, CoreError,
+    PipelineConfig, ReplicationPool, SerialPool, SizingConfig, SizingOutcome, SolveContext,
 };
 use socbuf_sim::SimReport;
 use socbuf_soc::templates::{random_architecture, RandomArchParams};
@@ -258,15 +257,8 @@ fn attach_pool(sizing: &SizingConfig, pool: &WorkPool) -> SizingConfig {
 /// range. Every campaign — local pool run, single chunk on a remote
 /// shard, smoke probe — goes through a plan, so chunk semantics
 /// (warm-chain boundaries, cold chunk-initial solves, by-index
-/// reduction) live in exactly one place.
-///
-/// The closure's optional [`BasisSnapshot`] seeds the chunk's warm
-/// chain *before* its first solve (see [`SolveContext::import_basis`]).
-/// Seeding changes pivot counts — a trace-only quantity, excluded from
-/// rendered bytes — but may also move the solver onto a different
-/// optimal vertex, so the byte-identity contract only covers unseeded
-/// execution; [`CampaignPlan::run`] never seeds. Seeded chunks are the
-/// shard layer's opt-in warm-transfer mode, measured by pivot counts.
+/// reduction) live in exactly one place, and every execution goes
+/// through [`CampaignPlan::run_chunks`].
 pub struct CampaignPlan<'a> {
     kind: SweepKind,
     items: usize,
@@ -275,13 +267,9 @@ pub struct CampaignPlan<'a> {
     exec: ChunkExec<'a>,
 }
 
-/// The plan's chunk executor: runs one index range, optionally seeded
-/// with a [`BasisSnapshot`] ahead of the chunk's first solve.
-type ChunkExec<'a> = Box<
-    dyn Fn(std::ops::Range<usize>, Option<BasisSnapshot>) -> Vec<Result<SweepPoint, SweepError>>
-        + Sync
-        + 'a,
->;
+/// The plan's chunk executor: runs one index range.
+type ChunkExec<'a> =
+    Box<dyn Fn(std::ops::Range<usize>) -> Vec<Result<SweepPoint, SweepError>> + Sync + 'a>;
 
 impl std::fmt::Debug for CampaignPlan<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -379,36 +367,9 @@ impl<'a> CampaignPlan<'a> {
         Ok(self)
     }
 
-    /// Executes one chunk and returns its points in index order —
-    /// the unit a shard worker runs. `seed` warm-starts the chunk's
-    /// first solve from an imported basis (pivot counts change, so
-    /// never seed a chunk whose bytes must match a serial run).
-    ///
-    /// # Errors
-    ///
-    /// The lowest-index point failure within the chunk, or
-    /// [`SweepError::BadConfig`] for a chunk index out of range.
-    pub fn execute_chunk(
-        &self,
-        chunk: usize,
-        seed: Option<BasisSnapshot>,
-    ) -> Result<Vec<SweepPoint>, SweepError> {
-        let Some(range) = self.ranges.get(chunk).cloned() else {
-            return Err(SweepError::BadConfig(format!(
-                "chunk {chunk} is out of range for {} items",
-                self.items
-            )));
-        };
-        let mut points = Vec::with_capacity(range.len());
-        for r in (self.exec)(range, seed) {
-            points.push(r?);
-        }
-        Ok(points)
-    }
-
-    /// Runs every chunk across `pool` (unseeded — the byte-identical
-    /// path) and reduces the points into a report. A thin wrapper over
-    /// [`CampaignPlan::run_sink`] collecting into a [`VecSink`].
+    /// Runs every chunk across `pool` and reduces the points into a
+    /// report. A thin wrapper over [`CampaignPlan::run_sink`]
+    /// collecting into a [`VecSink`].
     ///
     /// # Errors
     ///
@@ -422,12 +383,10 @@ impl<'a> CampaignPlan<'a> {
         })
     }
 
-    /// Runs every chunk across `pool` (unseeded), emitting points into
-    /// `sink` **in index order as each chunk completes** — the
-    /// streaming path. Chunks execute in parallel but are consumed
-    /// strictly in chunk order ([`WorkPool::run_ranges_ordered`]), so
-    /// the sink observes the exact sequence a serial run would emit,
-    /// for any worker count.
+    /// Runs every chunk across `pool`, emitting points into `sink` **in
+    /// index order as each chunk completes** — [`CampaignPlan::run_chunks`]
+    /// over all chunks, so the sink observes the exact sequence a
+    /// serial run would emit, for any worker count.
     ///
     /// # Errors
     ///
@@ -439,18 +398,51 @@ impl<'a> CampaignPlan<'a> {
         pool: &WorkPool,
         sink: &mut dyn PointSink,
     ) -> Result<SinkRun, SweepError> {
-        let run = pool.run_ranges_ordered(
-            &self.ranges,
-            |range| (self.exec)(range, None),
-            |_chunk, results| {
-                for r in results {
-                    let point = r?;
-                    sink.accept(point)
-                        .map_err(|source| SweepError::Sink { source })?;
-                }
-                Ok(())
-            },
-        )?;
+        let all: Vec<usize> = (0..self.ranges.len()).collect();
+        self.run_chunks(pool, &all, |_chunk, points| {
+            for point in points {
+                sink.accept(point)
+                    .map_err(|source| SweepError::Sink { source })?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Runs the chunks named by `chunks` across `pool` and hands each
+    /// one's points, in index order, to `consume` **strictly in the
+    /// order given** ([`WorkPool::run_ranges_ordered`]), on the calling
+    /// thread, as soon as that chunk is next. Chunks execute in
+    /// parallel, but `consume` observes the sequence a serial run over
+    /// `chunks` would, for any worker count. This is the one execution
+    /// path: the local campaign runs, a shard's `sweep_stream` answer
+    /// and a single-chunk execution are all calls to it.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::BadConfig`] before anything runs when an index is
+    /// out of range; else the first failure in consumption order —
+    /// a chunk's lowest-index point failure, or `consume`'s own error.
+    pub fn run_chunks<E: From<SweepError>>(
+        &self,
+        pool: &WorkPool,
+        chunks: &[usize],
+        mut consume: impl FnMut(usize, Vec<SweepPoint>) -> Result<(), E>,
+    ) -> Result<SinkRun, E> {
+        let ranges = chunks
+            .iter()
+            .map(|&c| {
+                self.ranges.get(c).cloned().ok_or_else(|| {
+                    SweepError::BadConfig(format!(
+                        "chunk {c} is out of range for a {}-chunk campaign",
+                        self.ranges.len()
+                    ))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let run = pool.run_ranges_ordered(&ranges, &self.exec, |i, results| {
+            let points = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+            consume(chunks[i], points)
+        })?;
         Ok(SinkRun {
             chunks: run.chunks,
             peak_parked_chunks: run.peak_parked,
@@ -458,7 +450,7 @@ impl<'a> CampaignPlan<'a> {
     }
 }
 
-/// Counters returned by [`CampaignPlan::run_sink`].
+/// Counters returned by [`CampaignPlan::run_chunks`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkRun {
     /// Chunks executed and consumed.
@@ -540,11 +532,8 @@ impl<'a> BudgetSweep<'a> {
         let sizing = attach_pool(&self.sizing, pool);
         let simulate = self.simulate.clone();
         let exec: ChunkExec<'a> = if self.warm_start {
-            Box::new(move |range, seed| {
+            Box::new(move |range| {
                 let mut ctx = SolveContext::new(arch, &sizing);
-                if let Some(snapshot) = seed {
-                    ctx.import_basis(snapshot);
-                }
                 range
                     .map(|i| {
                         warm_size_point(
@@ -560,7 +549,7 @@ impl<'a> BudgetSweep<'a> {
                     .collect()
             })
         } else {
-            Box::new(move |range, _seed| {
+            Box::new(move |range| {
                 range
                     .map(|i| size_point(arch, i, budgets[i], 1.0, None, &sizing, simulate.as_ref()))
                     .collect()
@@ -673,11 +662,8 @@ impl<'a> LoadSweep<'a> {
         let sizing = attach_pool(&self.sizing, pool);
         let simulate = self.simulate.clone();
         let exec: ChunkExec<'a> = if self.warm_start {
-            Box::new(move |range, seed| {
+            Box::new(move |range| {
                 let mut ctx = SolveContext::new(arch, &sizing);
-                if let Some(snapshot) = seed {
-                    ctx.import_basis(snapshot);
-                }
                 range
                     .map(|i| {
                         let factor = factors[i];
@@ -697,7 +683,7 @@ impl<'a> LoadSweep<'a> {
                     .collect()
             })
         } else {
-            Box::new(move |range, _seed| {
+            Box::new(move |range| {
                 range
                     .map(|i| {
                         let factor = factors[i];
@@ -799,8 +785,8 @@ impl RandomCampaign {
 
     /// Lowers the campaign to its chunk-execution core. Random
     /// campaigns never warm-chain (every seed is a different
-    /// architecture), so the plan uses [`ChunkPolicy::INDEPENDENT`] and
-    /// ignores chunk seeds. The plan owns everything it needs (`'static`).
+    /// architecture), so the plan uses [`ChunkPolicy::INDEPENDENT`].
+    /// The plan owns everything it needs (`'static`).
     ///
     /// # Errors
     ///
@@ -822,7 +808,7 @@ impl RandomCampaign {
             SweepKind::Random,
             self.seeds.len(),
             ChunkPolicy::INDEPENDENT,
-            Box::new(move |range, _seed| {
+            Box::new(move |range| {
                 range
                     .map(|i| {
                         let seed = seeds[i];

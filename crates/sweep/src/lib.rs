@@ -68,10 +68,11 @@
 //! list partitioned by a [`socbuf_core::ChunkPolicy`] plus one
 //! chunk-execution closure — and a sizing-only campaign additionally
 //! renders to a [`socbuf_core::wire::CampaignManifest`], the wire
-//! contract a coordinator ships to shard workers. The [`shard`]
-//! module's [`execute_manifest_chunk`] runs one manifest chunk into a
-//! chunk-tagged report and [`merge_chunk_reports`] verifies coverage
-//! and reassembles — byte-identical to the serial run for any shard
+//! contract a coordinator ships to shard workers. A shard runs any
+//! subset of a manifest's chunks through [`CampaignPlan::run_chunks`]
+//! and renders each with [`chunk_report_json`]; [`merge_chunk_reports`]
+//! (or the streaming [`StreamingReducer`]) verifies coverage and
+//! reassembles — byte-identical to the serial run for any shard
 //! partition, because chunk boundaries are part of the campaign's
 //! meaning, not the executor's choice.
 //!
@@ -104,9 +105,8 @@ pub use campaign::{
 pub use pool::{OrderedRun, WorkPool};
 pub use report::{SimSummary, SweepKind, SweepPoint, SweepReport};
 pub use shard::{
-    execute_manifest_chunk, execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest,
-    run_manifest, run_manifest_sink, ChunkStats, MergeError, ReduceStats, ReportSink,
-    StreamingReducer,
+    chunk_report_json, execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest,
+    run_manifest, run_manifest_sink, ChunkStats, MergeError, ReduceStats, StreamingReducer,
 };
 pub use stream::{
     FileSpool, FrontierIndex, FrontierTracker, MemSpool, PointSink, ReportStream, Spool,

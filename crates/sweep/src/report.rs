@@ -206,8 +206,7 @@ impl SweepReport {
     }
 
     /// Appends one point as a self-contained JSON object — the shared
-    /// body of [`SweepReport::to_jsonl`] and [`SweepReport::to_json`]
-    /// (and therefore of the `socbuf-serve` `sweep` response).
+    /// body of [`SweepReport::to_jsonl`] and [`SweepReport::to_json`].
     fn push_point_json(&self, out: &mut String, p: &SweepPoint, frontier: bool) {
         push_point_json(out, self.kind, p, Some(frontier));
     }
@@ -230,8 +229,7 @@ impl SweepReport {
 
     /// Single-document rendering: the whole report as one JSON object,
     /// `{"kind":…,"points":[…]}`, with the same per-point objects as
-    /// [`SweepReport::to_jsonl`]. This is what a `socbuf-serve` `sweep`
-    /// response embeds.
+    /// [`SweepReport::to_jsonl`].
     pub fn to_json(&self) -> String {
         let on_frontier = self.frontier_mask();
         let mut out = String::from("{\"kind\":\"");
@@ -417,14 +415,6 @@ pub(crate) fn push_point_json(
         let _ = write!(out, ",\"frontier\":{flag}");
     }
     push_json_suffix(out, p);
-}
-
-/// Renders one point in the frontier-free wire form chunk reports
-/// carry (see [`push_point_json`]).
-pub(crate) fn point_wire_json(kind: SweepKind, p: &SweepPoint) -> String {
-    let mut out = String::new();
-    push_point_json(&mut out, kind, p, None);
-    out
 }
 
 /// Parses a point object (either form — a stray `frontier` flag is

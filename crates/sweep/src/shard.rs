@@ -4,9 +4,10 @@
 //!
 //! * **serially**, via [`run_manifest`] (or the campaign's own `run`) —
 //!   the reference rendering;
-//! * **chunk by chunk**, via [`execute_manifest_chunk`] — the unit a
-//!   shard worker (local process or `socbuf-serve` shard server) runs,
-//!   producing a [`ChunkReport`];
+//! * **chunk by chunk**, via [`CampaignPlan::run_chunks`] over a
+//!   [`plan_manifest`] plan — what a `socbuf-serve` shard runs for a
+//!   `sweep_stream` request, rendering each chunk with
+//!   [`chunk_report_json`] into a [`ChunkReport`] frame;
 //! * **merged**, via [`merge_chunk_reports`] — the reducer verifies the
 //!   reports cover the manifest's chunk partition exactly (no gaps, no
 //!   overlaps, no foreign campaigns) and reassembles the points.
@@ -17,13 +18,10 @@
 //! them warm-chain membership) are declared by the manifest — the
 //! [`ChunkPolicy`] partition by default, or a boundary-aligned
 //! coarsening of it from adaptive re-chunking — never chosen by who
-//! executes the chunk. Pivot counts do vary with chunking and seeding,
-//! which is why they are trace-only and never rendered (see
-//! [`SweepPoint::lp_iterations`]); shards that want them use
-//! [`execute_manifest_chunk_traced`]. Basis-seeded execution (the
-//! `seed` parameter) may still move the solver onto a different
-//! optimal vertex, so nothing on the merge path ever seeds — it is the
-//! shard layer's opt-in warm-transfer mode, measured by pivot counts.
+//! executes the chunk. Pivot counts do vary with chunking, which is
+//! why they are trace-only and never rendered (see
+//! [`SweepPoint::lp_iterations`]); [`execute_manifest_chunk_traced`]
+//! reports them beside one chunk's report.
 //!
 //! The reducer is streaming at heart: [`StreamingReducer`] ingests
 //! chunk reports in any arrival order, verifies coverage incrementally,
@@ -37,12 +35,13 @@
 
 use std::collections::BTreeMap;
 
-use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError};
-use socbuf_core::BasisSnapshot;
+use socbuf_core::wire::{
+    render_chunk_report, CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError,
+};
 
 use crate::campaign::{BudgetSweep, CampaignPlan, LoadSweep, RandomCampaign, SinkRun, SweepError};
 use crate::pool::WorkPool;
-use crate::report::{point_wire_json, sweep_point_from_json, SweepKind, SweepPoint, SweepReport};
+use crate::report::{push_point_json, sweep_point_from_json, SweepKind, SweepPoint, SweepReport};
 use crate::stream::{PointSink, VecSink};
 
 /// Lowers a manifest to the chunk-execution core of the campaign it
@@ -50,7 +49,7 @@ use crate::stream::{PointSink, VecSink};
 /// the policy default, or the coarsened partition an adaptive
 /// re-chunking wrote into it. The plan borrows the manifest's
 /// architecture; everything else is cloned in, so one manifest can be
-/// planned many times (once per chunk request on a shard server).
+/// planned many times (once per stream request on a shard server).
 ///
 /// # Errors
 ///
@@ -120,8 +119,8 @@ pub fn run_manifest(
 }
 
 /// Solver-effort trace for one executed chunk — measurement the wire
-/// report deliberately omits (pivot counts vary with chunking and
-/// seeding, so they can never be part of the byte-identity contract).
+/// report deliberately omits (pivot counts vary with chunking, so they
+/// can never be part of the byte-identity contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkStats {
     /// Points solved in the chunk.
@@ -130,12 +129,36 @@ pub struct ChunkStats {
     pub pivots: usize,
 }
 
-/// Executes one manifest chunk and wraps the points into the
-/// chunk-tagged wire report a reducer can verify, alongside the
-/// trace-only [`ChunkStats`] (warm-transfer probes and serve traces
-/// report pivots; the wire report never carries them). `seed`
-/// warm-starts the chunk's chain from an imported basis — never use it
-/// on the byte-identity path (see the module docs).
+/// Renders chunk `chunk` of `manifest` as its canonical chunk-report
+/// document, straight from the solved points — byte-identical to
+/// [`ChunkReport::to_json`] of the same points parsed back, with no
+/// parse on the way. Points carry no `frontier` flag (see
+/// [`ChunkReport::points`]).
+///
+/// # Panics
+///
+/// If `chunk` is not a chunk of `manifest`.
+pub fn chunk_report_json(
+    manifest: &CampaignManifest,
+    chunk: usize,
+    points: &[SweepPoint],
+) -> String {
+    let tag = manifest.shape.kind_tag();
+    let kind = SweepKind::from_tag(tag).expect("manifest kind tags mirror SweepKind");
+    let range = manifest.chunks[chunk];
+    render_chunk_report(
+        manifest.config_hash,
+        tag,
+        chunk,
+        range.start..range.end,
+        points,
+        |out, p| push_point_json(out, kind, p, None),
+    )
+}
+
+/// Executes one manifest chunk and returns its chunk-tagged wire
+/// report (what a reducer verifies), alongside the trace-only
+/// [`ChunkStats`] the wire report never carries.
 ///
 /// # Errors
 ///
@@ -145,51 +168,21 @@ pub fn execute_manifest_chunk_traced(
     manifest: &CampaignManifest,
     chunk: usize,
     pool: &WorkPool,
-    seed: Option<BasisSnapshot>,
 ) -> Result<(ChunkReport, ChunkStats), SweepError> {
-    let range = *manifest.chunks.get(chunk).ok_or_else(|| {
-        SweepError::BadConfig(format!(
-            "chunk {chunk} is out of range for a {}-chunk manifest",
-            manifest.chunks.len()
-        ))
+    let mut solved = Vec::new();
+    plan_manifest(manifest, pool)?.run_chunks(pool, &[chunk], |_, points| {
+        solved = points;
+        Ok::<(), SweepError>(())
     })?;
-    let plan = plan_manifest(manifest, pool)?;
-    let kind = plan.kind();
-    let solved = plan.execute_chunk(chunk, seed)?;
     let stats = ChunkStats {
         points: solved.len(),
         pivots: solved.iter().map(|p| p.lp_iterations).sum(),
     };
-    let points = solved
-        .iter()
-        .map(|p| {
-            JsonValue::parse(&point_wire_json(kind, p)).expect("point renderer emits valid JSON")
-        })
-        .collect();
-    let report = ChunkReport {
-        config_hash: manifest.config_hash,
-        kind: kind.tag().to_string(),
-        chunk,
-        start: range.start,
-        end: range.end,
-        points,
-    };
+    let text = chunk_report_json(manifest, chunk, &solved);
+    let report = JsonValue::parse(&text)
+        .and_then(|v| ChunkReport::from_json(&v))
+        .expect("the chunk renderer emits a valid chunk report");
     Ok((report, stats))
-}
-
-/// [`execute_manifest_chunk_traced`] without the trace — the plain
-/// shard-worker entry point.
-///
-/// # Errors
-///
-/// As for [`execute_manifest_chunk_traced`].
-pub fn execute_manifest_chunk(
-    manifest: &CampaignManifest,
-    chunk: usize,
-    pool: &WorkPool,
-    seed: Option<BasisSnapshot>,
-) -> Result<ChunkReport, SweepError> {
-    execute_manifest_chunk_traced(manifest, chunk, pool, seed).map(|(report, _)| report)
 }
 
 /// Runs the whole campaign locally, streaming points into `sink` in
@@ -346,19 +339,6 @@ pub struct ReduceStats {
     /// the out-of-order window of the arrival order, not the campaign
     /// size.
     pub peak_resident_points: usize,
-}
-
-/// Anything that consumes verified chunk reports — the report-level
-/// analogue of [`PointSink`], used by the serve client's fleet fan-out
-/// to hand arriving stream frames to whichever reducer coordinates the
-/// merge.
-pub trait ReportSink {
-    /// Ingests one chunk report.
-    ///
-    /// # Errors
-    ///
-    /// A [`MergeError`] when the report cannot be accepted.
-    fn accept_report(&mut self, report: &ChunkReport) -> Result<(), MergeError>;
 }
 
 /// The bounded-memory merge reducer: ingests chunk reports in **any**
@@ -521,12 +501,6 @@ impl<S: PointSink> StreamingReducer<S> {
                 peak_resident_points: self.peak_resident,
             },
         ))
-    }
-}
-
-impl<S: PointSink> ReportSink for StreamingReducer<S> {
-    fn accept_report(&mut self, report: &ChunkReport) -> Result<(), MergeError> {
-        self.ingest(report)
     }
 }
 

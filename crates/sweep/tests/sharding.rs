@@ -9,8 +9,8 @@ use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::shard::MergeError;
 use socbuf_sweep::{
-    execute_manifest_chunk, merge_chunk_reports, plan_manifest, run_manifest, BudgetSweep,
-    LoadSweep, RandomCampaign, SweepError, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, BudgetSweep, LoadSweep,
+    RandomCampaign, SweepError, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -30,7 +30,7 @@ fn all_chunks(manifest: &CampaignManifest, order: &[usize]) -> Vec<ChunkReport> 
     let pool = WorkPool::serial();
     order
         .iter()
-        .map(|&c| execute_manifest_chunk(manifest, c, &pool, None).unwrap())
+        .map(|&c| execute_manifest_chunk_traced(manifest, c, &pool).unwrap().0)
         .collect()
 }
 
@@ -64,11 +64,11 @@ fn load_merge_is_byte_identical_across_the_wire() {
     assert_eq!(wire.to_json(), manifest.to_json());
 
     let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
-    // Chunk reports round-trip through their JSONL wire form too.
+    // Chunk reports round-trip through their JSON wire form too.
     let reports: Vec<ChunkReport> = (0..wire.chunks.len())
         .map(|c| {
-            let r = execute_manifest_chunk(&wire, c, &WorkPool::serial(), None).unwrap();
-            ChunkReport::from_jsonl(&r.to_jsonl()).unwrap()
+            let (r, _) = execute_manifest_chunk_traced(&wire, c, &WorkPool::serial()).unwrap();
+            ChunkReport::from_json(&JsonValue::parse(&r.to_json()).unwrap()).unwrap()
         })
         .collect();
     let merged = merge_chunk_reports(&manifest, &reports).unwrap();
@@ -160,44 +160,6 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     match merge_chunk_reports(&manifest, &foreign) {
         Err(MergeError::KindMismatch { chunk: 1, .. }) => {}
         other => panic!("expected KindMismatch(1), got {other:?}"),
-    }
-}
-
-#[test]
-fn seeded_chunks_agree_with_cold_to_solver_precision() {
-    // Basis seeding is the opt-in warm-transfer mode: statuses and
-    // objectives must match the unseeded chunk (the LP optimum is
-    // unique); pivot counts may differ, which is exactly why seeding
-    // stays off the byte-identity path.
-    let arch = templates::amba();
-    let manifest = budget_manifest(&arch);
-    let pool = WorkPool::serial();
-
-    // Harvest a basis by running chunk 0 through a plan and exporting
-    // from a warm context built on the same campaign.
-    let plan = plan_manifest(&manifest, &pool).unwrap();
-    let mut ctx = socbuf_core::SolveContext::new(&arch, &small());
-    ctx.size_buffers_scaled(&arch, 1.0, 16).unwrap();
-    let snapshot = ctx
-        .basis_snapshot()
-        .expect("warm context has a basis")
-        .clone();
-
-    let cold = plan.execute_chunk(1, None).unwrap();
-    let seeded = plan.execute_chunk(1, Some(snapshot)).unwrap();
-    assert_eq!(cold.len(), seeded.len());
-    for (c, s) in cold.iter().zip(&seeded) {
-        assert_eq!(c.index, s.index);
-        assert_eq!(c.budget_row_relaxed, s.budget_row_relaxed);
-        assert_eq!(c.allocation.iter().sum::<usize>(), c.budget);
-        assert_eq!(s.allocation.iter().sum::<usize>(), s.budget);
-        assert!(
-            (c.predicted_loss - s.predicted_loss).abs() <= 1e-9 * (1.0 + c.predicted_loss.abs()),
-            "index {}: cold {} vs seeded {}",
-            c.index,
-            c.predicted_loss,
-            s.predicted_loss
-        );
     }
 }
 

@@ -19,9 +19,9 @@ use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::{
-    execute_manifest_chunk, merge_chunk_reports, rechunk_manifest, run_manifest, run_manifest_sink,
-    AdaptivePolicy, BudgetSweep, FileSpool, LoadSweep, MergeError, RandomCampaign, ReportStream,
-    StreamingReducer, SweepReport, VecSink, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, rechunk_manifest, run_manifest,
+    run_manifest_sink, AdaptivePolicy, BudgetSweep, FileSpool, LoadSweep, MergeError,
+    RandomCampaign, ReportStream, StreamingReducer, SweepReport, VecSink, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -132,8 +132,8 @@ fn merge_fixture() -> &'static MergeFixture {
         let pool = WorkPool::serial();
         let reports = (0..manifest.chunks.len())
             .map(|c| {
-                let r = execute_manifest_chunk(&manifest, c, &pool, None).unwrap();
-                ChunkReport::from_jsonl(&r.to_jsonl()).unwrap()
+                let (r, _) = execute_manifest_chunk_traced(&manifest, c, &pool).unwrap();
+                ChunkReport::from_json(&JsonValue::parse(&r.to_json()).unwrap()).unwrap()
             })
             .collect();
         MergeFixture {
@@ -330,9 +330,10 @@ fn adaptive_rechunk_merges_byte_identical_to_default_chunking() {
     let stream = ReportStream::jsonl(serial.kind, Vec::new());
     let mut reducer = StreamingReducer::new(&rechunked, stream);
     for c in (0..rechunked.chunks.len()).rev() {
-        let report = execute_manifest_chunk(&rechunked, c, &pool, None).unwrap();
+        let (report, _) = execute_manifest_chunk_traced(&rechunked, c, &pool).unwrap();
+        let wire = JsonValue::parse(&report.to_json()).unwrap();
         reducer
-            .ingest(&ChunkReport::from_jsonl(&report.to_jsonl()).unwrap())
+            .ingest(&ChunkReport::from_json(&wire).unwrap())
             .unwrap();
     }
     let (stream, _) = reducer.finish().unwrap();

@@ -1,5 +1,5 @@
-//! Property tests for the sharding wire codecs: manifests, chunk
-//! reports, and basis snapshots must (a) round-trip byte-identically —
+//! Property tests for the sharding wire codecs: manifests and chunk
+//! reports must (a) round-trip byte-identically —
 //! the merge reducer's byte-parity contract rests on render∘parse
 //! being the identity — and (b) reject malformed payloads with
 //! structured errors, never panics: truncations, duplicate keys,
@@ -9,11 +9,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use socbuf_core::wire::{
-    basis_snapshot_from_json, basis_snapshot_to_json, CampaignManifest, ChunkJsonlReader,
-    ChunkJsonlWriter, ChunkLine, ChunkReport, JsonValue, ManifestShape, WireError,
-};
-use socbuf_core::{BasisSnapshot, LpEngine, SizingConfig};
+use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError};
+use socbuf_core::SizingConfig;
 use socbuf_soc::templates::{self, RandomArchParams};
 
 fn small() -> SizingConfig {
@@ -80,27 +77,6 @@ fn report_from(config_hash: u64, kind: usize, start: usize, payloads: &[f64]) ->
         end: start + payloads.len(),
         points,
     }
-}
-
-fn snapshot_from(cols: usize, raw_rows: &[usize], revised: bool) -> BasisSnapshot {
-    // Map the raw samples into the snapshot's domain: even draws become
-    // in-range basic columns, odd draws inactive rows (`usize::MAX`).
-    let rows = raw_rows
-        .iter()
-        .map(|&r| {
-            if r % 2 == 0 {
-                (r / 2) % cols
-            } else {
-                usize::MAX
-            }
-        })
-        .collect::<Vec<_>>();
-    let engine = if revised {
-        LpEngine::Revised
-    } else {
-        LpEngine::Tableau
-    };
-    BasisSnapshot::new(rows, cols, engine)
 }
 
 proptest! {
@@ -246,7 +222,7 @@ proptest! {
     }
 
     #[test]
-    fn chunk_report_round_trips_in_both_renderings(
+    fn chunk_report_round_trips_byte_identically(
         config_hash in 0usize..1_000_000_000,
         kind in 0usize..3,
         start in 0usize..50,
@@ -256,13 +232,8 @@ proptest! {
         let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
         let json = report.to_json();
         let via_json = ChunkReport::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
-        prop_assert_eq!(via_json.to_json(), json.clone());
+        prop_assert_eq!(via_json.to_json(), json);
         prop_assert_eq!(&via_json, &report);
-
-        let jsonl = report.to_jsonl();
-        let via_jsonl = ChunkReport::from_jsonl(&jsonl).unwrap();
-        prop_assert_eq!(via_jsonl.to_jsonl(), jsonl);
-        prop_assert_eq!(&via_jsonl, &report);
     }
 
     #[test]
@@ -316,158 +287,6 @@ proptest! {
                 "expected \"{expect}\" in: {msg}"
             ),
             other => panic!("corrupted report accepted: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn incremental_jsonl_codec_agrees_with_the_batch_renderings(
-        config_hash in 0usize..1_000_000_000,
-        kind in 0usize..3,
-        start in 0usize..50,
-        len in 1usize..=5,
-        payloads in vec(0.0f64..10.0, 5),
-    ) {
-        let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
-
-        // Writer side: header line + one line per point concatenates
-        // to exactly the batch `to_jsonl` bytes.
-        let mut writer = ChunkJsonlWriter::new(
-            report.config_hash,
-            &report.kind,
-            report.chunk,
-            report.start,
-            report.end,
-        )
-        .unwrap();
-        let mut doc = writer.header_line();
-        for (i, point) in report.points.iter().enumerate() {
-            prop_assert_eq!(writer.remaining(), report.points.len() - i);
-            doc.push_str(&writer.point_line(point).unwrap());
-        }
-        writer.finish().unwrap();
-        prop_assert_eq!(&doc, &report.to_jsonl());
-
-        // Reader side: line-by-line parse reconstructs the identity
-        // and every point, and agrees the document is complete.
-        let mut reader = ChunkJsonlReader::new();
-        let mut lines = doc.lines();
-        match reader.push_line(lines.next().unwrap()).unwrap() {
-            ChunkLine::Header { config_hash, kind, chunk, start, end } => {
-                prop_assert_eq!(config_hash, report.config_hash);
-                prop_assert_eq!(kind, report.kind.clone());
-                prop_assert_eq!(chunk, report.chunk);
-                prop_assert_eq!(start, report.start);
-                prop_assert_eq!(end, report.end);
-            }
-            other => panic!("first line must be the header, got {other:?}"),
-        }
-        for (i, line) in lines.enumerate() {
-            prop_assert!(!reader.is_complete());
-            match reader.push_line(line).unwrap() {
-                ChunkLine::Point { index, point } => {
-                    prop_assert_eq!(index, report.start + i);
-                    let mut rendered = String::new();
-                    point.push(&mut rendered);
-                    let mut expected = String::new();
-                    report.points[i].push(&mut expected);
-                    prop_assert_eq!(rendered, expected);
-                }
-                other => panic!("point line parsed as {other:?}"),
-            }
-        }
-        prop_assert!(reader.is_complete());
-        reader.finish().unwrap();
-    }
-
-    #[test]
-    fn incremental_codec_rejects_what_the_batch_parser_rejects(
-        config_hash in 0usize..1_000_000_000,
-        kind in 0usize..3,
-        start in 0usize..50,
-        len in 2usize..=5,
-        payloads in vec(0.0f64..10.0, 5),
-        which in 0usize..4,
-    ) {
-        let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
-        let doc = report.to_jsonl();
-        let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
-        let expect = match which {
-            // Shortfall: the last point line never arrives.
-            0 => {
-                lines.pop();
-                "needs"
-            }
-            // Renumbered point.
-            1 => {
-                lines[1] = lines[1].replacen(
-                    &format!("\"index\":{}", report.start),
-                    &format!("\"index\":{}", report.start + 7000),
-                    1,
-                );
-                "expected"
-            }
-            // A point smuggling the global frontier flag.
-            2 => {
-                lines[1] = lines[1].replacen('}', ",\"frontier\":true}", 1);
-                "frontier"
-            }
-            // One point line too many.
-            _ => {
-                lines.push(lines[len].clone());
-                "needs"
-            }
-        };
-        let mut reader = ChunkJsonlReader::new();
-        let outcome: Result<(), WireError> = (|| {
-            for line in &lines {
-                reader.push_line(line)?;
-            }
-            reader.finish()
-        })();
-        match outcome {
-            Err(WireError::Schema(msg)) => prop_assert!(
-                msg.contains(expect),
-                "expected \"{expect}\" in: {msg}"
-            ),
-            other => panic!("corrupted stream accepted: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn basis_snapshot_round_trips(
-        cols in 1usize..64,
-        raw_rows in vec(0usize..256, 24),
-        rows_used in 0usize..=24,
-        revised in proptest::bool::ANY,
-    ) {
-        let snapshot = snapshot_from(cols, &raw_rows[..rows_used], revised);
-        let bytes = basis_snapshot_to_json(&snapshot);
-        let parsed = basis_snapshot_from_json(&JsonValue::parse(&bytes).unwrap()).unwrap();
-        prop_assert_eq!(basis_snapshot_to_json(&parsed), bytes);
-        prop_assert_eq!(parsed.rows(), snapshot.rows());
-        prop_assert_eq!(parsed.num_cols(), snapshot.num_cols());
-    }
-
-    #[test]
-    fn basis_entries_beyond_the_column_count_are_rejected(
-        cols in 1usize..64,
-        raw_rows in vec(0usize..256, 8),
-        revised in proptest::bool::ANY,
-        excess in 0usize..10,
-    ) {
-        let snapshot = snapshot_from(cols, &raw_rows, revised);
-        // Splice an out-of-range basic column in front of the rest.
-        let json = basis_snapshot_to_json(&snapshot).replacen(
-            "{\"basis\":[",
-            &format!("{{\"basis\":[{},", cols + excess),
-            1,
-        );
-        match basis_snapshot_from_json(&JsonValue::parse(&json).unwrap()) {
-            Err(WireError::Schema(msg)) => prop_assert!(
-                msg.contains("out of range"),
-                "wrong error: {msg}"
-            ),
-            other => panic!("out-of-range basis accepted: {other:?}"),
         }
     }
 }

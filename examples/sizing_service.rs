@@ -1,12 +1,14 @@
 //! Sizing-as-a-service: start a loopback server, issue the same query
 //! twice, and watch the second answer come back warm (~0 pivots) with
-//! byte-identical result JSON.
+//! byte-identical result JSON. Then stream a budget campaign's manifest
+//! and print its Pareto frontier.
 //!
 //! Run with: `cargo run --release --example sizing_service`
 
 use socbuf::serve::{Client, Server, ServerConfig};
 use socbuf::sizing::SizingConfig;
 use socbuf::soc::templates;
+use socbuf::sweep::{merge_chunk_reports, BudgetSweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default())?;
@@ -53,9 +55,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cold.outcome.allocation
     );
 
-    let frontier = client.frontier(&arch, &config, &[160, 240, 320])?;
+    // Every campaign is a manifest streamed chunk by chunk; merging the
+    // chunk reports gives the same report a local run would.
+    let mut sweep = BudgetSweep::new(&arch, vec![160, 240, 320]);
+    sweep.sizing = config.clone();
+    let manifest = sweep.manifest()?;
+    let mut reports = Vec::new();
+    client.sweep_stream(&manifest, None, |chunk| {
+        reports.push(chunk.report);
+        Ok(())
+    })?;
+    let frontier = merge_chunk_reports(&manifest, &reports)?;
     println!("\n--- Pareto frontier over budgets 160/240/320 ---");
-    print!("{}", frontier.table);
+    print!("{}", frontier.frontier_table());
 
     let health = client.health()?;
     println!(
