@@ -236,9 +236,7 @@ fn smoke(write_json: bool) -> i32 {
     }
 
     // --- Speedup: enforced only where parallelism exists. --------------
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = socbuf_bench::cores();
     if cores >= 2 {
         if run.speedup < 1.5 {
             eprintln!(

@@ -29,14 +29,13 @@
 //! `BENCH_scale.json` (wall time, points/sec, and the reducer's
 //! peak-resident-points per shard count).
 
-use std::io::{self, BufRead};
-use std::net::SocketAddr;
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::io;
 use std::time::Instant;
 
+use socbuf_bench::ShardProcess;
 use socbuf_core::wire::CampaignManifest;
 use socbuf_core::SizingConfig;
-use socbuf_serve::{Client, RetryPolicy, ShardFleet};
+use socbuf_serve::{RetryPolicy, ShardFleet};
 use socbuf_soc::templates;
 use socbuf_sweep::{
     run_manifest, run_manifest_sink, BudgetSweep, FileSpool, PointSink, ReportStream, SweepPoint,
@@ -88,60 +87,6 @@ impl PointSink for Tee<'_> {
     fn accept(&mut self, point: SweepPoint) -> io::Result<()> {
         self.csv.accept(point.clone())?;
         self.jsonl.accept(point)
-    }
-}
-
-/// One self-exec'd shard-server process (same protocol as
-/// `shard_probe`: port announced on stdout, stdin EOF is shutdown).
-struct ShardProcess {
-    child: Child,
-    _stdin: ChildStdin,
-    addr: SocketAddr,
-}
-
-impl ShardProcess {
-    fn spawn() -> ShardProcess {
-        let exe = std::env::current_exe().expect("own executable path");
-        let mut child = Command::new(exe)
-            .arg("--worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard worker: {e}");
-                std::process::exit(2);
-            });
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("worker announces its port");
-        let port: u16 = line
-            .trim()
-            .strip_prefix("PORT ")
-            .unwrap_or_else(|| {
-                eprintln!("worker printed {line:?}, expected \"PORT <n>\"");
-                std::process::exit(2);
-            })
-            .parse()
-            .expect("valid port");
-        let stdin = child.stdin.take().expect("piped stdin");
-        ShardProcess {
-            child,
-            _stdin: stdin,
-            addr: SocketAddr::from(([127, 0, 0, 1], port)),
-        }
-    }
-
-    fn client(&self) -> Client {
-        Client::connect_tcp(self.addr).expect("connect to shard")
-    }
-}
-
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
     }
 }
 

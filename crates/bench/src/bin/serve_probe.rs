@@ -131,9 +131,7 @@ fn smoke() -> i32 {
         best_warm = best_warm.min(tw);
         fresh.shutdown();
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = socbuf_bench::cores();
     println!(
         "best round trips: cold {best_cold:?} vs warm {best_warm:?} ({:.1}x)",
         best_cold.as_secs_f64() / best_warm.as_secs_f64().max(1e-12)

@@ -23,14 +23,12 @@
 //!   in-process run. Skipped on single-core hosts, same policy as
 //!   `serve_probe`.
 
-use std::io::BufRead;
-use std::net::SocketAddr;
-use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use socbuf_bench::ShardProcess;
 use socbuf_core::wire::CampaignManifest;
 use socbuf_core::SizingConfig;
-use socbuf_serve::{Client, RetryPolicy, ShardFleet};
+use socbuf_serve::{RetryPolicy, ShardFleet};
 use socbuf_soc::templates;
 use socbuf_sweep::{
     merge_chunk_reports, run_manifest, BudgetSweep, MergeError, SweepKind, SweepReport, VecSink,
@@ -51,62 +49,6 @@ fn smoke_sizing() -> SizingConfig {
 /// two-shard round-robin splits them unevenly ({0,2} vs {1}).
 fn smoke_budgets() -> Vec<usize> {
     vec![200, 216, 232, 248, 264, 280, 296, 312, 328, 344]
-}
-
-/// One self-exec'd shard-server process. Dropping it closes the
-/// worker's stdin, which is its shutdown signal.
-struct ShardProcess {
-    child: Child,
-    _stdin: ChildStdin,
-    addr: SocketAddr,
-}
-
-impl ShardProcess {
-    fn spawn() -> ShardProcess {
-        let exe = std::env::current_exe().expect("own executable path");
-        let mut child = Command::new(exe)
-            .arg("--worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard worker: {e}");
-                std::process::exit(2);
-            });
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("worker announces its port");
-        let port: u16 = line
-            .trim()
-            .strip_prefix("PORT ")
-            .unwrap_or_else(|| {
-                eprintln!("worker printed {line:?}, expected \"PORT <n>\"");
-                std::process::exit(2);
-            })
-            .parse()
-            .expect("valid port");
-        let stdin = child.stdin.take().expect("piped stdin");
-        ShardProcess {
-            child,
-            _stdin: stdin,
-            addr: SocketAddr::from(([127, 0, 0, 1], port)),
-        }
-    }
-
-    fn client(&self) -> Client {
-        Client::connect_tcp(self.addr).expect("connect to shard")
-    }
-}
-
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        // The EOF signal (dropping `_stdin`) is the graceful path;
-        // kill() on top keeps cleanup robust if the worker ever hangs.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
 }
 
 /// Times one whole-campaign fan-out over `shards` (chunks round-robin,
@@ -212,9 +154,7 @@ fn smoke() -> i32 {
     for _ in 0..SMOKE_REPEATS {
         best_one = best_one.min(timed_fanout(&manifest, &[&shard_a]).1);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = socbuf_bench::cores();
     println!(
         "best of {SMOKE_REPEATS}: serial {serial_time:?} vs 1-shard fan-out {best_one:?} ({:.2}x)",
         serial_time.as_secs_f64() / best_one.as_secs_f64().max(1e-12)

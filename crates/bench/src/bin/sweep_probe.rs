@@ -93,9 +93,7 @@ fn smoke() -> i32 {
 
     let t1 = best[0].1;
     let t8 = best[2].1;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = socbuf_bench::cores();
     if cores >= 2 {
         if t8 >= t1 {
             eprintln!(

@@ -240,9 +240,7 @@ fn smoke() -> i32 {
     }
     let (tc, tw) = (best_cold.unwrap(), best_warm.unwrap());
     let speedup = tc.as_secs_f64() / tw.as_secs_f64().max(1e-12);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = socbuf_bench::cores();
     println!("serial grid: cold {tc:?} vs warm {tw:?} -> {speedup:.2}x");
     if cores >= 2 {
         if speedup < 1.5 {

@@ -16,6 +16,9 @@
 //! | `warmstart_probe` | developer probe: warm-chained vs cold-started sweeps (not a paper artifact) |
 //! | `decomp_probe` | developer probe: block-angular decomposition vs the monolithic solve (not a paper artifact) |
 //! | `serve_probe` | developer probe: `socbuf-serve` round-trip latency, byte parity and warm-hit pivots (not a paper artifact) |
+//! | `actor_probe` | developer probe: actor vs legacy simulator wall time and per-seed agreement (not a paper artifact) |
+//! | `shard_probe` | developer probe: sharded campaigns over self-exec'd shard servers, byte-diffed against the serial run (not a paper artifact) |
+//! | `scale_probe` | developer probe: 10⁵-point streamed campaigns, byte identity, bounded residency and `BENCH_scale.json` (not a paper artifact) |
 //!
 //! # `BENCH_decomp.json`
 //!
@@ -41,7 +44,12 @@
 //! Wall times are best-of-repeats; everything else is deterministic and
 //! identical across runs and executors.
 
+use std::io::BufRead;
+use std::net::SocketAddr;
+use std::process::{Child, ChildStdin, Command, Stdio};
+
 use socbuf_core::PipelineConfig;
+use socbuf_serve::Client;
 
 /// The standard experiment configuration used by the paper-facing
 /// binaries: 10 replications (as in the paper), a 1000-time-unit horizon
@@ -63,6 +71,75 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     }
     let n = ((value / max) * width as f64).round() as usize;
     "#".repeat(n.min(width))
+}
+
+/// The host's available parallelism (1 when it cannot be determined)
+/// — what the probes' multi-core wall-time gates key on.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// One shard-server process: the calling probe binary re-executed with
+/// `--worker` (see [`socbuf_serve::shard_worker_main`]). The worker
+/// announces its ephemeral port as `PORT <n>` on stdout and lives until
+/// its stdin closes, which dropping this handle does.
+pub struct ShardProcess {
+    child: Child,
+    _stdin: ChildStdin,
+    addr: SocketAddr,
+}
+
+impl ShardProcess {
+    /// Spawns the worker and waits for its port announcement; exits the
+    /// probe with status 2 when the worker cannot start.
+    pub fn spawn() -> ShardProcess {
+        let exe = std::env::current_exe().expect("own executable path");
+        let mut child = Command::new(exe)
+            .arg("--worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| {
+                eprintln!("cannot spawn shard worker: {e}");
+                std::process::exit(2);
+            });
+        let stdout = child.stdout.take().expect("piped stdout");
+        let mut line = String::new();
+        std::io::BufReader::new(stdout)
+            .read_line(&mut line)
+            .expect("worker announces its port");
+        let port: u16 = line
+            .trim()
+            .strip_prefix("PORT ")
+            .unwrap_or_else(|| {
+                eprintln!("worker printed {line:?}, expected \"PORT <n>\"");
+                std::process::exit(2);
+            })
+            .parse()
+            .expect("valid port");
+        let stdin = child.stdin.take().expect("piped stdin");
+        ShardProcess {
+            child,
+            _stdin: stdin,
+            addr: SocketAddr::from(([127, 0, 0, 1], port)),
+        }
+    }
+
+    /// A fresh client connection to the worker.
+    pub fn client(&self) -> Client {
+        Client::connect_tcp(self.addr).expect("connect to shard")
+    }
+}
+
+impl Drop for ShardProcess {
+    fn drop(&mut self) {
+        // The EOF signal (dropping `_stdin`) is the graceful path;
+        // kill() on top keeps cleanup robust if the worker ever hangs.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! [`crate::coupled`].
 
 use socbuf_lp::{
-    ExecutorHandle, LpEngine, LpProblem, Relation, RowId, Sense, SimplexOptions, VarId,
+    ExecutorHandle, LpEngine, LpError, LpProblem, Relation, RowId, Sense, SimplexOptions, VarId,
 };
 use socbuf_soc::split::split;
 use socbuf_soc::{Architecture, Client};
@@ -86,7 +86,7 @@ impl SizingConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.state_cap < 2 {
             return Err(CoreError::BadConfig("state_cap must be ≥ 2".into()));
         }
@@ -118,11 +118,25 @@ impl SizingConfig {
 #[derive(Debug, Clone)]
 pub struct SizingLp {
     lp: LpProblem,
+    layout: Layout,
+    engine: LpEngine,
+    equilibrate: bool,
+    executor: ExecutorHandle,
+}
+
+/// Where each queue's variables and rows sit in the joint LP, and the
+/// rates behind them: what reading a solution and retargeting the LP
+/// need. A warm chain keeps this and moves the problem itself into its
+/// [`socbuf_lp::PreparedLp`].
+#[derive(Debug, Clone)]
+pub(crate) struct Layout {
     /// `vars[q][n][a]` — occupation variables. State 0 has one action.
     vars: Vec<Vec<Vec<VarId>>>,
     efforts: Vec<f64>,
     bus_rows: Vec<RowId>,
-    budget_row: Option<RowId>,
+    /// Always the LP's last row, so dropping it leaves every other
+    /// [`RowId`] valid.
+    budget_row: RowId,
     /// `cut_rows[q][j]` — the level-crossing row between states `j` and
     /// `j+1` of queue `q`; its birth-side coefficients carry λ, which is
     /// what a load-factor retarget rewrites in place.
@@ -131,9 +145,6 @@ pub struct SizingLp {
     lambdas: Vec<f64>,
     state_cap: usize,
     alpha: f64,
-    engine: LpEngine,
-    equilibrate: bool,
-    executor: ExecutorHandle,
 }
 
 /// Solution of the joint LP in queue-level terms.
@@ -284,7 +295,8 @@ impl SizingLp {
             bus_rows.push(row);
         }
 
-        // Global budget row: Σ E[occupancy] ≤ α·budget.
+        // Global budget row: Σ E[occupancy] ≤ α·budget. It must stay
+        // the last row (see `Layout::solve_relaxed`).
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         for block in &vars {
             for (state, row) in block.iter().enumerate().skip(1) {
@@ -293,20 +305,21 @@ impl SizingLp {
                 }
             }
         }
-        let budget_row =
-            Some(lp.add_constraint(terms, Relation::Le, config.alpha * budget as f64)?);
+        let budget_row = lp.add_constraint(terms, Relation::Le, config.alpha * budget as f64)?;
 
         Ok(SizingLp {
             lp,
-            vars,
-            efforts,
-            bus_rows,
-            budget_row,
-            cut_rows,
-            weights,
-            lambdas,
-            state_cap: n,
-            alpha: config.alpha,
+            layout: Layout {
+                vars,
+                efforts,
+                bus_rows,
+                budget_row,
+                cut_rows,
+                weights,
+                lambdas,
+                state_cap: n,
+                alpha: config.alpha,
+            },
             engine: config.engine,
             equilibrate: config.equilibrate,
             executor: config.executor.clone(),
@@ -319,7 +332,70 @@ impl SizingLp {
         self.engine
     }
 
-    /// Rewrites a [`socbuf_lp::PreparedLp`] built from this LP's
+    /// Number of LP variables.
+    pub fn num_vars(&self) -> usize {
+        self.lp.num_vars()
+    }
+
+    /// Number of LP rows.
+    pub fn num_rows(&self) -> usize {
+        self.lp.num_rows()
+    }
+
+    /// The assembled joint LP — exposed so benches and tests can inspect
+    /// or re-assemble its standard form (e.g. to compare the sparse and
+    /// dense assembly paths on the paper's own problem shapes).
+    pub fn problem(&self) -> &LpProblem {
+        &self.lp
+    }
+
+    /// Splits the LP into its problem and the layout that reads its
+    /// solutions, so a warm chain can move the problem into its
+    /// prepared form instead of copying it.
+    pub(crate) fn into_parts(self) -> (LpProblem, Layout) {
+        (self.lp, self.layout)
+    }
+
+    /// Solves the joint LP cold, climbing the solve ladder. If the
+    /// budget row makes the program infeasible (a very small budget
+    /// cannot hold the minimum possible expected occupancy), it is
+    /// dropped and the solve retried — the translation step still
+    /// enforces the exact integer budget.
+    ///
+    /// # Errors
+    ///
+    /// Propagates LP failures other than budget infeasibility.
+    pub fn solve(&self) -> Result<SizingSolution, CoreError> {
+        climb_ladder(self.engine, self.equilibrate, &self.executor, |options| {
+            self.solve_with_options(options)
+        })
+    }
+
+    /// Solves with explicit simplex options (one ladder rung). The same
+    /// budget-row relaxation as [`SizingLp::solve`] applies.
+    ///
+    /// # Errors
+    ///
+    /// Propagates LP failures other than budget infeasibility.
+    pub fn solve_with_options(
+        &self,
+        options: &SimplexOptions,
+    ) -> Result<SizingSolution, CoreError> {
+        match self.lp.solve_with(options) {
+            Ok(sol) => Ok(self.layout.interpret(&sol, false)),
+            Err(LpError::Infeasible { .. }) => self.layout.solve_relaxed(&self.lp, options),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The loss weight attached to each queue.
+    pub fn weights(&self) -> &[f64] {
+        &self.layout.weights
+    }
+}
+
+impl Layout {
+    /// Rewrites a [`socbuf_lp::PreparedLp`] built from this layout's
     /// problem so it describes the same architecture at a different
     /// budget and load factor — the in-place alternative to rebuilding
     /// the whole formulation per sweep point:
@@ -340,12 +416,12 @@ impl SizingLp {
     /// loss *weights* of multi-source bridge queues are rate-ratio
     /// weighted.
     ///
-    /// `nominal` must be the factor-1 architecture this LP's queue
-    /// order came from. The retarget also refreshes this LP's own
-    /// per-queue λ bookkeeping so a subsequent [`SizingLp::interpret`]
-    /// reports `queue_loss_rates` at the retargeted load, not the load
-    /// the LP was first built at. (The loss *weights* need no refresh:
-    /// they are rate-ratio weighted, so a common λ factor cancels.)
+    /// `nominal` must be the factor-1 architecture this layout's queue
+    /// order came from. The retarget also refreshes the per-queue λ
+    /// bookkeeping so a subsequent [`Layout::interpret`] reports
+    /// `queue_loss_rates` at the retargeted load, not the load the LP
+    /// was first built at. (The loss *weights* need no refresh: they
+    /// are rate-ratio weighted, so a common λ factor cancels.)
     ///
     /// # Errors
     ///
@@ -357,10 +433,8 @@ impl SizingLp {
         nominal: &Architecture,
         budget: usize,
         factor: f64,
-    ) -> Result<(), socbuf_lp::LpError> {
-        if let Some(row) = self.budget_row {
-            prepared.set_rhs(row, self.alpha * budget as f64)?;
-        }
+    ) -> Result<(), LpError> {
+        prepared.set_rhs(self.budget_row, self.alpha * budget as f64)?;
         let n = self.state_cap;
         for (q, queue) in nominal.queues().iter().enumerate() {
             let lambda = queue.offered_rate * factor;
@@ -390,117 +464,22 @@ impl SizingLp {
         Ok(())
     }
 
-    /// Number of LP variables.
-    pub fn num_vars(&self) -> usize {
-        self.lp.num_vars()
-    }
-
-    /// Number of LP rows.
-    pub fn num_rows(&self) -> usize {
-        self.lp.num_rows()
-    }
-
-    /// The assembled joint LP — exposed so benches and tests can inspect
-    /// or re-assemble its standard form (e.g. to compare the sparse and
-    /// dense assembly paths on the paper's own problem shapes).
-    pub fn problem(&self) -> &LpProblem {
-        &self.lp
-    }
-
-    /// Solves the joint LP. If the budget row makes the program
-    /// infeasible (a very small budget cannot hold the minimum possible
-    /// expected occupancy), it is dropped and the solve retried — the
-    /// translation step still enforces the exact integer budget.
+    /// Solves `problem`, this layout's LP, with its budget row dropped:
+    /// the row is always the last one, so popping it leaves every other
+    /// [`RowId`] in place.
     ///
     /// # Errors
     ///
-    /// Propagates LP failures other than budget infeasibility.
-    pub fn solve(&self) -> Result<SizingSolution, CoreError> {
-        let ladder = solve_ladder(self.engine, self.equilibrate, &self.executor);
-        let mut last_err = None;
-        for options in &ladder {
-            match self.solve_with_options(options) {
-                Ok(sol) => return Ok(sol),
-                Err(CoreError::Lp(socbuf_lp::LpError::IterationLimit { .. })) => {
-                    last_err = Some(CoreError::Lp(socbuf_lp::LpError::IterationLimit {
-                        limit: options.max_iterations,
-                    }));
-                }
-                // Numerical breakdown on the θ=0 redundancy contract:
-                // a stronger perturbation rung may resolve it.
-                Err(CoreError::Lp(e @ socbuf_lp::LpError::ResidualArtificial { .. })) => {
-                    last_err = Some(CoreError::Lp(e));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("ladder is non-empty"))
-    }
-
-    /// Solves with explicit simplex options (no retry ladder). The same
-    /// budget-row relaxation as [`SizingLp::solve`] applies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates LP failures other than budget infeasibility.
-    pub fn solve_with_options(
+    /// Propagates the LP failure of the relaxed solve.
+    pub(crate) fn solve_relaxed(
         &self,
+        problem: &LpProblem,
         options: &SimplexOptions,
     ) -> Result<SizingSolution, CoreError> {
-        match self.lp.solve_with(options) {
-            Ok(sol) => Ok(self.interpret(&sol, false)),
-            Err(socbuf_lp::LpError::Infeasible { .. }) if self.budget_row.is_some() => {
-                let mut relaxed = self.clone();
-                relaxed.drop_budget_row();
-                let sol = relaxed.lp.solve_with(options)?;
-                Ok(relaxed.interpret(&sol, true))
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn drop_budget_row(&mut self) {
-        // Rebuild without the budget row by re-adding it as a loose
-        // constraint is impossible post-hoc; instead mark it None and
-        // rebuild the LP from scratch is costly. The budget row is the
-        // last row added, so rebuild via a fresh problem is avoided by
-        // simply re-adding an equivalent LP... Keep it simple: rebuild.
-        // (`build` is deterministic, so clone-and-mutate is safe.)
-        if let Some(_row) = self.budget_row.take() {
-            // Replace the LP with one where the budget row is vacuous.
-            // The row was added last; adding a fresh LP without it means
-            // replaying construction — instead we exploit that LpProblem
-            // rows are immutable and just rebuild the problem minus the
-            // final row via its public API.
-            let mut lp = LpProblem::new(Sense::Minimize);
-            let mut mapping = Vec::with_capacity(self.lp.num_vars());
-            for v in self.lp.vars() {
-                let (lo, up) = self.lp.bounds(v);
-                mapping.push(lp.add_var_bounded(
-                    self.lp.var_name(v).to_string(),
-                    self.lp.objective_coeff(v),
-                    lo,
-                    up,
-                ));
-            }
-            let rows: Vec<_> = self.lp.row_ids().collect();
-            let mut new_bus_rows = Vec::with_capacity(self.bus_rows.len());
-            for r in rows.iter().take(rows.len().saturating_sub(1)) {
-                let (terms, rel, rhs) = self.lp.row(*r);
-                let new_terms: Vec<_> = terms
-                    .into_iter()
-                    .map(|(v, c)| (mapping[v.index()], c))
-                    .collect();
-                let nr = lp
-                    .add_constraint(new_terms, rel, rhs)
-                    .expect("replayed row is valid");
-                if self.bus_rows.contains(r) {
-                    new_bus_rows.push(nr);
-                }
-            }
-            self.bus_rows = new_bus_rows;
-            self.lp = lp;
-        }
+        let mut relaxed = problem.clone();
+        relaxed.pop_row();
+        let sol = relaxed.solve_with(options)?;
+        Ok(self.interpret(&sol, true))
     }
 
     /// Occupation mass below which a state counts as *unreached* when
@@ -517,6 +496,8 @@ impl SizingLp {
     /// vertices — and therefore across LP engines.
     const EFFORT_DUST: f64 = 1e-4;
 
+    /// Reads a solution of this layout's LP; `relaxed` says the budget
+    /// row was dropped (its shadow price is then 0).
     pub(crate) fn interpret(&self, sol: &socbuf_lp::LpSolution, relaxed: bool) -> SizingSolution {
         let nq = self.vars.len();
         let mut occupation = Vec::with_capacity(nq);
@@ -566,7 +547,11 @@ impl SizingLp {
             efforts: effort_curves,
             loss_rate: sol.objective(),
             queue_loss_rates,
-            budget_shadow_price: self.budget_row.map_or(0.0, |r| sol.dual(r)),
+            budget_shadow_price: if relaxed {
+                0.0
+            } else {
+                sol.dual(self.budget_row)
+            },
             bus_shadow_prices: self.bus_rows.iter().map(|&r| sol.dual(r)).collect(),
             budget_row_relaxed: relaxed,
             lp_iterations: sol.iterations(),
@@ -574,17 +559,13 @@ impl SizingLp {
             lp_scaling: sol.scaling_stats(),
         }
     }
-
-    /// The loss weight attached to each queue.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
-/// The escalation ladder shared by [`SizingLp::solve`] and the
-/// warm-started [`crate::SolveContext`] (the two must stay identical:
-/// whether a point is solved cold or warm, it must attempt the same
-/// sequence of perturbation settings so statuses and objectives agree).
+/// Climbs the solve ladder: runs `attempt` at each rung in order until
+/// one succeeds. An iteration limit, or numerical breakdown on the θ=0
+/// redundancy contract (a residual artificial), moves to the next rung;
+/// any other error ends the climb. When every rung fails, the last
+/// rung's error is reported.
 ///
 /// Occupation-measure LPs are massively degenerate (hundreds of
 /// zero-rhs balance rows); the rhs perturbation keeps simplex making
@@ -592,7 +573,35 @@ impl SizingLp {
 /// O(1e-6) wobble is immaterial. Individual instances can still stall
 /// under a particular perturbation pattern, so a ladder of increasingly
 /// aggressive settings backs the first attempt up.
-pub(crate) fn solve_ladder(
+///
+/// This is the only loop over the rungs: a cold [`SizingLp::solve`] and
+/// a [`crate::SolveContext`] chain supply only how one rung is
+/// attempted, so a point solved cold or warm attempts the same sequence
+/// of perturbation settings and reports the same error.
+pub(crate) fn climb_ladder<T>(
+    engine: LpEngine,
+    equilibrate: bool,
+    executor: &ExecutorHandle,
+    mut attempt: impl FnMut(&SimplexOptions) -> Result<T, CoreError>,
+) -> Result<T, CoreError> {
+    let mut last_err = None;
+    for options in &solve_ladder(engine, equilibrate, executor) {
+        match attempt(options) {
+            Ok(solved) => return Ok(solved),
+            Err(CoreError::Lp(LpError::IterationLimit { .. })) => {
+                last_err = Some(CoreError::Lp(LpError::IterationLimit {
+                    limit: options.max_iterations,
+                }));
+            }
+            Err(e @ CoreError::Lp(LpError::ResidualArtificial { .. })) => last_err = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err.expect("ladder is non-empty"))
+}
+
+/// The rungs [`climb_ladder`] climbs, least perturbed first.
+fn solve_ladder(
     engine: LpEngine,
     equilibrate: bool,
     executor: &ExecutorHandle,
@@ -792,11 +801,11 @@ mod tests {
         let arch = single_queue(0.4, 1.0);
         let cfg = SizingConfig::small();
         let built_arch = arch.scale_rates(0.5, 1.0).unwrap();
-        let mut lp = SizingLp::build(&built_arch, 50, &cfg).unwrap();
-        let mut prepared = socbuf_lp::PreparedLp::new(lp.problem().clone()).unwrap();
-        lp.retarget(&mut prepared, &arch, 50, 2.0).unwrap();
+        let (problem, mut layout) = SizingLp::build(&built_arch, 50, &cfg).unwrap().into_parts();
+        let mut prepared = socbuf_lp::PreparedLp::new(problem).unwrap();
+        layout.retarget(&mut prepared, &arch, 50, 2.0).unwrap();
         let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
-        let warm = lp.interpret(&prepared.solve_with(options).unwrap(), false);
+        let warm = layout.interpret(&prepared.solve_with(options).unwrap(), false);
         let cold = SizingLp::build(&arch.scale_rates(2.0, 1.0).unwrap(), 50, &cfg)
             .unwrap()
             .solve()
@@ -817,12 +826,12 @@ mod tests {
         // rewrites the coefficients and drops it.
         let arch = socbuf_soc::templates::figure1();
         let cfg = SizingConfig::small();
-        let mut lp = SizingLp::build(&arch, 22, &cfg).unwrap();
+        let (problem, mut layout) = SizingLp::build(&arch, 22, &cfg).unwrap().into_parts();
         let mut prepared =
-            socbuf_lp::PreparedLp::new_with_scaling(lp.problem().clone(), cfg.equilibrate).unwrap();
+            socbuf_lp::PreparedLp::new_with_scaling(problem, cfg.equilibrate).unwrap();
         let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
         let basis = prepared.solve_with(options).unwrap().basis_snapshot();
-        let cut_rows: Vec<RowId> = lp.cut_rows.iter().flatten().copied().collect();
+        let cut_rows: Vec<RowId> = layout.cut_rows.iter().flatten().copied().collect();
         let coefficients = |p: &LpProblem| {
             let terms: Vec<Vec<(usize, u64)>> = cut_rows
                 .iter()
@@ -839,13 +848,13 @@ mod tests {
         };
         let before = coefficients(prepared.problem());
 
-        lp.retarget(&mut prepared, &arch, 31, 1.0).unwrap();
+        layout.retarget(&mut prepared, &arch, 31, 1.0).unwrap();
         assert_eq!(coefficients(prepared.problem()), before);
-        let (_, _, rhs) = prepared.problem().row(lp.budget_row.unwrap());
+        let (_, _, rhs) = prepared.problem().row(layout.budget_row);
         assert_eq!(rhs, cfg.alpha * 31.0);
         assert_eq!(prepared.kept_basis(), Some(&basis));
 
-        lp.retarget(&mut prepared, &arch, 31, 1.1).unwrap();
+        layout.retarget(&mut prepared, &arch, 31, 1.1).unwrap();
         assert_ne!(coefficients(prepared.problem()), before);
         assert!(prepared.kept_basis().is_none());
     }

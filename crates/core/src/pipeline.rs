@@ -2,13 +2,13 @@
 //! LP, re-simulate the architecture with the new buffer lengths, and
 //! compare losses against the constant-sizing and timeout baselines.
 
-use socbuf_lp::{BasisSnapshot, LpEngine, LpError, PreparedLp};
+use socbuf_lp::{BasisSnapshot, LpEngine, LpError, PreparedLp, SimplexOptions};
 use socbuf_sim::{
     average_reports, replication_config, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
 };
 use socbuf_soc::{Architecture, BufferAllocation};
 
-use crate::formulation::{solve_ladder, SizingConfig, SizingLp, SizingSolution};
+use crate::formulation::{climb_ladder, Layout, SizingConfig, SizingLp, SizingSolution};
 use crate::translate::{translate, Translation};
 use crate::CoreError;
 
@@ -45,7 +45,8 @@ pub struct SizingOutcome {
 ///
 /// This is steps 1–3 of the methodology: split (implicit in the
 /// formulation), solve the joint occupation-measure LP, translate via
-/// the K-switching policy into integer buffer lengths.
+/// the K-switching policy into integer buffer lengths. A cold solve is
+/// the first point of a fresh [`SolveContext`] chain.
 ///
 /// # Errors
 ///
@@ -59,42 +60,26 @@ pub fn size_buffers(
     budget: usize,
     config: &SizingConfig,
 ) -> Result<SizingOutcome, CoreError> {
-    let lp = SizingLp::build(arch, budget, config)?;
-    let solution = lp.solve()?;
-    let Translation {
-        allocation,
-        requirements,
-        efforts,
-    } = translate(arch, &solution, budget, config)?;
-    Ok(SizingOutcome {
-        allocation,
-        efforts,
-        requirements,
-        predicted_loss_rate: solution.loss_rate,
-        budget_shadow_price: solution.budget_shadow_price,
-        budget_row_relaxed: solution.budget_row_relaxed,
-        lp_iterations: solution.lp_iterations,
-        lp_engine: solution.lp_engine,
-        lp_scaling: solution.lp_scaling,
-    })
+    SolveContext::new(arch, config).size_buffers(budget)
 }
 
 /// Warm-start state for a *chain* of sizing solves over one
 /// architecture family — the pipeline hook the sweep campaigns thread
-/// through contiguous runs of budget or load points.
+/// through contiguous runs of budget or load points, and the one place
+/// the sizing LP is solved ([`size_buffers`] is a one-point chain).
 ///
 /// The context lazily builds the joint LP at the chain's first point,
-/// caches its assembled standard form in a [`PreparedLp`], and from
-/// then on re-targets the cached form **in place** (budget = RHS-only
-/// delta on the budget row; load factor = pattern-preserving rescale of
-/// the cut rows and loss costs) and re-enters the revised simplex from
-/// the previous point's optimal basis. Every solve still climbs the
-/// same perturbation ladder as [`size_buffers`] and falls back to a
-/// cold solve whenever the basis is stale, so a warm-started point
-/// reports the same status and (to solver precision) the same optimal
-/// objective a cold point would — warm starts change pivot counts and
-/// wall time, never answers. The first solve of a fresh context is
-/// bit-identical to [`size_buffers`].
+/// moves it into a [`PreparedLp`] that caches its assembled standard
+/// form, and from then on re-targets the cached form **in place**
+/// (budget = RHS-only delta on the budget row; load factor =
+/// pattern-preserving rescale of the cut rows and loss costs) and
+/// re-enters the revised simplex from the previous point's optimal
+/// basis. Every solve climbs the same perturbation ladder, and a point
+/// the warm form reports infeasible is confirmed on its own cold LP, so
+/// a warm-started point reports the same status and (to solver
+/// precision) the same optimal objective a cold point would — warm
+/// starts change pivot counts and wall time, never answers. The first
+/// solve of a fresh context *is* the cold [`size_buffers`] answer.
 ///
 /// # Examples
 ///
@@ -128,9 +113,43 @@ pub struct SolveContext {
 
 #[derive(Debug)]
 struct WarmState {
-    lp: SizingLp,
+    layout: Layout,
     prepared: PreparedLp,
     basis: Option<BasisSnapshot>,
+}
+
+impl WarmState {
+    /// One ladder rung on the cached form: warm from the last basis when
+    /// the engine can re-enter from one, cold otherwise. `fresh` says the
+    /// form was built for this very point, so a cold infeasible answer
+    /// is final and the budget row is relaxed at once.
+    fn attempt(
+        &mut self,
+        options: &SimplexOptions,
+        fresh: bool,
+    ) -> Result<SizingSolution, CoreError> {
+        // A decomposed solve exports a *joint* basis, so the chain
+        // warm-starts the joint form from it exactly like the revised
+        // engine (the warm path is the engine's own finishing solve).
+        let solved = match &self.basis {
+            Some(snapshot)
+                if matches!(options.engine, LpEngine::Revised | LpEngine::Decomposed) =>
+            {
+                self.prepared.solve_warm(options, snapshot)
+            }
+            _ => self.prepared.solve_with(options),
+        };
+        match solved {
+            Ok(sol) => {
+                self.basis = Some(sol.basis_snapshot());
+                Ok(self.layout.interpret(&sol, false))
+            }
+            Err(LpError::Infeasible { .. }) if fresh => {
+                self.layout.solve_relaxed(self.prepared.problem(), options)
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
 }
 
 impl SolveContext {
@@ -213,89 +232,55 @@ impl SolveContext {
         factor: f64,
         budget: usize,
     ) -> Result<SizingSolution, CoreError> {
-        // Validate once, at entry, so a chain's first (cold) solve and
-        // every later (warm) solve surface the identical `BadConfig`
-        // error for a zero budget. The check used to live only on the
-        // warm branch, leaving the cold branch to rely on
-        // `SizingLp::build` rejecting the budget several layers down —
-        // same net refusal, but a different code path to keep aligned.
+        // Validate at entry, so a chain's first (cold) solve and every
+        // later (warm) solve refuse a bad config or a zero budget with
+        // the same error.
+        self.config.validate()?;
         if budget == 0 {
             return Err(CoreError::BadConfig("budget must be positive".into()));
         }
         let point_arch = scaled.unwrap_or(&self.arch);
-        if self.state.is_none() {
-            // Chain start: build exactly what the cold path builds (at
-            // this point's own budget/factor) and cache its assembly —
-            // including the equilibration decision and scale vectors,
-            // which the whole chain then shares (in-place deltas are
-            // rescaled with the cached factors, so warm bases stay
-            // meaningful across retargets).
-            let lp = SizingLp::build(point_arch, budget, &self.config)?;
-            let prepared =
-                PreparedLp::new_with_scaling(lp.problem().clone(), self.config.equilibrate)?;
+        // Build at the chain's first point, and whenever the structure
+        // drifted so the cached form cannot take the retarget (not for
+        // budget/load deltas, but e.g. a λ of exactly 0 would). The
+        // built problem is moved into the prepared form, whose
+        // equilibration decision and scale vectors the whole chain then
+        // shares (in-place deltas are rescaled with the cached factors,
+        // so warm bases stay meaningful across retargets).
+        let fresh = match &mut self.state {
+            Some(state) => state
+                .layout
+                .retarget(&mut state.prepared, &self.arch, budget, factor)
+                .is_err(),
+            None => true,
+        };
+        if fresh {
+            // A failed rebuild must not leave a half-retargeted form.
+            self.state = None;
+            let (problem, layout) = SizingLp::build(point_arch, budget, &self.config)?.into_parts();
             self.state = Some(WarmState {
-                lp,
-                prepared,
+                layout,
+                prepared: PreparedLp::new_with_scaling(problem, self.config.equilibrate)?,
                 basis: None,
             });
-        } else {
-            let state = self.state.as_mut().expect("just checked");
-            if state
-                .lp
-                .retarget(&mut state.prepared, &self.arch, budget, factor)
-                .is_err()
-            {
-                // Structure drifted (shouldn't happen for budget/load
-                // deltas, but e.g. a λ of exactly 0 would): rebuild cold.
-                self.state = None;
-                return self.solve_sizing(scaled, factor, budget);
-            }
         }
-
         let state = self.state.as_mut().expect("built above");
-        let mut last_err = None;
-        let ladder = solve_ladder(
-            self.config.engine,
-            self.config.equilibrate,
-            &self.config.executor,
-        );
-        for options in &ladder {
-            let attempt = match (&state.basis, options.engine) {
-                // A decomposed solve exports a *joint* basis, so the
-                // chain warm-starts the joint form from it exactly like
-                // the revised engine (the warm path is the engine's own
-                // finishing solve).
-                (
-                    Some(snapshot),
-                    socbuf_lp::LpEngine::Revised | socbuf_lp::LpEngine::Decomposed,
-                ) => state.prepared.solve_warm(options, snapshot),
-                _ => state.prepared.solve_with(options),
-            };
-            match attempt {
-                Ok(sol) => {
-                    state.basis = Some(sol.basis_snapshot());
-                    return Ok(state.lp.interpret(&sol, false));
-                }
-                Err(LpError::Infeasible { .. }) => {
-                    // Budget-row relaxation is a different problem shape;
-                    // route it through the cold path (rare: tiny budgets).
-                    // The cached form and basis stay valid for the next
-                    // point of the chain.
-                    let lp = SizingLp::build(point_arch, budget, &self.config)?;
-                    return lp.solve();
-                }
-                Err(LpError::IterationLimit { limit }) => {
-                    last_err = Some(CoreError::Lp(LpError::IterationLimit { limit }));
-                }
-                // Same retry policy as the cold ladder: a stronger
-                // perturbation rung may resolve the θ=0 breakdown.
-                Err(e @ LpError::ResidualArtificial { .. }) => {
-                    last_err = Some(CoreError::Lp(e));
-                }
-                Err(e) => return Err(e.into()),
+        let config = &self.config;
+        match climb_ladder(
+            config.engine,
+            config.equilibrate,
+            &config.executor,
+            |options| state.attempt(options, fresh),
+        ) {
+            // A warm or retargeted form reported the budget row infeasible:
+            // confirm on this point's own cold LP, which relaxes the row
+            // if it agrees. The cached form and basis stay valid for the
+            // next point of the chain.
+            Err(CoreError::Lp(LpError::Infeasible { .. })) => {
+                SizingLp::build(point_arch, budget, config)?.solve()
             }
+            solved => solved,
         }
-        Err(last_err.expect("ladder is non-empty"))
     }
 }
 
@@ -345,6 +330,20 @@ impl PipelineConfig {
             replications: 3,
             sim_engine: SimEngine::Auto,
         }
+    }
+
+    /// The replication and warmup checks every evaluation makes before
+    /// it simulates (and, when it sizes too, before it sizes).
+    fn validate_simulation(&self) -> Result<(), CoreError> {
+        if self.replications == 0 {
+            return Err(CoreError::BadConfig("replications must be ≥ 1".into()));
+        }
+        if !(self.warmup >= 0.0 && self.warmup < self.horizon) {
+            return Err(CoreError::BadConfig(
+                "warmup must lie within the horizon".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -468,14 +467,7 @@ pub fn evaluate_policies_with<P: ReplicationPool + ?Sized>(
     config: &PipelineConfig,
     pool: &P,
 ) -> Result<PolicyComparison, CoreError> {
-    if config.replications == 0 {
-        return Err(CoreError::BadConfig("replications must be ≥ 1".into()));
-    }
-    if !(config.warmup >= 0.0 && config.warmup < config.horizon) {
-        return Err(CoreError::BadConfig(
-            "warmup must lie within the horizon".into(),
-        ));
-    }
+    config.validate_simulation()?;
     let outcome = size_buffers(arch, budget, &config.sizing)?;
     evaluate_policies_sized(arch, budget, config, outcome, pool)
 }
@@ -497,14 +489,7 @@ pub fn evaluate_policies_sized<P: ReplicationPool + ?Sized>(
     outcome: SizingOutcome,
     pool: &P,
 ) -> Result<PolicyComparison, CoreError> {
-    if config.replications == 0 {
-        return Err(CoreError::BadConfig("replications must be ≥ 1".into()));
-    }
-    if !(config.warmup >= 0.0 && config.warmup < config.horizon) {
-        return Err(CoreError::BadConfig(
-            "warmup must lie within the horizon".into(),
-        ));
-    }
+    config.validate_simulation()?;
     let sim_cfg = SimConfig {
         horizon: config.horizon,
         warmup: config.warmup,

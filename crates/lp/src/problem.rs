@@ -322,6 +322,13 @@ impl LpProblem {
         id
     }
 
+    /// Removes the most recently added constraint row, returning its
+    /// handle (`None` when there are no rows). Every other [`RowId`]
+    /// keeps meaning the same row.
+    pub fn pop_row(&mut self) -> Option<RowId> {
+        self.rows.pop().map(|_| RowId(self.rows.len()))
+    }
+
     /// Optimization sense of this problem.
     pub fn sense(&self) -> Sense {
         self.sense
@@ -476,6 +483,21 @@ mod tests {
         assert_eq!(rhs, 7.0);
         // duplicate x terms accumulate: 1 + 3 = 4
         assert_eq!(terms, vec![(x, 4.0), (y, 2.0)]);
+    }
+
+    #[test]
+    fn pop_row_removes_only_the_last_row() {
+        let mut p = LpProblem::new(Sense::Maximize);
+        let x = p.add_var_bounded("x", 1.0, 0.0, Some(4.0));
+        let first = p.add_constraint([(x, 1.0)], Relation::Le, 3.0).unwrap();
+        let last = p.add_constraint([(x, 1.0)], Relation::Le, 1.0).unwrap();
+        assert!((p.solve().unwrap().objective() - 1.0).abs() < 1e-9);
+        assert_eq!(p.pop_row(), Some(last));
+        assert_eq!(p.num_rows(), 1);
+        assert_eq!(p.row(first), (vec![(x, 1.0)], Relation::Le, 3.0));
+        assert!((p.solve().unwrap().objective() - 3.0).abs() < 1e-9);
+        assert_eq!(p.pop_row(), Some(first));
+        assert_eq!(p.pop_row(), None);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use socbuf_core::wire::{CampaignManifest, ManifestShape};
 use socbuf_core::{
-    evaluate_policies_sized, evaluate_policies_with, size_buffers, ChunkPolicy, CoreError,
-    PipelineConfig, ReplicationPool, SerialPool, SizingConfig, SizingOutcome, SolveContext,
+    evaluate_policies_sized, evaluate_policies_with, ChunkPolicy, CoreError, PipelineConfig,
+    ReplicationPool, SerialPool, SizingConfig, SizingOutcome, SolveContext,
 };
 use socbuf_sim::SimReport;
 use socbuf_soc::templates::{random_architecture, RandomArchParams};
@@ -31,9 +31,9 @@ use crate::stream::{PointSink, VecSink};
 /// rendered bytes) is identical whether the campaign runs on 1, 2 or 8
 /// workers, or split across shard processes. Workers claim whole
 /// chunks; within a chunk the items run in index order sharing one
-/// [`SolveContext`], the first item cold (bit identical to
-/// [`size_buffers`]) and the rest warm-started from their
-/// predecessor's basis.
+/// [`SolveContext`], the first item cold (a cold
+/// [`socbuf_core::size_buffers`] is exactly a fresh context's first
+/// solve) and the rest warm-started from their predecessor's basis.
 ///
 /// The value trades warm-chain length against scheduling granularity: a
 /// campaign of `n` items exposes `⌈n / WARM_CHUNK⌉` parallel units.
@@ -110,35 +110,39 @@ impl ReplicationPool for WorkPool {
     }
 }
 
-/// Sizes one architecture at one budget and records it as a point.
-/// When `simulate` is set, the point additionally runs the paper's
-/// three-policy comparison (replications serial here — the *points* are
-/// the parallel axis; [`parallel_policy_comparison`] is the entry point
-/// for parallelizing a single comparison instead).
+/// Sizes one point on `ctx` (its architecture is `arch`, the chain's
+/// nominal one scaled by `load_factor`) and records it. When `simulate`
+/// is set, the point additionally runs the paper's three-policy
+/// comparison on that sizing (replications serial here — the *points*
+/// are the parallel axis; [`parallel_policy_comparison`] is the entry
+/// point for parallelizing a single comparison instead). A warm chain
+/// changes pivot counts and wall time, never statuses or (beyond
+/// solver precision) objectives.
 fn size_point(
+    ctx: &mut SolveContext,
     arch: &Architecture,
     index: usize,
     budget: usize,
     load_factor: f64,
     arch_seed: Option<u64>,
-    sizing: &SizingConfig,
     simulate: Option<&PipelineConfig>,
 ) -> Result<SweepPoint, SweepError> {
-    let label = match arch_seed {
-        Some(s) => format!("seed={s} budget={budget}"),
-        None => format!("budget={budget} load={load_factor}"),
-    };
     let fail = |source| SweepError::Point {
         index,
-        label: label.clone(),
+        label: match arch_seed {
+            Some(s) => format!("seed={s} budget={budget}"),
+            None => format!("budget={budget} load={load_factor}"),
+        },
         source,
     };
+    let outcome = ctx
+        .size_buffers_scaled(arch, load_factor, budget)
+        .map_err(fail)?;
     let (outcome, sim) = match simulate {
-        None => (size_buffers(arch, budget, sizing).map_err(fail)?, None),
+        None => (outcome, None),
         Some(pipeline) => {
-            let mut pipeline = pipeline.clone();
-            pipeline.sizing = sizing.clone();
-            let cmp = evaluate_policies_with(arch, budget, &pipeline, &SerialPool).map_err(fail)?;
+            let cmp = evaluate_policies_sized(arch, budget, pipeline, outcome, &SerialPool)
+                .map_err(fail)?;
             let sim = SimSummary {
                 pre_loss: cmp.pre.total_lost,
                 post_loss: cmp.post.total_lost,
@@ -159,55 +163,29 @@ fn size_point(
     ))
 }
 
-/// [`size_point`]'s warm-chained twin: the sizing comes from the
-/// chunk's shared [`SolveContext`] instead of a cold [`size_buffers`]
-/// call, and the optional re-simulation reuses that outcome through
-/// [`evaluate_policies_sized`]. Warm starts change pivot counts and
-/// wall time, never statuses or (beyond solver precision) objectives —
-/// the context falls back to a cold solve whenever its basis is stale.
-fn warm_size_point(
-    ctx: &mut SolveContext,
+/// Sizes a chunk range of a budget or load campaign over `arch`. A warm
+/// campaign runs the range as one [`SolveContext`] chain; otherwise
+/// every point gets a fresh context — a cold point is a one-point
+/// chain, even inside a coarsened range.
+fn run_chain(
+    range: std::ops::Range<usize>,
+    warm_start: bool,
     arch: &Architecture,
-    index: usize,
-    budget: usize,
-    load_factor: f64,
     sizing: &SizingConfig,
-    simulate: Option<&PipelineConfig>,
-) -> Result<SweepPoint, SweepError> {
-    let label = format!("budget={budget} load={load_factor}");
-    let fail = |source| SweepError::Point {
-        index,
-        label: label.clone(),
-        source,
-    };
-    let outcome = ctx
-        .size_buffers_scaled(arch, load_factor, budget)
-        .map_err(fail)?;
-    let (outcome, sim) = match simulate {
-        None => (outcome, None),
-        Some(pipeline) => {
-            let mut pipeline = pipeline.clone();
-            pipeline.sizing = sizing.clone();
-            let cmp = evaluate_policies_sized(arch, budget, &pipeline, outcome, &SerialPool)
-                .map_err(fail)?;
-            let sim = SimSummary {
-                pre_loss: cmp.pre.total_lost,
-                post_loss: cmp.post.total_lost,
-                timeout_loss: cmp.timeout.total_lost,
-                improvement_vs_pre: cmp.improvement_vs_pre(),
-            };
-            (cmp.outcome, Some(sim))
-        }
-    };
-    Ok(assemble_point(
-        arch,
-        index,
-        budget,
-        load_factor,
-        None,
-        &outcome,
-        sim,
-    ))
+    mut point: impl FnMut(&mut SolveContext, usize) -> Result<SweepPoint, SweepError>,
+) -> Vec<Result<SweepPoint, SweepError>> {
+    let mut ctx = None;
+    range
+        .map(|i| {
+            if !warm_start {
+                ctx = None;
+            }
+            point(
+                ctx.get_or_insert_with(|| SolveContext::new(arch, sizing)),
+                i,
+            )
+        })
+        .collect()
 }
 
 fn assemble_point(
@@ -495,10 +473,11 @@ pub struct BudgetSweep<'a> {
     pub simulate: Option<PipelineConfig>,
     /// Warm-start the LP re-solves along index-fixed chunks of
     /// [`WARM_CHUNK`] points (the default; see the constant's docs for
-    /// the determinism argument). Disable to cold-start every point —
-    /// e.g. when pinning a point bit-for-bit against a standalone
-    /// [`size_buffers`] call, whose pivot path a warm chain legitimately
-    /// changes.
+    /// the determinism argument). Disable to cold-start every point as
+    /// a one-point chain ([`ChunkPolicy::INDEPENDENT`]) — e.g. when
+    /// pinning a point bit-for-bit against a standalone
+    /// [`socbuf_core::size_buffers`] call, whose pivot path a warm chain
+    /// legitimately changes.
     pub warm_start: bool,
 }
 
@@ -531,30 +510,12 @@ impl<'a> BudgetSweep<'a> {
         let budgets = self.budgets.clone();
         let sizing = attach_pool(&self.sizing, pool);
         let simulate = self.simulate.clone();
-        let exec: ChunkExec<'a> = if self.warm_start {
-            Box::new(move |range| {
-                let mut ctx = SolveContext::new(arch, &sizing);
-                range
-                    .map(|i| {
-                        warm_size_point(
-                            &mut ctx,
-                            arch,
-                            i,
-                            budgets[i],
-                            1.0,
-                            &sizing,
-                            simulate.as_ref(),
-                        )
-                    })
-                    .collect()
+        let warm_start = self.warm_start;
+        let exec: ChunkExec<'a> = Box::new(move |range| {
+            run_chain(range, warm_start, arch, &sizing, |ctx, i| {
+                size_point(ctx, arch, i, budgets[i], 1.0, None, simulate.as_ref())
             })
-        } else {
-            Box::new(move |range| {
-                range
-                    .map(|i| size_point(arch, i, budgets[i], 1.0, None, &sizing, simulate.as_ref()))
-                    .collect()
-            })
-        };
+        });
         Ok(CampaignPlan::over_policy(
             SweepKind::Budget,
             self.budgets.len(),
@@ -661,40 +622,16 @@ impl<'a> LoadSweep<'a> {
         let factors = self.factors.clone();
         let sizing = attach_pool(&self.sizing, pool);
         let simulate = self.simulate.clone();
-        let exec: ChunkExec<'a> = if self.warm_start {
-            Box::new(move |range| {
-                let mut ctx = SolveContext::new(arch, &sizing);
-                range
-                    .map(|i| {
-                        let factor = factors[i];
-                        let scaled = arch
-                            .scale_rates(factor, 1.0)
-                            .map_err(|source| SweepError::Arch { index: i, source })?;
-                        warm_size_point(
-                            &mut ctx,
-                            &scaled,
-                            i,
-                            budget,
-                            factor,
-                            &sizing,
-                            simulate.as_ref(),
-                        )
-                    })
-                    .collect()
+        let warm_start = self.warm_start;
+        let exec: ChunkExec<'a> = Box::new(move |range| {
+            run_chain(range, warm_start, arch, &sizing, |ctx, i| {
+                let factor = factors[i];
+                let scaled = arch
+                    .scale_rates(factor, 1.0)
+                    .map_err(|source| SweepError::Arch { index: i, source })?;
+                size_point(ctx, &scaled, i, budget, factor, None, simulate.as_ref())
             })
-        } else {
-            Box::new(move |range| {
-                range
-                    .map(|i| {
-                        let factor = factors[i];
-                        let scaled = arch
-                            .scale_rates(factor, 1.0)
-                            .map_err(|source| SweepError::Arch { index: i, source })?;
-                        size_point(&scaled, i, budget, factor, None, &sizing, simulate.as_ref())
-                    })
-                    .collect()
-            })
-        };
+        });
         Ok(CampaignPlan::over_policy(
             SweepKind::Load,
             self.factors.len(),
@@ -815,12 +752,12 @@ impl RandomCampaign {
                         let arch = random_architecture(seed, &params);
                         let budget = units_per_queue * arch.num_queues();
                         size_point(
+                            &mut SolveContext::new(&arch, &sizing),
                             &arch,
                             i,
                             budget,
                             1.0,
                             Some(seed),
-                            &sizing,
                             simulate.as_ref(),
                         )
                     })
@@ -893,7 +830,7 @@ pub fn parallel_policy_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socbuf_core::evaluate_policies;
+    use socbuf_core::{evaluate_policies, size_buffers};
     use socbuf_soc::templates;
 
     fn small() -> SizingConfig {

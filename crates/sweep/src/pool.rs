@@ -144,58 +144,17 @@ impl WorkPool {
             .collect()
     }
 
-    /// [`WorkPool::run`] over a slice: evaluates `f(i, &items[i])` for
-    /// every item, returning results in item order.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.run(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// [`WorkPool::run`] over index-fixed chunks: splits `0..items` into
-    /// `⌈items / chunk⌉` contiguous ranges — chunk `c` always covers
-    /// `c·chunk .. (c+1)·chunk` regardless of worker count — evaluates
-    /// `job` once per range across the pool, and flattens the per-chunk
-    /// result vectors back into item order.
-    ///
-    /// This is the one deterministic chunked scheduler in the workspace:
-    /// the sweep campaigns' warm-chain claiming and the decomposed LP
-    /// engine's block batching both sit on it, so the determinism
-    /// argument (index-derived boundaries, by-slot reduction) lives in
-    /// exactly one place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero; job panics propagate as in
-    /// [`WorkPool::run`].
-    pub fn run_chunked<R, F>(&self, items: usize, chunk: usize, job: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<R> + Sync,
-    {
-        assert!(chunk >= 1, "chunk size must be at least 1");
-        let chunks = items.div_ceil(chunk);
-        self.run(chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(items);
-            job(lo..hi)
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// The sink-reducing variant of [`WorkPool::run_chunked`]: evaluates
-    /// `job` once per explicit range across the pool's workers and hands
-    /// each result to `consume` **strictly in range order** on the
-    /// calling thread — chunk `c`'s result is consumed before chunk
-    /// `c+1`'s, no matter which worker finished first. This is what
-    /// lets a campaign stream points into a sink while keeping the
-    /// worker-count byte-identity contract: consumption order is range
-    /// order, which is index order, which scheduling cannot touch.
+    /// The chunked scheduler every campaign runs on (the decomposed LP
+    /// engine's block solves go through the pool's
+    /// [`socbuf_core::SolveExecutor`] impl, over [`WorkPool::run`]):
+    /// evaluates `job` once per explicit range across the pool's
+    /// workers and hands each result to `consume` **strictly in range
+    /// order** on the calling thread — chunk `c`'s result is consumed
+    /// before chunk `c+1`'s, no matter which worker finished first.
+    /// This is what lets a campaign stream points into a sink while
+    /// keeping the worker-count byte-identity contract: consumption
+    /// order is range order, which is index order, which scheduling
+    /// cannot touch.
     ///
     /// Memory is bounded: a worker that races ahead parks its finished
     /// chunk and then refuses to *claim* chunk `c` until
@@ -403,13 +362,6 @@ mod tests {
             let got = WorkPool::new(workers).run(32, job);
             assert_eq!(got, expect, "worker count {workers} reordered results");
         }
-    }
-
-    #[test]
-    fn map_passes_item_and_index() {
-        let items = vec!["a", "b", "c"];
-        let got = WorkPool::new(2).map(&items, |i, s| format!("{i}{s}"));
-        assert_eq!(got, vec!["0a", "1b", "2c"]);
     }
 
     #[test]

@@ -111,6 +111,29 @@ fn manifest_run_matches_campaign_run_for_every_worker_count() {
 }
 
 #[test]
+fn coarsened_cold_manifests_still_size_every_point_cold() {
+    // A cold campaign's chunk length is 1, so any partition is on its
+    // chain grid and a manifest may group several points per chunk.
+    // Each point must still be a one-point chain: the same points, pivot
+    // counts included, and bytes as the finest partition.
+    let arch = templates::amba();
+    let mut sweep = BudgetSweep::new(&arch, vec![10, 12, 14, 16, 18, 20, 24]);
+    sweep.sizing = small();
+    sweep.warm_start = false;
+    let direct = sweep.run(&WorkPool::serial()).unwrap();
+    let base = sweep.manifest().unwrap();
+    let coarse =
+        CampaignManifest::with_chunks(base.shape.clone(), base.config.clone(), vec![0..4, 4..7])
+            .unwrap();
+    for workers in [1, 2] {
+        let report = run_manifest(&coarse, &WorkPool::new(workers)).unwrap();
+        assert_eq!(report.points, direct.points, "{workers} workers");
+        assert_eq!(report.to_csv(), direct.to_csv(), "{workers} workers");
+        assert_eq!(report.to_jsonl(), direct.to_jsonl(), "{workers} workers");
+    }
+}
+
+#[test]
 fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     let arch = templates::amba();
     let manifest = budget_manifest(&arch);
