@@ -26,8 +26,9 @@
 //! Without flags, the full probe drives the same 10⁵-point manifest
 //! through 1/2/4 self-exec'd shard workers with `sweep_stream` frames
 //! merged through the bounded-memory reducer, and writes
-//! `BENCH_scale.json` (wall time, points/sec, and the reducer's
-//! peak-resident-points per shard count).
+//! `BENCH_scale.json`: a host header (cores, build profile, Unix time)
+//! and the wall time, points/sec and the reducer's peak resident points
+//! per shard count.
 
 use std::io;
 use std::time::Instant;
@@ -43,8 +44,11 @@ use socbuf_sweep::{
 };
 
 /// Declared chunk length: a coarse multiple of the base warm-chain
-/// length (4), so a 10⁵-point campaign pays ~400 cold solves instead
-/// of 25 000 while every boundary stays on the base chain grid.
+/// length (4), so a 10⁵-point campaign streams ~400 chunk frames
+/// instead of 25 000 while every boundary stays on the base chain grid.
+/// Chunk starts cost no cold solve either way: every chunk of a warm
+/// budget campaign starts from point 0's basis, which each executing
+/// process solves once.
 const CHUNK_ITEMS: usize = 256;
 
 /// Workers for the in-process smoke passes.
@@ -222,8 +226,18 @@ fn full_probe() {
             )
         })
         .collect();
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let unix_time = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
     let json = format!(
-        "{{\n  \"points\": {points},\n  \"chunk_items\": {CHUNK_ITEMS},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"cores\": {},\n  \"profile\": \"{profile}\",\n  \"unix_time\": {unix_time},\n  \
+         \"points\": {points},\n  \"chunk_items\": {CHUNK_ITEMS},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        socbuf_bench::cores(),
         shard_rows.join(",\n")
     );
     match std::fs::write("BENCH_scale.json", &json) {

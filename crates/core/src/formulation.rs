@@ -601,7 +601,7 @@ pub(crate) fn climb_ladder<T>(
 }
 
 /// The rungs [`climb_ladder`] climbs, least perturbed first.
-fn solve_ladder(
+pub(crate) fn solve_ladder(
     engine: LpEngine,
     equilibrate: bool,
     executor: &ExecutorHandle,

@@ -8,7 +8,9 @@ use socbuf_sim::{
 };
 use socbuf_soc::{Architecture, BufferAllocation};
 
-use crate::formulation::{climb_ladder, Layout, SizingConfig, SizingLp, SizingSolution};
+use crate::formulation::{
+    climb_ladder, solve_ladder, Layout, SizingConfig, SizingLp, SizingSolution,
+};
 use crate::translate::{translate, Translation};
 use crate::CoreError;
 
@@ -81,6 +83,11 @@ pub fn size_buffers(
 /// starts change pivot counts and wall time, never answers. The first
 /// solve of a fresh context *is* the cold [`size_buffers`] answer.
 ///
+/// One solved context can seed other chains: [`SolveContext::seeded`]
+/// copies it for a chain that starts elsewhere, and that copy's first
+/// solve either answers on the copied basis factor outright or solves
+/// cold, never in between.
+///
 /// # Examples
 ///
 /// ```
@@ -103,15 +110,18 @@ pub fn size_buffers(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SolveContext {
     /// The factor-1 architecture the chain is parameterized over.
     arch: Architecture,
     config: SizingConfig,
     state: Option<WarmState>,
+    /// The next solve tries only the kept-factor shortcut on `state`
+    /// and otherwise starts cold (see [`SolveContext::seeded`]).
+    seeded: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct WarmState {
     layout: Layout,
     prepared: PreparedLp,
@@ -150,6 +160,14 @@ impl WarmState {
             Err(e) => Err(e.into()),
         }
     }
+
+    /// A seeded chain start: the kept-factor shortcut alone, never a
+    /// basis repair. `None` when the kept factor cannot answer.
+    fn attempt_kept(&mut self, options: &SimplexOptions) -> Option<SizingSolution> {
+        let sol = self.prepared.solve_kept(options)?;
+        self.basis = Some(sol.basis_snapshot());
+        Some(self.layout.interpret(&sol, false))
+    }
 }
 
 impl SolveContext {
@@ -160,6 +178,38 @@ impl SolveContext {
             arch: arch.clone(),
             config: config.clone(),
             state: None,
+            seeded: false,
+        }
+    }
+
+    /// A copy of this context for a chain that starts at another point.
+    /// The copy's first solve retargets the copied form and tries only
+    /// the rhs-only shortcut on the factor this context kept
+    /// ([`socbuf_lp::PreparedLp::solve_kept`]) on the ladder's first
+    /// rung. If the shortcut answers, the point costs one triangular
+    /// solve and zero pivots. If it cannot (the basis is infeasible at
+    /// the new point, or the retarget was a coefficient delta, which
+    /// drops the factor), the copy solves cold exactly as a fresh
+    /// context would, without attempting a warm repair. Later solves on
+    /// the copy warm-start as usual.
+    ///
+    /// A context with no kept factor (never solved, last point relaxed,
+    /// or an engine that keeps none) yields a fresh context.
+    ///
+    /// A shortcut answer is an optimal basis of the new point, so its
+    /// status and objective are the cold ones; under degeneracy a cold
+    /// solve may land on another optimal vertex.
+    pub fn seeded(&self) -> SolveContext {
+        let state = self
+            .state
+            .as_ref()
+            .filter(|s| s.prepared.kept_basis().is_some())
+            .cloned();
+        SolveContext {
+            arch: self.arch.clone(),
+            config: self.config.clone(),
+            seeded: state.is_some(),
+            state,
         }
     }
 
@@ -247,13 +297,22 @@ impl SolveContext {
         // equilibration decision and scale vectors the whole chain then
         // shares (in-place deltas are rescaled with the cached factors,
         // so warm bases stay meaningful across retargets).
-        let fresh = match &mut self.state {
+        let mut fresh = match &mut self.state {
             Some(state) => state
                 .layout
                 .retarget(&mut state.prepared, &self.arch, budget, factor)
                 .is_err(),
             None => true,
         };
+        if std::mem::take(&mut self.seeded) && !fresh {
+            let state = self.state.as_mut().expect("retargeted above");
+            let config = &self.config;
+            let [first, ..] = solve_ladder(config.engine, config.equilibrate, &config.executor);
+            if let Some(solved) = state.attempt_kept(&first) {
+                return Ok(solved);
+            }
+            fresh = true;
+        }
         if fresh {
             // A failed rebuild must not leave a half-retargeted form.
             self.state = None;
@@ -636,6 +695,38 @@ mod tests {
                 assert_eq!(warm.lp_iterations, cold.lp_iterations);
             }
         }
+    }
+
+    #[test]
+    fn seeded_copies_answer_on_the_factor_or_solve_cold() {
+        let arch = templates::figure1();
+        let cfg = SizingConfig::small();
+        let fresh = SolveContext::new(&arch, &cfg);
+        assert!(fresh.seeded().state.is_none(), "nothing to seed from");
+        let mut anchor = SolveContext::new(&arch, &cfg);
+        anchor.size_buffers(10).unwrap();
+        for budget in [22usize, 55] {
+            let seeded = anchor.seeded().size_buffers(budget).unwrap();
+            let cold = size_buffers(&arch, budget, &cfg).unwrap();
+            assert_eq!(seeded.lp_iterations, 0, "budget {budget}: not answered");
+            assert_eq!(seeded.allocation.as_slice(), cold.allocation.as_slice());
+            assert_eq!(
+                seeded.predicted_loss_rate.to_bits(),
+                cold.predicted_loss_rate.to_bits()
+            );
+        }
+        // A load retarget drops the factor, so the copy solves cold.
+        let scaled = arch.scale_rates(1.5, 1.0).unwrap();
+        let seeded = anchor
+            .seeded()
+            .size_buffers_scaled(&scaled, 1.5, 22)
+            .unwrap();
+        let cold = size_buffers(&scaled, 22, &cfg).unwrap();
+        assert_eq!(seeded.lp_iterations, cold.lp_iterations);
+        // A relaxed point keeps no factor.
+        let mut relaxed = SolveContext::new(&arch, &cfg);
+        assert!(relaxed.size_buffers(1).unwrap().budget_row_relaxed);
+        assert!(relaxed.seeded().state.is_none());
     }
 
     #[test]

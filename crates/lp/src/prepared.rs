@@ -36,6 +36,9 @@
 //! feasibility checks. If they pass, the basis is still optimal (reduced
 //! costs do not depend on `b`) and the answer is bitwise the one the
 //! full warm path gives in zero pivots. If not, the full warm path runs.
+//! [`PreparedLp::solve_kept`] runs the shortcut on its own, for a caller
+//! that would rather solve cold than repair a basis (a clone of a
+//! prepared problem keeps its factor, so one solved form can seed many).
 //!
 //! # Examples
 //!
@@ -76,7 +79,7 @@ use crate::LpError;
 /// A problem plus its cached standard form, mutable in place for
 /// parametric deltas and solvable warm from an exported basis. See the
 /// module-level documentation for the motivation and an example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PreparedLp {
     problem: LpProblem,
     sf: StandardForm,
@@ -90,7 +93,7 @@ pub struct PreparedLp {
 
 /// A basis priced optimal for the current `A` and `c`: its fresh factor
 /// and the basis-only half of its solution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct KeptBasis {
     lu: SparseLu,
     dual: Arc<DualHalf>,
@@ -336,8 +339,13 @@ impl PreparedLp {
     ) -> Result<LpSolution, LpError> {
         let basic = match options.engine {
             LpEngine::Revised | LpEngine::Decomposed => {
-                if let Some(sol) = self.resolve_kept(options, snapshot) {
-                    return Ok(sol);
+                let from_kept = self.kept_basis().is_some_and(|ours| {
+                    ours.rows() == snapshot.rows() && ours.num_cols() == snapshot.num_cols()
+                });
+                if from_kept {
+                    if let Some(sol) = self.solve_kept(options) {
+                        return Ok(sol);
+                    }
                 }
                 run_revised_warm(&self.sf, options, snapshot)?
             }
@@ -346,23 +354,25 @@ impl PreparedLp {
         self.finish(basic, options)
     }
 
-    /// The rhs-only shortcut: `None` unless `snapshot` is the kept basis
-    /// and that basis is still feasible for the current rhs.
-    fn resolve_kept(
-        &self,
-        options: &SimplexOptions,
-        snapshot: &BasisSnapshot,
-    ) -> Option<LpSolution> {
+    /// The rhs-only shortcut on its own: re-solves on the factor of
+    /// [`PreparedLp::kept_basis`] with one triangular solve and the warm
+    /// path's feasibility checks, and pivots never. An answer is
+    /// bitwise the one [`PreparedLp::solve_warm`] from the kept basis
+    /// gives. Nothing is kept or dropped by the call.
+    ///
+    /// `None` when no basis is kept, when it was priced under another
+    /// engine or tolerance than `options`, or when it is no longer
+    /// primal feasible for the current right-hand sides. The caller
+    /// then solves some other way; this never repairs a basis.
+    pub fn solve_kept(&self, options: &SimplexOptions) -> Option<LpSolution> {
         let kept = self.kept.as_ref()?;
-        let ours = kept.dual.snapshot();
-        if ours.rows() != snapshot.rows()
-            || ours.num_cols() != snapshot.num_cols()
-            || ours.engine() != options.engine
+        let basis = kept.dual.snapshot();
+        if basis.engine() != options.engine
             || kept.tolerance.to_bits() != options.tolerance.to_bits()
         {
             return None;
         }
-        let basic = resolve_on_factor(&self.sf, options, snapshot.rows(), &kept.lu)?;
+        let basic = resolve_on_factor(&self.sf, options, basis.rows(), &kept.lu)?;
         Some(LpSolution::from_primal(
             &self.problem,
             &self.sf,
@@ -549,6 +559,40 @@ mod tests {
         assert_eq!(warm.iterations(), 0, "re-solve should not pivot");
         assert_eq!(warm.objective(), cold.objective());
         assert_eq!(warm.values(), cold.values());
+    }
+
+    #[test]
+    fn solve_kept_answers_only_while_the_kept_basis_stays_feasible() {
+        let (p, vars, rows) = wyndor();
+        let mut prepared = PreparedLp::new(p).unwrap();
+        let opts = SimplexOptions::default();
+        assert!(prepared.solve_kept(&opts).is_none(), "nothing kept yet");
+        let snapshot = prepared.solve_with(&opts).unwrap().basis_snapshot();
+
+        // Moving 3x + 2y ≤ 18 to 19 keeps the basis {x, y, s0} feasible:
+        // a clone answers on the copied factor, bitwise as the warm path.
+        prepared.set_rhs(rows[2], 19.0).unwrap();
+        let copy = prepared.clone();
+        let kept = copy.solve_kept(&opts).expect("basis still feasible");
+        let warm = prepared.solve_warm(&opts, &snapshot).unwrap();
+        assert_eq!(kept.iterations(), 0);
+        assert_eq!(kept.values(), warm.values());
+        assert_eq!(kept.objective().to_bits(), warm.objective().to_bits());
+        assert_eq!(kept.duals(), warm.duals());
+        assert!(copy
+            .solve_kept(&opts.with_engine(LpEngine::Tableau))
+            .is_none());
+
+        // At 6 the basis would need x < 0: no answer, and no repair.
+        prepared.set_rhs(rows[2], 6.0).unwrap();
+        assert!(prepared.solve_kept(&opts).is_none());
+        // A coefficient delta drops the factor.
+        prepared.set_rhs(rows[2], 19.0).unwrap();
+        assert!(prepared.solve_kept(&opts).is_some());
+        prepared
+            .set_row_coeffs(rows[2], &[(vars[0], 3.0), (vars[1], 2.0)])
+            .unwrap();
+        assert!(prepared.solve_kept(&opts).is_none());
     }
 
     #[test]

@@ -29,10 +29,13 @@ pub struct ChunkPolicy {
 
 impl ChunkPolicy {
     /// Warm-start chains: 4 consecutive points share one solve context,
-    /// so the first point of each chunk is a cold (bit-reproducible)
-    /// solve and the rest warm-retarget off it. Long enough to amortize
-    /// the cold factorization, short enough that 1/2/8 workers all see
-    /// the same chunk boundaries on small campaigns.
+    /// and every point after a chunk's first warm-retargets off its
+    /// predecessor. A chunk's first point is a cold (bit-reproducible)
+    /// solve, except in a warm budget campaign: there point 0 is solved
+    /// cold once, and every other chunk start first tries that solve's
+    /// basis factor and falls back to cold. Long enough to amortize a
+    /// cold factorization, short enough that 1/2/8 workers all see the
+    /// same chunk boundaries on small campaigns.
     pub const WARM_CHAIN: ChunkPolicy = ChunkPolicy { chunk_len: 4 };
 
     /// Independent items (cold campaign points, one random seed per

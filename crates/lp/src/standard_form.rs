@@ -87,7 +87,7 @@ impl ScalingStats {
 /// including slack/surplus columns but *not* artificial columns, together
 /// with the bookkeeping needed to map a basic solution back to the user's
 /// variables, rows and duals. `a` is CSR — `O(nnz)`, never `O(m·n)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
     pub a: Csr,
     pub b: Vec<f64>,

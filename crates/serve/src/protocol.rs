@@ -719,8 +719,10 @@ pub enum Response {
     Chunk {
         /// Canonical chunk-report JSON.
         report: String,
-        /// How the chunk was served (`warm` is always false: a chunk's
-        /// warm chain starts cold; `pivots` = the chunk's total).
+        /// How the chunk was served (`warm` is always false: a chunk
+        /// never starts from the server's context cache; `pivots` = the
+        /// chunk's total, which is 0 at the start of a warm budget
+        /// chunk that the campaign's anchor answered).
         trace: Trace,
     },
     /// Terminal frame of a `sweep_stream` answer: what the server

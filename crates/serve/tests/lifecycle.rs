@@ -536,6 +536,78 @@ fn fleet_fan_out_merges_byte_identically() {
     shard_c.shutdown();
 }
 
+/// Each chunk of a serial run of `manifest`: its chunk-report JSON (the
+/// run's JSONL lines, parsed, without the merged report's global
+/// frontier flag) and its summed pivots.
+fn serial_chunks(manifest: &CampaignManifest) -> Vec<(String, usize)> {
+    let serial = run_manifest(manifest, &WorkPool::serial()).unwrap();
+    let parsed: Vec<JsonValue> = serial
+        .to_jsonl()
+        .lines()
+        .map(|line| match JsonValue::parse(line).unwrap() {
+            JsonValue::Obj(fields) => JsonValue::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(k, _)| k != "frontier")
+                    .collect(),
+            ),
+            other => panic!("a point renders as an object, got {other:?}"),
+        })
+        .collect();
+    manifest
+        .chunks
+        .iter()
+        .enumerate()
+        .map(|(chunk, range)| {
+            let json = ChunkReport {
+                config_hash: manifest.config_hash,
+                kind: serial.kind.tag().into(),
+                chunk,
+                start: range.start,
+                end: range.end,
+                points: parsed[range.start..range.end].to_vec(),
+            }
+            .to_json();
+            let pivots = serial.points[range.start..range.end]
+                .iter()
+                .map(|p| p.lp_iterations)
+                .sum();
+            (json, pivots)
+        })
+        .collect()
+}
+
+#[test]
+fn pooled_subset_streams_without_chunk_zero_keep_the_serial_bytes() {
+    // Every chunk of a warm budget campaign starts from the campaign's
+    // point 0, so a stream that never runs chunk 0 still solves it once
+    // and seeds its chunks from it: same bytes and same pivots as the
+    // serial run.
+    let arch = templates::figure1();
+    let config = SizingConfig::small();
+    let manifest = budget_manifest(&arch, &config, (0..24).map(|i| 10 + 3 * (i % 16)).collect());
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let order = [4usize, 1, 3];
+    let (frames, end) = stream(&mut client, &manifest, Some(&order)).unwrap();
+    assert_eq!(end.frames, 3);
+    let serial = serial_chunks(&manifest);
+    for (frame, &chunk) in frames.iter().zip(&order) {
+        assert_eq!(frame.report.chunk, chunk);
+        let (json, pivots) = &serial[chunk];
+        assert_eq!(&frame.report_json, json, "chunk {chunk} changed a byte");
+        assert_eq!(frame.trace.pivots, *pivots, "chunk {chunk} was not seeded");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn pooled_streams_keep_the_requested_order_and_the_serial_bytes() {
     let arch = templates::amba();
@@ -564,39 +636,15 @@ fn pooled_streams_keep_the_requested_order_and_the_serial_bytes() {
     assert_eq!(arrived, order, "frames must arrive in the requested order");
     assert_eq!(end.frames, 2);
 
-    // The chunk-report form of the serial run's points: its JSONL
-    // lines, parsed, without the merged report's global frontier flag.
-    let serial = run_manifest(&manifest, &WorkPool::serial()).unwrap();
-    let parsed: Vec<JsonValue> = serial
-        .to_jsonl()
-        .lines()
-        .map(|line| match JsonValue::parse(line).unwrap() {
-            JsonValue::Obj(fields) => JsonValue::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "frontier")
-                    .collect(),
-            ),
-            other => panic!("a point renders as an object, got {other:?}"),
-        })
-        .collect();
+    let serial = serial_chunks(&manifest);
     for (frame, serial_frame) in frames.iter().zip(&serial_frames) {
         assert_eq!(
             frame.report_json, serial_frame.report_json,
             "chunk {}: a 4-worker server changed a byte",
             frame.report.chunk
         );
-        let range = manifest.chunks[frame.report.chunk];
-        let want = ChunkReport {
-            config_hash: manifest.config_hash,
-            kind: "budget".into(),
-            chunk: frame.report.chunk,
-            start: range.start,
-            end: range.end,
-            points: parsed[range.start..range.end].to_vec(),
-        }
-        .to_json();
-        assert_eq!(frame.report_json, want, "chunk {}", frame.report.chunk);
+        let want = &serial[frame.report.chunk].0;
+        assert_eq!(&frame.report_json, want, "chunk {}", frame.report.chunk);
     }
 
     // The raw frame on the wire, before any client re-rendering, carries

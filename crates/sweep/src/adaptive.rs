@@ -8,8 +8,14 @@
 //! the warm solves inside a chain often take **zero** pivots: the
 //! previous optimal basis is already optimal for the next point, and
 //! the cold solve that starts the next chain re-derives a basis the
-//! solver already held. Those cold solves are the dominant cost of a
-//! large campaign.
+//! solver already held. In a load campaign those cold solves are the
+//! dominant cost. A warm budget campaign no longer pays them: every
+//! chunk start first tries its anchor, the basis factor of point 0,
+//! which answers most starts in zero pivots (see
+//! [`WARM_CHUNK`](crate::WARM_CHUNK)). So re-chunking saves cold starts
+//! only for load campaigns; on a budget campaign it saves at most a
+//! context copy per merged chunk, plus the cold starts the anchor could
+//! not answer.
 //!
 //! This module extends chains where the evidence says it is free:
 //! while a base chunk's warm solves averaged at most
@@ -50,7 +56,7 @@ use crate::report::SweepReport;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePolicy {
     /// Extend past a base chunk only if its warm solves (every point
-    /// but the chunk-initial cold one) averaged at most this many
+    /// but the chunk's first) averaged at most this many
     /// pivots. The default, `0.0`, demands the strongest evidence: the
     /// carried basis was already optimal at every warm point.
     pub max_avg_pivots: f64,
@@ -70,8 +76,8 @@ impl Default for AdaptivePolicy {
 }
 
 /// Mean pivots over a base chunk's warm solves (everything after the
-/// chunk-initial cold solve). Single-point chunks have no warm solves
-/// and average 0.
+/// chunk's first point, however it started). Single-point chunks have
+/// no warm solves and average 0.
 fn warm_avg(r: &Range<usize>, pivots: &[usize]) -> f64 {
     let warm = &pivots[r.start + 1..r.end];
     if warm.is_empty() {

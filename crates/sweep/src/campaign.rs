@@ -8,6 +8,8 @@
 //! seeds derive from replication indices, and error selection (when
 //! several points fail) picks the lowest index.
 
+use std::sync::OnceLock;
+
 use socbuf_core::wire::{CampaignManifest, ManifestShape};
 use socbuf_core::{
     evaluate_policies_sized, evaluate_policies_with, ChunkPolicy, CoreError, PipelineConfig,
@@ -31,9 +33,17 @@ use crate::stream::{PointSink, VecSink};
 /// rendered bytes) is identical whether the campaign runs on 1, 2 or 8
 /// workers, or split across shard processes. Workers claim whole
 /// chunks; within a chunk the items run in index order sharing one
-/// [`SolveContext`], the first item cold (a cold
-/// [`socbuf_core::size_buffers`] is exactly a fresh context's first
-/// solve) and the rest warm-started from their predecessor's basis.
+/// [`SolveContext`], the rest warm-started from their predecessor's
+/// basis. How the first item starts depends on the campaign:
+///
+/// * a load campaign solves it cold (a cold
+///   [`socbuf_core::size_buffers`] is exactly a fresh context's first
+///   solve);
+/// * a budget campaign solves point 0 cold once, its *anchor*, and
+///   starts every other chunk from [`SolveContext::seeded`]: the
+///   anchor's basis factor answers the first item outright or the item
+///   is solved cold. A chunk's points then depend only on point 0 and
+///   the chunk's own points, which no schedule changes.
 ///
 /// The value trades warm-chain length against scheduling granularity: a
 /// campaign of `n` items exposes `⌈n / WARM_CHUNK⌉` parallel units.
@@ -163,29 +173,61 @@ fn size_point(
     ))
 }
 
+/// Point 0 of a warm budget campaign and the context that sized it,
+/// solved once per plan. `None` in the cell when point 0 failed.
+struct Anchor {
+    point: SweepPoint,
+    ctx: SolveContext,
+}
+
 /// Sizes a chunk range of a budget or load campaign over `arch`. A warm
 /// campaign runs the range as one [`SolveContext`] chain; otherwise
 /// every point gets a fresh context — a cold point is a one-point
 /// chain, even inside a coarsened range.
+///
+/// With an `anchor` cell (warm budget campaigns), the chain does not
+/// start cold. Chunk 0 emits the anchor's point 0 and continues on a
+/// copy of its context; any other chunk starts from
+/// [`SolveContext::seeded`], which answers on the anchor's basis factor
+/// or solves cold. Whoever needs the anchor first solves it, so a run
+/// that skips chunk 0 still pays that one cold solve. When point 0
+/// failed, every chunk starts cold and chunk 0 reproduces the failure.
 fn run_chain(
     range: std::ops::Range<usize>,
     warm_start: bool,
     arch: &Architecture,
     sizing: &SizingConfig,
+    anchor: Option<&OnceLock<Option<Anchor>>>,
     mut point: impl FnMut(&mut SolveContext, usize) -> Result<SweepPoint, SweepError>,
 ) -> Vec<Result<SweepPoint, SweepError>> {
+    let mut out = Vec::with_capacity(range.len());
     let mut ctx = None;
-    range
-        .map(|i| {
-            if !warm_start {
-                ctx = None;
+    let mut rest = range.clone();
+    if let Some(cell) = anchor {
+        let anchor = cell.get_or_init(|| {
+            let mut ctx = SolveContext::new(arch, sizing);
+            point(&mut ctx, 0).ok().map(|point| Anchor { point, ctx })
+        });
+        match anchor {
+            Some(a) if range.start == 0 => {
+                out.push(Ok(a.point.clone()));
+                ctx = Some(a.ctx.clone());
+                rest.start = 1;
             }
-            point(
-                ctx.get_or_insert_with(|| SolveContext::new(arch, sizing)),
-                i,
-            )
-        })
-        .collect()
+            Some(a) => ctx = Some(a.ctx.seeded()),
+            None => {}
+        }
+    }
+    out.extend(rest.map(|i| {
+        if !warm_start {
+            ctx = None;
+        }
+        point(
+            ctx.get_or_insert_with(|| SolveContext::new(arch, sizing)),
+            i,
+        )
+    }));
+    out
 }
 
 fn assemble_point(
@@ -234,9 +276,10 @@ fn attach_pool(sizing: &SizingConfig, pool: &WorkPool) -> SizingConfig {
 /// consecutive policy chunks), and one closure that executes any chunk
 /// range. Every campaign — local pool run, single chunk on a remote
 /// shard, smoke probe — goes through a plan, so chunk semantics
-/// (warm-chain boundaries, cold chunk-initial solves, by-index
-/// reduction) live in exactly one place, and every execution goes
-/// through [`CampaignPlan::run_chunks`].
+/// (warm-chain boundaries, how a chunk's first point starts — cold, or
+/// seeded from a budget campaign's point 0 — and by-index reduction)
+/// live in exactly one place, and every execution goes through
+/// [`CampaignPlan::run_chunks`].
 pub struct CampaignPlan<'a> {
     kind: SweepKind,
     items: usize,
@@ -307,8 +350,9 @@ impl<'a> CampaignPlan<'a> {
     /// an adaptive manifest may have coarsened. Every cut must sit on a
     /// base-policy chain boundary (see
     /// [`ChunkPolicy::is_chain_boundary`]) so each merged chunk is a
-    /// single extended warm chain starting with the same cold solve the
-    /// default chunking would make.
+    /// single extended warm chain whose first point starts the way the
+    /// default chunking would start it (cold, or seeded from a budget
+    /// campaign's point 0; see [`WARM_CHUNK`]).
     ///
     /// # Errors
     ///
@@ -511,8 +555,10 @@ impl<'a> BudgetSweep<'a> {
         let sizing = attach_pool(&self.sizing, pool);
         let simulate = self.simulate.clone();
         let warm_start = self.warm_start;
+        let anchor = OnceLock::new();
         let exec: ChunkExec<'a> = Box::new(move |range| {
-            run_chain(range, warm_start, arch, &sizing, |ctx, i| {
+            let anchor = warm_start.then_some(&anchor);
+            run_chain(range, warm_start, arch, &sizing, anchor, |ctx, i| {
                 size_point(ctx, arch, i, budgets[i], 1.0, None, simulate.as_ref())
             })
         });
@@ -624,7 +670,7 @@ impl<'a> LoadSweep<'a> {
         let simulate = self.simulate.clone();
         let warm_start = self.warm_start;
         let exec: ChunkExec<'a> = Box::new(move |range| {
-            run_chain(range, warm_start, arch, &sizing, |ctx, i| {
+            run_chain(range, warm_start, arch, &sizing, None, |ctx, i| {
                 let factor = factors[i];
                 let scaled = arch
                     .scale_rates(factor, 1.0)
@@ -890,11 +936,21 @@ mod tests {
             );
             assert_eq!(w.allocation.iter().sum::<usize>(), w.budget);
         }
-        // Chunk-initial points (indices 0 and 4) are cold solves by
-        // construction and must match bit for bit.
-        for i in [0usize, 4] {
-            assert_eq!(warm.points[i], cold.points[i], "chunk start {i} drifted");
-        }
+        // Index 0 is the campaign's anchor, a cold solve, and must match
+        // bit for bit, pivot count included.
+        assert_eq!(warm.points[0], cold.points[0], "anchor point drifted");
+        // Index 4 starts its chain from the anchor's basis, so it is warm
+        // by design; every rendered field must still match bit for bit.
+        // `lp_iterations` is trace-only.
+        let (w, c) = (&warm.points[4], &cold.points[4]);
+        let rendered = |p: &SweepPoint| SweepPoint {
+            lp_iterations: 0,
+            ..p.clone()
+        };
+        assert_eq!(rendered(w), rendered(c), "chunk start 4 drifted");
+        assert_eq!(w.predicted_loss.to_bits(), c.predicted_loss.to_bits());
+        assert_eq!(w.shadow_price.to_bits(), c.shadow_price.to_bits());
+        assert_eq!(w.offered_rate.to_bits(), c.offered_rate.to_bits());
     }
 
     #[test]

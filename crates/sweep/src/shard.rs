@@ -18,7 +18,9 @@
 //! them warm-chain membership) are declared by the manifest — the
 //! [`ChunkPolicy`] partition by default, or a boundary-aligned
 //! coarsening of it from adaptive re-chunking — never chosen by who
-//! executes the chunk. Pivot counts do vary with chunking, which is
+//! executes the chunk. A warm budget campaign's chunks also start from
+//! its point 0, which every executor solves the same way, whether or
+//! not it runs chunk 0. Pivot counts do vary with chunking, which is
 //! why they are trace-only and never rendered (see
 //! [`SweepPoint::lp_iterations`]); [`execute_manifest_chunk_traced`]
 //! reports them beside one chunk's report.
@@ -125,7 +127,10 @@ pub fn run_manifest(
 pub struct ChunkStats {
     /// Points solved in the chunk.
     pub points: usize,
-    /// Total simplex pivots across the chunk, cold solve included.
+    /// Total simplex pivots across the chunk's points, its first point
+    /// included: a cold start's pivots, or 0 when a warm budget
+    /// campaign's anchor answered it. A budget campaign's anchor is
+    /// counted in chunk 0 only, even when another chunk solved it.
     pub pivots: usize,
 }
 
