@@ -160,14 +160,6 @@ impl WarmState {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// A seeded chain start: the kept-factor shortcut alone, never a
-    /// basis repair. `None` when the kept factor cannot answer.
-    fn attempt_kept(&mut self, options: &SimplexOptions) -> Option<SizingSolution> {
-        let sol = self.prepared.solve_kept(options)?;
-        self.basis = Some(sol.basis_snapshot());
-        Some(self.layout.interpret(&sol, false))
-    }
 }
 
 impl SolveContext {
@@ -304,12 +296,15 @@ impl SolveContext {
                 .is_err(),
             None => true,
         };
+        // A seeded chain start: the kept-factor shortcut alone, never a
+        // basis repair; cold when it cannot answer.
         if std::mem::take(&mut self.seeded) && !fresh {
             let state = self.state.as_mut().expect("retargeted above");
             let config = &self.config;
             let [first, ..] = solve_ladder(config.engine, config.equilibrate, &config.executor);
-            if let Some(solved) = state.attempt_kept(&first) {
-                return Ok(solved);
+            if let Some(sol) = state.prepared.solve_kept(&first) {
+                state.basis = Some(sol.basis_snapshot());
+                return Ok(state.layout.interpret(&sol, false));
             }
             fresh = true;
         }

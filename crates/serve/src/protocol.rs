@@ -721,8 +721,8 @@ pub enum Response {
         report: String,
         /// How the chunk was served (`warm` is always false: a chunk
         /// never starts from the server's context cache; `pivots` = the
-        /// chunk's total, which is 0 at the start of a warm budget
-        /// chunk that the campaign's anchor answered).
+        /// chunk's total, to which a warm budget chunk's first point
+        /// adds none when the campaign's anchor answered it).
         trace: Trace,
     },
     /// Terminal frame of a `sweep_stream` answer: what the server
