@@ -15,11 +15,14 @@
 //!   [`Tridiag`] (the Thomas algorithm: `O(n)` tridiagonal solves), and
 //!   the [`scaling`] kernels (geometric-mean equilibration with exact
 //!   power-of-two factors plus the [`value_spread`] conditioning probe
-//!   the LP solve path uses to decide when to scale).
+//!   the LP solve path uses to decide when to scale), and [`SparseLu`]
+//!   (left-looking sparse LU for simplex bases) with
+//!   [`solve_transpose_cols`], its transposed solve that answers bit
+//!   for bit as the dense [`Lu`] (the LP's dual recovery).
 //! * **Dense, for small kernels and fallbacks** —
 //!   [`Matrix`] (row-major `f64`) and [`Lu`] (LU with partial pivoting,
-//!   used for general-generator stationary solves, dual recovery and
-//!   determinants),
+//!   used for general-generator stationary solves, determinants and as
+//!   the oracle of the sparse kernels),
 //! * free functions over `&[f64]` slices ([`dot`], [`axpy`], norms).
 //!
 //! # Examples
@@ -57,7 +60,7 @@ pub use scaling::{
     geometric_mean_scaling, log_deviation, scaled_log_deviation, scaled_value_spread, value_spread,
     Equilibration,
 };
-pub use sparse_lu::SparseLu;
+pub use sparse_lu::{solve_transpose_cols, SparseLu};
 pub use tridiag::Tridiag;
 pub use vector::{axpy, dot, inf_norm, max_abs_diff, one_norm, scale, two_norm};
 

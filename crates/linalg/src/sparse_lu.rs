@@ -5,15 +5,26 @@
 //! matter how sparse the basis is — and simplex bases of the
 //! occupation-measure LPs carry only 2–6 nonzeros per column. This
 //! left-looking, column-at-a-time factorization with partial pivoting
-//! (the classic Gilbert–Peierls shape, minus the symbolic DFS: an
-//! `O(n²)` scan with a trivial constant replaces it, which is the right
-//! trade below a few thousand rows) costs `O(n² + fill)` — microseconds
-//! where the dense kernel needs tens of milliseconds.
+//! (the classic Gilbert–Peierls shape, minus the symbolic DFS) costs
+//! `O(n²/64 + flops)` — microseconds where the dense kernel needs tens
+//! of milliseconds.
+//!
+//! Column `j` is eliminated by every earlier column `k` whose pivot row
+//! it holds, in increasing `k` (an update from column `k` can light up
+//! the pivot row of a later column `k′`, never of an earlier one). The
+//! positions of those pivot rows sit in a bitset, which the elimination
+//! reads lowest bit first while each update sets the bits it uncovers:
+//! a word scan per 64 positions replaces a scan over all `j` earlier
+//! columns.
 //!
 //! Input is a set of sparse *columns* (exactly how a simplex basis is
-//! gathered); `L` and `U` are stored as sparse column lists, and both
-//! [`SparseLu::solve`] and [`SparseLu::solve_transpose`] run in
+//! gathered); `L` and `U` are stored in flat compressed-column arrays,
+//! and both [`SparseLu::solve`] and [`SparseLu::solve_transpose`] run in
 //! `O(n + nnz(L) + nnz(U))`.
+//!
+//! The same elimination serves [`solve_transpose_cols`], which picks
+//! the dense kernel's pivots and sums in its order, so its answer is
+//! bitwise the dense [`crate::Lu`]'s.
 
 use crate::LinalgError;
 
@@ -39,13 +50,18 @@ use crate::LinalgError;
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
-    /// `L` by elimination column: `(original_row, l_value)` entries,
-    /// strictly below the diagonal in position space; unit diagonal
-    /// implicit.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// `U` by column: `(position, u_value)` entries strictly above the
-    /// diagonal.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    /// `L` by elimination column: column `k` holds the entries
+    /// `(l_row[p], l_val[p])` for `p` in `l_start[k]..l_start[k + 1]`,
+    /// keyed by original row, strictly below the diagonal in position
+    /// space; unit diagonal implicit.
+    l_start: Vec<usize>,
+    l_row: Vec<usize>,
+    l_val: Vec<f64>,
+    /// `U` by column, the same layout: `(position, u_value)` entries
+    /// strictly above the diagonal, in increasing position.
+    u_start: Vec<usize>,
+    u_pos: Vec<usize>,
+    u_val: Vec<f64>,
     /// Diagonal of `U` per elimination position.
     u_diag: Vec<f64>,
     /// `pivot_row[k]` — original row pivoting elimination position `k`.
@@ -54,9 +70,47 @@ pub struct SparseLu {
     position: Vec<usize>,
 }
 
-/// Pivots smaller than this (relative to the column's max) are refused;
-/// a column with no usable pivot marks the matrix singular.
+/// Pivots smaller than this in absolute value are refused; a column
+/// with no usable pivot marks the matrix singular. The dense
+/// [`crate::Lu`] kernel refuses at the same bound.
 const PIVOT_TOL: f64 = 1e-12;
+
+/// How the elimination picks each column's pivot among the rows it
+/// holds that no earlier column pivoted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pivoting {
+    /// The first row of largest magnitude in the order the column
+    /// touched its rows: the engine's rule.
+    FirstMax,
+    /// The largest magnitude, ties to the row the dense [`crate::Lu`]
+    /// holds at the lowest position after its row swaps so far.
+    Dense,
+}
+
+/// The pattern of the column being eliminated.
+struct Pattern {
+    /// `seen[r] == j`: row `r` is in column `j`'s pattern.
+    seen: Vec<usize>,
+    /// The pattern's rows that no earlier column pivoted, in the order
+    /// the column first touched them.
+    touched: Vec<usize>,
+    /// Bitset of the positions whose pivot rows are in the pattern.
+    pivoted: Vec<u64>,
+}
+
+impl Pattern {
+    /// Adds row `r` to column `j`'s pattern.
+    fn mark(&mut self, j: usize, r: usize, position: &[usize]) {
+        if self.seen[r] == j {
+            return;
+        }
+        self.seen[r] = j;
+        match position[r] {
+            usize::MAX => self.touched.push(r),
+            k => self.pivoted[k / 64] |= 1 << (k % 64),
+        }
+    }
+}
 
 impl SparseLu {
     /// Factors the `n × n` matrix whose `j`-th column holds the sparse
@@ -70,6 +124,14 @@ impl SparseLu {
     /// * [`LinalgError::IndexOutOfRange`] if an entry's row is `≥ n`.
     /// * [`LinalgError::Singular`] if a column has no usable pivot.
     pub fn factor_cols(n: usize, cols: &[Vec<(usize, f64)>]) -> Result<Self, LinalgError> {
+        SparseLu::eliminate(n, cols, Pivoting::FirstMax)
+    }
+
+    fn eliminate(
+        n: usize,
+        cols: &[Vec<(usize, f64)>],
+        pivoting: Pivoting,
+    ) -> Result<Self, LinalgError> {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
@@ -81,16 +143,30 @@ impl SparseLu {
         }
         let mut lu = SparseLu {
             n,
-            l_cols: Vec::with_capacity(n),
-            u_cols: Vec::with_capacity(n),
+            l_start: Vec::with_capacity(n + 1),
+            l_row: Vec::new(),
+            l_val: Vec::new(),
+            u_start: Vec::with_capacity(n + 1),
+            u_pos: Vec::new(),
+            u_val: Vec::new(),
             u_diag: Vec::with_capacity(n),
             pivot_row: Vec::with_capacity(n),
             position: vec![usize::MAX; n],
         };
-        // Dense accumulator + occupancy list: scatter, eliminate,
-        // gather, clear — only touched entries are ever visited.
+        lu.l_start.push(0);
+        lu.u_start.push(0);
         let mut work = vec![0.0f64; n];
-        let mut touched: Vec<usize> = Vec::with_capacity(64);
+        let mut pattern = Pattern {
+            seen: vec![usize::MAX; n],
+            touched: Vec::with_capacity(64),
+            pivoted: vec![0; n.div_ceil(64)],
+        };
+        // The dense kernel's row order, for its tie-break: row at each
+        // position, and position of each row.
+        let (mut dense_row, mut dense_pos): (Vec<usize>, Vec<usize>) = match pivoting {
+            Pivoting::Dense => ((0..n).collect(), (0..n).collect()),
+            Pivoting::FirstMax => (Vec::new(), Vec::new()),
+        };
 
         for (j, col) in cols.iter().enumerate() {
             for &(r, v) in col {
@@ -102,35 +178,46 @@ impl SparseLu {
                         cols: n,
                     });
                 }
+                pattern.mark(j, r, &lu.position);
                 work[r] += v;
-                touched.push(r);
             }
             // Left-looking elimination: apply every earlier column whose
-            // pivot row currently holds a nonzero. Increasing-k order is
-            // required (an update from column k can light up the pivot
-            // row of a later column k′).
-            let mut u_col: Vec<(usize, f64)> = Vec::new();
-            for k in 0..j {
-                let ukj = work[lu.pivot_row[k]];
-                if ukj == 0.0 {
-                    continue;
-                }
-                for &(r, l) in &lu.l_cols[k] {
-                    if work[r] == 0.0 {
-                        touched.push(r);
+            // pivot row holds a nonzero, lowest position first. An
+            // update only marks positions above the one applying it, so
+            // rereading the current word picks them up in order.
+            for w in 0..j.div_ceil(64) {
+                while pattern.pivoted[w] != 0 {
+                    let k = w * 64 + pattern.pivoted[w].trailing_zeros() as usize;
+                    pattern.pivoted[w] &= pattern.pivoted[w] - 1;
+                    let prow = lu.pivot_row[k];
+                    let ukj = work[prow];
+                    work[prow] = 0.0;
+                    if ukj == 0.0 {
+                        continue;
                     }
-                    work[r] -= l * ukj;
+                    for p in lu.l_start[k]..lu.l_start[k + 1] {
+                        let r = lu.l_row[p];
+                        pattern.mark(j, r, &lu.position);
+                        work[r] -= lu.l_val[p] * ukj;
+                    }
+                    lu.u_pos.push(k);
+                    lu.u_val.push(ukj);
                 }
-                u_col.push((k, ukj));
             }
             // Partial pivoting among rows not yet assigned a position.
             let mut pivot: Option<(usize, f64)> = None;
-            for &r in &touched {
-                if lu.position[r] != usize::MAX {
-                    continue;
-                }
+            for &r in &pattern.touched {
                 let mag = work[r].abs();
-                if mag > 0.0 && pivot.is_none_or(|(_, best)| mag > best) {
+                let better = match pivot {
+                    None => mag > 0.0,
+                    Some((best_row, best)) => {
+                        mag > best
+                            || (pivoting == Pivoting::Dense
+                                && mag == best
+                                && dense_pos[r] < dense_pos[best_row])
+                    }
+                };
+                if better {
                     pivot = Some((r, mag));
                 }
             }
@@ -140,25 +227,42 @@ impl SparseLu {
             if pmag < PIVOT_TOL {
                 return Err(LinalgError::Singular { pivot: j });
             }
+            if pivoting == Pivoting::Dense {
+                let (p, q) = (dense_pos[prow], dense_row[j]);
+                dense_row.swap(j, p);
+                dense_pos[q] = p;
+                dense_pos[prow] = j;
+            }
             let pval = work[prow];
-            let mut l_col: Vec<(usize, f64)> = Vec::new();
-            for &r in &touched {
+            for &r in &pattern.touched {
                 let v = work[r];
                 work[r] = 0.0; // clear as we gather
-                if v == 0.0 || r == prow {
-                    continue;
+                if v != 0.0 && r != prow {
+                    lu.l_row.push(r);
+                    lu.l_val.push(v / pval);
                 }
-                if lu.position[r] == usize::MAX {
-                    l_col.push((r, v / pval));
-                }
-                // Rows already pivoted were gathered into u_col above.
             }
-            touched.clear();
+            pattern.touched.clear();
             lu.position[prow] = j;
             lu.pivot_row.push(prow);
             lu.u_diag.push(pval);
-            lu.u_cols.push(u_col);
-            lu.l_cols.push(l_col);
+            lu.l_start.push(lu.l_row.len());
+            lu.u_start.push(lu.u_pos.len());
+        }
+        if pivoting == Pivoting::Dense {
+            // The dense kernel's transposed solve sums each column of
+            // `L` by final row position.
+            let mut entries: Vec<(usize, f64)> = Vec::new();
+            for k in 0..n {
+                let range = lu.l_start[k]..lu.l_start[k + 1];
+                entries.clear();
+                entries.extend(range.clone().map(|p| (lu.l_row[p], lu.l_val[p])));
+                entries.sort_unstable_by_key(|&(r, _)| lu.position[r]);
+                for (p, (r, v)) in range.zip(entries.iter().copied()) {
+                    lu.l_row[p] = r;
+                    lu.l_val[p] = v;
+                }
+            }
         }
         Ok(lu)
     }
@@ -170,9 +274,17 @@ impl SparseLu {
 
     /// Stored entries in `L` and `U` combined (fill-in diagnostics).
     pub fn nnz(&self) -> usize {
-        self.n
-            + self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        self.n + self.l_row.len() + self.u_pos.len()
+    }
+
+    fn check_rhs(&self, b: &[f64]) -> Result<(), LinalgError> {
+        if b.len() == self.n {
+            return Ok(());
+        }
+        Err(LinalgError::DimensionMismatch {
+            expected: (self.n, 1),
+            found: (b.len(), 1),
+        })
     }
 
     /// Solves `A x = b`.
@@ -181,13 +293,8 @@ impl SparseLu {
     ///
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        self.check_rhs(b)?;
         let n = self.n;
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                found: (b.len(), 1),
-            });
-        }
         // Forward: L z = P b, in original-row coordinates.
         let mut z = b.to_vec();
         for k in 0..n {
@@ -195,8 +302,8 @@ impl SparseLu {
             if zk == 0.0 {
                 continue;
             }
-            for &(r, l) in &self.l_cols[k] {
-                z[r] -= l * zk;
+            for p in self.l_start[k]..self.l_start[k + 1] {
+                z[self.l_row[p]] -= self.l_val[p] * zk;
             }
         }
         // Backward: U x = z, reading z through the pivot order.
@@ -208,8 +315,8 @@ impl SparseLu {
             if xj == 0.0 {
                 continue;
             }
-            for &(k, u) in &self.u_cols[j] {
-                zpos[k] -= u * xj;
+            for p in self.u_start[j]..self.u_start[j + 1] {
+                zpos[self.u_pos[p]] -= self.u_val[p] * xj;
             }
         }
         Ok(x)
@@ -221,19 +328,14 @@ impl SparseLu {
     ///
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        self.check_rhs(b)?;
         let n = self.n;
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: (n, 1),
-                found: (b.len(), 1),
-            });
-        }
         // Aᵀ = Uᵀ Lᵀ P. Forward: Uᵀ w = b (columns of U in order).
         let mut w = vec![0.0; n];
         for j in 0..n {
             let mut acc = b[j];
-            for &(k, u) in &self.u_cols[j] {
-                acc -= u * w[k];
+            for p in self.u_start[j]..self.u_start[j + 1] {
+                acc -= self.u_val[p] * w[self.u_pos[p]];
             }
             w[j] = acc / self.u_diag[j];
         }
@@ -241,18 +343,139 @@ impl SparseLu {
         // at strictly later positions).
         for k in (0..n).rev() {
             let mut acc = w[k];
-            for &(r, l) in &self.l_cols[k] {
-                acc -= l * w[self.position[r]];
+            for p in self.l_start[k]..self.l_start[k + 1] {
+                acc -= self.l_val[p] * w[self.position[self.l_row[p]]];
             }
             w[k] = acc;
         }
-        // x = Pᵀ v.
-        let mut x = vec![0.0; n];
-        for (k, &r) in self.pivot_row.iter().enumerate() {
-            x[r] = w[k];
-        }
-        Ok(x)
+        Ok(self.unpermute(&w))
     }
+
+    /// `x = Pᵀ v`: position `k`'s value goes back to its pivot row.
+    fn unpermute(&self, v: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        for (k, &r) in self.pivot_row.iter().enumerate() {
+            x[r] = v[k];
+        }
+        x
+    }
+
+    /// [`SparseLu::solve_transpose`] on a [`Pivoting::Dense`] factor,
+    /// with the dense loops' zero terms put back where they set a sign.
+    ///
+    /// The dense kernel subtracts a product for every position, the
+    /// structural zeros of `L` and `U` included. Such a product is a
+    /// signed zero. It leaves a nonzero or `+0` accumulator alone, but
+    /// turns a `−0` one into `+0` when it is itself `−0`. So a sum the
+    /// stored entries leave at `−0` becomes `+0` if any skipped product
+    /// is `−0`: a skipped `U` entry is `+0`, so its product is `−0` when
+    /// the solution entry it meets has its sign bit set; a skipped `L`
+    /// entry is `+0 / u_kk`, so its product is `−0` when that sign bit
+    /// differs from the pivot's.
+    fn solve_transpose_dense(&self, b: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let neg_zero = |x: f64| x == 0.0 && x.is_sign_negative();
+        // Forward: Uᵀ w = b, counting the earlier entries of w whose
+        // sign bit is set.
+        let mut w = vec![0.0; n];
+        let mut negative = 0;
+        for j in 0..n {
+            let range = self.u_start[j]..self.u_start[j + 1];
+            let mut acc = b[j];
+            for p in range.clone() {
+                acc -= self.u_val[p] * w[self.u_pos[p]];
+            }
+            if neg_zero(acc) {
+                let stored = range
+                    .filter(|&p| w[self.u_pos[p]].is_sign_negative())
+                    .count();
+                if negative > stored {
+                    acc = 0.0;
+                }
+            }
+            w[j] = acc / self.u_diag[j];
+            negative += usize::from(w[j].is_sign_negative());
+        }
+        // Backward: Lᵀ v = w by final row position, counting the later
+        // entries of v whose sign bit is set.
+        let mut negative = 0;
+        for k in (0..n).rev() {
+            let range = self.l_start[k]..self.l_start[k + 1];
+            let mut acc = w[k];
+            for p in range.clone() {
+                acc -= self.l_val[p] * w[self.position[self.l_row[p]]];
+            }
+            if neg_zero(acc) {
+                let pivot_negative = self.u_diag[k].is_sign_negative();
+                let differing = if pivot_negative {
+                    n - 1 - k - negative
+                } else {
+                    negative
+                };
+                let stored = range
+                    .filter(|&p| {
+                        w[self.position[self.l_row[p]]].is_sign_negative() != pivot_negative
+                    })
+                    .count();
+                if differing > stored {
+                    acc = 0.0;
+                }
+            }
+            w[k] = acc;
+            negative += usize::from(acc.is_sign_negative());
+        }
+        self.unpermute(&w)
+    }
+}
+
+/// Solves `Bᵀ x = b` for the `n × n` matrix `B` whose `j`-th column
+/// holds the sparse entries `cols[j]` (any order, no duplicates), bit
+/// for bit as `Lu::factor(&B)?.solve_transpose(b)` on the dense `B`.
+///
+/// The factorization picks the dense kernel's pivots: the largest
+/// magnitude, ties to the lowest row position after its row swaps, with
+/// the same absolute refusal bound. Each sum runs in the dense kernel's
+/// order, `Uᵀ` by elimination step and `Lᵀ` by final row position, and
+/// takes the sign a zero result gets from the terms the dense loops
+/// multiply by an implicit zero. Cost and memory grow with the nonzeros
+/// of the factors, not with `n²`.
+///
+/// Absent entries of `B` are `+0`. An entry given with the value `−0`
+/// reads as `+0`; the dense kernel would carry its sign.
+///
+/// # Errors
+///
+/// * [`LinalgError::Empty`] if `n == 0`.
+/// * [`LinalgError::DimensionMismatch`] if `cols.len() != n` or
+///   `b.len() != n`.
+/// * [`LinalgError::IndexOutOfRange`] if an entry's row is `≥ n`.
+/// * [`LinalgError::Singular`] at the pivot column where the dense
+///   kernel gives up.
+///
+/// # Examples
+///
+/// ```
+/// use socbuf_linalg::{solve_transpose_cols, Lu, Matrix};
+///
+/// # fn main() -> Result<(), socbuf_linalg::LinalgError> {
+/// let cols = vec![vec![(0, 2.0), (1, 1.0)], vec![(0, 1.0), (1, 3.0)]];
+/// let dense = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
+/// let b = [1.0, -0.0];
+/// let x = solve_transpose_cols(2, &cols, &b)?;
+/// let want = Lu::factor(&dense)?.solve_transpose(&b)?;
+/// assert_eq!(x[0].to_bits(), want[0].to_bits());
+/// assert_eq!(x[1].to_bits(), want[1].to_bits());
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_transpose_cols(
+    n: usize,
+    cols: &[Vec<(usize, f64)>],
+    b: &[f64],
+) -> Result<Vec<f64>, LinalgError> {
+    let lu = SparseLu::eliminate(n, cols, Pivoting::Dense)?;
+    lu.check_rhs(b)?;
+    Ok(lu.solve_transpose_dense(b))
 }
 
 #[cfg(test)]
@@ -359,7 +582,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::{max_abs_diff, Matrix};
+    use crate::{max_abs_diff, Lu, Matrix};
     use proptest::prelude::*;
 
     /// Random sparse diagonally dominant systems (non-singular) with a
@@ -399,6 +622,50 @@ mod proptests {
                     .collect()
             })
             .collect()
+    }
+
+    /// Entries with many exact ties, so the pivot tie-break decides.
+    const ENTRIES: [f64; 7] = [0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.0];
+    /// Right-hand-side values, zeros of both signs over-represented so
+    /// zero results are common.
+    const RHS: [f64; 6] = [0.0, -0.0, 0.0, -0.0, 1.0, -2.0];
+
+    /// Random sparse square matrices over [`ENTRIES`] (about half the
+    /// slots empty, so singular ones are common) and right-hand sides
+    /// over [`RHS`].
+    fn tied_sparse_system() -> impl Strategy<Value = (Matrix, Vec<f64>)> {
+        (2usize..=12).prop_flat_map(|n| {
+            (
+                proptest::collection::vec(0usize..2 * ENTRIES.len(), n * n),
+                proptest::collection::vec(0usize..RHS.len(), n),
+            )
+                .prop_map(move |(slots, rhs)| {
+                    let mut a = Matrix::zeros(n, n);
+                    for (i, &s) in slots.iter().enumerate() {
+                        if let Some(&v) = ENTRIES.get(s) {
+                            a[(i / n, i % n)] = v;
+                        }
+                    }
+                    (a, rhs.iter().map(|&k| RHS[k]).collect())
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn solve_transpose_cols_is_bitwise_dense_lu((a, b) in tied_sparse_system()) {
+            let dense = Lu::factor(&a).and_then(|lu| lu.solve_transpose(&b));
+            let sparse = solve_transpose_cols(a.rows(), &cols_of(&a), &b);
+            match (dense, sparse) {
+                (Ok(want), Ok(got)) => {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?}", got, want);
+                }
+                (want, got) => prop_assert_eq!(got.err(), want.err()),
+            }
+        }
     }
 
     proptest! {
