@@ -34,8 +34,9 @@
 //!   [`LpSolution::scaling_stats`] reports the measured spread before
 //!   and after, and [`SimplexOptions::equilibrate`] turns the layer off,
 //! * [`LpSolution`] — primal values, objective, dual prices and reduced
-//!   costs recovered from the final basis (via an LU solve against the
-//!   original constraint matrix, not solver-internal state), always in
+//!   costs recovered from the final basis (via a sparse transposed LU
+//!   solve against the original constraint matrix, not solver-internal
+//!   state, bit for bit what a dense LU of the basis returns), always in
 //!   the problem's original units,
 //! * [`verify_optimality`] — an independent optimality certificate checker
 //!   (primal feasibility + dual feasibility + complementary slackness +

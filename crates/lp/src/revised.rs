@@ -11,7 +11,7 @@
 //!
 //! * **Basis factorization** — a sparse LU of the `m × m` basis matrix
 //!   ([`socbuf_linalg::SparseLu`], the same column-oriented contract as
-//!   the dense [`socbuf_linalg::Lu`] kernel but `O(n² + fill)` to
+//!   the dense [`socbuf_linalg::Lu`] kernel but `O(n²/64 + flops)` to
 //!   factor: simplex bases of these LPs carry 2–6 nonzeros per column)
 //!   plus a *product-form eta file*: after each pivot the update
 //!   `B_new = B · E` is recorded as the sparse eta vector `w = B⁻¹ a_q`
@@ -357,7 +357,7 @@ impl<'a> Revised<'a> {
             .map_err(|e| LpError::InvalidModel(format!("identity factorization failed: {e}")))?;
 
         let refactor_interval = if options.refactor_interval == 0 {
-            // The sparse refresh is cheap (O(m² scan + fill)), so the
+            // The sparse refresh is cheap (O(m²/64 + flops)), so the
             // cadence is tuned to keep the eta file — and with it the
             // FTRAN/BTRAN sweep cost and float drift — short.
             64

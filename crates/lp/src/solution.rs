@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use socbuf_linalg::{Lu, Matrix};
+use socbuf_linalg::solve_transpose_cols;
 
 use crate::problem::{LpProblem, RowId, VarId};
 use crate::revised::{BasisSnapshot, LpEngine};
@@ -15,6 +15,14 @@ use crate::LpError;
 /// the sensitivity quantities the buffer-sizing pipeline reports (e.g.
 /// the shadow price of the global buffer-budget constraint), and the
 /// basic/nonbasic split that the K-switching structure analysis inspects.
+///
+/// The duals solve `Bᵀ y = c_B` on the final basis `B`, gathered from
+/// the original constraint matrix as sparse columns. The solve
+/// ([`socbuf_linalg::solve_transpose_cols`]) costs time and memory in
+/// the basis's nonzeros, not in `m²`, and is bit-exact with the dense
+/// LU of `B`: the same pivots, the same summation order and the same
+/// signed zeros. A basis that kernel finds singular fails here too, at
+/// the same pivot column.
 ///
 /// Sign conventions:
 /// * [`LpSolution::dual`] is `∂ objective / ∂ rhs` in the problem's own
@@ -102,9 +110,10 @@ impl DualHalf {
     ) -> Result<DualHalf, LpError> {
         let n = p.num_vars();
         // --- Recover duals from the final basis: solve Bᵀ y = c_B. ----
-        // The basis matrix is gathered from the CSR standard form by one
-        // row sweep (scatter entries whose column is basic) instead of
-        // dense column probing.
+        // The basis columns are gathered from the CSR standard form by
+        // one row sweep (scatter entries whose column is basic), and
+        // the sparse transposed solve answers bit for bit as the dense
+        // LU of the gathered basis would.
         let active_rows: Vec<usize> = (0..sf.a.rows()).filter(|&i| basic.row_active[i]).collect();
         let m_act = active_rows.len();
         let mut y_by_row = vec![0.0; sf.a.rows()];
@@ -119,21 +128,18 @@ impl DualHalf {
                 col_pos[col] = pos_col;
                 cb[pos_col] = sf.c[col];
             }
-            let mut bmat = Matrix::zeros(m_act, m_act);
+            let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m_act];
             for (pos_row, &r) in active_rows.iter().enumerate() {
                 for (col, v) in sf.a.iter_row(r) {
                     let pos_col = col_pos[col];
                     if pos_col != usize::MAX {
-                        bmat[(pos_row, pos_col)] = v;
+                        cols[pos_col].push((pos_row, v));
                     }
                 }
             }
-            let lu = Lu::factor(&bmat).map_err(|e| {
+            let y = solve_transpose_cols(m_act, &cols, &cb).map_err(|e| {
                 LpError::InvalidModel(format!("final basis is numerically singular: {e}"))
             })?;
-            let y = lu
-                .solve_transpose(&cb)
-                .map_err(|e| LpError::InvalidModel(format!("dual solve failed: {e}")))?;
             for (pos, &i) in active_rows.iter().enumerate() {
                 y_by_row[i] = y[pos];
             }
