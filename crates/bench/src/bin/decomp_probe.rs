@@ -259,29 +259,25 @@ fn smoke(write_json: bool) -> i32 {
     failures
 }
 
-/// Renders the machine-readable trajectory (schema in the crate docs).
+/// Writes the machine-readable trajectory (schema in the crate docs).
 fn write_bench_json(run: &ProbeRun) {
-    let json = format!(
-        "{{\n  \"blocks\": {},\n  \"state_cap\": {},\n  \"budget\": {},\n  \
-         \"wall_ms\": {{\n    \"monolithic_revised\": {:.3},\n    \
-         \"decomposed_serial\": {:.3},\n    \"decomposed_pooled\": {:.3}\n  }},\n  \
-         \"speedup_pooled_vs_monolithic\": {:.4},\n  \"multiplier_iterations\": {}\n}}\n",
-        run.blocks,
-        STATE_CAP,
-        BUDGET,
-        run.mono.as_secs_f64() * 1e3,
-        run.serial.as_secs_f64() * 1e3,
-        run.pooled.as_secs_f64() * 1e3,
-        run.speedup,
-        run.multiplier_iterations
+    socbuf_bench::write_bench_json(
+        "BENCH_decomp.json",
+        &[
+            format!("\"blocks\": {}", run.blocks),
+            format!("\"state_cap\": {STATE_CAP}"),
+            format!("\"budget\": {BUDGET}"),
+            format!(
+                "\"wall_ms\": {{\n    \"monolithic_revised\": {:.3},\n    \
+                 \"decomposed_serial\": {:.3},\n    \"decomposed_pooled\": {:.3}\n  }}",
+                run.mono.as_secs_f64() * 1e3,
+                run.serial.as_secs_f64() * 1e3,
+                run.pooled.as_secs_f64() * 1e3,
+            ),
+            format!("\"speedup_pooled_vs_monolithic\": {:.4}", run.speedup),
+            format!("\"multiplier_iterations\": {}", run.multiplier_iterations),
+        ],
     );
-    match std::fs::write("BENCH_decomp.json", &json) {
-        Ok(()) => println!("wrote BENCH_decomp.json"),
-        Err(e) => {
-            eprintln!("failed to write BENCH_decomp.json: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {

@@ -26,8 +26,8 @@
 //! Without flags, the full probe drives the same 10⁵-point manifest
 //! through 1/2/4 self-exec'd shard workers with `sweep_stream` frames
 //! merged through the bounded-memory reducer, and writes
-//! `BENCH_scale.json`: a host header (cores, build profile, Unix time)
-//! and the wall time, points/sec and the reducer's peak resident points
+//! `BENCH_scale.json`: the host header (commit, cores, build profile,
+//! Unix time) and the wall time, points/sec and the reducer's peak resident points
 //! per shard count.
 
 use std::io;
@@ -226,27 +226,14 @@ fn full_probe() {
             )
         })
         .collect();
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let json = format!(
-        "{{\n  \"cores\": {},\n  \"profile\": \"{profile}\",\n  \"unix_time\": {unix_time},\n  \
-         \"points\": {points},\n  \"chunk_items\": {CHUNK_ITEMS},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        socbuf_bench::cores(),
-        shard_rows.join(",\n")
+    socbuf_bench::write_bench_json(
+        "BENCH_scale.json",
+        &[
+            format!("\"points\": {points}"),
+            format!("\"chunk_items\": {CHUNK_ITEMS}"),
+            format!("\"runs\": [\n{}\n  ]", shard_rows.join(",\n")),
+        ],
     );
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => println!("wrote BENCH_scale.json"),
-        Err(e) => {
-            eprintln!("failed to write BENCH_scale.json: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {

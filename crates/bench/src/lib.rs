@@ -20,11 +20,24 @@
 //! | `shard_probe` | developer probe: sharded campaigns over self-exec'd shard servers, byte-diffed against the serial run (not a paper artifact) |
 //! | `scale_probe` | developer probe: 10⁵-point streamed campaigns, byte identity, bounded residency and `BENCH_scale.json` (not a paper artifact) |
 //!
-//! # `BENCH_decomp.json`
+//! # `BENCH_*.json`
 //!
-//! `decomp_probe --json` writes its trajectory to `BENCH_decomp.json`
-//! in the working directory so decomposition perf can be tracked across
-//! commits. The schema, all fields always present:
+//! Probes that record a trajectory write it through [`write_bench_json`]
+//! to `BENCH_<probe>.json` in the working directory, so perf can be
+//! tracked across commits. Every file opens with the same host header:
+//!
+//! ```json
+//! {
+//!   "commit": "49eb310…",              // `git rev-parse HEAD`, "-dirty" if the tree differs
+//!   "cores": 2,                        // available parallelism
+//!   "profile": "release",              // build profile of the probe
+//!   "unix_time": 1792194264,           // when the file was written
+//!   …                                  // the probe's own fields
+//! }
+//! ```
+//!
+//! `decomp_probe --json` writes `BENCH_decomp.json`. Its fields after
+//! the header, all always present:
 //!
 //! ```json
 //! {
@@ -47,6 +60,7 @@
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use socbuf_core::PipelineConfig;
 use socbuf_serve::Client;
@@ -79,6 +93,62 @@ pub fn cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Writes `path` in the working directory as one JSON object: the host
+/// header (`commit`, `cores`, `profile`, `unix_time`; see the crate
+/// docs), then the probe's `fields`, each a rendered `"key": value`
+/// member. Exits the probe with status 2 when the file cannot be
+/// written.
+pub fn write_bench_json(path: &str, fields: &[String]) {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let unix_time = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let header = [
+        format!("\"commit\": \"{}\"", commit()),
+        format!("\"cores\": {}", cores()),
+        format!("\"profile\": \"{profile}\""),
+        format!("\"unix_time\": {unix_time}"),
+    ];
+    let members: Vec<String> = header
+        .iter()
+        .chain(fields)
+        .map(|m| format!("  {m}"))
+        .collect();
+    let json = format!("{{\n{}\n}}\n", members.join(",\n"));
+    match std::fs::write(path, json) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The checked-out commit, suffixed `-dirty` when the working tree
+/// differs from it; `unknown` outside a git checkout.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+    };
+    let Some(head) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let hash = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    if git(&["diff", "--quiet", "HEAD"]).is_some() {
+        hash
+    } else {
+        format!("{hash}-dirty")
+    }
 }
 
 /// One shard-server process: the calling probe binary re-executed with
