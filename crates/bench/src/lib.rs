@@ -131,7 +131,8 @@ pub fn write_bench_json(path: &str, fields: &[String]) {
 }
 
 /// The checked-out commit, suffixed `-dirty` when the working tree
-/// differs from it; `unknown` outside a git checkout.
+/// differs from it outside the `BENCH_*.json` outputs themselves;
+/// `unknown` outside a git checkout.
 fn commit() -> String {
     let git = |args: &[&str]| {
         Command::new("git")
@@ -144,7 +145,7 @@ fn commit() -> String {
         return "unknown".to_string();
     };
     let hash = String::from_utf8_lossy(&head.stdout).trim().to_string();
-    if git(&["diff", "--quiet", "HEAD"]).is_some() {
+    if git(&["diff", "--quiet", "HEAD", "--", ":/", ":/!BENCH_*.json"]).is_some() {
         hash
     } else {
         format!("{hash}-dirty")
