@@ -329,54 +329,30 @@ impl SparseLu {
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.check_rhs(b)?;
-        let n = self.n;
-        // Aᵀ = Uᵀ Lᵀ P. Forward: Uᵀ w = b (columns of U in order).
-        let mut w = vec![0.0; n];
-        for j in 0..n {
-            let mut acc = b[j];
-            for p in self.u_start[j]..self.u_start[j + 1] {
-                acc -= self.u_val[p] * w[self.u_pos[p]];
-            }
-            w[j] = acc / self.u_diag[j];
-        }
-        // Backward: Lᵀ v = w in position space (entries of L-col k sit
-        // at strictly later positions).
-        for k in (0..n).rev() {
-            let mut acc = w[k];
-            for p in self.l_start[k]..self.l_start[k + 1] {
-                acc -= self.l_val[p] * w[self.position[self.l_row[p]]];
-            }
-            w[k] = acc;
-        }
-        Ok(self.unpermute(&w))
+        Ok(self.transpose_sweeps(b, false))
     }
 
-    /// `x = Pᵀ v`: position `k`'s value goes back to its pivot row.
-    fn unpermute(&self, v: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.n];
-        for (k, &r) in self.pivot_row.iter().enumerate() {
-            x[r] = v[k];
-        }
-        x
-    }
-
-    /// [`SparseLu::solve_transpose`] on a [`Pivoting::Dense`] factor,
-    /// with the dense loops' zero terms put back where they set a sign.
+    /// `Aᵀ = Uᵀ Lᵀ P`: a forward sweep `Uᵀ w = b` over the columns of
+    /// `U`, a backward sweep `Lᵀ v = w` in position space (the entries
+    /// of `L`'s column `k` sit at strictly later positions), then
+    /// `x = Pᵀ v`. Each sum runs over a column's stored entries in
+    /// storage order.
     ///
-    /// The dense kernel subtracts a product for every position, the
-    /// structural zeros of `L` and `U` included. Such a product is a
-    /// signed zero. It leaves a nonzero or `+0` accumulator alone, but
-    /// turns a `−0` one into `+0` when it is itself `−0`. So a sum the
-    /// stored entries leave at `−0` becomes `+0` if any skipped product
-    /// is `−0`: a skipped `U` entry is `+0`, so its product is `−0` when
-    /// the solution entry it meets has its sign bit set; a skipped `L`
-    /// entry is `+0 / u_kk`, so its product is `−0` when that sign bit
-    /// differs from the pivot's.
-    fn solve_transpose_dense(&self, b: &[f64]) -> Vec<f64> {
+    /// With `dense_zeros`, the sums also take the sign the dense
+    /// kernel's zero terms give them. That kernel subtracts a product
+    /// for every position, the structural zeros of `L` and `U`
+    /// included. Such a product is a signed zero: it leaves a nonzero or
+    /// `+0` accumulator alone, but turns a `−0` one into `+0` when it is
+    /// itself `−0`. So a sum the stored entries leave at `−0` becomes
+    /// `+0` if any skipped product is `−0`. A skipped `U` entry is `+0`,
+    /// so its product is `−0` when the entry of `w` it meets has its
+    /// sign bit set. A skipped `L` entry is `+0 / u_kk`, so its product
+    /// is `−0` when that sign bit differs from the pivot's.
+    fn transpose_sweeps(&self, b: &[f64], dense_zeros: bool) -> Vec<f64> {
         let n = self.n;
-        let neg_zero = |x: f64| x == 0.0 && x.is_sign_negative();
-        // Forward: Uᵀ w = b, counting the earlier entries of w whose
-        // sign bit is set.
+        let neg_zero = |x: f64| dense_zeros && x == 0.0 && x.is_sign_negative();
+        // Forward, counting the earlier entries of w whose sign bit is
+        // set.
         let mut w = vec![0.0; n];
         let mut negative = 0;
         for j in 0..n {
@@ -396,8 +372,8 @@ impl SparseLu {
             w[j] = acc / self.u_diag[j];
             negative += usize::from(w[j].is_sign_negative());
         }
-        // Backward: Lᵀ v = w by final row position, counting the later
-        // entries of v whose sign bit is set.
+        // Backward, counting the later entries of v whose sign bit is
+        // set.
         let mut negative = 0;
         for k in (0..n).rev() {
             let range = self.l_start[k]..self.l_start[k + 1];
@@ -424,7 +400,11 @@ impl SparseLu {
             w[k] = acc;
             negative += usize::from(acc.is_sign_negative());
         }
-        self.unpermute(&w)
+        let mut x = vec![0.0; n];
+        for (k, &r) in self.pivot_row.iter().enumerate() {
+            x[r] = w[k];
+        }
+        x
     }
 }
 
@@ -475,7 +455,7 @@ pub fn solve_transpose_cols(
 ) -> Result<Vec<f64>, LinalgError> {
     let lu = SparseLu::eliminate(n, cols, Pivoting::Dense)?;
     lu.check_rhs(b)?;
-    Ok(lu.solve_transpose_dense(b))
+    Ok(lu.transpose_sweeps(b, true))
 }
 
 #[cfg(test)]
