@@ -28,7 +28,7 @@
 //!
 //! ```json
 //! {
-//!   "commit": "49eb310…",              // `git rev-parse HEAD`, "-dirty" if the tree differs
+//!   "commit": "5d1c0e7…",              // `git rev-parse HEAD`, "-dirty" if the tree differs
 //!   "cores": 2,                        // available parallelism
 //!   "profile": "release",              // build profile of the probe
 //!   "unix_time": 1792194264,           // when the file was written
