@@ -17,8 +17,9 @@
 //! other worker count produce bit-identical outputs, which is what the
 //! determinism test-suite (`tests/determinism.rs`) pins forever.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Once};
 
 thread_local! {
     /// Set for the lifetime of a pool worker thread. Nested fan-out
@@ -27,6 +28,38 @@ thread_local! {
     /// this and degrades to serial execution instead of oversubscribing
     /// the machine with pools-inside-pools.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+
+    /// The cancellation flag of the [`WorkPool::run`] call this worker
+    /// thread belongs to, raised by the pool's panic hook.
+    static CANCEL_ON_PANIC: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
+}
+
+/// Installs, once per process, a panic hook that raises the panicking
+/// worker's [`CANCEL_ON_PANIC`] flag and then calls the hook installed
+/// before it. A panic hook runs on the panicking thread *before* the
+/// unwind reaches `catch_unwind`, and the default one can be slow (under
+/// `RUST_BACKTRACE=1` it resolves and prints a backtrace); raising the
+/// flag first keeps the other workers from claiming items meanwhile.
+/// A hook set after this one replaces it, and cancellation then waits
+/// for the unwind as before.
+fn install_cancel_hook() {
+    static INSTALL: Once = Once::new();
+    // `take_hook` panics on a panicking thread; such a caller simply
+    // runs without the early signal.
+    if std::thread::panicking() {
+        return;
+    }
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let _ = CANCEL_ON_PANIC.try_with(|flag| {
+                if let Some(flag) = flag.borrow().as_ref() {
+                    flag.store(true, Ordering::Release);
+                }
+            });
+            previous(info);
+        }));
+    });
 }
 
 /// A fixed-width pool of scoped worker threads (std-only, no
@@ -84,7 +117,10 @@ impl WorkPool {
     /// items claimed *after* the panic are bounded by the worker count
     /// (each surviving worker finishes at most the item it is already
     /// running plus one claimed in the race window), not by the queue
-    /// length.
+    /// length. The flag is raised from a panic hook the pool installs
+    /// once per process, ahead of the hook that was there before, so
+    /// the bound does not depend on how long that hook takes (under
+    /// `RUST_BACKTRACE=1` the default hook resolves a backtrace).
     pub fn run<R, F>(&self, n: usize, job: F) -> Vec<R>
     where
         R: Send,
@@ -93,8 +129,9 @@ impl WorkPool {
         if self.workers == 1 || n <= 1 {
             return (0..n).map(job).collect();
         }
+        install_cancel_hook();
         let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
+        let cancelled = Arc::new(AtomicBool::new(false));
         let threads = self.workers.min(n);
         let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
@@ -102,6 +139,7 @@ impl WorkPool {
                 .map(|_| {
                     scope.spawn(|| {
                         IN_POOL.with(|flag| flag.set(true));
+                        CANCEL_ON_PANIC.with(|flag| *flag.borrow_mut() = Some(cancelled.clone()));
                         let mut done: Vec<(usize, R)> = Vec::new();
                         while !cancelled.load(Ordering::Acquire) {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -435,6 +473,52 @@ mod tests {
         assert!(
             total < ITEMS / 2,
             "{total} of {ITEMS} items ran; the queue should not drain after a panic"
+        );
+    }
+
+    #[test]
+    fn cancellation_does_not_wait_for_the_panic_hook() {
+        // A hook stacked on top of the pool's sleeps 100 ms after the
+        // hooks below it return, on the panicking thread and before the
+        // unwind starts: a stand-in for a slow backtrace-printing hook.
+        // Survivors with 10 ms items must not keep claiming through it.
+        const MESSAGE: &str = "item 0 exploded under a slow hook";
+        install_cancel_hook();
+        type Hook = dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync;
+        let below: Arc<Hook> = Arc::from(std::panic::take_hook());
+        let inner = Arc::clone(&below);
+        std::panic::set_hook(Box::new(move |info| {
+            inner(info);
+            if info.payload().downcast_ref::<&str>() == Some(&MESSAGE) {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+        }));
+        const WORKERS: usize = 4;
+        const ITEMS: usize = 512;
+        let started = AtomicUsize::new(0);
+        let panicked_after = AtomicUsize::new(usize::MAX);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            WorkPool::new(WORKERS).run(ITEMS, |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    panicked_after.store(started.load(Ordering::SeqCst), Ordering::SeqCst);
+                    std::panic::panic_any(MESSAGE);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                i
+            })
+        }));
+        drop(std::panic::take_hook());
+        std::panic::set_hook(Box::new(move |info| below(info)));
+        assert!(result.is_err(), "the panic must reach the caller");
+        let at_panic = panicked_after.load(Ordering::SeqCst);
+        let total = started.load(Ordering::SeqCst);
+        assert_ne!(at_panic, usize::MAX, "item 0 must have run");
+        assert!(
+            total - at_panic <= WORKERS,
+            "{} items started while the panic hook ran (at_panic {at_panic}, total {total})",
+            total - at_panic
         );
     }
 
