@@ -7,9 +7,16 @@
 //! * backpressure refuses with `busy` + a retry hint, then recovers;
 //! * protocol v1 frames and the verbs v2 removed are refused by name;
 //! * `sweep_stream` on a pooled server keeps the requested order and
-//!   the serial bytes.
+//!   the serial bytes;
+//! * malformed `size` frames keep their exact error text, which wins
+//!   over draining and backpressure, and equivalent spellings of one
+//!   query (a partial config, reordered fields, whitespace) share one
+//!   warm context, with every cache and per-verb counter pinned.
 
-use socbuf_core::wire::{sizing_outcome_semantic_json, CampaignManifest, ChunkReport, JsonValue};
+use socbuf_core::wire::{
+    architecture_to_json, sizing_config_to_json, sizing_outcome_semantic_json, CampaignManifest,
+    ChunkReport, JsonValue,
+};
 use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_serve::{
     ChunkReply, Client, ClientConfig, ClientError, Health, Request, RetryPolicy, Server,
@@ -793,4 +800,337 @@ fn unix_socket_transport_serves_identically() {
 
     server.shutdown();
     assert!(!path.exists(), "shutdown must remove the socket file");
+}
+
+// ---------------------------------------------------------------------
+// Pinned frame handling: the exact reply text of malformed `size`
+// frames, their precedence over draining and backpressure, and the
+// cache and per-verb counters each frame moves.
+// ---------------------------------------------------------------------
+
+/// One `size` frame with its fields spelled exactly as given; `None`
+/// leaves the field out.
+fn size_frame(arch: Option<&str>, config: Option<&str>, budget: Option<&str>) -> String {
+    let mut out = String::from("{\"v\":2,\"req\":\"size\"");
+    for (key, value) in [("arch", arch), ("config", config), ("budget", budget)] {
+        if let Some(value) = value {
+            out.push_str(&format!(",\"{key}\":{value}"));
+        }
+    }
+    out.push('}');
+    out
+}
+
+/// The canonical figure1 architecture and `small()` config texts.
+fn canonical_texts() -> (String, String) {
+    (
+        architecture_to_json(&templates::figure1()),
+        sizing_config_to_json(&SizingConfig::small()),
+    )
+}
+
+/// The `size` frames whose arch, config or budget (or version) is
+/// malformed, each with its pinned error text. Every one is refused
+/// while decoding, so it counts under no verb and touches no cache
+/// counter.
+fn malformed_size_frames() -> Vec<(&'static str, String, &'static str)> {
+    let (a, c) = canonical_texts();
+    let negative_rate = a.replacen("\"service_rate\":", "\"service_rate\":-", 1);
+    vec![
+        (
+            "missing arch",
+            size_frame(None, Some(&c), Some("24")),
+            r#"{"v":2,"ok":false,"error":"schema error: request: missing field \"arch\""}"#,
+        ),
+        (
+            "missing config",
+            size_frame(Some(&a), None, Some("24")),
+            r#"{"v":2,"ok":false,"error":"schema error: request: missing field \"config\""}"#,
+        ),
+        (
+            "missing budget",
+            size_frame(Some(&a), Some(&c), None),
+            r#"{"v":2,"ok":false,"error":"schema error: request: missing field \"budget\""}"#,
+        ),
+        (
+            "arch without processors",
+            size_frame(Some("{\"buses\":[]}"), Some(&c), Some("24")),
+            r#"{"v":2,"ok":false,"error":"schema error: architecture: missing field \"processors\""}"#,
+        ),
+        (
+            "arch with a negative rate",
+            size_frame(Some(&negative_rate), Some(&c), Some("24")),
+            r#"{"v":2,"ok":false,"error":"schema error: architecture: rate of bus 'a' must be positive, got -1"}"#,
+        ),
+        (
+            "config with a string state_cap",
+            size_frame(Some(&a), Some("{\"state_cap\":\"eight\"}"), Some("24")),
+            r#"{"v":2,"ok":false,"error":"schema error: state_cap: expected a finite number, got a string"}"#,
+        ),
+        (
+            "config with an unknown field",
+            size_frame(Some(&a), Some("{\"cap\":8}"), Some("24")),
+            concat!(
+                r#"{"v":2,"ok":false,"error":"schema error: config: unknown field \"cap\" "#,
+                r#"(expected one of [\"state_cap\", \"effort_levels\", \"alpha\", "#,
+                r#"\"quantile\", \"bus_effort_limit\", \"engine\", \"equilibrate\"])"}"#
+            ),
+        ),
+        (
+            "fractional budget",
+            size_frame(Some(&a), Some(&c), Some("24.5")),
+            r#"{"v":2,"ok":false,"error":"schema error: budget: expected a non-negative integer, got 24.5"}"#,
+        ),
+        (
+            "wrong version",
+            size_frame(Some(&a), Some(&c), Some("24")).replacen("\"v\":2", "\"v\":3", 1),
+            r#"{"v":2,"ok":false,"error":"schema error: unsupported protocol version 3 (this server speaks 2)"}"#,
+        ),
+        (
+            "invalid arch and invalid budget",
+            size_frame(Some("{\"buses\":[]}"), Some(&c), Some("-1")),
+            r#"{"v":2,"ok":false,"error":"schema error: architecture: missing field \"processors\""}"#,
+        ),
+    ]
+}
+
+/// `size` frames that decode: the pipeline refuses the first two when
+/// it solves, the last two are answerable. Each counts as one `size`
+/// request.
+fn decodable_size_frames() -> Vec<(&'static str, String)> {
+    let (a, c) = canonical_texts();
+    vec![
+        ("budget 0", size_frame(Some(&a), Some(&c), Some("0"))),
+        (
+            "state_cap 1",
+            size_frame(Some(&a), Some("{\"state_cap\":1}"), Some("24")),
+        ),
+        ("canonical", size_frame(Some(&a), Some(&c), Some("24"))),
+        (
+            "partial config",
+            size_frame(
+                Some(&a),
+                Some("{\"state_cap\":8,\"effort_levels\":3}"),
+                Some("24"),
+            ),
+        ),
+    ]
+}
+
+/// Sends every malformed frame and checks its pinned reply.
+fn assert_malformed_replies(client: &mut Client, at: &str) {
+    for (name, frame, want) in malformed_size_frames() {
+        let reply = client.request_raw(&frame).unwrap();
+        assert_eq!(reply, want, "{at}: {name}");
+    }
+}
+
+#[test]
+fn malformed_size_frames_get_pinned_replies_and_move_no_counter() {
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    assert_malformed_replies(&mut client, "serving");
+    let h = client.health().unwrap();
+    assert_eq!((h.hits, h.misses, h.cache_entries), (0, 0, 0));
+    assert_eq!(h.requests.size, 0, "a refused frame counts under no verb");
+    assert_eq!(h.requests.health, 1);
+
+    // Frames that decode but fail in the pipeline count, miss, and
+    // leave their context cached for the next caller.
+    let frames = decodable_size_frames();
+    let budget_zero = client.request_raw(&frames[0].1).unwrap();
+    assert_eq!(
+        budget_zero,
+        r#"{"v":2,"ok":false,"error":"bad sizing config: budget must be positive"}"#
+    );
+    let bad_cap = client.request_raw(&frames[1].1).unwrap();
+    assert_eq!(
+        bad_cap,
+        r#"{"v":2,"ok":false,"error":"bad sizing config: state_cap must be ≥ 2"}"#
+    );
+    let h = client.health().unwrap();
+    assert_eq!((h.hits, h.misses, h.cache_entries), (0, 2, 2));
+    assert_eq!((h.requests.size, h.requests.health), (2, 2));
+
+    // The same refusals again: now warm hits, the same text.
+    assert_eq!(client.request_raw(&frames[0].1).unwrap(), budget_zero);
+    assert_eq!(client.request_raw(&frames[1].1).unwrap(), bad_cap);
+    let h = client.health().unwrap();
+    assert_eq!((h.hits, h.misses, h.cache_entries), (2, 2, 2));
+    assert_eq!((h.requests.size, h.requests.health), (4, 3));
+
+    // The context a budget-0 frame left behind answers warm.
+    let reply = client
+        .size(&templates::figure1(), &SizingConfig::small(), 24)
+        .unwrap();
+    assert!(reply.trace.warm);
+    assert_eq!(
+        reply.result_json,
+        expected(&templates::figure1(), 24, &SizingConfig::small())
+    );
+    let h = client.health().unwrap();
+    assert_eq!((h.hits, h.misses, h.cache_entries), (3, 2, 2));
+    assert_eq!((h.requests.size, h.requests.health), (5, 4));
+    server.shutdown();
+}
+
+#[test]
+fn malformed_size_frames_keep_their_replies_while_draining() {
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    // Warm the canonical key first, so a draining refusal is not a
+    // side effect of an empty cache.
+    client
+        .size(&templates::figure1(), &SizingConfig::small(), 24)
+        .unwrap();
+    client.drain().unwrap();
+    let before = client.health().unwrap();
+    assert_eq!((before.hits, before.misses), (0, 1));
+
+    // Decoding still settles first: a malformed frame keeps its own
+    // error rather than the drain's.
+    assert_malformed_replies(&mut client, "draining");
+    for (name, frame) in decodable_size_frames() {
+        let reply = client.request_raw(&frame).unwrap();
+        assert_eq!(
+            reply, r#"{"v":2,"ok":false,"error":"draining"}"#,
+            "draining: {name}"
+        );
+    }
+    let after = client.health().unwrap();
+    assert_eq!(
+        (after.hits, after.misses),
+        (0, 1),
+        "a refusal checks nothing out"
+    );
+    assert_eq!(after.requests.size, before.requests.size + 4);
+    assert_eq!(after.requests.health, before.requests.health + 1);
+    assert_eq!(after.requests.drain, 1);
+    server.shutdown();
+}
+
+#[test]
+fn malformed_size_frames_keep_their_replies_while_busy() {
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_inflight: 1,
+            retry_after_ms: 7,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.tcp_addr().unwrap();
+    let mut client = Client::connect_tcp(addr).unwrap();
+    client
+        .size(&templates::figure1(), &SizingConfig::small(), 24)
+        .unwrap();
+    // A heavy stream holds the only in-flight slot. The probes count
+    // only if it still holds the slot after the last one; otherwise
+    // the round is retried with a fresh stream.
+    for _round in 0..5 {
+        let sweeper = heavy_stream(addr);
+        let held = |client: &mut Client| client.health().unwrap();
+        let mut before = held(&mut client);
+        while before.inflight == 0 && !sweeper.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            before = held(&mut client);
+        }
+        let malformed: Vec<_> = malformed_size_frames()
+            .into_iter()
+            .map(|(name, frame, want)| (name, client.request_raw(&frame).unwrap(), want))
+            .collect();
+        let decodable: Vec<_> = decodable_size_frames()
+            .into_iter()
+            .map(|(name, frame)| (name, client.request_raw(&frame).unwrap()))
+            .collect();
+        let after = held(&mut client);
+        sweeper.join().unwrap().expect("the heavy stream completes");
+        if before.inflight != 1 || after.inflight != 1 {
+            continue;
+        }
+        for (name, reply, want) in malformed {
+            assert_eq!(reply, want, "busy: {name}");
+        }
+        for (name, reply) in decodable {
+            assert_eq!(
+                reply, r#"{"v":2,"ok":false,"error":"busy","retry_after_ms":7}"#,
+                "busy: {name}"
+            );
+        }
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        assert_eq!(after.requests.size, before.requests.size + 4);
+        assert_eq!(after.requests.health, before.requests.health + 1);
+        server.shutdown();
+        return;
+    }
+    panic!("the heavy stream never held the in-flight slot through a probe round");
+}
+
+#[test]
+fn equivalent_spellings_of_a_query_share_one_warm_context() {
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let arch = templates::figure1();
+    let config = SizingConfig::small();
+    let want = expected(&arch, 24, &config);
+    let (a, _) = canonical_texts();
+
+    let canonical = client.size(&arch, &config, 24).unwrap();
+    assert_eq!(canonical.result_json, want);
+    assert!(!canonical.trace.warm);
+    let h = client.health().unwrap();
+    assert_eq!((h.hits, h.misses, h.cache_entries), (0, 1, 1));
+    assert_eq!((h.requests.size, h.requests.health), (1, 1));
+
+    // Reordered top-level arch fields, and a bus object with its keys
+    // swapped: the same architecture, so the same warm context.
+    let reordered = match JsonValue::parse(&a).unwrap() {
+        JsonValue::Obj(mut fields) => {
+            fields.reverse();
+            JsonValue::Obj(fields).render()
+        }
+        other => panic!("architecture JSON is an object, got {other:?}"),
+    };
+    assert_ne!(reordered, a);
+    let spellings = [
+        (
+            "partial config",
+            size_frame(Some(&a), Some("{\"state_cap\":8,\"effort_levels\":3}"), Some("24")),
+        ),
+        (
+            "reordered arch",
+            size_frame(
+                Some(&reordered),
+                Some(&sizing_config_to_json(&config)),
+                Some("24"),
+            ),
+        ),
+        (
+            "padded frame",
+            format!(
+                "{{ \"v\" : 2 , \"req\" : \"size\" , \"arch\" : {a} , \"config\" : {{ }} , \"budget\" : 24 }}"
+            )
+            .replace("\"config\" : { }", "\"config\" : {\"state_cap\": 8, \"effort_levels\": 3}"),
+        ),
+    ];
+    for (step, (name, frame)) in spellings.iter().enumerate() {
+        let reply = client.request_raw(frame).unwrap();
+        match socbuf_serve::Response::parse(&reply).unwrap() {
+            socbuf_serve::Response::Size { result, trace } => {
+                assert_eq!(result, want, "{name}: answered different bytes");
+                assert!(trace.warm, "{name}: must hit the warm context");
+            }
+            other => panic!("{name}: expected a size reply, got {other:?}"),
+        }
+        let h = client.health().unwrap();
+        let hits = step as u64 + 1;
+        assert_eq!((h.hits, h.misses, h.cache_entries), (hits, 1, 1), "{name}");
+        assert_eq!(
+            (h.requests.size, h.requests.health),
+            (hits + 1, hits + 1),
+            "{name}"
+        );
+    }
+    server.shutdown();
 }
