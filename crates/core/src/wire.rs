@@ -33,6 +33,7 @@
 //! fractional, or beyond 2⁵³ (where `f64` stops being exact).
 
 use std::fmt::Write as _;
+use std::ops::Range;
 
 use socbuf_lp::{ChunkPolicy, LpEngine, ScalingStats};
 use socbuf_soc::templates::RandomArchParams;
@@ -165,17 +166,7 @@ impl JsonValue {
     ///
     /// [`WireError::Parse`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<JsonValue, WireError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
-        Ok(v)
+        Parser::new(text, false).document().map(|(v, _)| v)
     }
 
     /// Appends this value in canonical form (no whitespace, floats via
@@ -379,6 +370,55 @@ fn reject_unknown(v: &JsonValue, parent: &str, allowed: &[&str]) -> Result<(), W
     Ok(())
 }
 
+/// A JSON document parsed once, with the byte span of each top-level
+/// field's value in the source text.
+///
+/// A protocol frame is an object whose fields are whole payloads (an
+/// architecture, a config, an outcome). The spans let a reader key on a
+/// payload's own bytes, or copy them out, instead of rendering its
+/// subtree again; the tree serves every decode. The value is exactly
+/// what [`JsonValue::parse`] returns for the same text.
+#[derive(Debug)]
+pub struct JsonDocument<'t> {
+    text: &'t str,
+    value: JsonValue,
+    /// Byte range of each top-level field's value, in field order
+    /// (empty unless the document is an object).
+    spans: Vec<Range<usize>>,
+}
+
+impl<'t> JsonDocument<'t> {
+    /// Parses `text` as one JSON document, recording the spans.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`JsonValue::parse`].
+    pub fn parse(text: &'t str) -> Result<JsonDocument<'t>, WireError> {
+        let (value, spans) = Parser::new(text, true).document()?;
+        Ok(JsonDocument { text, value, spans })
+    }
+
+    /// The parsed document.
+    pub fn value(&self) -> &JsonValue {
+        &self.value
+    }
+
+    /// Looks up a top-level field (see [`JsonValue::get`]).
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        self.value.get(key)
+    }
+
+    /// The source text of a top-level field's value, byte for byte as
+    /// it arrived (`None` for a missing key or a non-object document).
+    pub fn raw(&self, key: &str) -> Option<&'t str> {
+        let JsonValue::Obj(fields) = &self.value else {
+            return None;
+        };
+        let i = fields.iter().position(|(k, _)| k == key)?;
+        Some(&self.text[self.spans[i].clone()])
+    }
+}
+
 // ---------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------
@@ -386,9 +426,31 @@ fn reject_unknown(v: &JsonValue, parent: &str, allowed: &[&str]) -> Result<(), W
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Value spans of the top-level object's fields, when recorded.
+    spans: Option<Vec<Range<usize>>>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, spans: bool) -> Parser<'a> {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            spans: spans.then(Vec::new),
+        }
+    }
+
+    /// The whole input as one document (trailing non-whitespace is an
+    /// error), with the recorded spans.
+    fn document(mut self) -> Result<(JsonValue, Vec<Range<usize>>), WireError> {
+        self.skip_ws();
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after the document"));
+        }
+        Ok((v, self.spans.unwrap_or_default()))
+    }
+
     fn err(&self, message: impl Into<String>) -> WireError {
         WireError::Parse {
             offset: self.pos,
@@ -478,7 +540,13 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
+            let start = self.pos;
             let value = self.value(depth + 1)?;
+            if depth == 0 {
+                if let Some(spans) = &mut self.spans {
+                    spans.push(start..self.pos);
+                }
+            }
             if fields.iter().any(|(k, _)| *k == key) {
                 return Err(self.err(format!("duplicate key \"{key}\"")));
             }
@@ -585,10 +653,11 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<JsonValue, WireError> {
         let start = self.pos;
-        // Scan the JSON number charset; `f64::from_str` then validates.
-        // "NaN"/"inf" never reach this branch (they don't start with a
-        // digit or '-' followed by digits), so non-finite spellings are
-        // rejected at the grammar level.
+        // Scan the JSON number charset, then hold the run to the RFC 8259
+        // grammar before `f64::from_str` converts it: `from_str` alone
+        // also takes `01`, `1.`, `-.5` and `1.e5`. "NaN"/"inf" never
+        // reach this branch (they don't start with a digit or '-'), so
+        // non-finite spellings are rejected at the grammar level.
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
                 self.pos += 1;
@@ -596,13 +665,49 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let run = &self.bytes[start..self.pos];
+        let text = std::str::from_utf8(run).expect("ascii");
+        let invalid = || self.err(format!("invalid number \"{text}\""));
+        if !is_json_number(run) {
+            return Err(invalid());
+        }
         match text.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
             Ok(_) => Err(self.err("number overflows f64")),
-            Err(_) => Err(self.err(format!("invalid number \"{text}\""))),
+            Err(_) => Err(invalid()),
         }
     }
+}
+
+/// Whether `run` spells a number in the RFC 8259 grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(run: &[u8]) -> bool {
+    let digits = |i: usize| run[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(run.first() == Some(&b'-'));
+    match run.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i += digits(i),
+        _ => return false,
+    }
+    if run.get(i) == Some(&b'.') {
+        let n = digits(i + 1);
+        if n == 0 {
+            return false;
+        }
+        i += 1 + n;
+    }
+    if matches!(run.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(run.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let n = digits(i);
+        if n == 0 {
+            return false;
+        }
+        i += n;
+    }
+    i == run.len()
 }
 
 // ---------------------------------------------------------------------
@@ -2012,6 +2117,86 @@ mod tests {
         // Depth bomb exhausts the counter, not the stack.
         let bomb = "[".repeat(100_000);
         assert!(JsonValue::parse(&bomb).is_err());
+    }
+
+    #[test]
+    fn parser_holds_numbers_to_the_json_grammar() {
+        // Spellings `f64::from_str` takes but RFC 8259 forbids: each is
+        // refused as an invalid number at the end of its run.
+        for (bad, offset, run) in [
+            ("01", 2, "01"),
+            ("1.", 2, "1."),
+            ("-.5", 3, "-.5"),
+            ("1.e5", 4, "1.e5"),
+            ("00.5", 4, "00.5"),
+            ("-01.0", 5, "-01.0"),
+            ("[1,-01]", 6, "-01"),
+            ("{\"a\":2.}", 7, "2."),
+            ("1e", 2, "1e"),
+            ("1e+", 3, "1e+"),
+            ("-", 1, "-"),
+            ("1.5.2", 5, "1.5.2"),
+            ("1e5e5", 5, "1e5e5"),
+            ("2-1", 3, "2-1"),
+        ] {
+            assert_eq!(
+                JsonValue::parse(bad),
+                Err(WireError::Parse {
+                    offset,
+                    message: format!("invalid number \"{run}\""),
+                }),
+                "{bad:?}"
+            );
+        }
+        for (good, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.25", -0.25),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("2.5e-3", 2.5e-3),
+            ("-10.75E2", -1075.0),
+        ] {
+            assert_eq!(
+                JsonValue::parse(good),
+                Ok(JsonValue::Num(value)),
+                "{good:?}"
+            );
+        }
+        assert_eq!(
+            JsonValue::parse("1e999"),
+            Err(WireError::Parse {
+                offset: 5,
+                message: "number overflows f64".into(),
+            })
+        );
+    }
+
+    #[test]
+    fn documents_record_the_span_of_each_top_level_value() {
+        let text = r#" { "a" : [1, {"x": 2}] ,"b":"s\"q" , "c" :{ "d" : null } } "#;
+        let doc = JsonDocument::parse(text).unwrap();
+        assert_eq!(doc.value(), &JsonValue::parse(text).unwrap());
+        assert_eq!(doc.raw("a"), Some(r#"[1, {"x": 2}]"#));
+        assert_eq!(doc.raw("b"), Some(r#""s\"q""#));
+        assert_eq!(doc.raw("c"), Some(r#"{ "d" : null }"#));
+        assert_eq!(doc.raw("d"), None, "nested keys have no span");
+        assert_eq!(doc.get("b").unwrap().str("b").unwrap(), "s\"q");
+        // Non-object documents parse, with no spans to read.
+        let arr = JsonDocument::parse("[1,2]").unwrap();
+        assert_eq!(arr.raw("a"), None);
+        assert_eq!(arr.value().arr("arr").unwrap().len(), 2);
+        // Failures are exactly the tree parser's.
+        for bad in ["{\"a\":1,\"a\":2}", "{\"a\":01}", "{\"a\":1} x", ""] {
+            assert_eq!(
+                JsonDocument::parse(bad).unwrap_err(),
+                JsonValue::parse(bad).unwrap_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
