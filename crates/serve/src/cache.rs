@@ -10,6 +10,34 @@
 //! never serve the wrong context (correctness is never traded for
 //! memory; capacity bounds it instead).
 //!
+//! # Two lookups, one count
+//!
+//! The server looks a `size` request up under at most two keys, and
+//! counts exactly one hit or miss for it:
+//!
+//! 1. The **raw key**: the request's `arch` bytes, `'\n'`, its `config`
+//!    bytes, exactly as they arrived. [`ContextCache::contains`] peeks
+//!    at it without counting. A raw hit solves on that context without
+//!    decoding the architecture or config and without rendering a key.
+//! 2. On a raw miss, the request is decoded from the frame's tree and
+//!    looked up under the canonical [`cache_key`] of what it decoded to.
+//!    A partial config (`{"state_cap":16}`), reordered fields or extra
+//!    whitespace land here, and still hit a context a canonical request
+//!    left behind.
+//!
+//! Only the lookup the request solves on, [`ContextCache::checkout`],
+//! counts.
+//!
+//! A raw hit is exact. Contexts are only ever checked in under the
+//! canonical key of a decoded architecture and config, so a raw key
+//! that matches one spells both canonically. Canonical text decodes to
+//! a value that renders to the same text (the round-trip law
+//! `crates/core/tests/wire_round_trip.rs` pins), and decoding replays
+//! every builder input the text carries, so the request decodes to
+//! exactly the cached context's architecture and config. Canonical
+//! text has no raw newline, so the `'\n'` separator cannot make two
+//! different (arch, config) pairs spell the same key.
+//!
 //! # Checkout semantics
 //!
 //! A context is *removed* from the cache while a request solves on it
@@ -82,6 +110,13 @@ impl ContextCache {
             warm_pivots: AtomicU64::new(0),
             cold_pivots: AtomicU64::new(0),
         }
+    }
+
+    /// Whether a context is cached under `key`. Counts nothing and
+    /// leaves the LRU order alone.
+    pub fn contains(&self, key: &str) -> bool {
+        let entries = self.entries.lock().expect("cache lock poisoned");
+        entries.iter().any(|(k, _)| k == key)
     }
 
     /// Removes and returns the context for `key`, if cached. The caller

@@ -5,11 +5,11 @@
 //! in strict alternation (a `sweep_stream` request is answered by a
 //! sequence of frames). Replies carry both the typed decoding *and*
 //! the canonical JSON text of the semantic payload
-//! ([`SizeReply::result_json`], [`ChunkReply::report_json`]): because
-//! the server renders canonically and [`JsonValue`] re-renders
-//! canonically, that text is byte-for-byte what the server computed —
+//! ([`SizeReply::result_json`], [`ChunkReply::report_json`]). Each reply
+//! frame is parsed once: the text is the payload's own bytes, copied
+//! out of the frame, so it is byte-for-byte what the server computed —
 //! which is what the byte-parity checks compare against the direct
-//! pipeline.
+//! pipeline — and the typed value is decoded from the same tree.
 
 use std::io;
 use std::net::TcpStream;
@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use socbuf_core::wire::{
-    sizing_outcome_from_json, CampaignManifest, ChunkReport, JsonValue, WireError,
+    sizing_outcome_from_json, CampaignManifest, ChunkReport, JsonDocument, WireError,
 };
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
@@ -308,17 +308,7 @@ impl Client {
 
     fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         let reply = self.request_raw(&req.to_json())?;
-        match Response::parse(&reply)? {
-            Response::Busy { retry_after_ms } => Err(ClientError::Remote {
-                message: "busy".into(),
-                retry_after_ms: Some(retry_after_ms),
-            }),
-            Response::Error { message } => Err(ClientError::Remote {
-                message,
-                retry_after_ms: None,
-            }),
-            ok => Ok(ok),
-        }
+        succeeded(Response::parse(&reply)?)
     }
 
     /// Solves one sizing problem on the server.
@@ -332,20 +322,17 @@ impl Client {
         config: &SizingConfig,
         budget: usize,
     ) -> Result<SizeReply, ClientError> {
-        let req = Request::Size {
-            arch: arch.clone(),
-            config: config.clone(),
-            budget,
-        };
-        match self.request(&req)? {
-            Response::Size { result, trace } => {
-                let outcome = sizing_outcome_from_json(&JsonValue::parse(&result)?, arch)?;
-                Ok(SizeReply {
-                    result_json: result,
-                    outcome,
-                    trace,
-                })
-            }
+        let reply = self.request_raw(&Request::size_json(arch, config, budget))?;
+        let doc = JsonDocument::parse(&reply)?;
+        match (
+            succeeded(Response::from_document(&doc)?)?,
+            doc.get("result"),
+        ) {
+            (Response::Size { result, trace }, Some(tree)) => Ok(SizeReply {
+                outcome: sizing_outcome_from_json(tree, arch)?,
+                result_json: result,
+                trace,
+            }),
             _ => Err(unexpected("size")),
         }
     }
@@ -403,18 +390,18 @@ impl Client {
         chunks: Option<&[usize]>,
         mut on_chunk: impl FnMut(ChunkReply) -> Result<(), ClientError>,
     ) -> Result<StreamEndReply, ClientError> {
-        let req = Request::SweepStream {
-            manifest: manifest.clone(),
-            chunks: chunks.map(<[usize]>::to_vec),
-        };
-        self.write_request(&req.to_json())?;
+        self.write_request(&Request::sweep_stream_json(manifest, chunks))?;
         let mut frames = 0u64;
         let mut points = 0u64;
         loop {
             let reply = self.read_reply()?;
-            match Response::parse(&reply)? {
+            let doc = JsonDocument::parse(&reply)?;
+            match succeeded(Response::from_document(&doc)?)? {
                 Response::Chunk { report, trace } => {
-                    let decoded = ChunkReport::from_json(&JsonValue::parse(&report)?)?;
+                    let tree = doc
+                        .get("chunk_report")
+                        .ok_or_else(|| unexpected("sweep_stream"))?;
+                    let decoded = ChunkReport::from_json(tree)?;
                     frames += 1;
                     points += decoded.points.len() as u64;
                     on_chunk(ChunkReply {
@@ -445,18 +432,6 @@ impl Client {
                         config_hash,
                         frames,
                         points,
-                    });
-                }
-                Response::Busy { retry_after_ms } => {
-                    return Err(ClientError::Remote {
-                        message: "busy".into(),
-                        retry_after_ms: Some(retry_after_ms),
-                    });
-                }
-                Response::Error { message } => {
-                    return Err(ClientError::Remote {
-                        message,
-                        retry_after_ms: None,
                     });
                 }
                 _ => return Err(unexpected("sweep_stream")),
@@ -492,6 +467,22 @@ impl Client {
                 other => return other,
             }
         }
+    }
+}
+
+/// A decoded reply, with the server's failure responses (`busy` and
+/// any error) turned into [`ClientError::Remote`].
+fn succeeded(response: Response) -> Result<Response, ClientError> {
+    match response {
+        Response::Busy { retry_after_ms } => Err(ClientError::Remote {
+            message: "busy".into(),
+            retry_after_ms: Some(retry_after_ms),
+        }),
+        Response::Error { message } => Err(ClientError::Remote {
+            message,
+            retry_after_ms: None,
+        }),
+        ok => Ok(ok),
     }
 }
 

@@ -38,6 +38,14 @@
 //! a budget sweep, a frontier, one shard's share of a fleet — is a
 //! manifest streamed with `sweep_stream`.
 //!
+//! A server parses each request frame once, into a [`RequestFrame`]
+//! that keeps the tree and the byte span of each top-level field. For
+//! `size` it first looks its warm cache up under the raw `arch` and
+//! `config` bytes, and decodes them from the tree only when that misses
+//! (see [`crate::cache`]). Either way a malformed frame gets the same
+//! error a full decode reports, checked in the order `arch`, `config`,
+//! `budget`, before the server considers draining or backpressure.
+//!
 //! Protocol v1 also had `sweep`, `frontier`, `sweep_chunk`,
 //! `snapshot_export` and `snapshot_import`. Each was a special case of
 //! `sweep_stream` or existed only to move warm bases between shards;
@@ -88,7 +96,7 @@ use std::io::{self, Read, Write};
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, config_hash_from_hex, config_hash_to_hex,
     push_f64, push_str, push_usize, sizing_config_from_json, sizing_config_to_json,
-    sizing_outcome_semantic_json, CampaignManifest, JsonValue, WireError,
+    sizing_outcome_semantic_json, CampaignManifest, JsonDocument, JsonValue, WireError,
 };
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
@@ -329,38 +337,58 @@ pub enum Request {
 impl Request {
     /// Renders this request as canonical protocol JSON.
     pub fn to_json(&self) -> String {
-        let mut out = open_frame();
-        out.push_str("\"req\":");
         match self {
             Request::Size {
                 arch,
                 config,
                 budget,
-            } => {
-                out.push_str("\"size\",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(config));
-                out.push_str(",\"budget\":");
-                push_usize(&mut out, *budget);
-            }
+            } => Request::size_json(arch, config, *budget),
             Request::SweepStream { manifest, chunks } => {
-                out.push_str("\"sweep_stream\",\"manifest\":");
-                out.push_str(&manifest.to_json());
-                if let Some(chunks) = chunks {
-                    out.push_str(",\"chunks\":[");
-                    for (i, c) in chunks.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_usize(&mut out, *c);
-                    }
-                    out.push(']');
-                }
+                Request::sweep_stream_json(manifest, chunks.as_deref())
             }
-            Request::Health => out.push_str("\"health\""),
-            Request::Drain => out.push_str("\"drain\""),
+            Request::Health => Request::verb_json("health"),
+            Request::Drain => Request::verb_json("drain"),
         }
+    }
+
+    /// The canonical `size` request for borrowed values: the bytes
+    /// [`Request::to_json`] renders for the same owned request.
+    pub fn size_json(arch: &Architecture, config: &SizingConfig, budget: usize) -> String {
+        let mut out = open_frame();
+        out.push_str("\"req\":\"size\",\"arch\":");
+        out.push_str(&architecture_to_json(arch));
+        out.push_str(",\"config\":");
+        out.push_str(&sizing_config_to_json(config));
+        out.push_str(",\"budget\":");
+        push_usize(&mut out, budget);
+        out.push('}');
+        out
+    }
+
+    /// The canonical `sweep_stream` request for borrowed values: the
+    /// bytes [`Request::to_json`] renders for the same owned request.
+    pub fn sweep_stream_json(manifest: &CampaignManifest, chunks: Option<&[usize]>) -> String {
+        let mut out = open_frame();
+        out.push_str("\"req\":\"sweep_stream\",\"manifest\":");
+        out.push_str(&manifest.to_json());
+        if let Some(chunks) = chunks {
+            out.push_str(",\"chunks\":[");
+            for (i, c) in chunks.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_usize(&mut out, *c);
+            }
+            out.push(']');
+        }
+        out.push('}');
+        out
+    }
+
+    fn verb_json(verb: &str) -> String {
+        let mut out = open_frame();
+        out.push_str("\"req\":");
+        push_str(&mut out, verb);
         out.push('}');
         out
     }
@@ -373,8 +401,48 @@ impl Request {
     /// removed in protocol v2 (named, with what replaces it), an
     /// unknown `req`, or payload schema violations.
     pub fn parse(text: &str) -> Result<Request, WireError> {
-        let v = JsonValue::parse(text)?;
-        let version = v
+        RequestFrame::parse(text)?.decode()
+    }
+}
+
+/// A request verb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// `size`.
+    Size,
+    /// `sweep_stream`.
+    SweepStream,
+    /// `health`.
+    Health,
+    /// `drain`.
+    Drain,
+}
+
+/// A request frame parsed once: its version and verb are checked, and
+/// its tree and the byte spans of its top-level fields are kept for
+/// whatever decoding the server then needs.
+///
+/// A `size` frame's `arch` and `config` stay undecoded until asked
+/// for: the server first looks its warm cache up under their raw bytes
+/// ([`RequestFrame::raw_size_key`]) and decodes them
+/// ([`RequestFrame::size_problem`]) only when that lookup misses.
+#[derive(Debug)]
+pub struct RequestFrame<'t> {
+    doc: JsonDocument<'t>,
+    verb: Verb,
+}
+
+impl<'t> RequestFrame<'t> {
+    /// Parses a request frame and checks its version and verb.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] for malformed JSON, an unsupported version, a verb
+    /// removed in protocol v2 (named, with what replaces it), or an
+    /// unknown `req`.
+    pub fn parse(text: &'t str) -> Result<RequestFrame<'t>, WireError> {
+        let doc = JsonDocument::parse(text)?;
+        let version = doc
             .get("v")
             .ok_or_else(|| WireError::Schema("request: missing field \"v\"".into()))?
             .u64("v")?;
@@ -383,35 +451,54 @@ impl Request {
                 "unsupported protocol version {version} (this server speaks {PROTOCOL_VERSION})"
             )));
         }
-        let req = v
+        let verb = match doc
             .get("req")
             .ok_or_else(|| WireError::Schema("request: missing field \"req\"".into()))?
-            .str("req")?;
-        match req {
-            "size" => {
-                let arch =
-                    architecture_from_json(v.get("arch").ok_or_else(|| {
-                        WireError::Schema("request: missing field \"arch\"".into())
-                    })?)?;
-                let config = sizing_config_from_json(v.get("config").ok_or_else(|| {
-                    WireError::Schema("request: missing field \"config\"".into())
-                })?)?;
-                let budget = v
-                    .get("budget")
-                    .ok_or_else(|| WireError::Schema("request: missing field \"budget\"".into()))?
-                    .usize("budget")?;
+            .str("req")?
+        {
+            "size" => Verb::Size,
+            "sweep_stream" => Verb::SweepStream,
+            "health" => Verb::Health,
+            "drain" => Verb::Drain,
+            other => {
+                return Err(WireError::Schema(
+                    match REMOVED_VERBS.iter().find(|(verb, _)| *verb == other) {
+                        Some((verb, hint)) => {
+                            format!("verb \"{verb}\" was removed in protocol v2; {hint}")
+                        }
+                        None => format!("unknown request kind \"{other}\""),
+                    },
+                ))
+            }
+        };
+        Ok(RequestFrame { doc, verb })
+    }
+
+    /// The frame's verb.
+    pub fn verb(&self) -> Verb {
+        self.verb
+    }
+
+    /// Decodes the whole request.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] for payload schema violations, checked field by
+    /// field in the order `arch`, `config`, `budget` (for `size`) and
+    /// `manifest`, `chunks` (for `sweep_stream`).
+    pub fn decode(&self) -> Result<Request, WireError> {
+        match self.verb {
+            Verb::Size => {
+                let (arch, config) = self.size_problem()?;
                 Ok(Request::Size {
                     arch,
                     config,
-                    budget,
+                    budget: self.size_budget()?,
                 })
             }
-            "sweep_stream" => {
-                let manifest =
-                    CampaignManifest::from_json(v.get("manifest").ok_or_else(|| {
-                        WireError::Schema("request: missing field \"manifest\"".into())
-                    })?)?;
-                let chunks = match v.get("chunks") {
+            Verb::SweepStream => {
+                let manifest = CampaignManifest::from_json(self.field("manifest")?)?;
+                let chunks = match self.doc.get("chunks") {
                     None => None,
                     Some(list) => Some(
                         list.arr("chunks")?
@@ -422,17 +509,49 @@ impl Request {
                 };
                 Ok(Request::SweepStream { manifest, chunks })
             }
-            "health" => Ok(Request::Health),
-            "drain" => Ok(Request::Drain),
-            other => Err(WireError::Schema(
-                match REMOVED_VERBS.iter().find(|(verb, _)| *verb == other) {
-                    Some((verb, hint)) => {
-                        format!("verb \"{verb}\" was removed in protocol v2; {hint}")
-                    }
-                    None => format!("unknown request kind \"{other}\""),
-                },
-            )),
+            Verb::Health => Ok(Request::Health),
+            Verb::Drain => Ok(Request::Drain),
         }
+    }
+
+    /// A `size` frame's raw cache key: the `arch` value's bytes, `'\n'`,
+    /// then the `config` value's bytes, exactly as they arrived. `None`
+    /// when either field is missing. When the frame spells both
+    /// canonically this is [`crate::cache_key`] of what they decode to.
+    pub fn raw_size_key(&self) -> Option<String> {
+        let arch = self.doc.raw("arch")?;
+        let config = self.doc.raw("config")?;
+        let mut key = String::with_capacity(arch.len() + 1 + config.len());
+        key.push_str(arch);
+        key.push('\n');
+        key.push_str(config);
+        Some(key)
+    }
+
+    /// Decodes a `size` frame's architecture, then its config.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] for the first missing or invalid one of the two.
+    pub fn size_problem(&self) -> Result<(Architecture, SizingConfig), WireError> {
+        let arch = architecture_from_json(self.field("arch")?)?;
+        let config = sizing_config_from_json(self.field("config")?)?;
+        Ok((arch, config))
+    }
+
+    /// Decodes a `size` frame's budget.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] when it is missing or not a non-negative integer.
+    pub fn size_budget(&self) -> Result<usize, WireError> {
+        self.field("budget")?.usize("budget")
+    }
+
+    fn field(&self, key: &str) -> Result<&JsonValue, WireError> {
+        self.doc
+            .get(key)
+            .ok_or_else(|| WireError::Schema(format!("request: missing field \"{key}\"")))
     }
 }
 
@@ -818,7 +937,19 @@ impl Response {
     /// [`WireError`] for malformed JSON, a version mismatch, or a shape
     /// that matches no response kind.
     pub fn parse(text: &str) -> Result<Response, WireError> {
-        let v = JsonValue::parse(text)?;
+        Response::from_document(&JsonDocument::parse(text)?)
+    }
+
+    /// Decodes a parsed response frame (see [`Response::parse`]). A
+    /// caller that goes on to decode the `result` or `chunk_report`
+    /// payload does so from the same `doc`, so no frame is parsed
+    /// twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`Response::parse`], after the JSON itself parsed.
+    pub fn from_document(doc: &JsonDocument) -> Result<Response, WireError> {
+        let v = doc.value();
         let version = v
             .get("v")
             .ok_or_else(|| WireError::Schema("response: missing field \"v\"".into()))?
@@ -845,24 +976,26 @@ impl Response {
                 None => Response::Error { message },
             });
         }
-        let trace = |v: &JsonValue| -> Result<Trace, WireError> {
+        let trace = || -> Result<Trace, WireError> {
             Trace::from_json(
                 v.get("trace")
                     .ok_or_else(|| WireError::Schema("response: missing field \"trace\"".into()))?,
             )
         };
-        if let Some(result) = v.get("result") {
+        // The payload text is the frame's own bytes for that field,
+        // copied out of its span: the server renders canonically, so
+        // this is byte for byte what it computed, with no subtree
+        // rendered again.
+        if let Some(result) = doc.raw("result") {
             return Ok(Response::Size {
-                // Re-render canonically: the server sent canonical text,
-                // so this reproduces its bytes exactly.
-                result: result.render(),
-                trace: trace(&v)?,
+                result: result.to_string(),
+                trace: trace()?,
             });
         }
-        if let Some(r) = v.get("chunk_report") {
+        if let Some(report) = doc.raw("chunk_report") {
             return Ok(Response::Chunk {
-                report: r.render(),
-                trace: trace(&v)?,
+                report: report.to_string(),
+                trace: trace()?,
             });
         }
         if let Some(s) = v.get("stream_end") {
@@ -961,6 +1094,67 @@ mod tests {
             let back = Request::parse(&json).expect("round-trip parse");
             assert_eq!(back.to_json(), json, "canonical re-render must be stable");
         }
+    }
+
+    #[test]
+    fn borrowed_writers_render_the_owned_requests_bytes() {
+        let arch = templates::amba();
+        let config = SizingConfig::small();
+        let manifest = CampaignManifest::new(
+            socbuf_core::wire::ManifestShape::Budget {
+                arch: arch.clone(),
+                budgets: vec![8, 16, 24],
+                warm_start: true,
+            },
+            config.clone(),
+        )
+        .unwrap();
+        let owned = Request::Size {
+            arch: arch.clone(),
+            config: config.clone(),
+            budget: 24,
+        };
+        assert_eq!(Request::size_json(&arch, &config, 24), owned.to_json());
+        for chunks in [None, Some(vec![1, 0])] {
+            let owned = Request::SweepStream {
+                manifest: manifest.clone(),
+                chunks: chunks.clone(),
+            };
+            assert_eq!(
+                Request::sweep_stream_json(&manifest, chunks.as_deref()),
+                owned.to_json()
+            );
+        }
+    }
+
+    #[test]
+    fn a_canonical_size_frame_spells_its_own_cache_key() {
+        let text = Request::size_json(&templates::figure1(), &SizingConfig::small(), 24);
+        let frame = RequestFrame::parse(&text).unwrap();
+        assert_eq!(frame.verb(), Verb::Size);
+        let (arch, config) = frame.size_problem().unwrap();
+        assert_eq!(frame.size_budget().unwrap(), 24);
+        let key = crate::cache_key(&arch, &config);
+        assert_eq!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+
+        // Whitespace between fields leaves the values' spans, and so the
+        // raw key, alone; a partial config spells another raw key and
+        // decodes to the same canonical one.
+        let padded = text.replace(",\"config\":", " , \"config\" :\t");
+        let frame = RequestFrame::parse(&padded).unwrap();
+        assert_eq!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+        let partial = text.replace(
+            &sizing_config_to_json(&SizingConfig::small()),
+            "{\"effort_levels\":3,\"state_cap\":8}",
+        );
+        let frame = RequestFrame::parse(&partial).unwrap();
+        assert_ne!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+        let (arch, config) = frame.size_problem().unwrap();
+        assert_eq!(crate::cache_key(&arch, &config), key);
+
+        // A frame missing either field has no raw key.
+        let frame = RequestFrame::parse("{\"v\":2,\"req\":\"size\",\"config\":{}}").unwrap();
+        assert_eq!(frame.raw_size_key(), None);
     }
 
     #[test]

@@ -51,13 +51,15 @@ use std::time::{Duration, Instant};
 
 use std::sync::atomic::AtomicU64;
 
-use socbuf_core::wire::CampaignManifest;
-use socbuf_core::{ExecutorHandle, SolveContext};
+use socbuf_core::wire::{CampaignManifest, WireError};
+use socbuf_core::{ExecutorHandle, SizingConfig, SolveContext};
+use socbuf_soc::Architecture;
 use socbuf_sweep::{chunk_report_json, plan_manifest, SweepError, WorkPool};
 
 use crate::cache::{cache_key, ContextCache};
 use crate::protocol::{
-    read_frame, write_frame, Health, Request, Response, StreamGauges, Trace, VerbCounts,
+    read_frame, write_frame, Health, Request, RequestFrame, Response, StreamGauges, Trace, Verb,
+    VerbCounts,
 };
 
 /// How often blocking reads wake up to poll the shutdown flag.
@@ -99,13 +101,13 @@ struct VerbCounters {
 }
 
 impl VerbCounters {
-    /// Counts one parsed request under its verb.
-    fn count(&self, request: &Request) {
-        let counter = match request {
-            Request::Size { .. } => &self.size,
-            Request::SweepStream { .. } => &self.sweep_stream,
-            Request::Health => &self.health,
-            Request::Drain => &self.drain,
+    /// Counts one decoded request under its verb.
+    fn count(&self, verb: Verb) {
+        let counter = match verb {
+            Verb::Size => &self.size,
+            Verb::SweepStream => &self.sweep_stream,
+            Verb::Health => &self.health,
+            Verb::Drain => &self.drain,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -465,101 +467,176 @@ enum Handled<'a> {
     },
 }
 
-/// Serves one request frame.
+/// Serves one request frame. The frame is parsed once; a `size` frame
+/// goes on to [`serve_size`], every other verb is decoded whole.
 fn handle_request<'a>(shared: &'a Shared, text: &str) -> Handled<'a> {
     let received = Instant::now();
     let reply = |r: Response| Handled::Reply(r.to_json());
-    let request = match Request::parse(text) {
-        Ok(r) => r,
-        Err(e) => {
-            return reply(Response::Error {
-                message: e.to_string(),
-            })
-        }
+    let refuse = |e: WireError| {
+        reply(Response::Error {
+            message: e.to_string(),
+        })
     };
-    shared.verbs.count(&request);
+    let frame = match RequestFrame::parse(text) {
+        Ok(f) => f,
+        Err(e) => return refuse(e),
+    };
+    if frame.verb() == Verb::Size {
+        return reply(serve_size(shared, &frame, received));
+    }
+    let request = match frame.decode() {
+        Ok(r) => r,
+        Err(e) => return refuse(e),
+    };
+    shared.verbs.count(frame.verb());
     match request {
         Request::Health => reply(Response::Health(shared.health())),
         Request::Drain => {
             shared.draining.store(true, Ordering::Release);
             reply(Response::Draining)
         }
-        solve_request => {
-            if shared.draining.load(Ordering::Acquire) {
-                return reply(Response::Error {
-                    message: "draining".into(),
-                });
-            }
-            // Backpressure: take an in-flight token or refuse outright.
-            let mut current = shared.inflight.load(Ordering::Relaxed);
-            loop {
-                if current >= shared.max_inflight {
-                    return reply(Response::Busy {
-                        retry_after_ms: shared.retry_after_ms,
-                    });
-                }
-                match shared.inflight.compare_exchange_weak(
-                    current,
-                    current + 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(now) => current = now,
-                }
-            }
-            let token = InflightToken(&shared.inflight);
-            match solve_request {
-                // The stream verb hands its work (and the token) back to
-                // the connection loop, which owns the socket for the
-                // multi-frame answer.
-                Request::SweepStream { manifest, chunks } => Handled::Stream {
-                    manifest: Box::new(manifest),
-                    chunks,
-                    received,
-                    token,
-                },
-                Request::Size {
-                    arch,
-                    config,
-                    budget,
-                } => {
-                    let _token = token;
-                    let key = cache_key(&arch, &config);
-                    let cached = shared.cache.checkout(&key);
-                    let warm = cached.is_some();
-                    let mut ctx = cached.unwrap_or_else(|| {
-                        let mut config = config.clone();
-                        config.executor = shared.executor.clone();
-                        SolveContext::new(&arch, &config)
-                    });
-                    let queue_wait_us = received.elapsed().as_micros() as u64;
-                    let solving = Instant::now();
-                    let solved = ctx.size_buffers(budget);
-                    let solve_us = solving.elapsed().as_micros() as u64;
-                    // The context stays warm across failed requests too
-                    // (a bad budget must not cost the next caller their
-                    // warm basis).
-                    shared.cache.checkin(key, ctx);
-                    reply(match solved {
-                        Ok(outcome) => {
-                            shared.cache.record_solve(warm, outcome.lp_iterations);
-                            let trace = Trace {
-                                warm,
-                                pivots: outcome.lp_iterations,
-                                queue_wait_us,
-                                solve_us,
-                            };
-                            Response::for_outcome(&outcome, trace)
-                        }
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
-                    })
-                }
-                Request::Health | Request::Drain => unreachable!("handled above"),
-            }
+        // The stream verb hands its work (and the token) back to the
+        // connection loop, which owns the socket for the multi-frame
+        // answer.
+        Request::SweepStream { manifest, chunks } => match admit(shared) {
+            Ok(token) => Handled::Stream {
+                manifest: Box::new(manifest),
+                chunks,
+                received,
+                token,
+            },
+            Err(refusal) => reply(*refusal),
+        },
+        Request::Size { .. } => unreachable!("size frames are served by serve_size"),
+    }
+}
+
+/// Admits one solve request: refuses it while draining, and with
+/// `busy` when every in-flight slot is taken. The token frees the slot
+/// on drop.
+fn admit(shared: &Shared) -> Result<InflightToken<'_>, Box<Response>> {
+    if shared.draining.load(Ordering::Acquire) {
+        return Err(Box::new(Response::Error {
+            message: "draining".into(),
+        }));
+    }
+    let mut current = shared.inflight.load(Ordering::Relaxed);
+    loop {
+        if current >= shared.max_inflight {
+            return Err(Box::new(Response::Busy {
+                retry_after_ms: shared.retry_after_ms,
+            }));
         }
+        match shared.inflight.compare_exchange_weak(
+            current,
+            current + 1,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return Ok(InflightToken(&shared.inflight)),
+            Err(now) => current = now,
+        }
+    }
+}
+
+/// A `size` frame's architecture and config, as far as serving it
+/// needed them decoded.
+enum Problem {
+    /// The raw `arch` and `config` bytes are a cached key: the frame
+    /// spells them canonically, so they decode to that context's own
+    /// architecture and config, and nothing was decoded.
+    Cached(String),
+    /// Decoded from the frame's tree: no context was cached under the
+    /// raw bytes.
+    Decoded(Box<(Architecture, SizingConfig)>),
+}
+
+/// Settles a `size` frame's validity with the errors, in the order, a
+/// full decode reports them: `arch`, `config`, then `budget`. Raw bytes
+/// that are a cached key are valid (contexts are only ever checked in
+/// under the canonical key of a decoded architecture and config, and
+/// canonical text decodes back to the same text), so they skip
+/// decoding.
+fn settle_size(shared: &Shared, frame: &RequestFrame) -> Result<(Problem, usize), WireError> {
+    let problem = match frame.raw_size_key() {
+        Some(key) if shared.cache.contains(&key) => Problem::Cached(key),
+        _ => Problem::Decoded(Box::new(frame.size_problem()?)),
+    };
+    Ok((problem, frame.size_budget()?))
+}
+
+/// Serves one `size` frame: settles it, counts it, admits it, then
+/// solves on a cached context when there is one.
+///
+/// The cache is looked up under one key per request, so each request
+/// counts exactly one hit or one miss: the raw key when the frame's
+/// bytes are cached, otherwise the canonical [`cache_key`] of what
+/// they decoded to, which is also where the context is checked in.
+/// A partial config or reordered fields therefore still hit the
+/// context a canonical request left behind.
+fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Response {
+    let refuse = |e: WireError| Response::Error {
+        message: e.to_string(),
+    };
+    let (problem, budget) = match settle_size(shared, frame) {
+        Ok(settled) => settled,
+        Err(e) => return refuse(e),
+    };
+    shared.verbs.count(Verb::Size);
+    let _token = match admit(shared) {
+        Ok(token) => token,
+        Err(refusal) => return *refusal,
+    };
+    let (key, cached, decoded) = match problem {
+        Problem::Cached(key) => {
+            let cached = shared.cache.checkout(&key);
+            (key, cached, None)
+        }
+        Problem::Decoded(problem) => {
+            let key = cache_key(&problem.0, &problem.1);
+            let cached = shared.cache.checkout(&key);
+            (key, cached, Some(*problem))
+        }
+    };
+    let warm = cached.is_some();
+    let mut ctx = match cached {
+        Some(ctx) => ctx,
+        None => {
+            // A raw key another request checked out since the lookup
+            // above decodes here, from the same tree.
+            let problem = match decoded {
+                Some(problem) => Ok(problem),
+                None => frame.size_problem(),
+            };
+            let (arch, mut config) = match problem {
+                Ok(problem) => problem,
+                Err(e) => return refuse(e),
+            };
+            config.executor = shared.executor.clone();
+            SolveContext::new(&arch, &config)
+        }
+    };
+    let queue_wait_us = received.elapsed().as_micros() as u64;
+    let solving = Instant::now();
+    let solved = ctx.size_buffers(budget);
+    let solve_us = solving.elapsed().as_micros() as u64;
+    // The context stays warm across failed requests too (a bad budget
+    // must not cost the next caller their warm basis).
+    shared.cache.checkin(key, ctx);
+    match solved {
+        Ok(outcome) => {
+            shared.cache.record_solve(warm, outcome.lp_iterations);
+            let trace = Trace {
+                warm,
+                pivots: outcome.lp_iterations,
+                queue_wait_us,
+                solve_us,
+            };
+            Response::for_outcome(&outcome, trace)
+        }
+        Err(e) => Response::Error {
+            message: e.to_string(),
+        },
     }
 }
 
