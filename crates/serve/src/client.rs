@@ -324,15 +324,15 @@ impl Client {
     ) -> Result<SizeReply, ClientError> {
         let reply = self.request_raw(&Request::size_json(arch, config, budget))?;
         let doc = JsonDocument::parse(&reply)?;
-        match (
-            succeeded(Response::from_document(&doc)?)?,
-            doc.get("result"),
-        ) {
-            (Response::Size { result, trace }, Some(tree)) => Ok(SizeReply {
-                outcome: sizing_outcome_from_json(tree, arch)?,
-                result_json: result,
-                trace,
-            }),
+        match succeeded(Response::from_document(&doc)?)? {
+            Response::Size { result, trace } => {
+                let tree = doc.get("result").ok_or_else(|| unexpected("size"))?;
+                Ok(SizeReply {
+                    outcome: sizing_outcome_from_json(tree, arch)?,
+                    result_json: result,
+                    trace,
+                })
+            }
             _ => Err(unexpected("size")),
         }
     }

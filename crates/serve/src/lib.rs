@@ -85,7 +85,6 @@ pub use client::{
     StreamEndReply, StreamMergeError,
 };
 pub use protocol::{
-    Health, Request, RequestFrame, Response, StreamGauges, Trace, Verb, VerbCounts,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    Health, Request, Response, StreamGauges, Trace, VerbCounts, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{shard_worker_main, Server, ServerConfig};

@@ -38,8 +38,8 @@
 //! a budget sweep, a frontier, one shard's share of a fleet — is a
 //! manifest streamed with `sweep_stream`.
 //!
-//! A server parses each request frame once, into a [`RequestFrame`]
-//! that keeps the tree and the byte span of each top-level field. For
+//! A server parses each request frame once and keeps the tree and the
+//! byte span of each top-level field. For
 //! `size` it first looks its warm cache up under the raw `arch` and
 //! `config` bytes, and decodes them from the tree only when that misses
 //! (see [`crate::cache`]). Either way a malformed frame gets the same
@@ -353,7 +353,7 @@ impl Request {
 
     /// The canonical `size` request for borrowed values: the bytes
     /// [`Request::to_json`] renders for the same owned request.
-    pub fn size_json(arch: &Architecture, config: &SizingConfig, budget: usize) -> String {
+    pub(crate) fn size_json(arch: &Architecture, config: &SizingConfig, budget: usize) -> String {
         let mut out = open_frame();
         out.push_str("\"req\":\"size\",\"arch\":");
         out.push_str(&architecture_to_json(arch));
@@ -367,7 +367,10 @@ impl Request {
 
     /// The canonical `sweep_stream` request for borrowed values: the
     /// bytes [`Request::to_json`] renders for the same owned request.
-    pub fn sweep_stream_json(manifest: &CampaignManifest, chunks: Option<&[usize]>) -> String {
+    pub(crate) fn sweep_stream_json(
+        manifest: &CampaignManifest,
+        chunks: Option<&[usize]>,
+    ) -> String {
         let mut out = open_frame();
         out.push_str("\"req\":\"sweep_stream\",\"manifest\":");
         out.push_str(&manifest.to_json());
@@ -407,7 +410,7 @@ impl Request {
 
 /// A request verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verb {
+pub(crate) enum Verb {
     /// `size`.
     Size,
     /// `sweep_stream`.
@@ -427,7 +430,7 @@ pub enum Verb {
 /// ([`RequestFrame::raw_size_key`]) and decodes them
 /// ([`RequestFrame::size_problem`]) only when that lookup misses.
 #[derive(Debug)]
-pub struct RequestFrame<'t> {
+pub(crate) struct RequestFrame<'t> {
     doc: JsonDocument<'t>,
     verb: Verb,
 }
@@ -948,7 +951,7 @@ impl Response {
     /// # Errors
     ///
     /// As [`Response::parse`], after the JSON itself parsed.
-    pub fn from_document(doc: &JsonDocument) -> Result<Response, WireError> {
+    pub(crate) fn from_document(doc: &JsonDocument) -> Result<Response, WireError> {
         let v = doc.value();
         let version = v
             .get("v")

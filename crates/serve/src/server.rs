@@ -539,47 +539,56 @@ fn admit(shared: &Shared) -> Result<InflightToken<'_>, Box<Response>> {
     }
 }
 
-/// A `size` frame's architecture and config, as far as serving it
-/// needed them decoded.
-enum Problem {
-    /// The raw `arch` and `config` bytes are a cached key: the frame
-    /// spells them canonically, so they decode to that context's own
-    /// architecture and config, and nothing was decoded.
-    Cached(String),
-    /// Decoded from the frame's tree: no context was cached under the
-    /// raw bytes.
-    Decoded(Box<(Architecture, SizingConfig)>),
+/// A `size` frame, settled: valid, with the key it solves under.
+struct SizeQuery {
+    /// The raw key when a context is cached under it, otherwise the
+    /// canonical [`cache_key`] of what the frame decoded to.
+    key: String,
+    /// The decoded architecture and config; `None` when the raw key was
+    /// cached and nothing was decoded.
+    decoded: Option<(Architecture, SizingConfig)>,
+    budget: usize,
 }
 
 /// Settles a `size` frame's validity with the errors, in the order, a
 /// full decode reports them: `arch`, `config`, then `budget`. Raw bytes
-/// that are a cached key are valid (contexts are only ever checked in
-/// under the canonical key of a decoded architecture and config, and
-/// canonical text decodes back to the same text), so they skip
-/// decoding.
-fn settle_size(shared: &Shared, frame: &RequestFrame) -> Result<(Problem, usize), WireError> {
-    let problem = match frame.raw_size_key() {
-        Some(key) if shared.cache.contains(&key) => Problem::Cached(key),
-        _ => Problem::Decoded(Box::new(frame.size_problem()?)),
+/// that are a cached key skip decoding: contexts are only ever checked
+/// in under the canonical key of a decoded architecture and config,
+/// and canonical text decodes back to the same text, so they are valid
+/// and mean exactly that context's architecture and config.
+fn settle_size(shared: &Shared, frame: &RequestFrame) -> Result<SizeQuery, WireError> {
+    let (key, decoded) = match frame.raw_size_key() {
+        Some(key) if shared.cache.contains(&key) => (key, None),
+        _ => {
+            let (arch, config) = frame.size_problem()?;
+            (cache_key(&arch, &config), Some((arch, config)))
+        }
     };
-    Ok((problem, frame.size_budget()?))
+    Ok(SizeQuery {
+        key,
+        decoded,
+        budget: frame.size_budget()?,
+    })
 }
 
 /// Serves one `size` frame: settles it, counts it, admits it, then
-/// solves on a cached context when there is one.
+/// solves on the context cached under its key, or a fresh one.
 ///
-/// The cache is looked up under one key per request, so each request
-/// counts exactly one hit or one miss: the raw key when the frame's
-/// bytes are cached, otherwise the canonical [`cache_key`] of what
-/// they decoded to, which is also where the context is checked in.
-/// A partial config or reordered fields therefore still hit the
-/// context a canonical request left behind.
+/// The cache is checked out under one key per request, so each request
+/// counts exactly one hit or one miss, and the context is checked back
+/// in under the same key. A partial config or reordered fields miss
+/// the raw lookup and still hit the context a canonical request left
+/// behind under the canonical key.
 fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Response {
     let refuse = |e: WireError| Response::Error {
         message: e.to_string(),
     };
-    let (problem, budget) = match settle_size(shared, frame) {
-        Ok(settled) => settled,
+    let SizeQuery {
+        key,
+        decoded,
+        budget,
+    } = match settle_size(shared, frame) {
+        Ok(query) => query,
         Err(e) => return refuse(e),
     };
     shared.verbs.count(Verb::Size);
@@ -587,23 +596,13 @@ fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Respo
         Ok(token) => token,
         Err(refusal) => return *refusal,
     };
-    let (key, cached, decoded) = match problem {
-        Problem::Cached(key) => {
-            let cached = shared.cache.checkout(&key);
-            (key, cached, None)
-        }
-        Problem::Decoded(problem) => {
-            let key = cache_key(&problem.0, &problem.1);
-            let cached = shared.cache.checkout(&key);
-            (key, cached, Some(*problem))
-        }
-    };
+    let cached = shared.cache.checkout(&key);
     let warm = cached.is_some();
     let mut ctx = match cached {
         Some(ctx) => ctx,
         None => {
             // A raw key another request checked out since the lookup
-            // above decodes here, from the same tree.
+            // in `settle_size` decodes now, from the same tree.
             let problem = match decoded {
                 Some(problem) => Ok(problem),
                 None => frame.size_problem(),
