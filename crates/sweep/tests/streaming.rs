@@ -292,6 +292,45 @@ proptest! {
 }
 
 #[test]
+fn a_coarsened_warm_budget_manifest_renders_the_default_chunking_bytes() {
+    let fx = merge_fixture();
+
+    // Four warm chains merged into one, the tail chain left alone: a
+    // coarser partition declared in the manifest itself.
+    let coarse = CampaignManifest::with_chunks(
+        fx.manifest.shape.clone(),
+        fx.manifest.config.clone(),
+        vec![0..16, 16..18],
+    )
+    .unwrap();
+    assert_eq!(coarse.chunks.len(), 2);
+    assert_eq!(coarse.config_hash, fx.manifest.config_hash);
+
+    for workers in [1usize, 2, 8] {
+        let report = run_manifest(&coarse, &WorkPool::new(workers)).unwrap();
+        assert_eq!(report.to_csv(), fx.csv, "{workers} workers");
+        assert_eq!(report.to_jsonl(), fx.jsonl, "{workers} workers");
+    }
+
+    // Sharded execution under the coarse partition, wire round-tripped
+    // and fed in reverse, merges to the same bytes.
+    let pool = WorkPool::serial();
+    let stream = ReportStream::jsonl(socbuf_sweep::SweepKind::Budget, Vec::new());
+    let mut reducer = StreamingReducer::new(&coarse, stream);
+    for c in (0..coarse.chunks.len()).rev() {
+        let (report, _) = execute_manifest_chunk_traced(&coarse, c, &pool).unwrap();
+        let wire = JsonValue::parse(&report.to_json()).unwrap();
+        reducer
+            .ingest(&ChunkReport::from_json(&wire).unwrap())
+            .unwrap();
+    }
+    let (stream, stats) = reducer.finish().unwrap();
+    assert_eq!(stats.chunks, 2);
+    let (bytes, _) = stream.finish().unwrap();
+    assert_eq!(String::from_utf8(bytes).unwrap(), fx.jsonl);
+}
+
+#[test]
 fn adaptive_rechunk_merges_byte_identical_to_default_chunking() {
     let fx = merge_fixture();
 
