@@ -8,6 +8,11 @@
 //!   8-worker runs of the grid must render byte-identical JSON-lines
 //!   reports (chunk boundaries are index-fixed, so warm chains must not
 //!   depend on scheduling);
+//! * **pool scaling (enforced when the host has ≥ 2 cores)** — the
+//!   8-worker warm sweep must beat the 1-worker one's wall time (best
+//!   of `SMOKE_REPEATS`). A single-core host has no parallelism to win,
+//!   and a pool that merely doesn't *lose* there is already covered by
+//!   the determinism gate;
 //! * **agreement (always enforced)** — every warm point must carry the
 //!   same status flags as its cold twin and an objective within 1e-6
 //!   relative (the perturbation-ladder scale; on this well-conditioned
@@ -36,8 +41,8 @@ use socbuf_soc::{templates, Architecture};
 use socbuf_sweep::{BudgetSweep, SweepReport, WorkPool};
 use std::time::{Duration, Instant};
 
-/// Same CI grid as `sweep_probe`: the paper's Table 1 budget range on
-/// the evaluation platform.
+/// The CI grid: the paper's Table 1 budget range on the evaluation
+/// platform, sized so one serial pass takes O(seconds) in release.
 fn smoke_grid() -> Vec<usize> {
     (0..16).map(|i| 160 + 32 * i).collect()
 }
@@ -180,30 +185,57 @@ fn smoke() -> i32 {
     let np = templates::network_processor();
     let grid = smoke_grid();
     let sizing = smoke_sizing();
+    let cores = socbuf_bench::cores();
     let mut failures = 0;
 
     // --- Warm determinism: byte-identity across worker counts. -------
     let mut warm_baseline: Option<SweepReport> = None;
+    let mut best_by_workers: Vec<Duration> = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (report, time) = timed_run(&np, &grid, &sizing, workers, true);
-        match &warm_baseline {
-            None => warm_baseline = Some(report),
-            Some(expected) => {
-                if expected.to_jsonl() != report.to_jsonl() {
-                    eprintln!(
-                        "SMOKE FAIL: warm {workers}-worker report bytes differ from the \
-                         1-worker baseline"
-                    );
-                    failures += 1;
+        let mut best: Option<Duration> = None;
+        for _ in 0..SMOKE_REPEATS {
+            let (report, time) = timed_run(&np, &grid, &sizing, workers, true);
+            match &warm_baseline {
+                None => warm_baseline = Some(report),
+                Some(expected) => {
+                    if expected.to_jsonl() != report.to_jsonl() {
+                        eprintln!(
+                            "SMOKE FAIL: warm {workers}-worker report bytes differ from the \
+                             1-worker baseline"
+                        );
+                        failures += 1;
+                    }
                 }
             }
+            if best.is_none_or(|b| time < b) {
+                best = Some(time);
+            }
         }
+        let time = best.expect("at least one repeat");
         println!(
             "warm np budget grid ({} points, cap=16): {workers} workers -> {time:?}",
             grid.len()
         );
+        best_by_workers.push(time);
     }
     let warm_report = warm_baseline.expect("at least one warm run");
+
+    // --- Pool scaling: 8 workers beat 1. -------------------------------
+    let (t1, t8) = (best_by_workers[0], best_by_workers[2]);
+    if cores < 2 {
+        println!("pool-scaling gate SKIPPED: single-core host (determinism still enforced)");
+    } else if t8 >= t1 {
+        eprintln!(
+            "SMOKE FAIL: 8-worker warm sweep ({t8:?}) not faster than 1-worker ({t1:?}) \
+             on a {cores}-core host"
+        );
+        failures += 1;
+    } else {
+        println!(
+            "speedup 8w vs 1w: {:.2}x on {cores} cores",
+            t1.as_secs_f64() / t8.as_secs_f64().max(1e-12)
+        );
+    }
 
     // --- Warm/cold agreement per point. -------------------------------
     let (cold_report, _) = timed_run(&np, &grid, &sizing, 8, false);
@@ -240,7 +272,6 @@ fn smoke() -> i32 {
     }
     let (tc, tw) = (best_cold.unwrap(), best_warm.unwrap());
     let speedup = tc.as_secs_f64() / tw.as_secs_f64().max(1e-12);
-    let cores = socbuf_bench::cores();
     println!("serial grid: cold {tc:?} vs warm {tw:?} -> {speedup:.2}x");
     if cores >= 2 {
         if speedup < 1.5 {

@@ -12,8 +12,7 @@
 //! | `ablation_granularity` | sensitivity to CTMDP state/effort granularity |
 //! | `ablation_allocators` | uniform vs traffic-proportional vs CTMDP allocation |
 //! | `lp_scaling_probe` | developer probe: joint-LP pivot scaling (not a paper artifact) |
-//! | `sweep_probe` | developer probe: campaign wall-time across worker counts (not a paper artifact) |
-//! | `warmstart_probe` | developer probe: warm-chained vs cold-started sweeps (not a paper artifact) |
+//! | `warmstart_probe` | developer probe: warm-chained vs cold-started sweeps and warm-sweep wall time across worker counts (not a paper artifact) |
 //! | `decomp_probe` | developer probe: block-angular decomposition vs the monolithic solve (not a paper artifact) |
 //! | `serve_probe` | developer probe: `socbuf-serve` round-trip latency, byte parity and warm-hit pivots (not a paper artifact) |
 //! | `actor_probe` | developer probe: actor vs legacy simulator wall time and per-seed agreement (not a paper artifact) |

@@ -1,7 +1,6 @@
 use std::error::Error;
 use std::fmt;
 
-use socbuf_ctmdp::CtmdpError;
 use socbuf_lp::LpError;
 use socbuf_soc::SocError;
 
@@ -14,8 +13,6 @@ pub enum CoreError {
     /// The sizing LP failed (most prominently: the budget or bus-effort
     /// constraints admit no stationary policy).
     Lp(LpError),
-    /// A CTMDP sub-solve failed.
-    Ctmdp(CtmdpError),
     /// Configuration rejected before solving.
     BadConfig(String),
     /// The coupled (unsplit, nonlinear) system did not converge.
@@ -32,7 +29,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Soc(e) => write!(f, "architecture error: {e}"),
             CoreError::Lp(e) => write!(f, "sizing lp failed: {e}"),
-            CoreError::Ctmdp(e) => write!(f, "ctmdp solve failed: {e}"),
             CoreError::BadConfig(msg) => write!(f, "bad sizing config: {msg}"),
             CoreError::CoupledDiverged {
                 iterations,
@@ -50,7 +46,6 @@ impl Error for CoreError {
         match self {
             CoreError::Soc(e) => Some(e),
             CoreError::Lp(e) => Some(e),
-            CoreError::Ctmdp(e) => Some(e),
             _ => None,
         }
     }
@@ -65,12 +60,6 @@ impl From<SocError> for CoreError {
 impl From<LpError> for CoreError {
     fn from(e: LpError) -> Self {
         CoreError::Lp(e)
-    }
-}
-
-impl From<CtmdpError> for CoreError {
-    fn from(e: CtmdpError) -> Self {
-        CoreError::Ctmdp(e)
     }
 }
 

@@ -1294,7 +1294,10 @@ pub fn config_hash_from_hex(text: &str, what: &str) -> Result<u64, WireError> {
 
 /// One chunk's slice of a campaign's work list: the unit of scheduling,
 /// locally (a `WorkPool` worker claims whole chunks) and remotely (a
-/// coordinator dispatches whole chunks to shard servers).
+/// coordinator dispatches whole chunks to shard servers). One chunk
+/// is one warm chain: a single policy chunk, or several consecutive
+/// ones when the manifest declares a coarser partition
+/// ([`CampaignManifest::with_chunks`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRange {
     /// Chunk index (position in the manifest's chunk list).
@@ -1414,11 +1417,11 @@ impl ManifestShape {
 /// The chunk list is stored explicitly *and* required to be a
 /// boundary-aligned partition under the shape's [`ChunkPolicy`] — the
 /// policy's own partition by default, or a coarsening of it (each
-/// chunk a union of consecutive policy chunks) from adaptive
-/// re-chunking. Explicit so a reducer can verify coverage without
-/// re-deriving anything, constrained so every shard assignment of
-/// these chunks merges byte-identically with the serial single-host
-/// run (warm-chain boundaries are part of the bytes).
+/// chunk a union of consecutive policy chunks) built with
+/// [`CampaignManifest::with_chunks`]. Explicit so a reducer can verify
+/// coverage without re-deriving anything, constrained so every shard
+/// assignment of these chunks merges byte-identically with the serial
+/// single-host run (warm-chain boundaries are part of the bytes).
 ///
 /// (No `PartialEq`, like [`ManifestShape`]: compare `to_json` bytes.)
 #[derive(Debug, Clone)]
@@ -1702,9 +1705,10 @@ impl CampaignManifest {
         }
     }
 
-    /// Rebuilds the manifest with an explicit chunk partition — the
-    /// entry point for adaptive re-chunking, which merges consecutive
-    /// policy chunks into longer warm chains. The partition must be a
+    /// Rebuilds the manifest with an explicit chunk partition that
+    /// merges consecutive policy chunks into longer warm chains, so a
+    /// large campaign ships fewer chunk frames (`scale_probe` declares
+    /// 256-item chunks this way). The partition must be a
     /// boundary-aligned coarsening of the shape's [`ChunkPolicy`]
     /// partition (`validate_chunks` enforces this on parse too); the
     /// config hash is unchanged by construction, because chunking is
@@ -1738,7 +1742,7 @@ impl CampaignManifest {
     /// non-empty and gap-free, and every boundary on a chain boundary
     /// of the policy — i.e. each chunk is a union of consecutive policy
     /// chunks. The policy's own partition is the finest accepted form;
-    /// adaptive re-chunking produces coarser ones.
+    /// [`CampaignManifest::with_chunks`] builds coarser ones.
     fn validate_chunks(&self) -> Result<(), WireError> {
         let policy = self.shape.chunk_policy();
         if self.chunk_len != policy.chunk_len() {

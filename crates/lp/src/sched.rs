@@ -88,9 +88,10 @@ impl ChunkPolicy {
     /// list. A coarser partition whose every cut sits on such a
     /// boundary (a union of consecutive base chunks) executes the same
     /// cold-solve/warm-chain structure as a *prefix* of each merged
-    /// group, which is what lets adaptive re-chunking extend warm
-    /// chains without moving any item onto a different solve path than
-    /// an extended chain would give it.
+    /// group, which is what lets a manifest declare longer warm chains
+    /// (`scale_probe` uses 256-item chunks) without moving any item
+    /// onto a different solve path than an extended chain would give
+    /// it.
     pub const fn is_chain_boundary(&self, pos: usize, items: usize) -> bool {
         (pos % self.chunk_len == 0 || pos == items) && pos <= items
     }

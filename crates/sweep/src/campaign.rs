@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 
 use socbuf_core::wire::{CampaignManifest, ManifestShape};
 use socbuf_core::{
-    evaluate_policies_sized, evaluate_policies_with, ChunkPolicy, CoreError, PipelineConfig,
-    ReplicationPool, SerialPool, SizingConfig, SizingOutcome, SolveContext,
+    evaluate_policies_sized, ChunkPolicy, CoreError, PipelineConfig, ReplicationPool, SerialPool,
+    SizingConfig, SizingOutcome, SolveContext,
 };
 use socbuf_sim::SimReport;
 use socbuf_soc::templates::{random_architecture, RandomArchParams};
@@ -124,8 +124,8 @@ impl ReplicationPool for WorkPool {
 /// nominal one scaled by `load_factor`) and records it. When `simulate`
 /// is set, the point additionally runs the paper's three-policy
 /// comparison on that sizing (replications serial here — the *points*
-/// are the parallel axis; [`parallel_policy_comparison`] is the entry
-/// point for parallelizing a single comparison instead). A warm chain
+/// are the parallel axis; [`socbuf_core::evaluate_policies_with`] on a
+/// [`WorkPool`] parallelizes a single comparison instead). A warm chain
 /// changes pivot counts and wall time, never statuses or (beyond
 /// solver precision) objectives.
 fn size_point(
@@ -272,7 +272,7 @@ fn attach_pool(sizing: &SizingConfig, pool: &WorkPool) -> SizingConfig {
 
 /// A campaign lowered to its chunk-execution core: an index-ordered
 /// work list, the [`ChunkPolicy`] that partitions it (plus the explicit
-/// chunk ranges, which an adaptive manifest may coarsen into unions of
+/// chunk ranges, which a manifest may coarsen into unions of
 /// consecutive policy chunks), and one closure that executes any chunk
 /// range. Every campaign — local pool run, single chunk on a remote
 /// shard, smoke probe — goes through a plan, so chunk semantics
@@ -347,7 +347,8 @@ impl<'a> CampaignPlan<'a> {
 
     /// Replaces the chunk partition with an explicit one — the hook the
     /// shard layer uses to execute a manifest's declared chunks, which
-    /// an adaptive manifest may have coarsened. Every cut must sit on a
+    /// [`CampaignManifest::with_chunks`] may have coarsened (as
+    /// `scale_probe` does with 256-item chunks). Every cut must sit on a
     /// base-policy chain boundary (see
     /// [`ChunkPolicy::is_chain_boundary`]) so each merged chunk is a
     /// single extended warm chain whose first point starts the way the
@@ -856,27 +857,10 @@ impl RandomCampaign {
     }
 }
 
-/// Runs the paper's three-policy comparison with its simulation
-/// replications spread over `pool` — the entry point for parallelizing
-/// a *single* evaluation instead of a grid of them. Output is
-/// bit-identical to `socbuf_core::evaluate_policies`.
-///
-/// # Errors
-///
-/// Propagates `socbuf_core`'s sizing/validation errors.
-pub fn parallel_policy_comparison(
-    arch: &Architecture,
-    budget: usize,
-    config: &PipelineConfig,
-    pool: &WorkPool,
-) -> Result<socbuf_core::PolicyComparison, CoreError> {
-    evaluate_policies_with(arch, budget, config, pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use socbuf_core::{evaluate_policies, size_buffers};
+    use socbuf_core::{evaluate_policies, evaluate_policies_with, size_buffers};
     use socbuf_soc::templates;
 
     fn small() -> SizingConfig {
@@ -1078,7 +1062,7 @@ mod tests {
         let arch = templates::amba();
         let cfg = PipelineConfig::small();
         let serial = evaluate_policies(&arch, 16, &cfg).unwrap();
-        let pooled = parallel_policy_comparison(&arch, 16, &cfg, &WorkPool::new(4)).unwrap();
+        let pooled = evaluate_policies_with(&arch, 16, &cfg, &WorkPool::new(4)).unwrap();
         assert_eq!(serial.pre, pooled.pre);
         assert_eq!(serial.post, pooled.post);
         assert_eq!(serial.timeout, pooled.timeout);

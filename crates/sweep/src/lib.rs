@@ -19,7 +19,7 @@
 //! the pipeline's replication hook
 //! ([`socbuf_core::ReplicationPool`]), so a single policy comparison
 //! can spread its simulation replications over workers
-//! ([`parallel_policy_comparison`]).
+//! ([`socbuf_core::evaluate_policies_with`] on a [`WorkPool`]).
 //!
 //! # The determinism contract
 //!
@@ -86,21 +86,19 @@
 //! ([`shard::StreamingReducer`]) are sinks. The batch APIs are thin
 //! wrappers over these, so streamed bytes ≡ batch bytes by
 //! construction — for every campaign shape, worker count, and chunk
-//! arrival order. The [`adaptive`] module extends warm chains past
-//! [`WARM_CHUNK`] by re-chunking *in the manifest*, keeping that same
-//! contract.
+//! arrival order. A manifest may also declare a coarser partition
+//! ([`socbuf_core::wire::CampaignManifest::with_chunks`], each chunk a
+//! union of consecutive [`WARM_CHUNK`]-point chains), as `scale_probe`
+//! does with 256-item chunks; the same contract covers it.
 
-pub mod adaptive;
 mod campaign;
 mod pool;
 mod report;
 pub mod shard;
 pub mod stream;
 
-pub use adaptive::{adaptive_chunks, rechunk_manifest, AdaptivePolicy};
 pub use campaign::{
-    parallel_policy_comparison, BudgetSweep, CampaignPlan, LoadSweep, RandomCampaign, SinkRun,
-    SweepError, WARM_CHUNK,
+    BudgetSweep, CampaignPlan, LoadSweep, RandomCampaign, SinkRun, SweepError, WARM_CHUNK,
 };
 pub use pool::{OrderedRun, WorkPool};
 pub use report::{SimSummary, SweepKind, SweepPoint, SweepReport};

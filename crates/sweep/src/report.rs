@@ -88,11 +88,11 @@ pub struct SweepPoint {
     pub budget_row_relaxed: bool,
     /// Simplex pivots used by the joint LP. **Trace-only**: carried on
     /// the struct for in-process diagnostics (bench probes, serve
-    /// traces, adaptive re-chunking) but excluded from every rendered
-    /// form — CSV, JSONL, chunk wire — because pivot counts vary with
-    /// warm-start seeding and chunk boundaries while the solution does
-    /// not. Keeping them out of the bytes is what lets re-chunked and
-    /// seeded executions render byte-identically to the defaults.
+    /// traces) but excluded from every rendered form — CSV, JSONL,
+    /// chunk wire — because pivot counts vary with warm-start seeding
+    /// and chunk boundaries while the solution does not. Keeping them
+    /// out of the bytes is what lets coarsely chunked and seeded
+    /// executions render byte-identically to the defaults.
     pub lp_iterations: usize,
     /// Integer buffer allocation (queue order).
     pub allocation: Vec<usize>,

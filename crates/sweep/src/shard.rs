@@ -17,8 +17,8 @@
 //! assignment of chunks to shards, because chunk boundaries (and with
 //! them warm-chain membership) are declared by the manifest — the
 //! [`ChunkPolicy`] partition by default, or a boundary-aligned
-//! coarsening of it from adaptive re-chunking — never chosen by who
-//! executes the chunk. A warm budget campaign's chunks also start from
+//! coarsening of it (`scale_probe` declares 256-item chunks) — never
+//! chosen by who executes the chunk. A warm budget campaign's chunks also start from
 //! its point 0, which every executor solves the same way, whether or
 //! not it runs chunk 0. Pivot counts do vary with chunking, which is
 //! why they are trace-only and never rendered (see
@@ -48,8 +48,8 @@ use crate::stream::{PointSink, VecSink};
 
 /// Lowers a manifest to the chunk-execution core of the campaign it
 /// describes, executing the manifest's *declared* chunk partition —
-/// the policy default, or the coarsened partition an adaptive
-/// re-chunking wrote into it. The plan borrows the manifest's
+/// the policy default, or a coarser one built with
+/// [`CampaignManifest::with_chunks`]. The plan borrows the manifest's
 /// architecture; everything else is cloned in, so one manifest can be
 /// planned many times (once per stream request on a shard server).
 ///

@@ -9,12 +9,10 @@
 //! exceed the host's core count; oversubscription maximizes interleaving
 //! without affecting the contract.
 
-use socbuf_core::{evaluate_policies, PipelineConfig, SizingConfig};
+use socbuf_core::{evaluate_policies, evaluate_policies_with, PipelineConfig, SizingConfig};
 use socbuf_soc::templates;
 use socbuf_soc::templates::RandomArchParams;
-use socbuf_sweep::{
-    parallel_policy_comparison, BudgetSweep, LoadSweep, RandomCampaign, SweepReport, WorkPool,
-};
+use socbuf_sweep::{BudgetSweep, LoadSweep, RandomCampaign, SweepReport, WorkPool};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -145,8 +143,7 @@ fn pooled_replications_match_the_serial_pipeline_bit_for_bit() {
     let config = PipelineConfig::small();
     let serial = evaluate_policies(&arch, 22, &config).unwrap();
     for workers in WORKER_COUNTS {
-        let pooled =
-            parallel_policy_comparison(&arch, 22, &config, &WorkPool::new(workers)).unwrap();
+        let pooled = evaluate_policies_with(&arch, 22, &config, &WorkPool::new(workers)).unwrap();
         assert_eq!(serial.pre, pooled.pre, "{workers} workers: pre drifted");
         assert_eq!(serial.post, pooled.post, "{workers} workers: post drifted");
         assert_eq!(

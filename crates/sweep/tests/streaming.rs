@@ -7,9 +7,9 @@
 //!   **any** arrival order to the batch reducer's bytes, and rejects
 //!   duplicated, missing, and tampered frames with the same named
 //!   errors;
-//! * adaptive re-chunking ([`rechunk_manifest`]) coarsens the
-//!   manifest's declared partition without changing a single rendered
-//!   byte.
+//! * a coarser partition declared in the manifest
+//!   ([`CampaignManifest::with_chunks`]) renders and merges without
+//!   changing a single byte.
 
 use std::sync::OnceLock;
 
@@ -19,9 +19,9 @@ use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::{
-    execute_manifest_chunk_traced, merge_chunk_reports, rechunk_manifest, run_manifest,
-    run_manifest_sink, AdaptivePolicy, BudgetSweep, FileSpool, LoadSweep, MergeError,
-    RandomCampaign, ReportStream, StreamingReducer, SweepReport, VecSink, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, run_manifest_sink,
+    BudgetSweep, FileSpool, LoadSweep, MergeError, RandomCampaign, ReportStream, StreamingReducer,
+    SweepReport, VecSink, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -328,69 +328,4 @@ fn a_coarsened_warm_budget_manifest_renders_the_default_chunking_bytes() {
     assert_eq!(stats.chunks, 2);
     let (bytes, _) = stream.finish().unwrap();
     assert_eq!(String::from_utf8(bytes).unwrap(), fx.jsonl);
-}
-
-#[test]
-fn adaptive_rechunk_merges_byte_identical_to_default_chunking() {
-    let fx = merge_fixture();
-
-    // A maximally quiet profile forces real coarsening (the executed
-    // profile may or may not hit zero-pivot warm solves; the contract
-    // must hold either way, so pin the aggressive case deliberately).
-    let serial = run_manifest(&fx.manifest, &WorkPool::serial()).unwrap();
-    let mut quiet = serial.clone();
-    for p in &mut quiet.points {
-        p.lp_iterations = 0;
-    }
-    let rechunked = rechunk_manifest(&fx.manifest, &quiet, &AdaptivePolicy::default()).unwrap();
-    assert!(
-        rechunked.chunks.len() < fx.manifest.chunks.len(),
-        "a quiet profile must coarsen: {} -> {}",
-        fx.manifest.chunks.len(),
-        rechunked.chunks.len()
-    );
-    assert_eq!(rechunked.config_hash, fx.manifest.config_hash);
-
-    // The coarsened manifest survives its own wire rendering…
-    let wire =
-        CampaignManifest::from_json(&JsonValue::parse(&rechunked.to_json()).unwrap()).unwrap();
-    assert_eq!(wire.chunks, rechunked.chunks);
-
-    // …executes byte-identically for every worker count…
-    for workers in [1usize, 2, 8] {
-        let report = run_manifest(&rechunked, &WorkPool::new(workers)).unwrap();
-        assert_eq!(report.to_csv(), fx.csv, "{workers} workers");
-        assert_eq!(report.to_jsonl(), fx.jsonl, "{workers} workers");
-    }
-
-    // …and its sharded execution merges to the same bytes, through the
-    // streaming reducer, under the coarsened partition.
-    let pool = WorkPool::serial();
-    let stream = ReportStream::jsonl(serial.kind, Vec::new());
-    let mut reducer = StreamingReducer::new(&rechunked, stream);
-    for c in (0..rechunked.chunks.len()).rev() {
-        let (report, _) = execute_manifest_chunk_traced(&rechunked, c, &pool).unwrap();
-        let wire = JsonValue::parse(&report.to_json()).unwrap();
-        reducer
-            .ingest(&ChunkReport::from_json(&wire).unwrap())
-            .unwrap();
-    }
-    let (stream, _) = reducer.finish().unwrap();
-    let (bytes, _) = stream.finish().unwrap();
-    assert_eq!(String::from_utf8(bytes).unwrap(), fx.jsonl);
-
-    // A profile that does not cover the campaign is refused.
-    let mut short = quiet.clone();
-    short.points.pop();
-    match rechunk_manifest(&fx.manifest, &short, &AdaptivePolicy::default()) {
-        Err(socbuf_sweep::SweepError::BadConfig(msg)) => {
-            assert!(msg.contains("17 points"), "{msg}")
-        }
-        other => panic!("expected BadConfig, got {other:?}"),
-    }
-
-    // An executed profile (whatever its pivots) also holds the line.
-    let from_real = rechunk_manifest(&fx.manifest, &serial, &AdaptivePolicy::default()).unwrap();
-    let report = run_manifest(&from_real, &WorkPool::new(2)).unwrap();
-    assert_eq!(report.to_csv(), fx.csv);
 }
