@@ -1308,10 +1308,12 @@ pub struct ChunkRange {
     pub end: usize,
 }
 
-/// The campaign a manifest describes: which sweep shape, over what
-/// inputs. Mirrors `socbuf-sweep`'s `BudgetSweep` / `LoadSweep` /
-/// `RandomCampaign` minus the simulation option — manifests describe
-/// sizing-only campaigns (simulation campaigns remain single-host).
+/// A campaign: which sweep shape, over what inputs. Shapes are what
+/// campaigns plan from — `socbuf-sweep`'s `BudgetSweep`, `LoadSweep`
+/// and `RandomCampaign` each build one, and every local run, manifest
+/// and shard chunk is planned from it. A shape carries no simulation
+/// option: the campaign value adds that for local runs, and manifests
+/// describe sizing-only campaigns.
 ///
 /// (No `PartialEq`: `Architecture` deliberately doesn't implement it —
 /// manifest equality is rendered-bytes equality, compare `to_json`.)
@@ -1323,10 +1325,9 @@ pub enum ManifestShape {
         arch: Architecture,
         /// Budget grid, one work item per entry.
         budgets: Vec<usize>,
-        /// Whether chunks run as warm-start chains (chunk-initial point
-        /// cold, the rest warm) — must match the serial run a merge is
-        /// compared against, since warm chains legitimately change
-        /// per-point pivot counts.
+        /// Whether chunks run as warm-start chains — must match the
+        /// serial run a merge is compared against, since warm chains
+        /// legitimately change per-point pivot counts.
         warm_start: bool,
     },
     /// A load-factor grid at one budget.
@@ -1396,7 +1397,15 @@ impl ManifestShape {
         }
     }
 
-    fn validate(&self) -> Result<(), WireError> {
+    /// The one campaign-usability check: a non-empty grid and, for a
+    /// random campaign, a per-queue budget of at least 1. Planning,
+    /// [`CampaignManifest::new`] and [`CampaignManifest::from_json`] all
+    /// run it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Schema`] naming the first violation.
+    pub fn validate(&self) -> Result<(), WireError> {
         let bad = |msg: &str| Err(WireError::Schema(format!("manifest: {msg}")));
         match self {
             ManifestShape::Budget { budgets, .. } if budgets.is_empty() => bad("empty budget grid"),
@@ -1449,29 +1458,12 @@ impl CampaignManifest {
     ///
     /// [`WireError::Schema`] for unusable campaigns (empty grids, zero
     /// per-queue budget) — the same refusals the campaign itself makes
-    /// at run time.
+    /// at run time — and for inputs the wire cannot carry back: a
+    /// non-finite load factor (it renders as `null`) or a seed above
+    /// 2⁵³ (it would not parse back exactly). A local run accepts both.
     pub fn new(shape: ManifestShape, config: SizingConfig) -> Result<CampaignManifest, WireError> {
-        shape.validate()?;
-        let policy = shape.chunk_policy();
-        let chunks = policy
-            .ranges(shape.items())
-            .into_iter()
-            .enumerate()
-            .map(|(chunk, r)| ChunkRange {
-                chunk,
-                start: r.start,
-                end: r.end,
-            })
-            .collect();
-        let mut manifest = CampaignManifest {
-            shape,
-            config,
-            chunk_len: policy.chunk_len(),
-            chunks,
-            config_hash: 0,
-        };
-        manifest.config_hash = fnv1a_64(manifest.campaign_json().as_bytes());
-        Ok(manifest)
+        let ranges = shape.chunk_policy().ranges(shape.items());
+        CampaignManifest::with_chunks(shape, config, ranges)
     }
 
     /// Number of work items the campaign expands to.
@@ -1705,26 +1697,47 @@ impl CampaignManifest {
         }
     }
 
-    /// Rebuilds the manifest with an explicit chunk partition that
+    /// Builds the manifest with an explicit chunk partition that
     /// merges consecutive policy chunks into longer warm chains, so a
     /// large campaign ships fewer chunk frames (`scale_probe` declares
     /// 256-item chunks this way). The partition must be a
     /// boundary-aligned coarsening of the shape's [`ChunkPolicy`]
-    /// partition (`validate_chunks` enforces this on parse too); the
-    /// config hash is unchanged by construction, because chunking is
-    /// not part of the hashed campaign text.
+    /// partition ([`CampaignManifest::validate_chunks`] enforces this on
+    /// parse too); the config hash is unchanged by construction, because
+    /// chunking is not part of the hashed campaign text.
     ///
     /// # Errors
     ///
-    /// [`WireError::Schema`] for unusable campaigns or a partition the
-    /// scheduling policy cannot align with.
+    /// As [`CampaignManifest::new`], plus [`WireError::Schema`] for a
+    /// partition the scheduling policy cannot align with.
     pub fn with_chunks(
         shape: ManifestShape,
         config: SizingConfig,
         ranges: Vec<std::ops::Range<usize>>,
     ) -> Result<CampaignManifest, WireError> {
-        let mut manifest = CampaignManifest::new(shape, config)?;
-        manifest.chunks = ranges
+        shape.validate()?;
+        match &shape {
+            ManifestShape::Load { factors, .. } => {
+                if let Some((i, f)) = factors.iter().enumerate().find(|(_, f)| !f.is_finite()) {
+                    return Err(WireError::Schema(format!(
+                        "manifest: factors[{i}] is {f}; the wire carries finite load factors only"
+                    )));
+                }
+            }
+            ManifestShape::Random { seeds, .. } => {
+                if let Some((i, s)) = seeds
+                    .iter()
+                    .enumerate()
+                    .find(|(_, &s)| s > MAX_EXACT_INT as u64)
+                {
+                    return Err(WireError::Schema(format!(
+                        "manifest: seeds[{i}] is {s}, above 2⁵³, the largest integer the wire carries exactly"
+                    )));
+                }
+            }
+            ManifestShape::Budget { .. } => {}
+        }
+        let chunks = ranges
             .into_iter()
             .enumerate()
             .map(|(chunk, r)| ChunkRange {
@@ -1733,6 +1746,14 @@ impl CampaignManifest {
                 end: r.end,
             })
             .collect();
+        let mut manifest = CampaignManifest {
+            chunk_len: shape.chunk_policy().chunk_len(),
+            shape,
+            config,
+            chunks,
+            config_hash: 0,
+        };
+        manifest.config_hash = fnv1a_64(manifest.campaign_json().as_bytes());
         manifest.validate_chunks()?;
         Ok(manifest)
     }
@@ -1743,7 +1764,15 @@ impl CampaignManifest {
     /// of the policy — i.e. each chunk is a union of consecutive policy
     /// chunks. The policy's own partition is the finest accepted form;
     /// [`CampaignManifest::with_chunks`] builds coarser ones.
-    fn validate_chunks(&self) -> Result<(), WireError> {
+    ///
+    /// This is the one chunk-partition check: construction and
+    /// [`CampaignManifest::from_json`] run it, and so does planning,
+    /// because the fields are public and may be edited in between.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Schema`] naming the first violation.
+    pub fn validate_chunks(&self) -> Result<(), WireError> {
         let policy = self.shape.chunk_policy();
         if self.chunk_len != policy.chunk_len() {
             return Err(WireError::Schema(format!(

@@ -8,10 +8,15 @@
 //! decodes to a value that renders to the same text; this suite pins
 //! the law over seeded random architectures, every extended-semantics
 //! declaration, the templates and a grid of sizing configs.
+//!
+//! Campaign manifests obey the same law, or are refused by name when
+//! built: a shard parses exactly the text its coordinator rendered.
+
+use std::ops::Range;
 
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, sizing_config_from_json, sizing_config_to_json,
-    JsonValue,
+    CampaignManifest, JsonValue, ManifestShape, WireError,
 };
 use socbuf_core::SizingConfig;
 use socbuf_lp::LpEngine;
@@ -21,6 +26,13 @@ use socbuf_soc::{Architecture, ArchitectureBuilder, BusArbitration, FlowTarget, 
 /// Random architectures checked (half plain, half with extended
 /// declarations).
 const ARCHITECTURES: u64 = 2_400;
+
+/// Campaign manifests checked: every shape, warm and cold, default and
+/// coarsened partitions, over three templates and two configs.
+const MANIFESTS: u64 = 720;
+
+/// The largest integer the wire's number model carries exactly.
+const TWO_53: u64 = 1 << 53;
 
 /// A splitmix64 stream: enough randomness to vary the declarations,
 /// with no dependency.
@@ -209,4 +221,191 @@ fn a_grid_of_sizing_configs_obeys_the_round_trip_law() {
         }
     }
     assert_eq!(checked, 3_456);
+}
+
+/// Asserts the manifest law on one constructor result: the manifest is
+/// refused with a schema error naming `unrenderable` exactly when that
+/// is set, and otherwise its text `t` satisfies
+/// `to_json(from_json(parse(t))) == t` with the same config hash.
+fn assert_manifest_law(
+    built: Result<CampaignManifest, WireError>,
+    unrenderable: Option<&str>,
+    what: &str,
+) {
+    match (built, unrenderable) {
+        (Err(WireError::Schema(msg)), Some(field)) => {
+            assert!(msg.contains(field), "{what}: {msg:?} does not name {field}")
+        }
+        (Ok(manifest), None) => {
+            let t = manifest.to_json();
+            let tree = JsonValue::parse(&t).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(tree.render(), t, "{what}: parse(t).render() != t");
+            let back = CampaignManifest::from_json(&tree).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(
+                back.to_json(),
+                t,
+                "{what}: to_json(from_json(parse(t))) != t"
+            );
+            assert_eq!(
+                back.config_hash, manifest.config_hash,
+                "{what}: hash drifted"
+            );
+        }
+        (built, expected) => panic!(
+            "{what}: expected a refusal naming {expected:?}, got {:?}",
+            built.map(|m| m.to_json())
+        ),
+    }
+}
+
+/// A load factor: mostly finite, now and then NaN or ±inf.
+fn factor(mix: &mut Mix) -> f64 {
+    match mix.below(24) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => mix.positive(2.0),
+    }
+}
+
+/// A random-campaign seed: mostly below 2⁵³, now and then at it, just
+/// above it, or anywhere in `u64`.
+fn seed(mix: &mut Mix) -> u64 {
+    match mix.below(40) {
+        0 => TWO_53,
+        1 => TWO_53 + 1,
+        2 => TWO_53 + 1 + mix.below(1 << 20),
+        3 => mix.next(),
+        _ => mix.below(TWO_53),
+    }
+}
+
+/// `base` with random runs of consecutive chunks merged.
+fn coarsened(base: Vec<Range<usize>>, mix: &mut Mix) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for r in base {
+        match out.last_mut() {
+            Some(last) if mix.below(2) == 0 => last.end = r.end,
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
+#[test]
+fn campaign_manifests_obey_the_round_trip_law_or_are_refused_by_name() {
+    let mut mix = Mix(0x3a41_f35e_0d17);
+    let archs = [
+        templates::amba(),
+        templates::coreconnect(),
+        templates::figure1(),
+    ];
+    let configs = [SizingConfig::small(), SizingConfig::default()];
+    // Accepted and refused manifests per shape: budget, load, random.
+    let mut accepted = [0; 3];
+    let mut refused = [0; 3];
+    for case in 0..MANIFESTS {
+        let kind = (case % 3) as usize;
+        let arch = archs[(case / 3 % 3) as usize].clone();
+        let warm_start = case / 9 % 2 == 0;
+        let config = configs[(case / 18 % 2) as usize].clone();
+        let coarsen = case / 36 % 2 == 1;
+        let len = 1 + mix.below(24) as usize;
+        let mut unrenderable = None;
+        let shape = match kind {
+            0 => ManifestShape::Budget {
+                arch,
+                budgets: (0..len).map(|_| 1 + mix.below(200) as usize).collect(),
+                warm_start,
+            },
+            1 => {
+                let factors: Vec<f64> = (0..len).map(|_| factor(&mut mix)).collect();
+                unrenderable = factors
+                    .iter()
+                    .position(|f| !f.is_finite())
+                    .map(|i| format!("factors[{i}]"));
+                ManifestShape::Load {
+                    arch,
+                    budget: 1 + mix.below(200) as usize,
+                    factors,
+                    warm_start,
+                }
+            }
+            _ => {
+                let seeds: Vec<u64> = (0..len).map(|_| seed(&mut mix)).collect();
+                unrenderable = seeds
+                    .iter()
+                    .position(|&s| s > TWO_53)
+                    .map(|i| format!("seeds[{i}]"));
+                ManifestShape::Random {
+                    params: RandomArchParams::default(),
+                    seeds,
+                    units_per_queue: 1 + mix.below(6) as usize,
+                }
+            }
+        };
+        let built = if coarsen {
+            let ranges = coarsened(shape.chunk_policy().ranges(shape.items()), &mut mix);
+            CampaignManifest::with_chunks(shape, config, ranges)
+        } else {
+            CampaignManifest::new(shape, config)
+        };
+        if unrenderable.is_some() {
+            refused[kind] += 1;
+        } else {
+            accepted[kind] += 1;
+        }
+        assert_manifest_law(
+            built,
+            unrenderable.as_deref(),
+            &format!("manifest case {case}"),
+        );
+    }
+    assert!(
+        accepted.iter().all(|&n| n > 50),
+        "accepted per shape: {accepted:?}"
+    );
+    assert!(
+        refused[1] > 50 && refused[2] > 50,
+        "refused per shape: {refused:?}"
+    );
+
+    // The edges themselves: 2⁵³ is carried, one above it is not.
+    let random = |seeds: Vec<u64>| ManifestShape::Random {
+        params: RandomArchParams::default(),
+        seeds,
+        units_per_queue: 3,
+    };
+    let config = SizingConfig::small;
+    assert_manifest_law(
+        CampaignManifest::new(random(vec![TWO_53]), config()),
+        None,
+        "2^53",
+    );
+    for (seeds, field) in [
+        (vec![TWO_53 + 1], "seeds[0]"),
+        (vec![7, 10_368_477_539_328_126_995], "seeds[1]"),
+        (vec![u64::MAX], "seeds[0]"),
+    ] {
+        let what = format!("seeds {seeds:?}");
+        assert_manifest_law(
+            CampaignManifest::new(random(seeds), config()),
+            Some(field),
+            &what,
+        );
+    }
+    for (factors, field) in [
+        (vec![1.0, f64::NAN], "factors[1]"),
+        (vec![f64::INFINITY], "factors[0]"),
+        (vec![0.5, 1.0, f64::NEG_INFINITY], "factors[2]"),
+    ] {
+        let what = format!("factors {factors:?}");
+        let shape = ManifestShape::Load {
+            arch: templates::amba(),
+            budget: 16,
+            factors,
+            warm_start: true,
+        };
+        assert_manifest_law(CampaignManifest::new(shape, config()), Some(field), &what);
+    }
 }

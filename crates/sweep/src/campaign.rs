@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use socbuf_core::wire::{CampaignManifest, ManifestShape};
 use socbuf_core::{
     evaluate_policies_sized, ChunkPolicy, CoreError, PipelineConfig, ReplicationPool, SerialPool,
-    SizingConfig, SizingOutcome, SolveContext,
+    SizingConfig, SolveContext,
 };
 use socbuf_sim::SimReport;
 use socbuf_soc::templates::{random_architecture, RandomArchParams};
@@ -162,15 +162,20 @@ fn size_point(
             (cmp.outcome, Some(sim))
         }
     };
-    Ok(assemble_point(
-        arch,
+    Ok(SweepPoint {
         index,
         budget,
         load_factor,
         arch_seed,
-        &outcome,
+        queues: arch.num_queues(),
+        offered_rate: arch.total_offered_rate(),
+        predicted_loss: outcome.predicted_loss_rate,
+        shadow_price: outcome.budget_shadow_price,
+        budget_row_relaxed: outcome.budget_row_relaxed,
+        lp_iterations: outcome.lp_iterations,
+        allocation: outcome.allocation.as_slice().to_vec(),
         sim,
-    ))
+    })
 }
 
 /// Point 0 of a warm budget campaign and the context that sized it,
@@ -230,31 +235,6 @@ fn run_chain(
     out
 }
 
-fn assemble_point(
-    arch: &Architecture,
-    index: usize,
-    budget: usize,
-    load_factor: f64,
-    arch_seed: Option<u64>,
-    outcome: &SizingOutcome,
-    sim: Option<SimSummary>,
-) -> SweepPoint {
-    SweepPoint {
-        index,
-        budget,
-        load_factor,
-        arch_seed,
-        queues: arch.num_queues(),
-        offered_rate: arch.total_offered_rate(),
-        predicted_loss: outcome.predicted_loss_rate,
-        shadow_price: outcome.budget_shadow_price,
-        budget_row_relaxed: outcome.budget_row_relaxed,
-        lp_iterations: outcome.lp_iterations,
-        allocation: outcome.allocation.as_slice().to_vec(),
-        sim,
-    }
-}
-
 /// Prepares a campaign's sizing config for `pool`: when the decomposed
 /// LP engine is selected and no block executor was attached explicitly,
 /// the campaign's own pool doubles as the block executor — per-block
@@ -271,123 +251,101 @@ fn attach_pool(sizing: &SizingConfig, pool: &WorkPool) -> SizingConfig {
 }
 
 /// A campaign lowered to its chunk-execution core: an index-ordered
-/// work list, the [`ChunkPolicy`] that partitions it (plus the explicit
-/// chunk ranges, which a manifest may coarsen into unions of
-/// consecutive policy chunks), and one closure that executes any chunk
-/// range. Every campaign — local pool run, single chunk on a remote
-/// shard, smoke probe — goes through a plan, so chunk semantics
-/// (warm-chain boundaries, how a chunk's first point starts — cold, or
-/// seeded from a budget campaign's point 0 — and by-index reduction)
-/// live in exactly one place, and every execution goes through
+/// work list, the chunk ranges that partition it, and one closure that
+/// executes any chunk range. Every campaign — local pool run, single
+/// chunk on a remote shard, smoke probe — is planned from its
+/// [`ManifestShape`] by one constructor, so chunk semantics (warm-chain
+/// boundaries, how a chunk's first point starts — cold, or seeded from
+/// a budget campaign's point 0 — and by-index reduction) live in exactly
+/// one place, and every execution goes through
 /// [`CampaignPlan::run_chunks`].
-pub struct CampaignPlan<'a> {
+pub struct CampaignPlan {
     kind: SweepKind,
-    items: usize,
-    policy: ChunkPolicy,
-    ranges: Vec<std::ops::Range<usize>>,
-    exec: ChunkExec<'a>,
+    /// The chunk partition: the shape's [`ChunkPolicy`] partition, or a
+    /// manifest's declared one once
+    /// [`CampaignManifest::validate_chunks`] has accepted it.
+    pub(crate) ranges: Vec<std::ops::Range<usize>>,
+    exec: ChunkExec,
 }
 
 /// The plan's chunk executor: runs one index range.
-type ChunkExec<'a> =
-    Box<dyn Fn(std::ops::Range<usize>) -> Vec<Result<SweepPoint, SweepError>> + Sync + 'a>;
+type ChunkExec = Box<dyn Fn(std::ops::Range<usize>) -> Vec<Result<SweepPoint, SweepError>> + Sync>;
 
-impl std::fmt::Debug for CampaignPlan<'_> {
+impl std::fmt::Debug for CampaignPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignPlan")
             .field("kind", &self.kind)
-            .field("items", &self.items)
-            .field("policy", &self.policy)
+            .field("ranges", &self.ranges)
             .finish_non_exhaustive()
     }
 }
 
-impl<'a> CampaignPlan<'a> {
-    /// Assembles a plan over the policy's default chunk partition.
-    fn over_policy(
-        kind: SweepKind,
-        items: usize,
-        policy: ChunkPolicy,
-        exec: ChunkExec<'a>,
-    ) -> CampaignPlan<'a> {
-        CampaignPlan {
-            kind,
-            items,
-            policy,
-            ranges: policy.ranges(items),
-            exec,
-        }
-    }
-
-    /// The campaign's report kind.
-    pub fn kind(&self) -> SweepKind {
-        self.kind
-    }
-
-    /// Number of work items in the campaign.
-    pub fn items(&self) -> usize {
-        self.items
-    }
-
-    /// The scheduling policy partitioning the work list.
-    pub fn policy(&self) -> ChunkPolicy {
-        self.policy
-    }
-
-    /// Number of chunks partitioning the work list.
-    pub fn num_chunks(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The explicit chunk ranges, in order — the policy's default
-    /// partition unless [`CampaignPlan::with_ranges`] coarsened it.
-    pub fn ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.ranges
-    }
-
-    /// Replaces the chunk partition with an explicit one — the hook the
-    /// shard layer uses to execute a manifest's declared chunks, which
-    /// [`CampaignManifest::with_chunks`] may have coarsened (as
-    /// `scale_probe` does with 256-item chunks). Every cut must sit on a
-    /// base-policy chain boundary (see
-    /// [`ChunkPolicy::is_chain_boundary`]) so each merged chunk is a
-    /// single extended warm chain whose first point starts the way the
-    /// default chunking would start it (cold, or seeded from a budget
-    /// campaign's point 0; see [`WARM_CHUNK`]).
+impl CampaignPlan {
+    /// Plans `shape`: checks it with [`ManifestShape::validate`],
+    /// partitions it with [`ManifestShape::chunk_policy`] and moves it
+    /// into the executor, so the shape is copied at most once per plan
+    /// (by the caller) and never per chunk. The sizing config is cloned
+    /// in with `pool` attached as the block-solve executor; `simulate`
+    /// adds the per-point policy comparison (see [`BudgetSweep`]).
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadConfig`] when `ranges` is not an ordered,
-    /// boundary-aligned partition of the work list.
-    pub fn with_ranges(
-        mut self,
-        ranges: Vec<std::ops::Range<usize>>,
-    ) -> Result<CampaignPlan<'a>, SweepError> {
-        let mut next = 0;
-        for r in &ranges {
-            if r.start != next || r.end <= r.start {
-                return Err(SweepError::BadConfig(format!(
-                    "chunk ranges must partition 0..{} in order; got {}..{} where {} was expected",
-                    self.items, r.start, r.end, next
-                )));
+    /// [`SweepError::BadConfig`] for an unusable campaign (empty grid,
+    /// zero per-queue budget).
+    pub(crate) fn new(
+        shape: ManifestShape,
+        sizing: &SizingConfig,
+        simulate: Option<PipelineConfig>,
+        pool: &WorkPool,
+    ) -> Result<CampaignPlan, SweepError> {
+        shape.validate().map_err(manifest_err)?;
+        let kind =
+            SweepKind::from_tag(shape.kind_tag()).expect("manifest kind tags mirror SweepKind");
+        let ranges = shape.chunk_policy().ranges(shape.items());
+        let warm_start = shape.warm_start();
+        let sizing = attach_pool(sizing, pool);
+        let anchor = OnceLock::new();
+        let exec: ChunkExec = Box::new(move |range| match &shape {
+            ManifestShape::Budget { arch, budgets, .. } => {
+                let anchor = warm_start.then_some(&anchor);
+                run_chain(range, warm_start, arch, &sizing, anchor, |ctx, i| {
+                    size_point(ctx, arch, i, budgets[i], 1.0, None, simulate.as_ref())
+                })
             }
-            if !self.policy.is_chain_boundary(r.end, self.items) {
-                return Err(SweepError::BadConfig(format!(
-                    "chunk boundary {} is not a multiple of the policy chunk length {}",
-                    r.end,
-                    self.policy.chunk_len()
-                )));
-            }
-            next = r.end;
-        }
-        if next != self.items {
-            return Err(SweepError::BadConfig(format!(
-                "chunk ranges cover 0..{next} but the campaign has {} items",
-                self.items
-            )));
-        }
-        self.ranges = ranges;
-        Ok(self)
+            ManifestShape::Load {
+                arch,
+                budget,
+                factors,
+                ..
+            } => run_chain(range, warm_start, arch, &sizing, None, |ctx, i| {
+                let factor = factors[i];
+                let scaled = arch
+                    .scale_rates(factor, 1.0)
+                    .map_err(|source| SweepError::Arch { index: i, source })?;
+                size_point(ctx, &scaled, i, *budget, factor, None, simulate.as_ref())
+            }),
+            ManifestShape::Random {
+                params,
+                seeds,
+                units_per_queue,
+            } => range
+                .map(|i| {
+                    let seed = seeds[i];
+                    let arch = random_architecture(seed, params);
+                    let budget = units_per_queue * arch.num_queues();
+                    size_point(
+                        &mut SolveContext::new(&arch, &sizing),
+                        &arch,
+                        i,
+                        budget,
+                        1.0,
+                        Some(seed),
+                        simulate.as_ref(),
+                    )
+                })
+                .collect(),
+        });
+        Ok(CampaignPlan { kind, ranges, exec })
     }
 
     /// Runs every chunk across `pool` and reduces the points into a
@@ -496,8 +454,8 @@ fn reject_simulate(simulate: &Option<PipelineConfig>) -> Result<(), SweepError> 
     Ok(())
 }
 
-/// Maps a manifest-construction failure into the campaign error space.
-fn manifest_err(source: socbuf_core::wire::WireError) -> SweepError {
+/// Maps a manifest or shape refusal into the campaign error space.
+pub(crate) fn manifest_err(source: socbuf_core::wire::WireError) -> SweepError {
     SweepError::BadConfig(source.to_string())
 }
 
@@ -539,40 +497,25 @@ impl<'a> BudgetSweep<'a> {
         }
     }
 
-    /// Lowers the sweep to its chunk-execution core. The plan owns
-    /// clones of the grid and configuration (with `pool` attached as
-    /// the block-solve executor) and borrows only the architecture, so
-    /// it outlives the sweep value it came from.
+    /// The campaign this sweep describes.
+    fn shape(&self) -> ManifestShape {
+        ManifestShape::Budget {
+            arch: self.arch.clone(),
+            budgets: self.budgets.clone(),
+            warm_start: self.warm_start,
+        }
+    }
+
+    /// Lowers the sweep to its chunk-execution core. The plan owns a
+    /// copy of the campaign and its configuration (with `pool` attached
+    /// as the block-solve executor), so it outlives the sweep value it
+    /// came from.
     ///
     /// # Errors
     ///
     /// [`SweepError::BadConfig`] for an empty grid.
-    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan<'a>, SweepError> {
-        if self.budgets.is_empty() {
-            return Err(SweepError::BadConfig("empty budget grid".into()));
-        }
-        let arch = self.arch;
-        let budgets = self.budgets.clone();
-        let sizing = attach_pool(&self.sizing, pool);
-        let simulate = self.simulate.clone();
-        let warm_start = self.warm_start;
-        let anchor = OnceLock::new();
-        let exec: ChunkExec<'a> = Box::new(move |range| {
-            let anchor = warm_start.then_some(&anchor);
-            run_chain(range, warm_start, arch, &sizing, anchor, |ctx, i| {
-                size_point(ctx, arch, i, budgets[i], 1.0, None, simulate.as_ref())
-            })
-        });
-        Ok(CampaignPlan::over_policy(
-            SweepKind::Budget,
-            self.budgets.len(),
-            if self.warm_start {
-                ChunkPolicy::WARM_CHAIN
-            } else {
-                ChunkPolicy::INDEPENDENT
-            },
-            exec,
-        ))
+    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan, SweepError> {
+        CampaignPlan::new(self.shape(), &self.sizing, self.simulate.clone(), pool)
     }
 
     /// The sweep's sharding contract (see
@@ -584,15 +527,7 @@ impl<'a> BudgetSweep<'a> {
     /// campaign (manifests are sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
-        CampaignManifest::new(
-            ManifestShape::Budget {
-                arch: self.arch.clone(),
-                budgets: self.budgets.clone(),
-                warm_start: self.warm_start,
-            },
-            self.sizing.clone(),
-        )
-        .map_err(manifest_err)
+        CampaignManifest::new(self.shape(), self.sizing.clone()).map_err(manifest_err)
     }
 
     /// Runs the sweep on `pool`.
@@ -654,61 +589,36 @@ impl<'a> LoadSweep<'a> {
         }
     }
 
+    /// The campaign this sweep describes.
+    fn shape(&self) -> ManifestShape {
+        ManifestShape::Load {
+            arch: self.arch.clone(),
+            budget: self.budget,
+            factors: self.factors.clone(),
+            warm_start: self.warm_start,
+        }
+    }
+
     /// Lowers the sweep to its chunk-execution core (see
     /// [`BudgetSweep::plan`]).
     ///
     /// # Errors
     ///
     /// [`SweepError::BadConfig`] for an empty grid.
-    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan<'a>, SweepError> {
-        if self.factors.is_empty() {
-            return Err(SweepError::BadConfig("empty factor grid".into()));
-        }
-        let arch = self.arch;
-        let budget = self.budget;
-        let factors = self.factors.clone();
-        let sizing = attach_pool(&self.sizing, pool);
-        let simulate = self.simulate.clone();
-        let warm_start = self.warm_start;
-        let exec: ChunkExec<'a> = Box::new(move |range| {
-            run_chain(range, warm_start, arch, &sizing, None, |ctx, i| {
-                let factor = factors[i];
-                let scaled = arch
-                    .scale_rates(factor, 1.0)
-                    .map_err(|source| SweepError::Arch { index: i, source })?;
-                size_point(ctx, &scaled, i, budget, factor, None, simulate.as_ref())
-            })
-        });
-        Ok(CampaignPlan::over_policy(
-            SweepKind::Load,
-            self.factors.len(),
-            if self.warm_start {
-                ChunkPolicy::WARM_CHAIN
-            } else {
-                ChunkPolicy::INDEPENDENT
-            },
-            exec,
-        ))
+    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan, SweepError> {
+        CampaignPlan::new(self.shape(), &self.sizing, self.simulate.clone(), pool)
     }
 
     /// The sweep's sharding contract (see [`CampaignManifest`]).
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadConfig`] for an empty grid or a simulation
-    /// campaign (manifests are sizing-only).
+    /// [`SweepError::BadConfig`] for an empty grid, a non-finite factor
+    /// (the wire carries finite factors only) or a simulation campaign
+    /// (manifests are sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
-        CampaignManifest::new(
-            ManifestShape::Load {
-                arch: self.arch.clone(),
-                budget: self.budget,
-                factors: self.factors.clone(),
-                warm_start: self.warm_start,
-            },
-            self.sizing.clone(),
-        )
-        .map_err(manifest_err)
+        CampaignManifest::new(self.shape(), self.sizing.clone()).map_err(manifest_err)
     }
 
     /// Runs the sweep on `pool`.
@@ -767,69 +677,38 @@ impl RandomCampaign {
         }
     }
 
-    /// Lowers the campaign to its chunk-execution core. Random
-    /// campaigns never warm-chain (every seed is a different
-    /// architecture), so the plan uses [`ChunkPolicy::INDEPENDENT`].
-    /// The plan owns everything it needs (`'static`).
+    /// The campaign this fan-out describes.
+    fn shape(&self) -> ManifestShape {
+        ManifestShape::Random {
+            params: self.params.clone(),
+            seeds: self.seeds.clone(),
+            units_per_queue: self.units_per_queue,
+        }
+    }
+
+    /// Lowers the campaign to its chunk-execution core (see
+    /// [`BudgetSweep::plan`]). Random campaigns never warm-chain (every
+    /// seed is a different architecture), so the plan uses
+    /// [`ChunkPolicy::INDEPENDENT`].
     ///
     /// # Errors
     ///
     /// [`SweepError::BadConfig`] for an empty seed list or a zero
     /// per-queue budget.
-    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan<'static>, SweepError> {
-        if self.seeds.is_empty() {
-            return Err(SweepError::BadConfig("empty seed list".into()));
-        }
-        if self.units_per_queue == 0 {
-            return Err(SweepError::BadConfig("units_per_queue must be ≥ 1".into()));
-        }
-        let params = self.params.clone();
-        let seeds = self.seeds.clone();
-        let units_per_queue = self.units_per_queue;
-        let sizing = attach_pool(&self.sizing, pool);
-        let simulate = self.simulate.clone();
-        Ok(CampaignPlan::over_policy(
-            SweepKind::Random,
-            self.seeds.len(),
-            ChunkPolicy::INDEPENDENT,
-            Box::new(move |range| {
-                range
-                    .map(|i| {
-                        let seed = seeds[i];
-                        let arch = random_architecture(seed, &params);
-                        let budget = units_per_queue * arch.num_queues();
-                        size_point(
-                            &mut SolveContext::new(&arch, &sizing),
-                            &arch,
-                            i,
-                            budget,
-                            1.0,
-                            Some(seed),
-                            simulate.as_ref(),
-                        )
-                    })
-                    .collect()
-            }),
-        ))
+    pub fn plan(&self, pool: &WorkPool) -> Result<CampaignPlan, SweepError> {
+        CampaignPlan::new(self.shape(), &self.sizing, self.simulate.clone(), pool)
     }
 
     /// The campaign's sharding contract (see [`CampaignManifest`]).
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadConfig`] for an unusable campaign or a
+    /// [`SweepError::BadConfig`] for an unusable campaign, a seed above
+    /// 2⁵³ (the largest integer the wire carries exactly) or a
     /// simulation campaign (manifests are sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
-        CampaignManifest::new(
-            ManifestShape::Random {
-                params: self.params.clone(),
-                seeds: self.seeds.clone(),
-                units_per_queue: self.units_per_queue,
-            },
-            self.sizing.clone(),
-        )
-        .map_err(manifest_err)
+        CampaignManifest::new(self.shape(), self.sizing.clone()).map_err(manifest_err)
     }
 
     /// Runs the campaign on `pool`.

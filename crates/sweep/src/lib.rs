@@ -64,17 +64,23 @@
 
 //! # Sharding
 //!
-//! Every campaign lowers to a [`CampaignPlan`] — an index-ordered work
-//! list partitioned by a [`socbuf_core::ChunkPolicy`] plus one
-//! chunk-execution closure — and a sizing-only campaign additionally
-//! renders to a [`socbuf_core::wire::CampaignManifest`], the wire
-//! contract a coordinator ships to shard workers. A shard runs any
-//! subset of a manifest's chunks through [`CampaignPlan::run_chunks`]
-//! and renders each with [`chunk_report_json`]; [`merge_chunk_reports`]
-//! (or the streaming [`StreamingReducer`]) verifies coverage and
-//! reassembles — byte-identical to the serial run for any shard
-//! partition, because chunk boundaries are part of the campaign's
-//! meaning, not the executor's choice.
+//! Every campaign is described by one
+//! [`socbuf_core::wire::ManifestShape`] and planned from it into a
+//! [`CampaignPlan`] — an index-ordered work list partitioned by the
+//! shape's [`socbuf_core::ChunkPolicy`] plus one chunk-execution
+//! closure. A sizing-only campaign's shape also renders, with its
+//! config, to a [`socbuf_core::wire::CampaignManifest`], the wire
+//! contract a coordinator ships to shard workers. [`plan_manifest`]
+//! plans a manifest the same way and then executes its declared chunk
+//! partition, re-checked with
+//! [`CampaignManifest::validate_chunks`](socbuf_core::wire::CampaignManifest::validate_chunks)
+//! because a manifest's fields are public. A shard runs any subset of a
+//! manifest's chunks through [`CampaignPlan::run_chunks`] and renders
+//! each with [`chunk_report_json`]; [`merge_chunk_reports`] (or the
+//! streaming [`StreamingReducer`]) verifies coverage and reassembles —
+//! byte-identical to the serial run for any shard partition, because
+//! chunk boundaries are part of the campaign's meaning, not the
+//! executor's choice.
 //!
 //! # Streaming
 //!

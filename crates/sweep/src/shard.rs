@@ -18,12 +18,18 @@
 //! them warm-chain membership) are declared by the manifest — the
 //! [`ChunkPolicy`] partition by default, or a boundary-aligned
 //! coarsening of it (`scale_probe` declares 256-item chunks) — never
-//! chosen by who executes the chunk. A warm budget campaign's chunks also start from
-//! its point 0, which every executor solves the same way, whether or
-//! not it runs chunk 0. Pivot counts do vary with chunking, which is
-//! why they are trace-only and never rendered (see
+//! chosen by who executes the chunk. A warm budget campaign's chunks
+//! also start from its point 0, which every executor solves the same
+//! way, whether or not it runs chunk 0. Pivot counts do vary with
+//! chunking, which is why they are trace-only and never rendered (see
 //! [`SweepPoint::lp_iterations`]); [`execute_manifest_chunk_traced`]
 //! reports them beside one chunk's report.
+//!
+//! Every execution entry point here goes through [`plan_manifest`]: the
+//! manifest's shape is planned exactly as a local campaign's is, and
+//! the declared partition is re-checked once, because
+//! [`CampaignManifest`]'s fields are public and may have been edited
+//! since construction.
 //!
 //! The reducer is streaming at heart: [`StreamingReducer`] ingests
 //! chunk reports in any arrival order, verifies coverage incrementally,
@@ -37,11 +43,9 @@
 
 use std::collections::BTreeMap;
 
-use socbuf_core::wire::{
-    render_chunk_report, CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError,
-};
+use socbuf_core::wire::{render_chunk_report, CampaignManifest, ChunkReport, JsonValue, WireError};
 
-use crate::campaign::{BudgetSweep, CampaignPlan, LoadSweep, RandomCampaign, SinkRun, SweepError};
+use crate::campaign::{manifest_err, CampaignPlan, SinkRun, SweepError};
 use crate::pool::WorkPool;
 use crate::report::{push_point_json, sweep_point_from_json, SweepKind, SweepPoint, SweepReport};
 use crate::stream::{PointSink, VecSink};
@@ -49,61 +53,34 @@ use crate::stream::{PointSink, VecSink};
 /// Lowers a manifest to the chunk-execution core of the campaign it
 /// describes, executing the manifest's *declared* chunk partition —
 /// the policy default, or a coarser one built with
-/// [`CampaignManifest::with_chunks`]. The plan borrows the manifest's
-/// architecture; everything else is cloned in, so one manifest can be
-/// planned many times (once per stream request on a shard server).
+/// [`CampaignManifest::with_chunks`]. The plan owns one copy of the
+/// manifest's shape, so one manifest can be planned many times (once
+/// per stream request on a shard server).
+///
+/// A manifest's fields are public, so the plan re-checks what it
+/// executes: the campaign through
+/// [`ManifestShape::validate`](socbuf_core::wire::ManifestShape::validate)
+/// and the declared partition through
+/// [`CampaignManifest::validate_chunks`], then uses that partition as
+/// is. ([`CampaignManifest::from_json`] already runs both checks on a
+/// manifest that arrives over the wire.)
 ///
 /// # Errors
 ///
-/// [`SweepError::BadConfig`] for unusable campaigns — the same
-/// refusals [`CampaignManifest::new`] makes, re-checked because a
-/// manifest may arrive over the wire — or for a declared chunk
-/// partition the campaign's scheduling policy cannot align with.
-pub fn plan_manifest<'a>(
-    manifest: &'a CampaignManifest,
+/// [`SweepError::BadConfig`] for an unusable campaign (empty grid, zero
+/// per-queue budget) or a declared partition that is not a
+/// boundary-aligned coarsening of the campaign's
+/// [`ChunkPolicy`](socbuf_core::ChunkPolicy) partition: a chunk
+/// misnumbered, empty, overlapping, leaving a gap or ending off the
+/// policy's chain grid.
+pub fn plan_manifest(
+    manifest: &CampaignManifest,
     pool: &WorkPool,
-) -> Result<CampaignPlan<'a>, SweepError> {
-    let plan = match &manifest.shape {
-        ManifestShape::Budget {
-            arch,
-            budgets,
-            warm_start,
-        } => BudgetSweep {
-            arch,
-            budgets: budgets.clone(),
-            sizing: manifest.config.clone(),
-            simulate: None,
-            warm_start: *warm_start,
-        }
-        .plan(pool),
-        ManifestShape::Load {
-            arch,
-            budget,
-            factors,
-            warm_start,
-        } => LoadSweep {
-            arch,
-            budget: *budget,
-            factors: factors.clone(),
-            sizing: manifest.config.clone(),
-            simulate: None,
-            warm_start: *warm_start,
-        }
-        .plan(pool),
-        ManifestShape::Random {
-            params,
-            seeds,
-            units_per_queue,
-        } => RandomCampaign {
-            params: params.clone(),
-            seeds: seeds.clone(),
-            units_per_queue: *units_per_queue,
-            sizing: manifest.config.clone(),
-            simulate: None,
-        }
-        .plan(pool),
-    }?;
-    plan.with_ranges(manifest.chunks.iter().map(|c| c.start..c.end).collect())
+) -> Result<CampaignPlan, SweepError> {
+    let mut plan = CampaignPlan::new(manifest.shape.clone(), &manifest.config, None, pool)?;
+    manifest.validate_chunks().map_err(manifest_err)?;
+    plan.ranges = manifest.chunks.iter().map(|c| c.start..c.end).collect();
+    Ok(plan)
 }
 
 /// Runs the whole campaign locally — the serial reference a sharded

@@ -9,8 +9,8 @@ use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::shard::MergeError;
 use socbuf_sweep::{
-    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, BudgetSweep, LoadSweep,
-    RandomCampaign, SweepError, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest, run_manifest, BudgetSweep,
+    LoadSweep, RandomCampaign, SweepError, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -196,4 +196,64 @@ fn simulation_campaigns_refuse_to_shard() {
         Err(SweepError::BadConfig(msg)) => assert!(msg.contains("sizing-only"), "{msg}"),
         other => panic!("expected BadConfig, got {other:?}"),
     }
+}
+
+/// Asserts every execution entry point refuses `manifest` with a
+/// `BadConfig` whose text contains `needle`.
+fn assert_refused_everywhere(manifest: &CampaignManifest, needle: &str) {
+    let pool = WorkPool::serial();
+    for (entry, refusal) in [
+        ("plan_manifest", plan_manifest(manifest, &pool).err()),
+        ("run_manifest", run_manifest(manifest, &pool).err()),
+        (
+            "execute_manifest_chunk_traced",
+            execute_manifest_chunk_traced(manifest, 0, &pool).err(),
+        ),
+    ] {
+        match refusal {
+            Some(SweepError::BadConfig(msg)) => assert!(msg.contains(needle), "{entry}: {msg}"),
+            other => panic!("{entry}: expected BadConfig naming {needle:?}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn edited_chunk_partitions_are_refused_before_anything_runs() {
+    let arch = templates::amba();
+    let base = budget_manifest(&arch); // chunks 0..4, 4..8, 8..10
+    let mut off_grid = base.clone();
+    off_grid.chunks[0].end = 3;
+    off_grid.chunks[1].start = 3;
+    assert_refused_everywhere(&off_grid, "chunk 0 ends at 3");
+    let mut gap = base.clone();
+    gap.chunks[1].start = 5;
+    assert_refused_everywhere(&gap, "chunk 1 starts at 5 — coverage gap");
+    let mut renumbered = base;
+    renumbered.chunks[2].chunk = 7;
+    assert_refused_everywhere(&renumbered, "chunks[2] is numbered 7");
+}
+
+#[test]
+fn manifests_the_wire_cannot_carry_back_are_refused_but_still_run_locally() {
+    let arch = templates::amba();
+    let mut load = LoadSweep::new(&arch, 16, vec![1.0, f64::NAN]);
+    load.sizing = small();
+    match load.manifest() {
+        Err(SweepError::BadConfig(msg)) => assert!(msg.contains("factors[1] is NaN"), "{msg}"),
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    match load.run(&WorkPool::serial()) {
+        Err(SweepError::Arch { index: 1, .. }) => {}
+        other => panic!("expected an Arch error at point 1, got {other:?}"),
+    }
+
+    let seed = 10_368_477_539_328_126_995;
+    let mut random = RandomCampaign::new(vec![seed]);
+    random.sizing = small();
+    match random.manifest() {
+        Err(SweepError::BadConfig(msg)) => assert!(msg.contains("seeds[0]"), "{msg}"),
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    let report = random.run(&WorkPool::serial()).unwrap();
+    assert_eq!(report.points[0].arch_seed, Some(seed));
 }
