@@ -4,22 +4,23 @@
 //!
 //! `--smoke` runs the CI gate:
 //!
-//! * **equivalence (always enforced)** — the actor engine must
-//!   reproduce the legacy engine's `SimReport` *exactly* (every counter
-//!   bit-identical) on the four shared templates across seeds and
-//!   arbiters. This is the refactor's load-bearing promise: same draws,
-//!   same statistics, different core.
-//! * **determinism (always enforced)** — extended scenarios (priority
-//!   arbitration, locked transfers, bursty and on/off sources) have no
-//!   legacy oracle, so the gate is per-seed reproducibility plus the
+//! * **equivalence** — the actor engine must reproduce the legacy
+//!   engine's `SimReport` *exactly* (every counter bit-identical) on
+//!   the four shared templates across seeds and arbiters. This is the
+//!   refactor's load-bearing promise: same draws, same statistics,
+//!   different core.
+//! * **determinism** — extended scenarios (priority arbitration,
+//!   locked transfers, bursty and on/off sources) have no legacy
+//!   oracle, so the gate is per-seed reproducibility plus the
 //!   conservation identity `offered = delivered + lost + in_flight`.
-//! * **throughput (always enforced, generous bound)** — the actor
-//!   engine pays for mailboxes and envelopes; the gate only requires it
-//!   stay within [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy wall time
-//!   (best of [`SMOKE_REPEATS`]) so a catastrophic scheduling
+//! * **throughput (generous bound, enforced on every host)** — the
+//!   actor engine pays for mailboxes and envelopes; the gate only
+//!   requires it stay within [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy
+//!   wall time (best of [`SMOKE_REPEATS`]) so a catastrophic scheduling
 //!   regression cannot land silently. Both engines run in-process on
 //!   the same host, so the ratio is robust to runner speed.
 
+use socbuf_bench::probe::{self, best_of, ratio, Gate};
 use socbuf_sim::{
     simulate_actors_with, simulate_with, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
 };
@@ -27,22 +28,13 @@ use socbuf_soc::templates;
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
 const ACTOR_SLOWDOWN_LIMIT: f64 = 8.0;
 
 /// Timing repeats; best-of keeps the gate robust to shared-runner noise.
 const SMOKE_REPEATS: usize = 3;
-
-fn shared_templates() -> Vec<(&'static str, Architecture)> {
-    vec![
-        ("figure1", templates::figure1()),
-        ("amba", templates::amba()),
-        ("coreconnect", templates::coreconnect()),
-        ("network_processor", templates::network_processor()),
-    ]
-}
 
 /// A two-client priority bus with one bursty flow — exercises every
 /// extended declaration except on/off in one architecture.
@@ -79,25 +71,17 @@ fn extended_arch() -> Architecture {
     b.build().unwrap()
 }
 
-fn run_engine(
-    engine: SimEngine,
-    arch: &Architecture,
-    horizon: f64,
-    seed: u64,
-) -> (SimReport, Duration) {
+fn run_engine(engine: SimEngine, arch: &Architecture, horizon: f64, seed: u64) -> SimReport {
     let alloc = BufferAllocation::uniform(arch, 4);
     let mut arbiter = Arbiter::RandomNonempty;
     let cfg = SimConfig::new(horizon, seed);
-    let t = Instant::now();
-    let report = engine.simulate_with(arch, &alloc, &mut arbiter, None, &cfg);
-    (report, t.elapsed())
+    engine.simulate_with(arch, &alloc, &mut arbiter, None, &cfg)
 }
 
 /// The equivalence gate: every shared workload, both engines, exact
-/// report equality. Returns the number of mismatching workloads.
-fn check_equivalence(horizon: f64, verbose: bool) -> usize {
-    let mut failures = 0;
-    for (name, arch) in shared_templates() {
+/// report equality.
+fn check_equivalence(gate: &mut Gate, horizon: f64, verbose: bool) {
+    for (name, arch) in probe::named_templates() {
         let alloc = BufferAllocation::uniform(&arch, 4);
         // Calibrate the timeout thresholds from an untimed legacy run,
         // exactly as the pipeline does before its timeout baseline.
@@ -116,14 +100,15 @@ fn check_equivalence(horizon: f64, verbose: bool) -> usize {
                 let mut arb_a = Arbiter::LongestQueue;
                 let legacy = simulate_with(&arch, &alloc, &mut arb_l, timeout, &cfg);
                 let actors = simulate_actors_with(&arch, &alloc, &mut arb_a, timeout, &cfg);
-                if legacy != actors {
-                    eprintln!(
-                        "SMOKE FAIL: {name} seed {seed} timeout={}: engines disagree\n\
+                let same = gate.check(
+                    legacy == actors,
+                    format_args!(
+                        "{name} seed {seed} timeout={}: engines disagree\n\
                          legacy: {legacy:?}\nactors: {actors:?}",
                         timeout.is_some()
-                    );
-                    failures += 1;
-                } else if verbose {
+                    ),
+                );
+                if same && verbose {
                     println!(
                         "{name:>18} seed {seed} timeout={}: identical \
                          (offered {:.0}, lost {:.0})",
@@ -135,30 +120,27 @@ fn check_equivalence(horizon: f64, verbose: bool) -> usize {
             }
         }
     }
-    failures
 }
 
 /// Determinism + conservation on the extended architecture (no legacy
-/// oracle exists there). Returns the number of failures.
-fn check_extended(horizon: f64, verbose: bool) -> usize {
+/// oracle exists there).
+fn check_extended(gate: &mut Gate, horizon: f64, verbose: bool) {
     let arch = extended_arch();
     assert!(arch.uses_extended_semantics());
-    let mut failures = 0;
     for seed in [1u64, 99, 2005] {
-        let (a, _) = run_engine(SimEngine::Actors, &arch, horizon, seed);
-        let (b, _) = run_engine(SimEngine::Actors, &arch, horizon, seed);
-        if a != b {
-            eprintln!("SMOKE FAIL: extended arch seed {seed} not reproducible");
-            failures += 1;
-        }
+        let a = run_engine(SimEngine::Actors, &arch, horizon, seed);
+        let b = run_engine(SimEngine::Actors, &arch, horizon, seed);
+        gate.check(
+            a == b,
+            format_args!("extended arch seed {seed} not reproducible"),
+        );
         let residual = a.total_offered - a.total_delivered - a.total_lost - a.in_flight;
         if residual.abs() > 1e-9 || a.in_flight < 0.0 {
-            eprintln!(
-                "SMOKE FAIL: extended arch seed {seed} breaks conservation \
+            gate.fail(format_args!(
+                "extended arch seed {seed} breaks conservation \
                  (offered {} delivered {} lost {} in_flight {})",
                 a.total_offered, a.total_delivered, a.total_lost, a.in_flight
-            );
-            failures += 1;
+            ));
         } else if verbose {
             println!(
                 "extended seed {seed}: loss_fraction {:.4}, in_flight {:.0}",
@@ -167,68 +149,55 @@ fn check_extended(horizon: f64, verbose: bool) -> usize {
             );
         }
     }
-    failures
 }
 
-/// Best-of-N wall time for one engine on one workload.
+/// Best-of-[`SMOKE_REPEATS`] wall time for one engine on one workload,
+/// seeding repeat `i` with `i`.
 fn best_time(engine: SimEngine, arch: &Architecture, horizon: f64) -> Duration {
-    let mut best: Option<Duration> = None;
-    for rep in 0..SMOKE_REPEATS {
-        let (_, time) = run_engine(engine, arch, horizon, rep as u64);
-        if best.is_none_or(|b| time < b) {
-            best = Some(time);
-        }
-    }
-    best.expect("at least one repeat")
+    let mut seed = 0;
+    let (_, time) = best_of(SMOKE_REPEATS, || {
+        seed += 1;
+        run_engine(engine, arch, horizon, seed - 1)
+    });
+    time
 }
 
-/// CI-sized gate; exits nonzero on regression.
-fn smoke() -> i32 {
-    let mut failures = 0;
-    failures += check_equivalence(2000.0, false);
-    failures += check_extended(2000.0, false);
+/// CI-sized gate.
+fn smoke(gate: &mut Gate) {
+    check_equivalence(gate, 2000.0, false);
+    check_extended(gate, 2000.0, false);
 
     let np = templates::network_processor();
     let legacy = best_time(SimEngine::Legacy, &np, 5000.0);
     let actors = best_time(SimEngine::Actors, &np, 5000.0);
-    let ratio = actors.as_secs_f64() / legacy.as_secs_f64().max(1e-12);
-    println!("np horizon 5000: legacy {legacy:?}, actors {actors:?} ({ratio:.2}x)");
-    if ratio > ACTOR_SLOWDOWN_LIMIT {
-        eprintln!(
-            "SMOKE FAIL: actor engine {ratio:.2}x slower than legacy \
-             (limit {ACTOR_SLOWDOWN_LIMIT}x)"
-        );
-        failures += 1;
-    }
-
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures as i32
+    let r = ratio(actors, legacy);
+    println!("np horizon 5000: legacy {legacy:?}, actors {actors:?} ({r:.2}x)");
+    gate.check(
+        r <= ACTOR_SLOWDOWN_LIMIT,
+        format_args!("actor engine {r:.2}x slower than legacy (limit {ACTOR_SLOWDOWN_LIMIT}x)"),
+    );
 }
 
 /// Full table: per-template equivalence detail plus a throughput sweep.
 fn full_probe() {
-    check_equivalence(2000.0, true);
-    check_extended(5000.0, true);
+    // The full table reports mismatches; only `--smoke` exits on them.
+    let mut gate = Gate::new();
+    check_equivalence(&mut gate, 2000.0, true);
+    check_extended(&mut gate, 5000.0, true);
     println!(
         "\n{:>18} {:>12} {:>12} {:>7}",
         "template", "legacy", "actors", "ratio"
     );
-    for (name, arch) in shared_templates() {
+    for (name, arch) in probe::named_templates() {
         let legacy = best_time(SimEngine::Legacy, &arch, 20000.0);
         let actors = best_time(SimEngine::Actors, &arch, 20000.0);
         println!(
             "{name:>18} {legacy:>12?} {actors:>12?} {:>6.2}x",
-            actors.as_secs_f64() / legacy.as_secs_f64().max(1e-12)
+            ratio(actors, legacy)
         );
     }
 }
 
 fn main() {
-    let smoke_mode = std::env::args().any(|a| a == "--smoke");
-    if smoke_mode {
-        std::process::exit(smoke());
-    }
-    full_probe();
+    probe::run(smoke, full_probe);
 }

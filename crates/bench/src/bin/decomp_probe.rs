@@ -5,30 +5,29 @@
 //!
 //! `--smoke` runs the CI gate:
 //!
-//! * **agreement (always enforced)** — the decomposed solve must match
-//!   the monolithic revised objective to 1e-9 relative, must actually
-//!   exploit the structure (no monolithic fallback; one block per
-//!   queue) and must price the coupling row with a genuinely bound
-//!   multiplier search on this tight budget;
-//! * **speedup (enforced when the host has ≥ 2 cores)** — the pooled
-//!   decomposed solve must be ≥ 1.5× faster than the monolithic revised
-//!   solve (best of `SMOKE_REPEATS`). The blocks are 32 independent
-//!   LPs of ~1/32 the joint size and simplex cost grows superlinearly
-//!   in the basis dimension, so the bar is conservative even before
-//!   parallelism. Single-core hosts skip this gate only because they
-//!   are the noisy shared-runner case repeats cannot de-noise — the
-//!   agreement gate still runs there.
+//! * **agreement** — the decomposed solve must match the monolithic
+//!   revised objective to 1e-9 relative, must actually exploit the
+//!   structure (no monolithic fallback; one block per queue) and must
+//!   price the coupling row with a genuinely bound multiplier search
+//!   on this tight budget;
+//! * **speedup (wall time, under the [`socbuf_bench::probe`]
+//!   single-core skip policy)** — the pooled decomposed solve must be
+//!   ≥ 1.5× faster than the monolithic revised solve (best of
+//!   `SMOKE_REPEATS`). The blocks are 32 independent LPs of ~1/32 the
+//!   joint size and simplex cost grows superlinearly in the basis
+//!   dimension, so the bar is conservative even before parallelism.
 //!
 //! `--json` additionally writes the machine-readable trajectory to
 //! `BENCH_decomp.json` (schema documented in `socbuf_bench`'s crate
 //! docs) so perf can be tracked across commits.
 
+use socbuf_bench::probe::{self, best_of, ratio, Gate, OrExit};
 use socbuf_core::{ExecutorHandle, SizingConfig, SizingLp};
-use socbuf_lp::{solve_decomposed, DecompReport, LpEngine, LpProblem, SimplexOptions};
+use socbuf_lp::{solve_decomposed, LpEngine, SimplexOptions};
 use socbuf_soc::{Architecture, ArchitectureBuilder, FlowTarget};
 use socbuf_sweep::WorkPool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// CTMDP granularity of the probe instance. 64 occupancy states per
 /// queue makes each block LP big enough that block-level parallelism
@@ -77,51 +76,6 @@ fn probe_options() -> SimplexOptions {
     }
 }
 
-/// Best-of-`repeats` monolithic revised wall time and objective.
-fn time_monolithic(p: &LpProblem, repeats: usize) -> (f64, Duration) {
-    let opts = probe_options();
-    let mut best: Option<(f64, Duration)> = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        let sol = p.solve_with(&opts).unwrap_or_else(|e| {
-            eprintln!("monolithic revised solve failed: {e}");
-            std::process::exit(2);
-        });
-        let run = (sol.objective(), t.elapsed());
-        if best.is_none_or(|(_, b)| run.1 < b) {
-            best = Some(run);
-        }
-    }
-    best.expect("repeats >= 1")
-}
-
-/// Best-of-`repeats` decomposed wall time under `executor`, plus the
-/// objective and the (deterministic, repeat-invariant) report.
-fn time_decomposed(
-    p: &LpProblem,
-    executor: ExecutorHandle,
-    repeats: usize,
-) -> (f64, Duration, DecompReport) {
-    let opts = SimplexOptions {
-        engine: LpEngine::Decomposed,
-        executor,
-        ..probe_options()
-    };
-    let mut best: Option<(f64, Duration, DecompReport)> = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        let (sol, report) = solve_decomposed(p, &opts).unwrap_or_else(|e| {
-            eprintln!("decomposed solve failed: {e}");
-            std::process::exit(2);
-        });
-        let run = (sol.objective(), t.elapsed(), report);
-        if best.as_ref().is_none_or(|(_, b, _)| run.1 < *b) {
-            best = Some(run);
-        }
-    }
-    best.expect("repeats >= 1")
-}
-
 struct ProbeRun {
     blocks: usize,
     multiplier_iterations: usize,
@@ -145,16 +99,30 @@ fn run_probe(repeats: usize) -> ProbeRun {
         engine: LpEngine::Decomposed,
         ..SizingConfig::default()
     };
-    let lp = SizingLp::build(&arch, BUDGET, &cfg).unwrap_or_else(|e| {
-        eprintln!("failed to build the probe sizing LP: {e}");
-        std::process::exit(2);
-    });
+    let lp = SizingLp::build(&arch, BUDGET, &cfg).or_exit("failed to build the probe sizing LP");
     let p = lp.problem();
-    let (mono_obj, mono) = time_monolithic(p, repeats);
-    let (serial_obj, serial, report) = time_decomposed(p, ExecutorHandle::serial(), repeats);
+    let opts = probe_options();
+    let (mono_obj, mono) = best_of(repeats, || {
+        let sol = p.solve_with(&opts);
+        sol.or_exit("monolithic revised solve failed").objective()
+    });
+    // Best-of-`repeats` decomposed objective, wall time and (repeat-
+    // invariant) report under `executor`.
+    let decomposed = |executor: ExecutorHandle| {
+        let opts = SimplexOptions {
+            engine: LpEngine::Decomposed,
+            executor,
+            ..probe_options()
+        };
+        let ((obj, report), time) = best_of(repeats, || {
+            let (sol, report) = solve_decomposed(p, &opts).or_exit("decomposed solve failed");
+            (sol.objective(), report)
+        });
+        (obj, time, report)
+    };
+    let (serial_obj, serial, report) = decomposed(ExecutorHandle::serial());
     let pool = WorkPool::available();
-    let (pooled_obj, pooled, pooled_report) =
-        time_decomposed(p, ExecutorHandle::new(Arc::new(pool)), repeats);
+    let (pooled_obj, pooled, pooled_report) = decomposed(ExecutorHandle::new(Arc::new(pool)));
     assert_eq!(
         report.blocks, pooled_report.blocks,
         "executors must not change the detected structure"
@@ -166,7 +134,7 @@ fn run_probe(repeats: usize) -> ProbeRun {
         mono,
         serial,
         pooled,
-        speedup: mono.as_secs_f64() / pooled.as_secs_f64().max(1e-12),
+        speedup: ratio(mono, pooled),
         serial_obj,
         pooled_obj,
         fell_back: report.fell_back || pooled_report.fell_back,
@@ -187,7 +155,7 @@ fn print_table(run: &ProbeRun) {
     println!(
         "  decomposed (serial): {:?}  ({:.2}x)",
         run.serial,
-        run.mono.as_secs_f64() / run.serial.as_secs_f64().max(1e-12)
+        ratio(run.mono, run.serial)
     );
     println!(
         "  decomposed (pooled): {:?}  ({:.2}x)",
@@ -195,68 +163,54 @@ fn print_table(run: &ProbeRun) {
     );
 }
 
-/// CI-sized gate; exits nonzero on regression.
-fn smoke(write_json: bool) -> i32 {
+/// CI-sized gate.
+fn smoke(gate: &mut Gate) {
     const SMOKE_REPEATS: usize = 2;
 
     let run = run_probe(SMOKE_REPEATS);
     print_table(&run);
-    let mut failures = 0;
 
     // --- Agreement: exactness is unconditional. -----------------------
-    if run.fell_back {
-        eprintln!("SMOKE FAIL: the probe LP fell back to the monolithic path");
-        failures += 1;
-    }
-    if run.blocks != BUSES {
-        eprintln!(
-            "SMOKE FAIL: expected {BUSES} blocks (one per bus), got {}",
-            run.blocks
-        );
-        failures += 1;
-    }
+    gate.check(
+        !run.fell_back,
+        "the probe LP fell back to the monolithic path",
+    );
+    gate.check(
+        run.blocks == BUSES,
+        format_args!("expected {BUSES} blocks (one per bus), got {}", run.blocks),
+    );
     for (label, obj) in [("serial", run.serial_obj), ("pooled", run.pooled_obj)] {
         let diff = rel_diff(obj, run.mono_obj);
         if diff > 1e-9 {
-            eprintln!(
-                "SMOKE FAIL: {label} decomposed objective {obj} vs monolithic {} \
-                 (rel {diff:.3e}, need <= 1e-9)",
+            gate.fail(format_args!(
+                "{label} decomposed objective {obj} vs monolithic {} (rel {diff:.3e}, need <= 1e-9)",
                 run.mono_obj
-            );
-            failures += 1;
+            ));
         }
     }
-    if run.multiplier_iterations < 2 {
-        eprintln!(
-            "SMOKE FAIL: budget {BUDGET} should bind the coupling row, but the \
-             multiplier search finished after {} sweep(s)",
+    gate.check(
+        run.multiplier_iterations >= 2,
+        format_args!(
+            "budget {BUDGET} should bind the coupling row, but the multiplier search finished \
+             after {} sweep(s)",
             run.multiplier_iterations
-        );
-        failures += 1;
-    }
+        ),
+    );
 
     // --- Speedup: enforced only where parallelism exists. --------------
-    let cores = socbuf_bench::cores();
-    if cores >= 2 {
-        if run.speedup < 1.5 {
-            eprintln!(
-                "SMOKE FAIL: pooled decomposed solve only {:.2}x faster than the \
-                 monolithic revised solve (need >= 1.5x) on a {cores}-core host",
-                run.speedup
-            );
-            failures += 1;
-        }
-    } else {
-        println!("speedup gate SKIPPED: single-core host (agreement still enforced)");
-    }
+    gate.timed(
+        "speedup",
+        run.speedup >= 1.5,
+        format_args!(
+            "pooled decomposed solve only {:.2}x faster than the monolithic revised solve \
+             (need >= 1.5x)",
+            run.speedup
+        ),
+    );
 
-    if write_json {
+    if probe::flag("--json") {
         write_bench_json(&run);
     }
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures
 }
 
 /// Writes the machine-readable trajectory (schema in the crate docs).
@@ -281,21 +235,17 @@ fn write_bench_json(run: &ProbeRun) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke_mode = args.iter().any(|a| a == "--smoke");
-    let json_mode = args.iter().any(|a| a == "--json");
-    if smoke_mode {
-        std::process::exit(smoke(json_mode));
-    }
-    let run = run_probe(3);
-    print_table(&run);
-    println!(
-        "  objectives: mono {} / serial rel {:.2e} / pooled rel {:.2e}",
-        run.mono_obj,
-        rel_diff(run.serial_obj, run.mono_obj),
-        rel_diff(run.pooled_obj, run.mono_obj)
-    );
-    if json_mode {
-        write_bench_json(&run);
-    }
+    probe::run(smoke, || {
+        let run = run_probe(3);
+        print_table(&run);
+        println!(
+            "  objectives: mono {} / serial rel {:.2e} / pooled rel {:.2e}",
+            run.mono_obj,
+            rel_diff(run.serial_obj, run.mono_obj),
+            rel_diff(run.pooled_obj, run.mono_obj)
+        );
+        if probe::flag("--json") {
+            write_bench_json(&run);
+        }
+    });
 }

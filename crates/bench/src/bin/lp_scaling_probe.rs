@@ -7,9 +7,11 @@
 //! regression in either engine — or a lost crossover — is visible in
 //! one run.
 //!
-//! `--smoke` runs a CI-sized subset and **fails** (exit 1) unless the
-//! revised engine beats the tableau on the `network_processor` template
-//! at `state_cap = 16`, which is the acceptance bar for making the
+//! `--smoke` runs a CI-sized subset on the [`socbuf_bench::probe`]
+//! harness, which exits with the number of failed gates. It fails
+//! unless the revised engine beats the tableau on the
+//! `network_processor` template at `state_cap = 16` (within a 1.15×
+//! noise margin, on every host), which is the acceptance bar for making the
 //! revised engine the default. Results must also agree to 1e-9
 //! relative, so the smoke doubles as a cross-engine oracle on the
 //! biggest template.
@@ -22,10 +24,11 @@
 //! estimate must drop on every instance the trigger fires for, and the
 //! trigger must actually fire on a healthy fraction of the corpus.
 
+use socbuf_bench::probe::{self, best_of, ratio, Gate};
 use socbuf_core::{SizingConfig, SizingLp};
 use socbuf_lp::{LpEngine, SimplexOptions};
 use socbuf_soc::templates;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct EngineRun {
     pivots: usize,
@@ -52,31 +55,20 @@ fn run_engine(
         ..SizingConfig::default()
     };
     let lp = SizingLp::build(arch, budget, &cfg).map_err(|e| e.to_string())?;
-    let mut best: Option<EngineRun> = None;
-    for _ in 0..repeats.max(1) {
-        let t = Instant::now();
-        match lp.solve() {
-            Ok(sol) => {
-                let run = EngineRun {
-                    pivots: sol.lp_iterations,
-                    time: t.elapsed(),
-                    loss: sol.loss_rate,
-                    vars: lp.num_vars(),
-                    rows: lp.num_rows(),
-                };
-                if best.as_ref().is_none_or(|b| run.time < b.time) {
-                    best = Some(run);
-                }
-            }
-            Err(e) => return Err(format!("failed after {:?}: {e}", t.elapsed())),
-        }
-    }
-    Ok(best.expect("repeats >= 1"))
+    let (sol, time) = best_of(repeats, || lp.solve());
+    let sol = sol.map_err(|e| format!("failed after {time:?}: {e}"))?;
+    Ok(EngineRun {
+        pivots: sol.lp_iterations,
+        time,
+        loss: sol.loss_rate,
+        vars: lp.num_vars(),
+        rows: lp.num_rows(),
+    })
 }
 
 /// Probes one (template, cap, lev) cell with both engines and prints
 /// the comparison. Returns `(revised, tableau)` when both solved.
-fn probe(
+fn compare(
     name: &str,
     arch: &socbuf_soc::Architecture,
     budget: usize,
@@ -100,7 +92,7 @@ fn probe(
                 r.time,
                 t.pivots,
                 t.time,
-                t.time.as_secs_f64() / r.time.as_secs_f64().max(1e-12),
+                ratio(t.time, r.time),
                 r.loss
             );
         }
@@ -114,29 +106,25 @@ fn probe(
             println!();
         }
     }
-    match (revised, tableau) {
-        (Ok(r), Ok(t)) => Some((r, t)),
-        _ => None,
-    }
+    Some((revised.ok()?, tableau.ok()?))
 }
 
 fn full_sweep() {
-    for (name, arch, budget) in [
-        ("figure1", templates::figure1(), 22usize),
-        ("amba", templates::amba(), 16),
-        ("coreconnect", templates::coreconnect(), 20),
-        ("np", templates::network_processor(), 320),
-    ] {
+    for ((name, arch), budget) in probe::named_templates().into_iter().zip([22, 16, 20, 320]) {
         for (cap, lev) in [(8usize, 3usize), (12, 3), (16, 4), (20, 4), (24, 5)] {
-            probe(name, &arch, budget, cap, lev, 1);
+            compare(name, &arch, budget, cap, lev, 1);
         }
     }
 }
 
-/// Equilibration gate over the ill-conditioned corpus. Returns the
-/// number of failed checks (0 = healthy).
-fn ill_conditioned_gate() -> usize {
-    let mut failures = 0usize;
+/// Whether two objectives differ beyond 1e-9 relative.
+fn disagree(a: f64, b: f64) -> bool {
+    (a - b).abs() > 1e-9 * (1.0 + a.abs())
+}
+
+/// Equilibration gate over the ill-conditioned corpus.
+fn ill_conditioned_gate(gate: &mut Gate) {
+    let failures_before = gate.failures();
     let mut applied = 0usize;
     let mut solved = 0usize;
     let corpus_size = 12u64;
@@ -157,8 +145,7 @@ fn ill_conditioned_gate() -> usize {
         let lp = match SizingLp::build(&arch, 4000, &cfg) {
             Ok(lp) => lp,
             Err(e) => {
-                eprintln!("SMOKE FAIL: ill seed {seed} failed to build: {e}");
-                failures += 1;
+                gate.fail(format_args!("ill seed {seed} failed to build: {e}"));
                 continue;
             }
         };
@@ -167,134 +154,110 @@ fn ill_conditioned_gate() -> usize {
         let tableau = p.solve_with(&lp_opts(LpEngine::Tableau, true));
         let unscaled = p.solve_with(&lp_opts(LpEngine::Revised, false));
         let (Ok(r), Ok(t)) = (&revised, &tableau) else {
-            eprintln!("SMOKE FAIL: ill seed {seed} did not solve with equilibration on");
-            failures += 1;
+            gate.fail(format_args!(
+                "ill seed {seed} did not solve with equilibration on"
+            ));
             continue;
         };
         solved += 1;
-        if (r.objective() - t.objective()).abs() > 1e-9 * (1.0 + r.objective().abs()) {
-            eprintln!(
-                "SMOKE FAIL: ill seed {seed} engines disagree: {} vs {}",
+        if disagree(r.objective(), t.objective()) {
+            gate.fail(format_args!(
+                "ill seed {seed} engines disagree: {} vs {}",
                 r.objective(),
                 t.objective()
-            );
-            failures += 1;
+            ));
         }
         // Scaling must be a pure numerics change: the unequilibrated
         // solve of the same instance (when it survives at all — it is
         // allowed to break down, that is what the layer is for) must
         // land on the same objective.
         if let Ok(u) = &unscaled {
-            if (r.objective() - u.objective()).abs() > 1e-9 * (1.0 + r.objective().abs()) {
-                eprintln!(
-                    "SMOKE FAIL: ill seed {seed} equilibration changed the objective: \
+            if disagree(r.objective(), u.objective()) {
+                gate.fail(format_args!(
+                    "ill seed {seed} equilibration changed the objective: \
                      {} (on) vs {} (off)",
                     r.objective(),
                     u.objective()
-                );
-                failures += 1;
+                ));
             }
         }
         let stats = r.scaling_stats();
         if stats.applied {
             applied += 1;
             if stats.condition_after >= stats.condition_before {
-                eprintln!(
-                    "SMOKE FAIL: ill seed {seed} condition estimate did not drop: \
-                     {:.3e} -> {:.3e}",
+                gate.fail(format_args!(
+                    "ill seed {seed} condition estimate did not drop: {:.3e} -> {:.3e}",
                     stats.condition_before, stats.condition_after
-                );
-                failures += 1;
+                ));
             }
         }
     }
-    if applied * 3 < solved {
-        eprintln!(
-            "SMOKE FAIL: equilibration trigger fired on only {applied}/{solved} \
-             ill-conditioned instances"
-        );
-        failures += 1;
-    }
-    if failures == 0 {
+    gate.check(
+        applied * 3 >= solved,
+        format_args!(
+            "equilibration trigger fired on only {applied}/{solved} ill-conditioned instances"
+        ),
+    );
+    if gate.failures() == failures_before {
         println!(
             "ill-conditioned gate OK: {solved}/{corpus_size} solved, \
              equilibration applied on {applied}, condition dropped on all applied"
         );
     }
-    failures
 }
 
-/// CI-sized subset with hard gates; exits nonzero on regression.
-fn smoke() -> i32 {
-    let mut failures = 0;
-
+/// CI-sized subset with hard gates.
+fn smoke(gate: &mut Gate) {
     // Best-of-N timing keeps the required CI job robust to shared-
     // runner noise; the revised engine's ~2x headroom does the rest.
     const SMOKE_REPEATS: usize = 3;
 
     // Cross-engine agreement and basic health on a small template.
     let fig1 = templates::figure1();
-    match probe("figure1", &fig1, 22, 12, 3, SMOKE_REPEATS) {
-        Some((r, t)) => {
-            if (r.loss - t.loss).abs() > 1e-9 * (1.0 + r.loss.abs()) {
-                eprintln!(
-                    "SMOKE FAIL: figure1 engines disagree: {} vs {}",
-                    r.loss, t.loss
-                );
-                failures += 1;
-            }
-        }
-        None => {
-            eprintln!("SMOKE FAIL: figure1 probe did not solve");
-            failures += 1;
-        }
+    match compare("figure1", &fig1, 22, 12, 3, SMOKE_REPEATS) {
+        Some((r, t)) if disagree(r.loss, t.loss) => gate.fail(format_args!(
+            "figure1 engines disagree: {} vs {}",
+            r.loss, t.loss
+        )),
+        Some(_) => {}
+        None => gate.fail("figure1 probe did not solve"),
     }
 
     // The acceptance gate: revised beats tableau on network_processor
     // at state_cap 16 (wall time), and the engines agree.
     let np = templates::network_processor();
-    match probe("np", &np, 320, 16, 4, SMOKE_REPEATS) {
-        Some((r, t)) => {
-            if (r.loss - t.loss).abs() > 1e-9 * (1.0 + r.loss.abs()) {
-                eprintln!("SMOKE FAIL: np engines disagree: {} vs {}", r.loss, t.loss);
-                failures += 1;
-            }
-            // Locally the revised engine wins ~2x here; failing only
-            // past a 1.15x loss margin keeps the required CI job from
-            // tripping on shared-runner noise while still catching any
-            // real loss of the crossover.
-            if r.time.as_secs_f64() >= 1.15 * t.time.as_secs_f64() {
-                eprintln!(
-                    "SMOKE FAIL: revised ({:?}) clearly slower than tableau ({:?}) on np cap=16",
-                    r.time, t.time
-                );
-                failures += 1;
-            } else if r.time >= t.time {
-                eprintln!(
-                    "SMOKE WARN: revised ({:?}) did not beat tableau ({:?}) on np cap=16 \
-                     (within noise margin; investigate if persistent)",
-                    r.time, t.time
-                );
-            }
-        }
-        None => {
-            eprintln!("SMOKE FAIL: np probe did not solve");
-            failures += 1;
-        }
+    let Some((r, t)) = compare("np", &np, 320, 16, 4, SMOKE_REPEATS) else {
+        gate.fail("np probe did not solve");
+        return ill_conditioned_gate(gate);
+    };
+    if disagree(r.loss, t.loss) {
+        gate.fail(format_args!(
+            "np engines disagree: {} vs {}",
+            r.loss, t.loss
+        ));
+    }
+    // Locally the revised engine wins ~2x here; failing only past a
+    // 1.15x loss margin keeps the required CI job from tripping on
+    // shared-runner noise while still catching any real loss of the
+    // crossover.
+    let within_margin = gate.check(
+        r.time.as_secs_f64() < 1.15 * t.time.as_secs_f64(),
+        format_args!(
+            "revised ({:?}) clearly slower than tableau ({:?}) on np cap=16",
+            r.time, t.time
+        ),
+    );
+    if within_margin && r.time >= t.time {
+        eprintln!(
+            "SMOKE WARN: revised ({:?}) did not beat tableau ({:?}) on np cap=16 \
+             (within noise margin; investigate if persistent)",
+            r.time, t.time
+        );
     }
 
-    failures += ill_conditioned_gate() as i32;
-
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures
+    ill_conditioned_gate(gate);
 }
 
 fn main() {
-    let smoke_mode = std::env::args().any(|a| a == "--smoke");
-    if smoke_mode {
-        std::process::exit(smoke());
-    }
-    full_sweep();
+    probe::run(smoke, full_sweep);
 }

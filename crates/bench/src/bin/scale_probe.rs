@@ -33,6 +33,7 @@
 use std::io;
 use std::time::Instant;
 
+use socbuf_bench::probe::{self, best_of, Gate, OrExit};
 use socbuf_bench::ShardProcess;
 use socbuf_core::wire::CampaignManifest;
 use socbuf_core::SizingConfig;
@@ -104,9 +105,8 @@ fn streamed_peak(manifest: &CampaignManifest, pool: &WorkPool) -> usize {
     run.peak_parked_chunks
 }
 
-/// CI gate; exits nonzero on regression.
-fn smoke() -> i32 {
-    let mut failures = 0;
+/// CI gate.
+fn smoke(gate: &mut Gate) {
     let pool = WorkPool::new(SMOKE_WORKERS);
     let big = manifest_of(100_000);
     println!(
@@ -116,32 +116,28 @@ fn smoke() -> i32 {
     );
 
     // --- Reference bytes from the batch path. --------------------------
-    let t = Instant::now();
-    let batch = run_manifest(&big, &pool).expect("batch run");
-    let batch_time = t.elapsed();
+    let (batch, batch_time) = best_of(1, || run_manifest(&big, &pool).expect("batch run"));
 
     // --- One streamed pass, teeing both renderings. --------------------
     let mut csv = ReportStream::csv(batch.kind, Vec::new());
     let mut jsonl = ReportStream::jsonl(batch.kind, Vec::new());
-    let t = Instant::now();
-    let run = {
-        let mut tee = Tee {
-            csv: &mut csv,
-            jsonl: &mut jsonl,
-        };
-        run_manifest_sink(&big, &pool, &mut tee).expect("streamed run")
+    let mut tee = Tee {
+        csv: &mut csv,
+        jsonl: &mut jsonl,
     };
-    let stream_time = t.elapsed();
+    let (run, stream_time) = best_of(1, || {
+        run_manifest_sink(&big, &pool, &mut tee).expect("streamed run")
+    });
     let (csv_bytes, summary) = csv.finish().expect("csv finish");
     let (jsonl_bytes, _) = jsonl.finish().expect("jsonl finish");
-    if csv_bytes != batch.to_csv().into_bytes() {
-        eprintln!("SMOKE FAIL: streamed CSV differs from the batch rendering");
-        failures += 1;
-    }
-    if jsonl_bytes != batch.to_jsonl().into_bytes() {
-        eprintln!("SMOKE FAIL: streamed JSONL differs from the batch rendering");
-        failures += 1;
-    }
+    gate.check(
+        csv_bytes == batch.to_csv().into_bytes(),
+        "streamed CSV differs from the batch rendering",
+    );
+    gate.check(
+        jsonl_bytes == batch.to_jsonl().into_bytes(),
+        "streamed JSONL differs from the batch rendering",
+    );
     println!(
         "batch {batch_time:?} vs streamed (csv+jsonl teed) {stream_time:?}, \
          {} frontier classes peak",
@@ -157,23 +153,15 @@ fn smoke() -> i32 {
     let small_peak = streamed_peak(&manifest_of(10_000), &pool);
     let big_peak = run.peak_parked_chunks;
     for (scale, peak) in [("10^4", small_peak), ("10^5", big_peak)] {
-        if peak > window {
-            eprintln!(
-                "SMOKE FAIL: {scale}-point run parked {peak} chunks, \
-                 scheduling window is {window}"
-            );
-            failures += 1;
-        }
+        gate.check(
+            peak <= window,
+            format_args!("{scale}-point run parked {peak} chunks, scheduling window is {window}"),
+        );
     }
     println!(
         "peak parked chunks: 10^4-point run {small_peak}, 10^5-point run {big_peak} \
          (window {window}); resident ceiling {ceiling_points} points regardless of size"
     );
-
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures
 }
 
 /// Full probe: the 10⁵-point manifest streamed off 1/2/4 shard
@@ -200,10 +188,7 @@ fn full_probe() {
         let t = Instant::now();
         let (stream, stats) = fleet
             .run_manifest_to_sink(&manifest, stream)
-            .unwrap_or_else(|e| {
-                eprintln!("streamed fan-out failed: {e}");
-                std::process::exit(2);
-            });
+            .or_exit("streamed fan-out failed");
         let wall = t.elapsed();
         stream.finish().expect("stream finish");
         assert_eq!(stats.points, points, "{n}-shard stream lost points");
@@ -237,16 +222,6 @@ fn full_probe() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--worker") {
-        if let Err(e) = socbuf_serve::shard_worker_main(socbuf_serve::ServerConfig::default()) {
-            eprintln!("shard worker failed: {e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke());
-    }
-    full_probe();
+    ShardProcess::worker_if_asked();
+    probe::run(smoke, full_probe);
 }

@@ -4,39 +4,40 @@
 //!
 //! `--smoke` runs the CI gate:
 //!
-//! * **byte parity (always enforced)** — the served `result` of a
-//!   `size` query must be byte-identical to the direct pipeline's
+//! * **byte parity** — the served `result` of a `size` query must be
+//!   byte-identical to the direct pipeline's
 //!   [`sizing_outcome_semantic_json`] rendering, for a cold solve, a
 //!   warm cache hit, and a warm retarget to a nearby budget;
-//! * **warm cache (always enforced)** — the repeated identical query
-//!   must report `warm` in its trace and spend ~0 simplex pivots (the
-//!   context re-enters from its own optimal basis);
-//! * **warm latency (enforced when the host has ≥ 2 cores)** — the
-//!   best-of-repeats warm-hit round trip must be faster than the
-//!   best-of-repeats cold round trip. Warm hits skip the whole
-//!   first-phase solve, so this holds by a wide margin everywhere but
-//!   on the noisy single-core shared runners the repeats cannot fully
-//!   de-noise (same skip policy as `warmstart_probe`).
+//! * **warm cache** — the repeated identical query must report `warm`
+//!   in its trace and spend ~0 simplex pivots (the context re-enters
+//!   from its own optimal basis);
+//! * **warm latency (wall time, under the [`socbuf_bench::probe`]
+//!   single-core skip policy)** — the best-of-repeats warm-hit round
+//!   trip must be faster than the best-of-repeats cold round trip.
+//!   Warm hits skip the whole first-phase solve, so this holds by a
+//!   wide margin.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
 use socbuf_core::wire::sizing_outcome_semantic_json;
 use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_serve::{Client, Server, ServerConfig};
 use socbuf_soc::templates;
 
-/// The smoke query: the paper's evaluation platform at a Table-1-scale
-/// budget, sized to take long enough cold that a warm hit is clearly
-/// distinguishable.
-fn smoke_sizing() -> SizingConfig {
-    SizingConfig {
-        state_cap: 16,
-        effort_levels: 4,
-        ..SizingConfig::default()
-    }
-}
-
+/// The smoke query's budget: the paper's evaluation platform at a
+/// Table-1 scale, sized to take long enough cold that a warm hit is
+/// clearly distinguishable.
 const SMOKE_BUDGET: usize = 320;
+
+/// A loopback server and a client connected to it.
+fn serve() -> (Server, Client) {
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default())
+        .or_exit("cannot bind loopback server");
+    let client = Client::connect_tcp(server.tcp_addr().expect("tcp server"))
+        .or_exit("cannot connect to the loopback server");
+    (server, client)
+}
 
 /// One timed round trip.
 fn timed_size(
@@ -45,27 +46,20 @@ fn timed_size(
     config: &SizingConfig,
     budget: usize,
 ) -> (socbuf_serve::SizeReply, Duration) {
-    let t = Instant::now();
-    let reply = client.size(arch, config, budget).unwrap_or_else(|e| {
-        eprintln!("size request failed: {e}");
-        std::process::exit(2);
-    });
-    (reply, t.elapsed())
+    best_of(1, || {
+        client
+            .size(arch, config, budget)
+            .or_exit("size request failed")
+    })
 }
 
-/// CI-sized gate; exits nonzero on regression.
-fn smoke() -> i32 {
+/// CI-sized gate.
+fn smoke(gate: &mut Gate) {
     const SMOKE_REPEATS: usize = 3;
 
     let arch = templates::network_processor();
     let config = smoke_sizing();
-    let mut failures = 0;
-
-    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap_or_else(|e| {
-        eprintln!("cannot bind loopback server: {e}");
-        std::process::exit(2);
-    });
-    let mut client = Client::connect_tcp(server.tcp_addr().expect("tcp server")).unwrap();
+    let (server, mut client) = serve();
 
     // The reference bytes from the direct, in-process pipeline.
     let direct = size_buffers(&arch, SMOKE_BUDGET, &config).expect("direct solve");
@@ -73,31 +67,24 @@ fn smoke() -> i32 {
 
     // --- Byte parity + warm cache on a repeated query. -----------------
     let (cold, cold_rt) = timed_size(&mut client, &arch, &config, SMOKE_BUDGET);
-    if cold.result_json != want {
-        eprintln!("SMOKE FAIL: cold served bytes differ from the direct pipeline");
-        failures += 1;
-    }
-    if cold.trace.warm {
-        eprintln!("SMOKE FAIL: first query reported a warm cache hit");
-        failures += 1;
-    }
+    gate.check(
+        cold.result_json == want,
+        "cold served bytes differ from the direct pipeline",
+    );
+    gate.check(!cold.trace.warm, "first query reported a warm cache hit");
     let (warm, warm_rt) = timed_size(&mut client, &arch, &config, SMOKE_BUDGET);
-    if warm.result_json != want {
-        eprintln!("SMOKE FAIL: warm served bytes differ from the direct pipeline");
-        failures += 1;
-    }
-    if !warm.trace.warm {
-        eprintln!("SMOKE FAIL: repeated query missed the warm cache");
-        failures += 1;
-    }
-    if warm.trace.pivots > 1 {
-        eprintln!(
-            "SMOKE FAIL: warm hit on an identical query spent {} pivots (expected ~0; \
-             cold spent {})",
+    gate.check(
+        warm.result_json == want,
+        "warm served bytes differ from the direct pipeline",
+    );
+    gate.check(warm.trace.warm, "repeated query missed the warm cache");
+    gate.check(
+        warm.trace.pivots <= 1,
+        format_args!(
+            "warm hit on an identical query spent {} pivots (expected ~0; cold spent {})",
             warm.trace.pivots, cold.trace.pivots
-        );
-        failures += 1;
-    }
+        ),
+    );
     println!(
         "size budget {SMOKE_BUDGET} (cap=16): cold {cold_rt:?} ({} pivots) -> \
          warm {warm_rt:?} ({} pivots)",
@@ -109,78 +96,53 @@ fn smoke() -> i32 {
     let want_nearby =
         sizing_outcome_semantic_json(&size_buffers(&arch, nearby, &config).expect("direct"));
     let (retarget, _) = timed_size(&mut client, &arch, &config, nearby);
-    if retarget.result_json != want_nearby {
-        eprintln!("SMOKE FAIL: warm retarget to budget {nearby} diverged from the pipeline");
-        failures += 1;
-    }
-    if !retarget.trace.warm {
-        eprintln!("SMOKE FAIL: nearby budget missed the warm cache");
-        failures += 1;
-    }
+    gate.check(
+        retarget.result_json == want_nearby,
+        format_args!("warm retarget to budget {nearby} diverged from the pipeline"),
+    );
+    gate.check(retarget.trace.warm, "nearby budget missed the warm cache");
 
     // --- Warm-hit latency < cold (multi-core hosts). -------------------
     let mut best_cold = cold_rt;
     let mut best_warm = warm_rt;
     for _ in 0..SMOKE_REPEATS {
         // A fresh server gives a genuinely cold first query each round.
-        let fresh = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let mut fresh_client = Client::connect_tcp(fresh.tcp_addr().unwrap()).unwrap();
+        let (fresh, mut fresh_client) = serve();
         let (_, tc) = timed_size(&mut fresh_client, &arch, &config, SMOKE_BUDGET);
         let (_, tw) = timed_size(&mut fresh_client, &arch, &config, SMOKE_BUDGET);
         best_cold = best_cold.min(tc);
         best_warm = best_warm.min(tw);
         fresh.shutdown();
     }
-    let cores = socbuf_bench::cores();
     println!(
         "best round trips: cold {best_cold:?} vs warm {best_warm:?} ({:.1}x)",
-        best_cold.as_secs_f64() / best_warm.as_secs_f64().max(1e-12)
+        ratio(best_cold, best_warm)
     );
-    if cores >= 2 {
-        if best_warm >= best_cold {
-            eprintln!(
-                "SMOKE FAIL: warm-hit round trip {best_warm:?} not faster than cold \
-                 {best_cold:?} on a {cores}-core host"
-            );
-            failures += 1;
-        }
-    } else {
-        println!("latency gate SKIPPED: single-core host (parity + warm cache still enforced)");
-    }
+    gate.timed(
+        "latency",
+        best_warm < best_cold,
+        format_args!("warm-hit round trip {best_warm:?} not faster than cold {best_cold:?}"),
+    );
 
-    let health = client.health().unwrap_or_else(|e| {
-        eprintln!("health request failed: {e}");
-        std::process::exit(2);
-    });
+    let health = client.health().or_exit("health request failed");
     println!(
         "health: {} hits / {} misses, {} warm vs {} cold pivots",
         health.hits, health.misses, health.warm_pivots, health.cold_pivots
     );
     server.shutdown();
-
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures
 }
 
 /// Full table: round-trip latency across budgets and templates, cold
 /// then warm, with the server's own counters at the end.
 fn full_probe() {
     let config = smoke_sizing();
-    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let (server, mut client) = serve();
 
     println!(
         "{:<20} {:>7} {:>12} {:>12} {:>8} {:>8}",
         "architecture", "budget", "cold", "warm", "cold pv", "warm pv"
     );
-    for (name, arch) in [
-        ("figure1", templates::figure1()),
-        ("amba", templates::amba()),
-        ("coreconnect", templates::coreconnect()),
-        ("network_processor", templates::network_processor()),
-    ] {
+    for (name, arch) in probe::named_templates() {
         for budget in [160usize, 320, 640] {
             let (cold, cold_rt) = timed_size(&mut client, &arch, &config, budget);
             let (warm, warm_rt) = timed_size(&mut client, &arch, &config, budget);
@@ -190,7 +152,7 @@ fn full_probe() {
             );
         }
     }
-    let health = client.health().unwrap();
+    let health = client.health().or_exit("health request failed");
     println!(
         "\nserver counters: {} hits / {} misses / {} evictions; {} warm vs {} cold pivots; \
          cache {}/{}; pool width {}",
@@ -207,9 +169,5 @@ fn full_probe() {
 }
 
 fn main() {
-    let smoke_mode = std::env::args().any(|a| a == "--smoke");
-    if smoke_mode {
-        std::process::exit(smoke());
-    }
-    full_probe();
+    probe::run(smoke, full_probe);
 }

@@ -2,44 +2,41 @@
 //! warm-chained `network_processor` budget grid against the cold-started
 //! grid, plus the warm report's byte-identity across worker counts.
 //!
-//! `--smoke` runs the CI gate:
+//! `--smoke` runs the CI gate (wall-time gates follow the
+//! [`socbuf_bench::probe`] single-core skip policy):
 //!
-//! * **determinism (always enforced)** — the warm-chained 1-, 2- and
-//!   8-worker runs of the grid must render byte-identical JSON-lines
-//!   reports (chunk boundaries are index-fixed, so warm chains must not
-//!   depend on scheduling);
-//! * **pool scaling (enforced when the host has ≥ 2 cores)** — the
-//!   8-worker warm sweep must beat the 1-worker one's wall time (best
-//!   of `SMOKE_REPEATS`). A single-core host has no parallelism to win,
-//!   and a pool that merely doesn't *lose* there is already covered by
-//!   the determinism gate;
-//! * **agreement (always enforced)** — every warm point must carry the
-//!   same status flags as its cold twin and an objective within 1e-6
-//!   relative (the perturbation-ladder scale; on this well-conditioned
-//!   grid the observed difference is ~1e-15);
-//! * **speedup (enforced when the host has ≥ 2 cores)** — the
-//!   warm-chained serial sweep must be ≥ 1.5× faster than the
-//!   cold-started serial sweep (best of `SMOKE_REPEATS`). Warm chains
-//!   skip phase 1 entirely and re-enter from the neighboring optimum,
-//!   so three of every four points solve in a handful of pivots. The
-//!   gate is serial-vs-serial: it measures the algorithmic win, not
-//!   scheduling. Single-core hosts skip it only because they are the
-//!   noisy shared-runner case the repeats cannot fully de-noise;
-//! * **kept-basis identity (always enforced)** — a `PreparedLp` chained
-//!   along the grid keeps its last optimal basis factored across the
-//!   budget moves; every warm answer must equal, bit for bit, the one a
-//!   fresh `PreparedLp` gives warm-solving the same problem from the
-//!   same snapshot, and at least one point must take the kept-basis
+//! * **determinism** — the warm-chained 1-, 2- and 8-worker runs of
+//!   the grid must render byte-identical JSON-lines reports (chunk
+//!   boundaries are index-fixed, so warm chains must not depend on
+//!   scheduling);
+//! * **pool scaling (wall time)** — the 8-worker warm sweep must beat
+//!   the 1-worker one's wall time (best of `SMOKE_REPEATS`);
+//! * **agreement** — every warm point must carry the same status flags
+//!   as its cold twin and an objective within 1e-6 relative (the
+//!   perturbation-ladder scale; on this well-conditioned grid the
+//!   observed difference is ~1e-15);
+//! * **speedup (wall time)** — the warm-chained serial sweep must be
+//!   ≥ 1.5× faster than the cold-started serial sweep (best of
+//!   `SMOKE_REPEATS`). Warm chains skip phase 1 entirely and re-enter
+//!   from the neighboring optimum, so three of every four points solve
+//!   in a handful of pivots. The gate is serial-vs-serial: it measures
+//!   the algorithmic win, not scheduling;
+//! * **kept-basis identity** — a `PreparedLp` chained along the grid
+//!   keeps its last optimal basis factored across the budget moves;
+//!   every warm answer must equal, bit for bit, the one a fresh
+//!   `PreparedLp` gives warm-solving the same problem from the same
+//!   snapshot, and at least one point must take the kept-basis
 //!   shortcut;
-//! * **warm floor (enforced when the host has ≥ 2 cores)** — a
-//!   `SolveContext` point that re-solves in zero pivots must cost, on
-//!   average, at most a quarter of a cold `size_buffers` point.
+//! * **warm floor (wall time)** — a `SolveContext` point that
+//!   re-solves in zero pivots must cost, on average, at most a quarter
+//!   of a cold `size_buffers` point.
 
+use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
 use socbuf_core::{size_buffers, SizingConfig, SizingLp, SolveContext};
 use socbuf_lp::{LpSolution, PreparedLp, SimplexOptions};
 use socbuf_soc::{templates, Architecture};
 use socbuf_sweep::{BudgetSweep, SweepReport, WorkPool};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The CI grid: the paper's Table 1 budget range on the evaluation
 /// platform, sized so one serial pass takes O(seconds) in release.
@@ -47,31 +44,20 @@ fn smoke_grid() -> Vec<usize> {
     (0..16).map(|i| 160 + 32 * i).collect()
 }
 
-fn smoke_sizing() -> SizingConfig {
-    SizingConfig {
-        state_cap: 16,
-        effort_levels: 4,
-        ..SizingConfig::default()
-    }
-}
-
-fn timed_run(
-    arch: &socbuf_soc::Architecture,
+/// One budget sweep over `budgets` on `workers` workers.
+fn sweep(
+    arch: &Architecture,
     budgets: &[usize],
     sizing: &SizingConfig,
     workers: usize,
     warm: bool,
-) -> (SweepReport, Duration) {
+) -> SweepReport {
     let mut sweep = BudgetSweep::new(arch, budgets.to_vec());
     sweep.sizing = sizing.clone();
     sweep.warm_start = warm;
-    let pool = WorkPool::new(workers);
-    let t = Instant::now();
-    let report = sweep.run(&pool).unwrap_or_else(|e| {
-        eprintln!("sweep failed ({} workers, warm={warm}): {e}", workers);
-        std::process::exit(2);
-    });
-    (report, t.elapsed())
+    sweep.run(&WorkPool::new(workers)).or_exit(format_args!(
+        "sweep failed ({workers} workers, warm={warm})"
+    ))
 }
 
 /// The solve ladder's first rung, which every point of the grid solves
@@ -95,8 +81,12 @@ fn same_bits(a: &LpSolution, b: &LpSolution) -> bool {
 
 /// Chains a `PreparedLp` along the grid and checks each warm answer
 /// against a fresh `PreparedLp` warm-solving from the same snapshot.
-/// Returns the failure count.
-fn kept_basis_identity(arch: &Architecture, grid: &[usize], sizing: &SizingConfig) -> i32 {
+fn kept_basis_identity(
+    gate: &mut Gate,
+    arch: &Architecture,
+    grid: &[usize],
+    sizing: &SizingConfig,
+) {
     let lp = SizingLp::build(arch, grid[0], sizing).expect("grid point builds");
     let budget_row = lp.problem().row_ids().last().expect("budget row");
     let opts = first_rung();
@@ -104,12 +94,9 @@ fn kept_basis_identity(arch: &Architecture, grid: &[usize], sizing: &SizingConfi
     let mut chained = prepare().expect("assembles");
     let mut snapshot = match chained.solve_with(&opts) {
         Ok(sol) => sol.basis_snapshot(),
-        Err(e) => {
-            eprintln!("SMOKE FAIL: kept-basis chain start: {e}");
-            return 1;
-        }
+        Err(e) => return gate.fail(format_args!("kept-basis chain start: {e}")),
     };
-    let (mut failures, mut identical, mut shortcuts) = (0, 0, 0);
+    let (mut identical, mut shortcuts) = (0, 0);
     for &budget in &grid[1..] {
         let rhs = sizing.alpha * budget as f64;
         chained.set_rhs(budget_row, rhs).expect("budget move");
@@ -125,26 +112,19 @@ fn kept_basis_identity(arch: &Architecture, grid: &[usize], sizing: &SizingConfi
                 shortcuts += usize::from(kept && a.iterations() == 0);
                 snapshot = a.basis_snapshot();
             }
-            (a, b) => {
-                eprintln!(
-                    "SMOKE FAIL: budget {budget}: kept-basis warm solve differs from a fresh \
-                     one (kept ok={}, fresh ok={})",
-                    a.is_ok(),
-                    b.is_ok()
-                );
-                failures += 1;
-            }
+            (a, b) => gate.fail(format_args!(
+                "budget {budget}: kept-basis warm solve differs from a fresh one \
+                 (kept ok={}, fresh ok={})",
+                a.is_ok(),
+                b.is_ok()
+            )),
         }
     }
     println!(
         "kept-basis chain: {identical} warm points bit-identical to fresh, {shortcuts} via the \
          shortcut"
     );
-    if shortcuts == 0 {
-        eprintln!("SMOKE FAIL: no grid point took the kept-basis shortcut");
-        failures += 1;
-    }
-    failures
+    gate.check(shortcuts > 0, "no grid point took the kept-basis shortcut");
 }
 
 /// Mean wall time of the zero-pivot warm points of a `SolveContext`
@@ -158,9 +138,7 @@ fn warm_floor(
     let mut ctx = SolveContext::new(arch, sizing);
     let mut warm = Vec::new();
     for (i, &budget) in grid.iter().enumerate() {
-        let t = Instant::now();
-        let out = ctx.size_buffers(budget).expect("warm point sizes");
-        let dt = t.elapsed();
+        let (out, dt) = best_of(1, || ctx.size_buffers(budget).expect("warm point sizes"));
         if i > 0 && out.lp_iterations == 0 {
             warm.push(dt);
         }
@@ -169,149 +147,103 @@ fn warm_floor(
         .iter()
         .step_by(4)
         .map(|&budget| {
-            let t = Instant::now();
-            size_buffers(arch, budget, sizing).expect("cold point sizes");
-            t.elapsed()
+            best_of(1, || {
+                size_buffers(arch, budget, sizing).expect("cold point sizes")
+            })
+            .1
         })
         .collect();
     let mean = |v: &[Duration]| v.iter().sum::<Duration>() / v.len().max(1) as u32;
     ((!warm.is_empty()).then(|| mean(&warm)), mean(&cold))
 }
 
-/// CI-sized gate; exits nonzero on regression.
-fn smoke() -> i32 {
+/// CI-sized gate.
+fn smoke(gate: &mut Gate) {
     const SMOKE_REPEATS: usize = 2;
 
     let np = templates::network_processor();
     let grid = smoke_grid();
     let sizing = smoke_sizing();
-    let cores = socbuf_bench::cores();
-    let mut failures = 0;
 
     // --- Warm determinism: byte-identity across worker counts. -------
-    let mut warm_baseline: Option<SweepReport> = None;
-    let mut best_by_workers: Vec<Duration> = Vec::new();
+    let mut warm_runs = Vec::new();
+    let mut best_by_workers = Vec::new();
     for workers in [1usize, 2, 8] {
-        let mut best: Option<Duration> = None;
-        for _ in 0..SMOKE_REPEATS {
-            let (report, time) = timed_run(&np, &grid, &sizing, workers, true);
-            match &warm_baseline {
-                None => warm_baseline = Some(report),
-                Some(expected) => {
-                    if expected.to_jsonl() != report.to_jsonl() {
-                        eprintln!(
-                            "SMOKE FAIL: warm {workers}-worker report bytes differ from the \
-                             1-worker baseline"
-                        );
-                        failures += 1;
-                    }
-                }
-            }
-            if best.is_none_or(|b| time < b) {
-                best = Some(time);
-            }
-        }
-        let time = best.expect("at least one repeat");
+        let (_, time) = best_of(SMOKE_REPEATS, || {
+            warm_runs.push((workers, sweep(&np, &grid, &sizing, workers, true)));
+        });
         println!(
             "warm np budget grid ({} points, cap=16): {workers} workers -> {time:?}",
             grid.len()
         );
         best_by_workers.push(time);
     }
-    let warm_report = warm_baseline.expect("at least one warm run");
-
-    // --- Pool scaling: 8 workers beat 1. -------------------------------
-    let (t1, t8) = (best_by_workers[0], best_by_workers[2]);
-    if cores < 2 {
-        println!("pool-scaling gate SKIPPED: single-core host (determinism still enforced)");
-    } else if t8 >= t1 {
-        eprintln!(
-            "SMOKE FAIL: 8-worker warm sweep ({t8:?}) not faster than 1-worker ({t1:?}) \
-             on a {cores}-core host"
-        );
-        failures += 1;
-    } else {
-        println!(
-            "speedup 8w vs 1w: {:.2}x on {cores} cores",
-            t1.as_secs_f64() / t8.as_secs_f64().max(1e-12)
+    let warm_report = warm_runs.swap_remove(0).1;
+    let baseline = warm_report.to_jsonl();
+    for (workers, report) in &warm_runs {
+        gate.check(
+            report.to_jsonl() == baseline,
+            format_args!("warm {workers}-worker report bytes differ from the 1-worker baseline"),
         );
     }
 
+    // --- Pool scaling: 8 workers beat 1. -------------------------------
+    let (t1, t8) = (best_by_workers[0], best_by_workers[2]);
+    println!(
+        "speedup 8w vs 1w: {:.2}x on {} cores",
+        ratio(t1, t8),
+        socbuf_bench::cores()
+    );
+    gate.timed(
+        "pool-scaling",
+        t8 < t1,
+        format_args!("8-worker warm sweep ({t8:?}) not faster than 1-worker ({t1:?})"),
+    );
+
     // --- Warm/cold agreement per point. -------------------------------
-    let (cold_report, _) = timed_run(&np, &grid, &sizing, 8, false);
+    let cold_report = sweep(&np, &grid, &sizing, 8, false);
     for (w, c) in warm_report.points.iter().zip(&cold_report.points) {
         if w.budget_row_relaxed != c.budget_row_relaxed {
-            eprintln!(
-                "SMOKE FAIL: budget {}: relaxed flag warm={} cold={}",
+            gate.fail(format_args!(
+                "budget {}: relaxed flag warm={} cold={}",
                 w.budget, w.budget_row_relaxed, c.budget_row_relaxed
-            );
-            failures += 1;
+            ));
         }
         let diff = (w.predicted_loss - c.predicted_loss).abs() / (1.0 + c.predicted_loss.abs());
         if diff > 1e-6 {
-            eprintln!(
-                "SMOKE FAIL: budget {}: warm loss {} vs cold {} (rel {diff:.3e})",
+            gate.fail(format_args!(
+                "budget {}: warm loss {} vs cold {} (rel {diff:.3e})",
                 w.budget, w.predicted_loss, c.predicted_loss
-            );
-            failures += 1;
+            ));
         }
     }
 
     // --- Serial speedup: warm chains vs cold starts. -------------------
-    let mut best_cold: Option<Duration> = None;
-    let mut best_warm: Option<Duration> = None;
-    for _ in 0..SMOKE_REPEATS {
-        let (_, tc) = timed_run(&np, &grid, &sizing, 1, false);
-        let (_, tw) = timed_run(&np, &grid, &sizing, 1, true);
-        if best_cold.is_none_or(|b| tc < b) {
-            best_cold = Some(tc);
-        }
-        if best_warm.is_none_or(|b| tw < b) {
-            best_warm = Some(tw);
-        }
-    }
-    let (tc, tw) = (best_cold.unwrap(), best_warm.unwrap());
-    let speedup = tc.as_secs_f64() / tw.as_secs_f64().max(1e-12);
+    let (_, tc) = best_of(SMOKE_REPEATS, || sweep(&np, &grid, &sizing, 1, false));
+    let (_, tw) = best_of(SMOKE_REPEATS, || sweep(&np, &grid, &sizing, 1, true));
+    let speedup = ratio(tc, tw);
     println!("serial grid: cold {tc:?} vs warm {tw:?} -> {speedup:.2}x");
-    if cores >= 2 {
-        if speedup < 1.5 {
-            eprintln!(
-                "SMOKE FAIL: warm-chained sweep only {speedup:.2}x faster than cold \
-                 (need >= 1.5x) on a {cores}-core host"
-            );
-            failures += 1;
-        }
-    } else {
-        println!("speedup gate SKIPPED: single-core host (determinism + agreement still enforced)");
-    }
+    gate.timed(
+        "speedup",
+        speedup >= 1.5,
+        format_args!("warm-chained sweep only {speedup:.2}x faster than cold (need >= 1.5x)"),
+    );
 
     // --- Kept-basis warm solves: bit-identical to fresh ones. ---------
-    failures += kept_basis_identity(&np, &grid, &sizing);
+    kept_basis_identity(gate, &np, &grid, &sizing);
 
     // --- Warm floor: a 0-pivot point against a cold one. ---------------
     let (warm, cold) = warm_floor(&np, &grid, &sizing);
     let Some(warm) = warm else {
-        eprintln!("SMOKE FAIL: no warm point of the grid re-solved in 0 pivots");
-        return failures + 1;
+        return gate.fail("no warm point of the grid re-solved in 0 pivots");
     };
-    let ratio = warm.as_secs_f64() / cold.as_secs_f64().max(1e-12);
-    println!("0-pivot warm point {warm:?} vs cold point {cold:?} -> {ratio:.3}x");
-    if cores >= 2 {
-        if ratio > 0.25 {
-            eprintln!(
-                "SMOKE FAIL: a 0-pivot warm point costs {ratio:.3}x a cold point \
-                 (need <= 0.25x) on a {cores}-core host"
-            );
-            failures += 1;
-        }
-    } else {
-        println!("warm-floor gate SKIPPED: single-core host");
-    }
-
-    if failures == 0 {
-        println!("smoke OK");
-    }
-    failures
+    let r = ratio(warm, cold);
+    println!("0-pivot warm point {warm:?} vs cold point {cold:?} -> {r:.3}x");
+    gate.timed(
+        "warm-floor",
+        r <= 0.25,
+        format_args!("a 0-pivot warm point costs {r:.3}x a cold point (need <= 0.25x)"),
+    );
 }
 
 /// Full table: warm vs cold per worker count, plus per-point pivots.
@@ -320,11 +252,11 @@ fn full_probe() {
     let grid = smoke_grid();
     let sizing = smoke_sizing();
     for workers in [1usize, 2, 4, 8] {
-        let (_, cold) = timed_run(&np, &grid, &sizing, workers, false);
-        let (warm_report, warm) = timed_run(&np, &grid, &sizing, workers, true);
+        let (_, cold) = best_of(1, || sweep(&np, &grid, &sizing, workers, false));
+        let (warm_report, warm) = best_of(1, || sweep(&np, &grid, &sizing, workers, true));
         println!(
             "{workers:>2} workers: cold {cold:?}  warm {warm:?}  ({:.2}x)",
-            cold.as_secs_f64() / warm.as_secs_f64().max(1e-12)
+            ratio(cold, warm)
         );
         if workers == 1 {
             println!("\n  per-point pivots along the warm chains (chunks of 4):");
@@ -337,9 +269,5 @@ fn full_probe() {
 }
 
 fn main() {
-    let smoke_mode = std::env::args().any(|a| a == "--smoke");
-    if smoke_mode {
-        std::process::exit(smoke());
-    }
-    full_probe();
+    probe::run(smoke, full_probe);
 }

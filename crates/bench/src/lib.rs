@@ -19,6 +19,11 @@
 //! | `shard_probe` | developer probe: sharded campaigns over self-exec'd shard servers, byte-diffed against the serial run (not a paper artifact) |
 //! | `scale_probe` | developer probe: 10⁵-point streamed campaigns, byte identity, bounded residency and `BENCH_scale.json` (not a paper artifact) |
 //!
+//! The seven developer probes share one harness, [`probe`]: flag
+//! dispatch (`--smoke` runs the CI gates, no flag the full table),
+//! best-of timing, gate accounting with one single-core skip policy,
+//! and the fixtures they have in common.
+//!
 //! # `BENCH_*.json`
 //!
 //! Probes that record a trajectory write it through [`write_bench_json`]
@@ -63,6 +68,10 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use socbuf_core::PipelineConfig;
 use socbuf_serve::Client;
+
+use probe::OrExit;
+
+pub mod probe;
 
 /// The standard experiment configuration used by the paper-facing
 /// binaries: 10 replications (as in the paper), a 1000-time-unit horizon
@@ -120,13 +129,8 @@ pub fn write_bench_json(path: &str, fields: &[String]) {
         .map(|m| format!("  {m}"))
         .collect();
     let json = format!("{{\n{}\n}}\n", members.join(",\n"));
-    match std::fs::write(path, json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
+    std::fs::write(path, json).or_exit(format_args!("failed to write {path}"));
+    println!("wrote {path}");
 }
 
 /// The checked-out commit, suffixed `-dirty` when the working tree
@@ -171,10 +175,7 @@ impl ShardProcess {
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
-            .unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard worker: {e}");
-                std::process::exit(2);
-            });
+            .or_exit("cannot spawn shard worker");
         let stdout = child.stdout.take().expect("piped stdout");
         let mut line = String::new();
         std::io::BufReader::new(stdout)
@@ -194,6 +195,17 @@ impl ShardProcess {
             child,
             _stdin: stdin,
             addr: SocketAddr::from(([127, 0, 0, 1], port)),
+        }
+    }
+
+    /// Serves as a shard worker and exits when the probe was started
+    /// with `--worker` (as [`ShardProcess::spawn`] starts it); returns
+    /// at once otherwise.
+    pub fn worker_if_asked() {
+        if probe::flag("--worker") {
+            socbuf_serve::shard_worker_main(socbuf_serve::ServerConfig::default())
+                .or_exit("shard worker failed");
+            std::process::exit(0);
         }
     }
 

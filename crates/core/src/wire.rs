@@ -1459,8 +1459,10 @@ impl CampaignManifest {
     /// [`WireError::Schema`] for unusable campaigns (empty grids, zero
     /// per-queue budget) — the same refusals the campaign itself makes
     /// at run time — and for inputs the wire cannot carry back: a
-    /// non-finite load factor (it renders as `null`) or a seed above
-    /// 2⁵³ (it would not parse back exactly). A local run accepts both.
+    /// non-finite load factor (it renders as `null`) or any rendered
+    /// integer above 2⁵³ — a budget, a seed, `units_per_queue`, a count
+    /// of the sizing config, the random params or the architecture (it
+    /// would not parse back exactly). A local run accepts both.
     pub fn new(shape: ManifestShape, config: SizingConfig) -> Result<CampaignManifest, WireError> {
         let ranges = shape.chunk_policy().ranges(shape.items());
         CampaignManifest::with_chunks(shape, config, ranges)
@@ -1716,27 +1718,7 @@ impl CampaignManifest {
         ranges: Vec<std::ops::Range<usize>>,
     ) -> Result<CampaignManifest, WireError> {
         shape.validate()?;
-        match &shape {
-            ManifestShape::Load { factors, .. } => {
-                if let Some((i, f)) = factors.iter().enumerate().find(|(_, f)| !f.is_finite()) {
-                    return Err(WireError::Schema(format!(
-                        "manifest: factors[{i}] is {f}; the wire carries finite load factors only"
-                    )));
-                }
-            }
-            ManifestShape::Random { seeds, .. } => {
-                if let Some((i, s)) = seeds
-                    .iter()
-                    .enumerate()
-                    .find(|(_, &s)| s > MAX_EXACT_INT as u64)
-                {
-                    return Err(WireError::Schema(format!(
-                        "manifest: seeds[{i}] is {s}, above 2⁵³, the largest integer the wire carries exactly"
-                    )));
-                }
-            }
-            ManifestShape::Budget { .. } => {}
-        }
+        refuse_unrenderable(&shape, &config)?;
         let chunks = ranges
             .into_iter()
             .enumerate()
@@ -1824,6 +1806,84 @@ impl CampaignManifest {
             )));
         }
         Ok(())
+    }
+}
+
+/// Refuses, by name, the first value a manifest would render but could
+/// not parse back exactly: a non-finite load factor (it renders as
+/// `null`) or an integer above 2⁵³ (it would parse back rounded). That
+/// covers every integer the campaign renders: the budgets, the seeds,
+/// `units_per_queue`, the sizing config's and the random params'
+/// counts, and the architecture's batch sizes (its indices are bounded
+/// by its own length).
+fn refuse_unrenderable(shape: &ManifestShape, config: &SizingConfig) -> Result<(), WireError> {
+    fn exact(v: u64, what: impl FnOnce() -> String) -> Result<(), WireError> {
+        if v > MAX_EXACT_INT as u64 {
+            return Err(WireError::Schema(format!(
+                "manifest: {} is {v}, above 2⁵³, the largest integer the wire carries exactly",
+                what()
+            )));
+        }
+        Ok(())
+    }
+    fn exact_all(vs: impl IntoIterator<Item = u64>, what: &str) -> Result<(), WireError> {
+        vs.into_iter()
+            .enumerate()
+            .try_for_each(|(i, v)| exact(v, || format!("{what}[{i}]")))
+    }
+    fn exact_arch(arch: &Architecture) -> Result<(), WireError> {
+        for (i, bus) in arch.bus_ids().enumerate() {
+            if let BusArbitration::Locked { max_batch } = arch.bus(bus).arbitration() {
+                exact(max_batch as u64, || format!("arch.buses[{i}].max_batch"))?;
+            }
+        }
+        for (i, flow) in arch.flow_ids().enumerate() {
+            if let TrafficShape::Burst { batch } = arch.flow(flow).shape() {
+                exact(batch as u64, || format!("arch.flows[{i}].batch"))?;
+            }
+        }
+        Ok(())
+    }
+    exact(config.state_cap as u64, || "config.state_cap".into())?;
+    exact(config.effort_levels as u64, || {
+        "config.effort_levels".into()
+    })?;
+    match shape {
+        ManifestShape::Budget { arch, budgets, .. } => {
+            exact_arch(arch)?;
+            exact_all(budgets.iter().map(|&b| b as u64), "budgets")
+        }
+        ManifestShape::Load {
+            arch,
+            budget,
+            factors,
+            ..
+        } => {
+            if let Some((i, f)) = factors.iter().enumerate().find(|(_, f)| !f.is_finite()) {
+                return Err(WireError::Schema(format!(
+                    "manifest: factors[{i}] is {f}; the wire carries finite load factors only"
+                )));
+            }
+            exact_arch(arch)?;
+            exact(*budget as u64, || "budget".into())
+        }
+        ManifestShape::Random {
+            params,
+            seeds,
+            units_per_queue,
+        } => {
+            exact_all(seeds.iter().copied(), "seeds")?;
+            exact(*units_per_queue as u64, || "units_per_queue".into())?;
+            let counts = [
+                ("params.buses", params.buses),
+                ("params.processors", params.processors),
+                ("params.bridges", params.bridges),
+                ("params.flows", params.flows),
+            ];
+            counts
+                .into_iter()
+                .try_for_each(|(what, v)| exact(v as u64, || what.into()))
+        }
     }
 }
 

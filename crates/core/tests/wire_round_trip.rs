@@ -408,4 +408,92 @@ fn campaign_manifests_obey_the_round_trip_law_or_are_refused_by_name() {
         };
         assert_manifest_law(CampaignManifest::new(shape, config()), Some(field), &what);
     }
+
+    // Every other integer a manifest renders has the same edge: the
+    // budgets, the load budget, `units_per_queue`, the sizing config's
+    // and the random params' counts, and the architecture's batches.
+    fn on_figure1(budgets: Vec<usize>) -> ManifestShape {
+        ManifestShape::Budget {
+            arch: templates::figure1(),
+            budgets,
+            warm_start: true,
+        }
+    }
+    fn load(budget: usize) -> ManifestShape {
+        ManifestShape::Load {
+            arch: templates::amba(),
+            budget,
+            factors: vec![1.0],
+            warm_start: true,
+        }
+    }
+    /// A random campaign with `units_per_queue` or the `count`-th of
+    /// the params' counts (buses, processors, bridges, flows) set to `n`.
+    fn random_with(n: usize, count: Option<usize>) -> ManifestShape {
+        let mut params = RandomArchParams::default();
+        let counts = [
+            &mut params.buses,
+            &mut params.processors,
+            &mut params.bridges,
+            &mut params.flows,
+        ];
+        let mut units_per_queue = 3;
+        match count {
+            Some(i) => *counts.into_iter().nth(i).unwrap() = n,
+            None => units_per_queue = n,
+        }
+        ManifestShape::Random {
+            params,
+            seeds: vec![7],
+            units_per_queue,
+        }
+    }
+    /// A budget campaign over a locked bus and a burst flow.
+    fn batched(max_batch: usize, batch: usize) -> ManifestShape {
+        let mut b = ArchitectureBuilder::new();
+        let locked = BusArbitration::Locked { max_batch };
+        let bus = b.add_bus_with_arbitration("x", 2.0, locked).unwrap();
+        let p = b.add_processor("p", &[bus], 1.0).unwrap();
+        let shape = TrafficShape::Burst { batch };
+        b.add_flow_shaped(p, FlowTarget::Bus(bus), 0.5, shape)
+            .unwrap();
+        ManifestShape::Budget {
+            arch: b.build().unwrap(),
+            budgets: vec![8],
+            warm_start: true,
+        }
+    }
+    fn sized(state_cap: usize, effort_levels: usize) -> SizingConfig {
+        SizingConfig {
+            state_cap,
+            effort_levels,
+            ..SizingConfig::small()
+        }
+    }
+    type Case = fn(usize) -> (ManifestShape, SizingConfig);
+    let cases: [(&str, Case); 11] = [
+        ("budgets[1]", |n| (on_figure1(vec![22, n]), sized(8, 3))),
+        ("budget", |n| (load(n), sized(8, 3))),
+        ("units_per_queue", |n| (random_with(n, None), sized(8, 3))),
+        ("params.buses", |n| (random_with(n, Some(0)), sized(8, 3))),
+        ("params.processors", |n| {
+            (random_with(n, Some(1)), sized(8, 3))
+        }),
+        ("params.bridges", |n| (random_with(n, Some(2)), sized(8, 3))),
+        ("params.flows", |n| (random_with(n, Some(3)), sized(8, 3))),
+        ("config.state_cap", |n| (on_figure1(vec![22]), sized(n, 3))),
+        ("config.effort_levels", |n| {
+            (on_figure1(vec![22]), sized(8, n))
+        }),
+        ("max_batch", |n| (batched(n, 2), sized(8, 3))),
+        ("flows[0].batch", |n| (batched(2, n), sized(8, 3))),
+    ];
+    for (field, case) in cases {
+        let (shape, config) = case(TWO_53 as usize);
+        let what = format!("{field} at 2^53");
+        assert_manifest_law(CampaignManifest::new(shape, config), None, &what);
+        let (shape, config) = case(TWO_53 as usize + 2);
+        let what = format!("{field} above 2^53");
+        assert_manifest_law(CampaignManifest::new(shape, config), Some(field), &what);
+    }
 }

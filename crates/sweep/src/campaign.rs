@@ -523,7 +523,8 @@ impl<'a> BudgetSweep<'a> {
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadConfig`] for an empty grid or a simulation
+    /// [`SweepError::BadConfig`] for an empty grid, an integer above
+    /// 2⁵³ (the largest the wire carries exactly) or a simulation
     /// campaign (manifests are sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
@@ -614,8 +615,8 @@ impl<'a> LoadSweep<'a> {
     /// # Errors
     ///
     /// [`SweepError::BadConfig`] for an empty grid, a non-finite factor
-    /// (the wire carries finite factors only) or a simulation campaign
-    /// (manifests are sizing-only).
+    /// (the wire carries finite factors only), an integer above 2⁵³ or
+    /// a simulation campaign (manifests are sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
         CampaignManifest::new(self.shape(), self.sizing.clone()).map_err(manifest_err)
@@ -703,9 +704,10 @@ impl RandomCampaign {
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadConfig`] for an unusable campaign, a seed above
-    /// 2⁵³ (the largest integer the wire carries exactly) or a
-    /// simulation campaign (manifests are sizing-only).
+    /// [`SweepError::BadConfig`] for an unusable campaign, a seed or
+    /// another rendered integer above 2⁵³ (the largest integer the wire
+    /// carries exactly) or a simulation campaign (manifests are
+    /// sizing-only).
     pub fn manifest(&self) -> Result<CampaignManifest, SweepError> {
         reject_simulate(&self.simulate)?;
         CampaignManifest::new(self.shape(), self.sizing.clone()).map_err(manifest_err)
