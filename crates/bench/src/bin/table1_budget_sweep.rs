@@ -61,12 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("paper shape: post-sizing loss shrinks with budget and reaches 0 at 640 units");
     for (budget, cmp) in BUDGETS.iter().zip(&results) {
         println!(
-            "budget {budget:>3}: post-sizing total loss {:.1} ({}+{:.0}% vs pre)",
+            "budget {budget:>3}: post-sizing total loss {:.1} ({}{:.0}% vs pre)",
             cmp.post.total_lost,
+            // A positive improvement is a fall in loss.
             if cmp.improvement_vs_pre() >= 0.0 {
                 "-"
             } else {
-                ""
+                "+"
             },
             100.0 * cmp.improvement_vs_pre().abs()
         );

@@ -31,6 +31,16 @@
 //! Integer-valued fields (budgets, counts, indices) render as plain
 //! integers and are rejected on parse if they arrive negative,
 //! fractional, or beyond 2⁵³ (where `f64` stops being exact).
+//!
+//! # Records
+//!
+//! Every record codec in the workspace goes through one reader and one
+//! writer defined here. A decoder opens its object with
+//! [`JsonValue::fields`], which refuses any key outside the record's
+//! list, then reads each field through [`Fields`], which names the
+//! record in missing-field errors and the key in type errors. A
+//! renderer writes through [`ObjWriter`], which owns key quoting and
+//! separators. Unknown keys are refused in every record.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -338,6 +348,27 @@ impl JsonValue {
         Ok(self.usize(what)? as u64)
     }
 
+    /// This record's fields under its key list `names`, `parent` naming
+    /// the record in every error: the reader every record decoder goes
+    /// through. Refuses a non-object and the first key outside `names`,
+    /// so a typo in a hand-written record fails loudly.
+    pub fn fields<'a>(&'a self, parent: &'a str, names: &[&str]) -> Result<Fields<'a>, WireError> {
+        let fields = self.obj(parent)?;
+        if let Some((k, _)) = fields.iter().find(|(k, _)| !names.contains(&k.as_str())) {
+            return Err(WireError::Schema(format!(
+                "{parent}: unknown field \"{k}\" (expected one of {names:?})"
+            )));
+        }
+        Ok(Fields { parent, fields })
+    }
+
+    /// A required member of a record whose key list depends on a tag it
+    /// carries (a request's verb, a campaign's kind), or of an object
+    /// another layer owns; errors as [`Fields::req`].
+    pub fn member(&self, parent: &str, key: &str) -> Result<&JsonValue, WireError> {
+        self.get(key).ok_or_else(|| missing(parent, key))
+    }
+
     /// Short type tag for error messages.
     fn kind(&self) -> &'static str {
         match self {
@@ -351,23 +382,190 @@ impl JsonValue {
     }
 }
 
-/// Required-field lookup with a schema error naming the parent.
-fn field<'a>(v: &'a JsonValue, parent: &str, key: &str) -> Result<&'a JsonValue, WireError> {
-    v.get(key)
-        .ok_or_else(|| WireError::Schema(format!("{parent}: missing field \"{key}\"")))
+fn missing(parent: &str, key: &str) -> WireError {
+    WireError::Schema(format!("{parent}: missing field \"{key}\""))
 }
 
-/// Rejects object fields outside `allowed` — typos in hand-written
-/// requests fail loudly instead of being silently ignored.
-fn reject_unknown(v: &JsonValue, parent: &str, allowed: &[&str]) -> Result<(), WireError> {
-    for (k, _) in v.obj(parent)? {
-        if !allowed.contains(&k.as_str()) {
-            return Err(WireError::Schema(format!(
-                "{parent}: unknown field \"{k}\" (expected one of {allowed:?})"
-            )));
-        }
+/// One record's fields, checked against its key list by
+/// [`JsonValue::fields`]. Each typed read names the key in its type
+/// error and the record in its missing-field error.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    parent: &'a str,
+    fields: &'a [(String, JsonValue)],
+}
+
+impl<'a> Fields<'a> {
+    /// An optional field's value.
+    pub fn opt(&self, key: &str) -> Option<&'a JsonValue> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
-    Ok(())
+
+    /// An optional field read by `read` (given the value and the key),
+    /// or `default` when the field is absent.
+    pub fn opt_or<T>(
+        &self,
+        key: &str,
+        default: T,
+        read: impl FnOnce(&'a JsonValue, &str) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        self.opt(key).map_or(Ok(default), |v| read(v, key))
+    }
+
+    /// A required field's value; missing, it reads `<parent>: missing field "<key>"`.
+    pub fn req(&self, key: &str) -> Result<&'a JsonValue, WireError> {
+        self.opt(key).ok_or_else(|| missing(self.parent, key))
+    }
+
+    /// A required field that may be `null` (`None`).
+    pub fn nullable(&self, key: &str) -> Result<Option<&'a JsonValue>, WireError> {
+        self.req(key).map(|v| (*v != JsonValue::Null).then_some(v))
+    }
+
+    /// A required [`JsonValue::usize`] field; errors as [`Fields::req`] and that read.
+    pub fn usize(&self, key: &str) -> Result<usize, WireError> {
+        self.req(key)?.usize(key)
+    }
+
+    /// A required [`JsonValue::u64`] field; errors as [`Fields::req`] and that read.
+    pub fn u64(&self, key: &str) -> Result<u64, WireError> {
+        self.req(key)?.u64(key)
+    }
+
+    /// A required [`JsonValue::f64`] field; errors as [`Fields::req`] and that read.
+    pub fn f64(&self, key: &str) -> Result<f64, WireError> {
+        self.req(key)?.f64(key)
+    }
+
+    /// A required [`JsonValue::finite_f64`] field; errors as [`Fields::req`] and that read.
+    pub fn finite_f64(&self, key: &str) -> Result<f64, WireError> {
+        self.req(key)?.finite_f64(key)
+    }
+
+    /// A required [`JsonValue::bool`] field; errors as [`Fields::req`] and that read.
+    pub fn bool(&self, key: &str) -> Result<bool, WireError> {
+        self.req(key)?.bool(key)
+    }
+
+    /// A required [`JsonValue::str`] field; errors as [`Fields::req`] and that read.
+    pub fn str(&self, key: &str) -> Result<&'a str, WireError> {
+        self.req(key)?.str(key)
+    }
+
+    /// A required [`JsonValue::arr`] field; errors as [`Fields::req`] and that read.
+    pub fn items(&self, key: &str) -> Result<&'a [JsonValue], WireError> {
+        self.req(key)?.arr(key)
+    }
+
+    /// A required array field, each item decoded by `item` in order.
+    pub fn list<T>(
+        &self,
+        key: &str,
+        item: impl FnMut(&'a JsonValue) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        self.items(key)?.iter().map(item).collect()
+    }
+}
+
+/// Writes one JSON object in canonical form: each field as a quoted key
+/// and its value, in call order, comma-separated. Every record renderer
+/// goes through it, so no renderer spells a key or a separator itself.
+pub struct ObjWriter<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> ObjWriter<'o> {
+    /// Appends one object to `out`: `{`, the fields `body` writes, `}`.
+    pub fn push(out: &'o mut String, body: impl FnOnce(&mut ObjWriter<'_>)) {
+        out.push('{');
+        let mut w = ObjWriter { out, empty: true };
+        body(&mut w);
+        w.out.push('}');
+    }
+
+    /// One object as a new string (see [`ObjWriter::push`]).
+    pub fn render(body: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+        let mut out = String::new();
+        ObjWriter::push(&mut out, body);
+        out
+    }
+
+    /// Starts a field: separator, quoted key, colon. Keys are schema
+    /// identifiers, which need no escaping.
+    fn key(&mut self, key: &str) -> &mut String {
+        debug_assert!(key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'));
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// An integer field ([`push_usize`]).
+    pub fn usize(&mut self, key: &str, v: usize) -> &mut Self {
+        push_usize(self.key(key), v);
+        self
+    }
+
+    /// A float field ([`push_f64`]: `null` when non-finite).
+    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        push_f64(self.key(key), v);
+        self
+    }
+
+    /// A string field ([`push_str`]).
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_str(self.key(key), v);
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// A field whose value is already canonical JSON text.
+    pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+        self.key(key).push_str(json);
+        self
+    }
+
+    /// An array field, each item appended by `item`.
+    pub fn list<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        item: impl FnMut(&mut String, T),
+    ) -> &mut Self {
+        push_list(self.key(key), items, item);
+        self
+    }
+
+    /// A nested object field.
+    pub fn obj(&mut self, key: &str, body: impl FnOnce(&mut ObjWriter<'_>)) -> &mut Self {
+        ObjWriter::push(self.key(key), body);
+        self
+    }
+}
+
+/// Appends a JSON array: `[`, each item appended by `item`, `]`.
+fn push_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
 }
 
 /// A JSON document parsed once, with the byte span of each top-level
@@ -749,105 +947,75 @@ pub fn lp_engine_from_tag(tag: &str) -> Result<LpEngine, WireError> {
 /// serialize byte-identically to what they produced before those
 /// declarations existed, and old documents parse unchanged.
 pub fn architecture_to_json(arch: &Architecture) -> String {
-    let mut out = String::from("{\"buses\":[");
-    for (i, bus) in arch.bus_ids().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let bus = arch.bus(bus);
-        out.push_str("{\"name\":");
-        push_str(&mut out, bus.name());
-        out.push_str(",\"service_rate\":");
-        push_f64(&mut out, bus.service_rate());
-        match bus.arbitration() {
-            BusArbitration::External => {}
-            BusArbitration::Priority => {
-                out.push_str(",\"arbitration\":\"priority\"");
-            }
-            BusArbitration::Locked { max_batch } => {
-                out.push_str(",\"arbitration\":{\"locked\":");
-                push_usize(&mut out, max_batch);
-                out.push('}');
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("],\"processors\":[");
-    for (i, p) in arch.proc_ids().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let p = arch.processor(p);
-        out.push_str("{\"name\":");
-        push_str(&mut out, p.name());
-        out.push_str(",\"buses\":[");
-        for (j, b) in p.buses().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_usize(&mut out, b.index());
-        }
-        out.push_str("],\"weight\":");
-        push_f64(&mut out, p.weight());
-        out.push('}');
-    }
-    out.push_str("],\"bridges\":[");
-    for (i, g) in arch.bridge_ids().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let g = arch.bridge(g);
-        out.push_str("{\"name\":");
-        push_str(&mut out, g.name());
-        out.push_str(",\"from\":");
-        push_usize(&mut out, g.from().index());
-        out.push_str(",\"to\":");
-        push_usize(&mut out, g.to().index());
-        if g.latency() > 0.0 {
-            out.push_str(",\"latency\":");
-            push_f64(&mut out, g.latency());
-        }
-        out.push('}');
-    }
-    out.push_str("],\"flows\":[");
-    for (i, f) in arch.flow_ids().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let f = arch.flow(f);
-        out.push_str("{\"src\":");
-        push_usize(&mut out, f.src().index());
-        match f.target() {
-            FlowTarget::Processor(p) => {
-                out.push_str(",\"target\":{\"processor\":");
-                push_usize(&mut out, p.index());
-            }
-            FlowTarget::Bus(b) => {
-                out.push_str(",\"target\":{\"bus\":");
-                push_usize(&mut out, b.index());
-            }
-        }
-        out.push_str("},\"rate\":");
-        push_f64(&mut out, f.rate());
-        match f.shape() {
-            TrafficShape::Poisson => {}
-            TrafficShape::Burst { batch } => {
-                out.push_str(",\"shape\":{\"burst\":");
-                push_usize(&mut out, batch);
-                out.push('}');
-            }
-            TrafficShape::OnOff { mean_on, mean_off } => {
-                out.push_str(",\"shape\":{\"on_off\":{\"mean_on\":");
-                push_f64(&mut out, mean_on);
-                out.push_str(",\"mean_off\":");
-                push_f64(&mut out, mean_off);
-                out.push_str("}}");
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    ObjWriter::render(|w| {
+        w.list("buses", arch.bus_ids(), |out, id| {
+            let bus = arch.bus(id);
+            ObjWriter::push(out, |w| {
+                w.str("name", bus.name())
+                    .f64("service_rate", bus.service_rate());
+                match bus.arbitration() {
+                    BusArbitration::External => {}
+                    BusArbitration::Priority => {
+                        w.str("arbitration", "priority");
+                    }
+                    BusArbitration::Locked { max_batch } => {
+                        w.obj("arbitration", |w| {
+                            w.usize("locked", max_batch);
+                        });
+                    }
+                }
+            })
+        })
+        .list("processors", arch.proc_ids(), |out, id| {
+            let p = arch.processor(id);
+            ObjWriter::push(out, |w| {
+                w.str("name", p.name())
+                    .list("buses", p.buses(), |out, b| push_usize(out, b.index()))
+                    .f64("weight", p.weight());
+            })
+        })
+        .list("bridges", arch.bridge_ids(), |out, id| {
+            let g = arch.bridge(id);
+            ObjWriter::push(out, |w| {
+                w.str("name", g.name())
+                    .usize("from", g.from().index())
+                    .usize("to", g.to().index());
+                if g.latency() > 0.0 {
+                    w.f64("latency", g.latency());
+                }
+            })
+        })
+        .list("flows", arch.flow_ids(), |out, id| {
+            let f = arch.flow(id);
+            ObjWriter::push(out, |w| {
+                w.usize("src", f.src().index())
+                    .obj("target", |w| match f.target() {
+                        FlowTarget::Processor(p) => {
+                            w.usize("processor", p.index());
+                        }
+                        FlowTarget::Bus(b) => {
+                            w.usize("bus", b.index());
+                        }
+                    })
+                    .f64("rate", f.rate());
+                match f.shape() {
+                    TrafficShape::Poisson => {}
+                    TrafficShape::Burst { batch } => {
+                        w.obj("shape", |w| {
+                            w.usize("burst", batch);
+                        });
+                    }
+                    TrafficShape::OnOff { mean_on, mean_off } => {
+                        w.obj("shape", |w| {
+                            w.obj("on_off", |w| {
+                                w.f64("mean_on", mean_on).f64("mean_off", mean_off);
+                            });
+                        });
+                    }
+                }
+            })
+        });
+    })
 }
 
 /// Parses a bus's optional `"arbitration"` declaration:
@@ -861,25 +1029,24 @@ fn arbitration_from_json(v: &JsonValue, what: &str) -> Result<BusArbitration, Wi
             ))),
         };
     }
-    reject_unknown(v, what, &["locked"])?;
-    let batch = field(v, what, "locked")?.usize("locked")?;
-    Ok(BusArbitration::Locked { max_batch: batch })
+    let max_batch = v.fields(what, &["locked"])?.usize("locked")?;
+    Ok(BusArbitration::Locked { max_batch })
 }
 
 /// Parses a flow's optional `"shape"` declaration:
 /// `{"burst": batch}` or `{"on_off": {"mean_on": …, "mean_off": …}}`.
 fn shape_from_json(v: &JsonValue, what: &str) -> Result<TrafficShape, WireError> {
-    reject_unknown(v, what, &["burst", "on_off"])?;
-    match (v.get("burst"), v.get("on_off")) {
+    let f = v.fields(what, &["burst", "on_off"])?;
+    match (f.opt("burst"), f.opt("on_off")) {
         (Some(batch), None) => Ok(TrafficShape::Burst {
             batch: batch.usize("burst")?,
         }),
         (None, Some(onoff)) => {
             let inner = format!("{what}.on_off");
-            reject_unknown(onoff, &inner, &["mean_on", "mean_off"])?;
+            let onoff = onoff.fields(&inner, &["mean_on", "mean_off"])?;
             Ok(TrafficShape::OnOff {
-                mean_on: field(onoff, &inner, "mean_on")?.finite_f64("mean_on")?,
-                mean_off: field(onoff, &inner, "mean_off")?.finite_f64("mean_off")?,
+                mean_on: onoff.finite_f64("mean_on")?,
+                mean_off: onoff.finite_f64("mean_off")?,
             })
         }
         _ => Err(WireError::Schema(format!(
@@ -900,25 +1067,17 @@ fn shape_from_json(v: &JsonValue, what: &str) -> Result<TrafficShape, WireError>
 /// indices, or any builder rejection (reported with the builder's own
 /// message).
 pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> {
-    reject_unknown(
-        v,
-        "architecture",
-        &["buses", "processors", "bridges", "flows"],
-    )?;
+    let arch = v.fields("architecture", &["buses", "processors", "bridges", "flows"])?;
     let mut b = ArchitectureBuilder::new();
     let domain = |e: socbuf_soc::SocError| WireError::Schema(format!("architecture: {e}"));
 
     let mut bus_ids = Vec::new();
-    for (i, bus) in field(v, "architecture", "buses")?
-        .arr("buses")?
-        .iter()
-        .enumerate()
-    {
+    for (i, bus) in arch.items("buses")?.iter().enumerate() {
         let what = format!("buses[{i}]");
-        reject_unknown(bus, &what, &["name", "service_rate", "arbitration"])?;
-        let name = field(bus, &what, "name")?.str("name")?;
-        let rate = field(bus, &what, "service_rate")?.finite_f64("service_rate")?;
-        let arb = match bus.get("arbitration") {
+        let bus = bus.fields(&what, &["name", "service_rate", "arbitration"])?;
+        let name = bus.str("name")?;
+        let rate = bus.finite_f64("service_rate")?;
+        let arb = match bus.opt("arbitration") {
             Some(a) => arbitration_from_json(a, &format!("{what}.arbitration"))?,
             None => BusArbitration::External,
         };
@@ -927,67 +1086,41 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
                 .map_err(domain)?,
         );
     }
-    let bus = |idx: usize, what: &str| {
-        bus_ids
-            .get(idx)
-            .copied()
-            .ok_or_else(|| WireError::Schema(format!("{what}: bus index {idx} out of range")))
-    };
+    let bus = |idx: usize, what: &str| by_index(&bus_ids, idx, what, "bus");
 
     let mut proc_ids = Vec::new();
-    for (i, p) in field(v, "architecture", "processors")?
-        .arr("processors")?
-        .iter()
-        .enumerate()
-    {
+    for (i, p) in arch.items("processors")?.iter().enumerate() {
         let what = format!("processors[{i}]");
-        reject_unknown(p, &what, &["name", "buses", "weight"])?;
-        let name = field(p, &what, "name")?.str("name")?;
-        let weight = field(p, &what, "weight")?.finite_f64("weight")?;
-        let mut buses = Vec::new();
-        for idx in field(p, &what, "buses")?.arr("buses")? {
-            buses.push(bus(idx.usize("bus index")?, &what)?);
-        }
+        let p = p.fields(&what, &["name", "buses", "weight"])?;
+        let name = p.str("name")?;
+        let weight = p.finite_f64("weight")?;
+        let buses = p.list("buses", |idx| bus(idx.usize("bus index")?, &what))?;
         proc_ids.push(b.add_processor(name, &buses, weight).map_err(domain)?);
     }
+    let processor = |idx: usize, what: &str| by_index(&proc_ids, idx, what, "processor");
 
-    for (i, g) in field(v, "architecture", "bridges")?
-        .arr("bridges")?
-        .iter()
-        .enumerate()
-    {
+    for (i, g) in arch.items("bridges")?.iter().enumerate() {
         let what = format!("bridges[{i}]");
-        reject_unknown(g, &what, &["name", "from", "to", "latency"])?;
-        let name = field(g, &what, "name")?.str("name")?;
-        let from = bus(field(g, &what, "from")?.usize("from")?, &what)?;
-        let to = bus(field(g, &what, "to")?.usize("to")?, &what)?;
-        let latency = match g.get("latency") {
-            Some(l) => l.finite_f64("latency")?,
-            None => 0.0,
-        };
+        let g = g.fields(&what, &["name", "from", "to", "latency"])?;
+        let name = g.str("name")?;
+        let from = bus(g.usize("from")?, &what)?;
+        let to = bus(g.usize("to")?, &what)?;
+        let latency = g.opt_or("latency", 0.0, JsonValue::finite_f64)?;
         b.add_bridge_with_latency(name, from, to, latency)
             .map_err(domain)?;
     }
 
-    for (i, f) in field(v, "architecture", "flows")?
-        .arr("flows")?
-        .iter()
-        .enumerate()
-    {
+    for (i, f) in arch.items("flows")?.iter().enumerate() {
         let what = format!("flows[{i}]");
-        reject_unknown(f, &what, &["src", "target", "rate", "shape"])?;
-        let src_idx = field(f, &what, "src")?.usize("src")?;
-        let src = proc_ids.get(src_idx).copied().ok_or_else(|| {
-            WireError::Schema(format!("{what}: processor index {src_idx} out of range"))
-        })?;
-        let target = field(f, &what, "target")?;
-        reject_unknown(target, &format!("{what}.target"), &["processor", "bus"])?;
-        let target = match (target.get("processor"), target.get("bus")) {
+        let f = f.fields(&what, &["src", "target", "rate", "shape"])?;
+        let src = processor(f.usize("src")?, &what)?;
+        let target_what = format!("{what}.target");
+        let target = f
+            .req("target")?
+            .fields(&target_what, &["processor", "bus"])?;
+        let target = match (target.opt("processor"), target.opt("bus")) {
             (Some(p), None) => {
-                let idx = p.usize("target.processor")?;
-                FlowTarget::Processor(proc_ids.get(idx).copied().ok_or_else(|| {
-                    WireError::Schema(format!("{what}: processor index {idx} out of range"))
-                })?)
+                FlowTarget::Processor(processor(p.usize("target.processor")?, &what)?)
             }
             (None, Some(bus_v)) => FlowTarget::Bus(bus(bus_v.usize("target.bus")?, &what)?),
             _ => {
@@ -996,8 +1129,8 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
                 )))
             }
         };
-        let rate = field(f, &what, "rate")?.finite_f64("rate")?;
-        let shape = match f.get("shape") {
+        let rate = f.finite_f64("rate")?;
+        let shape = match f.opt("shape") {
             Some(s) => shape_from_json(s, &format!("{what}.shape"))?,
             None => TrafficShape::Poisson,
         };
@@ -1006,6 +1139,13 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
     }
 
     b.build().map_err(domain)
+}
+
+/// `ids[idx]`, or a schema error naming the out-of-range `kind` index.
+fn by_index<T: Copy>(ids: &[T], idx: usize, what: &str, kind: &str) -> Result<T, WireError> {
+    ids.get(idx)
+        .copied()
+        .ok_or_else(|| WireError::Schema(format!("{what}: {kind} index {idx} out of range")))
 }
 
 // ---------------------------------------------------------------------
@@ -1020,22 +1160,15 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
 /// time, not results. [`sizing_config_from_json`] always returns the
 /// serial default.
 pub fn sizing_config_to_json(config: &SizingConfig) -> String {
-    let mut out = String::from("{\"state_cap\":");
-    push_usize(&mut out, config.state_cap);
-    out.push_str(",\"effort_levels\":");
-    push_usize(&mut out, config.effort_levels);
-    out.push_str(",\"alpha\":");
-    push_f64(&mut out, config.alpha);
-    out.push_str(",\"quantile\":");
-    push_f64(&mut out, config.quantile);
-    out.push_str(",\"bus_effort_limit\":");
-    push_f64(&mut out, config.bus_effort_limit);
-    out.push_str(",\"engine\":");
-    push_str(&mut out, &config.engine.to_string());
-    out.push_str(",\"equilibrate\":");
-    out.push_str(if config.equilibrate { "true" } else { "false" });
-    out.push('}');
-    out
+    ObjWriter::render(|w| {
+        w.usize("state_cap", config.state_cap)
+            .usize("effort_levels", config.effort_levels)
+            .f64("alpha", config.alpha)
+            .f64("quantile", config.quantile)
+            .f64("bus_effort_limit", config.bus_effort_limit)
+            .str("engine", &config.engine.to_string())
+            .bool("equilibrate", config.equilibrate);
+    })
 }
 
 /// Parses a [`SizingConfig`]. Missing fields take their defaults (so
@@ -1048,8 +1181,7 @@ pub fn sizing_config_to_json(config: &SizingConfig) -> String {
 ///
 /// [`WireError::Schema`] for unknown fields or type mismatches.
 pub fn sizing_config_from_json(v: &JsonValue) -> Result<SizingConfig, WireError> {
-    reject_unknown(
-        v,
+    let f = v.fields(
         "config",
         &[
             "state_cap",
@@ -1061,87 +1193,43 @@ pub fn sizing_config_from_json(v: &JsonValue) -> Result<SizingConfig, WireError>
             "equilibrate",
         ],
     )?;
-    let mut config = SizingConfig::default();
-    if let Some(x) = v.get("state_cap") {
-        config.state_cap = x.usize("state_cap")?;
-    }
-    if let Some(x) = v.get("effort_levels") {
-        config.effort_levels = x.usize("effort_levels")?;
-    }
-    if let Some(x) = v.get("alpha") {
-        config.alpha = x.finite_f64("alpha")?;
-    }
-    if let Some(x) = v.get("quantile") {
-        config.quantile = x.finite_f64("quantile")?;
-    }
-    if let Some(x) = v.get("bus_effort_limit") {
-        config.bus_effort_limit = x.finite_f64("bus_effort_limit")?;
-    }
-    if let Some(x) = v.get("engine") {
-        config.engine = lp_engine_from_tag(x.str("engine")?)?;
-    }
-    if let Some(x) = v.get("equilibrate") {
-        config.equilibrate = x.bool("equilibrate")?;
-    }
-    Ok(config)
+    let d = SizingConfig::default();
+    let finite = JsonValue::finite_f64;
+    Ok(SizingConfig {
+        state_cap: f.opt_or("state_cap", d.state_cap, JsonValue::usize)?,
+        effort_levels: f.opt_or("effort_levels", d.effort_levels, JsonValue::usize)?,
+        alpha: f.opt_or("alpha", d.alpha, finite)?,
+        quantile: f.opt_or("quantile", d.quantile, finite)?,
+        bus_effort_limit: f.opt_or("bus_effort_limit", d.bus_effort_limit, finite)?,
+        engine: f.opt_or("engine", d.engine, |x, k| lp_engine_from_tag(x.str(k)?))?,
+        equilibrate: f.opt_or("equilibrate", d.equilibrate, JsonValue::bool)?,
+        ..d
+    })
 }
 
 // ---------------------------------------------------------------------
 // SizingOutcome codec
 // ---------------------------------------------------------------------
 
-fn push_outcome_semantic_fields(out: &mut String, outcome: &SizingOutcome) {
-    out.push_str("\"allocation\":[");
-    for (i, u) in outcome.allocation.as_slice().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_usize(out, *u);
-    }
-    out.push_str("],\"requirements\":[");
-    for (i, r) in outcome.requirements.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_usize(out, *r);
-    }
-    out.push_str("],\"efforts\":[");
-    for (i, curve) in outcome.efforts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        for (j, e) in curve.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_f64(out, *e);
-        }
-        out.push(']');
-    }
-    out.push_str("],\"predicted_loss_rate\":");
-    push_f64(out, outcome.predicted_loss_rate);
-    out.push_str(",\"budget_shadow_price\":");
-    push_f64(out, outcome.budget_shadow_price);
-    out.push_str(",\"budget_row_relaxed\":");
-    out.push_str(if outcome.budget_row_relaxed {
-        "true"
-    } else {
-        "false"
+fn push_outcome_semantic_fields(w: &mut ObjWriter<'_>, outcome: &SizingOutcome) {
+    w.list("allocation", outcome.allocation.as_slice(), |out, u| {
+        push_usize(out, *u)
+    })
+    .list("requirements", &outcome.requirements, |out, r| {
+        push_usize(out, *r)
+    })
+    .list("efforts", &outcome.efforts, |out, curve| {
+        push_list(out, curve, |out, e| push_f64(out, *e))
+    })
+    .f64("predicted_loss_rate", outcome.predicted_loss_rate)
+    .f64("budget_shadow_price", outcome.budget_shadow_price)
+    .bool("budget_row_relaxed", outcome.budget_row_relaxed)
+    .str("lp_engine", &outcome.lp_engine.to_string())
+    .obj("lp_scaling", |w| {
+        w.bool("applied", outcome.lp_scaling.applied)
+            .f64("condition_before", outcome.lp_scaling.condition_before)
+            .f64("condition_after", outcome.lp_scaling.condition_after);
     });
-    out.push_str(",\"lp_engine\":");
-    push_str(out, &outcome.lp_engine.to_string());
-    out.push_str(",\"lp_scaling\":{\"applied\":");
-    out.push_str(if outcome.lp_scaling.applied {
-        "true"
-    } else {
-        "false"
-    });
-    out.push_str(",\"condition_before\":");
-    push_f64(out, outcome.lp_scaling.condition_before);
-    out.push_str(",\"condition_after\":");
-    push_f64(out, outcome.lp_scaling.condition_after);
-    out.push('}');
 }
 
 /// Serializes the *semantic* content of a [`SizingOutcome`]: every
@@ -1156,22 +1244,17 @@ fn push_outcome_semantic_fields(out: &mut String, outcome: &SizingOutcome) {
 /// exactly this rendering. Pivot counts travel in the per-request trace
 /// instead.
 pub fn sizing_outcome_semantic_json(outcome: &SizingOutcome) -> String {
-    let mut out = String::from("{");
-    push_outcome_semantic_fields(&mut out, outcome);
-    out.push('}');
-    out
+    ObjWriter::render(|w| push_outcome_semantic_fields(w, outcome))
 }
 
 /// Serializes a [`SizingOutcome`] in full, including the
 /// path-dependent `lp_iterations` (see
 /// [`sizing_outcome_semantic_json`] for why that field is segregated).
 pub fn sizing_outcome_to_json(outcome: &SizingOutcome) -> String {
-    let mut out = String::from("{");
-    push_outcome_semantic_fields(&mut out, outcome);
-    out.push_str(",\"lp_iterations\":");
-    push_usize(&mut out, outcome.lp_iterations);
-    out.push('}');
-    out
+    ObjWriter::render(|w| {
+        push_outcome_semantic_fields(w, outcome);
+        w.usize("lp_iterations", outcome.lp_iterations);
+    })
 }
 
 /// Parses a [`SizingOutcome`] (either rendering; `lp_iterations`
@@ -1187,8 +1270,7 @@ pub fn sizing_outcome_from_json(
     v: &JsonValue,
     arch: &Architecture,
 ) -> Result<SizingOutcome, WireError> {
-    reject_unknown(
-        v,
+    let f = v.fields(
         "outcome",
         &[
             "allocation",
@@ -1202,27 +1284,18 @@ pub fn sizing_outcome_from_json(
             "lp_iterations",
         ],
     )?;
-    let mut units = Vec::new();
-    for u in field(v, "outcome", "allocation")?.arr("allocation")? {
-        units.push(u.usize("allocation unit")?);
-    }
+    let units = f.list("allocation", |u| u.usize("allocation unit"))?;
     let allocation = BufferAllocation::new(arch, units)
         .map_err(|e| WireError::Schema(format!("outcome: {e}")))?;
-    let mut requirements = Vec::new();
-    for r in field(v, "outcome", "requirements")?.arr("requirements")? {
-        requirements.push(r.usize("requirement")?);
-    }
-    let mut efforts = Vec::new();
-    for curve in field(v, "outcome", "efforts")?.arr("efforts")? {
-        let mut c = Vec::new();
-        for e in curve.arr("effort curve")? {
-            c.push(e.f64("effort")?);
-        }
-        efforts.push(c);
-    }
-    let scaling = field(v, "outcome", "lp_scaling")?;
-    reject_unknown(
-        scaling,
+    let requirements = f.list("requirements", |r| r.usize("requirement"))?;
+    let efforts = f.list("efforts", |curve| {
+        curve
+            .arr("effort curve")?
+            .iter()
+            .map(|e| e.f64("effort"))
+            .collect()
+    })?;
+    let scaling = f.req("lp_scaling")?.fields(
         "lp_scaling",
         &["applied", "condition_before", "condition_after"],
     )?;
@@ -1230,23 +1303,15 @@ pub fn sizing_outcome_from_json(
         allocation,
         efforts,
         requirements,
-        predicted_loss_rate: field(v, "outcome", "predicted_loss_rate")?
-            .f64("predicted_loss_rate")?,
-        budget_shadow_price: field(v, "outcome", "budget_shadow_price")?
-            .f64("budget_shadow_price")?,
-        budget_row_relaxed: field(v, "outcome", "budget_row_relaxed")?
-            .bool("budget_row_relaxed")?,
-        lp_iterations: match v.get("lp_iterations") {
-            Some(x) => x.usize("lp_iterations")?,
-            None => 0,
-        },
-        lp_engine: lp_engine_from_tag(field(v, "outcome", "lp_engine")?.str("lp_engine")?)?,
+        predicted_loss_rate: f.f64("predicted_loss_rate")?,
+        budget_shadow_price: f.f64("budget_shadow_price")?,
+        budget_row_relaxed: f.bool("budget_row_relaxed")?,
+        lp_iterations: f.opt_or("lp_iterations", 0, JsonValue::usize)?,
+        lp_engine: lp_engine_from_tag(f.str("lp_engine")?)?,
         lp_scaling: ScalingStats {
-            applied: field(scaling, "lp_scaling", "applied")?.bool("applied")?,
-            condition_before: field(scaling, "lp_scaling", "condition_before")?
-                .f64("condition_before")?,
-            condition_after: field(scaling, "lp_scaling", "condition_after")?
-                .f64("condition_after")?,
+            applied: scaling.bool("applied")?,
+            condition_before: scaling.f64("condition_before")?,
+            condition_after: scaling.f64("condition_after")?,
         },
     })
 }
@@ -1476,97 +1541,62 @@ impl CampaignManifest {
     /// The canonical campaign subdocument — exactly the bytes the
     /// config hash covers.
     fn campaign_json(&self) -> String {
-        let mut out = String::from("{\"kind\":");
-        push_str(&mut out, self.shape.kind_tag());
-        match &self.shape {
-            ManifestShape::Budget {
-                arch,
-                budgets,
-                warm_start,
-            } => {
-                out.push_str(",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(&self.config));
-                out.push_str(",\"budgets\":[");
-                for (i, b) in budgets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_usize(&mut out, *b);
+        let config = sizing_config_to_json(&self.config);
+        ObjWriter::render(|w| {
+            w.str("kind", self.shape.kind_tag());
+            match &self.shape {
+                ManifestShape::Budget {
+                    arch,
+                    budgets,
+                    warm_start,
+                } => {
+                    w.raw("arch", &architecture_to_json(arch))
+                        .raw("config", &config)
+                        .list("budgets", budgets, |out, b| push_usize(out, *b))
+                        .bool("warm_start", *warm_start);
                 }
-                out.push_str("],\"warm_start\":");
-                out.push_str(if *warm_start { "true" } else { "false" });
-            }
-            ManifestShape::Load {
-                arch,
-                budget,
-                factors,
-                warm_start,
-            } => {
-                out.push_str(",\"arch\":");
-                out.push_str(&architecture_to_json(arch));
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(&self.config));
-                out.push_str(",\"budget\":");
-                push_usize(&mut out, *budget);
-                out.push_str(",\"factors\":[");
-                for (i, f) in factors.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_f64(&mut out, *f);
+                ManifestShape::Load {
+                    arch,
+                    budget,
+                    factors,
+                    warm_start,
+                } => {
+                    w.raw("arch", &architecture_to_json(arch))
+                        .raw("config", &config)
+                        .usize("budget", *budget)
+                        .list("factors", factors, |out, f| push_f64(out, *f))
+                        .bool("warm_start", *warm_start);
                 }
-                out.push_str("],\"warm_start\":");
-                out.push_str(if *warm_start { "true" } else { "false" });
-            }
-            ManifestShape::Random {
-                params,
-                seeds,
-                units_per_queue,
-            } => {
-                out.push_str(",\"config\":");
-                out.push_str(&sizing_config_to_json(&self.config));
-                out.push_str(",\"params\":");
-                out.push_str(&random_params_to_json(params));
-                out.push_str(",\"seeds\":[");
-                for (i, s) in seeds.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{s}");
+                ManifestShape::Random {
+                    params,
+                    seeds,
+                    units_per_queue,
+                } => {
+                    w.raw("config", &config)
+                        .raw("params", &random_params_to_json(params))
+                        .list("seeds", seeds, |out, s| {
+                            let _ = write!(out, "{s}");
+                        })
+                        .usize("units_per_queue", *units_per_queue);
                 }
-                out.push_str("],\"units_per_queue\":");
-                push_usize(&mut out, *units_per_queue);
             }
-        }
-        out.push('}');
-        out
+        })
     }
 
     /// Serializes the manifest as canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"campaign\":");
-        out.push_str(&self.campaign_json());
-        out.push_str(",\"chunk_len\":");
-        push_usize(&mut out, self.chunk_len);
-        out.push_str(",\"chunks\":[");
-        for (i, c) in self.chunks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"chunk\":");
-            push_usize(&mut out, c.chunk);
-            out.push_str(",\"start\":");
-            push_usize(&mut out, c.start);
-            out.push_str(",\"end\":");
-            push_usize(&mut out, c.end);
-            out.push('}');
-        }
-        out.push_str("],\"config_hash\":");
-        push_str(&mut out, &config_hash_to_hex(self.config_hash));
-        out.push('}');
-        out
+        ObjWriter::render(|w| {
+            w.raw("campaign", &self.campaign_json())
+                .usize("chunk_len", self.chunk_len)
+                .list("chunks", &self.chunks, |out, c| {
+                    ObjWriter::push(out, |w| {
+                        w.usize("chunk", c.chunk)
+                            .usize("start", c.start)
+                            .usize("end", c.end);
+                    })
+                })
+                .str("config_hash", &config_hash_to_hex(self.config_hash));
+        })
     }
 
     /// Parses and fully re-validates a manifest: the campaign must be
@@ -1581,36 +1611,28 @@ impl CampaignManifest {
     ///
     /// [`WireError::Schema`] describing the first violation.
     pub fn from_json(v: &JsonValue) -> Result<CampaignManifest, WireError> {
-        reject_unknown(
-            v,
+        let f = v.fields(
             "manifest",
             &["campaign", "chunk_len", "chunks", "config_hash"],
         )?;
-        let campaign = field(v, "manifest", "campaign")?;
+        let campaign = f.req("campaign")?;
         let shape = Self::shape_from_json(campaign)?;
         shape.validate()?;
-        let config = sizing_config_from_json(field(campaign, "campaign", "config")?)?;
+        let config = sizing_config_from_json(campaign.member("campaign", "config")?)?;
 
-        let declared_hash = config_hash_from_hex(
-            field(v, "manifest", "config_hash")?.str("config_hash")?,
-            "config_hash",
-        )?;
-        let chunk_len = field(v, "manifest", "chunk_len")?.usize("chunk_len")?;
+        let declared_hash = config_hash_from_hex(f.str("config_hash")?, "config_hash")?;
+        let chunk_len = f.usize("chunk_len")?;
         if chunk_len == 0 {
             return Err(WireError::Schema("manifest: chunk_len must be ≥ 1".into()));
         }
         let mut chunks = Vec::new();
-        for (i, c) in field(v, "manifest", "chunks")?
-            .arr("chunks")?
-            .iter()
-            .enumerate()
-        {
+        for (i, c) in f.items("chunks")?.iter().enumerate() {
             let what = format!("chunks[{i}]");
-            reject_unknown(c, &what, &["chunk", "start", "end"])?;
+            let c = c.fields(&what, &["chunk", "start", "end"])?;
             chunks.push(ChunkRange {
-                chunk: field(c, &what, "chunk")?.usize("chunk")?,
-                start: field(c, &what, "start")?.usize("start")?,
-                end: field(c, &what, "end")?.usize("end")?,
+                chunk: c.usize("chunk")?,
+                start: c.usize("start")?,
+                end: c.usize("end")?,
             });
         }
 
@@ -1639,64 +1661,43 @@ impl CampaignManifest {
     }
 
     fn shape_from_json(campaign: &JsonValue) -> Result<ManifestShape, WireError> {
-        let kind = field(campaign, "campaign", "kind")?.str("kind")?;
-        match kind {
-            "budget" => {
-                reject_unknown(
-                    campaign,
-                    "campaign",
-                    &["kind", "arch", "config", "budgets", "warm_start"],
-                )?;
-                let arch = architecture_from_json(field(campaign, "campaign", "arch")?)?;
-                let mut budgets = Vec::new();
-                for b in field(campaign, "campaign", "budgets")?.arr("budgets")? {
-                    budgets.push(b.usize("budget")?);
-                }
-                Ok(ManifestShape::Budget {
-                    arch,
-                    budgets,
-                    warm_start: field(campaign, "campaign", "warm_start")?.bool("warm_start")?,
-                })
+        let kind = campaign.member("campaign", "kind")?.str("kind")?;
+        let keys: &[&str] = match kind {
+            "budget" => &["kind", "arch", "config", "budgets", "warm_start"],
+            "load" => &["kind", "arch", "config", "budget", "factors", "warm_start"],
+            "random" => &["kind", "config", "params", "seeds", "units_per_queue"],
+            other => {
+                return Err(WireError::Schema(format!(
+                    "campaign: unknown kind \"{other}\""
+                )))
             }
+        };
+        let f = campaign.fields("campaign", keys)?;
+        Ok(match kind {
+            "budget" => ManifestShape::Budget {
+                arch: architecture_from_json(f.req("arch")?)?,
+                budgets: f.list("budgets", |b| b.usize("budget"))?,
+                warm_start: f.bool("warm_start")?,
+            },
             "load" => {
-                reject_unknown(
-                    campaign,
-                    "campaign",
-                    &["kind", "arch", "config", "budget", "factors", "warm_start"],
-                )?;
-                let arch = architecture_from_json(field(campaign, "campaign", "arch")?)?;
-                let mut factors = Vec::new();
-                for f in field(campaign, "campaign", "factors")?.arr("factors")? {
-                    factors.push(f.finite_f64("factor")?);
-                }
-                Ok(ManifestShape::Load {
+                let arch = architecture_from_json(f.req("arch")?)?;
+                let factors = f.list("factors", |x| x.finite_f64("factor"))?;
+                ManifestShape::Load {
                     arch,
-                    budget: field(campaign, "campaign", "budget")?.usize("budget")?,
+                    budget: f.usize("budget")?,
                     factors,
-                    warm_start: field(campaign, "campaign", "warm_start")?.bool("warm_start")?,
-                })
-            }
-            "random" => {
-                reject_unknown(
-                    campaign,
-                    "campaign",
-                    &["kind", "config", "params", "seeds", "units_per_queue"],
-                )?;
-                let mut seeds = Vec::new();
-                for s in field(campaign, "campaign", "seeds")?.arr("seeds")? {
-                    seeds.push(s.u64("seed")?);
+                    warm_start: f.bool("warm_start")?,
                 }
-                Ok(ManifestShape::Random {
-                    params: random_params_from_json(field(campaign, "campaign", "params")?)?,
-                    seeds,
-                    units_per_queue: field(campaign, "campaign", "units_per_queue")?
-                        .usize("units_per_queue")?,
-                })
             }
-            other => Err(WireError::Schema(format!(
-                "campaign: unknown kind \"{other}\""
-            ))),
-        }
+            _ => {
+                let seeds = f.list("seeds", |s| s.u64("seed"))?;
+                ManifestShape::Random {
+                    params: random_params_from_json(f.req("params")?)?,
+                    seeds,
+                    units_per_queue: f.usize("units_per_queue")?,
+                }
+            }
+        })
     }
 
     /// Builds the manifest with an explicit chunk partition that
@@ -1889,26 +1890,16 @@ fn refuse_unrenderable(shape: &ManifestShape, config: &SizingConfig) -> Result<(
 
 /// Serializes [`RandomArchParams`] as canonical JSON.
 pub fn random_params_to_json(p: &RandomArchParams) -> String {
-    let mut out = String::from("{\"buses\":");
-    push_usize(&mut out, p.buses);
-    out.push_str(",\"processors\":");
-    push_usize(&mut out, p.processors);
-    out.push_str(",\"bridges\":");
-    push_usize(&mut out, p.bridges);
-    out.push_str(",\"flows\":");
-    push_usize(&mut out, p.flows);
-    out.push_str(",\"bus_rate_range\":[");
-    push_f64(&mut out, p.bus_rate_range.0);
-    out.push(',');
-    push_f64(&mut out, p.bus_rate_range.1);
-    out.push_str("],\"flow_rate_range\":[");
-    push_f64(&mut out, p.flow_rate_range.0);
-    out.push(',');
-    push_f64(&mut out, p.flow_rate_range.1);
-    out.push_str("],\"multi_home_prob\":");
-    push_f64(&mut out, p.multi_home_prob);
-    out.push('}');
-    out
+    let (bus, flow) = (p.bus_rate_range, p.flow_rate_range);
+    ObjWriter::render(|w| {
+        w.usize("buses", p.buses)
+            .usize("processors", p.processors)
+            .usize("bridges", p.bridges)
+            .usize("flows", p.flows)
+            .list("bus_rate_range", [bus.0, bus.1], push_f64)
+            .list("flow_rate_range", [flow.0, flow.1], push_f64)
+            .f64("multi_home_prob", p.multi_home_prob);
+    })
 }
 
 fn range_from_json(v: &JsonValue, what: &str) -> Result<(f64, f64), WireError> {
@@ -1930,8 +1921,7 @@ fn range_from_json(v: &JsonValue, what: &str) -> Result<(f64, f64), WireError> {
 ///
 /// [`WireError::Schema`] for shape mismatches.
 pub fn random_params_from_json(v: &JsonValue) -> Result<RandomArchParams, WireError> {
-    reject_unknown(
-        v,
+    let f = v.fields(
         "params",
         &[
             "buses",
@@ -1944,16 +1934,13 @@ pub fn random_params_from_json(v: &JsonValue) -> Result<RandomArchParams, WireEr
         ],
     )?;
     Ok(RandomArchParams {
-        buses: field(v, "params", "buses")?.usize("buses")?,
-        processors: field(v, "params", "processors")?.usize("processors")?,
-        bridges: field(v, "params", "bridges")?.usize("bridges")?,
-        flows: field(v, "params", "flows")?.usize("flows")?,
-        bus_rate_range: range_from_json(field(v, "params", "bus_rate_range")?, "bus_rate_range")?,
-        flow_rate_range: range_from_json(
-            field(v, "params", "flow_rate_range")?,
-            "flow_rate_range",
-        )?,
-        multi_home_prob: field(v, "params", "multi_home_prob")?.finite_f64("multi_home_prob")?,
+        buses: f.usize("buses")?,
+        processors: f.usize("processors")?,
+        bridges: f.usize("bridges")?,
+        flows: f.usize("flows")?,
+        bus_rate_range: range_from_json(f.req("bus_rate_range")?, "bus_rate_range")?,
+        flow_rate_range: range_from_json(f.req("flow_rate_range")?, "flow_rate_range")?,
+        multi_home_prob: f.finite_f64("multi_home_prob")?,
     })
 }
 
@@ -2002,27 +1989,23 @@ impl ChunkReport {
     /// whose `index` is not `start + position`, or a point carrying a
     /// `frontier` field (which only the merged report may have).
     pub fn from_json(v: &JsonValue) -> Result<ChunkReport, WireError> {
-        reject_unknown(
-            v,
+        let f = v.fields(
             "chunk report",
             &["chunk", "kind", "config_hash", "start", "end", "points"],
         )?;
-        let points = field(v, "chunk report", "points")?.arr("points")?.to_vec();
-        let kind = field(v, "chunk report", "kind")?.str("kind")?;
+        let points = f.items("points")?.to_vec();
+        let kind = f.str("kind")?;
         if !matches!(kind, "budget" | "load" | "random") {
             return Err(WireError::Schema(format!(
                 "chunk report: unknown kind \"{kind}\""
             )));
         }
         let report = ChunkReport {
-            config_hash: config_hash_from_hex(
-                field(v, "chunk report", "config_hash")?.str("config_hash")?,
-                "config_hash",
-            )?,
+            config_hash: config_hash_from_hex(f.str("config_hash")?, "config_hash")?,
             kind: kind.to_string(),
-            chunk: field(v, "chunk report", "chunk")?.usize("chunk")?,
-            start: field(v, "chunk report", "start")?.usize("start")?,
-            end: field(v, "chunk report", "end")?.usize("end")?,
+            chunk: f.usize("chunk")?,
+            start: f.usize("start")?,
+            end: f.usize("end")?,
             points,
         };
         if report.end <= report.start {
@@ -2042,7 +2025,7 @@ impl ChunkReport {
         }
         for (i, p) in report.points.iter().enumerate() {
             let what = format!("points[{i}]");
-            let index = field(p, &what, "index")?.usize("index")?;
+            let index = p.member(&what, "index")?.usize("index")?;
             if index != report.start + i {
                 return Err(WireError::Schema(format!(
                     "chunk report: {what} has index {index}, expected {}",
@@ -2073,25 +2056,14 @@ pub fn render_chunk_report<P>(
     points: &[P],
     mut push_point: impl FnMut(&mut String, &P),
 ) -> String {
-    let mut out = String::from("{\"chunk\":");
-    push_usize(&mut out, chunk);
-    out.push_str(",\"kind\":");
-    push_str(&mut out, kind);
-    out.push_str(",\"config_hash\":");
-    push_str(&mut out, &config_hash_to_hex(config_hash));
-    out.push_str(",\"start\":");
-    push_usize(&mut out, range.start);
-    out.push_str(",\"end\":");
-    push_usize(&mut out, range.end);
-    out.push_str(",\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_point(&mut out, p);
-    }
-    out.push_str("]}");
-    out
+    ObjWriter::render(|w| {
+        w.usize("chunk", chunk)
+            .str("kind", kind)
+            .str("config_hash", &config_hash_to_hex(config_hash))
+            .usize("start", range.start)
+            .usize("end", range.end)
+            .list("points", points, |out, p| push_point(out, p));
+    })
 }
 
 #[cfg(test)]

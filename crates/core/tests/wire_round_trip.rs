@@ -11,14 +11,20 @@
 //!
 //! Campaign manifests obey the same law, or are refused by name when
 //! built: a shard parses exactly the text its coordinator rendered.
+//!
+//! Every record decoder also obeys the field rules, checked on the
+//! canonical renderings of real values: an extra key `zz` in any object
+//! the decoder owns is refused by name, and dropping any required key
+//! gives `<parent>: missing field "<key>"`.
 
 use std::ops::Range;
 
 use socbuf_core::wire::{
-    architecture_from_json, architecture_to_json, sizing_config_from_json, sizing_config_to_json,
-    CampaignManifest, JsonValue, ManifestShape, WireError,
+    architecture_from_json, architecture_to_json, random_params_from_json, random_params_to_json,
+    render_chunk_report, sizing_config_from_json, sizing_config_to_json, sizing_outcome_from_json,
+    sizing_outcome_to_json, CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError,
 };
-use socbuf_core::SizingConfig;
+use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_lp::LpEngine;
 use socbuf_soc::templates::{self, RandomArchParams};
 use socbuf_soc::{Architecture, ArchitectureBuilder, BusArbitration, FlowTarget, TrafficShape};
@@ -496,4 +502,227 @@ fn campaign_manifests_obey_the_round_trip_law_or_are_refused_by_name() {
         let what = format!("{field} above 2^53");
         assert_manifest_law(CampaignManifest::new(shape, config), Some(field), &what);
     }
+}
+
+// ---------------------------------------------------------------------
+// Field rules
+// ---------------------------------------------------------------------
+
+/// `doc` with the object at `path` (keys, or indices into arrays)
+/// edited by `edit`.
+fn edited(
+    doc: &JsonValue,
+    path: &[&str],
+    edit: impl FnOnce(&mut Vec<(String, JsonValue)>),
+) -> JsonValue {
+    let mut doc = doc.clone();
+    let mut v = &mut doc;
+    for seg in path {
+        v = match v {
+            JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+            JsonValue::Arr(items) => &mut items[seg.parse::<usize>().unwrap()],
+            other => panic!("{path:?}: {seg} indexes {other:?}"),
+        };
+    }
+    match v {
+        JsonValue::Obj(fields) => edit(fields),
+        other => panic!("{path:?} is not an object: {other:?}"),
+    }
+    doc
+}
+
+/// The field rules on the object at `path` of `doc`, which `decode`
+/// reads as the record `parent`: an extra key `zz` is refused by name;
+/// dropping a key decodes when it is `optional`, fails some other way
+/// when it is one of `tags` (a union's discriminating key), and
+/// otherwise gives `<parent>: missing field "<key>"`.
+fn assert_field_rules(
+    doc: &JsonValue,
+    path: &[&str],
+    parent: &str,
+    optional: &[&str],
+    tags: &[&str],
+    decode: &dyn Fn(&JsonValue) -> Result<(), WireError>,
+) {
+    let at = format!("{parent} at {path:?}");
+    decode(doc).unwrap_or_else(|e| panic!("{at}: the canonical text must decode: {e}"));
+    let extra = edited(doc, path, |f| f.push(("zz".into(), JsonValue::Num(1.0))));
+    match decode(&extra) {
+        Err(WireError::Schema(msg)) => assert!(
+            msg.starts_with(&format!("{parent}: unknown field \"zz\"")),
+            "{at}: {msg}"
+        ),
+        other => panic!("{at}: an extra key must be refused by name, got {other:?}"),
+    }
+    let mut keys = Vec::new();
+    edited(doc, path, |f| {
+        keys = f.iter().map(|(k, _)| k.clone()).collect()
+    });
+    let mut required = 0;
+    for key in &keys {
+        let dropped = edited(doc, path, |f| f.retain(|(k, _)| k != key));
+        let got = decode(&dropped);
+        if optional.contains(&key.as_str()) {
+            assert!(got.is_ok(), "{at}: dropping optional {key}: {got:?}");
+        } else if tags.contains(&key.as_str()) {
+            assert!(matches!(got, Err(WireError::Schema(_))), "{at}: {key}");
+        } else {
+            let want = format!("{parent}: missing field \"{key}\"");
+            assert_eq!(got, Err(WireError::Schema(want)), "{at}: dropping {key}");
+            required += 1;
+        }
+    }
+    assert!(
+        required + optional.len() + tags.len() >= keys.len(),
+        "{at}: {keys:?}"
+    );
+}
+
+/// An architecture that uses every declaration the codec has: a locked
+/// and a priority bus, a bridge latency, a burst flow to a processor
+/// and an on-off flow to a bus.
+fn declaring_everything() -> Architecture {
+    let mut b = ArchitectureBuilder::new();
+    let locked = BusArbitration::Locked { max_batch: 2 };
+    let x = b.add_bus_with_arbitration("x", 4.0, locked).unwrap();
+    let y = b
+        .add_bus_with_arbitration("y", 3.0, BusArbitration::Priority)
+        .unwrap();
+    let p = b.add_processor("p", &[x], 1.0).unwrap();
+    let q = b.add_processor("q", &[y], 2.0).unwrap();
+    b.add_bridge_with_latency("g", x, y, 0.25).unwrap();
+    let burst = TrafficShape::Burst { batch: 3 };
+    b.add_flow_shaped(p, FlowTarget::Processor(q), 0.5, burst)
+        .unwrap();
+    let on_off = TrafficShape::OnOff {
+        mean_on: 2.0,
+        mean_off: 1.5,
+    };
+    b.add_flow_shaped(p, FlowTarget::Bus(y), 0.25, on_off)
+        .unwrap();
+    b.build().unwrap()
+}
+
+/// `(path, parent, optional keys, tag keys)` of every object the
+/// architecture decoder owns in [`declaring_everything`]'s rendering. A
+/// path's `/`-separated segments are keys, or indices into arrays.
+const ARCH_OBJECTS: [(&str, &str, &[&str], &[&str]); 11] = [
+    ("", "architecture", &[], &[]),
+    ("buses/0", "buses[0]", &["arbitration"], &[]),
+    ("buses/0/arbitration", "buses[0].arbitration", &[], &[]),
+    ("processors/1", "processors[1]", &[], &[]),
+    ("bridges/0", "bridges[0]", &["latency"], &[]),
+    ("flows/0", "flows[0]", &["shape"], &[]),
+    ("flows/0/target", "flows[0].target", &[], &["processor"]),
+    ("flows/1/target", "flows[1].target", &[], &["bus"]),
+    ("flows/0/shape", "flows[0].shape", &[], &["burst"]),
+    ("flows/1/shape", "flows[1].shape", &[], &["on_off"]),
+    ("flows/1/shape/on_off", "flows[1].shape.on_off", &[], &[]),
+];
+
+/// `root` followed by the segments of `rest`.
+fn under<'a>(root: &[&'a str], rest: &'a str) -> Vec<&'a str> {
+    let rest = rest.split('/').filter(|s| !s.is_empty());
+    root.iter().copied().chain(rest).collect()
+}
+
+fn tree(text: &str) -> JsonValue {
+    JsonValue::parse(text).unwrap()
+}
+
+#[test]
+fn every_wire_record_refuses_unknown_keys_and_names_missing_ones() {
+    let arch = declaring_everything();
+    let doc = tree(&architecture_to_json(&arch));
+    let decode_arch = |v: &JsonValue| architecture_from_json(v).map(drop);
+    for (at, parent, optional, tags) in ARCH_OBJECTS {
+        assert_field_rules(&doc, &under(&[], at), parent, optional, tags, &decode_arch);
+    }
+
+    let config = SizingConfig::small();
+    let doc = tree(&sizing_config_to_json(&config));
+    let keys = [
+        "state_cap",
+        "effort_levels",
+        "alpha",
+        "quantile",
+        "bus_effort_limit",
+        "engine",
+        "equilibrate",
+    ];
+    let decode_config = |v: &JsonValue| sizing_config_from_json(v).map(drop);
+    assert_field_rules(&doc, &[], "config", &keys, &[], &decode_config);
+
+    let figure1 = templates::figure1();
+    let outcome = size_buffers(&figure1, 24, &config).unwrap();
+    let doc = tree(&sizing_outcome_to_json(&outcome));
+    let decode_outcome = |v: &JsonValue| sizing_outcome_from_json(v, &figure1).map(drop);
+    let optional = ["lp_iterations"];
+    assert_field_rules(&doc, &[], "outcome", &optional, &[], &decode_outcome);
+    let path = ["lp_scaling"];
+    assert_field_rules(&doc, &path, "lp_scaling", &[], &[], &decode_outcome);
+
+    let params = RandomArchParams::default();
+    let doc = tree(&random_params_to_json(&params));
+    let decode_params = |v: &JsonValue| random_params_from_json(v).map(drop);
+    assert_field_rules(&doc, &[], "params", &[], &[], &decode_params);
+
+    // Dropping an optional key edits the hashed campaign text, so the
+    // hash check, which runs after every field rule, refuses it.
+    let decode_manifest = |v: &JsonValue| match CampaignManifest::from_json(v) {
+        Err(WireError::Schema(msg)) if msg.starts_with("manifest: stale config hash") => Ok(()),
+        other => other.map(drop),
+    };
+    let shapes = [
+        ManifestShape::Budget {
+            arch: arch.clone(),
+            budgets: vec![8, 12, 16, 20, 24],
+            warm_start: true,
+        },
+        ManifestShape::Load {
+            arch,
+            budget: 16,
+            factors: vec![0.5, 1.0],
+            warm_start: false,
+        },
+        ManifestShape::Random {
+            params,
+            seeds: vec![3, 5],
+            units_per_queue: 2,
+        },
+    ];
+    for shape in shapes {
+        let random = matches!(shape, ManifestShape::Random { .. });
+        let manifest = CampaignManifest::new(shape, config.clone()).unwrap();
+        assert!(
+            manifest.chunks.len() > 1,
+            "each campaign spans chunk ranges"
+        );
+        let doc = tree(&manifest.to_json());
+        for (path, parent) in [
+            (vec![], "manifest"),
+            (vec!["campaign"], "campaign"),
+            (vec!["chunks", "1"], "chunks[1]"),
+        ] {
+            assert_field_rules(&doc, &path, parent, &[], &[], &decode_manifest);
+        }
+        if random {
+            let path = ["campaign", "params"];
+            assert_field_rules(&doc, &path, "params", &[], &[], &decode_manifest);
+        } else {
+            let path = ["campaign", "config"];
+            assert_field_rules(&doc, &path, "config", &keys, &[], &decode_manifest);
+            for (at, parent, optional, tags) in ARCH_OBJECTS {
+                let at = under(&["campaign", "arch"], at);
+                assert_field_rules(&doc, &at, parent, optional, tags, &decode_manifest);
+            }
+        }
+    }
+
+    // A chunk report owns its frame; its points belong to the sweep
+    // layer, which checks their fields itself.
+    let points = [tree("{\"index\":4}"), tree("{\"index\":5}")];
+    let text = render_chunk_report(0xab, "budget", 1, 4..6, &points, |out, p| p.push(out));
+    let decode_report = |v: &JsonValue| ChunkReport::from_json(v).map(drop);
+    assert_field_rules(&tree(&text), &[], "chunk report", &[], &[], &decode_report);
 }

@@ -149,7 +149,7 @@ impl BirthDeath {
         Ok(pi)
     }
 
-    /// Converts to a general CTMC (for cross-checks and uniformization).
+    /// Converts to a general CTMC (for cross-checks).
     pub fn to_ctmc(&self) -> Ctmc {
         let n = self.num_states();
         let mut rates = Vec::with_capacity(2 * (n - 1));

@@ -1,6 +1,6 @@
 use socbuf_linalg::{Csr, Lu, Matrix, Tridiag};
 
-use crate::{Dtmc, MarkovError};
+use crate::MarkovError;
 
 /// A finite continuous-time Markov chain given by its generator matrix,
 /// stored sparsely (CSR).
@@ -274,46 +274,6 @@ impl Ctmc {
             None => Err(MarkovError::Reducible),
         }
     }
-
-    /// Uniformizes the chain into a DTMC with rate `lambda`, which must
-    /// be at least the largest exit rate. `P = I + Q/λ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::NonPositiveParameter`] if `lambda` is not
-    /// positive or smaller than the largest exit rate.
-    pub fn uniformized(&self, lambda: f64) -> Result<Dtmc, MarkovError> {
-        let max_exit = (0..self.num_states())
-            .map(|i| self.exit_rate(i))
-            .fold(0.0_f64, f64::max);
-        if lambda <= 0.0 || lambda < max_exit {
-            return Err(MarkovError::NonPositiveParameter {
-                name: "uniformization rate",
-                value: lambda,
-            });
-        }
-        let n = self.num_states();
-        let mut p = Matrix::identity(n);
-        for i in 0..n {
-            for (j, v) in self.q.iter_row(i) {
-                p[(i, j)] = (p[(i, j)] + v / lambda).max(0.0);
-            }
-        }
-        Dtmc::from_matrix(p)
-    }
-
-    /// A safe default uniformization rate: `1.1 × max exit rate`
-    /// (or `1.0` for the degenerate all-absorbing chain).
-    pub fn default_uniformization_rate(&self) -> f64 {
-        let max_exit = (0..self.num_states())
-            .map(|i| self.exit_rate(i))
-            .fold(0.0_f64, f64::max);
-        if max_exit <= 0.0 {
-            1.0
-        } else {
-            1.1 * max_exit
-        }
-    }
 }
 
 /// Clamps numerical dust, rejects genuinely negative entries, and scales
@@ -443,34 +403,6 @@ mod tests {
         for (p, e) in pi.iter().zip(&expect) {
             assert!((p - e / z).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn uniformization_preserves_stationary() {
-        let c = Ctmc::from_rates(
-            3,
-            &[
-                (0, 1, 2.0),
-                (1, 2, 1.0),
-                (2, 0, 0.5),
-                (1, 0, 0.25),
-                (2, 1, 0.75),
-            ],
-        )
-        .unwrap();
-        let pi_c = c.stationary().unwrap();
-        let d = c.uniformized(c.default_uniformization_rate()).unwrap();
-        let pi_d = d.stationary().unwrap();
-        for (a, b) in pi_c.iter().zip(&pi_d) {
-            assert!((a - b).abs() < 1e-9, "{pi_c:?} vs {pi_d:?}");
-        }
-    }
-
-    #[test]
-    fn uniformization_rate_validation() {
-        let c = Ctmc::from_rates(2, &[(0, 1, 5.0), (1, 0, 1.0)]).unwrap();
-        assert!(c.uniformized(4.0).is_err());
-        assert!(c.uniformized(5.0).is_ok());
     }
 
     #[test]

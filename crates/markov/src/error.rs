@@ -23,14 +23,6 @@ pub enum MarkovError {
         /// The negative value found.
         rate: f64,
     },
-    /// A transition-probability row does not sum to one, or an entry is
-    /// outside `[0, 1]`.
-    BadStochasticRow {
-        /// Offending row.
-        row: usize,
-        /// Its sum.
-        sum: f64,
-    },
     /// The chain is reducible, so the requested quantity (for example a
     /// unique stationary distribution) does not exist.
     Reducible,
@@ -56,9 +48,6 @@ impl fmt::Display for MarkovError {
                     f,
                     "negative transition rate {rate} from state {from} to {to}"
                 )
-            }
-            MarkovError::BadStochasticRow { row, sum } => {
-                write!(f, "probability row {row} sums to {sum}, expected 1")
             }
             MarkovError::Reducible => write!(f, "chain is reducible"),
             MarkovError::NonPositiveParameter { name, value } => {

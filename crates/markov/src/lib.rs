@@ -9,16 +9,12 @@
 //! * [`Ctmc`] — finite continuous-time Markov chains with validated
 //!   **sparse (CSR) generators**, stationary distributions (an `O(n)`
 //!   Thomas solve for tridiagonal/birth–death generators, pivoted dense
-//!   LU as the general fallback), irreducibility checks and
-//!   uniformization,
-//! * [`Dtmc`] — the discrete skeleton produced by uniformization,
+//!   LU as the general fallback) and irreducibility checks,
 //! * [`BirthDeath`] — birth–death chains with closed-form stationary
 //!   distributions (every single-queue CTMDP block has this shape),
 //! * [`MM1K`] — closed-form M/M/1/K loss-queue formulas (blocking
 //!   probability, loss rate, mean occupancy); these are the *analytic
-//!   oracles* the simulator is tested against,
-//! * [`transient_distribution`] — transient state probabilities via
-//!   uniformization (Poisson-weighted DTMC powers).
+//!   oracles* the simulator is tested against.
 //!
 //! # Examples
 //!
@@ -36,14 +32,10 @@
 
 mod birth_death;
 mod ctmc;
-mod dtmc;
 mod error;
 mod queueing;
-mod uniformization;
 
 pub use birth_death::BirthDeath;
 pub use ctmc::Ctmc;
-pub use dtmc::Dtmc;
 pub use error::MarkovError;
 pub use queueing::MM1K;
-pub use uniformization::transient_distribution;

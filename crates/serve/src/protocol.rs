@@ -38,6 +38,10 @@
 //! a budget sweep, a frontier, one shard's share of a fleet — is a
 //! manifest streamed with `sweep_stream`.
 //!
+//! Each verb allows only its own top-level keys (the table's plus `v`
+//! and `req`); any other key is refused by name. That check runs after
+//! the version and verb checks and before any field is decoded.
+//!
 //! A server parses each request frame once and keeps the tree and the
 //! byte span of each top-level field. For
 //! `size` it first looks its warm cache up under the raw `arch` and
@@ -95,8 +99,8 @@ use std::io::{self, Read, Write};
 
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, config_hash_from_hex, config_hash_to_hex,
-    push_f64, push_str, push_usize, sizing_config_from_json, sizing_config_to_json,
-    sizing_outcome_semantic_json, CampaignManifest, JsonDocument, JsonValue, WireError,
+    push_usize, sizing_config_from_json, sizing_config_to_json, sizing_outcome_semantic_json,
+    CampaignManifest, Fields, JsonDocument, JsonValue, ObjWriter, WireError,
 };
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
@@ -114,12 +118,13 @@ const REMOVED_VERBS: [(&str, &str); 5] = [
     ("snapshot_import", "warm chains live inside manifest chunks"),
 ];
 
-/// Starts a canonical protocol object: `{"v":<PROTOCOL_VERSION>,`.
-fn open_frame() -> String {
-    let mut out = String::from("{\"v\":");
-    push_usize(&mut out, PROTOCOL_VERSION as usize);
-    out.push(',');
-    out
+/// Renders one canonical protocol object: `"v"`, then the fields
+/// `body` writes.
+fn frame(body: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    ObjWriter::render(|w| {
+        w.usize("v", PROTOCOL_VERSION as usize);
+        body(w);
+    })
 }
 
 /// Upper bound on a frame payload (16 MiB). Chosen far above any real
@@ -354,15 +359,12 @@ impl Request {
     /// The canonical `size` request for borrowed values: the bytes
     /// [`Request::to_json`] renders for the same owned request.
     pub(crate) fn size_json(arch: &Architecture, config: &SizingConfig, budget: usize) -> String {
-        let mut out = open_frame();
-        out.push_str("\"req\":\"size\",\"arch\":");
-        out.push_str(&architecture_to_json(arch));
-        out.push_str(",\"config\":");
-        out.push_str(&sizing_config_to_json(config));
-        out.push_str(",\"budget\":");
-        push_usize(&mut out, budget);
-        out.push('}');
-        out
+        frame(|w| {
+            w.str("req", "size")
+                .raw("arch", &architecture_to_json(arch))
+                .raw("config", &sizing_config_to_json(config))
+                .usize("budget", budget);
+        })
     }
 
     /// The canonical `sweep_stream` request for borrowed values: the
@@ -371,29 +373,19 @@ impl Request {
         manifest: &CampaignManifest,
         chunks: Option<&[usize]>,
     ) -> String {
-        let mut out = open_frame();
-        out.push_str("\"req\":\"sweep_stream\",\"manifest\":");
-        out.push_str(&manifest.to_json());
-        if let Some(chunks) = chunks {
-            out.push_str(",\"chunks\":[");
-            for (i, c) in chunks.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_usize(&mut out, *c);
+        frame(|w| {
+            w.str("req", "sweep_stream")
+                .raw("manifest", &manifest.to_json());
+            if let Some(chunks) = chunks {
+                w.list("chunks", chunks, |out, c| push_usize(out, *c));
             }
-            out.push(']');
-        }
-        out.push('}');
-        out
+        })
     }
 
     fn verb_json(verb: &str) -> String {
-        let mut out = open_frame();
-        out.push_str("\"req\":");
-        push_str(&mut out, verb);
-        out.push('}');
-        out
+        frame(|w| {
+            w.str("req", verb);
+        })
     }
 
     /// Parses a request frame, checking the protocol version first.
@@ -421,6 +413,17 @@ pub(crate) enum Verb {
     Drain,
 }
 
+impl Verb {
+    /// The top-level keys a frame of this verb may carry.
+    fn keys(self) -> &'static [&'static str] {
+        match self {
+            Verb::Size => &["v", "req", "arch", "config", "budget"],
+            Verb::SweepStream => &["v", "req", "manifest", "chunks"],
+            Verb::Health | Verb::Drain => &["v", "req"],
+        }
+    }
+}
+
 /// A request frame parsed once: its version and verb are checked, and
 /// its tree and the byte spans of its top-level fields are kept for
 /// whatever decoding the server then needs.
@@ -436,29 +439,23 @@ pub(crate) struct RequestFrame<'t> {
 }
 
 impl<'t> RequestFrame<'t> {
-    /// Parses a request frame and checks its version and verb.
+    /// Parses a request frame and checks its version, its verb and its
+    /// top-level keys, in that order.
     ///
     /// # Errors
     ///
     /// [`WireError`] for malformed JSON, an unsupported version, a verb
-    /// removed in protocol v2 (named, with what replaces it), or an
-    /// unknown `req`.
+    /// removed in protocol v2 (named, with what replaces it), an
+    /// unknown `req`, or a key the verb does not allow.
     pub fn parse(text: &'t str) -> Result<RequestFrame<'t>, WireError> {
         let doc = JsonDocument::parse(text)?;
-        let version = doc
-            .get("v")
-            .ok_or_else(|| WireError::Schema("request: missing field \"v\"".into()))?
-            .u64("v")?;
+        let version = doc.value().member("request", "v")?.u64("v")?;
         if version != PROTOCOL_VERSION {
             return Err(WireError::Schema(format!(
                 "unsupported protocol version {version} (this server speaks {PROTOCOL_VERSION})"
             )));
         }
-        let verb = match doc
-            .get("req")
-            .ok_or_else(|| WireError::Schema("request: missing field \"req\"".into()))?
-            .str("req")?
-        {
+        let verb = match doc.value().member("request", "req")?.str("req")? {
             "size" => Verb::Size,
             "sweep_stream" => Verb::SweepStream,
             "health" => Verb::Health,
@@ -474,7 +471,14 @@ impl<'t> RequestFrame<'t> {
                 ))
             }
         };
-        Ok(RequestFrame { doc, verb })
+        let frame = RequestFrame { doc, verb };
+        frame.fields()?;
+        Ok(frame)
+    }
+
+    /// The frame's top-level fields, under its verb's key list.
+    fn fields(&self) -> Result<Fields<'_>, WireError> {
+        self.doc.value().fields("request", self.verb.keys())
     }
 
     /// The frame's verb.
@@ -500,17 +504,15 @@ impl<'t> RequestFrame<'t> {
                 })
             }
             Verb::SweepStream => {
-                let manifest = CampaignManifest::from_json(self.field("manifest")?)?;
-                let chunks = match self.doc.get("chunks") {
-                    None => None,
-                    Some(list) => Some(
-                        list.arr("chunks")?
-                            .iter()
-                            .map(|c| c.usize("chunk"))
-                            .collect::<Result<Vec<usize>, WireError>>()?,
-                    ),
-                };
-                Ok(Request::SweepStream { manifest, chunks })
+                let f = self.fields()?;
+                let manifest = CampaignManifest::from_json(f.req("manifest")?)?;
+                let chunks = f
+                    .opt("chunks")
+                    .map(|_| f.list("chunks", |c| c.usize("chunk")));
+                Ok(Request::SweepStream {
+                    manifest,
+                    chunks: chunks.transpose()?,
+                })
             }
             Verb::Health => Ok(Request::Health),
             Verb::Drain => Ok(Request::Drain),
@@ -537,8 +539,9 @@ impl<'t> RequestFrame<'t> {
     ///
     /// [`WireError`] for the first missing or invalid one of the two.
     pub fn size_problem(&self) -> Result<(Architecture, SizingConfig), WireError> {
-        let arch = architecture_from_json(self.field("arch")?)?;
-        let config = sizing_config_from_json(self.field("config")?)?;
+        let f = self.fields()?;
+        let arch = architecture_from_json(f.req("arch")?)?;
+        let config = sizing_config_from_json(f.req("config")?)?;
         Ok((arch, config))
     }
 
@@ -548,13 +551,7 @@ impl<'t> RequestFrame<'t> {
     ///
     /// [`WireError`] when it is missing or not a non-negative integer.
     pub fn size_budget(&self) -> Result<usize, WireError> {
-        self.field("budget")?.usize("budget")
-    }
-
-    fn field(&self, key: &str) -> Result<&JsonValue, WireError> {
-        self.doc
-            .get(key)
-            .ok_or_else(|| WireError::Schema(format!("request: missing field \"{key}\"")))
+        self.fields()?.usize("budget")
     }
 }
 
@@ -580,16 +577,12 @@ pub struct Trace {
 impl Trace {
     /// Renders the trace as canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"warm\":");
-        out.push_str(if self.warm { "true" } else { "false" });
-        out.push_str(",\"pivots\":");
-        push_usize(&mut out, self.pivots);
-        out.push_str(",\"queue_wait_us\":");
-        push_usize(&mut out, self.queue_wait_us as usize);
-        out.push_str(",\"solve_us\":");
-        push_usize(&mut out, self.solve_us as usize);
-        out.push('}');
-        out
+        ObjWriter::render(|w| {
+            w.bool("warm", self.warm)
+                .usize("pivots", self.pivots)
+                .usize("queue_wait_us", self.queue_wait_us as usize)
+                .usize("solve_us", self.solve_us as usize);
+        })
     }
 
     /// Parses a trace object.
@@ -598,23 +591,12 @@ impl Trace {
     ///
     /// [`WireError`] on shape mismatches.
     pub fn from_json(v: &JsonValue) -> Result<Trace, WireError> {
+        let f = v.fields("trace", &["warm", "pivots", "queue_wait_us", "solve_us"])?;
         Ok(Trace {
-            warm: v
-                .get("warm")
-                .ok_or_else(|| WireError::Schema("trace: missing field \"warm\"".into()))?
-                .bool("warm")?,
-            pivots: v
-                .get("pivots")
-                .ok_or_else(|| WireError::Schema("trace: missing field \"pivots\"".into()))?
-                .usize("pivots")?,
-            queue_wait_us: v
-                .get("queue_wait_us")
-                .ok_or_else(|| WireError::Schema("trace: missing field \"queue_wait_us\"".into()))?
-                .u64("queue_wait_us")?,
-            solve_us: v
-                .get("solve_us")
-                .ok_or_else(|| WireError::Schema("trace: missing field \"solve_us\"".into()))?
-                .u64("solve_us")?,
+            warm: f.bool("warm")?,
+            pivots: f.usize("pivots")?,
+            queue_wait_us: f.u64("queue_wait_us")?,
+            solve_us: f.u64("solve_us")?,
         })
     }
 }
@@ -637,16 +619,12 @@ pub struct VerbCounts {
 impl VerbCounts {
     /// Renders the counts as canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"size\":");
-        push_usize(&mut out, self.size as usize);
-        out.push_str(",\"sweep_stream\":");
-        push_usize(&mut out, self.sweep_stream as usize);
-        out.push_str(",\"health\":");
-        push_usize(&mut out, self.health as usize);
-        out.push_str(",\"drain\":");
-        push_usize(&mut out, self.drain as usize);
-        out.push('}');
-        out
+        ObjWriter::render(|w| {
+            w.usize("size", self.size as usize)
+                .usize("sweep_stream", self.sweep_stream as usize)
+                .usize("health", self.health as usize)
+                .usize("drain", self.drain as usize);
+        })
     }
 
     /// Parses a verb-count object.
@@ -655,16 +633,12 @@ impl VerbCounts {
     ///
     /// [`WireError`] on shape mismatches.
     pub fn from_json(v: &JsonValue) -> Result<VerbCounts, WireError> {
-        let u = |key: &str| -> Result<u64, WireError> {
-            v.get(key)
-                .ok_or_else(|| WireError::Schema(format!("requests: missing field \"{key}\"")))?
-                .u64(key)
-        };
+        let f = v.fields("requests", &["size", "sweep_stream", "health", "drain"])?;
         Ok(VerbCounts {
-            size: u("size")?,
-            sweep_stream: u("sweep_stream")?,
-            health: u("health")?,
-            drain: u("drain")?,
+            size: f.u64("size")?,
+            sweep_stream: f.u64("sweep_stream")?,
+            health: f.u64("health")?,
+            drain: f.u64("drain")?,
         })
     }
 }
@@ -688,14 +662,11 @@ pub struct StreamGauges {
 impl StreamGauges {
     /// Renders the gauges as canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"frames\":");
-        push_usize(&mut out, self.frames as usize);
-        out.push_str(",\"bytes\":");
-        push_usize(&mut out, self.bytes as usize);
-        out.push_str(",\"peak_resident_points\":");
-        push_usize(&mut out, self.peak_resident_points as usize);
-        out.push('}');
-        out
+        ObjWriter::render(|w| {
+            w.usize("frames", self.frames as usize)
+                .usize("bytes", self.bytes as usize)
+                .usize("peak_resident_points", self.peak_resident_points as usize);
+        })
     }
 
     /// Parses a gauges object.
@@ -704,15 +675,11 @@ impl StreamGauges {
     ///
     /// [`WireError`] on shape mismatches.
     pub fn from_json(v: &JsonValue) -> Result<StreamGauges, WireError> {
-        let u = |key: &str| -> Result<u64, WireError> {
-            v.get(key)
-                .ok_or_else(|| WireError::Schema(format!("streaming: missing field \"{key}\"")))?
-                .u64(key)
-        };
+        let f = v.fields("streaming", &["frames", "bytes", "peak_resident_points"])?;
         Ok(StreamGauges {
-            frames: u("frames")?,
-            bytes: u("bytes")?,
-            peak_resident_points: u("peak_resident_points")?,
+            frames: f.u64("frames")?,
+            bytes: f.u64("bytes")?,
+            peak_resident_points: f.u64("peak_resident_points")?,
         })
     }
 }
@@ -751,34 +718,21 @@ pub struct Health {
 impl Health {
     /// Renders the health record as canonical JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"cache_entries\":");
-        push_usize(&mut out, self.cache_entries);
-        out.push_str(",\"cache_capacity\":");
-        push_usize(&mut out, self.cache_capacity);
-        out.push_str(",\"hits\":");
-        push_usize(&mut out, self.hits as usize);
-        out.push_str(",\"misses\":");
-        push_usize(&mut out, self.misses as usize);
-        out.push_str(",\"evictions\":");
-        push_usize(&mut out, self.evictions as usize);
-        out.push_str(",\"warm_pivots\":");
-        push_usize(&mut out, self.warm_pivots as usize);
-        out.push_str(",\"cold_pivots\":");
-        push_usize(&mut out, self.cold_pivots as usize);
-        out.push_str(",\"inflight\":");
-        push_usize(&mut out, self.inflight);
-        out.push_str(",\"max_inflight\":");
-        push_usize(&mut out, self.max_inflight);
-        out.push_str(",\"draining\":");
-        out.push_str(if self.draining { "true" } else { "false" });
-        out.push_str(",\"workers\":");
-        push_usize(&mut out, self.workers);
-        out.push_str(",\"streaming\":");
-        out.push_str(&self.streaming.to_json());
-        out.push_str(",\"requests\":");
-        out.push_str(&self.requests.to_json());
-        out.push('}');
-        out
+        ObjWriter::render(|w| {
+            w.usize("cache_entries", self.cache_entries)
+                .usize("cache_capacity", self.cache_capacity)
+                .usize("hits", self.hits as usize)
+                .usize("misses", self.misses as usize)
+                .usize("evictions", self.evictions as usize)
+                .usize("warm_pivots", self.warm_pivots as usize)
+                .usize("cold_pivots", self.cold_pivots as usize)
+                .usize("inflight", self.inflight)
+                .usize("max_inflight", self.max_inflight)
+                .bool("draining", self.draining)
+                .usize("workers", self.workers)
+                .raw("streaming", &self.streaming.to_json())
+                .raw("requests", &self.requests.to_json());
+        })
     }
 
     /// Parses a health object.
@@ -787,36 +741,38 @@ impl Health {
     ///
     /// [`WireError`] on shape mismatches.
     pub fn from_json(v: &JsonValue) -> Result<Health, WireError> {
-        let u = |key: &str| -> Result<usize, WireError> {
-            v.get(key)
-                .ok_or_else(|| WireError::Schema(format!("health: missing field \"{key}\"")))?
-                .usize(key)
-        };
+        let f = v.fields(
+            "health",
+            &[
+                "cache_entries",
+                "cache_capacity",
+                "hits",
+                "misses",
+                "evictions",
+                "warm_pivots",
+                "cold_pivots",
+                "inflight",
+                "max_inflight",
+                "draining",
+                "workers",
+                "streaming",
+                "requests",
+            ],
+        )?;
         Ok(Health {
-            cache_entries: u("cache_entries")?,
-            cache_capacity: u("cache_capacity")?,
-            hits: u("hits")? as u64,
-            misses: u("misses")? as u64,
-            evictions: u("evictions")? as u64,
-            warm_pivots: u("warm_pivots")? as u64,
-            cold_pivots: u("cold_pivots")? as u64,
-            inflight: u("inflight")?,
-            max_inflight: u("max_inflight")?,
-            draining: v
-                .get("draining")
-                .ok_or_else(|| WireError::Schema("health: missing field \"draining\"".into()))?
-                .bool("draining")?,
-            workers: u("workers")?,
-            streaming: StreamGauges::from_json(
-                v.get("streaming").ok_or_else(|| {
-                    WireError::Schema("health: missing field \"streaming\"".into())
-                })?,
-            )?,
-            requests: VerbCounts::from_json(
-                v.get("requests").ok_or_else(|| {
-                    WireError::Schema("health: missing field \"requests\"".into())
-                })?,
-            )?,
+            cache_entries: f.usize("cache_entries")?,
+            cache_capacity: f.usize("cache_capacity")?,
+            hits: f.u64("hits")?,
+            misses: f.u64("misses")?,
+            evictions: f.u64("evictions")?,
+            warm_pivots: f.u64("warm_pivots")?,
+            cold_pivots: f.u64("cold_pivots")?,
+            inflight: f.usize("inflight")?,
+            max_inflight: f.usize("max_inflight")?,
+            draining: f.bool("draining")?,
+            workers: f.usize("workers")?,
+            streaming: StreamGauges::from_json(f.req("streaming")?)?,
+            requests: VerbCounts::from_json(f.req("requests")?)?,
         })
     }
 }
@@ -887,50 +843,34 @@ impl Response {
 
     /// Renders this response as canonical protocol JSON.
     pub fn to_json(&self) -> String {
-        let mut out = open_frame();
-        out.push_str("\"ok\":");
-        match self {
-            Response::Size { result, trace } => {
-                out.push_str("true,\"result\":");
-                out.push_str(result);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
-            Response::Chunk { report, trace } => {
-                out.push_str("true,\"chunk_report\":");
-                out.push_str(report);
-                out.push_str(",\"trace\":");
-                out.push_str(&trace.to_json());
-            }
-            Response::StreamEnd {
-                config_hash,
-                frames,
-                points,
-            } => {
-                out.push_str("true,\"stream_end\":{\"config_hash\":");
-                push_str(&mut out, &config_hash_to_hex(*config_hash));
-                out.push_str(",\"frames\":");
-                push_usize(&mut out, *frames as usize);
-                out.push_str(",\"points\":");
-                push_usize(&mut out, *points as usize);
-                out.push('}');
-            }
-            Response::Health(h) => {
-                out.push_str("true,\"health\":");
-                out.push_str(&h.to_json());
-            }
-            Response::Draining => out.push_str("true,\"draining\":true"),
-            Response::Busy { retry_after_ms } => {
-                out.push_str("false,\"error\":\"busy\",\"retry_after_ms\":");
-                push_f64(&mut out, *retry_after_ms as f64);
-            }
-            Response::Error { message } => {
-                out.push_str("false,\"error\":");
-                push_str(&mut out, message);
-            }
-        }
-        out.push('}');
-        out
+        frame(|w| {
+            match self {
+                Response::Size { result, trace } => w
+                    .bool("ok", true)
+                    .raw("result", result)
+                    .raw("trace", &trace.to_json()),
+                Response::Chunk { report, trace } => w
+                    .bool("ok", true)
+                    .raw("chunk_report", report)
+                    .raw("trace", &trace.to_json()),
+                Response::StreamEnd {
+                    config_hash,
+                    frames,
+                    points,
+                } => w.bool("ok", true).obj("stream_end", |w| {
+                    w.str("config_hash", &config_hash_to_hex(*config_hash))
+                        .usize("frames", *frames as usize)
+                        .usize("points", *points as usize);
+                }),
+                Response::Health(h) => w.bool("ok", true).raw("health", &h.to_json()),
+                Response::Draining => w.bool("ok", true).bool("draining", true),
+                Response::Busy { retry_after_ms } => w
+                    .bool("ok", false)
+                    .str("error", "busy")
+                    .f64("retry_after_ms", *retry_after_ms as f64),
+                Response::Error { message } => w.bool("ok", false).str("error", message),
+            };
+        })
     }
 
     /// Parses a response frame (the client side of the protocol).
@@ -952,39 +892,42 @@ impl Response {
     ///
     /// As [`Response::parse`], after the JSON itself parsed.
     pub(crate) fn from_document(doc: &JsonDocument) -> Result<Response, WireError> {
-        let v = doc.value();
-        let version = v
-            .get("v")
-            .ok_or_else(|| WireError::Schema("response: missing field \"v\"".into()))?
-            .u64("v")?;
+        let f = doc.value().fields(
+            "response",
+            &[
+                "v",
+                "ok",
+                "result",
+                "chunk_report",
+                "trace",
+                "stream_end",
+                "health",
+                "draining",
+                "error",
+                "retry_after_ms",
+            ],
+        )?;
+        let version = f.u64("v")?;
         if version != PROTOCOL_VERSION {
             return Err(WireError::Schema(format!(
                 "unsupported protocol version {version}"
             )));
         }
-        let ok = v
-            .get("ok")
-            .ok_or_else(|| WireError::Schema("response: missing field \"ok\"".into()))?
-            .bool("ok")?;
-        if !ok {
-            let message = v
-                .get("error")
-                .ok_or_else(|| WireError::Schema("response: failure without \"error\"".into()))?
-                .str("error")?
-                .to_string();
-            return Ok(match v.get("retry_after_ms") {
+        if !f.bool("ok")? {
+            let Some(message) = f.opt("error") else {
+                return Err(WireError::Schema(
+                    "response: failure without \"error\"".into(),
+                ));
+            };
+            let message = message.str("error")?.to_string();
+            return Ok(match f.opt("retry_after_ms") {
                 Some(ms) => Response::Busy {
                     retry_after_ms: ms.u64("retry_after_ms")?,
                 },
                 None => Response::Error { message },
             });
         }
-        let trace = || -> Result<Trace, WireError> {
-            Trace::from_json(
-                v.get("trace")
-                    .ok_or_else(|| WireError::Schema("response: missing field \"trace\"".into()))?,
-            )
-        };
+        let trace = || Trace::from_json(f.req("trace")?);
         // The payload text is the frame's own bytes for that field,
         // copied out of its span: the server renders canonically, so
         // this is byte for byte what it computed, with no subtree
@@ -1001,31 +944,18 @@ impl Response {
                 trace: trace()?,
             });
         }
-        if let Some(s) = v.get("stream_end") {
-            let u = |key: &str| -> Result<u64, WireError> {
-                s.get(key)
-                    .ok_or_else(|| {
-                        WireError::Schema(format!("stream_end: missing field \"{key}\""))
-                    })?
-                    .u64(key)
-            };
+        if let Some(s) = f.opt("stream_end") {
+            let s = s.fields("stream_end", &["config_hash", "frames", "points"])?;
             return Ok(Response::StreamEnd {
-                config_hash: config_hash_from_hex(
-                    s.get("config_hash")
-                        .ok_or_else(|| {
-                            WireError::Schema("stream_end: missing field \"config_hash\"".into())
-                        })?
-                        .str("config_hash")?,
-                    "config_hash",
-                )?,
-                frames: u("frames")?,
-                points: u("points")?,
+                config_hash: config_hash_from_hex(s.str("config_hash")?, "config_hash")?,
+                frames: s.u64("frames")?,
+                points: s.u64("points")?,
             });
         }
-        if let Some(h) = v.get("health") {
+        if let Some(h) = f.opt("health") {
             return Ok(Response::Health(Health::from_json(h)?));
         }
-        if v.get("draining").is_some() {
+        if f.opt("draining").is_some() {
             return Ok(Response::Draining);
         }
         Err(WireError::Schema(
@@ -1251,5 +1181,170 @@ mod tests {
             let back = Response::parse(&json).expect("round-trip parse");
             assert_eq!(back.to_json(), json, "canonical re-render must be stable");
         }
+    }
+
+    /// `doc` with the object at `path` (keys, or indices into arrays)
+    /// edited by `edit`.
+    fn edited(
+        doc: &JsonValue,
+        path: &[&str],
+        edit: impl FnOnce(&mut Vec<(String, JsonValue)>),
+    ) -> JsonValue {
+        let mut doc = doc.clone();
+        let mut v = &mut doc;
+        for seg in path {
+            v = match v {
+                JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+                other => panic!("{path:?}: {seg} indexes {other:?}"),
+            };
+        }
+        match v {
+            JsonValue::Obj(fields) => edit(fields),
+            other => panic!("{path:?} is not an object: {other:?}"),
+        }
+        doc
+    }
+
+    /// The field rules on the object at `path` of the frame `text`,
+    /// which `decode` reads as the record `parent`: an extra key `zz` is
+    /// refused by name; dropping a key decodes when it is `optional`,
+    /// fails some other way when it is one of `tags` (the key that
+    /// selects a response's shape), and otherwise gives
+    /// `<parent>: missing field "<key>"`.
+    fn assert_field_rules(
+        text: &str,
+        path: &[&str],
+        parent: &str,
+        optional: &[&str],
+        tags: &[&str],
+        decode: &dyn Fn(&str) -> Result<(), WireError>,
+    ) {
+        let at = format!("{parent} at {path:?} of {text}");
+        let doc = JsonValue::parse(text).unwrap();
+        decode(text).unwrap_or_else(|e| panic!("{at}: the canonical text must decode: {e}"));
+        let extra = edited(&doc, path, |f| f.push(("zz".into(), JsonValue::Num(1.0))));
+        match decode(&extra.render()) {
+            Err(WireError::Schema(msg)) => assert!(
+                msg.starts_with(&format!("{parent}: unknown field \"zz\"")),
+                "{at}: {msg}"
+            ),
+            other => panic!("{at}: an extra key must be refused by name, got {other:?}"),
+        }
+        let mut keys = Vec::new();
+        edited(&doc, path, |f| {
+            keys = f.iter().map(|(k, _)| k.clone()).collect()
+        });
+        for key in &keys {
+            let dropped = edited(&doc, path, |f| f.retain(|(k, _)| k != key));
+            let got = decode(&dropped.render());
+            if optional.contains(&key.as_str()) {
+                assert!(got.is_ok(), "{at}: dropping optional {key}: {got:?}");
+            } else if tags.contains(&key.as_str()) {
+                assert!(matches!(got, Err(WireError::Schema(_))), "{at}: {key}");
+            } else {
+                let want = format!("{parent}: missing field \"{key}\"");
+                assert_eq!(got, Err(WireError::Schema(want)), "{at}: dropping {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_frame_record_refuses_unknown_keys_and_names_missing_ones() {
+        let arch = templates::figure1();
+        let config = SizingConfig::small();
+        let manifest = CampaignManifest::new(
+            socbuf_core::wire::ManifestShape::Budget {
+                arch: arch.clone(),
+                budgets: vec![8, 16, 24, 32, 40],
+                warm_start: true,
+            },
+            config.clone(),
+        )
+        .unwrap();
+        let request = |text: &str| Request::parse(text).map(drop);
+        let sized = Request::size_json(&arch, &config, 24);
+        assert_field_rules(&sized, &[], "request", &[], &[], &request);
+        let streamed = Request::sweep_stream_json(&manifest, Some(&[1, 0]));
+        assert_field_rules(&streamed, &[], "request", &["chunks"], &[], &request);
+        for verb in [Request::Health, Request::Drain] {
+            assert_field_rules(&verb.to_json(), &[], "request", &[], &[], &request);
+        }
+
+        let trace = Trace {
+            warm: false,
+            pivots: 31,
+            queue_wait_us: 4,
+            solve_us: 900,
+        };
+        let health = Health {
+            cache_entries: 1,
+            cache_capacity: 8,
+            hits: 2,
+            misses: 1,
+            evictions: 0,
+            warm_pivots: 3,
+            cold_pivots: 40,
+            inflight: 0,
+            max_inflight: 4,
+            draining: false,
+            workers: 2,
+            streaming: StreamGauges {
+                frames: 3,
+                bytes: 2048,
+                peak_resident_points: 4,
+            },
+            requests: VerbCounts {
+                size: 5,
+                sweep_stream: 1,
+                health: 2,
+                drain: 0,
+            },
+        };
+        let response = |text: &str| Response::parse(text).map(drop);
+        let size = Response::Size {
+            result: "{\"allocation\":[1,2]}".into(),
+            trace,
+        }
+        .to_json();
+        assert_field_rules(&size, &[], "response", &[], &["result"], &response);
+        assert_field_rules(&size, &["trace"], "trace", &[], &[], &response);
+        let chunk = Response::Chunk {
+            report: "{\"chunk\":0}".into(),
+            trace,
+        }
+        .to_json();
+        assert_field_rules(&chunk, &[], "response", &[], &["chunk_report"], &response);
+        assert_field_rules(&chunk, &["trace"], "trace", &[], &[], &response);
+        let end = Response::StreamEnd {
+            config_hash: 0xab,
+            frames: 2,
+            points: 5,
+        }
+        .to_json();
+        assert_field_rules(&end, &[], "response", &[], &["stream_end"], &response);
+        assert_field_rules(&end, &["stream_end"], "stream_end", &[], &[], &response);
+        let healthy = Response::Health(health).to_json();
+        assert_field_rules(&healthy, &[], "response", &[], &["health"], &response);
+        for (path, parent) in [
+            (vec!["health"], "health"),
+            (vec!["health", "streaming"], "streaming"),
+            (vec!["health", "requests"], "requests"),
+        ] {
+            assert_field_rules(&healthy, &path, parent, &[], &[], &response);
+        }
+        let draining = Response::Draining.to_json();
+        assert_field_rules(&draining, &[], "response", &[], &["draining"], &response);
+        let busy = Response::Busy { retry_after_ms: 50 }.to_json();
+        let (optional, tags) = (["retry_after_ms"], ["error"]);
+        assert_field_rules(&busy, &[], "response", &optional, &tags, &response);
+        let failed = Response::Error {
+            message: "no".into(),
+        }
+        .to_json();
+        assert_field_rules(&failed, &[], "response", &[], &["error"], &response);
+        assert_eq!(
+            Response::parse("[2]").unwrap_err(),
+            WireError::Schema("response: expected an object, got an array".into())
+        );
     }
 }

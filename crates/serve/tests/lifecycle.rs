@@ -975,6 +975,42 @@ fn malformed_size_frames_get_pinned_replies_and_move_no_counter() {
 }
 
 #[test]
+fn request_frames_with_unknown_keys_get_pinned_replies_and_move_no_counter() {
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let manifest = budget_manifest(
+        &templates::figure1(),
+        &SizingConfig::small(),
+        vec![16, 20, 24, 28, 32],
+    );
+    // A misspelt `chunks` must not stream the whole campaign.
+    let misspelt = format!(
+        "{{\"v\":2,\"req\":\"sweep_stream\",\"manifest\":{},\"chunk\":[1]}}",
+        manifest.to_json()
+    );
+    assert_eq!(
+        client.request_raw(&misspelt).unwrap(),
+        concat!(
+            r#"{"v":2,"ok":false,"error":"schema error: request: unknown field \"chunk\" "#,
+            r#"(expected one of [\"v\", \"req\", \"manifest\", \"chunks\"])"}"#
+        )
+    );
+    assert_eq!(
+        client
+            .request_raw(r#"{"v":2,"req":"health","verbose":true}"#)
+            .unwrap(),
+        concat!(
+            r#"{"v":2,"ok":false,"error":"schema error: request: unknown field \"verbose\" "#,
+            r#"(expected one of [\"v\", \"req\"])"}"#
+        )
+    );
+    let h = client.health().unwrap();
+    assert_eq!((h.requests.sweep_stream, h.requests.health), (0, 1));
+    assert_eq!(h.streaming.frames, 0, "nothing was streamed");
+    server.shutdown();
+}
+
+#[test]
 fn malformed_size_frames_keep_their_replies_while_draining() {
     let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();

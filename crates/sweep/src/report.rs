@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use socbuf_core::wire::push_f64;
+use socbuf_core::wire::{push_f64, JsonValue, WireError};
 
 /// Which campaign produced a report (decides the Pareto cost axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,83 +429,67 @@ pub(crate) fn push_point_json(
 /// points carry a zero count and payloads from the era that rendered
 /// it are rejected by name.
 pub(crate) fn sweep_point_from_json(
-    v: &socbuf_core::wire::JsonValue,
+    v: &JsonValue,
     expect_kind: SweepKind,
-) -> Result<SweepPoint, socbuf_core::wire::WireError> {
-    use socbuf_core::wire::{JsonValue, WireError};
-    let fields = v.obj("point")?;
-    for (k, _) in fields {
-        if !matches!(
-            k.as_str(),
-            "index"
-                | "kind"
-                | "budget"
-                | "load_factor"
-                | "arch_seed"
-                | "queues"
-                | "offered_rate"
-                | "predicted_loss"
-                | "shadow_price"
-                | "budget_row_relaxed"
-                | "allocation"
-                | "frontier"
-                | "sim"
-        ) {
-            return Err(WireError::Schema(format!("point: unknown field \"{k}\"")));
-        }
-    }
-    let req = |key: &str| {
-        v.get(key)
-            .ok_or_else(|| WireError::Schema(format!("point: missing field \"{key}\"")))
-    };
-    let kind = req("kind")?.str("kind")?;
+) -> Result<SweepPoint, WireError> {
+    let f = v.fields(
+        "point",
+        &[
+            "index",
+            "kind",
+            "budget",
+            "load_factor",
+            "arch_seed",
+            "queues",
+            "offered_rate",
+            "predicted_loss",
+            "shadow_price",
+            "budget_row_relaxed",
+            "allocation",
+            "frontier",
+            "sim",
+        ],
+    )?;
+    let kind = f.str("kind")?;
     if SweepKind::from_tag(kind) != Some(expect_kind) {
         return Err(WireError::Schema(format!(
             "point: kind \"{kind}\" does not match the campaign kind \"{}\"",
             expect_kind.tag()
         )));
     }
-    let arch_seed = match req("arch_seed")? {
-        JsonValue::Null => None,
-        other => Some(other.u64("arch_seed")?),
-    };
-    let mut allocation = Vec::new();
-    for u in req("allocation")?.arr("allocation")? {
-        allocation.push(u.usize("allocation unit")?);
-    }
-    let sim = match req("sim")? {
-        JsonValue::Null => None,
-        s => {
-            for (k, _) in s.obj("sim")? {
-                if !matches!(
-                    k.as_str(),
-                    "pre_loss" | "post_loss" | "timeout_loss" | "improvement_vs_pre"
-                ) {
-                    return Err(WireError::Schema(format!("sim: unknown field \"{k}\"")));
-                }
-            }
-            let sim_req = |key: &str| {
-                s.get(key)
-                    .ok_or_else(|| WireError::Schema(format!("sim: missing field \"{key}\"")))
-            };
+    let arch_seed = f.nullable("arch_seed")?;
+    let arch_seed = arch_seed.map(|s| s.u64("arch_seed")).transpose()?;
+    let allocation = f.list("allocation", |u| u.usize("allocation unit"))?;
+    let sim = match f.nullable("sim")? {
+        None => None,
+        Some(s) => {
+            let s = s.fields(
+                "sim",
+                &[
+                    "pre_loss",
+                    "post_loss",
+                    "timeout_loss",
+                    "improvement_vs_pre",
+                ],
+            )?;
             Some(SimSummary {
-                pre_loss: sim_req("pre_loss")?.f64("pre_loss")?,
-                post_loss: sim_req("post_loss")?.f64("post_loss")?,
-                timeout_loss: sim_req("timeout_loss")?.f64("timeout_loss")?,
-                improvement_vs_pre: sim_req("improvement_vs_pre")?.f64("improvement_vs_pre")?,
+                pre_loss: s.f64("pre_loss")?,
+                post_loss: s.f64("post_loss")?,
+                timeout_loss: s.f64("timeout_loss")?,
+                improvement_vs_pre: s.f64("improvement_vs_pre")?,
             })
         }
     };
     Ok(SweepPoint {
-        index: req("index")?.usize("index")?,
-        budget: req("budget")?.usize("budget")?,
-        load_factor: req("load_factor")?.f64("load_factor")?,
+        index: f.usize("index")?,
+        budget: f.usize("budget")?,
+        load_factor: f.f64("load_factor")?,
         arch_seed,
-        queues: req("queues")?.usize("queues")?,
-        offered_rate: req("offered_rate")?.f64("offered_rate")?,
-        predicted_loss: req("predicted_loss")?.f64("predicted_loss")?,
-        shadow_price: req("shadow_price")?.f64("shadow_price")?,
-        budget_row_relaxed: req("budget_row_relaxed")?.bool("budget_row_relaxed")?,
+        queues: f.usize("queues")?,
+        offered_rate: f.f64("offered_rate")?,
+        predicted_loss: f.f64("predicted_loss")?,
+        shadow_price: f.f64("shadow_price")?,
+        budget_row_relaxed: f.bool("budget_row_relaxed")?,
         lp_iterations: 0,
         allocation,
         sim,
@@ -713,5 +697,66 @@ mod tests {
         let r = report(vec![cheap, rich]);
         assert_eq!(r.pareto_frontier(), vec![0, 1]);
         assert_eq!(r.points[1].effective_loss(), 4.0);
+    }
+
+    /// `doc` with the point, or its `nested` object, edited by `edit`.
+    fn edited(
+        doc: &JsonValue,
+        nested: Option<&str>,
+        edit: impl FnOnce(&mut Vec<(String, JsonValue)>),
+    ) -> JsonValue {
+        let mut doc = doc.clone();
+        let mut v = &mut doc;
+        if let Some(key) = nested {
+            let JsonValue::Obj(fields) = v else {
+                unreachable!("a point is an object")
+            };
+            v = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        let JsonValue::Obj(fields) = v else {
+            panic!("{nested:?} is not an object")
+        };
+        edit(fields);
+        doc
+    }
+
+    /// The point's field rules, on the canonical rendering of a
+    /// simulated random-campaign point: an extra key `zz` in the point
+    /// or its `sim` object is refused by name, and dropping a required
+    /// key gives `<parent>: missing field "<key>"`.
+    #[test]
+    fn point_decoder_refuses_unknown_keys_and_names_missing_ones() {
+        let mut p = point(4, 12, 0.25);
+        p.lp_iterations = 0;
+        p.arch_seed = Some(7);
+        p.sim = Some(SimSummary {
+            pre_loss: 0.5,
+            post_loss: 0.25,
+            timeout_loss: 0.375,
+            improvement_vs_pre: 0.5,
+        });
+        let mut text = String::new();
+        push_point_json(&mut text, SweepKind::Random, &p, Some(true));
+        let doc = JsonValue::parse(&text).unwrap();
+        let decode = |v: &JsonValue| sweep_point_from_json(v, SweepKind::Random);
+        assert_eq!(decode(&doc).unwrap(), p);
+        for (nested, parent) in [(None, "point"), (Some("sim"), "sim")] {
+            let extra = edited(&doc, nested, |f| f.push(("zz".into(), JsonValue::Num(1.0))));
+            let msg = decode(&extra).unwrap_err().to_string();
+            let want = format!("schema error: {parent}: unknown field \"zz\" (expected one of [");
+            assert!(msg.starts_with(&want), "{msg}");
+            let JsonValue::Obj(fields) = nested.map_or(&doc, |key| doc.get(key).unwrap()) else {
+                panic!("{parent} is not an object")
+            };
+            for (key, _) in fields {
+                let got = decode(&edited(&doc, nested, |f| f.retain(|(k, _)| k != key)));
+                if key == "frontier" {
+                    assert!(got.is_ok(), "the frontier flag is optional: {got:?}");
+                } else {
+                    let want = format!("{parent}: missing field \"{key}\"");
+                    assert_eq!(got, Err(WireError::Schema(want)));
+                }
+            }
+        }
     }
 }
