@@ -29,14 +29,36 @@
 //!   shortcut;
 //! * **warm floor (wall time)** — a `SolveContext` point that
 //!   re-solves in zero pivots must cost, on average, at most a quarter
-//!   of a cold `size_buffers` point.
+//!   of a cold `size_buffers` point;
+//! * **allocation counts** — on `figure1` at `SizingConfig::small()`,
+//!   counted by [`socbuf_bench::alloc`]: `SolveContext::seeded` makes
+//!   at most [`SEEDED_ALLOCS`] allocations, a seeded chain start
+//!   (the copy plus its zero-pivot first point) at most
+//!   [`CHAIN_START_ALLOCS`], and a zero-pivot warm budget point at most
+//!   [`WARM_POINT_ALLOCS`]. Counts do not depend on the host, so these
+//!   gates have no single-core skip.
 
+use socbuf_bench::alloc::{count, CountingAlloc, Counts};
 use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
 use socbuf_core::{size_buffers, SizingConfig, SizingLp, SolveContext};
 use socbuf_lp::{LpSolution, PreparedLp, SimplexOptions};
 use socbuf_soc::{templates, Architecture};
 use socbuf_sweep::{BudgetSweep, SweepReport, WorkPool};
 use std::time::Duration;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Most allocations `SolveContext::seeded` may make on `figure1`.
+const SEEDED_ALLOCS: u64 = 30;
+
+/// Most allocations a seeded chain start may make on `figure1`: the
+/// copy and its zero-pivot first point.
+const CHAIN_START_ALLOCS: u64 = 60;
+
+/// Most allocations a zero-pivot warm budget point may make on
+/// `figure1`, the returned `SizingOutcome` included.
+const WARM_POINT_ALLOCS: u64 = 30;
 
 /// The CI grid: the paper's Table 1 budget range on the evaluation
 /// platform, sized so one serial pass takes O(seconds) in release.
@@ -157,6 +179,87 @@ fn warm_floor(
     ((!warm.is_empty()).then(|| mean(&warm)), mean(&cold))
 }
 
+/// Allocations along a seeded chain on `figure1` at
+/// `SizingConfig::small()`, the shape of `sweep_budget`'s chains.
+struct ChainAllocs {
+    /// `SolveContext::seeded` on a solved anchor.
+    seeded: Counts,
+    /// The copy plus its first point.
+    chain_start: Counts,
+    /// The next budget point on the copy.
+    warm_point: Counts,
+    /// Then a load point (factor 1.1, a coefficient delta) on the copy;
+    /// printed, not gated.
+    load_point: Counts,
+    /// Pivots of the chain start and of the warm point (0 when both
+    /// answered on the kept factor).
+    pivots: (usize, usize),
+}
+
+fn chain_allocs() -> ChainAllocs {
+    let arch = templates::figure1();
+    let sizing = SizingConfig::small();
+    let mut anchor = SolveContext::new(&arch, &sizing);
+    anchor.size_buffers(10).or_exit("anchor point");
+    let (_, seeded) = count(|| anchor.seeded());
+    let ((mut copy, start), chain_start) = count(|| {
+        let mut copy = anchor.seeded();
+        let start = copy.size_buffers(22).or_exit("seeded chain start");
+        (copy, start)
+    });
+    let (point, warm_point) = count(|| copy.size_buffers(25).or_exit("warm budget point"));
+    let scaled = arch.scale_rates(1.1, 1.0).or_exit("scaled figure1");
+    let (_, load_point) = count(|| {
+        copy.size_buffers_scaled(&scaled, 1.1, 25)
+            .or_exit("load point")
+    });
+    ChainAllocs {
+        seeded,
+        chain_start,
+        warm_point,
+        load_point,
+        pivots: (start.lp_iterations, point.lp_iterations),
+    }
+}
+
+fn print_chain_allocs(a: &ChainAllocs) {
+    for (name, c) in [
+        ("seeded()", a.seeded),
+        ("seeded chain start", a.chain_start),
+        ("warm budget point", a.warm_point),
+        ("load point (x1.1)", a.load_point),
+    ] {
+        println!(
+            "figure1 small(): {name:<18} {:>4} allocations, {:>6} bytes",
+            c.allocs, c.bytes
+        );
+    }
+}
+
+/// The allocation-count gates. A zero count means the allocator is not
+/// installed, which fails the gate instead of passing it.
+fn gate_chain_allocs(gate: &mut Gate) {
+    let a = chain_allocs();
+    print_chain_allocs(&a);
+    gate.check(
+        a.pivots == (0, 0),
+        format_args!(
+            "seeded chain start / warm point took {:?} pivots (want 0, 0)",
+            a.pivots
+        ),
+    );
+    for (name, c, max) in [
+        ("seeded()", a.seeded, SEEDED_ALLOCS),
+        ("a seeded chain start", a.chain_start, CHAIN_START_ALLOCS),
+        ("a warm budget point", a.warm_point, WARM_POINT_ALLOCS),
+    ] {
+        gate.check(
+            (1..=max).contains(&c.allocs),
+            format_args!("{name} made {} allocations (need 1..={max})", c.allocs),
+        );
+    }
+}
+
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
     const SMOKE_REPEATS: usize = 2;
@@ -232,6 +335,9 @@ fn smoke(gate: &mut Gate) {
     // --- Kept-basis warm solves: bit-identical to fresh ones. ---------
     kept_basis_identity(gate, &np, &grid, &sizing);
 
+    // --- Allocation counts along a seeded figure1 chain. ---------------
+    gate_chain_allocs(gate);
+
     // --- Warm floor: a 0-pivot point against a cold one. ---------------
     let (warm, cold) = warm_floor(&np, &grid, &sizing);
     let Some(warm) = warm else {
@@ -246,7 +352,8 @@ fn smoke(gate: &mut Gate) {
     );
 }
 
-/// Full table: warm vs cold per worker count, plus per-point pivots.
+/// Full table: warm vs cold per worker count, plus per-point pivots,
+/// then the allocation counts of a seeded figure1 chain.
 fn full_probe() {
     let np = templates::network_processor();
     let grid = smoke_grid();
@@ -266,6 +373,7 @@ fn full_probe() {
             println!();
         }
     }
+    print_chain_allocs(&chain_allocs());
 }
 
 fn main() {

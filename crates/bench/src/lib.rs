@@ -71,6 +71,7 @@ use socbuf_serve::Client;
 
 use probe::OrExit;
 
+pub mod alloc;
 pub mod probe;
 
 /// The standard experiment configuration used by the paper-facing

@@ -19,12 +19,16 @@
 //! availability factors of *other* buses — products of unknowns; see
 //! [`crate::coupled`].
 
+use std::sync::Arc;
+
 use socbuf_lp::{
-    ExecutorHandle, LpEngine, LpError, LpProblem, Relation, RowId, Sense, SimplexOptions, VarId,
+    ExecutorHandle, LpEngine, LpError, LpProblem, LpSolution, Relation, RowId, ScalingStats, Sense,
+    SimplexOptions, VarId,
 };
 use socbuf_soc::split::split;
 use socbuf_soc::{Architecture, Client};
 
+use crate::translate::QueueCurves;
 use crate::CoreError;
 
 /// Tuning knobs of the sizing formulation.
@@ -127,9 +131,18 @@ pub struct SizingLp {
 /// Where each queue's variables and rows sit in the joint LP, and the
 /// rates behind them: what reading a solution and retargeting the LP
 /// need. A warm chain keeps this and moves the problem itself into its
-/// [`socbuf_lp::PreparedLp`].
+/// [`socbuf_lp::PreparedLp`]. A clone shares everything but the
+/// per-queue λ, the one thing a retarget changes.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
+    shape: Arc<LayoutShape>,
+    /// The λ per queue the LP currently holds.
+    lambdas: Vec<f64>,
+}
+
+/// The part of a [`Layout`] no retarget changes.
+#[derive(Debug)]
+struct LayoutShape {
     /// `vars[q][n][a]` — occupation variables. State 0 has one action.
     vars: Vec<Vec<Vec<VarId>>>,
     efforts: Vec<f64>,
@@ -142,9 +155,73 @@ pub(crate) struct Layout {
     /// what a load-factor retarget rewrites in place.
     cut_rows: Vec<Vec<RowId>>,
     weights: Vec<f64>,
-    lambdas: Vec<f64>,
     state_cap: usize,
     alpha: f64,
+    /// Number of LP variables (all of them occupation variables).
+    num_vars: usize,
+}
+
+/// A solution of the joint LP read queue by queue into flat arrays:
+/// what a [`SizingSolution`] holds, without a `Vec` per queue and
+/// state. A warm chain keeps one and overwrites it at every point; the
+/// cold path reads into a fresh one and reshapes it
+/// ([`Layout::to_solution`]).
+#[derive(Debug)]
+pub(crate) struct Reading {
+    /// Occupation mass per LP variable, in variable order (queue, then
+    /// state, then action).
+    occupation: Vec<f64>,
+    /// Occupancy states per queue (`state_cap + 1`).
+    states: usize,
+    /// `marginals[q * states + n]`.
+    marginals: Vec<f64>,
+    /// `efforts[q * states + n]`.
+    efforts: Vec<f64>,
+    queue_loss_rates: Vec<f64>,
+    bus_shadow_prices: Vec<f64>,
+    pub(crate) loss_rate: f64,
+    pub(crate) budget_shadow_price: f64,
+    pub(crate) budget_row_relaxed: bool,
+    pub(crate) lp_iterations: usize,
+    pub(crate) lp_engine: LpEngine,
+    pub(crate) lp_scaling: ScalingStats,
+}
+
+impl Default for Reading {
+    fn default() -> Reading {
+        Reading {
+            occupation: Vec::new(),
+            states: 0,
+            marginals: Vec::new(),
+            efforts: Vec::new(),
+            queue_loss_rates: Vec::new(),
+            bus_shadow_prices: Vec::new(),
+            loss_rate: 0.0,
+            budget_shadow_price: 0.0,
+            budget_row_relaxed: false,
+            lp_iterations: 0,
+            lp_engine: LpEngine::default(),
+            lp_scaling: ScalingStats {
+                applied: false,
+                condition_before: 1.0,
+                condition_after: 1.0,
+            },
+        }
+    }
+}
+
+impl QueueCurves for Reading {
+    fn num_queues(&self) -> usize {
+        self.queue_loss_rates.len()
+    }
+
+    fn marginal(&self, q: usize) -> &[f64] {
+        &self.marginals[q * self.states..(q + 1) * self.states]
+    }
+
+    fn effort(&self, q: usize) -> &[f64] {
+        &self.efforts[q * self.states..(q + 1) * self.states]
+    }
 }
 
 /// Solution of the joint LP in queue-level terms.
@@ -307,18 +384,22 @@ impl SizingLp {
         }
         let budget_row = lp.add_constraint(terms, Relation::Le, config.alpha * budget as f64)?;
 
+        let num_vars = lp.num_vars();
         Ok(SizingLp {
             lp,
             layout: Layout {
-                vars,
-                efforts,
-                bus_rows,
-                budget_row,
-                cut_rows,
-                weights,
+                shape: Arc::new(LayoutShape {
+                    vars,
+                    efforts,
+                    bus_rows,
+                    budget_row,
+                    cut_rows,
+                    weights,
+                    state_cap: n,
+                    alpha: config.alpha,
+                    num_vars,
+                }),
                 lambdas,
-                state_cap: n,
-                alpha: config.alpha,
             },
             engine: config.engine,
             equilibrate: config.equilibrate,
@@ -366,8 +447,15 @@ impl SizingLp {
     ///
     /// Propagates LP failures other than budget infeasibility.
     pub fn solve(&self) -> Result<SizingSolution, CoreError> {
+        let mut reading = Reading::default();
+        self.solve_into(&mut reading)?;
+        Ok(self.layout.to_solution(&reading))
+    }
+
+    /// [`SizingLp::solve`], read into `out`.
+    pub(crate) fn solve_into(&self, out: &mut Reading) -> Result<(), CoreError> {
         climb_ladder(self.engine, self.equilibrate, &self.executor, |options| {
-            self.solve_with_options(options)
+            self.solve_rung(options, out)
         })
     }
 
@@ -381,16 +469,25 @@ impl SizingLp {
         &self,
         options: &SimplexOptions,
     ) -> Result<SizingSolution, CoreError> {
+        let mut reading = Reading::default();
+        self.solve_rung(options, &mut reading)?;
+        Ok(self.layout.to_solution(&reading))
+    }
+
+    fn solve_rung(&self, options: &SimplexOptions, out: &mut Reading) -> Result<(), CoreError> {
         match self.lp.solve_with(options) {
-            Ok(sol) => Ok(self.layout.interpret(&sol, false)),
-            Err(LpError::Infeasible { .. }) => self.layout.solve_relaxed(&self.lp, options),
+            Ok(sol) => {
+                self.layout.interpret(&sol, false, out);
+                Ok(())
+            }
+            Err(LpError::Infeasible { .. }) => self.layout.solve_relaxed(&self.lp, options, out),
             Err(e) => Err(e.into()),
         }
     }
 
     /// The loss weight attached to each queue.
     pub fn weights(&self) -> &[f64] {
-        &self.layout.weights
+        &self.layout.shape.weights
     }
 }
 
@@ -434,8 +531,12 @@ impl Layout {
         budget: usize,
         factor: f64,
     ) -> Result<(), LpError> {
-        prepared.set_rhs(self.budget_row, self.alpha * budget as f64)?;
-        let n = self.state_cap;
+        let shape = &*self.shape;
+        prepared.set_rhs(shape.budget_row, shape.alpha * budget as f64)?;
+        let n = shape.state_cap;
+        // One row's terms at a time, in pattern order; allocated only
+        // when some queue's λ moved.
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
         for (q, queue) in nominal.queues().iter().enumerate() {
             let lambda = queue.offered_rate * factor;
             if lambda.to_bits() == self.lambdas[q].to_bits() {
@@ -443,30 +544,29 @@ impl Layout {
             }
             self.lambdas[q] = lambda;
             let mu = nominal.bus(queue.bus).service_rate();
-            let block = &self.vars[q];
+            let block = &shape.vars[q];
             for j in 0..n {
-                let mut terms: Vec<(VarId, f64)> =
-                    Vec::with_capacity(block[j].len() + block[j + 1].len());
+                terms.clear();
                 for &v in &block[j] {
                     terms.push((v, lambda));
                 }
                 for (a, &v) in block[j + 1].iter().enumerate() {
-                    if self.efforts[a] > 0.0 {
-                        terms.push((v, -self.efforts[a] * mu));
+                    if shape.efforts[a] > 0.0 {
+                        terms.push((v, -shape.efforts[a] * mu));
                     }
                 }
-                prepared.set_row_coeffs(self.cut_rows[q][j], &terms)?;
+                prepared.set_row_coeffs(shape.cut_rows[q][j], &terms)?;
             }
             for &v in &block[n] {
-                prepared.set_objective_coeff(v, self.weights[q] * lambda)?;
+                prepared.set_objective_coeff(v, shape.weights[q] * lambda)?;
             }
         }
         Ok(())
     }
 
-    /// Solves `problem`, this layout's LP, with its budget row dropped:
-    /// the row is always the last one, so popping it leaves every other
-    /// [`RowId`] in place.
+    /// Solves `problem`, this layout's LP, with its budget row dropped
+    /// and reads the answer into `out`: the row is always the last one,
+    /// so popping it leaves every other [`RowId`] in place.
     ///
     /// # Errors
     ///
@@ -475,11 +575,13 @@ impl Layout {
         &self,
         problem: &LpProblem,
         options: &SimplexOptions,
-    ) -> Result<SizingSolution, CoreError> {
+        out: &mut Reading,
+    ) -> Result<(), CoreError> {
         let mut relaxed = problem.clone();
         relaxed.pop_row();
         let sol = relaxed.solve_with(options)?;
-        Ok(self.interpret(&sol, true))
+        self.interpret(&sol, true, out);
+        Ok(())
     }
 
     /// Occupation mass below which a state counts as *unreached* when
@@ -496,27 +598,37 @@ impl Layout {
     /// vertices — and therefore across LP engines.
     const EFFORT_DUST: f64 = 1e-4;
 
-    /// Reads a solution of this layout's LP; `relaxed` says the budget
-    /// row was dropped (its shadow price is then 0).
-    pub(crate) fn interpret(&self, sol: &socbuf_lp::LpSolution, relaxed: bool) -> SizingSolution {
-        let nq = self.vars.len();
-        let mut occupation = Vec::with_capacity(nq);
-        let mut marginals = Vec::with_capacity(nq);
-        let mut effort_curves = Vec::with_capacity(nq);
-        let mut queue_loss_rates = Vec::with_capacity(nq);
-        for (q, block) in self.vars.iter().enumerate() {
-            let mut occ: Vec<Vec<f64>> = Vec::with_capacity(block.len());
-            let mut marg = Vec::with_capacity(block.len());
-            let mut curve = Vec::with_capacity(block.len());
+    /// Reads a solution of this layout's LP into `out`, overwriting it
+    /// in place (its buffers are reused); `relaxed` says the budget row
+    /// was dropped (its shadow price is then 0).
+    pub(crate) fn interpret(&self, sol: &LpSolution, relaxed: bool, out: &mut Reading) {
+        let shape = &*self.shape;
+        let (nq, states) = (shape.vars.len(), shape.state_cap + 1);
+        out.states = states;
+        // Cleared, then reserved whole, so a fresh reading allocates
+        // each buffer once and a reused one not at all.
+        out.occupation.clear();
+        out.occupation.reserve(shape.num_vars);
+        out.marginals.clear();
+        out.marginals.reserve(nq * states);
+        out.efforts.clear();
+        out.efforts.reserve(nq * states);
+        out.queue_loss_rates.clear();
+        out.queue_loss_rates.reserve(nq);
+        for (q, block) in shape.vars.iter().enumerate() {
+            let first = out.marginals.len();
             for row in block {
-                let xs: Vec<f64> = row.iter().map(|&v| sol.value(v).max(0.0)).collect();
+                let at = out.occupation.len();
+                out.occupation
+                    .extend(row.iter().map(|&v| sol.value(v).max(0.0)));
+                let xs = &out.occupation[at..];
                 let total: f64 = xs.iter().sum();
                 let expected_effort = if row.len() == 1 {
                     0.0
                 } else if total > Self::EFFORT_DUST {
                     xs.iter()
                         .enumerate()
-                        .map(|(a, x)| self.efforts[a] * x)
+                        .map(|(a, x)| shape.efforts[a] * x)
                         .sum::<f64>()
                         / total
                 } else {
@@ -525,38 +637,63 @@ impl Layout {
                     // excursion ever lands here.
                     1.0
                 };
-                marg.push(total);
-                curve.push(expected_effort);
-                occ.push(xs);
+                out.marginals.push(total);
+                out.efforts.push(expected_effort);
             }
             // Normalize marginals exactly (numerical dust).
+            let marg = &mut out.marginals[first..];
             let s: f64 = marg.iter().sum();
             if s > 0.0 {
                 for m in marg.iter_mut() {
                     *m /= s;
                 }
             }
-            queue_loss_rates.push(self.lambdas[q] * marg[self.state_cap]);
-            occupation.push(occ);
-            marginals.push(marg);
-            effort_curves.push(curve);
+            out.queue_loss_rates
+                .push(self.lambdas[q] * marg[shape.state_cap]);
         }
+        out.bus_shadow_prices.clear();
+        out.bus_shadow_prices
+            .extend(shape.bus_rows.iter().map(|&r| sol.dual(r)));
+        out.loss_rate = sol.objective();
+        out.budget_shadow_price = if relaxed {
+            0.0
+        } else {
+            sol.dual(shape.budget_row)
+        };
+        out.budget_row_relaxed = relaxed;
+        out.lp_iterations = sol.iterations();
+        out.lp_engine = sol.engine();
+        out.lp_scaling = sol.scaling_stats();
+    }
+
+    /// Reshapes a [`Reading`] of this layout's LP into the nested
+    /// queue-level [`SizingSolution`].
+    pub(crate) fn to_solution(&self, r: &Reading) -> SizingSolution {
+        let shape = &*self.shape;
+        let mut values = r.occupation.iter().copied();
+        let occupation = shape
+            .vars
+            .iter()
+            .map(|block| {
+                block
+                    .iter()
+                    .map(|row| values.by_ref().take(row.len()).collect())
+                    .collect()
+            })
+            .collect();
+        let per_queue = |flat: &[f64]| flat.chunks(r.states).map(<[f64]>::to_vec).collect();
         SizingSolution {
             occupation,
-            marginals,
-            efforts: effort_curves,
-            loss_rate: sol.objective(),
-            queue_loss_rates,
-            budget_shadow_price: if relaxed {
-                0.0
-            } else {
-                sol.dual(self.budget_row)
-            },
-            bus_shadow_prices: self.bus_rows.iter().map(|&r| sol.dual(r)).collect(),
-            budget_row_relaxed: relaxed,
-            lp_iterations: sol.iterations(),
-            lp_engine: sol.engine(),
-            lp_scaling: sol.scaling_stats(),
+            marginals: per_queue(&r.marginals),
+            efforts: per_queue(&r.efforts),
+            loss_rate: r.loss_rate,
+            queue_loss_rates: r.queue_loss_rates.clone(),
+            budget_shadow_price: r.budget_shadow_price,
+            bus_shadow_prices: r.bus_shadow_prices.clone(),
+            budget_row_relaxed: r.budget_row_relaxed,
+            lp_iterations: r.lp_iterations,
+            lp_engine: r.lp_engine,
+            lp_scaling: r.lp_scaling,
         }
     }
 }
@@ -805,7 +942,9 @@ mod tests {
         let mut prepared = socbuf_lp::PreparedLp::new(problem).unwrap();
         layout.retarget(&mut prepared, &arch, 50, 2.0).unwrap();
         let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
-        let warm = layout.interpret(&prepared.solve_with(options).unwrap(), false);
+        let mut reading = Reading::default();
+        layout.interpret(&prepared.solve_with(options).unwrap(), false, &mut reading);
+        let warm = layout.to_solution(&reading);
         let cold = SizingLp::build(&arch.scale_rates(2.0, 1.0).unwrap(), 50, &cfg)
             .unwrap()
             .solve()
@@ -831,7 +970,7 @@ mod tests {
             socbuf_lp::PreparedLp::new_with_scaling(problem, cfg.equilibrate).unwrap();
         let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
         let basis = prepared.solve_with(options).unwrap().basis_snapshot();
-        let cut_rows: Vec<RowId> = layout.cut_rows.iter().flatten().copied().collect();
+        let cut_rows: Vec<RowId> = layout.shape.cut_rows.iter().flatten().copied().collect();
         let coefficients = |p: &LpProblem| {
             let terms: Vec<Vec<(usize, u64)>> = cut_rows
                 .iter()
@@ -850,7 +989,7 @@ mod tests {
 
         layout.retarget(&mut prepared, &arch, 31, 1.0).unwrap();
         assert_eq!(coefficients(prepared.problem()), before);
-        let (_, _, rhs) = prepared.problem().row(layout.budget_row);
+        let (_, _, rhs) = prepared.problem().row(layout.shape.budget_row);
         assert_eq!(rhs, cfg.alpha * 31.0);
         assert_eq!(prepared.kept_basis(), Some(&basis));
 

@@ -2,16 +2,16 @@
 //! LP, re-simulate the architecture with the new buffer lengths, and
 //! compare losses against the constant-sizing and timeout baselines.
 
+use std::sync::Arc;
+
 use socbuf_lp::{BasisSnapshot, LpEngine, LpError, PreparedLp, SimplexOptions};
 use socbuf_sim::{
     average_reports, replication_config, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
 };
 use socbuf_soc::{Architecture, BufferAllocation};
 
-use crate::formulation::{
-    climb_ladder, solve_ladder, Layout, SizingConfig, SizingLp, SizingSolution,
-};
-use crate::translate::{translate, Translation};
+use crate::formulation::{climb_ladder, solve_ladder, Layout, Reading, SizingConfig, SizingLp};
+use crate::translate::{queue_keys, translate_with, TranslateScratch, Translation};
 use crate::CoreError;
 
 /// Result of the sizing step alone (no simulation).
@@ -112,13 +112,39 @@ pub fn size_buffers(
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolveContext {
-    /// The factor-1 architecture the chain is parameterized over.
-    arch: Architecture,
+    /// What every copy of a chain shares.
+    family: Arc<Family>,
     config: SizingConfig,
     state: Option<WarmState>,
     /// The next solve tries only the kept-factor shortcut on `state`
     /// and otherwise starts cold (see [`SolveContext::seeded`]).
     seeded: bool,
+    scratch: Scratch,
+}
+
+/// The architecture a chain is parameterized over.
+#[derive(Debug)]
+struct Family {
+    /// The factor-1 architecture.
+    arch: Architecture,
+    /// Its queues' apportionment tie-break keys (a load-scaled variant
+    /// keeps the queue names, so they serve every point).
+    keys: Vec<String>,
+}
+
+/// Per-point working storage: each point overwrites it, so nothing in
+/// it carries from one point to the next, and a copy of a context
+/// starts with empty buffers instead of copying them.
+#[derive(Debug, Default)]
+struct Scratch {
+    reading: Reading,
+    translate: TranslateScratch,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -137,7 +163,8 @@ impl WarmState {
         &mut self,
         options: &SimplexOptions,
         fresh: bool,
-    ) -> Result<SizingSolution, CoreError> {
+        out: &mut Reading,
+    ) -> Result<(), CoreError> {
         // A decomposed solve exports a *joint* basis, so the chain
         // warm-starts the joint form from it exactly like the revised
         // engine (the warm path is the engine's own finishing solve).
@@ -152,10 +179,12 @@ impl WarmState {
         match solved {
             Ok(sol) => {
                 self.basis = Some(sol.basis_snapshot());
-                Ok(self.layout.interpret(&sol, false))
+                self.layout.interpret(&sol, false, out);
+                Ok(())
             }
             Err(LpError::Infeasible { .. }) if fresh => {
-                self.layout.solve_relaxed(self.prepared.problem(), options)
+                self.layout
+                    .solve_relaxed(self.prepared.problem(), options, out)
             }
             Err(e) => Err(e.into()),
         }
@@ -167,10 +196,14 @@ impl SolveContext {
     /// the first solve.
     pub fn new(arch: &Architecture, config: &SizingConfig) -> SolveContext {
         SolveContext {
-            arch: arch.clone(),
+            family: Arc::new(Family {
+                arch: arch.clone(),
+                keys: queue_keys(arch),
+            }),
             config: config.clone(),
             state: None,
             seeded: false,
+            scratch: Scratch::default(),
         }
     }
 
@@ -191,6 +224,20 @@ impl SolveContext {
     /// A shortcut answer is an optimal basis of the new point, so its
     /// status and objective are the cold ones; under degeneracy a cold
     /// solve may land on another optimal vertex.
+    ///
+    /// **What a copy shares.** The copy and this context share
+    /// everything no point changes: the architecture, the LP's variable
+    /// names, bounds, sparsity pattern and row relations, the
+    /// standard form's row bookkeeping and scale factors, the
+    /// variable and row maps of the formulation, and the kept basis
+    /// factor. It copies only what a point may change: the LP's
+    /// objective, coefficients and right-hand sides (in the problem
+    /// and in its standard form), the per-queue λ and the last basis.
+    /// On `figure1` at [`SizingConfig::small`] that is a few dozen
+    /// allocations, against hundreds for a deep copy. A copy starts
+    /// with empty per-point buffers; its first point allocates them,
+    /// and later points reuse them, so a warm point allocates only the
+    /// LP's solution vectors and the [`SizingOutcome`] it returns.
     pub fn seeded(&self) -> SolveContext {
         let state = self
             .state
@@ -198,10 +245,11 @@ impl SolveContext {
             .filter(|s| s.prepared.kept_basis().is_some())
             .cloned();
         SolveContext {
-            arch: self.arch.clone(),
+            family: Arc::clone(&self.family),
             config: self.config.clone(),
             seeded: state.is_some(),
             state,
+            scratch: Scratch::default(),
         }
     }
 
@@ -244,36 +292,40 @@ impl SolveContext {
         factor: f64,
         budget: usize,
     ) -> Result<SizingOutcome, CoreError> {
-        let solution = self.solve_sizing(scaled, factor, budget)?;
+        self.solve_sizing(scaled, factor, budget)?;
+        let reading = &self.scratch.reading;
         let Translation {
             allocation,
             requirements,
             efforts,
-        } = translate(
-            scaled.unwrap_or(&self.arch),
-            &solution,
+        } = translate_with(
+            scaled.unwrap_or(&self.family.arch),
+            reading,
             budget,
             &self.config,
+            &self.family.keys,
+            &mut self.scratch.translate,
         )?;
         Ok(SizingOutcome {
             allocation,
             efforts,
             requirements,
-            predicted_loss_rate: solution.loss_rate,
-            budget_shadow_price: solution.budget_shadow_price,
-            budget_row_relaxed: solution.budget_row_relaxed,
-            lp_iterations: solution.lp_iterations,
-            lp_engine: solution.lp_engine,
-            lp_scaling: solution.lp_scaling,
+            predicted_loss_rate: reading.loss_rate,
+            budget_shadow_price: reading.budget_shadow_price,
+            budget_row_relaxed: reading.budget_row_relaxed,
+            lp_iterations: reading.lp_iterations,
+            lp_engine: reading.lp_engine,
+            lp_scaling: reading.lp_scaling,
         })
     }
 
+    /// Solves one point's LP and reads it into `self.scratch.reading`.
     fn solve_sizing(
         &mut self,
         scaled: Option<&Architecture>,
         factor: f64,
         budget: usize,
-    ) -> Result<SizingSolution, CoreError> {
+    ) -> Result<(), CoreError> {
         // Validate at entry, so a chain's first (cold) solve and every
         // later (warm) solve refuse a bad config or a zero budget with
         // the same error.
@@ -281,7 +333,9 @@ impl SolveContext {
         if budget == 0 {
             return Err(CoreError::BadConfig("budget must be positive".into()));
         }
-        let point_arch = scaled.unwrap_or(&self.arch);
+        let nominal = &self.family.arch;
+        let point_arch = scaled.unwrap_or(nominal);
+        let out = &mut self.scratch.reading;
         // Build at the chain's first point, and whenever the structure
         // drifted so the cached form cannot take the retarget (not for
         // budget/load deltas, but e.g. a λ of exactly 0 would). The
@@ -292,7 +346,7 @@ impl SolveContext {
         let mut fresh = match &mut self.state {
             Some(state) => state
                 .layout
-                .retarget(&mut state.prepared, &self.arch, budget, factor)
+                .retarget(&mut state.prepared, nominal, budget, factor)
                 .is_err(),
             None => true,
         };
@@ -304,7 +358,8 @@ impl SolveContext {
             let [first, ..] = solve_ladder(config.engine, config.equilibrate, &config.executor);
             if let Some(sol) = state.prepared.solve_kept(&first) {
                 state.basis = Some(sol.basis_snapshot());
-                return Ok(state.layout.interpret(&sol, false));
+                state.layout.interpret(&sol, false, out);
+                return Ok(());
             }
             fresh = true;
         }
@@ -324,14 +379,14 @@ impl SolveContext {
             config.engine,
             config.equilibrate,
             &config.executor,
-            |options| state.attempt(options, fresh),
+            |options| state.attempt(options, fresh, out),
         ) {
             // A warm or retargeted form reported the budget row infeasible:
             // confirm on this point's own cold LP, which relaxes the row
             // if it agrees. The cached form and basis stay valid for the
             // next point of the chain.
             Err(CoreError::Lp(LpError::Infeasible { .. })) => {
-                SizingLp::build(point_arch, budget, config)?.solve()
+                SizingLp::build(point_arch, budget, config)?.solve_into(out)
             }
             solved => solved,
         }
@@ -722,6 +777,97 @@ mod tests {
         let mut relaxed = SolveContext::new(&arch, &cfg);
         assert!(relaxed.size_buffers(1).unwrap().budget_row_relaxed);
         assert!(relaxed.seeded().state.is_none());
+    }
+
+    /// Every bit of an outcome that a shared buffer could corrupt.
+    #[allow(clippy::type_complexity)]
+    fn outcome_bits(o: &SizingOutcome) -> (Vec<usize>, Vec<Vec<u64>>, Vec<usize>, [u64; 2], usize) {
+        (
+            o.allocation.as_slice().to_vec(),
+            o.efforts
+                .iter()
+                .map(|c| c.iter().map(|e| e.to_bits()).collect())
+                .collect(),
+            o.requirements.clone(),
+            [
+                o.predicted_loss_rate.to_bits(),
+                o.budget_shadow_price.to_bits(),
+            ],
+            o.lp_iterations,
+        )
+    }
+
+    /// A problem's rows (coefficients as bits) and variable names.
+    #[allow(clippy::type_complexity)]
+    fn problem_bits(p: &socbuf_lp::LpProblem) -> (Vec<(Vec<(usize, u64)>, u64)>, Vec<String>) {
+        let rows = p
+            .row_ids()
+            .map(|r| {
+                let (terms, _, rhs) = p.row(r);
+                let terms = terms
+                    .iter()
+                    .map(|(v, c)| (v.index(), c.to_bits()))
+                    .collect();
+                (terms, rhs.to_bits())
+            })
+            .collect();
+        let names = p.vars().map(|v| p.var_name(v).to_string()).collect();
+        (rows, names)
+    }
+
+    #[test]
+    fn seeded_copies_never_see_each_others_points() {
+        // Copies share the anchor's names, pattern, maps and factor. A
+        // copy that takes a load retarget (a coefficient delta) and a
+        // budget point must leave the anchor, its sibling and a cloned
+        // problem exactly as a never-shared context would see them.
+        let arch = templates::figure1();
+        let cfg = SizingConfig::small();
+        let solved_at_10 = || {
+            let mut ctx = SolveContext::new(&arch, &cfg);
+            ctx.size_buffers(10).unwrap();
+            ctx
+        };
+        let mut anchor = solved_at_10();
+        let problem = anchor.state.as_ref().unwrap().prepared.problem().clone();
+        let mut mover = anchor.seeded();
+        let mut sibling = anchor.seeded();
+
+        let scaled = arch.scale_rates(1.3, 1.0).unwrap();
+        let moved = mover.size_buffers_scaled(&scaled, 1.3, 22).unwrap();
+        mover.size_buffers_scaled(&scaled, 1.3, 31).unwrap();
+        let cold = size_buffers(&scaled, 22, &cfg).unwrap();
+        assert_eq!(
+            moved.lp_iterations, cold.lp_iterations,
+            "the copy solved cold"
+        );
+
+        let mut lone_anchor = solved_at_10();
+        let pristine = lone_anchor
+            .state
+            .as_ref()
+            .unwrap()
+            .prepared
+            .problem()
+            .clone();
+        let mut lone_copy = solved_at_10().seeded();
+        assert_eq!(problem_bits(&problem), problem_bits(&pristine));
+        assert_eq!(
+            problem_bits(anchor.state.as_ref().unwrap().prepared.problem()),
+            problem_bits(&pristine)
+        );
+        for budget in [22usize, 40] {
+            assert_eq!(
+                outcome_bits(&sibling.size_buffers(budget).unwrap()),
+                outcome_bits(&lone_copy.size_buffers(budget).unwrap()),
+                "sibling at {budget}"
+            );
+            assert_eq!(
+                outcome_bits(&anchor.size_buffers(budget).unwrap()),
+                outcome_bits(&lone_anchor.size_buffers(budget).unwrap()),
+                "anchor at {budget}"
+            );
+        }
     }
 
     #[test]

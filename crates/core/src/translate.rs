@@ -10,7 +10,7 @@
 //! exactly — the integer-feasibility step the LP cannot do by itself.
 
 use socbuf_markov::BirthDeath;
-use socbuf_soc::alloc::apportion_with_keys;
+use socbuf_soc::alloc::apportion_with_keys_into;
 use socbuf_soc::{Architecture, BufferAllocation};
 
 use crate::formulation::{SizingConfig, SizingSolution};
@@ -46,13 +46,86 @@ pub fn translate(
     budget: usize,
     config: &SizingConfig,
 ) -> Result<Translation, CoreError> {
+    translate_with(
+        arch,
+        solution,
+        budget,
+        config,
+        &queue_keys(arch),
+        &mut TranslateScratch::default(),
+    )
+}
+
+/// Per-queue occupancy marginals and effort curves, however a solution
+/// stores them.
+pub(crate) trait QueueCurves {
+    /// Number of queues covered.
+    fn num_queues(&self) -> usize;
+    /// Queue `q`'s occupancy marginal over the model states.
+    fn marginal(&self, q: usize) -> &[f64];
+    /// Queue `q`'s expected effort per model state.
+    fn effort(&self, q: usize) -> &[f64];
+}
+
+impl QueueCurves for SizingSolution {
+    fn num_queues(&self) -> usize {
+        self.marginals.len()
+    }
+    fn marginal(&self, q: usize) -> &[f64] {
+        &self.marginals[q]
+    }
+    fn effort(&self, q: usize) -> &[f64] {
+        &self.efforts[q]
+    }
+}
+
+/// The apportionment's remainder tie-break keys, one per queue: the
+/// queue names. They are unique and survive declaration reordering, so
+/// the allocation is permutation-equivariant (the metamorphic suite
+/// pins this) — positional tie-breaking would hand the contested unit
+/// to whichever tied queue happened to be declared first.
+pub(crate) fn queue_keys(arch: &Architecture) -> Vec<String> {
+    arch.queue_ids().map(|q| arch.queue_name(q)).collect()
+}
+
+/// Working storage of [`translate_with`]. Nothing in it outlives one
+/// call; a warm chain keeps one so its points reuse the buffers.
+#[derive(Debug, Default)]
+pub(crate) struct TranslateScratch {
+    expected_effort: Vec<f64>,
+    birth: Vec<f64>,
+    death: Vec<f64>,
+    marginal: Vec<f64>,
+    shares: Vec<f64>,
+    remainders: Vec<(usize, f64)>,
+}
+
+/// [`translate`] on any [`QueueCurves`], with the queue keys
+/// ([`queue_keys`] of `arch`) and the working storage supplied. Only
+/// the returned [`Translation`] is allocated afresh.
+pub(crate) fn translate_with(
+    arch: &Architecture,
+    solution: &impl QueueCurves,
+    budget: usize,
+    config: &SizingConfig,
+    keys: &[String],
+    scratch: &mut TranslateScratch,
+) -> Result<Translation, CoreError> {
     let nq = arch.num_queues();
-    if solution.marginals.len() != nq {
+    if solution.num_queues() != nq {
         return Err(CoreError::BadConfig(format!(
             "solution covers {} queues, architecture has {nq}",
-            solution.marginals.len()
+            solution.num_queues()
         )));
     }
+    let TranslateScratch {
+        expected_effort,
+        birth,
+        death,
+        marginal,
+        shares,
+        remainders,
+    } = scratch;
 
     // The joint LP couples queues on a bus only *in expectation*, so each
     // block's marginal assumes it owns the whole bus whenever it chooses
@@ -61,12 +134,15 @@ pub fn translate(
     // is discounted by the bus capacity the *other* queues' optimal
     // policies consume. (The paper closes the same gap empirically by
     // re-simulating with the new buffer lengths.)
-    let expected_effort: Vec<f64> = solution
-        .marginals
-        .iter()
-        .zip(&solution.efforts)
-        .map(|(marg, eff)| marg.iter().zip(eff).map(|(m, e)| m * e).sum())
-        .collect();
+    expected_effort.clear();
+    expected_effort.extend((0..nq).map(|q| {
+        solution
+            .marginal(q)
+            .iter()
+            .zip(solution.effort(q))
+            .map(|(m, e)| m * e)
+            .sum::<f64>()
+    }));
     let mut requirements = Vec::with_capacity(nq);
     for q in arch.queues() {
         let qi = q.id.index();
@@ -78,31 +154,28 @@ pub fn translate(
             .sum();
         let mu_bus = arch.bus(q.bus).service_rate();
         let avail = (1.0 - others).clamp(0.05, 1.0);
-        let corrected = contended_marginal(q.offered_rate, mu_bus * avail, &solution.efforts[qi]);
-        requirements.push(quantile_requirement(&corrected, config.quantile));
+        contended_marginal(
+            q.offered_rate,
+            mu_bus * avail,
+            solution.effort(qi),
+            [birth, death, marginal],
+        );
+        requirements.push(quantile_requirement(marginal, config.quantile));
     }
 
-    // Queue names key the apportionment's remainder tie-breaks: they
-    // are unique and survive declaration reordering, so the allocation
-    // is permutation-equivariant (the metamorphic suite pins this) —
-    // positional tie-breaking would hand the contested unit to whichever
-    // tied queue happened to be declared first.
-    let keys: Vec<String> = arch.queue_ids().map(|q| arch.queue_name(q)).collect();
-    let units = if budget >= nq {
+    shares.clear();
+    let mut units = Vec::with_capacity(nq);
+    if budget >= nq {
         // One unit of floor per queue, remainder by (requirement − 1).
-        let extra_shares: Vec<f64> = requirements
-            .iter()
-            .map(|&r| (r.saturating_sub(1)) as f64)
-            .collect();
-        let extra = apportion_with_keys(budget - nq, &extra_shares, &keys);
-        extra.into_iter().map(|e| e + 1).collect()
+        shares.extend(requirements.iter().map(|&r| (r.saturating_sub(1)) as f64));
+        apportion_with_keys_into(budget - nq, shares, keys, remainders, &mut units);
+        for u in &mut units {
+            *u += 1;
+        }
     } else {
-        apportion_with_keys(
-            budget,
-            &requirements.iter().map(|&r| r as f64).collect::<Vec<_>>(),
-            &keys,
-        )
-    };
+        shares.extend(requirements.iter().map(|&r| r as f64));
+        apportion_with_keys_into(budget, shares, keys, remainders, &mut units);
+    }
 
     let allocation = BufferAllocation::new(arch, units)?;
     debug_assert_eq!(allocation.total(), budget);
@@ -116,8 +189,9 @@ pub fn translate(
     let efforts: Vec<Vec<f64>> = allocation
         .as_slice()
         .iter()
-        .zip(&solution.efforts)
-        .map(|(&cap, curve)| {
+        .enumerate()
+        .map(|(q, &cap)| {
+            let curve = solution.effort(q);
             let n_model = curve.len() - 1;
             if cap == 0 || n_model == 0 {
                 return vec![0.0];
@@ -141,17 +215,20 @@ pub fn translate(
 /// Stationary occupancy law of one queue under its optimal effort curve
 /// with a contention-discounted service rate: birth λ, death
 /// `effort(n)·μ_eff` (floored so the chain stays well-defined where the
-/// policy idles).
-fn contended_marginal(lambda: f64, mu_eff: f64, efforts: &[f64]) -> Vec<f64> {
+/// policy idles). Written into `pi`; `birth` and `death` are working
+/// storage.
+fn contended_marginal(
+    lambda: f64,
+    mu_eff: f64,
+    efforts: &[f64],
+    [birth, death, pi]: [&mut Vec<f64>; 3],
+) {
     let n = efforts.len().saturating_sub(1).max(1);
-    let birth = vec![lambda.max(1e-9); n];
-    let death: Vec<f64> = (1..=n)
-        .map(|state| (efforts[state.min(efforts.len() - 1)] * mu_eff).max(1e-9))
-        .collect();
-    BirthDeath::new(birth, death)
-        .expect("positive rates by construction")
-        .stationary()
-        .expect("birth-death stationary always exists")
+    birth.clear();
+    birth.resize(n, lambda.max(1e-9));
+    death.clear();
+    death.extend((1..=n).map(|state| (efforts[state.min(efforts.len() - 1)] * mu_eff).max(1e-9)));
+    BirthDeath::stationary_into(birth, death, pi).expect("positive rates by construction");
 }
 
 /// Smallest buffer length whose cumulative stationary probability
@@ -196,7 +273,7 @@ mod tests {
     fn allocation_sums_to_budget_and_favors_hot_queue() {
         // Both engines: the hot-queue preference must not depend on
         // which optimal vertex the LP lands on (the effort-curve dust
-        // filter in `SizingLp::interpret` is what guarantees this).
+        // filter in `Layout::interpret` is what guarantees this).
         let arch = hot_cold_arch();
         for engine in [socbuf_lp::LpEngine::Revised, socbuf_lp::LpEngine::Tableau] {
             let cfg = SizingConfig {

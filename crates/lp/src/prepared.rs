@@ -40,6 +40,14 @@
 //! that would rather solve cold than repair a basis (a clone of a
 //! prepared problem keeps its factor, so one solved form can seed many).
 //!
+//! **A clone copies only numbers.** The variable names, bounds,
+//! sparsity pattern and row relations of the problem, the row
+//! bookkeeping and scale factors of the standard form, and the kept
+//! factor never change under a delta, so clones share them; a clone
+//! copies the objective, the coefficients and the right-hand sides. A
+//! pattern-preserving [`PreparedLp::set_row_coeffs`] writes its values
+//! in place.
+//!
 //! # Examples
 //!
 //! ```
@@ -65,6 +73,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use socbuf_linalg::SparseLu;
@@ -85,17 +94,18 @@ pub struct PreparedLp {
     sf: StandardForm,
     /// User row → standard-form row (user rows map one-to-one; the
     /// extra standard-form rows are variable upper bounds).
-    sf_row_of: Vec<usize>,
+    sf_row_of: Arc<[usize]>,
     /// The last revised solve's final basis, while only right-hand sides
     /// have changed since (see the module docs).
     kept: Option<KeptBasis>,
 }
 
 /// A basis priced optimal for the current `A` and `c`: its fresh factor
-/// and the basis-only half of its solution.
+/// and the basis-only half of its solution. Neither changes once kept,
+/// so clones share both.
 #[derive(Debug, Clone)]
 struct KeptBasis {
-    lu: SparseLu,
+    lu: Arc<SparseLu>,
     dual: Arc<DualHalf>,
     /// The tolerance the basis was priced under.
     tolerance: f64,
@@ -146,7 +156,7 @@ impl PreparedLp {
         Ok(PreparedLp {
             problem,
             sf,
-            sf_row_of,
+            sf_row_of: sf_row_of.into(),
             kept: None,
         })
     }
@@ -184,11 +194,12 @@ impl PreparedLp {
             )));
         }
         let i = self.sf_row_of[row.index()];
-        let (terms, _, _) = self.problem.row(row);
+        let (cols, coeffs) = self.problem.row_terms(row.index());
         let shifted = rhs
-            - terms
+            - cols
                 .iter()
-                .map(|&(v, c)| c * self.sf.shift[v.index()])
+                .zip(coeffs)
+                .map(|(&j, &c)| c * self.sf.shift[j])
                 .sum::<f64>();
         self.sf.set_rhs_in_place(i, shifted)?;
         self.problem.set_row_rhs(row.index(), rhs);
@@ -213,7 +224,6 @@ impl PreparedLp {
     /// Panics if `row` does not belong to this problem.
     pub fn set_row_coeffs(&mut self, row: RowId, terms: &[(VarId, f64)]) -> Result<(), LpError> {
         let n = self.problem.num_vars();
-        let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
         for &(v, c) in terms {
             if v.index() >= n {
                 return Err(LpError::InvalidModel(format!(
@@ -226,17 +236,26 @@ impl PreparedLp {
                     "coefficient {c} is not finite"
                 )));
             }
-            dense.push((v.index(), c));
         }
-        dense.sort_by_key(|&(j, _)| j);
-        let mut normalized: Vec<(usize, f64)> = Vec::with_capacity(dense.len());
-        for (j, c) in dense {
-            match normalized.last_mut() {
-                Some((k, acc)) if *k == j => *acc += c,
-                _ => normalized.push((j, c)),
+        // Terms already sorted, distinct and non-zero are their own
+        // normal form, and are used as given: a retarget that restates
+        // a row in pattern order allocates nothing.
+        let normal = terms.windows(2).all(|w| w[0].0 < w[1].0) && terms.iter().all(|t| t.1 != 0.0);
+        let normalized: Cow<'_, [(VarId, f64)]> = if normal {
+            Cow::Borrowed(terms)
+        } else {
+            let mut dense = terms.to_vec();
+            dense.sort_by_key(|&(j, _)| j);
+            let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(dense.len());
+            for (j, c) in dense {
+                match merged.last_mut() {
+                    Some((k, acc)) if *k == j => *acc += c,
+                    _ => merged.push((j, c)),
+                }
             }
-        }
-        normalized.retain(|&(_, c)| c != 0.0);
+            merged.retain(|&(_, c)| c != 0.0);
+            Cow::Owned(merged)
+        };
 
         let i = self.sf_row_of[row.index()];
         // The lower-bound shift couples coefficients to the stored rhs;
@@ -245,11 +264,11 @@ impl PreparedLp {
         // the problem, matrix and rhs untouched and mutually consistent
         // (update_row_values_in_place likewise validates its pattern
         // before writing).
-        let (_, _, rhs) = self.problem.row(row);
+        let rhs = self.problem.row_rhs(row.index());
         let shifted = rhs
             - normalized
                 .iter()
-                .map(|&(j, c)| c * self.sf.shift[j])
+                .map(|&(j, c)| c * self.sf.shift[j.index()])
                 .sum::<f64>();
         if self.sf.row_sign[i] * shifted < 0.0 {
             return Err(LpError::InvalidModel(format!(
@@ -262,7 +281,7 @@ impl PreparedLp {
         self.sf
             .set_rhs_in_place(i, shifted)
             .expect("orientation pre-checked above");
-        self.problem.set_row_terms(row.index(), normalized);
+        self.problem.set_row_values(row.index(), &normalized);
         Ok(())
     }
 
@@ -391,7 +410,7 @@ impl PreparedLp {
         let sol = LpSolution::from_basic(&self.problem, &self.sf, &basic, options.engine)?;
         if let Some(lu) = basic.factor.take() {
             self.kept = Some(KeptBasis {
-                lu,
+                lu: Arc::new(lu),
                 dual: Arc::clone(sol.dual_half()),
                 tolerance: options.tolerance,
             });
@@ -478,6 +497,33 @@ mod tests {
         assert!(prepared
             .set_row_coeffs(rows[0], &[(vars[0], 1.0), (vars[1], 1.0)])
             .is_err());
+    }
+
+    #[test]
+    fn coeff_deltas_in_any_order_land_on_the_pattern() {
+        // Unsorted terms with a duplicate normalize to the row's own
+        // pattern; the result matches the same values given in order.
+        let (p, vars, rows) = wyndor();
+        let (x, y) = (vars[0], vars[1]);
+        let mut ordered = PreparedLp::new(p.clone()).unwrap();
+        ordered
+            .set_row_coeffs(rows[2], &[(x, 6.0), (y, 2.0)])
+            .unwrap();
+        let mut shuffled = PreparedLp::new(p).unwrap();
+        shuffled
+            .set_row_coeffs(rows[2], &[(y, 1.5), (x, 6.0), (y, 0.5)])
+            .unwrap();
+        assert_eq!(
+            ordered.problem().row(rows[2]),
+            shuffled.problem().row(rows[2])
+        );
+        let opts = SimplexOptions::default();
+        let (a, b) = (
+            ordered.solve_with(&opts).unwrap(),
+            shuffled.solve_with(&opts).unwrap(),
+        );
+        assert_eq!(a.values(), b.values());
+        assert_eq!(a.objective().to_bits(), b.objective().to_bits());
     }
 
     #[test]

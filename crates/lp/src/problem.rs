@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use socbuf_linalg::Csr;
 
@@ -61,12 +62,34 @@ impl fmt::Display for Relation {
     }
 }
 
+/// The per-variable data no delta changes: names and bounds. Shared
+/// between clones of a problem.
+#[derive(Debug, Clone, Default)]
+struct Vars {
+    names: Vec<String>,
+    lower: Vec<f64>,
+    upper: Vec<Option<f64>>,
+}
+
+/// The constraint sparsity pattern and row relations, which no delta
+/// changes either. Row `r`'s variables are
+/// `cols[row_start[r]..row_start[r + 1]]`, sorted and deduplicated.
+/// Shared between clones of a problem.
 #[derive(Debug, Clone)]
-pub(crate) struct Row {
-    /// Sparse coefficients, sorted and deduplicated by variable index.
-    pub(crate) terms: Vec<(usize, f64)>,
-    pub(crate) relation: Relation,
-    pub(crate) rhs: f64,
+struct Pattern {
+    row_start: Vec<usize>,
+    cols: Vec<usize>,
+    relations: Vec<Relation>,
+}
+
+impl Default for Pattern {
+    fn default() -> Pattern {
+        Pattern {
+            row_start: vec![0],
+            cols: Vec::new(),
+            relations: Vec::new(),
+        }
+    }
 }
 
 /// A linear program under construction.
@@ -75,17 +98,25 @@ pub(crate) struct Row {
 /// bound; constraints are sparse rows. Call [`LpProblem::solve`] to run
 /// the two-phase simplex.
 ///
+/// A clone shares what the in-place deltas of [`crate::PreparedLp`]
+/// never change — variable names, bounds, the constraint sparsity
+/// pattern and the row relations — and copies only the numeric arrays:
+/// objective, coefficients and right-hand sides. Growing or shrinking a
+/// shared problem copies the shared part first, so clones never see
+/// each other's edits.
+///
 /// # Examples
 ///
 /// See the [crate-level documentation](crate).
 #[derive(Debug, Clone)]
 pub struct LpProblem {
     sense: Sense,
-    names: Vec<String>,
+    vars: Arc<Vars>,
+    pattern: Arc<Pattern>,
     obj: Vec<f64>,
-    lower: Vec<f64>,
-    upper: Vec<Option<f64>>,
-    pub(crate) rows: Vec<Row>,
+    /// Row coefficients, parallel to `pattern.cols`.
+    coeffs: Vec<f64>,
+    rhs: Vec<f64>,
 }
 
 impl LpProblem {
@@ -93,11 +124,11 @@ impl LpProblem {
     pub fn new(sense: Sense) -> Self {
         LpProblem {
             sense,
-            names: Vec::new(),
+            vars: Arc::default(),
+            pattern: Arc::default(),
             obj: Vec::new(),
-            lower: Vec::new(),
-            upper: Vec::new(),
-            rows: Vec::new(),
+            coeffs: Vec::new(),
+            rhs: Vec::new(),
         }
     }
 
@@ -132,11 +163,12 @@ impl LpProblem {
                 "upper bound must be finite and >= lower"
             );
         }
-        let id = VarId(self.names.len());
-        self.names.push(name.into());
+        let id = VarId(self.num_vars());
+        let vars = Arc::make_mut(&mut self.vars);
+        vars.names.push(name.into());
+        vars.lower.push(lower);
+        vars.upper.push(upper);
         self.obj.push(objective);
-        self.lower.push(lower);
-        self.upper.push(upper);
         id
     }
 
@@ -160,7 +192,7 @@ impl LpProblem {
         }
         let mut dense: Vec<(usize, f64)> = Vec::new();
         for (v, c) in terms {
-            if v.0 >= self.names.len() {
+            if v.0 >= self.num_vars() {
                 return Err(LpError::InvalidModel(format!(
                     "variable id {} does not belong to this problem",
                     v.0
@@ -169,12 +201,12 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "coefficient {c} of variable '{}' is not finite",
-                    self.names[v.0]
+                    self.vars.names[v.0]
                 )));
             }
             dense.push((v.0, c));
         }
-        Ok(self.push_row_sorted(dense, relation, rhs))
+        Ok(self.push_row_sorted(&mut dense, relation, rhs))
     }
 
     /// Adds a batch of `relations.len()` constraint rows from
@@ -218,7 +250,7 @@ impl LpProblem {
                     "triplet row {row} out of range (batch has {num_rows} rows)"
                 )));
             }
-            if v.0 >= self.names.len() {
+            if v.0 >= self.num_vars() {
                 return Err(LpError::InvalidModel(format!(
                     "variable id {} does not belong to this problem",
                     v.0
@@ -227,14 +259,14 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "coefficient {c} of variable '{}' is not finite",
-                    self.names[v.0]
+                    self.vars.names[v.0]
                 )));
             }
             buckets[row].push((v.0, c));
         }
         let mut ids = Vec::with_capacity(num_rows);
-        for ((bucket, &relation), &r) in buckets.into_iter().zip(relations).zip(rhs) {
-            ids.push(self.push_row_sorted(bucket, relation, r));
+        for ((mut bucket, &relation), &r) in buckets.into_iter().zip(relations).zip(rhs) {
+            ids.push(self.push_row_sorted(&mut bucket, relation, r));
         }
         Ok(ids)
     }
@@ -265,11 +297,11 @@ impl LpProblem {
                 rhs.len()
             )));
         }
-        if a.cols() > self.names.len() {
+        if a.cols() > self.num_vars() {
             return Err(LpError::InvalidModel(format!(
                 "CSR has {} columns but the problem has {} variables",
                 a.cols(),
-                self.names.len()
+                self.num_vars()
             )));
         }
         for &r in rhs {
@@ -285,14 +317,16 @@ impl LpProblem {
             ));
         }
         let mut ids = Vec::with_capacity(a.rows());
+        let pattern = Arc::make_mut(&mut self.pattern);
         for ((i, &relation), &r) in (0..a.rows()).zip(relations).zip(rhs) {
-            let id = RowId(self.rows.len());
-            self.rows.push(Row {
-                terms: a.iter_row(i).collect(),
-                relation,
-                rhs: r,
-            });
-            ids.push(id);
+            ids.push(RowId(self.rhs.len()));
+            for (j, c) in a.iter_row(i) {
+                pattern.cols.push(j);
+                self.coeffs.push(c);
+            }
+            pattern.row_start.push(pattern.cols.len());
+            pattern.relations.push(relation);
+            self.rhs.push(r);
         }
         Ok(ids)
     }
@@ -300,33 +334,50 @@ impl LpProblem {
     /// Sorts, accumulates duplicates and drops zeros, then stores the row.
     fn push_row_sorted(
         &mut self,
-        mut dense: Vec<(usize, f64)>,
+        dense: &mut [(usize, f64)],
         relation: Relation,
         rhs: f64,
     ) -> RowId {
         dense.sort_by_key(|&(i, _)| i);
-        let mut terms: Vec<(usize, f64)> = Vec::with_capacity(dense.len());
-        for (i, c) in dense {
-            match terms.last_mut() {
-                Some((j, acc)) if *j == i => *acc += c,
-                _ => terms.push((i, c)),
+        let pattern = Arc::make_mut(&mut self.pattern);
+        let start = pattern.cols.len();
+        for &(i, c) in dense.iter() {
+            if pattern.cols.len() > start && pattern.cols.last() == Some(&i) {
+                *self.coeffs.last_mut().expect("parallel to cols") += c;
+            } else {
+                pattern.cols.push(i);
+                self.coeffs.push(c);
             }
         }
-        terms.retain(|&(_, c)| c != 0.0);
-        let id = RowId(self.rows.len());
-        self.rows.push(Row {
-            terms,
-            relation,
-            rhs,
-        });
-        id
+        // Drop the terms that accumulated to zero, keeping the order.
+        let mut kept = start;
+        for k in start..pattern.cols.len() {
+            if self.coeffs[k] != 0.0 {
+                pattern.cols[kept] = pattern.cols[k];
+                self.coeffs[kept] = self.coeffs[k];
+                kept += 1;
+            }
+        }
+        pattern.cols.truncate(kept);
+        self.coeffs.truncate(kept);
+        pattern.row_start.push(kept);
+        pattern.relations.push(relation);
+        self.rhs.push(rhs);
+        RowId(self.rhs.len() - 1)
     }
 
     /// Removes the most recently added constraint row, returning its
     /// handle (`None` when there are no rows). Every other [`RowId`]
     /// keeps meaning the same row.
     pub fn pop_row(&mut self) -> Option<RowId> {
-        self.rows.pop().map(|_| RowId(self.rows.len()))
+        self.rhs.pop()?;
+        let pattern = Arc::make_mut(&mut self.pattern);
+        pattern.row_start.pop();
+        pattern.relations.pop();
+        let end = *pattern.row_start.last().expect("row_start starts at 0");
+        pattern.cols.truncate(end);
+        self.coeffs.truncate(end);
+        Some(RowId(self.rhs.len()))
     }
 
     /// Optimization sense of this problem.
@@ -336,22 +387,22 @@ impl LpProblem {
 
     /// Iterates over all variable handles in creation order.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.names.len()).map(VarId)
+        (0..self.num_vars()).map(VarId)
     }
 
     /// Iterates over all row handles in creation order.
     pub fn row_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        (0..self.rows.len()).map(RowId)
+        (0..self.num_rows()).map(RowId)
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.obj.len()
     }
 
     /// Number of constraint rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.rhs.len()
     }
 
     /// Name of a variable.
@@ -360,7 +411,7 @@ impl LpProblem {
     ///
     /// Panics if `v` does not belong to this problem.
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
+        &self.vars.names[v.0]
     }
 
     /// Objective coefficient of a variable.
@@ -378,7 +429,7 @@ impl LpProblem {
     ///
     /// Panics if `v` does not belong to this problem.
     pub fn bounds(&self, v: VarId) -> (f64, Option<f64>) {
-        (self.lower[v.0], self.upper[v.0])
+        (self.vars.lower[v.0], self.vars.upper[v.0])
     }
 
     /// The terms, relation and right-hand side of a row.
@@ -387,12 +438,29 @@ impl LpProblem {
     ///
     /// Panics if `r` does not belong to this problem.
     pub fn row(&self, r: RowId) -> (Vec<(VarId, f64)>, Relation, f64) {
-        let row = &self.rows[r.0];
+        let (cols, coeffs) = self.row_terms(r.0);
         (
-            row.terms.iter().map(|&(i, c)| (VarId(i), c)).collect(),
-            row.relation,
-            row.rhs,
+            cols.iter()
+                .zip(coeffs)
+                .map(|(&i, &c)| (VarId(i), c))
+                .collect(),
+            self.pattern.relations[r.0],
+            self.rhs[r.0],
         )
+    }
+
+    /// Row `row`'s variable indices and coefficients, borrowed in place.
+    pub(crate) fn row_terms(&self, row: usize) -> (&[usize], &[f64]) {
+        let span = self.pattern.row_start[row]..self.pattern.row_start[row + 1];
+        (&self.pattern.cols[span.clone()], &self.coeffs[span])
+    }
+
+    pub(crate) fn row_relation(&self, row: usize) -> Relation {
+        self.pattern.relations[row]
+    }
+
+    pub(crate) fn row_rhs(&self, row: usize) -> f64 {
+        self.rhs[row]
     }
 
     pub(crate) fn obj_vec(&self) -> &[f64] {
@@ -404,11 +472,19 @@ impl LpProblem {
     /// (finiteness, pattern preservation) happens at the `PreparedLp`
     /// layer, which is the only caller.
     pub(crate) fn set_row_rhs(&mut self, row: usize, rhs: f64) {
-        self.rows[row].rhs = rhs;
+        self.rhs[row] = rhs;
     }
 
-    pub(crate) fn set_row_terms(&mut self, row: usize, terms: Vec<(usize, f64)>) {
-        self.rows[row].terms = terms;
+    /// Writes new values over row `row`'s terms; `terms` has the row's
+    /// own pattern, in order.
+    pub(crate) fn set_row_values(&mut self, row: usize, terms: &[(VarId, f64)]) {
+        let span = self.pattern.row_start[row]..self.pattern.row_start[row + 1];
+        debug_assert!(self.pattern.cols[span.clone()]
+            .iter()
+            .eq(terms.iter().map(|(v, _)| &v.0)));
+        for (slot, &(_, c)) in self.coeffs[span].iter_mut().zip(terms) {
+            *slot = c;
+        }
     }
 
     pub(crate) fn set_obj_coeff(&mut self, var: usize, coeff: f64) {
@@ -416,11 +492,11 @@ impl LpProblem {
     }
 
     pub(crate) fn lower_vec(&self) -> &[f64] {
-        &self.lower
+        &self.vars.lower
     }
 
     pub(crate) fn upper_vec(&self) -> &[Option<f64>] {
-        &self.upper
+        &self.vars.upper
     }
 
     /// Solves the problem with default [`SimplexOptions`] — the sparse
@@ -498,6 +574,33 @@ mod tests {
         assert!((p.solve().unwrap().objective() - 3.0).abs() < 1e-9);
         assert_eq!(p.pop_row(), Some(first));
         assert_eq!(p.pop_row(), None);
+    }
+
+    #[test]
+    fn a_clone_that_grows_or_shrinks_leaves_the_original_alone() {
+        let mut p = LpProblem::new(Sense::Minimize);
+        let x = p.add_var("x", 1.0);
+        let y = p.add_var_bounded("y", 2.0, 0.5, Some(3.0));
+        let r = p
+            .add_constraint([(x, 1.0), (y, -1.0)], Relation::Ge, 1.0)
+            .unwrap();
+        let before = p.row(r);
+
+        let mut shrunk = p.clone();
+        assert_eq!(shrunk.pop_row(), Some(r));
+        let mut grown = p.clone();
+        let z = grown.add_var("z", 0.0);
+        grown
+            .add_constraint([(z, 4.0), (x, 1.0)], Relation::Le, 9.0)
+            .unwrap();
+
+        assert_eq!((shrunk.num_rows(), grown.num_rows()), (0, 2));
+        assert_eq!((p.num_vars(), p.num_rows()), (2, 1));
+        assert_eq!(p.row(r), before);
+        assert_eq!(grown.row(r), before);
+        assert_eq!(p.var_name(y), "y");
+        assert_eq!(p.bounds(y), (0.5, Some(3.0)));
+        assert_eq!(grown.row(RowId(1)).0, vec![(x, 1.0), (z, 4.0)]);
     }
 
     #[test]

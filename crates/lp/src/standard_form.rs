@@ -33,12 +33,14 @@
 //! cached factors, so the warm-start path composes with equilibration
 //! transparently.
 
+use std::sync::Arc;
+
 use socbuf_linalg::scaling::{
     geometric_mean_scaling, log_deviation, scaled_log_deviation, value_spread,
 };
 use socbuf_linalg::{Csr, CsrBuilder, Equilibration, Matrix};
 
-use crate::problem::{LpProblem, Relation};
+use crate::problem::{LpProblem, Relation, VarId};
 use crate::{LpError, Sense};
 
 /// Value-spread threshold above which [`StandardForm::prepare_scaling`]
@@ -87,6 +89,9 @@ impl ScalingStats {
 /// including slack/surplus columns but *not* artificial columns, together
 /// with the bookkeeping needed to map a basic solution back to the user's
 /// variables, rows and duals. `a` is CSR — `O(nnz)`, never `O(m·n)`.
+///
+/// The bookkeeping behind `Arc`s is fixed at assembly (no in-place delta
+/// changes it), so a clone shares it and copies only `a`, `b` and `c`.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm {
     pub a: Csr,
@@ -94,22 +99,22 @@ pub(crate) struct StandardForm {
     pub c: Vec<f64>,
     /// `+1.0` if the standard-form row kept the user's orientation,
     /// `-1.0` if it was negated to make `b ≥ 0`.
-    pub row_sign: Vec<f64>,
+    pub row_sign: Arc<[f64]>,
     /// For each standard-form row, the user row it came from, or `None`
     /// for an upper-bound row.
-    pub row_origin: Vec<Option<usize>>,
+    pub row_origin: Arc<[Option<usize>]>,
     /// Lower-bound shift applied to each structural variable.
-    pub shift: Vec<f64>,
+    pub shift: Arc<[f64]>,
     /// `true` if the user's sense was `Maximize` (objective was negated).
     pub negated_obj: bool,
     /// Rows that need an artificial variable (Eq, or Ge after sign fix).
-    pub needs_artificial: Vec<bool>,
+    pub needs_artificial: Arc<[bool]>,
     /// Column index of the slack/surplus for each row, if any.
-    pub slack_col: Vec<Option<usize>>,
+    pub slack_col: Arc<[Option<usize>]>,
     /// Equilibration factors currently applied to `a`, `b` and `c`
     /// (`None` = original units). See the module docs for the
     /// unscaling contract.
-    pub scale: Option<Equilibration>,
+    pub scale: Option<Arc<Equilibration>>,
     /// Conditioning measured by the last [`StandardForm::prepare_scaling`].
     pub scaling_stats: ScalingStats,
 }
@@ -180,7 +185,7 @@ impl StandardForm {
             condition_before: before,
             condition_after: after,
         };
-        self.scale = Some(eq);
+        self.scale = Some(Arc::new(eq));
     }
 
     /// Row scale factor currently applied to row `i` (1 when unscaled).
@@ -240,7 +245,7 @@ impl StandardForm {
     pub(crate) fn update_row_values_in_place(
         &mut self,
         row: usize,
-        terms: &[(usize, f64)],
+        terms: &[(VarId, f64)],
     ) -> Result<(), LpError> {
         let sign = self.row_sign[row];
         let scale = &self.scale;
@@ -256,7 +261,7 @@ impl StandardForm {
             || cols[..structural]
                 .iter()
                 .zip(terms)
-                .any(|(&c, &(tc, _))| c != tc)
+                .any(|(&c, &(tc, _))| c != tc.index())
         {
             return Err(LpError::InvalidModel(format!(
                 "coefficient delta changes the sparsity pattern of standard-form row {row}; \
@@ -307,12 +312,43 @@ impl StandardForm {
 /// dense assembly paths: the user's constraints plus one
 /// `x ≤ upper − lower` row per upper-bounded variable, shifted by the
 /// lower bounds and oriented so the right-hand side is non-negative.
+/// The terms are read from the problem in place (see [`RawRow::terms`]).
 struct RawRow {
-    /// Sorted, deduplicated `(col, coeff)` terms.
-    terms: Vec<(usize, f64)>,
+    /// Orientation negated the row.
+    negated: bool,
     relation: Relation,
     rhs: f64,
-    origin: Option<usize>,
+    source: RowSource,
+}
+
+/// What a standard-form row restates.
+enum RowSource {
+    /// The user's row with this index.
+    User(usize),
+    /// `x_j ≤ upper − lower` for the variable with this index.
+    UpperBound(usize),
+}
+
+impl RawRow {
+    /// The user row this row came from, if any.
+    fn origin(&self) -> Option<usize> {
+        match self.source {
+            RowSource::User(ri) => Some(ri),
+            RowSource::UpperBound(_) => None,
+        }
+    }
+
+    /// Sorted, deduplicated `(col, coeff)` terms, oriented.
+    fn terms<'a>(&'a self, p: &'a LpProblem) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let (cols, vals): (&[usize], &[f64]) = match &self.source {
+            RowSource::User(ri) => p.row_terms(*ri),
+            RowSource::UpperBound(j) => (std::slice::from_ref(j), &[1.0]),
+        };
+        let negated = self.negated;
+        cols.iter()
+            .zip(vals)
+            .map(move |(&j, &c)| (j, if negated { -c } else { c }))
+    }
 }
 
 struct Oriented {
@@ -328,27 +364,28 @@ fn orient_rows(p: &LpProblem) -> Oriented {
     let n = p.num_vars();
     let shift = p.lower_vec();
 
-    let mut raw: Vec<RawRow> = Vec::with_capacity(p.rows.len());
-    for (ri, row) in p.rows.iter().enumerate() {
+    let mut raw: Vec<RawRow> = Vec::with_capacity(p.num_rows());
+    for ri in 0..p.num_rows() {
         // Shift rhs by the lower bounds: sum a_j (l_j + x'_j) rel rhs.
-        let mut rhs = row.rhs;
-        for &(j, cj) in &row.terms {
+        let mut rhs = p.row_rhs(ri);
+        let (cols, vals) = p.row_terms(ri);
+        for (&j, &cj) in cols.iter().zip(vals) {
             rhs -= cj * shift[j];
         }
         raw.push(RawRow {
-            terms: row.terms.clone(),
-            relation: row.relation,
+            negated: false,
+            relation: p.row_relation(ri),
             rhs,
-            origin: Some(ri),
+            source: RowSource::User(ri),
         });
     }
     for (j, ub) in p.upper_vec().iter().enumerate() {
         if let Some(u) = ub {
             raw.push(RawRow {
-                terms: vec![(j, 1.0)],
+                negated: false,
                 relation: Relation::Le,
                 rhs: u - shift[j],
-                origin: None,
+                source: RowSource::UpperBound(j),
             });
         }
     }
@@ -363,9 +400,7 @@ fn orient_rows(p: &LpProblem) -> Oriented {
     for (i, r) in raw.iter_mut().enumerate() {
         if r.rhs < 0.0 {
             r.rhs = -r.rhs;
-            for t in r.terms.iter_mut() {
-                t.1 = -t.1;
-            }
+            r.negated = true;
             r.relation = match r.relation {
                 Relation::Le => Relation::Ge,
                 Relation::Ge => Relation::Le,
@@ -404,7 +439,11 @@ pub(crate) fn build_standard_form(p: &LpProblem) -> Result<StandardForm, LpError
     let o = orient_rows(p);
     let m = o.raw.len();
 
-    let nnz_estimate: usize = o.raw.iter().map(|r| r.terms.len() + 1).sum();
+    let nnz_estimate: usize = o
+        .raw
+        .iter()
+        .map(|r| r.origin().map_or(1, |ri| p.row_terms(ri).0.len()) + 1)
+        .sum();
     let mut builder = CsrBuilder::with_capacity(o.ncols, m, nnz_estimate);
     let mut b = vec![0.0; m];
     for (i, r) in o.raw.iter().enumerate() {
@@ -422,7 +461,7 @@ pub(crate) fn build_standard_form(p: &LpProblem) -> Result<StandardForm, LpError
             )
         });
         builder
-            .push_row_iter(r.terms.iter().copied().chain(slack))
+            .push_row_iter(r.terms(p).chain(slack))
             .map_err(|e| LpError::InvalidModel(format!("standard-form row {i}: {e}")))?;
         b[i] = r.rhs;
     }
@@ -437,12 +476,12 @@ pub(crate) fn build_standard_form(p: &LpProblem) -> Result<StandardForm, LpError
         a: builder.finish(),
         b,
         c,
-        row_sign: o.row_sign,
-        row_origin: o.raw.iter().map(|r| r.origin).collect(),
-        shift: p.lower_vec().to_vec(),
+        row_sign: o.row_sign.into(),
+        row_origin: o.raw.iter().map(RawRow::origin).collect(),
+        shift: p.lower_vec().into(),
         negated_obj,
-        needs_artificial: o.needs_artificial,
-        slack_col: o.slack_col,
+        needs_artificial: o.needs_artificial.into(),
+        slack_col: o.slack_col.into(),
         scale: None,
         scaling_stats: ScalingStats::unmeasured(),
     })
@@ -456,7 +495,7 @@ pub(crate) fn build_dense_constraint_matrix(p: &LpProblem) -> Result<Matrix, LpE
     let m = o.raw.len();
     let mut a = Matrix::zeros(m, o.ncols);
     for (i, r) in o.raw.iter().enumerate() {
-        for &(j, cj) in &r.terms {
+        for (j, cj) in r.terms(p) {
             a[(i, j)] += cj;
         }
         if let Some(sc) = o.slack_col[i] {
@@ -482,7 +521,7 @@ mod tests {
         p.add_constraint([(x, 1.0)], Relation::Le, -2.0).unwrap();
         let sf = build_standard_form(&p).unwrap();
         assert_eq!(sf.b, vec![2.0]);
-        assert_eq!(sf.row_sign, vec![-1.0]);
+        assert_eq!(sf.row_sign[..], [-1.0]);
         // Negated Le becomes Ge: surplus plus artificial.
         assert!(sf.needs_artificial[0]);
         assert_eq!(sf.a.get(0, 0), -1.0);
@@ -497,7 +536,7 @@ mod tests {
         assert_eq!(sf.a.rows(), 1);
         assert_eq!(sf.row_origin[0], None);
         assert_eq!(sf.b[0], 3.0); // 4 - lower bound 1
-        assert_eq!(sf.shift, vec![1.0]);
+        assert_eq!(sf.shift[..], [1.0]);
     }
 
     #[test]
@@ -596,7 +635,7 @@ mod tests {
         let (r0, c0, c1) = (sf.row_scale(0), sf.col_scale(0), sf.col_scale(1));
         sf.set_rhs_in_place(0, 7.0).unwrap();
         assert_eq!(sf.b[0], 7.0 * r0);
-        sf.update_row_values_in_place(0, &[(0, 2e-4), (1, 4e4)])
+        sf.update_row_values_in_place(0, &[(VarId(0), 2e-4), (VarId(1), 4e4)])
             .unwrap();
         assert_eq!(sf.a.get(0, 0), 2e-4 * r0 * c0);
         assert_eq!(sf.a.get(0, 1), 4e4 * r0 * c1);

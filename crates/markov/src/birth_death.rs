@@ -41,28 +41,7 @@ impl BirthDeath {
     ///   have different lengths, or any *death* rate is non-positive
     ///   (birth rates may be zero, which truncates the chain).
     pub fn new(birth: Vec<f64>, death: Vec<f64>) -> Result<Self, MarkovError> {
-        if birth.is_empty() || birth.len() != death.len() {
-            return Err(MarkovError::NonPositiveParameter {
-                name: "rate vector length",
-                value: birth.len() as f64,
-            });
-        }
-        for &b in &birth {
-            if b < 0.0 || !b.is_finite() {
-                return Err(MarkovError::NonPositiveParameter {
-                    name: "birth rate",
-                    value: b,
-                });
-            }
-        }
-        for &d in &death {
-            if d <= 0.0 || !d.is_finite() {
-                return Err(MarkovError::NonPositiveParameter {
-                    name: "death rate",
-                    value: d,
-                });
-            }
-        }
+        validate(&birth, &death)?;
         Ok(BirthDeath { birth, death })
     }
 
@@ -126,27 +105,28 @@ impl BirthDeath {
     /// This method cannot fail for a validated chain; the `Result` keeps
     /// the signature aligned with [`Ctmc::stationary`].
     pub fn stationary(&self) -> Result<Vec<f64>, MarkovError> {
-        let n = self.num_states();
-        let mut pi = vec![0.0; n];
-        // Work with running products; rescale on the fly to avoid overflow
-        // for strongly drifting chains.
-        pi[0] = 1.0;
-        let mut max = 1.0_f64;
-        for i in 0..n - 1 {
-            pi[i + 1] = pi[i] * self.birth[i] / self.death[i];
-            max = max.max(pi[i + 1]);
-            if max > 1e250 {
-                for p in pi.iter_mut().take(i + 2) {
-                    *p /= max;
-                }
-                max = 1.0;
-            }
-        }
-        let sum: f64 = pi.iter().sum();
-        for p in pi.iter_mut() {
-            *p /= sum;
-        }
+        let mut pi = Vec::new();
+        stationary_of(&self.birth, &self.death, &mut pi);
         Ok(pi)
+    }
+
+    /// The stationary distribution of the chain with these rates,
+    /// written into `pi` (resized to the state count) without building
+    /// the chain: bit for bit what [`BirthDeath::new`] followed by
+    /// [`BirthDeath::stationary`] returns, for a caller that solves many
+    /// chains and keeps one buffer.
+    ///
+    /// # Errors
+    ///
+    /// The rate errors of [`BirthDeath::new`]; `pi` is then unchanged.
+    pub fn stationary_into(
+        birth: &[f64],
+        death: &[f64],
+        pi: &mut Vec<f64>,
+    ) -> Result<(), MarkovError> {
+        validate(birth, death)?;
+        stationary_of(birth, death, pi);
+        Ok(())
     }
 
     /// Converts to a general CTMC (for cross-checks).
@@ -168,6 +148,58 @@ impl BirthDeath {
             .stationary()
             .expect("birth-death stationary always exists");
         pi.iter().enumerate().map(|(i, p)| i as f64 * p).sum()
+    }
+}
+
+/// The rate checks of [`BirthDeath::new`].
+fn validate(birth: &[f64], death: &[f64]) -> Result<(), MarkovError> {
+    if birth.is_empty() || birth.len() != death.len() {
+        return Err(MarkovError::NonPositiveParameter {
+            name: "rate vector length",
+            value: birth.len() as f64,
+        });
+    }
+    for &b in birth {
+        if b < 0.0 || !b.is_finite() {
+            return Err(MarkovError::NonPositiveParameter {
+                name: "birth rate",
+                value: b,
+            });
+        }
+    }
+    for &d in death {
+        if d <= 0.0 || !d.is_finite() {
+            return Err(MarkovError::NonPositiveParameter {
+                name: "death rate",
+                value: d,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The closed form of [`BirthDeath::stationary`] on validated rates.
+fn stationary_of(birth: &[f64], death: &[f64], pi: &mut Vec<f64>) {
+    let n = birth.len() + 1;
+    pi.clear();
+    pi.resize(n, 0.0);
+    // Work with running products; rescale on the fly to avoid overflow
+    // for strongly drifting chains.
+    pi[0] = 1.0;
+    let mut max = 1.0_f64;
+    for i in 0..n - 1 {
+        pi[i + 1] = pi[i] * birth[i] / death[i];
+        max = max.max(pi[i + 1]);
+        if max > 1e250 {
+            for p in pi.iter_mut().take(i + 2) {
+                *p /= max;
+            }
+            max = 1.0;
+        }
+    }
+    let sum: f64 = pi.iter().sum();
+    for p in pi.iter_mut() {
+        *p /= sum;
     }
 }
 

@@ -1045,6 +1045,35 @@ fn malformed_size_frames_keep_their_replies_while_draining() {
     server.shutdown();
 }
 
+/// A whole-manifest stream whose reader stops reading after the first
+/// frame and closes the connection once `release` fires. The server
+/// keeps writing until the socket buffers fill and then blocks, so the
+/// stream holds its in-flight token for as long as the test wants,
+/// whatever a point costs. The manifest renders to far more bytes than
+/// loopback buffers hold (tens of MB against a few), so the stream
+/// cannot end on its own first.
+fn stalled_stream(
+    addr: std::net::SocketAddr,
+) -> (std::thread::JoinHandle<()>, std::sync::mpsc::Sender<()>) {
+    let manifest = budget_manifest(
+        &templates::figure1(),
+        &SizingConfig::small(),
+        (0..50_000).map(|i| 10 + i % 40).collect(),
+    );
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let reader = std::thread::spawn(move || {
+        let mut client = Client::connect_tcp(addr).unwrap();
+        let stopped = client.sweep_stream(&manifest, None, |_| {
+            let _ = released.recv();
+            Err(ClientError::Io(std::io::Error::other("released")))
+        });
+        assert!(stopped.is_err(), "the stream ended before its release");
+        // Dropping the client closes the connection; the server's next
+        // write fails and the stream gives its token back.
+    });
+    (reader, release)
+}
+
 #[test]
 fn malformed_size_frames_keep_their_replies_while_busy() {
     let server = Server::bind_tcp(
@@ -1061,46 +1090,51 @@ fn malformed_size_frames_keep_their_replies_while_busy() {
     client
         .size(&templates::figure1(), &SizingConfig::small(), 24)
         .unwrap();
-    // A heavy stream holds the only in-flight slot. The probes count
-    // only if it still holds the slot after the last one; otherwise
-    // the round is retried with a fresh stream.
-    for _round in 0..5 {
-        let sweeper = heavy_stream(addr);
-        let held = |client: &mut Client| client.health().unwrap();
-        let mut before = held(&mut client);
-        while before.inflight == 0 && !sweeper.is_finished() {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            before = held(&mut client);
-        }
-        let malformed: Vec<_> = malformed_size_frames()
-            .into_iter()
-            .map(|(name, frame, want)| (name, client.request_raw(&frame).unwrap(), want))
-            .collect();
-        let decodable: Vec<_> = decodable_size_frames()
-            .into_iter()
-            .map(|(name, frame)| (name, client.request_raw(&frame).unwrap()))
-            .collect();
-        let after = held(&mut client);
-        sweeper.join().unwrap().expect("the heavy stream completes");
-        if before.inflight != 1 || after.inflight != 1 {
-            continue;
-        }
-        for (name, reply, want) in malformed {
-            assert_eq!(reply, want, "busy: {name}");
-        }
-        for (name, reply) in decodable {
-            assert_eq!(
-                reply, r#"{"v":2,"ok":false,"error":"busy","retry_after_ms":7}"#,
-                "busy: {name}"
-            );
-        }
-        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
-        assert_eq!(after.requests.size, before.requests.size + 4);
-        assert_eq!(after.requests.health, before.requests.health + 1);
-        server.shutdown();
-        return;
+    // A stalled stream holds the only in-flight slot until released.
+    let (reader, release) = stalled_stream(addr);
+    let held = |client: &mut Client| client.health().unwrap();
+    let mut before = held(&mut client);
+    while before.inflight == 0 {
+        assert!(!reader.is_finished(), "the stalled stream never started");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        before = held(&mut client);
     }
-    panic!("the heavy stream never held the in-flight slot through a probe round");
+    let malformed: Vec<_> = malformed_size_frames()
+        .into_iter()
+        .map(|(name, frame, want)| (name, client.request_raw(&frame).unwrap(), want))
+        .collect();
+    let decodable: Vec<_> = decodable_size_frames()
+        .into_iter()
+        .map(|(name, frame)| (name, client.request_raw(&frame).unwrap()))
+        .collect();
+    let after = held(&mut client);
+    release.send(()).unwrap();
+    reader.join().unwrap();
+    assert_eq!(
+        (before.inflight, after.inflight),
+        (1, 1),
+        "the stalled stream held the slot"
+    );
+    for (name, reply, want) in malformed {
+        assert_eq!(reply, want, "busy: {name}");
+    }
+    for (name, reply) in decodable {
+        assert_eq!(
+            reply, r#"{"v":2,"ok":false,"error":"busy","retry_after_ms":7}"#,
+            "busy: {name}"
+        );
+    }
+    assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+    assert_eq!(after.requests.size, before.requests.size + 4);
+    assert_eq!(after.requests.health, before.requests.health + 1);
+    // The released slot serves again.
+    while held(&mut client).inflight != 0 {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    client
+        .size(&templates::figure1(), &SizingConfig::small(), 24)
+        .unwrap();
+    server.shutdown();
 }
 
 #[test]

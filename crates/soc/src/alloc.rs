@@ -95,29 +95,50 @@ pub fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
 ///
 /// Panics if `keys` and `shares` lengths differ.
 pub fn apportion_with_keys<K: Ord>(total: usize, shares: &[f64], keys: &[K]) -> Vec<usize> {
+    let mut units = Vec::new();
+    apportion_with_keys_into(total, shares, keys, &mut Vec::new(), &mut units);
+    units
+}
+
+/// [`apportion_with_keys`] written into `units` (cleared first), with
+/// `remainders` as working storage: the same result, bit for bit, for a
+/// caller that apportions repeatedly and keeps its buffers.
+///
+/// # Panics
+///
+/// Panics if `keys` and `shares` lengths differ.
+pub fn apportion_with_keys_into<K: Ord>(
+    total: usize,
+    shares: &[f64],
+    keys: &[K],
+    remainders: &mut Vec<(usize, f64)>,
+    units: &mut Vec<usize>,
+) {
     assert_eq!(keys.len(), shares.len(), "one key per share");
-    let n = shares.len();
-    if n == 0 {
-        return Vec::new();
+    units.clear();
+    units.reserve(shares.len());
+    remainders.clear();
+    remainders.reserve(shares.len());
+    if shares.is_empty() {
+        return;
     }
     let sum: f64 = shares.iter().filter(|s| s.is_finite() && **s > 0.0).sum();
-    let effective: Vec<f64> = if sum <= 0.0 {
-        vec![1.0; n]
-    } else {
-        shares
-            .iter()
-            .map(|&s| if s.is_finite() && s > 0.0 { s } else { 0.0 })
-            .collect()
+    let effective = |s: f64| {
+        if sum <= 0.0 {
+            1.0
+        } else if s.is_finite() && s > 0.0 {
+            s
+        } else {
+            0.0
+        }
     };
-    let esum: f64 = effective.iter().sum();
-    let quota: Vec<f64> = effective.iter().map(|s| total as f64 * s / esum).collect();
-    let mut units: Vec<usize> = quota.iter().map(|q| q.floor() as usize).collect();
+    let esum: f64 = shares.iter().map(|&s| effective(s)).sum();
+    for (i, &s) in shares.iter().enumerate() {
+        let quota = total as f64 * effective(s) / esum;
+        units.push(quota.floor() as usize);
+        remainders.push((i, quota - quota.floor()));
+    }
     let assigned: usize = units.iter().sum();
-    let mut remainders: Vec<(usize, f64)> = quota
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (i, q - q.floor()))
-        .collect();
     remainders.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .expect("finite remainders")
@@ -125,14 +146,13 @@ pub fn apportion_with_keys<K: Ord>(total: usize, shares: &[f64], keys: &[K]) -> 
             .then(a.0.cmp(&b.0))
     });
     let mut left = total - assigned;
-    for (i, _) in remainders {
+    for &(i, _) in remainders.iter() {
         if left == 0 {
             break;
         }
         units[i] += 1;
         left -= 1;
     }
-    units
 }
 
 #[cfg(test)]
