@@ -13,11 +13,13 @@
 //!   locked transfers, bursty and on/off sources) have no legacy
 //!   oracle, so the gate is per-seed reproducibility plus the
 //!   conservation identity `offered = delivered + lost + in_flight`.
-//! * **throughput (generous bound, enforced on every host)** — the
-//!   actor engine pays for mailboxes and envelopes; the gate only
-//!   requires it stay within [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy
-//!   wall time (best of [`SMOKE_REPEATS`]) so a catastrophic scheduling
-//!   regression cannot land silently. Both engines run in-process on
+//! * **throughput (enforced on every host)** — the actor engine pays
+//!   for its envelopes (arrivals, kicks, completions, re-arms and
+//!   bridge crossings); the gate requires it stay within
+//!   [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy wall time (best of
+//!   [`SMOKE_REPEATS`]) on network_processor, so a scheduling
+//!   regression — such as same-instant hand-offs going back through the
+//!   event queue — cannot land silently. Both engines run in-process on
 //!   the same host, so the ratio is robust to runner speed.
 
 use socbuf_bench::probe::{self, best_of, ratio, Gate};
@@ -31,7 +33,9 @@ use socbuf_soc::{
 use std::time::Duration;
 
 /// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
-const ACTOR_SLOWDOWN_LIMIT: f64 = 8.0;
+/// The engine measures 1.5-1.7x here; routing each grant and finish
+/// through the event queue again measured 2.7-3.1x and fails it.
+const ACTOR_SLOWDOWN_LIMIT: f64 = 2.5;
 
 /// Timing repeats; best-of keeps the gate robust to shared-runner noise.
 const SMOKE_REPEATS: usize = 3;

@@ -116,23 +116,6 @@ impl Csr {
         })
     }
 
-    /// Builds a matrix row by row from already-sorted sparse rows. Each
-    /// row must have strictly increasing column indices; zero values are
-    /// kept out.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::IndexOutOfRange`] for an out-of-range column.
-    /// * [`LinalgError::UnsortedColumns`] if a row's columns are not
-    ///   strictly increasing.
-    pub fn from_sorted_rows(cols: usize, rows: &[Vec<(usize, f64)>]) -> Result<Self, LinalgError> {
-        let mut b = CsrBuilder::new(cols);
-        for row in rows {
-            b.push_row(row)?;
-        }
-        Ok(b.finish())
-    }
-
     /// Converts a dense matrix, dropping exact zeros.
     pub fn from_dense(m: &Matrix) -> Self {
         let mut row_ptr = Vec::with_capacity(m.rows() + 1);

@@ -257,11 +257,6 @@ impl Matrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
-
-    /// Consumes the matrix and returns the underlying row-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -79,24 +79,6 @@ impl BirthDeath {
         self.birth.len() + 1
     }
 
-    /// Birth rate out of state `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_states() - 1`.
-    pub fn birth_rate(&self, i: usize) -> f64 {
-        self.birth[i]
-    }
-
-    /// Death rate out of state `i + 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_states() - 1`.
-    pub fn death_rate(&self, i: usize) -> f64 {
-        self.death[i]
-    }
-
     /// Closed-form stationary distribution:
     /// `π_{i+1} = π_i · birth_i / death_i`, normalized.
     ///

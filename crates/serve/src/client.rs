@@ -27,12 +27,10 @@ use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
 use socbuf_sweep::{MergeError, PointSink, ReduceStats, StreamingReducer};
 
-use crate::protocol::{
-    read_frame, read_frame_deadline, write_frame, Health, Request, Response, Trace,
-};
+use crate::protocol::{read_frame, write_frame, Health, Request, Response, Trace};
 
 /// Socket-level poll interval used when a read bound is configured:
-/// `read_frame_deadline` wakes at least this often to check the
+/// `read_frame` wakes at least this often to check the
 /// deadline, so even a stall in the middle of a frame is caught.
 const READ_POLL: Duration = Duration::from_millis(25);
 
@@ -221,7 +219,7 @@ impl Client {
         stream.set_nodelay(true)?;
         if config.read_timeout.is_some() {
             // The socket timeout is the *poll* interval for the
-            // deadline loop in `read_frame_deadline`, so a stall
+            // deadline loop in `read_frame`, so a stall
             // mid-frame is also caught, not just a silent server.
             stream.set_read_timeout(Some(READ_POLL))?;
         }
@@ -288,15 +286,9 @@ impl Client {
     fn read_reply(&mut self) -> Result<String, ClientError> {
         let deadline = self.read_timeout.map(|bound| Instant::now() + bound);
         match &mut self.stream {
-            Stream::Tcp(s) => match deadline {
-                Some(at) => read_frame_deadline(s, at),
-                None => read_frame(s),
-            },
+            Stream::Tcp(s) => read_frame(s, deadline),
             #[cfg(unix)]
-            Stream::Unix(s) => match deadline {
-                Some(at) => read_frame_deadline(s, at),
-                None => read_frame(s),
-            },
+            Stream::Unix(s) => read_frame(s, deadline),
         }?
         .ok_or_else(|| {
             ClientError::Io(io::Error::new(

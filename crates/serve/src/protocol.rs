@@ -96,6 +96,7 @@
 //! quarantined here and never in `result`.
 
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, config_hash_from_hex, config_hash_to_hex,
@@ -165,38 +166,27 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
 /// Reads one frame. Returns `Ok(None)` on a clean close (EOF exactly at
 /// a frame boundary); EOF inside a frame is an error.
 ///
+/// The reader's own read timeout slices the wait into polls, and
+/// `deadline` says what a poll that times out (`WouldBlock`/`TimedOut`)
+/// means:
+///
+/// * `None` — the server's read. A timeout before the frame's first
+///   byte is returned, so the caller can poll its own state; one
+///   mid-frame keeps waiting, since the peer is mid-write.
+/// * `Some(at)` — the client's read. Every timeout polls again until
+///   `at` has passed, then fails with `TimedOut` — **including
+///   mid-frame** — so a stalled server costs at most the deadline plus
+///   one poll interval, never an unbounded hang. The read timeout must
+///   be set, or reads block indefinitely.
+///
 /// # Errors
 ///
-/// Propagates I/O errors (including read timeouts, surfaced as
-/// `WouldBlock`/`TimedOut` — callers poll on those); oversized lengths
-/// and non-UTF-8 payloads are `InvalidData`.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
+/// Propagates I/O errors and the timeouts above; oversized lengths and
+/// non-UTF-8 payloads are `InvalidData`.
+pub fn read_frame<R: Read>(r: &mut R, deadline: Option<Instant>) -> io::Result<Option<String>> {
     let mut len = [0u8; 4];
-    // Distinguish clean EOF (zero bytes of a new frame) from a torn one.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame header",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if filled == 0 => return Err(e),
-            // A timeout after the header started arriving: keep going,
-            // the peer is mid-write.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
+    if !fill(r, &mut len, false, deadline)? {
+        return Ok(None);
     }
     let n = u32::from_be_bytes(len) as usize;
     if n > MAX_FRAME_BYTES {
@@ -206,101 +196,55 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
         ));
     }
     let mut buf = vec![0u8; n];
-    let mut got = 0;
-    while got < n {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame payload",
-                ))
-            }
-            Ok(k) => got += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    fill(r, &mut buf, true, deadline)?;
     String::from_utf8(buf)
         .map(Some)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
 }
 
-/// [`read_frame`] with a hard deadline: the reader's own read timeout
-/// (which must be set, or reads block indefinitely) slices the wait
-/// into polls, and any `WouldBlock`/`TimedOut` poll past `deadline` —
-/// **including mid-frame**, where [`read_frame`] would keep waiting for
-/// the peer — fails with `TimedOut`. This is the client-side read:
-/// a stalled server costs at most the deadline plus one poll interval,
-/// never an unbounded hang.
-///
-/// # Errors
-///
-/// `TimedOut` once `deadline` passes; otherwise as [`read_frame`].
-pub fn read_frame_deadline<R: Read>(
+/// Fills `buf` for [`read_frame`]: the header when `payload` is false,
+/// else the payload. Returns `Ok(false)` on EOF before the header's
+/// first byte.
+fn fill<R: Read>(
     r: &mut R,
-    deadline: std::time::Instant,
-) -> io::Result<Option<String>> {
-    let check = |e: io::Error| -> io::Result<()> {
-        if matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        ) {
-            if std::time::Instant::now() >= deadline {
+    buf: &mut [u8],
+    payload: bool,
+    deadline: Option<Instant>,
+) -> io::Result<bool> {
+    let mut got = 0;
+    while got < buf.len() {
+        let started = payload || got > 0;
+        match r.read(&mut buf[got..]) {
+            Ok(0) if !started => return Ok(false),
+            Ok(0) => {
+                let part = if payload { "payload" } else { "header" };
                 return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "read deadline exceeded waiting for a reply frame",
+                    io::ErrorKind::UnexpectedEof,
+                    format!("connection closed inside a frame {part}"),
                 ));
             }
-            return Ok(()); // poll again
-        }
-        Err(e)
-    };
-    let mut len = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame header",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) => check(e)?,
-        }
-    }
-    let n = u32::from_be_bytes(len) as usize;
-    if n > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {n} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut buf = vec![0u8; n];
-    let mut got = 0;
-    while got < n {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed inside a frame payload",
-                ))
-            }
             Ok(k) => got += k,
-            Err(e) => check(e)?,
+            Err(e)
+                if !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Err(e)
+            }
+            Err(e) => match deadline {
+                None if !started => return Err(e),
+                Some(at) if Instant::now() >= at => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "read deadline exceeded waiting for a reply frame",
+                    ))
+                }
+                _ => {} // poll again
+            },
         }
     }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------
@@ -977,20 +921,79 @@ mod tests {
         write_frame(&mut buf, "{\"v\":2}").unwrap();
         write_frame(&mut buf, "").unwrap();
         let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"v\":2}"));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF at boundary");
+        assert_eq!(
+            read_frame(&mut r, None).unwrap().as_deref(),
+            Some("{\"v\":2}")
+        );
+        assert_eq!(read_frame(&mut r, None).unwrap().as_deref(), Some(""));
+        assert_eq!(
+            read_frame(&mut r, None).unwrap(),
+            None,
+            "clean EOF at boundary"
+        );
 
         // A hostile length prefix is rejected without allocating.
         let mut r = io::Cursor::new(u32::MAX.to_be_bytes().to_vec());
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_frame(&mut r, None).is_err());
 
         // EOF inside a frame is torn, not clean.
         let mut partial = Vec::new();
         write_frame(&mut partial, "hello").unwrap();
         partial.truncate(6);
         let mut r = io::Cursor::new(partial);
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_frame(&mut r, None).is_err());
+    }
+
+    /// Serves `frame` one byte per read, with a read timeout before
+    /// each of the byte positions in `stalls`.
+    struct Stalling {
+        frame: Vec<u8>,
+        at: usize,
+        stalls: Vec<usize>,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if let Some(i) = self.stalls.iter().position(|&s| s == self.at) {
+                self.stalls.remove(i);
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let Some(&b) = self.frame.get(self.at) else {
+                return Ok(0);
+            };
+            buf[0] = b;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn read_timeouts_follow_the_deadline_mode() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, "hi").unwrap();
+        let stalling = |stalls: &[usize]| Stalling {
+            frame: frame.clone(),
+            at: 0,
+            stalls: stalls.to_vec(),
+        };
+        let later = Some(Instant::now() + std::time::Duration::from_secs(60));
+        let past = Some(Instant::now());
+
+        // Server read: a timeout before the first byte is the caller's,
+        // one mid-header or mid-payload is waited out.
+        let err = read_frame(&mut stalling(&[0]), None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        let got = read_frame(&mut stalling(&[2, 5]), None).unwrap();
+        assert_eq!(got.as_deref(), Some("hi"));
+
+        // Client read: every timeout polls again until the deadline,
+        // then fails anywhere in the frame.
+        let got = read_frame(&mut stalling(&[0, 2, 5]), later).unwrap();
+        assert_eq!(got.as_deref(), Some("hi"));
+        for at in [0, 2, 5] {
+            let err = read_frame(&mut stalling(&[at]), past).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut, "stall at byte {at}");
+        }
     }
 
     #[test]

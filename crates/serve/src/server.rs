@@ -415,7 +415,7 @@ where
 fn handle_connection(shared: Arc<Shared>, mut conn: Conn) {
     let _ = conn.set_read_timeout(POLL_INTERVAL);
     loop {
-        match read_frame(&mut conn) {
+        match read_frame(&mut conn, None) {
             Ok(Some(request)) => match handle_request(&shared, &request) {
                 Handled::Reply(response) => {
                     if write_frame(&mut conn, &response).is_err() {

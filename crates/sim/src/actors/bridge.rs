@@ -20,10 +20,11 @@ impl BridgeActor {
 }
 
 impl World<'_> {
-    /// Carries `req` across bridge `g` into `dest_queue`, re-offering it
-    /// after the forwarding latency. The offer carries the request's
-    /// origin flag so end-to-end accounting stays tied to the hop-0
-    /// measurement window (see [`Request`]).
+    /// Carries `req`, just served at its `hop`-th path stop, across
+    /// bridge `g` into `dest_queue`, offering it there after the
+    /// forwarding latency. The offer carries the request's origin flag
+    /// so end-to-end accounting stays tied to the hop-0 measurement
+    /// window (see [`Request`]).
     pub(super) fn bridge_forward(&mut self, g: usize, req: Request, dest_queue: usize, t: f64) {
         let latency = self.bridges[g].latency;
         self.evq.send(
@@ -32,8 +33,8 @@ impl World<'_> {
             ActorId::Queue(dest_queue),
             Msg::Offer {
                 flow: req.flow,
-                hop: req.hop,
-                carried_origin: Some(req.counted_origin),
+                hop: req.hop + 1,
+                counted_origin: req.counted_origin,
             },
         );
     }

@@ -1,23 +1,32 @@
 //! Bus actors: arbitration, service timing, and the grant state machine.
+//!
+//! A bus reads its queues' lengths directly and resolves a grant in
+//! place: it sheds the granted queue's timed-out heads and starts
+//! service in the same call. Only the passage of time (`Complete`) and
+//! the ordered re-arbitration after a completion (`Rearm`) travel as
+//! envelopes.
 
 use socbuf_soc::{BusArbitration, QueueId};
 
 use crate::actors::scheduler::{ActorId, Class, Msg};
-use crate::actors::world::{debug_check_mirror, World};
+use crate::actors::world::World;
 use crate::arbiter::QueueView;
 
 /// The bus's grant state machine.
 ///
 /// ```text
-///            Kick/Rearm: arbitrate            Ready: draw exp(μ)
-/// Unlocked ───────────────────────▶ Granting ───────────────────▶ Busy │ Locked
-///     ▲                                │                             │       │
-///     │        Drained                 │              Complete       │       │
-///     └────────────────────────────────┘    ◀────────────────────────┘       │
-///     ▲                                                                      │
-///     │        Rearm (lock spent or queue empty)                  Complete   │
-///     └───────────────────────────────────────────── FreeNext ◀──────────────┘
+///            Kick/Rearm: arbitrate, grant, draw exp(μ)
+/// Unlocked ──────────────────────────────────────────▶ Busy │ Locked
+///     ▲                                                  │       │
+///     │                  Complete                        │       │
+///     └──────────────────────────────────────────────────┘       │
+///     ▲                                                          │
+///     │        Rearm (lock spent or queue empty)      Complete   │
+///     └───────────────────────────────── FreeNext ◀──────────────┘
 /// ```
+///
+/// A grant whose timeout sheds empty the queue leaves the bus
+/// `Unlocked` and re-arbitrates at once.
 ///
 /// `FreeNext` is the locked-transfer hold: the bus has completed one leg
 /// of a locked batch and, at its re-arm point, gives the locked queue
@@ -26,15 +35,6 @@ use crate::arbiter::QueueView;
 pub(super) enum BusState {
     /// Idle and open to arbitration.
     Unlocked,
-    /// A grant is in flight to `queue`; `lock_left` is the remaining
-    /// locked-batch budget to carry into service (`None` = unlocked
-    /// transfer).
-    Granting {
-        /// Queue index the grant was sent to.
-        queue: usize,
-        /// Remaining locked-transfer budget after this leg.
-        lock_left: Option<usize>,
-    },
     /// Serving `queue` since `start`; `queue = None` is an idle slot
     /// burnt by a slotted (TDMA-style) arbiter.
     Busy {
@@ -63,19 +63,11 @@ pub(super) enum BusState {
     },
 }
 
-/// One bus: its arbitration mode, grant state and occupancy mirror.
-///
-/// The mirror (`lens`) is the bus's copy of its queues' lengths, kept
-/// current by `Occupancy` messages the queues publish on every length
-/// change — arbitration decisions read the mirror, never the queues
-/// directly, so the bus only acts on information that has travelled
-/// through the scheduler.
+/// One bus: its arbitration mode, grant state and queues.
 #[derive(Debug)]
 pub(super) struct BusActor {
     pub mode: BusArbitration,
     pub state: BusState,
-    /// Occupancy mirror, indexed by slot (position in `queue_ids`).
-    pub lens: Vec<usize>,
     /// The bus's queues in declaration order (= priority order).
     pub queue_ids: Vec<QueueId>,
 }
@@ -85,55 +77,47 @@ impl BusActor {
         BusActor {
             mode,
             state: BusState::Unlocked,
-            lens: vec![0; queue_ids.len()],
             queue_ids: queue_ids.to_vec(),
         }
-    }
-
-    /// Mirror slot of queue index `q`.
-    fn slot_of(&self, q: usize) -> usize {
-        self.queue_ids
-            .iter()
-            .position(|id| id.index() == q)
-            .expect("queue belongs to this bus")
     }
 }
 
 impl World<'_> {
     /// A queue solicits service. Only an unlocked bus reacts; every other
-    /// state already has a grant, a service or a re-arm in flight that
-    /// will reach its own arbitration point.
+    /// state already has a service or a re-arm in flight that will reach
+    /// its own arbitration point.
     pub(super) fn bus_kick(&mut self, b: usize, t: f64) {
         if self.buses[b].state == BusState::Unlocked {
             self.bus_arbitrate(b, t);
         }
     }
 
-    /// Runs one arbitration decision and sends the grant (if any).
+    /// Runs one arbitration decision and grants the winner (if any).
     pub(super) fn bus_arbitrate(&mut self, b: usize, t: f64) {
-        debug_check_mirror(self, b);
         match self.buses[b].mode {
             BusArbitration::Priority => {
                 // Strict declaration-order priority: first backlogged
-                // slot wins, no randomness consumed.
-                let pick = (0..self.buses[b].lens.len()).find(|&s| self.buses[b].lens[s] > 0);
-                let Some(slot) = pick else {
-                    return;
-                };
-                self.grant(b, self.buses[b].queue_ids[slot].index(), None, t);
+                // queue wins, no randomness consumed.
+                let pick = self.buses[b]
+                    .queue_ids
+                    .iter()
+                    .map(|id| id.index())
+                    .find(|&q| !self.queues[q].buf.is_empty());
+                if let Some(q) = pick {
+                    self.grant(b, q, None, t);
+                }
             }
             BusArbitration::External | BusArbitration::Locked { .. } => {
                 let slotted = self.arbiter.is_slotted();
                 let candidates: Vec<QueueView> = self.buses[b]
                     .queue_ids
                     .iter()
-                    .enumerate()
-                    .filter(|&(s, _)| slotted || self.buses[b].lens[s] > 0)
-                    .map(|(s, &id)| QueueView {
+                    .map(|&id| QueueView {
                         id,
-                        len: self.buses[b].lens[s],
+                        len: self.queues[id.index()].buf.len(),
                         capacity: self.queues[id.index()].cap,
                     })
+                    .filter(|c| slotted || c.len > 0)
                     .collect();
                 // Slotted arbiters only spin when at least one queue
                 // waits; otherwise the bus sleeps until the next kick.
@@ -165,29 +149,27 @@ impl World<'_> {
         }
     }
 
-    /// Sends a grant to queue `q` and records it in the bus state.
+    /// Grants queue `q`: shed its timed-out heads, then start service
+    /// (the next leg of a locked transfer when `lock_left` is `Some`).
+    /// A grant only goes to a nonempty queue, so if timeouts emptied it
+    /// the sheds changed the backlog and arbitration reopens.
     fn grant(&mut self, b: usize, q: usize, lock_left: Option<usize>, t: f64) {
-        self.buses[b].state = BusState::Granting {
-            queue: q,
-            lock_left,
-        };
-        self.evq.send(t, Class::Data, ActorId::Queue(q), Msg::Grant);
-    }
-
-    /// The granted queue confirmed a committed head: start the service
-    /// clock.
-    pub(super) fn bus_ready(&mut self, b: usize, t: f64) {
-        let BusState::Granting { queue, lock_left } = self.buses[b].state else {
-            unreachable!("Ready outside a grant on bus {b}");
-        };
+        let shed = self.queue_shed(q, t);
+        if self.queues[q].buf.is_empty() {
+            self.buses[b].state = BusState::Unlocked;
+            if shed {
+                self.bus_arbitrate(b, t);
+            }
+            return;
+        }
         self.buses[b].state = match lock_left {
             Some(left) if left > 0 => BusState::Locked {
-                queue,
+                queue: q,
                 start: t,
                 left,
             },
             _ => BusState::Busy {
-                queue: Some(queue),
+                queue: Some(q),
                 start: t,
             },
         };
@@ -196,20 +178,9 @@ impl World<'_> {
             .send(t + dt, Class::Data, ActorId::Bus(b), Msg::Complete);
     }
 
-    /// The granted queue turned out empty (timeouts shed its backlog).
-    /// Re-arbitrate only when sheds happened — a clean empty grant means
-    /// the bus simply sleeps until the next kick.
-    pub(super) fn bus_drained(&mut self, b: usize, dropped_any: bool, t: f64) {
-        debug_assert!(matches!(self.buses[b].state, BusState::Granting { .. }));
-        self.buses[b].state = BusState::Unlocked;
-        if dropped_any {
-            self.bus_arbitrate(b, t);
-        }
-    }
-
-    /// The scheduled service completes: notify the served queue (which
-    /// commits statistics and forwards the request) and schedule our own
-    /// re-arbitration *after* the downstream cascade settles.
+    /// The scheduled service completes: finish the served queue's head
+    /// (which commits statistics and forwards the request) and schedule
+    /// our own re-arbitration *after* the downstream cascade settles.
     pub(super) fn bus_complete(&mut self, b: usize, t: f64) {
         match self.buses[b].state {
             BusState::Busy { queue: None, .. } => {
@@ -221,13 +192,11 @@ impl World<'_> {
                 start,
             } => {
                 self.buses[b].state = BusState::Unlocked;
-                self.evq
-                    .send(t, Class::Data, ActorId::Queue(q), Msg::Finish { start });
+                self.queue_finish(q, start, t);
             }
             BusState::Locked { queue, start, left } => {
                 self.buses[b].state = BusState::FreeNext { queue, left };
-                self.evq
-                    .send(t, Class::Data, ActorId::Queue(queue), Msg::Finish { start });
+                self.queue_finish(queue, start, t);
             }
             state => unreachable!("Complete on bus {b} in state {state:?}"),
         }
@@ -239,8 +208,7 @@ impl World<'_> {
     pub(super) fn bus_rearm(&mut self, b: usize, t: f64) {
         match self.buses[b].state {
             BusState::FreeNext { queue, left } => {
-                let slot = self.buses[b].slot_of(queue);
-                if left > 0 && self.buses[b].lens[slot] > 0 {
+                if left > 0 && !self.queues[queue].buf.is_empty() {
                     // Continuation leg: the locked queue keeps the bus
                     // without a new arbitration draw.
                     self.grant(b, queue, Some(left - 1), t);

@@ -2,12 +2,13 @@
 //!
 //! This engine decomposes the simulation into component actors —
 //! traffic sources (`source`), queues (`queue`), buses (`bus`) and
-//! bridges (`bridge`) — that own their state privately and interact
-//! only through messages delivered by a deterministic time-ordered
-//! scheduler (`scheduler`). There is no global mutable simulation
-//! state: the scheduler's event queue is the single channel, and a run
-//! is a pure function of its inputs (see the `scheduler` module source
-//! for the exact determinism contract).
+//! bridges (`bridge`) — that each own their state, sequenced by a
+//! deterministic time-ordered scheduler (`scheduler`). A hand-off that
+//! takes simulated time, or that must wait behind other work of the
+//! same instant, is a message; one that happens at once is a direct
+//! call. A run is a pure function of its inputs (see the `scheduler`
+//! module source for which hand-offs are which, and for the exact
+//! determinism contract).
 //!
 //! # Relation to the legacy engine
 //!

@@ -1,4 +1,4 @@
-//! Queue actors: bounded buffers with offer/grant/finish protocol and
+//! Queue actors: bounded buffers with offer/shed/finish hand-offs and
 //! timeout shedding.
 
 use crate::actors::scheduler::{ActorId, Class, Msg};
@@ -8,32 +8,30 @@ use crate::request::Request;
 /// One bounded contention buffer (a processor's transmit queue or a
 /// bridge buffer).
 ///
-/// The queue owns the waiting [`Request`]s. Protocol:
+/// The queue owns the waiting [`Request`]s. Its bus reads the buffer's
+/// length directly. Hand-offs:
 ///
-/// * `Offer` — accept or drop (full-buffer loss), publish occupancy,
-///   kick the bus on acceptance.
-/// * `Grant` — the bus selected this queue: shed stale heads under the
-///   timeout policy, then answer `Ready` (head committed; it stays in
-///   the buffer until `Finish`, so occupancy counts the request in
-///   service) or `Drained` (timeouts emptied the buffer).
-/// * `Finish` — service completed: pop the head, commit `served` and
-///   the wait sample together (see [`crate::QueueStats`]'s measurement
-///   convention), and forward the request across its bridge or count
-///   the delivery.
+/// * offer — accept or drop (full-buffer loss) and, on acceptance, send
+///   the bus a `Kick`. A source's arrivals are direct calls; a bridge
+///   crossing arrives as an `Offer` envelope after the bridge latency.
+/// * shed — called by the bus as it grants this queue: drop stale heads
+///   under the timeout policy. A surviving head stays in the buffer
+///   until it finishes, so occupancy counts the request in service.
+/// * finish — called by the bus at service completion: pop the head,
+///   commit `served` and the wait sample together (see
+///   [`crate::QueueStats`]'s measurement convention), and hand the
+///   request to its bridge or count the delivery.
 #[derive(Debug)]
 pub(super) struct QueueActor {
     pub bus: usize,
-    /// Position within the bus's queue list (occupancy-mirror slot).
-    pub slot: usize,
     pub cap: usize,
     pub buf: std::collections::VecDeque<Request>,
 }
 
 impl QueueActor {
-    pub fn new(bus: usize, slot: usize, cap: usize) -> Self {
+    pub fn new(bus: usize, cap: usize) -> Self {
         QueueActor {
             bus,
-            slot,
             cap,
             buf: std::collections::VecDeque::new(),
         }
@@ -81,49 +79,34 @@ impl World<'_> {
         if counted {
             self.stats.q_accepted[q] += 1.0;
         }
-        self.send_occupancy(q, t);
         let bus = self.queues[q].bus;
         self.evq.send(t, Class::Kick, ActorId::Bus(bus), Msg::Kick);
     }
 
-    /// The bus granted queue `q`: shed stale heads (timeout policy),
-    /// then confirm `Ready` or report `Drained`.
-    pub(super) fn queue_grant(&mut self, q: usize, t: f64) {
-        let mut dropped_any = false;
-        if let Some(spec) = self.timeout {
-            let threshold = spec.threshold(self.queue_id(q));
-            while let Some(head) = self.queues[q].buf.front() {
-                if t - head.enqueued_at > threshold {
-                    let dropped = *head;
-                    self.touch_queue(q, t);
-                    self.queues[q].buf.pop_front();
-                    if dropped.counted {
-                        self.stats.q_lost_timeout[q] += 1.0;
-                    }
-                    if dropped.counted_origin {
-                        let origin = self.origin_of(dropped.flow);
-                        self.stats.p_lost[origin] += 1.0;
-                    }
-                    dropped_any = true;
-                } else {
-                    break;
-                }
+    /// The bus is granting queue `q`: shed stale heads under the
+    /// timeout policy. Returns whether any head was shed.
+    pub(super) fn queue_shed(&mut self, q: usize, t: f64) -> bool {
+        let Some(spec) = self.timeout else {
+            return false;
+        };
+        let threshold = spec.threshold(self.queue_id(q));
+        let mut shed = false;
+        while let Some(&head) = self.queues[q].buf.front() {
+            if t - head.enqueued_at <= threshold {
+                break;
             }
+            self.touch_queue(q, t);
+            self.queues[q].buf.pop_front();
+            if head.counted {
+                self.stats.q_lost_timeout[q] += 1.0;
+            }
+            if head.counted_origin {
+                let origin = self.origin_of(head.flow);
+                self.stats.p_lost[origin] += 1.0;
+            }
+            shed = true;
         }
-        if dropped_any {
-            self.send_occupancy(q, t);
-        }
-        let bus = self.queues[q].bus;
-        if self.queues[q].buf.is_empty() {
-            self.evq.send(
-                t,
-                Class::Data,
-                ActorId::Bus(bus),
-                Msg::Drained { dropped_any },
-            );
-        } else {
-            self.evq.send(t, Class::Data, ActorId::Bus(bus), Msg::Ready);
-        }
+        shed
     }
 
     /// Service of queue `q`'s head (started at `start`) completed.
@@ -137,25 +120,12 @@ impl World<'_> {
             self.stats.q_served[q] += 1.0;
             self.stats.q_wait_sum[q] += start - req.enqueued_at;
         }
-        self.send_occupancy(q, t);
         let fid = self.arch.flow_ids().nth(req.flow).expect("flow in range");
         let path = self.arch.flow_path(fid);
         if req.hop + 1 < path.len() {
             let bridge = self.arch.route(fid).bridges[req.hop].index();
             let dest_queue = path[req.hop + 1].index();
-            let crossing = Request {
-                hop: req.hop + 1,
-                ..req
-            };
-            self.evq.send(
-                t,
-                Class::Data,
-                ActorId::Bridge(bridge),
-                Msg::Forward {
-                    req: crossing,
-                    dest_queue,
-                },
-            );
+            self.bridge_forward(bridge, req, dest_queue, t);
         } else if req.counted_origin {
             let origin = self.origin_of(req.flow);
             self.stats.p_delivered[origin] += 1.0;

@@ -3,15 +3,17 @@
 //!
 //! # Determinism contract
 //!
-//! Every message between actors travels as an [`Envelope`] through one
-//! shared [`EventQueue`], ordered by the triple `(time, class, seq)`:
+//! Every hand-off that crosses time — or that a class must order
+//! behind other same-instant work — travels as an [`Envelope`] through
+//! one shared [`EventQueue`], ordered by the triple `(time, class, seq)`:
 //!
 //! 1. **time** — simulated delivery time (`f64`, total order via
 //!    `total_cmp`).
 //! 2. **class** — a coarse priority for same-instant cascades:
-//!    [`Class::Data`] (protocol and bookkeeping messages) before
-//!    [`Class::Kick`] (queue → bus service solicitations) before
-//!    [`Class::Rearm`] (a bus's own post-completion re-arbitration).
+//!    [`Class::Data`] (arrivals, phase toggles, bridge offers and
+//!    service completions) before [`Class::Kick`] (queue → bus service
+//!    solicitations) before [`Class::Rearm`] (a bus's own
+//!    post-completion re-arbitration).
 //! 3. **seq** — a globally monotone emission counter breaking the
 //!    remaining ties in send order.
 //!
@@ -20,6 +22,17 @@
 //! of `(architecture, allocation, arbiter, timeout, config)` — there is
 //! no global mutable state, no iteration-order dependence and no
 //! wall-clock input anywhere.
+//!
+//! Hand-offs that happen at the sender's own instant with nothing able
+//! to run in between are direct calls, not envelopes: a source offering
+//! its batch, a bus granting a queue (shed, then start service), a
+//! completion finishing its queue's head and handing it to the bridge.
+//! Such a message would always be the very next envelope delivered: it
+//! is `Data` at the current instant, sent while a `Data`, `Kick` or
+//! `Rearm` envelope of that instant is handled, and by then no other
+//! `Data` envelope of the instant is left (short of an exact tie
+//! between independent continuous samples). Calling it in place keeps
+//! the draw order.
 //!
 //! The class layer is what lets the actor decomposition reproduce the
 //! legacy event loop's RNG draw order *exactly* on shared workloads: at
@@ -32,13 +45,10 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::request::Request;
-
 /// Same-instant ordering tier of an envelope (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) enum Class {
-    /// Protocol/bookkeeping messages: offers, occupancy updates, grants,
-    /// completions' bookkeeping.
+    /// Arrivals, phase toggles, bridge offers and service completions.
     Data = 0,
     /// A queue soliciting service from its bus.
     Kick = 1,
@@ -55,8 +65,6 @@ pub(super) enum ActorId {
     Queue(usize),
     /// Bus actor of bus *i*.
     Bus(usize),
-    /// Bridge actor of bridge *i*.
-    Bridge(usize),
 }
 
 /// A message between actors.
@@ -70,52 +78,22 @@ pub(super) enum Msg {
     },
     /// Source self-message: flip the on-off phase.
     Toggle,
-    /// Offer a request of `flow` to a queue at its `hop`-th path stop.
-    /// `carried_origin` is `None` for a fresh hop-0 offer.
+    /// Bridge → queue: a request of `flow` arrives at its `hop`-th path
+    /// stop after the bridge's forwarding latency.
     Offer {
         /// Flow index.
         flow: usize,
         /// Path position of the receiving queue.
         hop: usize,
-        /// `Some(counted_origin)` carried across a bridge crossing.
-        carried_origin: Option<bool>,
-    },
-    /// Queue → bus occupancy-mirror update.
-    Occupancy {
-        /// Position of the queue in the bus's queue list.
-        slot: usize,
-        /// Current buffer length.
-        len: usize,
+        /// The request's origin-window flag, frozen at its hop-0 offer.
+        counted_origin: bool,
     },
     /// Queue → bus: work may be waiting.
     Kick,
-    /// Bus → queue: you are granted; shed stale heads, then confirm.
-    Grant,
-    /// Queue → bus: head committed, start serving.
-    Ready,
-    /// Queue → bus: the grant found nothing to serve (timeouts drained
-    /// the buffer); `dropped_any` says whether sheds happened.
-    Drained {
-        /// At least one request was shed under this grant.
-        dropped_any: bool,
-    },
-    /// Bus → queue: the request started at `start` finished service.
-    Finish {
-        /// Service start time (for the wait-time sample).
-        start: f64,
-    },
     /// Bus self-message: the scheduled service completes now.
     Complete,
     /// Bus self-message: re-arbitrate after a completion.
     Rearm,
-    /// Queue → bridge: carry a request to `dest_queue` after the
-    /// bridge's forwarding latency.
-    Forward {
-        /// The crossing request.
-        req: Request,
-        /// Destination queue index.
-        dest_queue: usize,
-    },
 }
 
 /// One scheduled message.

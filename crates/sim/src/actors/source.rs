@@ -73,16 +73,7 @@ impl World<'_> {
         let fid = self.arch.flow_ids().nth(f).expect("flow in range");
         let q0 = self.arch.flow_path(fid)[0].index();
         for _ in 0..self.sources[f].batch() {
-            self.evq.send(
-                t,
-                Class::Data,
-                ActorId::Queue(q0),
-                Msg::Offer {
-                    flow: f,
-                    hop: 0,
-                    carried_origin: None,
-                },
-            );
+            self.queue_offer(q0, f, 0, None, t);
         }
     }
 

@@ -17,9 +17,11 @@ use crate::stats::{RawCounters, SimReport};
 /// All simulation state: the actors, the scheduler's event queue, the
 /// shared RNG and the statistics sink.
 ///
-/// Actors own their dynamic state (buffers, bus grants, source phases)
-/// and interact only through [`EventQueue`] envelopes; the `World` is
-/// the scheduler's context, handed to every handler. The RNG is a single
+/// Actors own their dynamic state (buffers, bus grants, source phases).
+/// A hand-off that takes time, or that a same-instant class must order,
+/// travels as an [`EventQueue`] envelope; one that happens at once is a
+/// direct call between handlers (see the `scheduler` module). The
+/// `World` is the context every handler runs in. The RNG is a single
 /// shared stream so the draw order — fixed by the envelope order — is
 /// reproducible and, on architectures without extended semantics,
 /// *identical* to the legacy engine's.
@@ -48,14 +50,7 @@ impl<'a> World<'a> {
         let queues = arch
             .queues()
             .iter()
-            .map(|spec| {
-                let slot = arch
-                    .bus_queue_ids(spec.bus)
-                    .iter()
-                    .position(|&q| q == spec.id)
-                    .expect("queue listed on its own bus");
-                QueueActor::new(spec.bus.index(), slot, alloc.units(spec.id))
-            })
+            .map(|spec| QueueActor::new(spec.bus.index(), alloc.units(spec.id)))
             .collect();
         let buses = arch
             .bus_ids()
@@ -110,20 +105,6 @@ impl<'a> World<'a> {
         self.stats.touch_queue(q, len, t, self.warmup);
     }
 
-    /// Publishes queue `q`'s length to its bus's occupancy mirror.
-    pub fn send_occupancy(&mut self, q: usize, t: f64) {
-        let actor = &self.queues[q];
-        self.evq.send(
-            t,
-            Class::Data,
-            ActorId::Bus(actor.bus),
-            Msg::Occupancy {
-                slot: actor.slot,
-                len: actor.buf.len(),
-            },
-        );
-    }
-
     /// Queue handle of position `q` (for [`TimeoutSpec::threshold`]).
     pub fn queue_id(&self, q: usize) -> QueueId {
         self.arch.queue_ids().nth(q).expect("queue in range")
@@ -166,20 +147,12 @@ impl<'a> World<'a> {
                 Msg::Offer {
                     flow,
                     hop,
-                    carried_origin,
+                    counted_origin,
                 },
-            ) => self.queue_offer(q, flow, hop, carried_origin, t),
-            (ActorId::Queue(q), Msg::Grant) => self.queue_grant(q, t),
-            (ActorId::Queue(q), Msg::Finish { start }) => self.queue_finish(q, start, t),
-            (ActorId::Bus(b), Msg::Occupancy { slot, len }) => self.buses[b].lens[slot] = len,
+            ) => self.queue_offer(q, flow, hop, Some(counted_origin), t),
             (ActorId::Bus(b), Msg::Kick) => self.bus_kick(b, t),
-            (ActorId::Bus(b), Msg::Ready) => self.bus_ready(b, t),
-            (ActorId::Bus(b), Msg::Drained { dropped_any }) => self.bus_drained(b, dropped_any, t),
             (ActorId::Bus(b), Msg::Complete) => self.bus_complete(b, t),
             (ActorId::Bus(b), Msg::Rearm) => self.bus_rearm(b, t),
-            (ActorId::Bridge(g), Msg::Forward { req, dest_queue }) => {
-                self.bridge_forward(g, req, dest_queue, t)
-            }
             (dest, msg) => unreachable!("misrouted message {msg:?} for {dest:?}"),
         }
     }
@@ -192,19 +165,3 @@ impl<'a> World<'a> {
         self.stats.into_report(config.horizon - config.warmup)
     }
 }
-
-/// Debug-only consistency check: every bus's occupancy mirror matches
-/// the actual queue lengths whenever an arbitration decision is made.
-#[cfg(debug_assertions)]
-pub(super) fn debug_check_mirror(w: &World<'_>, b: usize) {
-    for (slot, &qid) in w.buses[b].queue_ids.iter().enumerate() {
-        debug_assert_eq!(
-            w.buses[b].lens[slot],
-            w.queues[qid.index()].buf.len(),
-            "occupancy mirror of bus {b} slot {slot} is stale"
-        );
-    }
-}
-
-#[cfg(not(debug_assertions))]
-pub(super) fn debug_check_mirror(_w: &World<'_>, _b: usize) {}

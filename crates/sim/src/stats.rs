@@ -1,6 +1,6 @@
 use socbuf_soc::{Architecture, BufferAllocation};
 
-use crate::engine::{simulate, SimConfig, TimeoutSpec};
+use crate::engine::{SimConfig, TimeoutSpec};
 use crate::Arbiter;
 
 /// Per-queue counters over the measured window (post-warmup).
@@ -83,12 +83,6 @@ impl SimReport {
         } else {
             self.total_lost / self.total_offered
         }
-    }
-
-    /// Per-processor loss counts in processor order (the series plotted
-    /// in the paper's Figure 3).
-    pub fn losses_per_processor(&self) -> Vec<f64> {
-        self.per_proc.iter().map(|p| p.lost).collect()
     }
 }
 
@@ -302,12 +296,6 @@ pub fn average_reports(reports: &[SimReport]) -> SimReport {
         };
     }
     avg
-}
-
-/// Convenience single-run entry point re-exported at the crate root; see
-/// [`simulate`].
-pub(crate) fn _doc_anchor() {
-    let _ = simulate;
 }
 
 #[cfg(test)]

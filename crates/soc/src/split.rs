@@ -55,15 +55,6 @@ impl SplitResult {
     pub fn subsystem_of_bus(&self, bus: BusId) -> &Subsystem {
         &self.subsystems[self.bus_subsystem[bus.index()]]
     }
-
-    /// Subsystem containing `queue`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not belong to the split architecture.
-    pub fn subsystem_of_queue(&self, queue: QueueId) -> &Subsystem {
-        &self.subsystems[self.queue_subsystem[queue.index()]]
-    }
 }
 
 /// Splits `arch` into linear subsystems by cutting every bridge.

@@ -420,11 +420,6 @@ impl<W: Write> ReportStream<W> {
         ReportStream::with_spool(kind, StreamFormat::Csv, out, spool)
     }
 
-    /// A JSON-lines writer spooling to `spool`.
-    pub fn jsonl_spooled(kind: SweepKind, out: W, spool: Box<dyn Spool>) -> ReportStream<W> {
-        ReportStream::with_spool(kind, StreamFormat::Jsonl, out, spool)
-    }
-
     fn with_spool(
         kind: SweepKind,
         format: StreamFormat,
