@@ -12,7 +12,10 @@
 //! A moved pin means the engine's draw order or accounting changed. Find
 //! out why; never re-pin to make it pass.
 
-use socbuf_sim::{simulate_actors_with, Arbiter, SimConfig, SimReport, TimeoutSpec};
+mod common;
+
+use common::{tie_heavy_effort, Fnv};
+use socbuf_sim::{simulate_actors_with, Arbiter, SimConfig, TimeoutSpec};
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
@@ -20,72 +23,13 @@ use socbuf_soc::{
 const SEEDS: [u64; 3] = [1, 7, 2005];
 const HORIZON: f64 = 400.0;
 
-/// FNV-1a (64-bit) over the little-endian bytes of each folded word.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn f(&mut self, x: f64) {
-        self.word(x.to_bits());
-    }
-
-    fn report(&mut self, r: &SimReport) {
-        self.f(r.measured_time);
-        for q in &r.per_queue {
-            for x in [
-                q.offered,
-                q.accepted,
-                q.lost_full,
-                q.lost_timeout,
-                q.served,
-                q.mean_wait,
-                q.time_avg_len,
-            ] {
-                self.f(x);
-            }
-        }
-        for p in &r.per_proc {
-            for x in [p.offered, p.lost, p.delivered] {
-                self.f(x);
-            }
-        }
-        for x in [
-            r.total_offered,
-            r.total_delivered,
-            r.total_lost,
-            r.in_flight,
-        ] {
-            self.f(x);
-        }
-    }
-}
-
-/// A fixed effort table: `efforts[queue][occupancy]`, with zeros and ties
-/// so both the threshold and the random tie-break paths run.
-fn weighted_effort(nq: usize) -> Arbiter {
-    let efforts = (0..nq)
-        .map(|q| (0..6).map(|k| ((q * 7 + k * 3) % 5) as f64).collect())
-        .collect();
-    Arbiter::WeightedEffort { efforts }
-}
-
 fn arbiters(arch: &Architecture) -> [Arbiter; 5] {
     [
         Arbiter::FixedSlot,
         Arbiter::RandomNonempty,
         Arbiter::LongestQueue,
         Arbiter::round_robin(arch.num_buses()),
-        weighted_effort(arch.num_queues()),
+        tie_heavy_effort(arch.num_queues()),
     ]
 }
 
