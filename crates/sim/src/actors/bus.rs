@@ -31,6 +31,14 @@ use crate::arbiter::QueueView;
 /// `FreeNext` is the locked-transfer hold: the bus has completed one leg
 /// of a locked batch and, at its re-arm point, gives the locked queue
 /// first refusal on the next leg without a new arbitration draw.
+///
+/// Only an `Unlocked` bus is sent a `Kick`. A `FreeNext` bus would
+/// ignore it: its `Rearm` is already queued at this instant, and every
+/// `Kick` of the instant is delivered before it. A `Busy` or `Locked`
+/// bus is freed only by its `Complete`; that lands at the instant of an
+/// offer only on an exact float tie between independent exponential
+/// samples, the case the in-place hand-offs already set aside (see the
+/// `scheduler` module). So skipping those kicks moves no draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum BusState {
     /// Idle and open to arbitration.
@@ -83,9 +91,9 @@ impl BusActor {
 }
 
 impl World<'_> {
-    /// A queue solicits service. Only an unlocked bus reacts; every other
-    /// state already has a service or a re-arm in flight that will reach
-    /// its own arbitration point.
+    /// A queue solicits service. Only an unlocked bus reacts: the bus
+    /// was unlocked when the kick was sent, but a kick delivered earlier
+    /// in the same instant may have engaged it since.
     pub(super) fn bus_kick(&mut self, b: usize, t: f64) {
         if self.buses[b].state == BusState::Unlocked {
             self.bus_arbitrate(b, t);
@@ -109,25 +117,28 @@ impl World<'_> {
             }
             BusArbitration::External | BusArbitration::Locked { .. } => {
                 let slotted = self.arbiter.is_slotted();
-                let candidates: Vec<QueueView> = self.buses[b]
-                    .queue_ids
-                    .iter()
-                    .map(|&id| QueueView {
-                        id,
-                        len: self.queues[id.index()].buf.len(),
-                        capacity: self.queues[id.index()].cap,
-                    })
-                    .filter(|c| slotted || c.len > 0)
-                    .collect();
+                self.candidates.clear();
+                self.candidates.extend(
+                    self.buses[b]
+                        .queue_ids
+                        .iter()
+                        .map(|&id| QueueView {
+                            id,
+                            len: self.queues[id.index()].buf.len(),
+                            capacity: self.queues[id.index()].cap,
+                        })
+                        .filter(|c| slotted || c.len > 0),
+                );
                 // Slotted arbiters only spin when at least one queue
                 // waits; otherwise the bus sleeps until the next kick.
-                if slotted && candidates.iter().all(|c| c.len == 0) {
+                if slotted && self.candidates.iter().all(|c| c.len == 0) {
                     return;
                 }
-                let Some(pick) = self.arbiter.select(b, &candidates, &mut self.rng) else {
+                let Some(pick) = self.arbiter.select(b, &self.candidates, &mut self.rng) else {
                     return; // nothing to serve
                 };
-                if slotted && candidates[pick].len == 0 {
+                let picked = self.candidates[pick];
+                if slotted && picked.len == 0 {
                     // Idle slot: hold the bus one service time for
                     // nothing.
                     self.buses[b].state = BusState::Busy {
@@ -139,7 +150,7 @@ impl World<'_> {
                         .send(t + dt, Class::Data, ActorId::Bus(b), Msg::Complete);
                     return;
                 }
-                let q = candidates[pick].id.index();
+                let q = picked.id.index();
                 let lock_left = match self.buses[b].mode {
                     BusArbitration::Locked { max_batch } => Some(max_batch - 1),
                     _ => None,

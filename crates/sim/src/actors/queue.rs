@@ -1,6 +1,7 @@
 //! Queue actors: bounded buffers with offer/shed/finish hand-offs and
 //! timeout shedding.
 
+use crate::actors::bus::BusState;
 use crate::actors::scheduler::{ActorId, Class, Msg};
 use crate::actors::world::World;
 use crate::request::Request;
@@ -12,8 +13,10 @@ use crate::request::Request;
 /// length directly. Hand-offs:
 ///
 /// * offer — accept or drop (full-buffer loss) and, on acceptance, send
-///   the bus a `Kick`. A source's arrivals are direct calls; a bridge
-///   crossing arrives as an `Offer` envelope after the bridge latency.
+///   the bus a `Kick` if it is idle (a busy bus reaches its own
+///   arbitration point; see [`BusState`]). A source's arrivals are
+///   direct calls; a bridge crossing arrives as an `Offer` envelope
+///   after the bridge latency.
 /// * shed — called by the bus as it grants this queue: drop stale heads
 ///   under the timeout policy. A surviving head stays in the buffer
 ///   until it finishes, so occupancy counts the request in service.
@@ -79,8 +82,12 @@ impl World<'_> {
         if counted {
             self.stats.q_accepted[q] += 1.0;
         }
+        // Only an idle bus needs the kick (see `BusState` for why the
+        // others can skip it without moving a draw).
         let bus = self.queues[q].bus;
-        self.evq.send(t, Class::Kick, ActorId::Bus(bus), Msg::Kick);
+        if self.buses[bus].state == BusState::Unlocked {
+            self.evq.send(t, Class::Kick, ActorId::Bus(bus), Msg::Kick);
+        }
     }
 
     /// The bus is granting queue `q`: shed stale heads under the

@@ -10,7 +10,7 @@ use crate::actors::bus::BusActor;
 use crate::actors::queue::QueueActor;
 use crate::actors::scheduler::{ActorId, Class, Envelope, EventQueue, Msg};
 use crate::actors::source::SourceActor;
-use crate::arbiter::Arbiter;
+use crate::arbiter::{Arbiter, QueueView};
 use crate::engine::{SimConfig, TimeoutSpec};
 use crate::stats::{RawCounters, SimReport};
 
@@ -36,6 +36,9 @@ pub(super) struct World<'a> {
     pub queues: Vec<QueueActor>,
     pub buses: Vec<BusActor>,
     pub bridges: Vec<BridgeActor>,
+    /// The arbitration candidates, refilled by every bus decision so a
+    /// decision allocates nothing.
+    pub candidates: Vec<QueueView>,
     pub stats: RawCounters,
 }
 
@@ -75,6 +78,7 @@ impl<'a> World<'a> {
             queues,
             buses,
             bridges,
+            candidates: Vec::new(),
             stats: RawCounters::new(arch.num_queues(), arch.num_processors()),
         }
     }

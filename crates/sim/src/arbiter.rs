@@ -121,14 +121,17 @@ impl Arbiter {
                     // All below threshold: stay work-conserving.
                     return Some(rng.gen_range(0..candidates.len()));
                 }
-                // Max-priority with uniform tie-breaking.
-                let ties: Vec<usize> = candidates
+                // Max-priority with uniform tie-breaking: count the ties,
+                // draw one, and walk to it (no per-decision buffer).
+                let is_tie = |c: &&QueueView| weight(c) >= best - 1e-12;
+                let ties = candidates.iter().filter(is_tie).count();
+                let k = rng.gen_range(0..ties);
+                candidates
                     .iter()
                     .enumerate()
-                    .filter(|(_, c)| weight(c) >= best - 1e-12)
+                    .filter(|(_, c)| is_tie(c))
+                    .nth(k)
                     .map(|(i, _)| i)
-                    .collect();
-                Some(ties[rng.gen_range(0..ties.len())])
             }
         }
     }

@@ -149,6 +149,9 @@ struct Engine<'a> {
     heap: BinaryHeap<Event>,
     seq: u64,
     rng: SmallRng,
+    /// The arbitration candidates, refilled at every service start so a
+    /// decision allocates nothing.
+    candidates: Vec<QueueView>,
     warmup: f64,
     stats: RawCounters,
 }
@@ -243,26 +246,28 @@ impl<'a> Engine<'a> {
         let slotted = arbiter.is_slotted();
         loop {
             let bus_id = self.arch.bus_ids().nth(bus).expect("bus in range");
-            let candidates: Vec<QueueView> = self
-                .arch
-                .bus_queue_ids(bus_id)
-                .iter()
-                .filter(|q| slotted || !self.queues[q.index()].is_empty())
-                .map(|&q| QueueView {
-                    id: q,
-                    len: self.queues[q.index()].len(),
-                    capacity: self.cap[q.index()],
-                })
-                .collect();
+            self.candidates.clear();
+            self.candidates.extend(
+                self.arch
+                    .bus_queue_ids(bus_id)
+                    .iter()
+                    .filter(|q| slotted || !self.queues[q.index()].is_empty())
+                    .map(|&q| QueueView {
+                        id: q,
+                        len: self.queues[q.index()].len(),
+                        capacity: self.cap[q.index()],
+                    }),
+            );
             // Slotted arbiters only spin when at least one queue waits;
             // otherwise the bus sleeps until the next arrival.
-            if slotted && candidates.iter().all(|c| c.len == 0) {
+            if slotted && self.candidates.iter().all(|c| c.len == 0) {
                 return;
             }
-            let Some(pick) = arbiter.select(bus, &candidates, &mut self.rng) else {
+            let Some(pick) = arbiter.select(bus, &self.candidates, &mut self.rng) else {
                 return; // nothing to serve
             };
-            if slotted && candidates[pick].len == 0 {
+            let picked = self.candidates[pick];
+            if slotted && picked.len == 0 {
                 // Idle slot: the bus is held for one service time with
                 // nothing to show for it.
                 self.busy[bus] = Some((None, t));
@@ -271,7 +276,7 @@ impl<'a> Engine<'a> {
                 self.push_event(t + dt, EventKind::Completion { bus });
                 return;
             }
-            let q = candidates[pick].id.index();
+            let q = picked.id.index();
             // Timeout policy: shed stale heads before serving.
             if let Some(spec) = timeout {
                 let threshold = self.thresholds_at(spec, q);
@@ -374,6 +379,7 @@ pub fn simulate_with(
         heap: BinaryHeap::new(),
         seq: 0,
         rng: SmallRng::seed_from_u64(config.seed),
+        candidates: Vec::new(),
         warmup: config.warmup,
         stats: RawCounters::new(nq, arch.num_processors()),
     };
