@@ -21,8 +21,17 @@
 //!   regression — such as same-instant hand-offs going back through the
 //!   event queue — cannot land silently. Both engines run in-process on
 //!   the same host, so the ratio is robust to runner speed.
+//! * **allocations (enforced on every host)** — one replication at the
+//!   paper's horizon may make at most [`ALLOC_LIMIT`] heap allocations
+//!   on either engine, on the workloads `policy_eval` simulates. The
+//!   per-event path allocates nothing, so the count is the run's fixed
+//!   setup plus buffer growth; an allocation per arbitration or per
+//!   event runs into the thousands. Counts do not depend on the host.
 
-use socbuf_bench::probe::{self, best_of, ratio, Gate};
+use socbuf_bench::alloc::{self, CountingAlloc};
+use socbuf_bench::paper_pipeline_config;
+use socbuf_bench::probe::{self, best_of, ratio, Gate, OrExit};
+use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_sim::{
     simulate_actors_with, simulate_with, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
 };
@@ -32,10 +41,16 @@ use socbuf_soc::{
 };
 use std::time::Duration;
 
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
 /// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
 /// The engine measures 1.5-1.7x here; routing each grant and finish
 /// through the event queue again measured 2.7-3.1x and fails it.
 const ACTOR_SLOWDOWN_LIMIT: f64 = 2.5;
+
+/// Most heap allocations one paper-horizon replication may make.
+const ALLOC_LIMIT: u64 = 128;
 
 /// Timing repeats; best-of keeps the gate robust to shared-runner noise.
 const SMOKE_REPEATS: usize = 3;
@@ -166,10 +181,70 @@ fn best_time(engine: SimEngine, arch: &Architecture, horizon: f64) -> Duration {
     time
 }
 
+/// The workloads of the allocation gate: a template, an allocation and
+/// an arbiter, each run as one replication of the paper's Figure-3
+/// configuration.
+fn alloc_workloads() -> Vec<(&'static str, Architecture, BufferAllocation, Arbiter)> {
+    let figure1 = templates::figure1();
+    let np = templates::network_processor();
+    let sized = size_buffers(&figure1, 22, &SizingConfig::small()).or_exit("sizing figure1");
+    vec![
+        (
+            "figure1 uniform 22 FixedSlot",
+            figure1.clone(),
+            BufferAllocation::uniform(&figure1, 22),
+            Arbiter::FixedSlot,
+        ),
+        (
+            "figure1 sized 22 WeightedEffort",
+            figure1,
+            sized.allocation,
+            Arbiter::WeightedEffort {
+                efforts: sized.efforts,
+            },
+        ),
+        (
+            "network_processor uniform 160 FixedSlot",
+            np.clone(),
+            BufferAllocation::uniform(&np, 160),
+            Arbiter::FixedSlot,
+        ),
+    ]
+}
+
+/// The allocation gate: both engines, every [`alloc_workloads`] entry.
+fn check_allocations(gate: &mut Gate) {
+    let paper = paper_pipeline_config();
+    let cfg = SimConfig {
+        horizon: paper.horizon,
+        warmup: paper.warmup,
+        seed: paper.seed,
+    };
+    for (name, arch, alloc, arbiter) in alloc_workloads() {
+        for engine in [SimEngine::Legacy, SimEngine::Actors] {
+            let mut arbiter = arbiter.clone();
+            let (_, counts) =
+                alloc::count(|| engine.simulate_with(&arch, &alloc, &mut arbiter, None, &cfg));
+            println!(
+                "{name:>40} {engine:?}: {} allocations ({} bytes) per replication",
+                counts.allocs, counts.bytes
+            );
+            gate.check(
+                counts.allocs <= ALLOC_LIMIT,
+                format_args!(
+                    "{name} on {engine:?}: {} allocations per replication (limit {ALLOC_LIMIT})",
+                    counts.allocs
+                ),
+            );
+        }
+    }
+}
+
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
     check_equivalence(gate, 2000.0, false);
     check_extended(gate, 2000.0, false);
+    check_allocations(gate);
 
     let np = templates::network_processor();
     let legacy = best_time(SimEngine::Legacy, &np, 5000.0);
@@ -188,6 +263,8 @@ fn full_probe() {
     let mut gate = Gate::new();
     check_equivalence(&mut gate, 2000.0, true);
     check_extended(&mut gate, 5000.0, true);
+    println!();
+    check_allocations(&mut gate);
     println!(
         "\n{:>18} {:>12} {:>12} {:>7}",
         "template", "legacy", "actors", "ratio"

@@ -6,8 +6,15 @@
 //! constant sizing and ≈ 50 % vs the timeout policy; a few processors may
 //! get slightly worse while hot ones improve drastically.
 //!
+//! The bin gates the shape the reproduction meets: total post-sizing
+//! loss must be below both constant sizing and the timeout policy. It
+//! exits with the number of broken checks (`SMOKE FAIL: …` on stderr).
+//! The sizes of the drops are printed beside the paper's, not gated
+//! (README, "Measured deviations").
+//!
 //! Run with: `cargo run --release -p socbuf-bench --bin fig3_loss_rates`
 
+use socbuf_bench::probe::Gate;
 use socbuf_bench::{bar, paper_pipeline_config};
 use socbuf_core::{evaluate_policies, SizingReport};
 use socbuf_soc::templates;
@@ -63,5 +70,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * cmp.improvement_vs_pre(),
         100.0 * cmp.improvement_vs_timeout()
     );
-    Ok(())
+
+    let (pre, post, timeout) = (
+        cmp.pre.total_lost,
+        cmp.post.total_lost,
+        cmp.timeout.total_lost,
+    );
+    let mut gate = Gate::new();
+    gate.check(
+        post < pre,
+        format_args!("post-sizing loss {post:.1} is not below constant sizing's {pre:.1}"),
+    );
+    gate.check(
+        post < timeout,
+        format_args!("post-sizing loss {post:.1} is not below the timeout policy's {timeout:.1}"),
+    );
+    std::process::exit(gate.finish())
 }

@@ -7,6 +7,7 @@
 //! can execute (priority arbitration, locked transfers, bursty and
 //! on-off sources, bridge latency).
 
+use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_sim::{
     simulate, simulate_actors, simulate_actors_with, simulate_with, Arbiter, SimConfig, SimEngine,
     TimeoutSpec,
@@ -28,8 +29,9 @@ fn conservation_ok(r: &socbuf_sim::SimReport) {
     assert!(r.in_flight >= -1e-9);
 }
 
-/// Every shared template × every stateless arbiter × several seeds:
-/// the two engines must agree exactly.
+/// Every shared template × every arbiter × several seeds: the two
+/// engines must agree exactly. `WeightedEffort` carries the efforts the
+/// pipeline's post-sizing policy runs with.
 #[test]
 fn engines_agree_on_all_shared_templates() {
     let arches: Vec<(&str, Architecture)> = vec![
@@ -40,6 +42,9 @@ fn engines_agree_on_all_shared_templates() {
     ];
     for (name, arch) in &arches {
         let alloc = BufferAllocation::uniform(arch, 6);
+        let efforts = size_buffers(arch, 6, &SizingConfig::small())
+            .expect("template sizes")
+            .efforts;
         for seed in [0, 1, 17, 4242] {
             let cfg = SimConfig::new(300.0, seed);
             for arbiter in [
@@ -47,6 +52,9 @@ fn engines_agree_on_all_shared_templates() {
                 Arbiter::LongestQueue,
                 Arbiter::FixedSlot,
                 Arbiter::round_robin(arch.num_buses()),
+                Arbiter::WeightedEffort {
+                    efforts: efforts.clone(),
+                },
             ] {
                 let legacy = simulate(arch, &alloc, arbiter.clone(), &cfg);
                 let actors = simulate_actors(arch, &alloc, arbiter.clone(), &cfg);
