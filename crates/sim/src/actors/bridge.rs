@@ -25,17 +25,32 @@ impl World<'_> {
     /// forwarding latency. The offer carries the request's origin flag
     /// so end-to-end accounting stays tied to the hop-0 measurement
     /// window (see [`Request`]).
-    pub(super) fn bridge_forward(&mut self, g: usize, req: Request, dest_queue: usize, t: f64) {
+    ///
+    /// A zero-latency crossing is offered in place: as an `Offer`
+    /// envelope it would be the next one delivered. Returns whether the
+    /// offer kicked its bus at this instant.
+    pub(super) fn bridge_forward(
+        &mut self,
+        g: usize,
+        req: Request,
+        dest_queue: usize,
+        t: f64,
+    ) -> bool {
+        let (flow, hop, counted_origin) = (req.flow, req.hop + 1, req.counted_origin);
         let latency = self.bridges[g].latency;
+        if latency == 0.0 {
+            return self.queue_offer(dest_queue, flow, hop, Some(counted_origin), t);
+        }
         self.evq.send(
             t + latency,
             Class::Data,
             ActorId::Queue(dest_queue),
             Msg::Offer {
-                flow: req.flow,
-                hop: req.hop + 1,
-                counted_origin: req.counted_origin,
+                flow,
+                hop,
+                counted_origin,
             },
         );
+        false
     }
 }

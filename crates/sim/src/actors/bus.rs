@@ -2,9 +2,9 @@
 //!
 //! A bus reads its queues' lengths directly and resolves a grant in
 //! place: it sheds the granted queue's timed-out heads and starts
-//! service in the same call. Only the passage of time (`Complete`) and
-//! the ordered re-arbitration after a completion (`Rearm`) travel as
-//! envelopes.
+//! service in the same call. The passage of time (`Complete`) travels
+//! as an envelope; so does the re-arbitration after a completion
+//! (`Rearm`), but only when it must wait behind a same-instant `Kick`.
 
 use socbuf_soc::{BusArbitration, QueueId};
 
@@ -15,13 +15,13 @@ use crate::arbiter::QueueView;
 /// The bus's grant state machine.
 ///
 /// ```text
-///            Kick/Rearm: arbitrate, grant, draw exp(μ)
+///           Kick/re-arm: arbitrate, grant, draw exp(μ)
 /// Unlocked ──────────────────────────────────────────▶ Busy │ Locked
 ///     ▲                                                  │       │
 ///     │                  Complete                        │       │
 ///     └──────────────────────────────────────────────────┘       │
 ///     ▲                                                          │
-///     │        Rearm (lock spent or queue empty)      Complete   │
+///     │       re-arm (lock spent or queue empty)      Complete   │
 ///     └───────────────────────────────── FreeNext ◀──────────────┘
 /// ```
 ///
@@ -33,12 +33,14 @@ use crate::arbiter::QueueView;
 /// first refusal on the next leg without a new arbitration draw.
 ///
 /// Only an `Unlocked` bus is sent a `Kick`. A `FreeNext` bus would
-/// ignore it: its `Rearm` is already queued at this instant, and every
-/// `Kick` of the instant is delivered before it. A `Busy` or `Locked`
-/// bus is freed only by its `Complete`; that lands at the instant of an
-/// offer only on an exact float tie between independent exponential
-/// samples, the case the in-place hand-offs already set aside (see the
-/// `scheduler` module). So skipping those kicks moves no draw.
+/// ignore it: an offer sees that state only while the bus's `Rearm` is
+/// queued at this instant (an in-place re-arm leaves it at once), and
+/// every `Kick` of the instant is delivered before that `Rearm`. A
+/// `Busy` or `Locked` bus is freed only by its `Complete`; that lands at
+/// the instant of an offer only on an exact float tie between
+/// independent exponential samples, the case the in-place hand-offs
+/// already set aside (see the `scheduler` module). So skipping those
+/// kicks moves no draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum BusState {
     /// Idle and open to arbitration.
@@ -190,28 +192,37 @@ impl World<'_> {
     }
 
     /// The scheduled service completes: finish the served queue's head
-    /// (which commits statistics and forwards the request) and schedule
-    /// our own re-arbitration *after* the downstream cascade settles.
+    /// (which commits statistics and forwards the request), then
+    /// re-arbitrate *after* the downstream cascade settles. The cascade
+    /// is the `Kick` a zero-latency crossing may send; only then does
+    /// the re-arm wait behind it as a `Rearm` envelope. Otherwise that
+    /// envelope would be the next one delivered, so the re-arm runs in
+    /// place.
     pub(super) fn bus_complete(&mut self, b: usize, t: f64) {
-        match self.buses[b].state {
+        let kicked = match self.buses[b].state {
             BusState::Busy { queue: None, .. } => {
                 // Idle slot elapsed.
                 self.buses[b].state = BusState::Unlocked;
+                false
             }
             BusState::Busy {
                 queue: Some(q),
                 start,
             } => {
                 self.buses[b].state = BusState::Unlocked;
-                self.queue_finish(q, start, t);
+                self.queue_finish(q, start, t)
             }
             BusState::Locked { queue, start, left } => {
                 self.buses[b].state = BusState::FreeNext { queue, left };
-                self.queue_finish(queue, start, t);
+                self.queue_finish(queue, start, t)
             }
             state => unreachable!("Complete on bus {b} in state {state:?}"),
+        };
+        if kicked {
+            self.evq.send(t, Class::Rearm, ActorId::Bus(b), Msg::Rearm);
+        } else {
+            self.bus_rearm(b, t);
         }
-        self.evq.send(t, Class::Rearm, ActorId::Bus(b), Msg::Rearm);
     }
 
     /// Post-completion re-arm: honour a live lock first, otherwise reopen

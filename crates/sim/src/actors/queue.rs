@@ -45,6 +45,7 @@ impl World<'_> {
     /// A request is offered to queue `q` (fresh arrival or bridge
     /// crossing). Mirrors the legacy engine's `offer` accounting
     /// exactly; measurement flags are frozen here (see [`Request`]).
+    /// Returns whether it kicked the queue's bus.
     pub(super) fn queue_offer(
         &mut self,
         q: usize,
@@ -52,7 +53,7 @@ impl World<'_> {
         hop: usize,
         carried_origin: Option<bool>,
         t: f64,
-    ) {
+    ) -> bool {
         let counted = self.measure(t);
         let counted_origin = carried_origin.unwrap_or(counted);
         let origin = self.origin_of(flow);
@@ -69,7 +70,7 @@ impl World<'_> {
             if counted_origin {
                 self.stats.p_lost[origin] += 1.0;
             }
-            return;
+            return false;
         }
         self.touch_queue(q, t);
         self.queues[q].buf.push_back(Request {
@@ -85,9 +86,11 @@ impl World<'_> {
         // Only an idle bus needs the kick (see `BusState` for why the
         // others can skip it without moving a draw).
         let bus = self.queues[q].bus;
-        if self.buses[bus].state == BusState::Unlocked {
+        let idle = self.buses[bus].state == BusState::Unlocked;
+        if idle {
             self.evq.send(t, Class::Kick, ActorId::Bus(bus), Msg::Kick);
         }
+        idle
     }
 
     /// The bus is granting queue `q`: shed stale heads under the
@@ -117,7 +120,9 @@ impl World<'_> {
     }
 
     /// Service of queue `q`'s head (started at `start`) completed.
-    pub(super) fn queue_finish(&mut self, q: usize, start: f64, t: f64) {
+    /// Returns whether handing the request on kicked a bus at this
+    /// instant.
+    pub(super) fn queue_finish(&mut self, q: usize, start: f64, t: f64) -> bool {
         self.touch_queue(q, t);
         let req = self.queues[q]
             .buf
@@ -132,10 +137,13 @@ impl World<'_> {
         if req.hop + 1 < path.len() {
             let bridge = self.arch.route(fid).bridges[req.hop].index();
             let dest_queue = path[req.hop + 1].index();
-            self.bridge_forward(bridge, req, dest_queue, t);
-        } else if req.counted_origin {
-            let origin = self.origin_of(req.flow);
-            self.stats.p_delivered[origin] += 1.0;
+            self.bridge_forward(bridge, req, dest_queue, t)
+        } else {
+            if req.counted_origin {
+                let origin = self.origin_of(req.flow);
+                self.stats.p_delivered[origin] += 1.0;
+            }
+            false
         }
     }
 }

@@ -26,21 +26,26 @@
 //! Hand-offs that happen at the sender's own instant with nothing able
 //! to run in between are direct calls, not envelopes: a source offering
 //! its batch, a bus granting a queue (shed, then start service), a
-//! completion finishing its queue's head and handing it to the bridge.
-//! Such a message would always be the very next envelope delivered: it
-//! is `Data` at the current instant, sent while a `Data`, `Kick` or
-//! `Rearm` envelope of that instant is handled, and by then no other
-//! `Data` envelope of the instant is left (short of an exact tie
-//! between independent continuous samples). Calling it in place keeps
-//! the draw order.
+//! completion finishing its queue's head and handing it across a
+//! zero-latency bridge into the next queue. Such a message would always
+//! be the very next envelope delivered: it is `Data` at the current
+//! instant, sent while a `Data`, `Kick` or `Rearm` envelope of that
+//! instant is handled, and by then no other `Data` envelope of the
+//! instant is left (short of an exact tie between independent
+//! continuous samples). Calling it in place keeps the draw order. A
+//! bus's re-arm after a completion is direct for the same reason unless
+//! the completion's crossing kicked a bus: then the re-arm waits behind
+//! that `Kick` as a `Rearm` envelope. A `Kick` goes only to an idle bus;
+//! the bus module's `BusState` says why the others can skip it.
 //!
 //! The class layer is what lets the actor decomposition reproduce the
 //! legacy event loop's RNG draw order *exactly* on shared workloads: at
 //! a completion instant, the freed request first crosses into its
-//! downstream queue and kicks the downstream bus (`Data` then `Kick`,
-//! drawing that bus's arbitration and service samples), and only then
-//! does the completing bus re-arbitrate (`Rearm`) — the same order the
-//! monolithic loop executes those draws in.
+//! downstream queue and kicks the downstream bus (`Kick`, drawing that
+//! bus's arbitration and service samples), and only then does the
+//! completing bus re-arbitrate (`Rearm`) — the same order the
+//! monolithic loop executes those draws in. A source's burst likewise
+//! lands whole before its bus arbitrates.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -79,7 +84,7 @@ pub(super) enum Msg {
     /// Source self-message: flip the on-off phase.
     Toggle,
     /// Bridge → queue: a request of `flow` arrives at its `hop`-th path
-    /// stop after the bridge's forwarding latency.
+    /// stop after the bridge's (non-zero) forwarding latency.
     Offer {
         /// Flow index.
         flow: usize,
@@ -92,7 +97,8 @@ pub(super) enum Msg {
     Kick,
     /// Bus self-message: the scheduled service completes now.
     Complete,
-    /// Bus self-message: re-arbitrate after a completion.
+    /// Bus self-message: re-arbitrate after a completion whose crossing
+    /// kicked a bus at the same instant.
     Rearm,
 }
 

@@ -153,7 +153,9 @@ impl<'a> World<'a> {
                     hop,
                     counted_origin,
                 },
-            ) => self.queue_offer(q, flow, hop, Some(counted_origin), t),
+            ) => {
+                self.queue_offer(q, flow, hop, Some(counted_origin), t);
+            }
             (ActorId::Bus(b), Msg::Kick) => self.bus_kick(b, t),
             (ActorId::Bus(b), Msg::Complete) => self.bus_complete(b, t),
             (ActorId::Bus(b), Msg::Rearm) => self.bus_rearm(b, t),
