@@ -45,7 +45,7 @@ use std::time::Duration;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
-/// The engine measures 1.5-1.7x here; routing each grant and finish
+/// The engine measures 1.2-1.6x here; routing each grant and finish
 /// through the event queue again measured 2.7-3.1x and fails it.
 const ACTOR_SLOWDOWN_LIMIT: f64 = 2.5;
 

@@ -36,19 +36,19 @@ impl World<'_> {
         dest_queue: usize,
         t: f64,
     ) -> bool {
-        let (flow, hop, counted_origin) = (req.flow, req.hop + 1, req.counted_origin);
         let latency = self.bridges[g].latency;
         if latency == 0.0 {
-            return self.queue_offer(dest_queue, flow, hop, Some(counted_origin), t);
+            let origin = Some(req.counted_origin);
+            return self.queue_offer(dest_queue, req.flow, req.hop + 1, origin, t);
         }
         self.evq.send(
             t + latency,
             Class::Data,
             ActorId::Queue(dest_queue),
             Msg::Offer {
-                flow,
-                hop,
-                counted_origin,
+                flow: req.flow,
+                hop: req.hop + 1,
+                counted_origin: req.counted_origin,
             },
         );
         false

@@ -14,9 +14,9 @@ use crate::request::Request;
 ///
 /// * offer — accept or drop (full-buffer loss) and, on acceptance, send
 ///   the bus a `Kick` if it is idle (a busy bus reaches its own
-///   arbitration point; see [`BusState`]). A source's arrivals are
-///   direct calls; a bridge crossing arrives as an `Offer` envelope
-///   after the bridge latency.
+///   arbitration point; see [`BusState`]). A source's arrivals and
+///   zero-latency bridge crossings are direct calls; a crossing with a
+///   latency arrives as an `Offer` envelope after it.
 /// * shed — called by the bus as it grants this queue: drop stale heads
 ///   under the timeout policy. A surviving head stays in the buffer
 ///   until it finishes, so occupancy counts the request in service.
