@@ -23,10 +23,11 @@
 //!   the same host, so the ratio is robust to runner speed.
 //! * **allocations (enforced on every host)** — one replication at the
 //!   paper's horizon may make at most [`ALLOC_LIMIT`] heap allocations
-//!   on either engine, on the workloads `policy_eval` simulates. The
-//!   per-event path allocates nothing, so the count is the run's fixed
-//!   setup plus buffer growth; an allocation per arbitration or per
-//!   event runs into the thousands. Counts do not depend on the host.
+//!   on either engine, under Figure 3's constant-sizing and post-sizing
+//!   policies on figure1 and network_processor. The per-event path
+//!   allocates nothing, so the count is the run's fixed setup plus
+//!   buffer growth; an allocation per arbitration or per event runs
+//!   into the thousands. Counts do not depend on the host.
 
 use socbuf_bench::alloc::{self, CountingAlloc};
 use socbuf_bench::paper_pipeline_config;
