@@ -1,6 +1,6 @@
 //! Bridge actors: per-hop forwarding latency between buses.
 
-use crate::actors::scheduler::{ActorId, Class, Msg};
+use crate::actors::scheduler::{ActorId, Msg};
 use crate::actors::world::World;
 use crate::request::Request;
 
@@ -26,24 +26,17 @@ impl World<'_> {
     /// so end-to-end accounting stays tied to the hop-0 measurement
     /// window (see [`Request`]).
     ///
-    /// A zero-latency crossing is offered in place: as an `Offer`
-    /// envelope it would be the next one delivered. Returns whether the
-    /// offer kicked its bus at this instant.
-    pub(super) fn bridge_forward(
-        &mut self,
-        g: usize,
-        req: Request,
-        dest_queue: usize,
-        t: f64,
-    ) -> bool {
+    /// A zero-latency crossing is offered in place, so the downstream
+    /// bus arbitrates before the bus that served the request re-arms.
+    pub(super) fn bridge_forward(&mut self, g: usize, req: Request, dest_queue: usize, t: f64) {
         let latency = self.bridges[g].latency;
         if latency == 0.0 {
             let origin = Some(req.counted_origin);
-            return self.queue_offer(dest_queue, req.flow, req.hop + 1, origin, t);
+            self.queue_offer(dest_queue, req.flow, req.hop + 1, origin, t);
+            return;
         }
         self.evq.send(
             t + latency,
-            Class::Data,
             ActorId::Queue(dest_queue),
             Msg::Offer {
                 flow: req.flow,
@@ -51,6 +44,5 @@ impl World<'_> {
                 counted_origin: req.counted_origin,
             },
         );
-        false
     }
 }

@@ -2,45 +2,42 @@
 //!
 //! A bus reads its queues' lengths directly and resolves a grant in
 //! place: it sheds the granted queue's timed-out heads and starts
-//! service in the same call. The passage of time (`Complete`) travels
-//! as an envelope; so does the re-arbitration after a completion
-//! (`Rearm`), but only when it must wait behind a same-instant `Kick`.
+//! service in the same call. Only the passage of time (`Complete`)
+//! travels as an envelope; a completion re-arms the bus in place.
 
 use socbuf_soc::{BusArbitration, QueueId};
 
-use crate::actors::scheduler::{ActorId, Class, Msg};
+use crate::actors::scheduler::{ActorId, Msg};
 use crate::actors::world::World;
 use crate::arbiter::QueueView;
 
 /// The bus's grant state machine.
 ///
 /// ```text
-///           Kick/re-arm: arbitrate, grant, draw exp(μ)
-/// Unlocked ──────────────────────────────────────────▶ Busy │ Locked
-///     ▲                                                  │       │
-///     │                  Complete                        │       │
-///     └──────────────────────────────────────────────────┘       │
-///     ▲                                                          │
-///     │       re-arm (lock spent or queue empty)      Complete   │
-///     └───────────────────────────────── FreeNext ◀──────────────┘
+///           offer to an idle bus, or re-arm:
+///           arbitrate, grant, draw exp(μ)
+/// Unlocked ─────────────────────────────────▶ Busy │ Locked
+///     ▲                                            │
+///     │   Complete: finish the head, hand it on,   │
+///     │   then re-arm                              │
+///     └────────────────────────────────────────────┘
 /// ```
 ///
-/// A grant whose timeout sheds empty the queue leaves the bus
-/// `Unlocked` and re-arbitrates at once.
+/// The re-arm after a `Locked` leg gives the locked queue first refusal
+/// on the next leg without a new arbitration draw; once the lock is
+/// spent or the queue is empty it reopens arbitration. A grant whose
+/// timeout sheds empty the queue leaves the bus `Unlocked` and
+/// re-arbitrates at once.
 ///
-/// `FreeNext` is the locked-transfer hold: the bus has completed one leg
-/// of a locked batch and, at its re-arm point, gives the locked queue
-/// first refusal on the next leg without a new arbitration draw.
-///
-/// Only an `Unlocked` bus is sent a `Kick`. A `FreeNext` bus would
-/// ignore it: an offer sees that state only while the bus's `Rearm` is
-/// queued at this instant (an in-place re-arm leaves it at once), and
-/// every `Kick` of the instant is delivered before that `Rearm`. A
-/// `Busy` or `Locked` bus is freed only by its `Complete`; that lands at
-/// the instant of an offer only on an exact float tie between
-/// independent exponential samples, the case the in-place hand-offs
-/// already set aside (see the `scheduler` module). So skipping those
-/// kicks moves no draw.
+/// Between envelopes an `Unlocked` bus has every queue empty: each
+/// arbitration grants a nonempty queue when there is one, and a
+/// `FixedSlot` bus sleeps only when all its queues are empty. So an
+/// offer to an idle bus arbitrates in place with its request as the only
+/// candidate. An offer to a `Busy` or `Locked` bus does nothing: that
+/// bus is freed only by its `Complete`, which re-arms it, and which
+/// lands at the instant of an offer only on an exact float tie between
+/// independent exponential samples (set aside; see the `scheduler`
+/// module).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum BusState {
     /// Idle and open to arbitration.
@@ -61,14 +58,6 @@ pub(super) enum BusState {
         /// Service start time.
         start: f64,
         /// Legs remaining after the current one.
-        left: usize,
-    },
-    /// Between legs of a locked transfer: `queue` may claim the bus
-    /// again (up to `left` more times) before arbitration reopens.
-    FreeNext {
-        /// Queue holding the lock.
-        queue: usize,
-        /// Legs remaining.
         left: usize,
     },
 }
@@ -93,15 +82,6 @@ impl BusActor {
 }
 
 impl World<'_> {
-    /// A queue solicits service. Only an unlocked bus reacts: the bus
-    /// was unlocked when the kick was sent, but a kick delivered earlier
-    /// in the same instant may have engaged it since.
-    pub(super) fn bus_kick(&mut self, b: usize, t: f64) {
-        if self.buses[b].state == BusState::Unlocked {
-            self.bus_arbitrate(b, t);
-        }
-    }
-
     /// Runs one arbitration decision and grants the winner (if any).
     pub(super) fn bus_arbitrate(&mut self, b: usize, t: f64) {
         match self.buses[b].mode {
@@ -132,7 +112,7 @@ impl World<'_> {
                         .filter(|c| slotted || c.len > 0),
                 );
                 // Slotted arbiters only spin when at least one queue
-                // waits; otherwise the bus sleeps until the next kick.
+                // waits; otherwise the bus sleeps until the next offer.
                 if slotted && self.candidates.iter().all(|c| c.len == 0) {
                     return;
                 }
@@ -148,8 +128,7 @@ impl World<'_> {
                         start: t,
                     };
                     let dt = self.exp(self.bus_rate(b));
-                    self.evq
-                        .send(t + dt, Class::Data, ActorId::Bus(b), Msg::Complete);
+                    self.evq.send(t + dt, ActorId::Bus(b), Msg::Complete);
                     return;
                 }
                 let q = picked.id.index();
@@ -187,62 +166,41 @@ impl World<'_> {
             },
         };
         let dt = self.exp(self.bus_rate(b));
-        self.evq
-            .send(t + dt, Class::Data, ActorId::Bus(b), Msg::Complete);
+        self.evq.send(t + dt, ActorId::Bus(b), Msg::Complete);
     }
 
-    /// The scheduled service completes: finish the served queue's head
-    /// (which commits statistics and forwards the request), then
-    /// re-arbitrate *after* the downstream cascade settles. The cascade
-    /// is the `Kick` a zero-latency crossing may send; only then does
-    /// the re-arm wait behind it as a `Rearm` envelope. Otherwise that
-    /// envelope would be the next one delivered, so the re-arm runs in
-    /// place.
+    /// The scheduled service completes: free the bus, finish the served
+    /// queue's head (which commits statistics and hands the request on,
+    /// arbitrating the downstream bus if it is idle), then re-arm —
+    /// the legacy loop's order. The re-arm honours a live lock first,
+    /// otherwise it reopens arbitration.
     pub(super) fn bus_complete(&mut self, b: usize, t: f64) {
-        let kicked = match self.buses[b].state {
-            BusState::Busy { queue: None, .. } => {
-                // Idle slot elapsed.
-                self.buses[b].state = BusState::Unlocked;
-                false
-            }
+        let lock = match std::mem::replace(&mut self.buses[b].state, BusState::Unlocked) {
+            // Idle slot elapsed.
+            BusState::Busy { queue: None, .. } => None,
             BusState::Busy {
                 queue: Some(q),
                 start,
             } => {
-                self.buses[b].state = BusState::Unlocked;
-                self.queue_finish(q, start, t)
+                self.queue_finish(q, start, t);
+                None
             }
             BusState::Locked { queue, start, left } => {
-                self.buses[b].state = BusState::FreeNext { queue, left };
-                self.queue_finish(queue, start, t)
+                self.queue_finish(queue, start, t);
+                Some((queue, left))
             }
-            state => unreachable!("Complete on bus {b} in state {state:?}"),
+            BusState::Unlocked => unreachable!("Complete on idle bus {b}"),
         };
-        if kicked {
-            self.evq.send(t, Class::Rearm, ActorId::Bus(b), Msg::Rearm);
-        } else {
-            self.bus_rearm(b, t);
-        }
-    }
-
-    /// Post-completion re-arm: honour a live lock first, otherwise reopen
-    /// arbitration.
-    pub(super) fn bus_rearm(&mut self, b: usize, t: f64) {
-        match self.buses[b].state {
-            BusState::FreeNext { queue, left } => {
-                if left > 0 && !self.queues[queue].buf.is_empty() {
-                    // Continuation leg: the locked queue keeps the bus
-                    // without a new arbitration draw.
-                    self.grant(b, queue, Some(left - 1), t);
-                } else {
-                    self.buses[b].state = BusState::Unlocked;
-                    self.bus_arbitrate(b, t);
-                }
+        // A bridge joins two different buses, so handing the request on
+        // never engages this one.
+        debug_assert_eq!(self.buses[b].state, BusState::Unlocked);
+        match lock {
+            // Continuation leg: the locked queue keeps the bus without a
+            // new arbitration draw.
+            Some((queue, left)) if !self.queues[queue].buf.is_empty() => {
+                self.grant(b, queue, Some(left - 1), t);
             }
-            BusState::Unlocked => self.bus_arbitrate(b, t),
-            // A same-instant cascade already re-engaged the bus between
-            // the completion and this re-arm; nothing to do.
-            _ => {}
+            _ => self.bus_arbitrate(b, t),
         }
     }
 

@@ -3,23 +3,22 @@
 //! This engine decomposes the simulation into component actors —
 //! traffic sources (`source`), queues (`queue`), buses (`bus`) and
 //! bridges (`bridge`) — that each own their state, sequenced by a
-//! deterministic time-ordered scheduler (`scheduler`). A hand-off that
-//! takes simulated time, or that must wait behind other work of the
-//! same instant, is a message; one that happens at once is a direct
-//! call. A run is a pure function of its inputs (see the `scheduler`
-//! module source for which hand-offs are which, and for the exact
-//! determinism contract).
+//! deterministic `(time, seq)`-ordered scheduler (`scheduler`). A
+//! hand-off that takes simulated time is a message; one that happens at
+//! once is a direct call. A run is a pure function of its inputs (see
+//! the `scheduler` module source for which hand-offs are which, and for
+//! the exact determinism contract).
 //!
 //! # Relation to the legacy engine
 //!
 //! [`crate::simulate_with`] remains as the monolithic regression oracle.
 //! On architectures without extended semantics — Poisson flows,
 //! externally-arbitrated buses, zero-latency bridges — this engine
-//! reproduces the legacy engine's per-seed results *exactly*: the
-//! message classes order same-instant cascades so the shared RNG's draw
-//! sequence is identical (verified by the equivalence test suite). On
-//! top of that shared core, the actors execute what the legacy loop
-//! cannot:
+//! reproduces the legacy engine's per-seed results *exactly*: every
+//! same-instant hand-off runs in place, in the order the legacy loop
+//! makes the same calls, so the shared RNG's draw sequence is identical
+//! (verified by the equivalence test suite). On top of that shared
+//! core, the actors execute what the legacy loop cannot:
 //!
 //! * **declared arbitration** — `BusArbitration::Priority` (strict
 //!   declaration-order priority) and `BusArbitration::Locked`

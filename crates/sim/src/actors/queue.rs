@@ -2,7 +2,6 @@
 //! timeout shedding.
 
 use crate::actors::bus::BusState;
-use crate::actors::scheduler::{ActorId, Class, Msg};
 use crate::actors::world::World;
 use crate::request::Request;
 
@@ -12,9 +11,9 @@ use crate::request::Request;
 /// The queue owns the waiting [`Request`]s. Its bus reads the buffer's
 /// length directly. Hand-offs:
 ///
-/// * offer — accept or drop (full-buffer loss) and, on acceptance, send
-///   the bus a `Kick` if it is idle (a busy bus reaches its own
-///   arbitration point; see [`BusState`]). A source's arrivals and
+/// * offer — accept or drop (full-buffer loss) and, on acceptance,
+///   arbitrate the bus in place if it is idle (a busy bus reaches its
+///   own arbitration point; see [`BusState`]). A source's arrivals and
 ///   zero-latency bridge crossings are direct calls; a crossing with a
 ///   latency arrives as an `Offer` envelope after it.
 /// * shed — called by the bus as it grants this queue: drop stale heads
@@ -45,7 +44,8 @@ impl World<'_> {
     /// A request is offered to queue `q` (fresh arrival or bridge
     /// crossing). Mirrors the legacy engine's `offer` accounting
     /// exactly; measurement flags are frozen here (see [`Request`]).
-    /// Returns whether it kicked the queue's bus.
+    /// An accepted request arbitrates an idle bus at once, as the legacy
+    /// loop's `try_start_service` after its offer does.
     pub(super) fn queue_offer(
         &mut self,
         q: usize,
@@ -53,7 +53,7 @@ impl World<'_> {
         hop: usize,
         carried_origin: Option<bool>,
         t: f64,
-    ) -> bool {
+    ) {
         let counted = self.measure(t);
         let counted_origin = carried_origin.unwrap_or(counted);
         let origin = self.origin_of(flow);
@@ -70,7 +70,7 @@ impl World<'_> {
             if counted_origin {
                 self.stats.p_lost[origin] += 1.0;
             }
-            return false;
+            return;
         }
         self.touch_queue(q, t);
         self.queues[q].buf.push_back(Request {
@@ -83,14 +83,22 @@ impl World<'_> {
         if counted {
             self.stats.q_accepted[q] += 1.0;
         }
-        // Only an idle bus needs the kick (see `BusState` for why the
-        // others can skip it without moving a draw).
+        // Only an idle bus arbitrates here; a busy one reaches its own
+        // arbitration point (see `BusState`). An idle bus leaves no
+        // queue backlogged, so this request is the only candidate:
+        // arbitrating now, rather than after the rest of a burst, makes
+        // the same draw.
         let bus = self.queues[q].bus;
-        let idle = self.buses[bus].state == BusState::Unlocked;
-        if idle {
-            self.evq.send(t, Class::Kick, ActorId::Bus(bus), Msg::Kick);
+        if self.buses[bus].state == BusState::Unlocked {
+            debug_assert!(
+                self.buses[bus].queue_ids.iter().all(|id| {
+                    let len = self.queues[id.index()].buf.len();
+                    len == usize::from(id.index() == q)
+                }),
+                "idle bus {bus} had a backlog before queue {q}'s offer at t={t}"
+            );
+            self.bus_arbitrate(bus, t);
         }
-        idle
     }
 
     /// The bus is granting queue `q`: shed stale heads under the
@@ -120,9 +128,7 @@ impl World<'_> {
     }
 
     /// Service of queue `q`'s head (started at `start`) completed.
-    /// Returns whether handing the request on kicked a bus at this
-    /// instant.
-    pub(super) fn queue_finish(&mut self, q: usize, start: f64, t: f64) -> bool {
+    pub(super) fn queue_finish(&mut self, q: usize, start: f64, t: f64) {
         self.touch_queue(q, t);
         let req = self.queues[q]
             .buf
@@ -137,13 +143,10 @@ impl World<'_> {
         if req.hop + 1 < path.len() {
             let bridge = self.arch.route(fid).bridges[req.hop].index();
             let dest_queue = path[req.hop + 1].index();
-            self.bridge_forward(bridge, req, dest_queue, t)
-        } else {
-            if req.counted_origin {
-                let origin = self.origin_of(req.flow);
-                self.stats.p_delivered[origin] += 1.0;
-            }
-            false
+            self.bridge_forward(bridge, req, dest_queue, t);
+        } else if req.counted_origin {
+            let origin = self.origin_of(req.flow);
+            self.stats.p_delivered[origin] += 1.0;
         }
     }
 }

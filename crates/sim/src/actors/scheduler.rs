@@ -1,21 +1,16 @@
-//! The deterministic time-ordered scheduler: envelopes, ordering
-//! classes and the event queue.
+//! The deterministic time-ordered scheduler: envelopes and the event
+//! queue.
 //!
 //! # Determinism contract
 //!
-//! Every hand-off that crosses time — or that a class must order
-//! behind other same-instant work — travels as an [`Envelope`] through
-//! one shared [`EventQueue`], ordered by the triple `(time, class, seq)`:
+//! Every hand-off that takes simulated time travels as an [`Envelope`]
+//! through one shared [`EventQueue`], ordered by the pair `(time, seq)`
+//! — the same rule as the legacy engine's event heap:
 //!
 //! 1. **time** — simulated delivery time (`f64`, total order via
 //!    `total_cmp`).
-//! 2. **class** — a coarse priority for same-instant cascades:
-//!    [`Class::Data`] (arrivals, phase toggles, bridge offers and
-//!    service completions) before [`Class::Kick`] (queue → bus service
-//!    solicitations) before [`Class::Rearm`] (a bus's own
-//!    post-completion re-arbitration).
-//! 3. **seq** — a globally monotone emission counter breaking the
-//!    remaining ties in send order.
+//! 2. **seq** — a globally monotone emission counter breaking ties in
+//!    send order.
 //!
 //! Because `seq` is assigned at send time from a single counter and the
 //! queue is drained by a single dispatch loop, a run is a pure function
@@ -23,43 +18,29 @@
 //! no global mutable state, no iteration-order dependence and no
 //! wall-clock input anywhere.
 //!
-//! Hand-offs that happen at the sender's own instant with nothing able
-//! to run in between are direct calls, not envelopes: a source offering
-//! its batch, a bus granting a queue (shed, then start service), a
-//! completion finishing its queue's head and handing it across a
-//! zero-latency bridge into the next queue. Such a message would always
-//! be the very next envelope delivered: it is `Data` at the current
-//! instant, sent while a `Data`, `Kick` or `Rearm` envelope of that
-//! instant is handled, and by then no other `Data` envelope of the
-//! instant is left (short of an exact tie between independent
-//! continuous samples). Calling it in place keeps the draw order. A
-//! bus's re-arm after a completion is direct for the same reason unless
-//! the completion's crossing kicked a bus: then the re-arm waits behind
-//! that `Kick` as a `Rearm` envelope. A `Kick` goes only to an idle bus;
-//! the bus module's `BusState` says why the others can skip it.
+//! Only four messages remain: a source's next arrival (`Tick`), its
+//! phase flip (`Toggle`), a crossing over a bridge with a forwarding
+//! latency (`Offer`) and a bus's service completion (`Complete`). Every
+//! hand-off at the sender's own instant is a direct call, resolved in
+//! place in the order the legacy loop makes the same calls:
 //!
-//! The class layer is what lets the actor decomposition reproduce the
-//! legacy event loop's RNG draw order *exactly* on shared workloads: at
-//! a completion instant, the freed request first crosses into its
-//! downstream queue and kicks the downstream bus (`Kick`, drawing that
-//! bus's arbitration and service samples), and only then does the
-//! completing bus re-arbitrate (`Rearm`) — the same order the
-//! monolithic loop executes those draws in. A source's burst likewise
-//! lands whole before its bus arbitrates.
+//! * an offer accepted into a queue whose bus is idle arbitrates that
+//!   bus at once (and grants: shed, then start service);
+//! * a completion finishes its queue's head, hands it across a
+//!   zero-latency bridge into the next queue — whose offer may arbitrate
+//!   the downstream bus — and only then re-arms the completing bus.
+//!
+//! So at a completion instant the downstream bus draws its arbitration
+//! and service samples before the completing bus re-arbitrates, exactly
+//! as the monolithic loop does. A source's burst arbitrates its bus at
+//! the first request rather than after the whole batch; that reads the
+//! same candidate set and makes the same draw, because an idle bus has
+//! every queue empty between envelopes (see the bus module's
+//! `BusState`). Exact float ties between independent continuous samples
+//! are set aside, as they are for the legacy heap's own `seq` order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Same-instant ordering tier of an envelope (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(super) enum Class {
-    /// Arrivals, phase toggles, bridge offers and service completions.
-    Data = 0,
-    /// A queue soliciting service from its bus.
-    Kick = 1,
-    /// A bus's own re-arbitration after one of its completions.
-    Rearm = 2,
-}
 
 /// Destination of an envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,13 +74,8 @@ pub(super) enum Msg {
         /// The request's origin-window flag, frozen at its hop-0 offer.
         counted_origin: bool,
     },
-    /// Queue → bus: work may be waiting.
-    Kick,
     /// Bus self-message: the scheduled service completes now.
     Complete,
-    /// Bus self-message: re-arbitrate after a completion whose crossing
-    /// kicked a bus at the same instant.
-    Rearm,
 }
 
 /// One scheduled message.
@@ -107,8 +83,6 @@ pub(super) enum Msg {
 pub(super) struct Envelope {
     /// Delivery time.
     pub time: f64,
-    /// Same-instant tier.
-    pub class: Class,
     /// Emission counter (global, monotone).
     pub seq: u64,
     /// Receiver.
@@ -119,7 +93,7 @@ pub(super) struct Envelope {
 
 impl PartialEq for Envelope {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.class == other.class && self.seq == other.seq
+        self.time == other.time && self.seq == other.seq
     }
 }
 impl Eq for Envelope {}
@@ -134,7 +108,6 @@ impl Ord for Envelope {
         other
             .time
             .total_cmp(&self.time)
-            .then_with(|| other.class.cmp(&self.class))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -147,20 +120,19 @@ pub(super) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Schedules `msg` for `dest` at `time` in tier `class`.
-    pub fn send(&mut self, time: f64, class: Class, dest: ActorId, msg: Msg) {
+    /// Schedules `msg` for `dest` at `time`.
+    pub fn send(&mut self, time: f64, dest: ActorId, msg: Msg) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Envelope {
             time,
-            class,
             seq,
             dest,
             msg,
         });
     }
 
-    /// Next envelope in `(time, class, seq)` order.
+    /// Next envelope in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<Envelope> {
         self.heap.pop()
     }
@@ -171,23 +143,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn envelopes_pop_in_time_class_seq_order() {
+    fn envelopes_pop_in_time_seq_order() {
         let mut q = EventQueue::default();
-        // Emitted out of order on purpose.
-        q.send(2.0, Class::Data, ActorId::Bus(0), Msg::Kick);
-        q.send(1.0, Class::Rearm, ActorId::Bus(1), Msg::Rearm);
-        q.send(1.0, Class::Data, ActorId::Bus(2), Msg::Kick);
-        q.send(1.0, Class::Kick, ActorId::Bus(3), Msg::Kick);
-        q.send(1.0, Class::Data, ActorId::Bus(4), Msg::Kick);
-        let order: Vec<ActorId> = std::iter::from_fn(|| q.pop()).map(|e| e.dest).collect();
+        // Emitted out of time order on purpose; the three t=1 envelopes
+        // must leave in send order whatever their message kind.
+        q.send(2.0, ActorId::Bus(0), Msg::Complete);
+        q.send(1.0, ActorId::Bus(1), Msg::Complete);
+        q.send(0.5, ActorId::Source(2), Msg::Toggle);
+        q.send(1.0, ActorId::Source(3), Msg::Tick { epoch: 0 });
+        q.send(
+            1.0,
+            ActorId::Queue(4),
+            Msg::Offer {
+                flow: 0,
+                hop: 1,
+                counted_origin: true,
+            },
+        );
+        let order: Vec<(ActorId, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.dest, e.seq))
+            .collect();
         assert_eq!(
             order,
             vec![
-                ActorId::Bus(2), // t=1 Data, first emitted
-                ActorId::Bus(4), // t=1 Data, second emitted
-                ActorId::Bus(3), // t=1 Kick
-                ActorId::Bus(1), // t=1 Rearm
-                ActorId::Bus(0), // t=2
+                (ActorId::Source(2), 2), // t=0.5
+                (ActorId::Bus(1), 1),    // t=1, first emitted
+                (ActorId::Source(3), 3), // t=1, second emitted
+                (ActorId::Queue(4), 4),  // t=1, third emitted
+                (ActorId::Bus(0), 0),    // t=2
             ]
         );
     }

@@ -1,9 +1,10 @@
 //! Traffic-source actors: Poisson, batched-burst and on-off MMPP
-//! arrival processes.
+//! arrival processes, driven by their own `Tick` and `Toggle`
+//! envelopes; every offer a source makes is a direct call.
 
 use socbuf_soc::TrafficShape;
 
-use crate::actors::scheduler::{ActorId, Class, Msg};
+use crate::actors::scheduler::{ActorId, Msg};
 use crate::actors::world::World;
 
 /// One flow's arrival process.
@@ -62,14 +63,16 @@ impl SourceActor {
 impl World<'_> {
     /// An arrival epoch fires: schedule the next one (drawn *before* the
     /// offers, matching the legacy engine's draw order), then offer the
-    /// batch to the flow's first queue.
+    /// batch to the flow's first queue. The first accepted request of a
+    /// batch arbitrates an idle bus in place; that makes the same draw as
+    /// arbitrating after the whole batch (see the `scheduler` module).
     pub(super) fn source_tick(&mut self, f: usize, epoch: u64, t: f64) {
         if epoch != self.sources[f].epoch || !self.sources[f].phase_on {
             return; // orphaned by a phase toggle
         }
         let dt = self.exp(self.sources[f].epoch_rate());
         self.evq
-            .send(t + dt, Class::Data, ActorId::Source(f), Msg::Tick { epoch });
+            .send(t + dt, ActorId::Source(f), Msg::Tick { epoch });
         let fid = self.arch.flow_ids().nth(f).expect("flow in range");
         let q0 = self.arch.flow_path(fid)[0].index();
         for _ in 0..self.sources[f].batch() {
@@ -89,14 +92,12 @@ impl World<'_> {
         if self.sources[f].phase_on {
             let dt = self.exp(self.sources[f].epoch_rate());
             self.evq
-                .send(t + dt, Class::Data, ActorId::Source(f), Msg::Tick { epoch });
+                .send(t + dt, ActorId::Source(f), Msg::Tick { epoch });
             let dtg = self.exp(1.0 / mean_on);
-            self.evq
-                .send(t + dtg, Class::Data, ActorId::Source(f), Msg::Toggle);
+            self.evq.send(t + dtg, ActorId::Source(f), Msg::Toggle);
         } else {
             let dtg = self.exp(1.0 / mean_off);
-            self.evq
-                .send(t + dtg, Class::Data, ActorId::Source(f), Msg::Toggle);
+            self.evq.send(t + dtg, ActorId::Source(f), Msg::Toggle);
         }
     }
 }

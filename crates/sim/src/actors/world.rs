@@ -8,7 +8,7 @@ use socbuf_soc::{Architecture, BufferAllocation, QueueId, TrafficShape};
 use crate::actors::bridge::BridgeActor;
 use crate::actors::bus::BusActor;
 use crate::actors::queue::QueueActor;
-use crate::actors::scheduler::{ActorId, Class, Envelope, EventQueue, Msg};
+use crate::actors::scheduler::{ActorId, Envelope, EventQueue, Msg};
 use crate::actors::source::SourceActor;
 use crate::arbiter::{Arbiter, QueueView};
 use crate::engine::{SimConfig, TimeoutSpec};
@@ -18,13 +18,12 @@ use crate::stats::{RawCounters, SimReport};
 /// shared RNG and the statistics sink.
 ///
 /// Actors own their dynamic state (buffers, bus grants, source phases).
-/// A hand-off that takes time, or that a same-instant class must order,
-/// travels as an [`EventQueue`] envelope; one that happens at once is a
-/// direct call between handlers (see the `scheduler` module). The
-/// `World` is the context every handler runs in. The RNG is a single
-/// shared stream so the draw order — fixed by the envelope order — is
-/// reproducible and, on architectures without extended semantics,
-/// *identical* to the legacy engine's.
+/// A hand-off that takes time travels as an [`EventQueue`] envelope;
+/// one that happens at once is a direct call between handlers (see the
+/// `scheduler` module). The `World` is the context every handler runs
+/// in. The RNG is a single shared stream so the draw order — fixed by
+/// the envelope order — is reproducible and, on architectures without
+/// extended semantics, *identical* to the legacy engine's.
 pub(super) struct World<'a> {
     pub arch: &'a Architecture,
     pub arbiter: &'a mut Arbiter,
@@ -124,17 +123,16 @@ impl<'a> World<'a> {
                 TrafficShape::Poisson | TrafficShape::Burst { .. } => {
                     let dt = self.exp(self.sources[fi].epoch_rate());
                     self.evq
-                        .send(dt, Class::Data, ActorId::Source(fi), Msg::Tick { epoch: 0 });
+                        .send(dt, ActorId::Source(fi), Msg::Tick { epoch: 0 });
                 }
                 TrafficShape::OnOff { mean_on, .. } => {
                     // Start in the ON phase: first arrival, then the
                     // first toggle.
                     let dt = self.exp(self.sources[fi].epoch_rate());
                     self.evq
-                        .send(dt, Class::Data, ActorId::Source(fi), Msg::Tick { epoch: 0 });
+                        .send(dt, ActorId::Source(fi), Msg::Tick { epoch: 0 });
                     let dtg = self.exp(1.0 / mean_on);
-                    self.evq
-                        .send(dtg, Class::Data, ActorId::Source(fi), Msg::Toggle);
+                    self.evq.send(dtg, ActorId::Source(fi), Msg::Toggle);
                 }
             }
         }
@@ -153,12 +151,8 @@ impl<'a> World<'a> {
                     hop,
                     counted_origin,
                 },
-            ) => {
-                self.queue_offer(q, flow, hop, Some(counted_origin), t);
-            }
-            (ActorId::Bus(b), Msg::Kick) => self.bus_kick(b, t),
+            ) => self.queue_offer(q, flow, hop, Some(counted_origin), t),
             (ActorId::Bus(b), Msg::Complete) => self.bus_complete(b, t),
-            (ActorId::Bus(b), Msg::Rearm) => self.bus_rearm(b, t),
             (dest, msg) => unreachable!("misrouted message {msg:?} for {dest:?}"),
         }
     }
