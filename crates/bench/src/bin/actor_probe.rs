@@ -13,14 +13,15 @@
 //!   locked transfers, bursty and on/off sources) have no legacy
 //!   oracle, so the gate is per-seed reproducibility plus the
 //!   conservation identity `offered = delivered + lost + in_flight`.
-//! * **throughput (enforced on every host)** — the actor engine pays
-//!   for its envelopes (arrivals, kicks, completions, re-arms and
-//!   bridge crossings); the gate requires it stay within
-//!   [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy wall time (best of
-//!   [`SMOKE_REPEATS`]) on network_processor, so a scheduling
-//!   regression — such as same-instant hand-offs going back through the
-//!   event queue — cannot land silently. Both engines run in-process on
-//!   the same host, so the ratio is robust to runner speed.
+//! * **throughput (enforced on every host)** — the actor engine sends
+//!   the same envelopes as the legacy loop's events (arrivals and
+//!   completions) plus phase toggles and latency crossings; the gate
+//!   requires it stay within [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy
+//!   wall time (best of [`SMOKE_REPEATS`]) on network_processor, so a
+//!   scheduling regression — such as same-instant hand-offs going back
+//!   through the event queue — cannot land silently. Both engines run
+//!   in-process on the same host, so the ratio is robust to runner
+//!   speed.
 //! * **allocations (enforced on every host)** — one replication at the
 //!   paper's horizon may make at most [`ALLOC_LIMIT`] heap allocations
 //!   on either engine, under Figure 3's constant-sizing and post-sizing
@@ -46,9 +47,11 @@ use std::time::Duration;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
-/// The engine measures 1.2-1.6x here; routing each grant and finish
-/// through the event queue again measured 2.7-3.1x and fails it.
-const ACTOR_SLOWDOWN_LIMIT: f64 = 2.5;
+/// Twenty-two smoke runs on a shared 2-core host measured 0.89-1.38x
+/// (all but one within 1.26x); the limit is the largest plus 0.1.
+/// Routing each grant and finish through the event queue again
+/// measured 2.7-3.1x and fails it.
+const ACTOR_SLOWDOWN_LIMIT: f64 = 1.48;
 
 /// Most heap allocations one paper-horizon replication may make.
 const ALLOC_LIMIT: u64 = 128;
