@@ -15,10 +15,14 @@
 //! | [`sim`] | `socbuf-sim` | discrete-event simulator |
 //! | [`sweep`] | `socbuf-sweep` | deterministic parallel sweep campaigns |
 //! | [`serve`] | `socbuf-serve` | sizing-as-a-service socket front end |
-//! | [`ctmdp`] | `socbuf-ctmdp` | constrained CTMDPs, K-switching |
 //! | [`markov`] | `socbuf-markov` | CTMCs, M/M/1/K analytics |
 //! | [`lp`] | `socbuf-lp` | two-phase simplex |
 //! | [`linalg`] | `socbuf-linalg` | dense linear algebra |
+//!
+//! The generic constrained-CTMDP solver, `socbuf-ctmdp`, is not
+//! re-exported: the sizing pipeline never calls it, and it serves only
+//! as a test oracle. Code that used `socbuf::ctmdp` depends on
+//! `socbuf-ctmdp` directly.
 //!
 //! # Quickstart
 //!
@@ -38,7 +42,6 @@
 //! ```
 
 pub use socbuf_core as sizing;
-pub use socbuf_ctmdp as ctmdp;
 pub use socbuf_linalg as linalg;
 pub use socbuf_lp as lp;
 pub use socbuf_markov as markov;

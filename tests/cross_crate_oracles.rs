@@ -1,11 +1,11 @@
 //! Cross-crate consistency oracles: the same quantity computed through
 //! independent code paths must agree.
 
-use socbuf::ctmdp::{relative_value_iteration, solve_constrained, CtmdpBuilder};
 use socbuf::markov::{BirthDeath, Ctmc, MM1K};
 use socbuf::sim::{simulate, Arbiter, SimConfig};
 use socbuf::sizing::{SizingConfig, SizingLp};
 use socbuf::soc::{ArchitectureBuilder, BufferAllocation, FlowTarget};
+use socbuf_ctmdp::{relative_value_iteration, solve_constrained, CtmdpBuilder};
 
 /// One queue, four ways: closed-form M/M/1/K, birth–death chain, general
 /// CTMC, and the discrete-event simulator.
