@@ -30,20 +30,36 @@
 //!
 //! Integer-valued fields (budgets, counts, indices) render as plain
 //! integers and are rejected on parse if they arrive negative,
-//! fractional, or beyond 2⁵³ (where `f64` stops being exact).
+//! fractional, or beyond 2⁵³ (where `f64` stops being exact). A number
+//! read from a parsed document is held to its literal, not its `f64`:
+//! `9007199254740993` rounds to 2⁵³ but is refused.
+//!
+//! # Parsing
+//!
+//! There is one JSON parser, [`JsonDocument::parse`]. It reads the text
+//! once into a *tape*: one `Vec` of nodes in document order, each with
+//! its kind, its byte span in the borrowed text, the index just past
+//! its subtree, and a number's `f64` (the layout of simdjson's tape,
+//! Langdale & Lemire 2019). A string is unescaped only when it holds an
+//! escape; every other string is a slice of the text. A canonical frame
+//! therefore parses with one allocation, and its top-level fields' raw
+//! bytes ([`JsonDocument::raw`]) come from their nodes' spans.
+//! [`JsonValue::parse`] builds an owned tree from the tape for callers
+//! that keep or edit a value.
 //!
 //! # Records
 //!
 //! Every record codec in the workspace goes through one reader and one
-//! writer defined here. A decoder opens its object with
-//! [`JsonValue::fields`], which refuses any key outside the record's
+//! writer defined here. A decoder is written once, generic over
+//! [`JsonRead`], which a [`JsonRef`] cursor into a document's tape and
+//! a `&JsonValue` both implement. It opens its object with
+//! [`JsonRead::fields`], which refuses any key outside the record's
 //! list, then reads each field through [`Fields`], which names the
 //! record in missing-field errors and the key in type errors. A
 //! renderer writes through [`ObjWriter`], which owns key quoting and
 //! separators. Unknown keys are refused in every record.
 
 use std::fmt::Write as _;
-use std::ops::Range;
 
 use socbuf_lp::{ChunkPolicy, LpEngine, ScalingStats};
 use socbuf_soc::templates::RandomArchParams;
@@ -54,7 +70,7 @@ use socbuf_soc::{
 use crate::pipeline::SizingOutcome;
 use crate::SizingConfig;
 
-/// Maximum nesting depth [`JsonValue::parse`] accepts. The codecs here
+/// Maximum nesting depth [`JsonDocument::parse`] accepts. The codecs here
 /// need 5; the cap exists so a hostile request (`[[[[…`) exhausts a
 /// counter, not the stack.
 const MAX_DEPTH: usize = 128;
@@ -146,12 +162,17 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------
-// JSON document model
+// Owned values
 // ---------------------------------------------------------------------
 
-/// A parsed JSON document. Objects preserve key order (they are
+/// An owned JSON value. Objects preserve key order (they are
 /// association lists, not maps), so `render ∘ parse` is the identity on
 /// canonical text.
+///
+/// Frames decode from a [`JsonDocument`] without building one; an
+/// owned value is for callers that keep or edit a value (a chunk
+/// report's points, a test's mutated record). `&JsonValue` is read
+/// through [`JsonRead`], as a document is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null` — also how non-finite floats travel (see [`push_f64`]).
@@ -170,13 +191,13 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses `text` as one JSON document (trailing non-whitespace is
-    /// an error).
+    /// an error) into an owned value.
     ///
     /// # Errors
     ///
-    /// [`WireError::Parse`] with the byte offset of the first problem.
+    /// Exactly those of [`JsonDocument::parse`].
     pub fn parse(text: &str) -> Result<JsonValue, WireError> {
-        Parser::new(text, false).document().map(|(v, _)| v)
+        Ok(JsonDocument::parse(text)?.value().to_value())
     }
 
     /// Appends this value in canonical form (no whitespace, floats via
@@ -187,16 +208,7 @@ impl JsonValue {
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Num(v) => push_f64(out, *v),
             JsonValue::Str(s) => push_str(out, s),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.push(out);
-                }
-                out.push(']');
-            }
+            JsonValue::Arr(items) => push_list(out, items, |out, item| item.push(out)),
             JsonValue::Obj(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
@@ -218,29 +230,101 @@ impl JsonValue {
         self.push(&mut out);
         out
     }
+}
 
-    /// Looks up a field of an object (`None` for non-objects and
-    /// missing keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+// ---------------------------------------------------------------------
+// The reader every decoder goes through
+// ---------------------------------------------------------------------
+
+/// The kind of a JSON value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonKind {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+impl JsonKind {
+    /// Short type tag for error messages.
+    fn name(self) -> &'static str {
         match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+            JsonKind::Null => "null",
+            JsonKind::Bool => "a boolean",
+            JsonKind::Num => "a number",
+            JsonKind::Str => "a string",
+            JsonKind::Arr => "an array",
+            JsonKind::Obj => "an object",
+        }
+    }
+}
+
+fn expected(what: &str, want: &str, got: JsonKind) -> WireError {
+    WireError::Schema(format!("{what}: expected {want}, got {}", got.name()))
+}
+
+fn missing(parent: &str, key: &str) -> WireError {
+    WireError::Schema(format!("{parent}: missing field \"{key}\""))
+}
+
+/// Read access to one JSON value, with the typed reads every record
+/// decoder uses. A [`JsonRef`] (a cursor into a parsed document's
+/// tape) and a `&JsonValue` (an owned value) both implement it, so each
+/// decoder is written once, generic over the reader.
+///
+/// Each typed read names `what` (the field or record) in its error.
+pub trait JsonRead<'a>: Copy {
+    /// An array's items, in order.
+    type Items: ExactSizeIterator<Item = Self> + Clone;
+    /// An object's members, key and value, in order.
+    type Members: Iterator<Item = (&'a str, Self)> + Clone;
+
+    /// The value's kind.
+    fn kind(self) -> JsonKind;
+    /// The boolean, if this is one.
+    fn as_bool(self) -> Option<bool>;
+    /// The number, if this is one.
+    fn as_f64(self) -> Option<f64>;
+    /// The number's literal as it arrived, if this is a number read
+    /// from text (an owned value has lost it).
+    fn literal(self) -> Option<&'a str>;
+    /// The string's unescaped contents, if this is one.
+    fn as_str(self) -> Option<&'a str>;
+    /// The array's items, if this is one.
+    fn items(self) -> Option<Self::Items>;
+    /// The object's members, if this is one.
+    fn members(self) -> Option<Self::Members>;
+
+    /// This value as an owned tree.
+    fn to_value(self) -> JsonValue {
+        if let Some(items) = self.items() {
+            JsonValue::Arr(items.map(Self::to_value).collect())
+        } else if let Some(members) = self.members() {
+            JsonValue::Obj(
+                members
+                    .map(|(k, v)| (k.to_string(), v.to_value()))
+                    .collect(),
+            )
+        } else if let Some(s) = self.as_str() {
+            JsonValue::Str(s.to_string())
+        } else if let Some(v) = self.as_f64() {
+            JsonValue::Num(v)
+        } else {
+            self.as_bool().map_or(JsonValue::Null, JsonValue::Bool)
         }
     }
 
-    /// The object's fields, or a schema error naming `what`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] if this is not an object.
-    pub fn obj(&self, what: &str) -> Result<&[(String, JsonValue)], WireError> {
-        match self {
-            JsonValue::Obj(fields) => Ok(fields),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected an object, got {}",
-                other.kind()
-            ))),
-        }
+    /// An object's member (`None` for non-objects and missing keys).
+    fn get(self, key: &str) -> Option<Self> {
+        self.members()?.find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// The array's items, or a schema error naming `what`.
@@ -248,14 +332,9 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::Schema`] if this is not an array.
-    pub fn arr(&self, what: &str) -> Result<&[JsonValue], WireError> {
-        match self {
-            JsonValue::Arr(items) => Ok(items),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected an array, got {}",
-                other.kind()
-            ))),
-        }
+    fn arr(self, what: &str) -> Result<Self::Items, WireError> {
+        self.items()
+            .ok_or_else(|| expected(what, "an array", self.kind()))
     }
 
     /// The string's contents, or a schema error naming `what`.
@@ -263,14 +342,9 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::Schema`] if this is not a string.
-    pub fn str(&self, what: &str) -> Result<&str, WireError> {
-        match self {
-            JsonValue::Str(s) => Ok(s),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected a string, got {}",
-                other.kind()
-            ))),
-        }
+    fn str(self, what: &str) -> Result<&'a str, WireError> {
+        self.as_str()
+            .ok_or_else(|| expected(what, "a string", self.kind()))
     }
 
     /// The boolean, or a schema error naming `what`.
@@ -278,14 +352,9 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::Schema`] if this is not a boolean.
-    pub fn bool(&self, what: &str) -> Result<bool, WireError> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected a boolean, got {}",
-                other.kind()
-            ))),
-        }
+    fn bool(self, what: &str) -> Result<bool, WireError> {
+        self.as_bool()
+            .ok_or_else(|| expected(what, "a boolean", self.kind()))
     }
 
     /// The number as `f64`; `null` maps to `f64::NAN` (the wire
@@ -294,57 +363,73 @@ impl JsonValue {
     /// # Errors
     ///
     /// [`WireError::Schema`] if this is neither a number nor `null`.
-    pub fn f64(&self, what: &str) -> Result<f64, WireError> {
-        match self {
-            JsonValue::Num(v) => Ok(*v),
-            JsonValue::Null => Ok(f64::NAN),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected a number, got {}",
-                other.kind()
-            ))),
+    fn f64(self, what: &str) -> Result<f64, WireError> {
+        match self.kind() {
+            JsonKind::Null => Ok(f64::NAN),
+            _ => self
+                .as_f64()
+                .ok_or_else(|| expected(what, "a number", self.kind())),
         }
     }
 
     /// A finite number — `null` (non-finite) is rejected, unlike
-    /// [`JsonValue::f64`].
+    /// [`JsonRead::f64`].
     ///
     /// # Errors
     ///
     /// [`WireError::Schema`] for non-numbers and `null`.
-    pub fn finite_f64(&self, what: &str) -> Result<f64, WireError> {
-        match self {
-            JsonValue::Num(v) => Ok(*v),
-            other => Err(WireError::Schema(format!(
-                "{what}: expected a finite number, got {}",
-                other.kind()
-            ))),
-        }
+    fn finite_f64(self, what: &str) -> Result<f64, WireError> {
+        self.as_f64()
+            .ok_or_else(|| expected(what, "a finite number", self.kind()))
     }
 
-    /// The number as `usize`: must be a non-negative integer within the
-    /// exactly-representable range.
+    /// The number as `usize`: its exact value must be a non-negative
+    /// integer no larger than 2⁵³. A number read from a document is
+    /// held to its literal, so `9007199254740993` and
+    /// `9007199254740992.5` are refused though both round to the
+    /// integer 2⁵³, and the error quotes the literal whenever the `f64`
+    /// would misquote it. An owned [`JsonValue`] has lost the literal,
+    /// so it is held to its `f64`.
     ///
     /// # Errors
     ///
     /// [`WireError::Schema`] for non-numbers, negatives, fractions, and
     /// values beyond 2⁵³.
-    pub fn usize(&self, what: &str) -> Result<usize, WireError> {
+    fn usize(self, what: &str) -> Result<usize, WireError> {
         let v = self.finite_f64(what)?;
-        if v < 0.0 || v.fract() != 0.0 || v > MAX_EXACT_INT {
-            return Err(WireError::Schema(format!(
-                "{what}: expected a non-negative integer, got {v}"
-            )));
+        let exact = match self.literal() {
+            // Up to 15 plain digits spell an integer below 2⁵³, which
+            // its `f64` holds exactly.
+            Some(literal) if literal.len() <= 15 && literal.bytes().all(|b| b.is_ascii_digit()) => {
+                Some(v as u64)
+            }
+            Some(literal) => Decimal::read(literal).exact_uint(),
+            None => (v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT).then_some(v as u64),
+        };
+        match exact {
+            Some(n) => Ok(n as usize),
+            None => {
+                let shown = v.to_string();
+                let got = match self.literal() {
+                    Some(literal) if !Decimal::read(literal).same_value(&Decimal::read(&shown)) => {
+                        literal
+                    }
+                    _ => &shown,
+                };
+                Err(WireError::Schema(format!(
+                    "{what}: expected a non-negative integer, got {got}"
+                )))
+            }
         }
-        Ok(v as usize)
     }
 
-    /// The number as `u64` (same rules as [`JsonValue::usize`]).
+    /// The number as `u64` (same rules as [`JsonRead::usize`]).
     ///
     /// # Errors
     ///
     /// [`WireError::Schema`] for non-numbers, negatives, fractions, and
     /// values beyond 2⁵³.
-    pub fn u64(&self, what: &str) -> Result<u64, WireError> {
+    fn u64(self, what: &str) -> Result<u64, WireError> {
         Ok(self.usize(what)? as u64)
     }
 
@@ -352,53 +437,105 @@ impl JsonValue {
     /// the record in every error: the reader every record decoder goes
     /// through. Refuses a non-object and the first key outside `names`,
     /// so a typo in a hand-written record fails loudly.
-    pub fn fields<'a>(&'a self, parent: &'a str, names: &[&str]) -> Result<Fields<'a>, WireError> {
-        let fields = self.obj(parent)?;
-        if let Some((k, _)) = fields.iter().find(|(k, _)| !names.contains(&k.as_str())) {
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Schema`] for a non-object or an unknown key.
+    fn fields<'p>(self, parent: &'p str, names: &[&str]) -> Result<Fields<'p, Self>, WireError> {
+        let mut members = self
+            .members()
+            .ok_or_else(|| expected(parent, "an object", self.kind()))?;
+        if let Some((k, _)) = members.find(|(k, _)| !names.contains(k)) {
             return Err(WireError::Schema(format!(
                 "{parent}: unknown field \"{k}\" (expected one of {names:?})"
             )));
         }
-        Ok(Fields { parent, fields })
+        Ok(Fields { parent, obj: self })
     }
 
     /// A required member of a record whose key list depends on a tag it
     /// carries (a request's verb, a campaign's kind), or of an object
     /// another layer owns; errors as [`Fields::req`].
-    pub fn member(&self, parent: &str, key: &str) -> Result<&JsonValue, WireError> {
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Schema`] when the member is missing.
+    fn member(self, parent: &str, key: &str) -> Result<Self, WireError> {
         self.get(key).ok_or_else(|| missing(parent, key))
     }
+}
 
-    /// Short type tag for error messages.
-    fn kind(&self) -> &'static str {
+impl<'a> JsonRead<'a> for &'a JsonValue {
+    type Items = std::slice::Iter<'a, JsonValue>;
+    type Members = std::iter::Map<
+        std::slice::Iter<'a, (String, JsonValue)>,
+        fn(&'a (String, JsonValue)) -> (&'a str, &'a JsonValue),
+    >;
+
+    fn kind(self) -> JsonKind {
         match self {
-            JsonValue::Null => "null",
-            JsonValue::Bool(_) => "a boolean",
-            JsonValue::Num(_) => "a number",
-            JsonValue::Str(_) => "a string",
-            JsonValue::Arr(_) => "an array",
-            JsonValue::Obj(_) => "an object",
+            JsonValue::Null => JsonKind::Null,
+            JsonValue::Bool(_) => JsonKind::Bool,
+            JsonValue::Num(_) => JsonKind::Num,
+            JsonValue::Str(_) => JsonKind::Str,
+            JsonValue::Arr(_) => JsonKind::Arr,
+            JsonValue::Obj(_) => JsonKind::Obj,
+        }
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            JsonValue::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn literal(self) -> Option<&'a str> {
+        None
+    }
+
+    fn as_str(self) -> Option<&'a str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn items(self) -> Option<Self::Items> {
+        match self {
+            JsonValue::Arr(items) => Some(items.iter()),
+            _ => None,
+        }
+    }
+
+    fn members(self) -> Option<Self::Members> {
+        match self {
+            JsonValue::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v))),
+            _ => None,
         }
     }
 }
 
-fn missing(parent: &str, key: &str) -> WireError {
-    WireError::Schema(format!("{parent}: missing field \"{key}\""))
-}
-
 /// One record's fields, checked against its key list by
-/// [`JsonValue::fields`]. Each typed read names the key in its type
+/// [`JsonRead::fields`]. Each typed read names the key in its type
 /// error and the record in its missing-field error.
 #[derive(Debug, Clone, Copy)]
-pub struct Fields<'a> {
-    parent: &'a str,
-    fields: &'a [(String, JsonValue)],
+pub struct Fields<'p, V> {
+    parent: &'p str,
+    obj: V,
 }
 
-impl<'a> Fields<'a> {
+impl<'a, V: JsonRead<'a>> Fields<'_, V> {
     /// An optional field's value.
-    pub fn opt(&self, key: &str) -> Option<&'a JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    pub fn opt(&self, key: &str) -> Option<V> {
+        self.obj.get(key)
     }
 
     /// An optional field read by `read` (given the value and the key),
@@ -407,53 +544,54 @@ impl<'a> Fields<'a> {
         &self,
         key: &str,
         default: T,
-        read: impl FnOnce(&'a JsonValue, &str) -> Result<T, WireError>,
+        read: impl FnOnce(V, &str) -> Result<T, WireError>,
     ) -> Result<T, WireError> {
         self.opt(key).map_or(Ok(default), |v| read(v, key))
     }
 
     /// A required field's value; missing, it reads `<parent>: missing field "<key>"`.
-    pub fn req(&self, key: &str) -> Result<&'a JsonValue, WireError> {
+    pub fn req(&self, key: &str) -> Result<V, WireError> {
         self.opt(key).ok_or_else(|| missing(self.parent, key))
     }
 
     /// A required field that may be `null` (`None`).
-    pub fn nullable(&self, key: &str) -> Result<Option<&'a JsonValue>, WireError> {
-        self.req(key).map(|v| (*v != JsonValue::Null).then_some(v))
+    pub fn nullable(&self, key: &str) -> Result<Option<V>, WireError> {
+        self.req(key)
+            .map(|v| (v.kind() != JsonKind::Null).then_some(v))
     }
 
-    /// A required [`JsonValue::usize`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::usize`] field; errors as [`Fields::req`] and that read.
     pub fn usize(&self, key: &str) -> Result<usize, WireError> {
         self.req(key)?.usize(key)
     }
 
-    /// A required [`JsonValue::u64`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::u64`] field; errors as [`Fields::req`] and that read.
     pub fn u64(&self, key: &str) -> Result<u64, WireError> {
         self.req(key)?.u64(key)
     }
 
-    /// A required [`JsonValue::f64`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::f64`] field; errors as [`Fields::req`] and that read.
     pub fn f64(&self, key: &str) -> Result<f64, WireError> {
         self.req(key)?.f64(key)
     }
 
-    /// A required [`JsonValue::finite_f64`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::finite_f64`] field; errors as [`Fields::req`] and that read.
     pub fn finite_f64(&self, key: &str) -> Result<f64, WireError> {
         self.req(key)?.finite_f64(key)
     }
 
-    /// A required [`JsonValue::bool`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::bool`] field; errors as [`Fields::req`] and that read.
     pub fn bool(&self, key: &str) -> Result<bool, WireError> {
         self.req(key)?.bool(key)
     }
 
-    /// A required [`JsonValue::str`] field; errors as [`Fields::req`] and that read.
+    /// A required [`JsonRead::str`] field; errors as [`Fields::req`] and that read.
     pub fn str(&self, key: &str) -> Result<&'a str, WireError> {
         self.req(key)?.str(key)
     }
 
-    /// A required [`JsonValue::arr`] field; errors as [`Fields::req`] and that read.
-    pub fn items(&self, key: &str) -> Result<&'a [JsonValue], WireError> {
+    /// A required [`JsonRead::arr`] field; errors as [`Fields::req`] and that read.
+    pub fn items(&self, key: &str) -> Result<V::Items, WireError> {
         self.req(key)?.arr(key)
     }
 
@@ -461,9 +599,113 @@ impl<'a> Fields<'a> {
     pub fn list<T>(
         &self,
         key: &str,
-        item: impl FnMut(&'a JsonValue) -> Result<T, WireError>,
+        item: impl FnMut(V) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
-        self.items(key)?.iter().map(item).collect()
+        self.items(key)?.map(item).collect()
+    }
+}
+
+/// A JSON number literal's exact decimal value, read from its text:
+/// `±0.d₁…dₙ × 10^point`, where `d₁…dₙ` are the significant digits
+/// (`n = 0` for zero).
+struct Decimal<'s> {
+    negative: bool,
+    /// The digits before and after the decimal point, in order.
+    int: &'s [u8],
+    frac: &'s [u8],
+    /// Positions of the first and one past the last significant digit
+    /// in `int` followed by `frac`.
+    first: usize,
+    last: usize,
+    /// Where the decimal point sits, counted from the first
+    /// significant digit.
+    point: i64,
+}
+
+impl<'s> Decimal<'s> {
+    /// Reads `text`, which holds to the JSON number grammar (as every
+    /// literal on the tape does, and as `f64`'s `Display` does).
+    fn read(text: &'s str) -> Decimal<'s> {
+        let bytes = text.as_bytes();
+        let negative = bytes.first() == Some(&b'-');
+        let body = &bytes[usize::from(negative)..];
+        let (mantissa, exp) = match body.iter().position(|b| matches!(b, b'e' | b'E')) {
+            Some(e) => (&body[..e], &body[e + 1..]),
+            None => (body, &[][..]),
+        };
+        let (int, frac) = match mantissa.iter().position(|&b| b == b'.') {
+            Some(p) => (&mantissa[..p], &mantissa[p + 1..]),
+            None => (mantissa, &[][..]),
+        };
+        // Exponents beyond ±10⁹ only mean "far from any integer ≤ 2⁵³".
+        let magnitude = exp
+            .iter()
+            .filter(|b| b.is_ascii_digit())
+            .fold(0i64, |e, &b| {
+                (e * 10 + i64::from(b - b'0')).min(1_000_000_000)
+            });
+        let exp = if exp.first() == Some(&b'-') {
+            -magnitude
+        } else {
+            magnitude
+        };
+        let digit = |i: usize| {
+            if i < int.len() {
+                int[i]
+            } else {
+                frac[i - int.len()]
+            }
+        };
+        let n = int.len() + frac.len();
+        let first = (0..n).find(|&i| digit(i) != b'0').unwrap_or(n);
+        let last = (first..n)
+            .rev()
+            .find(|&i| digit(i) != b'0')
+            .map_or(first, |i| i + 1);
+        Decimal {
+            negative,
+            int,
+            frac,
+            first,
+            last,
+            point: int.len() as i64 - first as i64 + exp,
+        }
+    }
+
+    fn digits(&self) -> impl Iterator<Item = u8> + '_ {
+        self.int
+            .iter()
+            .chain(self.frac)
+            .take(self.last)
+            .skip(self.first)
+            .map(|b| b - b'0')
+    }
+
+    /// The value, when it is an integer in `0..=2⁵³`.
+    fn exact_uint(&self) -> Option<u64> {
+        let n = (self.last - self.first) as i64;
+        if n == 0 {
+            return Some(0);
+        }
+        // An integer needs its point at or past its last digit; one
+        // with more than 16 digits is above 2⁵³ (9.0e15).
+        if self.negative || self.point < n || self.point > 16 {
+            return None;
+        }
+        let v = self.digits().fold(0u64, |v, d| v * 10 + u64::from(d));
+        let v = v * 10u64.pow((self.point - n) as u32);
+        (v <= MAX_EXACT_INT as u64).then_some(v)
+    }
+
+    /// Whether both texts spell the same number.
+    fn same_value(&self, other: &Decimal<'_>) -> bool {
+        let zero = self.first == self.last;
+        if zero || other.first == other.last {
+            return zero && other.first == other.last;
+        }
+        self.negative == other.negative
+            && self.point == other.point
+            && self.digits().eq(other.digits())
     }
 }
 
@@ -568,52 +810,305 @@ fn push_list<T>(
     out.push(']');
 }
 
-/// A JSON document parsed once, with the byte span of each top-level
-/// field's value in the source text.
+// ---------------------------------------------------------------------
+// The tape
+// ---------------------------------------------------------------------
+
+/// What a tape node holds besides its span.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tag {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string without escapes: its contents are its span less the
+    /// quotes.
+    Str,
+    /// A string with escapes: its contents are `unescaped[from..to]`.
+    Escaped(usize, usize),
+    /// An array of this many items.
+    Arr(usize),
+    /// An object of this many members.
+    Obj(usize),
+}
+
+/// One value on the tape.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    tag: Tag,
+    /// Byte span of the value in the text (a string's includes its
+    /// quotes).
+    start: usize,
+    end: usize,
+    /// Tape index one past this node's subtree.
+    next: usize,
+}
+
+/// A JSON document parsed once into a tape over its borrowed text.
 ///
-/// A protocol frame is an object whose fields are whole payloads (an
-/// architecture, a config, an outcome). The spans let a reader key on a
-/// payload's own bytes, or copy them out, instead of rendering its
-/// subtree again; the tree serves every decode. The value is exactly
-/// what [`JsonValue::parse`] returns for the same text.
+/// The tape is one `Vec` of nodes in document order: every value, with
+/// its kind, its byte span in the text and the index just past its
+/// subtree, and a number's `f64`. An array's items follow its node; an
+/// object's members follow its node as a key node then the value's
+/// subtree. A string is unescaped only when it holds an escape, into
+/// one buffer the document owns; every other string is a slice of the
+/// text. So a canonical frame parses with one allocation, the tape.
+///
+/// [`JsonDocument::value`] is a [`JsonRef`] cursor into the tape, read
+/// through [`JsonRead`] like an owned value. A protocol frame is an
+/// object whose fields are whole payloads (an architecture, a config,
+/// an outcome); [`JsonDocument::raw`] gives a top-level field's own
+/// bytes from its node's span, so a reader can key on a payload or copy
+/// it out instead of rendering its subtree again.
+///
+/// This is the workspace's one JSON parser: [`JsonValue::parse`] builds
+/// its owned tree from the tape.
 #[derive(Debug)]
 pub struct JsonDocument<'t> {
     text: &'t str,
-    value: JsonValue,
-    /// Byte range of each top-level field's value, in field order
-    /// (empty unless the document is an object).
-    spans: Vec<Range<usize>>,
+    nodes: Vec<Node>,
+    /// The contents of every string that holds an escape.
+    unescaped: String,
 }
 
 impl<'t> JsonDocument<'t> {
-    /// Parses `text` as one JSON document, recording the spans.
+    /// Parses `text` as one JSON document (trailing non-whitespace is
+    /// an error).
     ///
     /// # Errors
     ///
-    /// Exactly those of [`JsonValue::parse`].
+    /// [`WireError::Parse`] with the byte offset of the first problem.
     pub fn parse(text: &'t str) -> Result<JsonDocument<'t>, WireError> {
-        let (value, spans) = Parser::new(text, true).document()?;
-        Ok(JsonDocument { text, value, spans })
+        // Every value but the document itself follows one of these
+        // bytes, and so does every key, so their count bounds the tape
+        // and the tape never grows.
+        let bound = text
+            .bytes()
+            .filter(|b| matches!(b, b'[' | b'{' | b',' | b':'))
+            .count();
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            nodes: Vec::with_capacity(bound + 1),
+            unescaped: String::new(),
+        };
+        p.skip_ws();
+        p.value(0)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after the document"));
+        }
+        Ok(JsonDocument {
+            text,
+            nodes: p.nodes,
+            unescaped: p.unescaped,
+        })
     }
 
-    /// The parsed document.
-    pub fn value(&self) -> &JsonValue {
-        &self.value
+    /// The document's value.
+    pub fn value(&self) -> JsonRef<'_> {
+        JsonRef { doc: self, at: 0 }
     }
 
-    /// Looks up a top-level field (see [`JsonValue::get`]).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.value.get(key)
+    /// Looks up a top-level field (see [`JsonRead::get`]).
+    pub fn get(&self, key: &str) -> Option<JsonRef<'_>> {
+        self.value().get(key)
     }
 
     /// The source text of a top-level field's value, byte for byte as
     /// it arrived (`None` for a missing key or a non-object document).
     pub fn raw(&self, key: &str) -> Option<&'t str> {
-        let JsonValue::Obj(fields) = &self.value else {
+        let node = self.nodes[self.get(key)?.at];
+        Some(&self.text[node.start..node.end])
+    }
+}
+
+/// A cursor into a [`JsonDocument`]'s tape: one value, read through
+/// [`JsonRead`]. It is `Copy` and borrows the document, so reading
+/// allocates nothing and strings come back borrowed.
+#[derive(Clone, Copy)]
+pub struct JsonRef<'a> {
+    doc: &'a JsonDocument<'a>,
+    at: usize,
+}
+
+impl<'a> JsonRef<'a> {
+    fn node(self) -> Node {
+        self.doc.nodes[self.at]
+    }
+
+    /// The value's source text, byte for byte as it arrived.
+    pub fn raw(self) -> &'a str {
+        let node = self.node();
+        &self.doc.text[node.start..node.end]
+    }
+}
+
+impl std::fmt::Debug for JsonRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.raw())
+    }
+}
+
+/// A cursor and an owned value are equal when the cursor's value,
+/// built as an owned tree, is.
+impl PartialEq<&JsonValue> for JsonRef<'_> {
+    fn eq(&self, other: &&JsonValue) -> bool {
+        self.to_value() == **other
+    }
+}
+
+/// The children of a tape node: an array's items, or an object's
+/// members as key and value.
+#[derive(Debug, Clone)]
+pub struct TapeItems<'a> {
+    doc: &'a JsonDocument<'a>,
+    /// Tape index of the next child (its key, for a member).
+    at: usize,
+    left: usize,
+}
+
+impl<'a> TapeItems<'a> {
+    /// The next child at `at + skip`, stepping past its subtree.
+    fn step(&mut self, skip: usize) -> Option<JsonRef<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let child = JsonRef {
+            doc: self.doc,
+            at: self.at + skip,
+        };
+        self.at = child.node().next;
+        Some(child)
+    }
+}
+
+impl<'a> Iterator for TapeItems<'a> {
+    type Item = JsonRef<'a>;
+
+    fn next(&mut self) -> Option<JsonRef<'a>> {
+        self.step(0)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for TapeItems<'_> {}
+
+/// An object's members on the tape, key and value.
+#[derive(Debug, Clone)]
+pub struct TapeMembers<'a>(TapeItems<'a>);
+
+impl<'a> Iterator for TapeMembers<'a> {
+    type Item = (&'a str, JsonRef<'a>);
+
+    fn next(&mut self) -> Option<(&'a str, JsonRef<'a>)> {
+        let key = self.0.at;
+        let value = self.0.step(1)?;
+        Some((self.0.doc.string(key), value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for TapeMembers<'_> {}
+
+/// The contents of a string `node` on a tape over `text`.
+fn string<'s>(text: &'s str, unescaped: &'s str, node: Node) -> &'s str {
+    match node.tag {
+        Tag::Escaped(from, to) => &unescaped[from..to],
+        _ => &text[node.start + 1..node.end - 1],
+    }
+}
+
+impl<'a> JsonDocument<'a> {
+    /// The contents of the string at tape index `at`.
+    fn string(&'a self, at: usize) -> &'a str {
+        string(self.text, &self.unescaped, self.nodes[at])
+    }
+
+    fn children(&'a self, at: usize, left: usize) -> TapeItems<'a> {
+        TapeItems {
+            doc: self,
+            at: at + 1,
+            left,
+        }
+    }
+}
+
+impl<'a> JsonRead<'a> for JsonRef<'a> {
+    type Items = TapeItems<'a>;
+    type Members = TapeMembers<'a>;
+
+    fn kind(self) -> JsonKind {
+        match self.node().tag {
+            Tag::Null => JsonKind::Null,
+            Tag::Bool(_) => JsonKind::Bool,
+            Tag::Num(_) => JsonKind::Num,
+            Tag::Str | Tag::Escaped(..) => JsonKind::Str,
+            Tag::Arr(_) => JsonKind::Arr,
+            Tag::Obj(_) => JsonKind::Obj,
+        }
+    }
+
+    fn as_bool(self) -> Option<bool> {
+        match self.node().tag {
+            Tag::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    fn as_f64(self) -> Option<f64> {
+        match self.node().tag {
+            Tag::Num(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn literal(self) -> Option<&'a str> {
+        matches!(self.node().tag, Tag::Num(_)).then(|| self.raw())
+    }
+
+    fn as_str(self) -> Option<&'a str> {
+        matches!(self.node().tag, Tag::Str | Tag::Escaped(..)).then(|| self.doc.string(self.at))
+    }
+
+    fn items(self) -> Option<TapeItems<'a>> {
+        match self.node().tag {
+            Tag::Arr(n) => Some(self.doc.children(self.at, n)),
+            _ => None,
+        }
+    }
+
+    fn members(self) -> Option<TapeMembers<'a>> {
+        match self.node().tag {
+            Tag::Obj(n) => Some(TapeMembers(self.doc.children(self.at, n))),
+            _ => None,
+        }
+    }
+
+    /// [`JsonRead::get`] as a walk over the key nodes that compares
+    /// bytes: every record field read is one.
+    fn get(self, key: &str) -> Option<JsonRef<'a>> {
+        let Tag::Obj(n) = self.node().tag else {
             return None;
         };
-        let i = fields.iter().position(|(k, _)| k == key)?;
-        Some(&self.text[self.spans[i].clone()])
+        let (doc, bytes) = (self.doc, self.doc.text.as_bytes());
+        let mut at = self.at + 1;
+        for _ in 0..n {
+            let node = doc.nodes[at];
+            let found = match node.tag {
+                Tag::Escaped(from, to) => &doc.unescaped[from..to] == key,
+                _ => &bytes[node.start + 1..node.end - 1] == key.as_bytes(),
+            };
+            if found {
+                return Some(JsonRef { doc, at: at + 1 });
+            }
+            at = doc.nodes[at + 1].next;
+        }
+        None
     }
 }
 
@@ -621,34 +1116,17 @@ impl<'t> JsonDocument<'t> {
 // Parser
 // ---------------------------------------------------------------------
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Recursive descent over the text, appending each value to the tape
+/// in document order.
+struct Parser<'t> {
+    text: &'t str,
+    bytes: &'t [u8],
     pos: usize,
-    /// Value spans of the top-level object's fields, when recorded.
-    spans: Option<Vec<Range<usize>>>,
+    nodes: Vec<Node>,
+    unescaped: String,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str, spans: bool) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            spans: spans.then(Vec::new),
-        }
-    }
-
-    /// The whole input as one document (trailing non-whitespace is an
-    /// error), with the recorded spans.
-    fn document(mut self) -> Result<(JsonValue, Vec<Range<usize>>), WireError> {
-        self.skip_ws();
-        let v = self.value(0)?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after the document"));
-        }
-        Ok((v, self.spans.unwrap_or_default()))
-    }
-
+impl Parser<'_> {
     fn err(&self, message: impl Into<String>) -> WireError {
         WireError::Parse {
             offset: self.pos,
@@ -675,162 +1153,231 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, WireError> {
+    /// Appends a node spanning `start..pos`, with no subtree.
+    fn push(&mut self, tag: Tag, start: usize) {
+        let next = self.nodes.len() + 1;
+        self.nodes.push(Node {
+            tag,
+            start,
+            end: self.pos,
+            next,
+        });
+    }
+
+    /// Closes the container at tape index `at` with `len` children, its
+    /// span ending at `pos`.
+    fn close(&mut self, at: usize, tag: Tag) {
+        let next = self.nodes.len();
+        let node = &mut self.nodes[at];
+        node.tag = tag;
+        node.end = self.pos;
+        node.next = next;
+    }
+
+    fn literal(&mut self, word: &str, tag: Tag) -> Result<Tag, WireError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(tag)
         } else {
             Err(self.err(format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, WireError> {
+    fn value(&mut self, depth: usize) -> Result<(), WireError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.bytes.get(self.pos) {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(&b) => Err(self.err(format!("unexpected byte 0x{b:02x}"))),
-            None => Err(self.err("unexpected end of input")),
-        }
+        let start = self.pos;
+        let tag = match self.bytes.get(self.pos) {
+            Some(b'n') => self.literal("null", Tag::Null)?,
+            Some(b't') => self.literal("true", Tag::Bool(true))?,
+            Some(b'f') => self.literal("false", Tag::Bool(false))?,
+            Some(b'"') => self.string()?,
+            Some(b'[') => return self.array(depth),
+            Some(b'{') => return self.object(depth),
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(&b) => return Err(self.err(format!("unexpected byte 0x{b:02x}"))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.push(tag, start);
+        Ok(())
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, WireError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn array(&mut self, depth: usize) -> Result<(), WireError> {
+        let at = self.nodes.len();
+        self.push(Tag::Arr(0), self.pos);
+        self.pos += 1;
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            self.close(at, Tag::Arr(0));
+            return Ok(());
         }
+        let mut len = 0;
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            self.value(depth + 1)?;
+            len += 1;
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    self.close(at, Tag::Arr(len));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, WireError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    fn object(&mut self, depth: usize) -> Result<(), WireError> {
+        let at = self.nodes.len();
+        self.push(Tag::Obj(0), self.pos);
+        self.pos += 1;
         self.skip_ws();
         if self.bytes.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            self.close(at, Tag::Obj(0));
+            return Ok(());
         }
+        let mut len = 0;
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.nodes.len();
+            let start = self.pos;
+            let tag = self.string()?;
+            self.push(tag, start);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let start = self.pos;
-            let value = self.value(depth + 1)?;
-            if depth == 0 {
-                if let Some(spans) = &mut self.spans {
-                    spans.push(start..self.pos);
-                }
+            self.value(depth + 1)?;
+            if let Some(dup) = self.duplicate(at, key) {
+                return Err(self.err(format!("duplicate key \"{dup}\"")));
             }
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(format!("duplicate key \"{key}\"")));
-            }
-            fields.push((key, value));
+            len += 1;
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    self.close(at, Tag::Obj(len));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes up to the next quote/escape.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+    /// The key at tape index `key`, when an earlier member of the
+    /// object at `obj` has the same one (keys compare unescaped).
+    fn duplicate(&self, obj: usize, key: usize) -> Option<String> {
+        let name = string(self.text, &self.unescaped, self.nodes[key]);
+        let mut at = obj + 1;
+        while at < key {
+            if string(self.text, &self.unescaped, self.nodes[at]) == name {
+                return Some(name.to_string());
             }
+            at = self.nodes[at + 1].next;
+        }
+        None
+    }
+
+    /// Steps past string bytes that need no escape handling.
+    fn skip_plain(&mut self) {
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// A string, its opening quote at `pos`. Its contents stay in the
+    /// text unless it holds an escape.
+    fn string(&mut self) -> Result<Tag, WireError> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        // Fast path: plain bytes up to the closing quote.
+        self.skip_plain();
+        match self.bytes.get(self.pos) {
+            Some(b'"') => {
+                self.pos += 1;
+                Ok(Tag::Str)
+            }
+            Some(b'\\') => self.escaped(start),
+            Some(_) => Err(self.err("unescaped control character in string")),
+            None => Err(self.err("unterminated string")),
+        }
+    }
+
+    /// The rest of a string whose contents start at `start` and whose
+    /// first escape is at `pos`, unescaped into the document's buffer.
+    fn escaped(&mut self, start: usize) -> Result<Tag, WireError> {
+        let from = self.unescaped.len();
+        let mut run = start;
+        loop {
             // The input is a &str, so slicing between the byte indices of
             // ASCII delimiters always lands on char boundaries.
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("input was valid UTF-8 and delimiters are ASCII"),
-            );
+            self.unescaped.push_str(&self.text[run..self.pos]);
             match self.bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(Tag::Escaped(from, self.unescaped.len()));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{08}'),
-                        Some(b'f') => s.push('\u{0c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
+                    let c = match self.bytes.get(self.pos) {
                         Some(b'u') => {
                             self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // High surrogate: a \uXXXX low surrogate
-                                // must follow.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xdc00..0xe000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xdc00..0xe000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            s.push(c);
-                            // hex4 advanced pos past the digits; the
-                            // shared `+= 1` below is for the escape
-                            // letter, which we already consumed.
-                            continue;
+                            self.unicode_escape()?
                         }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                    self.pos += 1;
+                        Some(&b) => {
+                            let c = match b {
+                                b'"' => '"',
+                                b'\\' => '\\',
+                                b'/' => '/',
+                                b'b' => '\u{08}',
+                                b'f' => '\u{0c}',
+                                b'n' => '\n',
+                                b'r' => '\r',
+                                b't' => '\t',
+                                _ => return Err(self.err("invalid escape sequence")),
+                            };
+                            self.pos += 1;
+                            c
+                        }
+                        None => return Err(self.err("invalid escape sequence")),
+                    };
+                    self.unescaped.push(c);
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            run = self.pos;
+            self.skip_plain();
+        }
+    }
+
+    /// The character of a `\u` escape whose four hex digits start at
+    /// `pos`; a high surrogate takes the `\u` low surrogate that must
+    /// follow it.
+    fn unicode_escape(&mut self) -> Result<char, WireError> {
+        let hi = self.hex4()?;
+        if (0xd800..0xdc00).contains(&hi) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("unpaired high surrogate"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            let code = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+            char::from_u32(code).ok_or_else(|| self.err("invalid surrogate pair"))
+        } else if (0xdc00..0xe000).contains(&hi) {
+            Err(self.err("unpaired low surrogate"))
+        } else {
+            char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))
         }
     }
 
@@ -849,32 +1396,68 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<JsonValue, WireError> {
+    fn number(&mut self) -> Result<Tag, WireError> {
         let start = self.pos;
         // Scan the JSON number charset, then hold the run to the RFC 8259
         // grammar before `f64::from_str` converts it: `from_str` alone
         // also takes `01`, `1.`, `-.5` and `1.e5`. "NaN"/"inf" never
         // reach this branch (they don't start with a digit or '-'), so
         // non-finite spellings are rejected at the grammar level.
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .unwrap_or(rest.len());
+        let text = &self.text[start..self.pos];
+        if let Some(v) = short_decimal(text.as_bytes()) {
+            return Ok(Tag::Num(v));
         }
-        let run = &self.bytes[start..self.pos];
-        let text = std::str::from_utf8(run).expect("ascii");
         let invalid = || self.err(format!("invalid number \"{text}\""));
-        if !is_json_number(run) {
+        if !is_json_number(text.as_bytes()) {
             return Err(invalid());
         }
         match text.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
+            Ok(v) if v.is_finite() => Ok(Tag::Num(v)),
             Ok(_) => Err(self.err("number overflows f64")),
             Err(_) => Err(invalid()),
         }
     }
+}
+
+/// The value of `run` when it spells a JSON number with no exponent
+/// and at most 15 digits, else `None`. Such a number is an integer
+/// below 2⁵³ divided by a power of ten no larger than 10¹⁵, both exact
+/// in `f64`, so one correctly rounded division gives exactly what
+/// `f64::from_str` does. Most wire numbers take this path.
+fn short_decimal(run: &[u8]) -> Option<f64> {
+    const POW10: [f64; 16] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    ];
+    let (negative, body) = match run.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, run),
+    };
+    let (mut mantissa, mut digits, mut point) = (0u64, 0usize, None);
+    for &b in body {
+        match b {
+            b'0'..=b'9' => {
+                mantissa = mantissa * 10 + u64::from(b - b'0');
+                digits += 1;
+                if digits > 15 {
+                    return None;
+                }
+            }
+            b'.' if point.is_none() => point = Some(digits),
+            _ => return None,
+        }
+    }
+    let int_digits = point.unwrap_or(digits);
+    let leading_zero = body.first() == Some(&b'0') && int_digits > 1;
+    if int_digits == 0 || leading_zero || point == Some(digits) {
+        return None;
+    }
+    let v = mantissa as f64 / POW10[digits - int_digits];
+    Some(if negative { -v } else { v })
 }
 
 /// Whether `run` spells a number in the RFC 8259 grammar:
@@ -1020,9 +1603,12 @@ pub fn architecture_to_json(arch: &Architecture) -> String {
 
 /// Parses a bus's optional `"arbitration"` declaration:
 /// `"priority"` or `{"locked": max_batch}`.
-fn arbitration_from_json(v: &JsonValue, what: &str) -> Result<BusArbitration, WireError> {
-    if let JsonValue::Str(tag) = v {
-        return match tag.as_str() {
+fn arbitration_from_json<'a>(
+    v: impl JsonRead<'a>,
+    what: &str,
+) -> Result<BusArbitration, WireError> {
+    if let Some(tag) = v.as_str() {
+        return match tag {
             "priority" => Ok(BusArbitration::Priority),
             other => Err(WireError::Schema(format!(
                 "{what}: unknown arbitration \"{other}\""
@@ -1035,7 +1621,7 @@ fn arbitration_from_json(v: &JsonValue, what: &str) -> Result<BusArbitration, Wi
 
 /// Parses a flow's optional `"shape"` declaration:
 /// `{"burst": batch}` or `{"on_off": {"mean_on": …, "mean_off": …}}`.
-fn shape_from_json(v: &JsonValue, what: &str) -> Result<TrafficShape, WireError> {
+fn shape_from_json<'a>(v: impl JsonRead<'a>, what: &str) -> Result<TrafficShape, WireError> {
     let f = v.fields(what, &["burst", "on_off"])?;
     match (f.opt("burst"), f.opt("on_off")) {
         (Some(batch), None) => Ok(TrafficShape::Burst {
@@ -1066,13 +1652,13 @@ fn shape_from_json(v: &JsonValue, what: &str) -> Result<TrafficShape, WireError>
 /// [`WireError::Schema`] for shape mismatches, out-of-range component
 /// indices, or any builder rejection (reported with the builder's own
 /// message).
-pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> {
+pub fn architecture_from_json<'a, V: JsonRead<'a>>(v: V) -> Result<Architecture, WireError> {
     let arch = v.fields("architecture", &["buses", "processors", "bridges", "flows"])?;
     let mut b = ArchitectureBuilder::new();
     let domain = |e: socbuf_soc::SocError| WireError::Schema(format!("architecture: {e}"));
 
     let mut bus_ids = Vec::new();
-    for (i, bus) in arch.items("buses")?.iter().enumerate() {
+    for (i, bus) in arch.items("buses")?.enumerate() {
         let what = format!("buses[{i}]");
         let bus = bus.fields(&what, &["name", "service_rate", "arbitration"])?;
         let name = bus.str("name")?;
@@ -1089,7 +1675,7 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
     let bus = |idx: usize, what: &str| by_index(&bus_ids, idx, what, "bus");
 
     let mut proc_ids = Vec::new();
-    for (i, p) in arch.items("processors")?.iter().enumerate() {
+    for (i, p) in arch.items("processors")?.enumerate() {
         let what = format!("processors[{i}]");
         let p = p.fields(&what, &["name", "buses", "weight"])?;
         let name = p.str("name")?;
@@ -1099,18 +1685,18 @@ pub fn architecture_from_json(v: &JsonValue) -> Result<Architecture, WireError> 
     }
     let processor = |idx: usize, what: &str| by_index(&proc_ids, idx, what, "processor");
 
-    for (i, g) in arch.items("bridges")?.iter().enumerate() {
+    for (i, g) in arch.items("bridges")?.enumerate() {
         let what = format!("bridges[{i}]");
         let g = g.fields(&what, &["name", "from", "to", "latency"])?;
         let name = g.str("name")?;
         let from = bus(g.usize("from")?, &what)?;
         let to = bus(g.usize("to")?, &what)?;
-        let latency = g.opt_or("latency", 0.0, JsonValue::finite_f64)?;
+        let latency = g.opt_or("latency", 0.0, V::finite_f64)?;
         b.add_bridge_with_latency(name, from, to, latency)
             .map_err(domain)?;
     }
 
-    for (i, f) in arch.items("flows")?.iter().enumerate() {
+    for (i, f) in arch.items("flows")?.enumerate() {
         let what = format!("flows[{i}]");
         let f = f.fields(&what, &["src", "target", "rate", "shape"])?;
         let src = processor(f.usize("src")?, &what)?;
@@ -1180,7 +1766,7 @@ pub fn sizing_config_to_json(config: &SizingConfig) -> String {
 /// # Errors
 ///
 /// [`WireError::Schema`] for unknown fields or type mismatches.
-pub fn sizing_config_from_json(v: &JsonValue) -> Result<SizingConfig, WireError> {
+pub fn sizing_config_from_json<'a, V: JsonRead<'a>>(v: V) -> Result<SizingConfig, WireError> {
     let f = v.fields(
         "config",
         &[
@@ -1194,15 +1780,15 @@ pub fn sizing_config_from_json(v: &JsonValue) -> Result<SizingConfig, WireError>
         ],
     )?;
     let d = SizingConfig::default();
-    let finite = JsonValue::finite_f64;
+    let finite = V::finite_f64;
     Ok(SizingConfig {
-        state_cap: f.opt_or("state_cap", d.state_cap, JsonValue::usize)?,
-        effort_levels: f.opt_or("effort_levels", d.effort_levels, JsonValue::usize)?,
+        state_cap: f.opt_or("state_cap", d.state_cap, V::usize)?,
+        effort_levels: f.opt_or("effort_levels", d.effort_levels, V::usize)?,
         alpha: f.opt_or("alpha", d.alpha, finite)?,
         quantile: f.opt_or("quantile", d.quantile, finite)?,
         bus_effort_limit: f.opt_or("bus_effort_limit", d.bus_effort_limit, finite)?,
         engine: f.opt_or("engine", d.engine, |x, k| lp_engine_from_tag(x.str(k)?))?,
-        equilibrate: f.opt_or("equilibrate", d.equilibrate, JsonValue::bool)?,
+        equilibrate: f.opt_or("equilibrate", d.equilibrate, V::bool)?,
         ..d
     })
 }
@@ -1266,8 +1852,8 @@ pub fn sizing_outcome_to_json(outcome: &SizingOutcome) -> String {
 ///
 /// [`WireError::Schema`] for shape mismatches or an allocation whose
 /// length disagrees with the architecture's queue count.
-pub fn sizing_outcome_from_json(
-    v: &JsonValue,
+pub fn sizing_outcome_from_json<'a, V: JsonRead<'a>>(
+    v: V,
     arch: &Architecture,
 ) -> Result<SizingOutcome, WireError> {
     let f = v.fields(
@@ -1291,7 +1877,6 @@ pub fn sizing_outcome_from_json(
     let efforts = f.list("efforts", |curve| {
         curve
             .arr("effort curve")?
-            .iter()
             .map(|e| e.f64("effort"))
             .collect()
     })?;
@@ -1306,7 +1891,7 @@ pub fn sizing_outcome_from_json(
         predicted_loss_rate: f.f64("predicted_loss_rate")?,
         budget_shadow_price: f.f64("budget_shadow_price")?,
         budget_row_relaxed: f.bool("budget_row_relaxed")?,
-        lp_iterations: f.opt_or("lp_iterations", 0, JsonValue::usize)?,
+        lp_iterations: f.opt_or("lp_iterations", 0, V::usize)?,
         lp_engine: lp_engine_from_tag(f.str("lp_engine")?)?,
         lp_scaling: ScalingStats {
             applied: scaling.bool("applied")?,
@@ -1610,7 +2195,7 @@ impl CampaignManifest {
     /// # Errors
     ///
     /// [`WireError::Schema`] describing the first violation.
-    pub fn from_json(v: &JsonValue) -> Result<CampaignManifest, WireError> {
+    pub fn from_json<'a, V: JsonRead<'a>>(v: V) -> Result<CampaignManifest, WireError> {
         let f = v.fields(
             "manifest",
             &["campaign", "chunk_len", "chunks", "config_hash"],
@@ -1626,7 +2211,7 @@ impl CampaignManifest {
             return Err(WireError::Schema("manifest: chunk_len must be ≥ 1".into()));
         }
         let mut chunks = Vec::new();
-        for (i, c) in f.items("chunks")?.iter().enumerate() {
+        for (i, c) in f.items("chunks")?.enumerate() {
             let what = format!("chunks[{i}]");
             let c = c.fields(&what, &["chunk", "start", "end"])?;
             chunks.push(ChunkRange {
@@ -1660,7 +2245,7 @@ impl CampaignManifest {
         Ok(manifest)
     }
 
-    fn shape_from_json(campaign: &JsonValue) -> Result<ManifestShape, WireError> {
+    fn shape_from_json<'a>(campaign: impl JsonRead<'a>) -> Result<ManifestShape, WireError> {
         let kind = campaign.member("campaign", "kind")?.str("kind")?;
         let keys: &[&str] = match kind {
             "budget" => &["kind", "arch", "config", "budgets", "warm_start"],
@@ -1902,15 +2487,15 @@ pub fn random_params_to_json(p: &RandomArchParams) -> String {
     })
 }
 
-fn range_from_json(v: &JsonValue, what: &str) -> Result<(f64, f64), WireError> {
-    let items = v.arr(what)?;
-    if items.len() != 2 {
-        return Err(WireError::Schema(format!(
-            "{what}: expected a two-element range, got {} elements",
-            items.len()
-        )));
+fn range_from_json<'a>(v: impl JsonRead<'a>, what: &str) -> Result<(f64, f64), WireError> {
+    let mut items = v.arr(what)?;
+    let n = items.len();
+    match (items.next(), items.next()) {
+        (Some(lo), Some(hi)) if n == 2 => Ok((lo.finite_f64(what)?, hi.finite_f64(what)?)),
+        _ => Err(WireError::Schema(format!(
+            "{what}: expected a two-element range, got {n} elements"
+        ))),
     }
-    Ok((items[0].finite_f64(what)?, items[1].finite_f64(what)?))
 }
 
 /// Parses [`RandomArchParams`]. All fields are required; the
@@ -1920,7 +2505,7 @@ fn range_from_json(v: &JsonValue, what: &str) -> Result<(f64, f64), WireError> {
 /// # Errors
 ///
 /// [`WireError::Schema`] for shape mismatches.
-pub fn random_params_from_json(v: &JsonValue) -> Result<RandomArchParams, WireError> {
+pub fn random_params_from_json<'a>(v: impl JsonRead<'a>) -> Result<RandomArchParams, WireError> {
     let f = v.fields(
         "params",
         &[
@@ -1988,12 +2573,12 @@ impl ChunkReport {
     /// range, a point count that disagrees with the range, a point
     /// whose `index` is not `start + position`, or a point carrying a
     /// `frontier` field (which only the merged report may have).
-    pub fn from_json(v: &JsonValue) -> Result<ChunkReport, WireError> {
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<ChunkReport, WireError> {
         let f = v.fields(
             "chunk report",
             &["chunk", "kind", "config_hash", "start", "end", "points"],
         )?;
-        let points = f.items("points")?.to_vec();
+        let points = f.list("points", |p| Ok(p.to_value()))?;
         let kind = f.str("kind")?;
         if !matches!(kind, "budget" | "load" | "random") {
             return Err(WireError::Schema(format!(
@@ -2237,6 +2822,66 @@ mod tests {
                 offset: 5,
                 message: "number overflows f64".into(),
             })
+        );
+    }
+
+    #[test]
+    fn integer_reads_are_held_to_the_literal_not_its_rounding() {
+        let read = |text: &str| JsonDocument::parse(text).unwrap().value().usize("x");
+        let refused = |got: &str| {
+            Err(WireError::Schema(format!(
+                "x: expected a non-negative integer, got {got}"
+            )))
+        };
+        for (text, want) in [
+            ("0", 0),
+            ("-0", 0),
+            ("-0.0e5", 0),
+            ("1E2", 100),
+            ("0.5e1", 5),
+            ("9007199254740992", 9_007_199_254_740_992),
+            ("9007199254740992.000", 9_007_199_254_740_992),
+            ("9.007199254740992e15", 9_007_199_254_740_992),
+            ("900719925474099200e-2", 9_007_199_254_740_992),
+        ] {
+            assert_eq!(read(text), Ok(want), "{text}");
+        }
+        // Each literal's f64 is an integer ≤ 2⁵³, or misquotes the
+        // literal; the literal itself is what is refused and quoted.
+        for (text, got) in [
+            ("9007199254740993", "9007199254740993"),
+            ("9007199254740992.5", "9007199254740992.5"),
+            ("9007199254740995", "9007199254740995"),
+            ("4503599627370496.5", "4503599627370496.5"),
+            ("1.0000000000000001", "1.0000000000000001"),
+            ("12345678901234567890", "12345678901234567890"),
+            ("1e-400", "1e-400"),
+            ("-1e-400", "-1e-400"),
+        ] {
+            assert_eq!(read(text), refused(got), "{text}");
+        }
+        // Where the f64 is exact, the message shows it as before.
+        for (text, got) in [
+            ("24.5", "24.5"),
+            ("2.50", "2.5"),
+            ("-1", "-1"),
+            ("1e16", "10000000000000000"),
+            ("9007199254740994", "9007199254740994"),
+        ] {
+            assert_eq!(read(text), refused(got), "{text}");
+        }
+        let doc = JsonDocument::parse(r#"{"n":9007199254740993,"s":"1"}"#).unwrap();
+        assert_eq!(
+            doc.value().fields("rec", &["n", "s"]).unwrap().u64("n"),
+            Err(WireError::Schema(
+                "n: expected a non-negative integer, got 9007199254740993".into()
+            ))
+        );
+        assert_eq!(
+            doc.get("s").unwrap().usize("s"),
+            Err(WireError::Schema(
+                "s: expected a finite number, got a string".into()
+            ))
         );
     }
 

@@ -19,7 +19,7 @@
 //!    bytes, exactly as they arrived. [`ContextCache::contains`] peeks
 //!    at it without counting. A raw hit solves on that context without
 //!    decoding the architecture or config and without rendering a key.
-//! 2. On a raw miss, the request is decoded from the frame's tree and
+//! 2. On a raw miss, the request is decoded from the frame's tape and
 //!    looked up under the canonical [`cache_key`] of what it decoded to.
 //!    A partial config (`{"state_cap":16}`), reordered fields or extra
 //!    whitespace land here, and still hit a context a canonical request

@@ -9,7 +9,7 @@
 //! frame is parsed once: the text is the payload's own bytes, copied
 //! out of the frame, so it is byte-for-byte what the server computed —
 //! which is what the byte-parity checks compare against the direct
-//! pipeline — and the typed value is decoded from the same tree.
+//! pipeline — and the typed value is decoded from the same tape.
 
 use std::io;
 use std::net::TcpStream;
@@ -92,6 +92,30 @@ pub struct SizeReply {
     pub outcome: SizingOutcome,
     /// How the server served this request.
     pub trace: Trace,
+}
+
+impl SizeReply {
+    /// Decodes a reply frame to a `size` request for `arch`. The frame
+    /// is parsed once: the outcome decodes from its tape, and
+    /// `result_json` is the `result` field's own bytes.
+    ///
+    /// # Errors
+    ///
+    /// Protocol or remote failures as [`ClientError`].
+    pub fn parse(reply: &str, arch: &Architecture) -> Result<SizeReply, ClientError> {
+        let doc = JsonDocument::parse(reply)?;
+        match succeeded(Response::from_document(&doc)?)? {
+            Response::Size { result, trace } => {
+                let payload = doc.get("result").ok_or_else(|| unexpected("size"))?;
+                Ok(SizeReply {
+                    outcome: sizing_outcome_from_json(payload, arch)?,
+                    result_json: result,
+                    trace,
+                })
+            }
+            _ => Err(unexpected("size")),
+        }
+    }
 }
 
 /// One decoded chunk frame of a `sweep_stream` answer.
@@ -315,18 +339,7 @@ impl Client {
         budget: usize,
     ) -> Result<SizeReply, ClientError> {
         let reply = self.request_raw(&Request::size_json(arch, config, budget))?;
-        let doc = JsonDocument::parse(&reply)?;
-        match succeeded(Response::from_document(&doc)?)? {
-            Response::Size { result, trace } => {
-                let tree = doc.get("result").ok_or_else(|| unexpected("size"))?;
-                Ok(SizeReply {
-                    outcome: sizing_outcome_from_json(tree, arch)?,
-                    result_json: result,
-                    trace,
-                })
-            }
-            _ => Err(unexpected("size")),
-        }
+        SizeReply::parse(&reply, arch)
     }
 
     /// Fetches the server's counters.
@@ -390,10 +403,10 @@ impl Client {
             let doc = JsonDocument::parse(&reply)?;
             match succeeded(Response::from_document(&doc)?)? {
                 Response::Chunk { report, trace } => {
-                    let tree = doc
+                    let payload = doc
                         .get("chunk_report")
                         .ok_or_else(|| unexpected("sweep_stream"))?;
-                    let decoded = ChunkReport::from_json(tree)?;
+                    let decoded = ChunkReport::from_json(payload)?;
                     frames += 1;
                     points += decoded.points.len() as u64;
                     on_chunk(ChunkReply {

@@ -42,11 +42,11 @@
 //! and `req`); any other key is refused by name. That check runs after
 //! the version and verb checks and before any field is decoded.
 //!
-//! A server parses each request frame once and keeps the tree and the
-//! byte span of each top-level field. For
-//! `size` it first looks its warm cache up under the raw `arch` and
-//! `config` bytes, and decodes them from the tree only when that misses
-//! (see [`crate::cache`]). Either way a malformed frame gets the same
+//! A server parses each request frame once into a tape
+//! ([`socbuf_core::wire::JsonDocument`]), which keeps each value's byte
+//! span. For `size` it first looks its warm cache up under the raw
+//! `arch` and `config` bytes, and decodes them from the tape only when
+//! that misses (see [`crate::cache`]). Either way a malformed frame gets the same
 //! error a full decode reports, checked in the order `arch`, `config`,
 //! `budget`, before the server considers draining or backpressure.
 //!
@@ -98,10 +98,12 @@
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
+#[cfg(test)]
+use socbuf_core::wire::JsonValue;
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, config_hash_from_hex, config_hash_to_hex,
     push_usize, sizing_config_from_json, sizing_config_to_json, sizing_outcome_semantic_json,
-    CampaignManifest, Fields, JsonDocument, JsonValue, ObjWriter, WireError,
+    CampaignManifest, Fields, JsonDocument, JsonRead, JsonRef, ObjWriter, WireError,
 };
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
@@ -369,8 +371,8 @@ impl Verb {
 }
 
 /// A request frame parsed once: its version and verb are checked, and
-/// its tree and the byte spans of its top-level fields are kept for
-/// whatever decoding the server then needs.
+/// its tape, with the byte span of every value, is kept for whatever
+/// decoding the server then needs.
 ///
 /// A `size` frame's `arch` and `config` stay undecoded until asked
 /// for: the server first looks its warm cache up under their raw bytes
@@ -421,7 +423,7 @@ impl<'t> RequestFrame<'t> {
     }
 
     /// The frame's top-level fields, under its verb's key list.
-    fn fields(&self) -> Result<Fields<'_>, WireError> {
+    fn fields(&self) -> Result<Fields<'_, JsonRef<'_>>, WireError> {
         self.doc.value().fields("request", self.verb.keys())
     }
 
@@ -534,7 +536,7 @@ impl Trace {
     /// # Errors
     ///
     /// [`WireError`] on shape mismatches.
-    pub fn from_json(v: &JsonValue) -> Result<Trace, WireError> {
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<Trace, WireError> {
         let f = v.fields("trace", &["warm", "pivots", "queue_wait_us", "solve_us"])?;
         Ok(Trace {
             warm: f.bool("warm")?,
@@ -576,7 +578,7 @@ impl VerbCounts {
     /// # Errors
     ///
     /// [`WireError`] on shape mismatches.
-    pub fn from_json(v: &JsonValue) -> Result<VerbCounts, WireError> {
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<VerbCounts, WireError> {
         let f = v.fields("requests", &["size", "sweep_stream", "health", "drain"])?;
         Ok(VerbCounts {
             size: f.u64("size")?,
@@ -618,7 +620,7 @@ impl StreamGauges {
     /// # Errors
     ///
     /// [`WireError`] on shape mismatches.
-    pub fn from_json(v: &JsonValue) -> Result<StreamGauges, WireError> {
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<StreamGauges, WireError> {
         let f = v.fields("streaming", &["frames", "bytes", "peak_resident_points"])?;
         Ok(StreamGauges {
             frames: f.u64("frames")?,
@@ -684,7 +686,7 @@ impl Health {
     /// # Errors
     ///
     /// [`WireError`] on shape mismatches.
-    pub fn from_json(v: &JsonValue) -> Result<Health, WireError> {
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<Health, WireError> {
         let f = v.fields(
             "health",
             &[
@@ -1349,5 +1351,248 @@ mod tests {
             Response::parse("[2]").unwrap_err(),
             WireError::Schema("response: expected an object, got an array".into())
         );
+    }
+
+    /// Fields the frames carry as integers (an array's items count as
+    /// its key), and every other field a frame carries a number in.
+    const INTEGER_KEYS: [&str; 40] = [
+        "v",
+        "budget",
+        "budgets",
+        "chunks",
+        "chunk",
+        "start",
+        "end",
+        "chunk_len",
+        "state_cap",
+        "effort_levels",
+        "from",
+        "to",
+        "src",
+        "processor",
+        "bus",
+        "buses",
+        "allocation",
+        "requirements",
+        "pivots",
+        "queue_wait_us",
+        "solve_us",
+        "frames",
+        "points",
+        "retry_after_ms",
+        "cache_entries",
+        "cache_capacity",
+        "hits",
+        "misses",
+        "evictions",
+        "warm_pivots",
+        "cold_pivots",
+        "inflight",
+        "max_inflight",
+        "workers",
+        "bytes",
+        "peak_resident_points",
+        "size",
+        "sweep_stream",
+        "health",
+        "drain",
+    ];
+    const FLOAT_KEYS: [&str; 11] = [
+        "service_rate",
+        "weight",
+        "rate",
+        "alpha",
+        "quantile",
+        "bus_effort_limit",
+        "efforts",
+        "predicted_loss_rate",
+        "budget_shadow_price",
+        "condition_before",
+        "condition_after",
+    ];
+
+    /// Every path in `v` with the value it leads to, parents first; an
+    /// array item's segment is its index.
+    fn paths(v: &JsonValue, at: &mut Vec<String>, out: &mut Vec<(Vec<String>, JsonValue)>) {
+        let children: Vec<(String, &JsonValue)> = match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, x)| (k.clone(), x)).collect(),
+            JsonValue::Arr(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| (i.to_string(), x))
+                .collect(),
+            _ => Vec::new(),
+        };
+        for (seg, x) in children {
+            at.push(seg);
+            out.push((at.clone(), x.clone()));
+            paths(x, at, out);
+            at.pop();
+        }
+    }
+
+    /// `doc` with the value at `path` replaced by `with`.
+    fn replaced(doc: &JsonValue, path: &[String], with: JsonValue) -> JsonValue {
+        let mut doc = doc.clone();
+        let mut v = &mut doc;
+        for seg in path {
+            v = match v {
+                JsonValue::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+                JsonValue::Arr(items) => &mut items[seg.parse::<usize>().unwrap()],
+                other => panic!("{path:?}: {seg} indexes {other:?}"),
+            };
+        }
+        *v = with;
+        doc
+    }
+
+    /// The field rules on value kinds, at every path of the frame `text`
+    /// outside the `opaque` payloads `decode` does not read: a string
+    /// swapped for a number, or any other value for a string, is refused
+    /// by a schema error, and an integer field holding 2⁵³ + 1 is refused
+    /// by name, quoting the literal (its `f64` rounds to 2⁵³).
+    fn assert_field_kinds(
+        text: &str,
+        opaque: &[&str],
+        decode: &dyn Fn(&str) -> Result<(), WireError>,
+    ) {
+        let doc = JsonValue::parse(text).unwrap();
+        decode(text).unwrap_or_else(|e| panic!("{text}: the canonical text must decode: {e}"));
+        let mut all = Vec::new();
+        paths(&doc, &mut Vec::new(), &mut all);
+        for (path, value) in all {
+            if path.iter().any(|seg| opaque.contains(&seg.as_str())) {
+                continue;
+            }
+            let at = format!("{path:?} of {text}");
+            let swap = match value {
+                JsonValue::Str(_) => JsonValue::Num(1.0),
+                _ => JsonValue::Str("swapped".into()),
+            };
+            let got = decode(&replaced(&doc, &path, swap).render());
+            assert!(matches!(got, Err(WireError::Schema(_))), "{at}: {got:?}");
+            if !matches!(value, JsonValue::Num(_)) {
+                continue;
+            }
+            let field = path
+                .iter()
+                .rev()
+                .find(|s| s.parse::<usize>().is_err())
+                .unwrap();
+            if FLOAT_KEYS.contains(&field.as_str()) {
+                continue;
+            }
+            assert!(
+                INTEGER_KEYS.contains(&field.as_str()),
+                "{at}: unlisted number field"
+            );
+            let marked = replaced(&doc, &path, JsonValue::Str("2^53+1".into())).render();
+            let past = marked.replacen("\"2^53+1\"", "9007199254740993", 1);
+            match decode(&past) {
+                Err(WireError::Schema(msg)) => assert!(
+                    msg.ends_with(": expected a non-negative integer, got 9007199254740993"),
+                    "{at}: {msg}"
+                ),
+                other => panic!("{at}: 2^53 + 1 must be refused by name, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_frame_field_refuses_kind_swaps_and_integers_past_2_53() {
+        let arch = templates::figure1();
+        let config = SizingConfig::small();
+        let manifest = CampaignManifest::new(
+            socbuf_core::wire::ManifestShape::Budget {
+                arch: arch.clone(),
+                budgets: vec![8, 16, 24],
+                warm_start: true,
+            },
+            config.clone(),
+        )
+        .unwrap();
+        let request = |text: &str| Request::parse(text).map(drop);
+        assert_field_kinds(&Request::size_json(&arch, &config, 24), &[], &request);
+        let streamed = Request::sweep_stream_json(&manifest, Some(&[1, 0]));
+        assert_field_kinds(&streamed, &[], &request);
+
+        let trace = Trace {
+            warm: true,
+            pivots: 3,
+            queue_wait_us: 4,
+            solve_us: 900,
+        };
+        let outcome = socbuf_core::size_buffers(&arch, 24, &config).unwrap();
+        let size_reply = |text: &str| match crate::SizeReply::parse(text, &arch) {
+            Ok(_) => Ok(()),
+            Err(crate::ClientError::Wire(e)) => Err(e),
+            Err(other) => panic!("{text}: {other}"),
+        };
+        let sized = Response::for_outcome(&outcome, trace).to_json();
+        assert_field_kinds(&sized, &[], &size_reply);
+
+        let chunk_reply = |text: &str| {
+            Response::parse(text)?;
+            let doc = JsonDocument::parse(text)?;
+            socbuf_core::wire::ChunkReport::from_json(doc.get("chunk_report").unwrap()).map(drop)
+        };
+        let report = socbuf_core::wire::render_chunk_report(
+            manifest.config_hash,
+            "budget",
+            1,
+            1..2,
+            &["{\"index\":1}"],
+            |out, p| out.push_str(p),
+        );
+        let chunk = Response::Chunk { report, trace }.to_json();
+        assert_field_kinds(&chunk, &["points"], &chunk_reply);
+
+        let response = |text: &str| Response::parse(text).map(drop);
+        let health = Health {
+            cache_entries: 1,
+            cache_capacity: 8,
+            hits: 2,
+            misses: 1,
+            evictions: 0,
+            warm_pivots: 3,
+            cold_pivots: 40,
+            inflight: 0,
+            max_inflight: 4,
+            draining: false,
+            workers: 2,
+            streaming: StreamGauges {
+                frames: 3,
+                bytes: 2048,
+                peak_resident_points: 4,
+            },
+            requests: VerbCounts {
+                size: 5,
+                sweep_stream: 1,
+                health: 2,
+                drain: 0,
+            },
+        };
+        for (frame, opaque) in [
+            (Response::Health(health), &[][..]),
+            (
+                Response::StreamEnd {
+                    config_hash: 0xab,
+                    frames: 2,
+                    points: 5,
+                },
+                &[],
+            ),
+            (Response::Busy { retry_after_ms: 50 }, &[]),
+            (
+                Response::Error {
+                    message: "no".into(),
+                },
+                &[],
+            ),
+            // The drain acknowledgement is told apart by its key alone.
+            (Response::Draining, &["draining"]),
+        ] {
+            assert_field_kinds(&frame.to_json(), opaque, &response);
+        }
     }
 }

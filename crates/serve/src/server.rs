@@ -602,7 +602,7 @@ fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Respo
         Some(ctx) => ctx,
         None => {
             // A raw key another request checked out since the lookup
-            // in `settle_size` decodes now, from the same tree.
+            // in `settle_size` decodes now, from the same tape.
             let problem = match decoded {
                 Some(problem) => Ok(problem),
                 None => frame.size_problem(),

@@ -13,7 +13,9 @@
 
 use std::fmt::Write as _;
 
-use socbuf_core::wire::{push_f64, JsonValue, WireError};
+#[cfg(test)]
+use socbuf_core::wire::JsonValue;
+use socbuf_core::wire::{push_f64, JsonRead, WireError};
 
 /// Which campaign produced a report (decides the Pareto cost axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,8 +430,8 @@ pub(crate) fn push_point_json(
 /// (it is trace-only; see [`SweepPoint::lp_iterations`]), so parsed
 /// points carry a zero count and payloads from the era that rendered
 /// it are rejected by name.
-pub(crate) fn sweep_point_from_json(
-    v: &JsonValue,
+pub(crate) fn sweep_point_from_json<'a>(
+    v: impl JsonRead<'a>,
     expect_kind: SweepKind,
 ) -> Result<SweepPoint, WireError> {
     let f = v.fields(

@@ -43,7 +43,9 @@
 
 use std::collections::BTreeMap;
 
-use socbuf_core::wire::{render_chunk_report, CampaignManifest, ChunkReport, JsonValue, WireError};
+use socbuf_core::wire::{
+    render_chunk_report, CampaignManifest, ChunkReport, JsonDocument, WireError,
+};
 
 use crate::campaign::{manifest_err, CampaignPlan, SinkRun, SweepError};
 use crate::pool::WorkPool;
@@ -161,8 +163,8 @@ pub fn execute_manifest_chunk_traced(
         pivots: solved.iter().map(|p| p.lp_iterations).sum(),
     };
     let text = chunk_report_json(manifest, chunk, &solved);
-    let report = JsonValue::parse(&text)
-        .and_then(|v| ChunkReport::from_json(&v))
+    let report = JsonDocument::parse(&text)
+        .and_then(|doc| ChunkReport::from_json(doc.value()))
         .expect("the chunk renderer emits a valid chunk report");
     Ok((report, stats))
 }
