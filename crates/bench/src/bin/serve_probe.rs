@@ -16,14 +16,27 @@
 //!   trip must be faster than the best-of-repeats cold round trip.
 //!   Warm hits skip the whole first-phase solve, so this holds by a
 //!   wide margin.
+//! * **frame parse allocations (a count, enforced on every host)** —
+//!   parsing the figure1 `small()` `size` request frame may make at
+//!   most [`FRAME_PARSE_ALLOC_LIMIT`] heap allocations: the tape, plus
+//!   one buffer should a string hold an escape. The count of the
+//!   client's parse and decode of the matching reply is printed beside
+//!   it; the decoded outcome's own vectors make most of that.
 
 use std::time::Duration;
 
+use socbuf_bench::alloc::{self, CountingAlloc};
 use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
-use socbuf_core::wire::sizing_outcome_semantic_json;
+use socbuf_core::wire::{sizing_outcome_semantic_json, JsonDocument};
 use socbuf_core::{size_buffers, SizingConfig};
-use socbuf_serve::{Client, Server, ServerConfig};
+use socbuf_serve::{Client, Request, Response, Server, ServerConfig, SizeReply, Trace};
 use socbuf_soc::templates;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Most heap allocations parsing one `size` request frame may make.
+const FRAME_PARSE_ALLOC_LIMIT: u64 = 2;
 
 /// The smoke query's budget: the paper's evaluation platform at a
 /// Table-1 scale, sized to take long enough cold that a warm hit is
@@ -53,8 +66,53 @@ fn timed_size(
     })
 }
 
+/// The allocation gate: parsing the figure1 `small()` `size` request
+/// frame, as the server does for every request, with the reply's parse
+/// and decode reported beside it.
+fn check_frame_allocations(gate: &mut Gate) {
+    let arch = templates::figure1();
+    let config = SizingConfig::small();
+    let budget = 24;
+    let request = Request::Size {
+        arch: arch.clone(),
+        config: config.clone(),
+        budget,
+    }
+    .to_json();
+    let (parsed, parse) = alloc::count(|| JsonDocument::parse(&request).map(drop));
+    parsed.or_exit("the size frame must parse");
+    let outcome = size_buffers(&arch, budget, &config).or_exit("direct solve");
+    let trace = Trace {
+        warm: true,
+        pivots: 0,
+        queue_wait_us: 12,
+        solve_us: 345,
+    };
+    let reply = Response::for_outcome(&outcome, trace).to_json();
+    let (decoded, decode) = alloc::count(|| SizeReply::parse(&reply, &arch).map(drop));
+    decoded.or_exit("the size reply must decode");
+    println!(
+        "figure1 small() size frame ({} bytes): parse {} allocations ({} bytes); \
+         reply ({} bytes) parse + decode {} allocations",
+        request.len(),
+        parse.allocs,
+        parse.bytes,
+        reply.len(),
+        decode.allocs
+    );
+    gate.check(
+        parse.allocs <= FRAME_PARSE_ALLOC_LIMIT,
+        format_args!(
+            "parsing the size frame made {} allocations (limit {FRAME_PARSE_ALLOC_LIMIT})",
+            parse.allocs
+        ),
+    );
+}
+
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
+    check_frame_allocations(gate);
+
     const SMOKE_REPEATS: usize = 3;
 
     let arch = templates::network_processor();
