@@ -649,19 +649,10 @@ impl<'s> Decimal<'s> {
         } else {
             magnitude
         };
-        let digit = |i: usize| {
-            if i < int.len() {
-                int[i]
-            } else {
-                frac[i - int.len()]
-            }
-        };
+        let digits = || int.iter().chain(frac);
         let n = int.len() + frac.len();
-        let first = (0..n).find(|&i| digit(i) != b'0').unwrap_or(n);
-        let last = (first..n)
-            .rev()
-            .find(|&i| digit(i) != b'0')
-            .map_or(first, |i| i + 1);
+        let first = digits().position(|&b| b != b'0').unwrap_or(n);
+        let last = n - digits().rev().position(|&b| b != b'0').unwrap_or(n - first);
         Decimal {
             negative,
             int,
@@ -921,6 +912,20 @@ impl<'t> JsonDocument<'t> {
         let node = self.nodes[self.get(key)?.at];
         Some(&self.text[node.start..node.end])
     }
+
+    /// The contents of the string at tape index `at`.
+    fn string(&self, at: usize) -> &str {
+        string(self.text, &self.unescaped, self.nodes[at])
+    }
+
+    /// The `len` children of the container at tape index `at`.
+    fn children(&self, at: usize, len: usize) -> TapeItems<'_> {
+        TapeItems {
+            doc: self,
+            at: at + 1,
+            left: len,
+        }
+    }
 }
 
 /// A cursor into a [`JsonDocument`]'s tape: one value, read through
@@ -1020,21 +1025,6 @@ fn string<'s>(text: &'s str, unescaped: &'s str, node: Node) -> &'s str {
     match node.tag {
         Tag::Escaped(from, to) => &unescaped[from..to],
         _ => &text[node.start + 1..node.end - 1],
-    }
-}
-
-impl<'a> JsonDocument<'a> {
-    /// The contents of the string at tape index `at`.
-    fn string(&'a self, at: usize) -> &'a str {
-        string(self.text, &self.unescaped, self.nodes[at])
-    }
-
-    fn children(&'a self, at: usize, left: usize) -> TapeItems<'a> {
-        TapeItems {
-            doc: self,
-            at: at + 1,
-            left,
-        }
     }
 }
 
