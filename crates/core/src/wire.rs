@@ -397,30 +397,21 @@ pub trait JsonRead<'a>: Copy {
     /// values beyond 2⁵³.
     fn usize(self, what: &str) -> Result<usize, WireError> {
         let v = self.finite_f64(what)?;
-        let exact = match self.literal() {
-            // Up to 15 plain digits spell an integer below 2⁵³, which
-            // its `f64` holds exactly.
-            Some(literal) if literal.len() <= 15 && literal.bytes().all(|b| b.is_ascii_digit()) => {
-                Some(v as u64)
-            }
-            Some(literal) => Decimal::read(literal).exact_uint(),
+        let literal = self.literal();
+        let exact = match literal {
+            Some(text) => Decimal::read(text).exact_uint(),
             None => (v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT).then_some(v as u64),
         };
-        match exact {
-            Some(n) => Ok(n as usize),
-            None => {
-                let shown = v.to_string();
-                let got = match self.literal() {
-                    Some(literal) if !Decimal::read(literal).same_value(&Decimal::read(&shown)) => {
-                        literal
-                    }
-                    _ => &shown,
-                };
-                Err(WireError::Schema(format!(
-                    "{what}: expected a non-negative integer, got {got}"
-                )))
-            }
+        if let Some(n) = exact {
+            return Ok(n as usize);
         }
+        let shown = v.to_string();
+        let got = literal
+            .filter(|text| !Decimal::read(text).same_value(&Decimal::read(&shown)))
+            .unwrap_or(&shown);
+        Err(WireError::Schema(format!(
+            "{what}: expected a non-negative integer, got {got}"
+        )))
     }
 
     /// The number as `u64` (same rules as [`JsonRead::usize`]).
@@ -472,6 +463,7 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         fn(&'a (String, JsonValue)) -> (&'a str, &'a JsonValue),
     >;
 
+    #[inline]
     fn kind(self) -> JsonKind {
         match self {
             JsonValue::Null => JsonKind::Null,
@@ -483,6 +475,7 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         }
     }
 
+    #[inline]
     fn as_bool(self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),
@@ -490,6 +483,7 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         }
     }
 
+    #[inline]
     fn as_f64(self) -> Option<f64> {
         match self {
             JsonValue::Num(v) => Some(*v),
@@ -497,10 +491,12 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         }
     }
 
+    #[inline]
     fn literal(self) -> Option<&'a str> {
         None
     }
 
+    #[inline]
     fn as_str(self) -> Option<&'a str> {
         match self {
             JsonValue::Str(s) => Some(s),
@@ -508,6 +504,7 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         }
     }
 
+    #[inline]
     fn items(self) -> Option<Self::Items> {
         match self {
             JsonValue::Arr(items) => Some(items.iter()),
@@ -515,6 +512,7 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
         }
     }
 
+    #[inline]
     fn members(self) -> Option<Self::Members> {
         match self {
             JsonValue::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v))),
@@ -914,11 +912,13 @@ impl<'t> JsonDocument<'t> {
     }
 
     /// The contents of the string at tape index `at`.
+    #[inline]
     fn string(&self, at: usize) -> &str {
-        string(self.text, &self.unescaped, self.nodes[at])
+        string(self.text, &self.unescaped, &self.nodes[at])
     }
 
     /// The `len` children of the container at tape index `at`.
+    #[inline]
     fn children(&self, at: usize, len: usize) -> TapeItems<'_> {
         TapeItems {
             doc: self,
@@ -938,12 +938,14 @@ pub struct JsonRef<'a> {
 }
 
 impl<'a> JsonRef<'a> {
-    fn node(self) -> Node {
-        self.doc.nodes[self.at]
+    #[inline]
+    fn node(self) -> &'a Node {
+        &self.doc.nodes[self.at]
     }
 
     /// The value's source text, byte for byte as it arrived.
-    pub fn raw(self) -> &'a str {
+    #[inline]
+    fn raw(self) -> &'a str {
         let node = self.node();
         &self.doc.text[node.start..node.end]
     }
@@ -975,6 +977,7 @@ pub struct TapeItems<'a> {
 
 impl<'a> TapeItems<'a> {
     /// The next child at `at + skip`, stepping past its subtree.
+    #[inline]
     fn step(&mut self, skip: usize) -> Option<JsonRef<'a>> {
         self.left = self.left.checked_sub(1)?;
         let child = JsonRef {
@@ -989,10 +992,12 @@ impl<'a> TapeItems<'a> {
 impl<'a> Iterator for TapeItems<'a> {
     type Item = JsonRef<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<JsonRef<'a>> {
         self.step(0)
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.left, Some(self.left))
     }
@@ -1007,12 +1012,14 @@ pub struct TapeMembers<'a>(TapeItems<'a>);
 impl<'a> Iterator for TapeMembers<'a> {
     type Item = (&'a str, JsonRef<'a>);
 
+    #[inline]
     fn next(&mut self) -> Option<(&'a str, JsonRef<'a>)> {
         let key = self.0.at;
         let value = self.0.step(1)?;
         Some((self.0.doc.string(key), value))
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.0.size_hint()
     }
@@ -1021,7 +1028,8 @@ impl<'a> Iterator for TapeMembers<'a> {
 impl ExactSizeIterator for TapeMembers<'_> {}
 
 /// The contents of a string `node` on a tape over `text`.
-fn string<'s>(text: &'s str, unescaped: &'s str, node: Node) -> &'s str {
+#[inline]
+fn string<'s>(text: &'s str, unescaped: &'s str, node: &Node) -> &'s str {
     match node.tag {
         Tag::Escaped(from, to) => &unescaped[from..to],
         _ => &text[node.start + 1..node.end - 1],
@@ -1032,6 +1040,7 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
     type Items = TapeItems<'a>;
     type Members = TapeMembers<'a>;
 
+    #[inline]
     fn kind(self) -> JsonKind {
         match self.node().tag {
             Tag::Null => JsonKind::Null,
@@ -1043,6 +1052,7 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
         }
     }
 
+    #[inline]
     fn as_bool(self) -> Option<bool> {
         match self.node().tag {
             Tag::Bool(b) => Some(b),
@@ -1050,6 +1060,7 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
         }
     }
 
+    #[inline]
     fn as_f64(self) -> Option<f64> {
         match self.node().tag {
             Tag::Num(v) => Some(v),
@@ -1057,14 +1068,17 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
         }
     }
 
+    #[inline]
     fn literal(self) -> Option<&'a str> {
         matches!(self.node().tag, Tag::Num(_)).then(|| self.raw())
     }
 
+    #[inline]
     fn as_str(self) -> Option<&'a str> {
         matches!(self.node().tag, Tag::Str | Tag::Escaped(..)).then(|| self.doc.string(self.at))
     }
 
+    #[inline]
     fn items(self) -> Option<TapeItems<'a>> {
         match self.node().tag {
             Tag::Arr(n) => Some(self.doc.children(self.at, n)),
@@ -1072,33 +1086,12 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
         }
     }
 
+    #[inline]
     fn members(self) -> Option<TapeMembers<'a>> {
         match self.node().tag {
             Tag::Obj(n) => Some(TapeMembers(self.doc.children(self.at, n))),
             _ => None,
         }
-    }
-
-    /// [`JsonRead::get`] as a walk over the key nodes that compares
-    /// bytes: every record field read is one.
-    fn get(self, key: &str) -> Option<JsonRef<'a>> {
-        let Tag::Obj(n) = self.node().tag else {
-            return None;
-        };
-        let (doc, bytes) = (self.doc, self.doc.text.as_bytes());
-        let mut at = self.at + 1;
-        for _ in 0..n {
-            let node = doc.nodes[at];
-            let found = match node.tag {
-                Tag::Escaped(from, to) => &doc.unescaped[from..to] == key,
-                _ => &bytes[node.start + 1..node.end - 1] == key.as_bytes(),
-            };
-            if found {
-                return Some(JsonRef { doc, at: at + 1 });
-            }
-            at = doc.nodes[at + 1].next;
-        }
-        None
     }
 }
 
@@ -1262,10 +1255,10 @@ impl Parser<'_> {
     /// The key at tape index `key`, when an earlier member of the
     /// object at `obj` has the same one (keys compare unescaped).
     fn duplicate(&self, obj: usize, key: usize) -> Option<String> {
-        let name = string(self.text, &self.unescaped, self.nodes[key]);
+        let name = string(self.text, &self.unescaped, &self.nodes[key]);
         let mut at = obj + 1;
         while at < key {
-            if string(self.text, &self.unescaped, self.nodes[at]) == name {
+            if string(self.text, &self.unescaped, &self.nodes[at]) == name {
                 return Some(name.to_string());
             }
             at = self.nodes[at + 1].next;
@@ -1399,9 +1392,6 @@ impl Parser<'_> {
             .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
             .unwrap_or(rest.len());
         let text = &self.text[start..self.pos];
-        if let Some(v) = short_decimal(text.as_bytes()) {
-            return Ok(Tag::Num(v));
-        }
         let invalid = || self.err(format!("invalid number \"{text}\""));
         if !is_json_number(text.as_bytes()) {
             return Err(invalid());
@@ -1412,42 +1402,6 @@ impl Parser<'_> {
             Err(_) => Err(invalid()),
         }
     }
-}
-
-/// The value of `run` when it spells a JSON number with no exponent
-/// and at most 15 digits, else `None`. Such a number is an integer
-/// below 2⁵³ divided by a power of ten no larger than 10¹⁵, both exact
-/// in `f64`, so one correctly rounded division gives exactly what
-/// `f64::from_str` does. Most wire numbers take this path.
-fn short_decimal(run: &[u8]) -> Option<f64> {
-    const POW10: [f64; 16] = [
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-    ];
-    let (negative, body) = match run.split_first() {
-        Some((b'-', rest)) => (true, rest),
-        _ => (false, run),
-    };
-    let (mut mantissa, mut digits, mut point) = (0u64, 0usize, None);
-    for &b in body {
-        match b {
-            b'0'..=b'9' => {
-                mantissa = mantissa * 10 + u64::from(b - b'0');
-                digits += 1;
-                if digits > 15 {
-                    return None;
-                }
-            }
-            b'.' if point.is_none() => point = Some(digits),
-            _ => return None,
-        }
-    }
-    let int_digits = point.unwrap_or(digits);
-    let leading_zero = body.first() == Some(&b'0') && int_digits > 1;
-    if int_digits == 0 || leading_zero || point == Some(digits) {
-        return None;
-    }
-    let v = mantissa as f64 / POW10[digits - int_digits];
-    Some(if negative { -v } else { v })
 }
 
 /// Whether `run` spells a number in the RFC 8259 grammar:
