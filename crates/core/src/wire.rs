@@ -236,39 +236,40 @@ impl JsonValue {
 // The reader every decoder goes through
 // ---------------------------------------------------------------------
 
-/// The kind of a JSON value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JsonKind {
+/// One JSON value as a [`JsonRead`] reader sees it.
+pub enum JsonView<'a, V: JsonRead<'a>> {
     /// `null`.
     Null,
     /// `true` / `false`.
-    Bool,
-    /// A number.
-    Num,
-    /// A string.
-    Str,
-    /// An array.
-    Arr,
-    /// An object.
-    Obj,
+    Bool(bool),
+    /// A number, with its literal when it was read from text (an owned
+    /// value has lost it).
+    Num(f64, Option<&'a str>),
+    /// A string's unescaped contents.
+    Str(&'a str),
+    /// An array's items, in order.
+    Arr(V::Items),
+    /// An object's members, key and value, in order.
+    Obj(V::Members),
 }
 
-impl JsonKind {
+impl<'a, V: JsonRead<'a>> JsonView<'a, V> {
     /// Short type tag for error messages.
-    fn name(self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
-            JsonKind::Null => "null",
-            JsonKind::Bool => "a boolean",
-            JsonKind::Num => "a number",
-            JsonKind::Str => "a string",
-            JsonKind::Arr => "an array",
-            JsonKind::Obj => "an object",
+            JsonView::Null => "null",
+            JsonView::Bool(_) => "a boolean",
+            JsonView::Num(..) => "a number",
+            JsonView::Str(_) => "a string",
+            JsonView::Arr(_) => "an array",
+            JsonView::Obj(_) => "an object",
         }
     }
-}
 
-fn expected(what: &str, want: &str, got: JsonKind) -> WireError {
-    WireError::Schema(format!("{what}: expected {want}, got {}", got.name()))
+    /// A schema error: `what` expected `want` and got this value.
+    fn expected(&self, what: &str, want: &str) -> WireError {
+        WireError::Schema(format!("{what}: expected {want}, got {}", self.kind()))
+    }
 }
 
 fn missing(parent: &str, key: &str) -> WireError {
@@ -287,44 +288,31 @@ pub trait JsonRead<'a>: Copy {
     /// An object's members, key and value, in order.
     type Members: Iterator<Item = (&'a str, Self)> + Clone;
 
-    /// The value's kind.
-    fn kind(self) -> JsonKind;
-    /// The boolean, if this is one.
-    fn as_bool(self) -> Option<bool>;
-    /// The number, if this is one.
-    fn as_f64(self) -> Option<f64>;
-    /// The number's literal as it arrived, if this is a number read
-    /// from text (an owned value has lost it).
-    fn literal(self) -> Option<&'a str>;
-    /// The string's unescaped contents, if this is one.
-    fn as_str(self) -> Option<&'a str>;
-    /// The array's items, if this is one.
-    fn items(self) -> Option<Self::Items>;
-    /// The object's members, if this is one.
-    fn members(self) -> Option<Self::Members>;
+    /// This value, by kind.
+    fn view(self) -> JsonView<'a, Self>;
 
     /// This value as an owned tree.
     fn to_value(self) -> JsonValue {
-        if let Some(items) = self.items() {
-            JsonValue::Arr(items.map(Self::to_value).collect())
-        } else if let Some(members) = self.members() {
-            JsonValue::Obj(
+        match self.view() {
+            JsonView::Null => JsonValue::Null,
+            JsonView::Bool(b) => JsonValue::Bool(b),
+            JsonView::Num(v, _) => JsonValue::Num(v),
+            JsonView::Str(s) => JsonValue::Str(s.to_string()),
+            JsonView::Arr(items) => JsonValue::Arr(items.map(Self::to_value).collect()),
+            JsonView::Obj(members) => JsonValue::Obj(
                 members
                     .map(|(k, v)| (k.to_string(), v.to_value()))
                     .collect(),
-            )
-        } else if let Some(s) = self.as_str() {
-            JsonValue::Str(s.to_string())
-        } else if let Some(v) = self.as_f64() {
-            JsonValue::Num(v)
-        } else {
-            self.as_bool().map_or(JsonValue::Null, JsonValue::Bool)
+            ),
         }
     }
 
     /// An object's member (`None` for non-objects and missing keys).
     fn get(self, key: &str) -> Option<Self> {
-        self.members()?.find(|(k, _)| *k == key).map(|(_, v)| v)
+        match self.view() {
+            JsonView::Obj(mut members) => members.find(|(k, _)| *k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// The array's items, or a schema error naming `what`.
@@ -333,8 +321,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] if this is not an array.
     fn arr(self, what: &str) -> Result<Self::Items, WireError> {
-        self.items()
-            .ok_or_else(|| expected(what, "an array", self.kind()))
+        match self.view() {
+            JsonView::Arr(items) => Ok(items),
+            other => Err(other.expected(what, "an array")),
+        }
     }
 
     /// The string's contents, or a schema error naming `what`.
@@ -343,8 +333,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] if this is not a string.
     fn str(self, what: &str) -> Result<&'a str, WireError> {
-        self.as_str()
-            .ok_or_else(|| expected(what, "a string", self.kind()))
+        match self.view() {
+            JsonView::Str(s) => Ok(s),
+            other => Err(other.expected(what, "a string")),
+        }
     }
 
     /// The boolean, or a schema error naming `what`.
@@ -353,8 +345,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] if this is not a boolean.
     fn bool(self, what: &str) -> Result<bool, WireError> {
-        self.as_bool()
-            .ok_or_else(|| expected(what, "a boolean", self.kind()))
+        match self.view() {
+            JsonView::Bool(b) => Ok(b),
+            other => Err(other.expected(what, "a boolean")),
+        }
     }
 
     /// The number as `f64`; `null` maps to `f64::NAN` (the wire
@@ -364,11 +358,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] if this is neither a number nor `null`.
     fn f64(self, what: &str) -> Result<f64, WireError> {
-        match self.kind() {
-            JsonKind::Null => Ok(f64::NAN),
-            _ => self
-                .as_f64()
-                .ok_or_else(|| expected(what, "a number", self.kind())),
+        match self.view() {
+            JsonView::Num(v, _) => Ok(v),
+            JsonView::Null => Ok(f64::NAN),
+            other => Err(other.expected(what, "a number")),
         }
     }
 
@@ -379,8 +372,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] for non-numbers and `null`.
     fn finite_f64(self, what: &str) -> Result<f64, WireError> {
-        self.as_f64()
-            .ok_or_else(|| expected(what, "a finite number", self.kind()))
+        match self.view() {
+            JsonView::Num(v, _) => Ok(v),
+            other => Err(other.expected(what, "a finite number")),
+        }
     }
 
     /// The number as `usize`: its exact value must be a non-negative
@@ -396,8 +391,10 @@ pub trait JsonRead<'a>: Copy {
     /// [`WireError::Schema`] for non-numbers, negatives, fractions, and
     /// values beyond 2⁵³.
     fn usize(self, what: &str) -> Result<usize, WireError> {
-        let v = self.finite_f64(what)?;
-        let literal = self.literal();
+        let (v, literal) = match self.view() {
+            JsonView::Num(v, literal) => (v, literal),
+            other => return Err(other.expected(what, "a finite number")),
+        };
         let exact = match literal {
             Some(text) => Decimal::read(text).exact_uint(),
             None => (v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT).then_some(v as u64),
@@ -433,9 +430,10 @@ pub trait JsonRead<'a>: Copy {
     ///
     /// [`WireError::Schema`] for a non-object or an unknown key.
     fn fields<'p>(self, parent: &'p str, names: &[&str]) -> Result<Fields<'p, Self>, WireError> {
-        let mut members = self
-            .members()
-            .ok_or_else(|| expected(parent, "an object", self.kind()))?;
+        let mut members = match self.view() {
+            JsonView::Obj(members) => members,
+            other => return Err(other.expected(parent, "an object")),
+        };
         if let Some((k, _)) = members.find(|(k, _)| !names.contains(k)) {
             return Err(WireError::Schema(format!(
                 "{parent}: unknown field \"{k}\" (expected one of {names:?})"
@@ -464,59 +462,17 @@ impl<'a> JsonRead<'a> for &'a JsonValue {
     >;
 
     #[inline]
-    fn kind(self) -> JsonKind {
+    fn view(self) -> JsonView<'a, Self> {
         match self {
-            JsonValue::Null => JsonKind::Null,
-            JsonValue::Bool(_) => JsonKind::Bool,
-            JsonValue::Num(_) => JsonKind::Num,
-            JsonValue::Str(_) => JsonKind::Str,
-            JsonValue::Arr(_) => JsonKind::Arr,
-            JsonValue::Obj(_) => JsonKind::Obj,
-        }
-    }
-
-    #[inline]
-    fn as_bool(self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn literal(self) -> Option<&'a str> {
-        None
-    }
-
-    #[inline]
-    fn as_str(self) -> Option<&'a str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn items(self) -> Option<Self::Items> {
-        match self {
-            JsonValue::Arr(items) => Some(items.iter()),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn members(self) -> Option<Self::Members> {
-        match self {
-            JsonValue::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v))),
-            _ => None,
+            JsonValue::Null => JsonView::Null,
+            JsonValue::Bool(b) => JsonView::Bool(*b),
+            JsonValue::Num(v) => JsonView::Num(*v, None),
+            JsonValue::Str(s) => JsonView::Str(s),
+            JsonValue::Arr(items) => JsonView::Arr(items.iter()),
+            JsonValue::Obj(fields) => {
+                let member: fn(&'a (String, JsonValue)) -> (&'a str, Self) = |(k, v)| (k, v);
+                JsonView::Obj(fields.iter().map(member))
+            }
         }
     }
 }
@@ -555,7 +511,7 @@ impl<'a, V: JsonRead<'a>> Fields<'_, V> {
     /// A required field that may be `null` (`None`).
     pub fn nullable(&self, key: &str) -> Result<Option<V>, WireError> {
         self.req(key)
-            .map(|v| (v.kind() != JsonKind::Null).then_some(v))
+            .map(|v| (!matches!(v.view(), JsonView::Null)).then_some(v))
     }
 
     /// A required [`JsonRead::usize`] field; errors as [`Fields::req`] and that read.
@@ -1041,56 +997,14 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
     type Members = TapeMembers<'a>;
 
     #[inline]
-    fn kind(self) -> JsonKind {
+    fn view(self) -> JsonView<'a, Self> {
         match self.node().tag {
-            Tag::Null => JsonKind::Null,
-            Tag::Bool(_) => JsonKind::Bool,
-            Tag::Num(_) => JsonKind::Num,
-            Tag::Str | Tag::Escaped(..) => JsonKind::Str,
-            Tag::Arr(_) => JsonKind::Arr,
-            Tag::Obj(_) => JsonKind::Obj,
-        }
-    }
-
-    #[inline]
-    fn as_bool(self) -> Option<bool> {
-        match self.node().tag {
-            Tag::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn as_f64(self) -> Option<f64> {
-        match self.node().tag {
-            Tag::Num(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn literal(self) -> Option<&'a str> {
-        matches!(self.node().tag, Tag::Num(_)).then(|| self.raw())
-    }
-
-    #[inline]
-    fn as_str(self) -> Option<&'a str> {
-        matches!(self.node().tag, Tag::Str | Tag::Escaped(..)).then(|| self.doc.string(self.at))
-    }
-
-    #[inline]
-    fn items(self) -> Option<TapeItems<'a>> {
-        match self.node().tag {
-            Tag::Arr(n) => Some(self.doc.children(self.at, n)),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn members(self) -> Option<TapeMembers<'a>> {
-        match self.node().tag {
-            Tag::Obj(n) => Some(TapeMembers(self.doc.children(self.at, n))),
-            _ => None,
+            Tag::Null => JsonView::Null,
+            Tag::Bool(b) => JsonView::Bool(b),
+            Tag::Num(v) => JsonView::Num(v, Some(self.raw())),
+            Tag::Str | Tag::Escaped(..) => JsonView::Str(self.doc.string(self.at)),
+            Tag::Arr(n) => JsonView::Arr(self.doc.children(self.at, n)),
+            Tag::Obj(n) => JsonView::Obj(TapeMembers(self.doc.children(self.at, n))),
         }
     }
 }
@@ -1551,7 +1465,7 @@ fn arbitration_from_json<'a>(
     v: impl JsonRead<'a>,
     what: &str,
 ) -> Result<BusArbitration, WireError> {
-    if let Some(tag) = v.as_str() {
+    if let JsonView::Str(tag) = v.view() {
         return match tag {
             "priority" => Ok(BusArbitration::Priority),
             other => Err(WireError::Schema(format!(
