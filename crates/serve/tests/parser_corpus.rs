@@ -11,11 +11,14 @@
 //! refusal, message or offset moves a digest.
 //!
 //! The explicit cases pin what the corpus reaches only by chance:
-//! duplicate keys compared after unescaping, the nesting cap,
-//! unpaired surrogates and the RFC 8259 number edges.
+//! duplicate keys compared after unescaping (in small objects and in
+//! large ones, whose check hashes the keys), the linear parse of a
+//! 32,000-key object, the nesting cap, unpaired surrogates and the
+//! RFC 8259 number edges.
 
 use socbuf_core::wire::{
-    render_chunk_report, CampaignManifest, JsonValue, ManifestShape, WireError,
+    render_chunk_report, CampaignManifest, JsonDocument, JsonRead, JsonValue, JsonView,
+    ManifestShape, WireError,
 };
 use socbuf_core::SizingConfig;
 use socbuf_serve::{Request, Response, Trace};
@@ -227,6 +230,60 @@ fn duplicate_keys_are_compared_after_unescaping() {
         parsed(r#"{"a":{"a":1},"b":{"a":2}}"#),
         Ok(r#"{"a":{"a":1},"b":{"a":2}}"#.to_string())
     );
+}
+
+/// A flat object of `n` members `"k00000":0`, `"k00001":1`, …, with
+/// `tail` spliced in before its closing brace.
+fn flat_object(n: usize, tail: &str) -> String {
+    let mut text = String::from("{");
+    for i in 0..n {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&format!("\"k{i:05}\":{i}"));
+    }
+    text.push_str(tail);
+    text.push('}');
+    text
+}
+
+#[test]
+fn a_32000_key_object_parses_in_linear_time() {
+    // The duplicate-key check once rescanned every earlier key, so
+    // this 458 KB object took seconds to parse.
+    let text = flat_object(32_000, "");
+    assert!(text.len() > 450_000, "{} bytes", text.len());
+    let started = std::time::Instant::now();
+    let doc = JsonDocument::parse(&text).expect("parses");
+    let took = started.elapsed();
+    let JsonView::Obj(members) = doc.value().view() else {
+        panic!("not an object");
+    };
+    assert_eq!(members.len(), 32_000);
+    assert!(took.as_secs_f64() < 2.0, "parse took {took:?}");
+}
+
+#[test]
+fn duplicates_in_large_objects_keep_their_message_and_offset() {
+    // Past the members that are rescanned, the hashed check must refuse
+    // the same key, unescaped, at the same offset.
+    for n in [15, 16, 17, 40, 1_000] {
+        for (tail, dup) in [
+            (",\"k00003\":[]", "k00003"),
+            (",\"k0000\\u0033\":[]", "k00003"),
+            (",\"z\":1,\"\\u007a\":2", "z"),
+        ] {
+            let text = flat_object(n, tail);
+            let offset = text.len() - 1;
+            assert_eq!(
+                parsed(&text),
+                refused(offset, &format!("duplicate key \"{dup}\"")),
+                "{n} members, tail {tail}"
+            );
+        }
+        let text = flat_object(n, ",\"k0000\\u0033x\":[]");
+        assert_eq!(parsed(&text).map(|_| ()), Ok(()), "{n} members");
+    }
 }
 
 #[test]
