@@ -16,9 +16,12 @@
 //!   the [`scaling`] kernels (geometric-mean equilibration with exact
 //!   power-of-two factors plus the [`value_spread`] conditioning probe
 //!   the LP solve path uses to decide when to scale), and [`SparseLu`]
-//!   (left-looking sparse LU for simplex bases) with
-//!   [`solve_transpose_cols`], its transposed solve that answers bit
-//!   for bit as the dense [`Lu`] (the LP's dual recovery).
+//!   (left-looking sparse LU for simplex bases over flat [`Columns`],
+//!   solving in caller buffers) with [`solve_transpose_resumed`], its
+//!   transposed solve that answers bit for bit as the dense [`Lu`] (the
+//!   LP's dual recovery), resumed after the pivots an existing factor
+//!   shares with the dense kernel's rule; [`solve_transpose_cols`] is
+//!   its resume after none.
 //! * **Dense, for small kernels and fallbacks** —
 //!   [`Matrix`] (row-major `f64`) and [`Lu`] (LU with partial pivoting,
 //!   used for general-generator stationary solves, determinants and as
@@ -60,7 +63,7 @@ pub use scaling::{
     geometric_mean_scaling, log_deviation, scaled_log_deviation, scaled_value_spread, value_spread,
     Equilibration,
 };
-pub use sparse_lu::{solve_transpose_cols, SparseLu};
+pub use sparse_lu::{solve_transpose_cols, solve_transpose_resumed, Columns, SparseLu};
 pub use tridiag::Tridiag;
 pub use vector::{axpy, dot, inf_norm, max_abs_diff, one_norm, scale, two_norm};
 

@@ -17,14 +17,25 @@
 //! a word scan per 64 positions replaces a scan over all `j` earlier
 //! columns.
 //!
-//! Input is a set of sparse *columns* (exactly how a simplex basis is
+//! Input is a set of sparse *columns* in flat storage ([`Columns`]:
+//! one offset array and one entry array, exactly how a simplex basis is
 //! gathered); `L` and `U` are stored in flat compressed-column arrays,
-//! and both [`SparseLu::solve`] and [`SparseLu::solve_transpose`] run in
-//! `O(n + nnz(L) + nnz(U))`.
+//! with each `L` entry's elimination position stored beside its row.
+//! [`SparseLu::solve_in_place`] and
+//! [`SparseLu::solve_transpose_in_place`] run in
+//! `O(n + nnz(L) + nnz(U))` in caller buffers and allocate nothing;
+//! [`SparseLu::solve`] and [`SparseLu::solve_transpose`] wrap them.
 //!
-//! The same elimination serves [`solve_transpose_cols`], which picks
-//! the dense kernel's pivots and sums in its order, so its answer is
-//! bitwise the dense [`crate::Lu`]'s.
+//! The same elimination serves the dense kernel's pivot rule
+//! ([`solve_transpose_cols`], [`solve_transpose_resumed`]), which
+//! picks the dense kernel's pivots and sums in its order, so its answer
+//! is bitwise the dense [`crate::Lu`]'s. The two rules differ only in
+//! how they break exact ties between candidate pivots, so a factor
+//! records how many of its leading pivots the dense rule picks the same
+//! way ([`SparseLu::dense_prefix`]). A dense-rule elimination resumes
+//! after any such prefix with the same arithmetic it would have done
+//! from scratch; [`solve_transpose_cols`] is the resume after an empty
+//! prefix.
 
 use crate::LinalgError;
 
@@ -53,9 +64,11 @@ pub struct SparseLu {
     /// `L` by elimination column: column `k` holds the entries
     /// `(l_row[p], l_val[p])` for `p` in `l_start[k]..l_start[k + 1]`,
     /// keyed by original row, strictly below the diagonal in position
-    /// space; unit diagonal implicit.
+    /// space; unit diagonal implicit. `l_pos[p]` is the elimination
+    /// position of `l_row[p]`, stored once the factor is complete.
     l_start: Vec<usize>,
     l_row: Vec<usize>,
+    l_pos: Vec<usize>,
     l_val: Vec<f64>,
     /// `U` by column, the same layout: `(position, u_value)` entries
     /// strictly above the diagonal, in increasing position.
@@ -68,6 +81,77 @@ pub struct SparseLu {
     pivot_row: Vec<usize>,
     /// Inverse map: original row → elimination position (or `MAX`).
     position: Vec<usize>,
+    /// How many leading pivots the dense kernel's rule picks the same
+    /// way (see [`SparseLu::dense_prefix`]).
+    dense_prefix: usize,
+}
+
+/// Sparse columns in flat storage: column `j` holds the `(row, value)`
+/// pairs `entries[start[j]..start[j + 1]]` (any order, no duplicate
+/// rows). A basis gathered into two reused buffers costs no allocation
+/// per column.
+///
+/// # Examples
+///
+/// ```
+/// use socbuf_linalg::{Columns, SparseLu};
+///
+/// # fn main() -> Result<(), socbuf_linalg::LinalgError> {
+/// let start = [0, 2, 4];
+/// let entries = [(0, 2.0), (1, 1.0), (0, 1.0), (1, 3.0)];
+/// let lu = SparseLu::factor(2, Columns::new(&start, &entries))?;
+/// let mut x = [3.0, 5.0];
+/// let mut work = [0.0; 2];
+/// lu.solve_in_place(&mut x, &mut work)?;
+/// assert!((x[0] - 0.8).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Columns<'a> {
+    start: &'a [usize],
+    entries: &'a [(usize, f64)],
+}
+
+impl<'a> Columns<'a> {
+    /// Columns over `start` (one more offset than columns,
+    /// non-decreasing, the last at most `entries.len()`) and `entries`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is empty; an offset past `entries` panics when
+    /// its column is read.
+    pub fn new(start: &'a [usize], entries: &'a [(usize, f64)]) -> Columns<'a> {
+        assert!(!start.is_empty(), "column offsets need a leading 0");
+        Columns { start, entries }
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether there are no columns.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Column `j`'s entries.
+    fn col(&self, j: usize) -> &'a [(usize, f64)] {
+        &self.entries[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// Flattens per-column vectors into [`Columns`] storage.
+fn flatten(cols: &[Vec<(usize, f64)>]) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let mut start = Vec::with_capacity(cols.len() + 1);
+    start.push(0);
+    let mut entries = Vec::with_capacity(cols.iter().map(Vec::len).sum());
+    for col in cols {
+        entries.extend_from_slice(col);
+        start.push(entries.len());
+    }
+    (start, entries)
 }
 
 /// Pivots smaller than this in absolute value are refused; a column
@@ -112,10 +196,34 @@ impl Pattern {
     }
 }
 
+/// The dense kernel's row order after its row swaps so far: the row at
+/// each position, and the position of each row.
+struct DenseOrder {
+    row: Vec<usize>,
+    pos: Vec<usize>,
+}
+
+impl DenseOrder {
+    fn new(n: usize) -> DenseOrder {
+        DenseOrder {
+            row: (0..n).collect(),
+            pos: (0..n).collect(),
+        }
+    }
+
+    /// The dense kernel's swap when row `prow` pivots step `j`.
+    fn pivot(&mut self, j: usize, prow: usize) {
+        let (p, q) = (self.pos[prow], self.row[j]);
+        self.row.swap(j, p);
+        self.pos[q] = p;
+        self.pos[prow] = j;
+    }
+}
+
 impl SparseLu {
     /// Factors the `n × n` matrix whose `j`-th column holds the sparse
     /// entries `cols[j]` as `(row, value)` pairs (any order, no
-    /// duplicates).
+    /// duplicates). A wrapper over [`SparseLu::factor`].
     ///
     /// # Errors
     ///
@@ -124,52 +232,121 @@ impl SparseLu {
     /// * [`LinalgError::IndexOutOfRange`] if an entry's row is `≥ n`.
     /// * [`LinalgError::Singular`] if a column has no usable pivot.
     pub fn factor_cols(n: usize, cols: &[Vec<(usize, f64)>]) -> Result<Self, LinalgError> {
-        SparseLu::eliminate(n, cols, Pivoting::FirstMax)
+        let (start, entries) = flatten(cols);
+        SparseLu::factor(n, Columns::new(&start, &entries))
     }
 
+    /// Factors the `n × n` matrix whose columns are `cols`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::factor_cols`].
+    pub fn factor(n: usize, cols: Columns<'_>) -> Result<Self, LinalgError> {
+        SparseLu::eliminate(n, None, cols, Pivoting::FirstMax)
+    }
+
+    /// How many leading pivots of this factor the dense [`crate::Lu`]
+    /// kernel's rule picks the same way: the factor's first
+    /// `dense_prefix()` columns of `L` and `U` are, entry for entry,
+    /// those of a dense-rule elimination of the same columns, which
+    /// [`solve_transpose_resumed`] can resume after. `dim()` when the
+    /// rules agree throughout.
+    pub fn dense_prefix(&self) -> usize {
+        self.dense_prefix
+    }
+
+    /// A factor holding the first `shared` elimination steps of `from`
+    /// and nothing after them, with the dense kernel's row order as
+    /// those steps leave it.
+    fn prefix_of(from: &SparseLu, shared: usize) -> (SparseLu, DenseOrder) {
+        let n = from.n;
+        let (l_end, u_end) = (from.l_start[shared], from.u_start[shared]);
+        let mut lu = SparseLu {
+            n,
+            l_start: Vec::with_capacity(n + 1),
+            l_row: Vec::with_capacity(from.l_row.len()),
+            l_pos: Vec::new(),
+            l_val: Vec::with_capacity(from.l_val.len()),
+            u_start: Vec::with_capacity(n + 1),
+            u_pos: Vec::with_capacity(from.u_pos.len()),
+            u_val: Vec::with_capacity(from.u_val.len()),
+            u_diag: Vec::with_capacity(n),
+            pivot_row: Vec::with_capacity(n),
+            position: vec![usize::MAX; n],
+            dense_prefix: n,
+        };
+        lu.l_start.extend_from_slice(&from.l_start[..=shared]);
+        lu.l_row.extend_from_slice(&from.l_row[..l_end]);
+        lu.l_val.extend_from_slice(&from.l_val[..l_end]);
+        lu.u_start.extend_from_slice(&from.u_start[..=shared]);
+        lu.u_pos.extend_from_slice(&from.u_pos[..u_end]);
+        lu.u_val.extend_from_slice(&from.u_val[..u_end]);
+        lu.u_diag.extend_from_slice(&from.u_diag[..shared]);
+        lu.pivot_row.extend_from_slice(&from.pivot_row[..shared]);
+        let mut dense = DenseOrder::new(n);
+        for (k, &r) in lu.pivot_row.iter().enumerate() {
+            lu.position[r] = k;
+            dense.pivot(k, r);
+        }
+        (lu, dense)
+    }
+
+    /// The one elimination. Starts after the first `resume.1` steps of
+    /// `resume.0` (from scratch without one) and eliminates `cols`,
+    /// which hold the columns after those steps, under `pivoting`.
     fn eliminate(
         n: usize,
-        cols: &[Vec<(usize, f64)>],
+        resume: Option<(&SparseLu, usize)>,
+        cols: Columns<'_>,
         pivoting: Pivoting,
     ) -> Result<Self, LinalgError> {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        if cols.len() != n {
+        let shared = resume.map_or(0, |(_, shared)| shared);
+        if cols.len() + shared != n {
             return Err(LinalgError::DimensionMismatch {
                 expected: (n, n),
-                found: (n, cols.len()),
+                found: (n, cols.len() + shared),
             });
         }
-        let mut lu = SparseLu {
-            n,
-            l_start: Vec::with_capacity(n + 1),
-            l_row: Vec::new(),
-            l_val: Vec::new(),
-            u_start: Vec::with_capacity(n + 1),
-            u_pos: Vec::new(),
-            u_val: Vec::new(),
-            u_diag: Vec::with_capacity(n),
-            pivot_row: Vec::with_capacity(n),
-            position: vec![usize::MAX; n],
+        // The dense row order is tracked for the dense rule, and for the
+        // engine's rule while it still agrees with the dense one.
+        let (mut lu, dense) = match resume {
+            Some((from, shared)) => SparseLu::prefix_of(from, shared),
+            None => {
+                // Bases carry little fill: each factor holds about as
+                // many entries as the columns do.
+                let nnz = cols.entries.len();
+                let mut lu = SparseLu {
+                    n,
+                    l_start: Vec::with_capacity(n + 1),
+                    l_row: Vec::with_capacity(nnz),
+                    l_pos: Vec::new(),
+                    l_val: Vec::with_capacity(nnz),
+                    u_start: Vec::with_capacity(n + 1),
+                    u_pos: Vec::with_capacity(nnz),
+                    u_val: Vec::with_capacity(nnz),
+                    u_diag: Vec::with_capacity(n),
+                    pivot_row: Vec::with_capacity(n),
+                    position: vec![usize::MAX; n],
+                    dense_prefix: n,
+                };
+                lu.l_start.push(0);
+                lu.u_start.push(0);
+                (lu, DenseOrder::new(n))
+            }
         };
-        lu.l_start.push(0);
-        lu.u_start.push(0);
+        let mut dense = Some(dense);
         let mut work = vec![0.0f64; n];
         let mut pattern = Pattern {
             seen: vec![usize::MAX; n],
             touched: Vec::with_capacity(64),
             pivoted: vec![0; n.div_ceil(64)],
         };
-        // The dense kernel's row order, for its tie-break: row at each
-        // position, and position of each row.
-        let (mut dense_row, mut dense_pos): (Vec<usize>, Vec<usize>) = match pivoting {
-            Pivoting::Dense => ((0..n).collect(), (0..n).collect()),
-            Pivoting::FirstMax => (Vec::new(), Vec::new()),
-        };
 
-        for (j, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
+        for j in shared..n {
+            for &(r, v) in cols.col(j - shared) {
                 if r >= n {
                     return Err(LinalgError::IndexOutOfRange {
                         row: r,
@@ -204,34 +381,43 @@ impl SparseLu {
                     lu.u_val.push(ukj);
                 }
             }
-            // Partial pivoting among rows not yet assigned a position.
-            let mut pivot: Option<(usize, f64)> = None;
+            // Partial pivoting among rows not yet assigned a position:
+            // the first row of largest magnitude and, while the dense
+            // order is tracked, the one of those the dense rule takes.
+            let mut first: Option<(usize, f64)> = None;
+            let mut tied = usize::MAX;
             for &r in &pattern.touched {
                 let mag = work[r].abs();
-                let better = match pivot {
+                let larger = match first {
                     None => mag > 0.0,
-                    Some((best_row, best)) => {
-                        mag > best
-                            || (pivoting == Pivoting::Dense
-                                && mag == best
-                                && dense_pos[r] < dense_pos[best_row])
-                    }
+                    Some((_, best)) => mag > best,
                 };
-                if better {
-                    pivot = Some((r, mag));
+                if larger {
+                    first = Some((r, mag));
+                    tied = r;
+                } else if first.is_some_and(|(_, best)| mag == best)
+                    && dense.as_ref().is_some_and(|d| d.pos[r] < d.pos[tied])
+                {
+                    tied = r;
                 }
             }
-            let Some((prow, pmag)) = pivot else {
+            let Some((first_row, pmag)) = first else {
                 return Err(LinalgError::Singular { pivot: j });
             };
             if pmag < PIVOT_TOL {
                 return Err(LinalgError::Singular { pivot: j });
             }
-            if pivoting == Pivoting::Dense {
-                let (p, q) = (dense_pos[prow], dense_row[j]);
-                dense_row.swap(j, p);
-                dense_pos[q] = p;
-                dense_pos[prow] = j;
+            let prow = match pivoting {
+                Pivoting::FirstMax => first_row,
+                Pivoting::Dense => tied,
+            };
+            if let Some(order) = &mut dense {
+                if tied == prow {
+                    order.pivot(j, prow);
+                } else {
+                    lu.dense_prefix = j;
+                    dense = None;
+                }
             }
             let pval = work[prow];
             for &r in &pattern.touched {
@@ -249,16 +435,22 @@ impl SparseLu {
             lu.l_start.push(lu.l_row.len());
             lu.u_start.push(lu.u_pos.len());
         }
+        lu.l_pos = lu.l_row.iter().map(|&r| lu.position[r]).collect();
         if pivoting == Pivoting::Dense {
             // The dense kernel's transposed solve sums each column of
             // `L` by final row position.
-            let mut entries: Vec<(usize, f64)> = Vec::new();
+            let mut entries: Vec<(usize, usize, f64)> = Vec::new();
             for k in 0..n {
                 let range = lu.l_start[k]..lu.l_start[k + 1];
                 entries.clear();
-                entries.extend(range.clone().map(|p| (lu.l_row[p], lu.l_val[p])));
-                entries.sort_unstable_by_key(|&(r, _)| lu.position[r]);
-                for (p, (r, v)) in range.zip(entries.iter().copied()) {
+                entries.extend(
+                    range
+                        .clone()
+                        .map(|p| (lu.l_pos[p], lu.l_row[p], lu.l_val[p])),
+                );
+                entries.sort_unstable_by_key(|&(pos, _, _)| pos);
+                for (p, (pos, r, v)) in range.zip(entries.iter().copied()) {
+                    lu.l_pos[p] = pos;
                     lu.l_row[p] = r;
                     lu.l_val[p] = v;
                 }
@@ -277,66 +469,104 @@ impl SparseLu {
         self.n + self.l_row.len() + self.u_pos.len()
     }
 
-    fn check_rhs(&self, b: &[f64]) -> Result<(), LinalgError> {
-        if b.len() == self.n {
+    fn check_len(&self, v: &[f64]) -> Result<(), LinalgError> {
+        if v.len() == self.n {
             return Ok(());
         }
         Err(LinalgError::DimensionMismatch {
             expected: (self.n, 1),
-            found: (b.len(), 1),
+            found: (v.len(), 1),
         })
     }
 
-    /// Solves `A x = b`.
+    /// Solves `A x = b`. A wrapper over [`SparseLu::solve_in_place`].
     ///
     /// # Errors
     ///
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.check_rhs(b)?;
+        self.check_len(b)?;
+        let mut x = b.to_vec();
+        self.solve_in_place(&mut x, &mut vec![0.0; self.n])?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the
+    /// solution on return. `work` is scratch of the same length, its
+    /// contents ignored and overwritten. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] if `x` or `work` is not
+    /// `self.dim()` long.
+    pub fn solve_in_place(&self, x: &mut [f64], work: &mut [f64]) -> Result<(), LinalgError> {
+        self.check_len(x)?;
+        self.check_len(work)?;
         let n = self.n;
         // Forward: L z = P b, in original-row coordinates.
-        let mut z = b.to_vec();
         for k in 0..n {
-            let zk = z[self.pivot_row[k]];
+            let zk = x[self.pivot_row[k]];
             if zk == 0.0 {
                 continue;
             }
             for p in self.l_start[k]..self.l_start[k + 1] {
-                z[self.l_row[p]] -= self.l_val[p] * zk;
+                x[self.l_row[p]] -= self.l_val[p] * zk;
             }
         }
         // Backward: U x = z, reading z through the pivot order.
-        let mut zpos: Vec<f64> = self.pivot_row.iter().map(|&r| z[r]).collect();
-        let mut x = vec![0.0; n];
+        for (zk, &r) in work.iter_mut().zip(&self.pivot_row) {
+            *zk = x[r];
+        }
         for j in (0..n).rev() {
-            let xj = zpos[j] / self.u_diag[j];
+            let xj = work[j] / self.u_diag[j];
             x[j] = xj;
             if xj == 0.0 {
                 continue;
             }
             for p in self.u_start[j]..self.u_start[j + 1] {
-                zpos[self.u_pos[p]] -= self.u_val[p] * xj;
+                work[self.u_pos[p]] -= self.u_val[p] * xj;
             }
         }
-        Ok(x)
+        Ok(())
     }
 
-    /// Solves `Aᵀ x = b`.
+    /// Solves `Aᵀ x = b`. A wrapper over
+    /// [`SparseLu::solve_transpose_in_place`].
     ///
     /// # Errors
     ///
     /// [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.check_rhs(b)?;
-        Ok(self.transpose_sweeps(b, false))
+        self.check_len(b)?;
+        let mut x = b.to_vec();
+        self.solve_transpose_in_place(&mut x, &mut vec![0.0; self.n])?;
+        Ok(x)
+    }
+
+    /// Solves `Aᵀ x = b` in place, as [`SparseLu::solve_in_place`]
+    /// does `A x = b`. Allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] if `x` or `work` is not
+    /// `self.dim()` long.
+    pub fn solve_transpose_in_place(
+        &self,
+        x: &mut [f64],
+        work: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        self.check_len(x)?;
+        self.check_len(work)?;
+        self.transpose_sweeps(x, work, false);
+        Ok(())
     }
 
     /// `Aᵀ = Uᵀ Lᵀ P`: a forward sweep `Uᵀ w = b` over the columns of
     /// `U`, a backward sweep `Lᵀ v = w` in position space (the entries
     /// of `L`'s column `k` sit at strictly later positions), then
     /// `x = Pᵀ v`. Each sum runs over a column's stored entries in
-    /// storage order.
+    /// storage order. `x` holds `b` on entry and the answer on return;
+    /// `w` is scratch.
     ///
     /// With `dense_zeros`, the sums also take the sign the dense
     /// kernel's zero terms give them. That kernel subtracts a product
@@ -348,16 +578,15 @@ impl SparseLu {
     /// so its product is `−0` when the entry of `w` it meets has its
     /// sign bit set. A skipped `L` entry is `+0 / u_kk`, so its product
     /// is `−0` when that sign bit differs from the pivot's.
-    fn transpose_sweeps(&self, b: &[f64], dense_zeros: bool) -> Vec<f64> {
+    fn transpose_sweeps(&self, x: &mut [f64], w: &mut [f64], dense_zeros: bool) {
         let n = self.n;
-        let neg_zero = |x: f64| dense_zeros && x == 0.0 && x.is_sign_negative();
+        let neg_zero = |v: f64| dense_zeros && v == 0.0 && v.is_sign_negative();
         // Forward, counting the earlier entries of w whose sign bit is
         // set.
-        let mut w = vec![0.0; n];
         let mut negative = 0;
         for j in 0..n {
             let range = self.u_start[j]..self.u_start[j + 1];
-            let mut acc = b[j];
+            let mut acc = x[j];
             for p in range.clone() {
                 acc -= self.u_val[p] * w[self.u_pos[p]];
             }
@@ -379,7 +608,7 @@ impl SparseLu {
             let range = self.l_start[k]..self.l_start[k + 1];
             let mut acc = w[k];
             for p in range.clone() {
-                acc -= self.l_val[p] * w[self.position[self.l_row[p]]];
+                acc -= self.l_val[p] * w[self.l_pos[p]];
             }
             if neg_zero(acc) {
                 let pivot_negative = self.u_diag[k].is_sign_negative();
@@ -389,9 +618,7 @@ impl SparseLu {
                     negative
                 };
                 let stored = range
-                    .filter(|&p| {
-                        w[self.position[self.l_row[p]]].is_sign_negative() != pivot_negative
-                    })
+                    .filter(|&p| w[self.l_pos[p]].is_sign_negative() != pivot_negative)
                     .count();
                 if differing > stored {
                     acc = 0.0;
@@ -400,17 +627,16 @@ impl SparseLu {
             w[k] = acc;
             negative += usize::from(acc.is_sign_negative());
         }
-        let mut x = vec![0.0; n];
         for (k, &r) in self.pivot_row.iter().enumerate() {
             x[r] = w[k];
         }
-        x
     }
 }
 
 /// Solves `Bᵀ x = b` for the `n × n` matrix `B` whose `j`-th column
 /// holds the sparse entries `cols[j]` (any order, no duplicates), bit
 /// for bit as `Lu::factor(&B)?.solve_transpose(b)` on the dense `B`.
+/// The resume of [`solve_transpose_resumed`] after an empty prefix.
 ///
 /// The factorization picks the dense kernel's pivots: the largest
 /// magnitude, ties to the lowest row position after its row swaps, with
@@ -453,9 +679,69 @@ pub fn solve_transpose_cols(
     cols: &[Vec<(usize, f64)>],
     b: &[f64],
 ) -> Result<Vec<f64>, LinalgError> {
-    let lu = SparseLu::eliminate(n, cols, Pivoting::Dense)?;
-    lu.check_rhs(b)?;
-    Ok(lu.transpose_sweeps(b, true))
+    let (start, entries) = flatten(cols);
+    solve_transpose_resumed(n, None, Columns::new(&start, &entries), b)
+}
+
+/// [`solve_transpose_cols`]'s dense-rule solve of `Bᵀ x = b`, resumed
+/// after a prefix of an existing factor of `B`: with
+/// `Some((lu, shared))`, `B`'s first `shared` columns are the ones `lu`
+/// factored and are not read again, and `tail` holds columns
+/// `shared..n`; with `None`, `tail` holds all `n`. The answer, error
+/// included, is bitwise the one [`solve_transpose_cols`] gives on all
+/// `n` columns, because the dense rule's first `shared` elimination
+/// steps are, entry for entry, `lu`'s own. With `shared == n` no
+/// elimination runs at all.
+///
+/// # Panics
+///
+/// Panics if `shared` exceeds `lu.dense_prefix()`.
+///
+/// # Errors
+///
+/// As [`solve_transpose_cols`]; [`LinalgError::DimensionMismatch`] also
+/// when `lu.dim() != n`.
+///
+/// # Examples
+///
+/// ```
+/// use socbuf_linalg::{solve_transpose_cols, solve_transpose_resumed, Columns, SparseLu};
+///
+/// # fn main() -> Result<(), socbuf_linalg::LinalgError> {
+/// let cols = vec![vec![(0, 2.0), (1, 1.0)], vec![(0, 1.0), (1, 3.0)]];
+/// let lu = SparseLu::factor_cols(2, &cols)?;
+/// assert_eq!(lu.dense_prefix(), 2);
+/// let b = [1.0, -2.0];
+/// let x = solve_transpose_resumed(2, Some((&lu, 2)), Columns::new(&[0], &[]), &b)?;
+/// let want = solve_transpose_cols(2, &cols, &b)?;
+/// assert_eq!(x[0].to_bits(), want[0].to_bits());
+/// assert_eq!(x[1].to_bits(), want[1].to_bits());
+/// # Ok(())
+/// # }
+/// ```
+pub fn solve_transpose_resumed(
+    n: usize,
+    resume: Option<(&SparseLu, usize)>,
+    tail: Columns<'_>,
+    b: &[f64],
+) -> Result<Vec<f64>, LinalgError> {
+    if let Some((lu, shared)) = resume {
+        assert!(
+            shared <= lu.dense_prefix,
+            "a dense-rule elimination resumes only inside the agreeing prefix"
+        );
+        if lu.n != n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: (n, n),
+                found: (lu.n, lu.n),
+            });
+        }
+    }
+    let lu = SparseLu::eliminate(n, resume, tail, Pivoting::Dense)?;
+    lu.check_len(b)?;
+    let mut x = b.to_vec();
+    lu.transpose_sweeps(&mut x, &mut vec![0.0; n], true);
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -527,6 +813,36 @@ mod tests {
         let lu = SparseLu::factor_cols(1, &[vec![(0, 2.0)]]).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
         assert!(lu.solve_transpose(&[]).is_err());
+    }
+
+    #[test]
+    fn the_rules_disagree_on_a_tie_and_resume_from_the_shared_prefix() {
+        // Column 0 pivots row 2 under both rules, which moves row 0 to
+        // the dense kernel's position 2. Column 1 then ties rows 0 and
+        // 1: the engine takes row 0, touched first, and the dense rule
+        // row 1, now at the lower position.
+        let cols = vec![
+            vec![(2, 3.0)],
+            vec![(0, 1.0), (1, -1.0)],
+            vec![(0, 1.0), (1, 2.0), (2, 1.0)],
+        ];
+        let lu = SparseLu::factor_cols(3, &cols).unwrap();
+        assert_eq!(lu.dense_prefix(), 1);
+        let dense =
+            Matrix::from_rows(&[&[0.0, 1.0, 1.0], &[0.0, -1.0, 2.0], &[3.0, 0.0, 1.0]]).unwrap();
+        let b = [1.0, -0.0, 2.0];
+        let want = Lu::factor(&dense).unwrap().solve_transpose(&b).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&solve_transpose_cols(3, &cols, &b).unwrap()),
+            bits(&want)
+        );
+        for shared in 0..=1 {
+            let (start, entries) = flatten(&cols[shared..]);
+            let tail = Columns::new(&start, &entries);
+            let got = solve_transpose_resumed(3, Some((&lu, shared)), tail, &b).unwrap();
+            assert_eq!(bits(&got), bits(&want), "shared {shared}");
+        }
     }
 
     #[test]
@@ -648,7 +964,128 @@ mod proptests {
         }
     }
 
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `A x = b` as the factor solved it with a fresh `Vec` per call,
+    /// kept as the oracle of the buffer-writing solve.
+    fn allocating_solve(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut z = b.to_vec();
+        for k in 0..n {
+            let zk = z[lu.pivot_row[k]];
+            if zk == 0.0 {
+                continue;
+            }
+            for p in lu.l_start[k]..lu.l_start[k + 1] {
+                z[lu.l_row[p]] -= lu.l_val[p] * zk;
+            }
+        }
+        let mut zpos: Vec<f64> = lu.pivot_row.iter().map(|&r| z[r]).collect();
+        let mut x = vec![0.0; n];
+        for j in (0..n).rev() {
+            let xj = zpos[j] / lu.u_diag[j];
+            x[j] = xj;
+            if xj == 0.0 {
+                continue;
+            }
+            for p in lu.u_start[j]..lu.u_start[j + 1] {
+                zpos[lu.u_pos[p]] -= lu.u_val[p] * xj;
+            }
+        }
+        x
+    }
+
+    /// `Aᵀ x = b` as the factor solved it with a fresh `Vec` per call,
+    /// reading each `L` entry's position through `position`.
+    fn allocating_solve_transpose(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut w = vec![0.0; n];
+        for j in 0..n {
+            let mut acc = b[j];
+            for p in lu.u_start[j]..lu.u_start[j + 1] {
+                acc -= lu.u_val[p] * w[lu.u_pos[p]];
+            }
+            w[j] = acc / lu.u_diag[j];
+        }
+        for k in (0..n).rev() {
+            let mut acc = w[k];
+            for p in lu.l_start[k]..lu.l_start[k + 1] {
+                acc -= lu.l_val[p] * w[lu.position[lu.l_row[p]]];
+            }
+            w[k] = acc;
+        }
+        let mut x = vec![0.0; n];
+        for (k, &r) in lu.pivot_row.iter().enumerate() {
+            x[r] = w[k];
+        }
+        x
+    }
+
+    /// The buffer-writing solves against the allocating oracles and the
+    /// wrappers, bit for bit, with junk in the scratch buffer.
+    fn check_buffer_solves(a: &Matrix, b: &[f64]) {
+        let Ok(lu) = SparseLu::factor_cols(a.rows(), &cols_of(a)) else {
+            return;
+        };
+        let junk = || vec![f64::NAN; a.rows()];
+        let mut x = b.to_vec();
+        lu.solve_in_place(&mut x, &mut junk()).unwrap();
+        prop_assert_eq!(bits(&x), bits(&allocating_solve(&lu, b)));
+        prop_assert_eq!(bits(&x), bits(&lu.solve(b).unwrap()));
+        let mut x = b.to_vec();
+        lu.solve_transpose_in_place(&mut x, &mut junk()).unwrap();
+        prop_assert_eq!(bits(&x), bits(&allocating_solve_transpose(&lu, b)));
+        prop_assert_eq!(bits(&x), bits(&lu.solve_transpose(b).unwrap()));
+    }
+
+    /// Every resume of the dense-rule solve from an agreeing prefix of
+    /// the engine's factor against the solve from scratch, bit for bit,
+    /// errors included.
+    fn check_resumes(a: &Matrix, b: &[f64]) {
+        let n = a.rows();
+        let cols = cols_of(a);
+        let Ok(lu) = SparseLu::factor_cols(n, &cols) else {
+            return;
+        };
+        let want = solve_transpose_cols(n, &cols, b);
+        for shared in 0..=lu.dense_prefix() {
+            let (start, entries) = flatten(&cols[shared..]);
+            let got =
+                solve_transpose_resumed(n, Some((&lu, shared)), Columns::new(&start, &entries), b);
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(bits(got), bits(want), "shared {}", shared),
+                _ => prop_assert_eq!(got.err(), want.clone().err(), "shared {}", shared),
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn buffer_solves_are_bitwise_the_allocating_ones_on_ties((a, b) in tied_sparse_system()) {
+            check_buffer_solves(&a, &b);
+        }
+
+        #[test]
+        fn resumed_dense_solves_are_bitwise_from_scratch_on_ties((a, b) in tied_sparse_system()) {
+            check_resumes(&a, &b);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn buffer_solves_are_bitwise_the_allocating_ones((a, x) in dd_sparse_system()) {
+            check_buffer_solves(&a, &x);
+        }
+
+        #[test]
+        fn resumed_dense_solves_are_bitwise_from_scratch((a, x) in dd_sparse_system()) {
+            check_resumes(&a, &x);
+        }
+
         #[test]
         fn sparse_lu_recovers_solutions((a, x_true) in dd_sparse_system()) {
             let b = a.matvec(&x_true).unwrap();
