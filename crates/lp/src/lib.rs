@@ -101,7 +101,7 @@ mod verify;
 
 pub use decompose::{solve_decomposed, DecompReport, ExecutorHandle, SolveExecutor};
 pub use error::LpError;
-pub use prepared::PreparedLp;
+pub use prepared::{DualRecoveryAudit, PreparedLp};
 pub use problem::{LpProblem, Relation, RowId, Sense, VarId};
 pub use revised::{BasisSnapshot, LpEngine};
 pub use sched::ChunkPolicy;

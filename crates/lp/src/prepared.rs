@@ -81,7 +81,7 @@ use socbuf_linalg::SparseLu;
 use crate::problem::{LpProblem, RowId, VarId};
 use crate::revised::{resolve_on_factor, run_revised, run_revised_warm, BasisSnapshot, LpEngine};
 use crate::simplex::{run_simplex, BasicSolution, SimplexOptions};
-use crate::solution::{DualHalf, LpSolution};
+use crate::solution::{shared_prefix, DualHalf, LpSolution};
 use crate::standard_form::{build_standard_form, StandardForm};
 use crate::LpError;
 
@@ -98,6 +98,22 @@ pub struct PreparedLp {
     /// The last revised solve's final basis, while only right-hand sides
     /// have changed since (see the module docs).
     kept: Option<KeptBasis>,
+}
+
+/// What [`PreparedLp::audit_dual_recovery`] found for the kept basis.
+#[derive(Debug, Clone)]
+pub struct DualRecoveryAudit {
+    /// The basis dimension (standard-form rows).
+    pub dim: usize,
+    /// The leading pivots of the engine's factor the kept solution's
+    /// dual recovery shared: `dim` when no second elimination ran, 0
+    /// when it ran from scratch (a redundant row, or no pivot shared).
+    pub shared: usize,
+    /// Row duals recovered from scratch, as [`LpSolution::duals`].
+    pub duals: Vec<f64>,
+    /// Reduced costs recovered from scratch, in variable order, as
+    /// [`LpSolution::reduced_cost`].
+    pub reduced: Vec<f64>,
 }
 
 /// A basis priced optimal for the current `A` and `c`: its fresh factor
@@ -399,6 +415,43 @@ impl PreparedLp {
             options.engine,
             Arc::clone(&kept.dual),
         ))
+    }
+
+    /// Re-derives the kept basis's duals and reduced costs with the
+    /// engine's factor withheld, so the dense-rule dual solve runs from
+    /// scratch, and reports how much of that factor the kept solution's
+    /// own recovery shared (see [`crate::LpSolution`]). The kept
+    /// solution's [`LpSolution::duals`] and
+    /// [`LpSolution::reduced_cost`] are, bit for bit, the audit's. A
+    /// check for tests and probes: nothing is kept or dropped.
+    ///
+    /// `Ok(None)` when no basis is kept.
+    ///
+    /// # Errors
+    ///
+    /// The from-scratch recovery's [`LpError`], if it fails.
+    pub fn audit_dual_recovery(&self) -> Result<Option<DualRecoveryAudit>, LpError> {
+        let Some(kept) = &self.kept else {
+            return Ok(None);
+        };
+        let snapshot = kept.dual.snapshot();
+        let basic = BasicSolution {
+            x: Vec::new(),
+            basis: snapshot.rows().to_vec(),
+            row_active: snapshot.rows().iter().map(|&c| c != usize::MAX).collect(),
+            iterations: 0,
+            factor: None,
+        };
+        let shared = shared_prefix(&basic, Some(&kept.lu)).map_or(0, |(_, shared)| shared);
+        let scratch =
+            DualHalf::from_basic(&self.problem, &self.sf, &basic, snapshot.engine(), None)?;
+        let (duals, reduced) = scratch.into_sensitivities();
+        Ok(Some(DualRecoveryAudit {
+            dim: basic.basis.len(),
+            shared,
+            duals,
+            reduced,
+        }))
     }
 
     /// Builds the solution and keeps the factor the engine ended on.

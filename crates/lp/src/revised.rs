@@ -16,7 +16,20 @@
 //!   plus a *product-form eta file*: after each pivot the update
 //!   `B_new = B · E` is recorded as the sparse eta vector `w = B⁻¹ a_q`
 //!   and the pivot row `r`, so `B⁻¹ v` and `B⁻ᵀ v` are one LU solve
-//!   plus one sweep over the etas.
+//!   plus one sweep over the etas. The eta file is one arena: every
+//!   eta's terms sit in a single `(index, value)` buffer with an offset
+//!   per eta, cleared but not freed by a refactorization.
+//! * **One work set per solve** — `c_B`, `y`, the reduced costs `d`, a
+//!   pivot row `α`, the entering column `a_q`, its FTRAN `w` and the
+//!   LU solves' scratch are sized once when the solve starts. Every
+//!   pricing pass, FTRAN and BTRAN of both phases, of the artificial
+//!   drive-out and of the dual repair writes into them, through
+//!   [`socbuf_linalg::SparseLu::solve_in_place`] and its transpose, so
+//!   a pivot allocates nothing. A refactorization gathers the basis
+//!   columns into two flat buffers of the same set
+//!   ([`socbuf_linalg::Columns`]), not a `Vec` per column, and only the
+//!   new factor itself is allocated. The buffers live and die with the
+//!   solve.
 //! * **Refactorization cadence** — the eta file is collapsed back into
 //!   a fresh LU every [`SimplexOptions::refactor_interval`] pivots (a
 //!   Bartels–Golub-style refresh: rebuilding the factorization bounds
@@ -44,15 +57,20 @@
 //!   reperturbation scale. None of the pinned corpora reach that
 //!   regime, and with perturbation off — the default — it cannot fire.)
 //!
-//! Per-iteration cost is `O(nnz + m²)` (pricing plus two triangular
-//! solves and the eta sweep) against the tableau's `O(m · n_total)`
-//! with `n_total` including the artificial columns; on the
-//! `network_processor` template at `state_cap ≥ 16` this is the
-//! difference measured by the `lp_scaling_probe` smoke check.
+//! Per-iteration cost is `O(nnz + m + nnz(L) + nnz(U) + eta terms)`
+//! (pricing plus two triangular solves and the eta sweeps, each `O(m)`
+//! at worst in the dense `y`, `d`, `a_q` and `w`) with no allocation,
+//! against the tableau's `O(m · n_total)` with `n_total` including the
+//! artificial columns; on the `network_processor` template at
+//! `state_cap ≥ 16` this is the difference measured by the
+//! `lp_scaling_probe` smoke check. An optimal solve ends on a fresh
+//! factor of its final basis, which the dual recovery
+//! ([`crate::LpSolution`]) resumes from instead of factoring the basis
+//! again.
 //!
 //! [`LpProblem::solve`]: crate::LpProblem::solve
 
-use socbuf_linalg::{Csr, SparseLu};
+use socbuf_linalg::{Columns, Csr, LinalgError, SparseLu};
 
 use crate::simplex::{BasicSolution, SimplexOptions};
 use crate::standard_form::StandardForm;
@@ -224,52 +242,178 @@ impl BasisSnapshot {
     }
 }
 
-/// One product-form update: after the pivot, `B⁻¹_new = E⁻¹ B⁻¹_old`
-/// where `E` is the identity with column `row` replaced by the FTRAN-ed
-/// entering column `w`. Stored sparsely — `w` inherits the basis
-/// column's sparsity, and the eta sweep should cost what the data
-/// costs, not `O(m)` per eta.
-struct Eta {
-    row: usize,
-    /// `w[row]` — the pivot element.
-    pivot: f64,
-    /// Nonzero off-pivot entries of `w` as `(index, value)`.
+/// The product-form eta file as one arena of terms. Eta `e` records a
+/// pivot: after it, `B⁻¹_new = E⁻¹ B⁻¹_old` where `E` is the identity
+/// with column `row[e]` replaced by the FTRAN-ed entering column `w`.
+/// Stored sparsely — `w` inherits the basis column's sparsity, and the
+/// eta sweep should cost what the data costs, not `O(m)` per eta. The
+/// buffers keep their capacity across refactorizations, so recording an
+/// eta allocates only while the file grows past its longest length so
+/// far.
+#[derive(Default)]
+struct EtaFile {
+    /// Pivot row of each eta.
+    row: Vec<usize>,
+    /// `w[row]` — the pivot element of each eta.
+    pivot: Vec<f64>,
+    /// Eta `e`'s nonzero off-pivot entries of `w` are
+    /// `terms[start[e]..start[e + 1]]` as `(index, value)`.
+    start: Vec<usize>,
     terms: Vec<(usize, f64)>,
 }
 
-impl Eta {
-    fn from_dense(row: usize, w: &[f64]) -> Eta {
-        Eta {
-            row,
-            pivot: w[row],
-            terms: w
-                .iter()
-                .enumerate()
-                .filter(|&(i, &wi)| i != row && wi != 0.0)
-                .map(|(i, &wi)| (i, wi))
-                .collect(),
-        }
+impl EtaFile {
+    fn len(&self) -> usize {
+        self.row.len()
     }
 
-    /// Applies `E⁻¹` in place (forward direction, used by FTRAN).
+    fn is_empty(&self) -> bool {
+        self.row.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.row.clear();
+        self.pivot.clear();
+        self.terms.clear();
+        self.start.clear();
+        self.start.push(0);
+    }
+
+    /// Records the eta of a pivot on row `row` with the FTRAN-ed column
+    /// `w`.
+    fn push(&mut self, row: usize, w: &[f64]) {
+        self.row.push(row);
+        self.pivot.push(w[row]);
+        for (i, &wi) in w.iter().enumerate() {
+            if i != row && wi != 0.0 {
+                self.terms.push((i, wi));
+            }
+        }
+        self.start.push(self.terms.len());
+    }
+
+    /// Applies every `E⁻¹` in place, oldest first (FTRAN).
     fn ftran(&self, v: &mut [f64]) {
-        let vr = v[self.row] / self.pivot;
-        v[self.row] = vr;
-        if vr == 0.0 {
-            return;
-        }
-        for &(i, wi) in &self.terms {
-            v[i] -= wi * vr;
+        for e in 0..self.len() {
+            let row = self.row[e];
+            let vr = v[row] / self.pivot[e];
+            v[row] = vr;
+            if vr == 0.0 {
+                continue;
+            }
+            for &(i, wi) in &self.terms[self.start[e]..self.start[e + 1]] {
+                v[i] -= wi * vr;
+            }
         }
     }
 
-    /// Applies `E⁻ᵀ` in place (reverse direction, used by BTRAN).
+    /// Applies every `E⁻ᵀ` in place, newest first (BTRAN).
     fn btran(&self, v: &mut [f64]) {
-        let mut acc = v[self.row];
-        for &(i, wi) in &self.terms {
-            acc -= wi * v[i];
+        for e in (0..self.len()).rev() {
+            let row = self.row[e];
+            let mut acc = v[row];
+            for &(i, wi) in &self.terms[self.start[e]..self.start[e + 1]] {
+                acc -= wi * v[i];
+            }
+            v[row] = acc / self.pivot[e];
         }
-        v[self.row] = acc / self.pivot;
+    }
+}
+
+/// The basis inverse: a fresh sparse LU plus the eta file accumulated
+/// since.
+struct Factor {
+    lu: SparseLu,
+    etas: EtaFile,
+}
+
+impl Factor {
+    fn new(lu: SparseLu) -> Factor {
+        let mut etas = EtaFile::default();
+        etas.clear();
+        Factor { lu, etas }
+    }
+
+    /// `v ← B⁻¹ v` — one LU solve plus the eta sweep; `scratch` is the
+    /// LU's work buffer.
+    fn ftran(&self, v: &mut [f64], scratch: &mut [f64]) -> Result<(), LpError> {
+        self.lu
+            .solve_in_place(v, scratch)
+            .map_err(|e| LpError::InvalidModel(format!("FTRAN failed: {e}")))?;
+        self.etas.ftran(v);
+        Ok(())
+    }
+
+    /// `v ← B⁻ᵀ v` — the eta sweep in reverse, then one transposed LU
+    /// solve.
+    fn btran(&self, v: &mut [f64], scratch: &mut [f64]) -> Result<(), LpError> {
+        self.etas.btran(v);
+        self.lu
+            .solve_transpose_in_place(v, scratch)
+            .map_err(|e| LpError::InvalidModel(format!("BTRAN failed: {e}")))
+    }
+}
+
+/// The per-solve work set: every pricing, FTRAN and BTRAN of both
+/// phases, of the artificial drive-out and of the dual repair writes
+/// into these buffers, sized once when the solve starts, so a pivot
+/// allocates nothing.
+struct Work {
+    /// Basic costs `c_B` (`m`).
+    cb: Vec<f64>,
+    /// Duals `y = B⁻ᵀ c_B`, or a BTRAN-ed unit row `ρ = B⁻ᵀ e_r` (`m`).
+    y: Vec<f64>,
+    /// Reduced costs of the structural and slack columns (`n_sf`).
+    d: Vec<f64>,
+    /// A pivot row `α_j = ρ·a_j` over the same columns (`n_sf`).
+    alpha: Vec<f64>,
+    /// The entering column, dense (`m`).
+    aq: Vec<f64>,
+    /// Its FTRAN, `w = B⁻¹ a_q` (`m`).
+    w: Vec<f64>,
+    /// The LU solves' scratch (`m`).
+    scratch: Vec<f64>,
+    /// The basis columns gathered for a refactorization, in
+    /// [`Columns`] storage.
+    col_start: Vec<usize>,
+    col_entries: Vec<(usize, f64)>,
+}
+
+impl Work {
+    fn new(m: usize, n_sf: usize) -> Work {
+        Work {
+            cb: vec![0.0; m],
+            y: vec![0.0; m],
+            d: vec![0.0; n_sf],
+            alpha: vec![0.0; n_sf],
+            aq: vec![0.0; m],
+            w: vec![0.0; m],
+            scratch: vec![0.0; m],
+            col_start: Vec::with_capacity(m + 1),
+            col_entries: Vec::new(),
+        }
+    }
+
+    /// Gathers the columns `basis` names (in the solver's numbering,
+    /// artificials `≥ n_sf`) and factors them.
+    fn factor_basis(
+        &mut self,
+        at: &Csr,
+        n_sf: usize,
+        art_rows: &[usize],
+        basis: &[usize],
+    ) -> Result<SparseLu, LinalgError> {
+        self.col_start.clear();
+        self.col_entries.clear();
+        self.col_start.push(0);
+        for &col in basis {
+            self.col_entries.extend(column_of(at, n_sf, art_rows, col));
+            self.col_start.push(self.col_entries.len());
+        }
+        SparseLu::factor(
+            basis.len(),
+            Columns::new(&self.col_start, &self.col_entries),
+        )
     }
 }
 
@@ -289,10 +433,8 @@ struct Revised<'a> {
     banned: Vec<bool>,
     /// `in_basis[j]` — whether column `j` is currently basic.
     in_basis: Vec<bool>,
-    /// Fresh sparse LU of the basis, plus the eta file accumulated
-    /// since.
-    lu: SparseLu,
-    etas: Vec<Eta>,
+    factor: Factor,
+    work: Work,
     /// Row of each artificial column: column `n_sf + k` is the unit
     /// vector `e_{art_rows[k]}`.
     art_rows: Vec<usize>,
@@ -320,6 +462,18 @@ enum Phase {
 enum PhaseOutcome {
     Optimal,
     Unbounded(usize),
+}
+
+/// [`SimplexOptions::refactor_interval`], with 0 meaning the default.
+fn refactor_interval(options: &SimplexOptions) -> usize {
+    if options.refactor_interval == 0 {
+        // The sparse refresh is cheap (O(m²/64 + flops)), so the
+        // cadence is tuned to keep the eta file — and with it the
+        // FTRAN/BTRAN sweep cost and float drift — short.
+        64
+    } else {
+        options.refactor_interval
+    }
 }
 
 impl<'a> Revised<'a> {
@@ -352,18 +506,11 @@ impl<'a> Revised<'a> {
             in_basis[basis[i]] = true;
         }
 
-        let identity: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        let lu = SparseLu::factor_cols(m, &identity)
+        let mut work = Work::new(m, n_sf);
+        work.col_start.extend(0..=m);
+        work.col_entries.extend((0..m).map(|i| (i, 1.0)));
+        let lu = SparseLu::factor(m, Columns::new(&work.col_start, &work.col_entries))
             .map_err(|e| LpError::InvalidModel(format!("identity factorization failed: {e}")))?;
-
-        let refactor_interval = if options.refactor_interval == 0 {
-            // The sparse refresh is cheap (O(m²/64 + flops)), so the
-            // cadence is tuned to keep the eta file — and with it the
-            // FTRAN/BTRAN sweep cost and float drift — short.
-            64
-        } else {
-            options.refactor_interval
-        };
 
         // B₀ = I, so x_B = b directly; the identity LU above matches.
         Ok(Revised {
@@ -374,12 +521,12 @@ impl<'a> Revised<'a> {
             basis,
             banned: vec![false; total],
             in_basis,
-            lu,
-            etas: Vec::new(),
+            factor: Factor::new(lu),
+            work,
             art_rows: sf.artificial_rows(),
             n_sf,
             tols: RevisedTolerances::derive(options.tolerance),
-            refactor_interval,
+            refactor_interval: refactor_interval(options),
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
@@ -431,31 +578,17 @@ impl<'a> Revised<'a> {
         }
 
         let at = sf.a.transpose();
-        let cols: Vec<Vec<(usize, f64)>> = basis
-            .iter()
-            .map(|&c| {
-                if c < n_sf {
-                    let (idx, vals) = at.row(c);
-                    idx.iter().copied().zip(vals.iter().copied()).collect()
-                } else {
-                    vec![(art_rows[c - n_sf], 1.0)]
-                }
-            })
-            .collect();
-        let Ok(lu) = SparseLu::factor_cols(m, &cols) else {
+        let mut work = Work::new(m, n_sf);
+        let Ok(lu) = work.factor_basis(&at, n_sf, &art_rows, &basis) else {
             return Ok(None);
         };
         let b = sf.perturbed_b(options.perturbation);
-        let Ok(mut xb) = lu.solve(&b) else {
+        let mut xb = b.clone();
+        if lu.solve_in_place(&mut xb, &mut work.scratch).is_err() {
             return Ok(None);
-        };
+        }
         let tols = RevisedTolerances::derive(options.tolerance);
         clamp_dust(&mut xb, tols.feasibility_dust);
-        let refactor_interval = if options.refactor_interval == 0 {
-            64
-        } else {
-            options.refactor_interval
-        };
         Ok(Some(Revised {
             sf,
             at,
@@ -466,12 +599,12 @@ impl<'a> Revised<'a> {
             // (they are unpriced anyway); structural columns all may.
             banned: vec![false; total],
             in_basis,
-            lu,
-            etas: Vec::new(),
+            factor: Factor::new(lu),
+            work,
             art_rows,
             n_sf,
             tols,
-            refactor_interval,
+            refactor_interval: refactor_interval(options),
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
@@ -499,102 +632,118 @@ impl<'a> Revised<'a> {
         art_mass_bound(&self.tols, self.perturbation, &self.b) + self.art_allowance
     }
 
-    /// Column `j` of the standard form + artificials as sparse terms.
-    fn column(&self, j: usize) -> ColumnIter<'_> {
-        if j < self.n_sf {
-            let (idx, vals) = self.at.row(j);
-            ColumnIter::Structural { idx, vals, pos: 0 }
-        } else {
-            // Artificial column = the unit vector of its row.
-            ColumnIter::Artificial(Some(self.art_rows[j - self.n_sf]))
+    /// Scatters column `j` of the standard form + artificials into the
+    /// dense `work.aq` and FTRANs it into `work.w`.
+    fn ftran_column(&mut self, j: usize) -> Result<(), LpError> {
+        let work = &mut self.work;
+        work.aq.fill(0.0);
+        for (i, v) in column_of(&self.at, self.n_sf, &self.art_rows, j) {
+            work.aq[i] = v;
         }
+        self.refresh_w()
     }
 
-    /// `B⁻¹ v` — one LU solve plus the eta sweep.
-    fn ftran(&self, v: &[f64]) -> Result<Vec<f64>, LpError> {
-        let mut x = self
-            .lu
-            .solve(v)
-            .map_err(|e| LpError::InvalidModel(format!("FTRAN failed: {e}")))?;
-        for eta in &self.etas {
-            eta.ftran(&mut x);
-        }
-        Ok(x)
+    /// Recomputes `work.w = B⁻¹ work.aq` on the current factor.
+    fn refresh_w(&mut self) -> Result<(), LpError> {
+        let work = &mut self.work;
+        work.w.copy_from_slice(&work.aq);
+        self.factor.ftran(&mut work.w, &mut work.scratch)
     }
 
-    /// `B⁻ᵀ v` — the eta sweep in reverse, then one transposed LU solve.
-    fn btran(&self, v: &[f64]) -> Result<Vec<f64>, LpError> {
-        let mut x = v.to_vec();
-        for eta in self.etas.iter().rev() {
-            eta.btran(&mut x);
+    /// `work.y = B⁻ᵀ e_r`, the BTRAN-ed unit row `ρ`.
+    fn btran_unit(&mut self, r: usize) -> Result<(), LpError> {
+        let work = &mut self.work;
+        work.y.fill(0.0);
+        work.y[r] = 1.0;
+        self.factor.btran(&mut work.y, &mut work.scratch)
+    }
+
+    /// `work.alpha = ρᵀ A` for the `ρ` in `work.y`, in `O(nnz)` over
+    /// the rows where `ρ` is nonzero.
+    fn row_of_inverse(&mut self) {
+        let work = &mut self.work;
+        work.alpha.fill(0.0);
+        for (i, &ri) in work.y.iter().enumerate() {
+            if ri == 0.0 {
+                continue;
+            }
+            for (j, v) in self.sf.a.iter_row(i) {
+                work.alpha[j] += ri * v;
+            }
         }
-        self.lu
-            .solve_transpose(&x)
-            .map_err(|e| LpError::InvalidModel(format!("BTRAN failed: {e}")))
     }
 
     /// Regathers the (sparse) basis columns, refactors them, clears the
     /// eta file and recomputes `x_B = B⁻¹ b` from the original data.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        let m = self.m();
-        let cols: Vec<Vec<(usize, f64)>> = self
-            .basis
-            .iter()
-            .map(|&col| self.column(col).collect())
-            .collect();
-        self.lu = SparseLu::factor_cols(m, &cols)
+        let lu = self
+            .work
+            .factor_basis(&self.at, self.n_sf, &self.art_rows, &self.basis)
             .map_err(|e| LpError::InvalidModel(format!("basis refactorization failed: {e}")))?;
-        self.etas.clear();
-        self.xb = self.ftran(&self.b.clone())?;
+        self.factor.lu = lu;
+        self.factor.etas.clear();
+        self.xb.copy_from_slice(&self.b);
+        self.factor.ftran(&mut self.xb, &mut self.work.scratch)?;
         clamp_dust(&mut self.xb, self.tols.feasibility_dust);
         Ok(())
     }
 
-    /// Basic-cost vector for the given phase.
-    fn basic_costs(&self, phase: &Phase) -> Vec<f64> {
-        self.basis
-            .iter()
-            .map(|&j| match phase {
+    /// Prices the current basis for `phase`: the basic costs into
+    /// `work.cb`, the duals `y = B⁻ᵀ c_B` into `work.y`, and the reduced
+    /// costs of all structural + slack columns, `d = c − Aᵀ y`, into
+    /// `work.d`, accumulated in `O(nnz)` by scattering each CSR row
+    /// with a nonzero dual. Artificial columns are never priced (they
+    /// are banned the moment they leave the basis).
+    fn price(&mut self, phase: &Phase) -> Result<(), LpError> {
+        let n_sf = self.n_sf;
+        let work = &mut self.work;
+        for (cb, &j) in work.cb.iter_mut().zip(&self.basis) {
+            *cb = match phase {
                 Phase::One => {
-                    if j >= self.n_sf {
+                    if j >= n_sf {
                         1.0
                     } else {
                         0.0
                     }
                 }
                 Phase::Two => {
-                    if j < self.n_sf {
+                    if j < n_sf {
                         self.sf.c[j]
                     } else {
                         0.0
                     }
                 }
-            })
-            .collect()
-    }
-
-    /// Reduced costs of all structural + slack columns: `d = c − Aᵀ y`,
-    /// accumulated in `O(nnz)` by scattering each CSR row with a
-    /// nonzero dual. Artificial columns are never priced (they are
-    /// banned the moment they leave the basis).
-    fn reduced_costs(&self, y: &[f64], phase: &Phase) -> Vec<f64> {
-        let mut d = match phase {
-            Phase::One => vec![0.0; self.n_sf],
-            Phase::Two => self.sf.c.clone(),
-        };
-        for (i, &yi) in y.iter().enumerate() {
+            };
+        }
+        work.y.copy_from_slice(&work.cb);
+        self.factor.btran(&mut work.y, &mut work.scratch)?;
+        match phase {
+            Phase::One => work.d.fill(0.0),
+            Phase::Two => work.d.copy_from_slice(&self.sf.c),
+        }
+        for (i, &yi) in work.y.iter().enumerate() {
             if yi == 0.0 {
                 continue;
             }
             for (j, v) in self.sf.a.iter_row(i) {
-                d[j] -= yi * v;
+                work.d[j] -= yi * v;
             }
         }
-        d
+        Ok(())
     }
 
-    /// Dantzig pricing over the reduced costs; `None` = optimal.
-    fn enter_dantzig(&self, d: &[f64]) -> Option<usize> {
+    /// The entering column the last pricing picks: Bland's smallest
+    /// eligible index when `stalled`, else Dantzig's most negative
+    /// reduced cost. `None` = optimal.
+    fn enter(&self, stalled: bool) -> Option<usize> {
+        let d = &self.work.d;
+        if stalled {
+            return d
+                .iter()
+                .enumerate()
+                .find(|&(j, &dj)| !self.banned[j] && !self.in_basis[j] && dj < -self.tols.base)
+                .map(|(j, _)| j);
+        }
         let mut best = None;
         let mut best_val = -self.tols.base;
         for (j, &dj) in d.iter().enumerate() {
@@ -606,23 +755,17 @@ impl<'a> Revised<'a> {
         best
     }
 
-    /// Bland pricing: smallest column index with a negative reduced cost.
-    fn enter_bland(&self, d: &[f64]) -> Option<usize> {
-        d.iter()
-            .enumerate()
-            .find(|&(j, &dj)| !self.banned[j] && !self.in_basis[j] && dj < -self.tols.base)
-            .map(|(j, _)| j)
-    }
-
-    /// Ratio test on `w = B⁻¹ a_q`. Two-pass Harris style under Dantzig
-    /// (largest pivot within a window of the minimum ratio), smallest
-    /// basis index under Bland — the stalled regime needs Bland to
-    /// govern *both* pivot choices for the termination guarantee.
+    /// Ratio test on `w = B⁻¹ a_q` (`work.w`). Two-pass Harris style
+    /// under Dantzig (largest pivot within a window of the minimum
+    /// ratio), smallest basis index under Bland — the stalled regime
+    /// needs Bland to govern *both* pivot choices for the termination
+    /// guarantee.
     ///
     /// In phase 2 a basic artificial sitting at zero must never grow
     /// again: any entering column touching its row pivots the artificial
     /// out first via a degenerate (θ = 0) pivot.
-    fn leave(&self, w: &[f64], bland: bool, guard_artificials: bool) -> Option<usize> {
+    fn leave(&self, bland: bool, guard_artificials: bool) -> Option<usize> {
+        let w = &self.work.w;
         if guard_artificials {
             for (i, &wi) in w.iter().enumerate() {
                 if self.basis[i] >= self.n_sf && wi.abs() > self.tols.artificial_guard {
@@ -673,25 +816,21 @@ impl<'a> Revised<'a> {
     }
 
     /// Executes the basis change `basis[r] ← q` with the already
-    /// FTRAN-ed column `w`, using the primal step length
+    /// FTRAN-ed column in `work.w`, using the primal step length
     /// `θ = x_B[r] / w[r]` (clamped non-negative).
-    fn pivot(&mut self, r: usize, q: usize, w: Vec<f64>) -> Result<(), LpError> {
-        let theta = (self.xb[r].max(0.0) / w[r]).max(0.0);
-        self.pivot_with_theta(r, q, w, theta)
+    fn pivot(&mut self, r: usize, q: usize) -> Result<(), LpError> {
+        let theta = (self.xb[r].max(0.0) / self.work.w[r]).max(0.0);
+        self.pivot_with_theta(r, q, theta)
     }
 
     /// The shared tail of a primal or dual pivot: applies the step
-    /// length `theta` to the basic values, swaps `basis[r] ← q`, records
-    /// the eta and honors the refactorization cadence. Dual pivots pass
-    /// the unclamped `θ = x_B[r] / w[r]` (both negative at a dual step,
-    /// so θ ≥ 0 still, but the primal clamp would zero it out).
-    fn pivot_with_theta(
-        &mut self,
-        r: usize,
-        q: usize,
-        w: Vec<f64>,
-        theta: f64,
-    ) -> Result<(), LpError> {
+    /// length `theta` along `work.w` to the basic values, swaps
+    /// `basis[r] ← q`, records the eta and honors the refactorization
+    /// cadence. Dual pivots pass the unclamped `θ = x_B[r] / w[r]`
+    /// (both negative at a dual step, so θ ≥ 0 still, but the primal
+    /// clamp would zero it out).
+    fn pivot_with_theta(&mut self, r: usize, q: usize, theta: f64) -> Result<(), LpError> {
+        let w = &self.work.w;
         if theta > 0.0 {
             for (i, &wi) in w.iter().enumerate() {
                 if wi != 0.0 {
@@ -711,9 +850,9 @@ impl<'a> Revised<'a> {
         }
         self.basis[r] = q;
         self.in_basis[q] = true;
-        self.etas.push(Eta::from_dense(r, &w));
+        self.factor.etas.push(r, w);
         self.iterations += 1;
-        if self.etas.len() >= self.refactor_interval {
+        if self.factor.etas.len() >= self.refactor_interval {
             self.refactorize()?;
         }
         Ok(())
@@ -735,9 +874,7 @@ impl<'a> Revised<'a> {
                 self.art_allowance += delta;
             }
             // b += δ_i · B e_i = δ_i · a_{basis[i]}.
-            let col = self.basis[i];
-            let terms: Vec<(usize, f64)> = self.column(col).collect();
-            for (row, v) in terms {
+            for (row, v) in column_of(&self.at, self.n_sf, &self.art_rows, self.basis[i]) {
                 self.b[row] += delta * v;
             }
         }
@@ -759,27 +896,15 @@ impl<'a> Revised<'a> {
                     limit: max_iterations,
                 });
             }
-            let cb = self.basic_costs(&phase);
-            let y = self.btran(&cb)?;
-            let d = self.reduced_costs(&y, &phase);
+            self.price(&phase)?;
             let stalled = stall >= options.stall_switch;
-            let enter = if stalled {
-                self.enter_bland(&d)
-            } else {
-                self.enter_dantzig(&d)
-            };
-            let Some(q) = enter else {
+            let Some(q) = self.enter(stalled) else {
                 // Eta-file drift can fake optimality; only a verdict from
                 // a fresh factorization is trusted.
-                if !self.etas.is_empty() {
+                if !self.factor.etas.is_empty() {
                     self.refactorize()?;
-                    let y = self.btran(&self.basic_costs(&phase))?;
-                    let d = self.reduced_costs(&y, &phase);
-                    if let Some(q) = if stalled {
-                        self.enter_bland(&d)
-                    } else {
-                        self.enter_dantzig(&d)
-                    } {
+                    self.price(&phase)?;
+                    if let Some(q) = self.enter(stalled) {
                         // Not optimal after all — take the pivot now.
                         if self.step(q, stalled, guard)?.is_none() {
                             return Ok(PhaseOutcome::Unbounded(q));
@@ -792,7 +917,7 @@ impl<'a> Revised<'a> {
             };
             let Some(degenerate) = self.step(q, stalled, guard)? else {
                 // Unbounded ray: trust it only from a fresh basis.
-                if self.etas.is_empty() {
+                if self.factor.etas.is_empty() {
                     return Ok(PhaseOutcome::Unbounded(q));
                 }
                 self.refactorize()?;
@@ -819,36 +944,29 @@ impl<'a> Revised<'a> {
     /// FTRANs the entering column, runs the ratio test and pivots.
     /// `Ok(None)` = unbounded; `Ok(Some(degenerate))` = pivot done.
     fn step(&mut self, q: usize, bland: bool, guard: bool) -> Result<Option<bool>, LpError> {
-        let aq: Vec<f64> = {
-            let mut col = vec![0.0; self.m()];
-            for (i, v) in self.column(q) {
-                col[i] = v;
-            }
-            col
-        };
-        let mut w = self.ftran(&aq)?;
-        let mut r = match self.leave(&w, bland, guard) {
+        self.ftran_column(q)?;
+        let mut r = match self.leave(bland, guard) {
             Some(r) => r,
             None => return Ok(None),
         };
         // A pivot element this small signals eta-file drift: refresh the
         // factorization once and redo the FTRAN before giving up.
-        if w[r].abs() < self.tols.pivot_refresh && !self.etas.is_empty() {
+        if self.work.w[r].abs() < self.tols.pivot_refresh && !self.factor.etas.is_empty() {
             self.refactorize()?;
-            w = self.ftran(&aq)?;
-            r = match self.leave(&w, bland, guard) {
+            self.refresh_w()?;
+            r = match self.leave(bland, guard) {
                 Some(r) => r,
                 None => return Ok(None),
             };
         }
-        if w[r].abs() < self.tols.pivot_reject {
+        if self.work.w[r].abs() < self.tols.pivot_reject {
             return Err(LpError::InvalidModel(format!(
                 "revised simplex: pivot element {:.3e} too small (column {q})",
-                w[r]
+                self.work.w[r]
             )));
         }
         let degenerate = self.xb[r].abs() <= self.tols.base;
-        self.pivot(r, q, w)?;
+        self.pivot(r, q)?;
         Ok(Some(degenerate))
     }
 
@@ -862,20 +980,10 @@ impl<'a> Revised<'a> {
                 continue;
             }
             // ρ = B⁻ᵀ e_i, then u_j = ρ·a_j for every column in O(nnz).
-            let mut e = vec![0.0; m];
-            e[i] = 1.0;
-            let rho = self.btran(&e)?;
-            let mut u = vec![0.0; self.n_sf];
-            for (row, &ri) in rho.iter().enumerate() {
-                if ri == 0.0 {
-                    continue;
-                }
-                for (j, v) in self.sf.a.iter_row(row) {
-                    u[j] += ri * v;
-                }
-            }
+            self.btran_unit(i)?;
+            self.row_of_inverse();
             let mut best: Option<(usize, f64)> = None;
-            for (j, &uj) in u.iter().enumerate() {
+            for (j, &uj) in self.work.alpha.iter().enumerate() {
                 if self.in_basis[j] || self.banned[j] {
                     continue;
                 }
@@ -885,18 +993,11 @@ impl<'a> Revised<'a> {
                 }
             }
             if let Some((j, _)) = best {
-                let aq: Vec<f64> = {
-                    let mut col = vec![0.0; m];
-                    for (row, v) in self.column(j) {
-                        col[row] = v;
-                    }
-                    col
-                };
-                let w = self.ftran(&aq)?;
-                if w[i].abs() > self.tols.artificial_guard {
+                self.ftran_column(j)?;
+                if self.work.w[i].abs() > self.tols.artificial_guard {
                     // Degenerate pivot: the artificial sits at ~0.
                     self.xb[i] = 0.0;
-                    self.pivot(i, j, w)?;
+                    self.pivot(i, j)?;
                 }
             }
         }
@@ -937,7 +1038,7 @@ impl<'a> Revised<'a> {
                 }
             }
             let Some(r) = leave else {
-                if self.etas.is_empty() {
+                if self.factor.etas.is_empty() {
                     return Ok(true);
                 }
                 // Only a verdict from a fresh factorization is trusted.
@@ -951,28 +1052,17 @@ impl<'a> Revised<'a> {
                 return Ok(false);
             }
             // ρ = B⁻ᵀ e_r, then the pivot row α_j = ρ·a_j in O(nnz).
-            let mut e = vec![0.0; m];
-            e[r] = 1.0;
-            let rho = self.btran(&e)?;
-            let mut alpha = vec![0.0; self.n_sf];
-            for (i, &ri) in rho.iter().enumerate() {
-                if ri == 0.0 {
-                    continue;
-                }
-                for (j, v) in self.sf.a.iter_row(i) {
-                    alpha[j] += ri * v;
-                }
-            }
-            let y = self.btran(&self.basic_costs(&Phase::Two))?;
-            let d = self.reduced_costs(&y, &Phase::Two);
+            self.btran_unit(r)?;
+            self.row_of_inverse();
+            self.price(&Phase::Two)?;
             // Dual ratio test: minimize d_j / |α_j| over α_j < 0 (ties:
             // smallest column index, for determinism).
             let mut enter: Option<(usize, f64)> = None;
-            for (j, &aj) in alpha.iter().enumerate() {
+            for (j, &aj) in self.work.alpha.iter().enumerate() {
                 if self.in_basis[j] || self.banned[j] || aj >= -self.tols.pivot_refresh {
                     continue;
                 }
-                let ratio = d[j].max(0.0) / -aj;
+                let ratio = self.work.d[j].max(0.0) / -aj;
                 if enter.is_none_or(|(_, best)| ratio < best) {
                     enter = Some((j, ratio));
                 }
@@ -982,27 +1072,20 @@ impl<'a> Revised<'a> {
                 // are clean, stale otherwise — either way, cold path.
                 return Ok(false);
             };
-            let aq: Vec<f64> = {
-                let mut col = vec![0.0; m];
-                for (i, v) in self.column(q) {
-                    col[i] = v;
-                }
-                col
-            };
-            let w = self.ftran(&aq)?;
-            if w[r] >= -self.tols.pivot_reject {
+            self.ftran_column(q)?;
+            if self.work.w[r] >= -self.tols.pivot_reject {
                 // The FTRAN disagrees with the BTRAN row: eta drift.
                 // Refresh once and retry the whole step; give up if the
                 // factorization is already fresh.
-                if self.etas.is_empty() {
+                if self.factor.etas.is_empty() {
                     return Ok(false);
                 }
                 self.refactorize()?;
                 continue;
             }
             // Dual step: θ = x_B[r] / w[r] ≥ 0 (both strictly negative).
-            let theta = self.xb[r] / w[r];
-            self.pivot_with_theta(r, q, w, theta)?;
+            let theta = self.xb[r] / self.work.w[r];
+            self.pivot_with_theta(r, q, theta)?;
             pivots += 1;
         }
     }
@@ -1032,7 +1115,7 @@ impl<'a> Revised<'a> {
             basis,
             row_active,
             iterations: self.iterations,
-            factor: (priced && self.etas.is_empty()).then_some(self.lu),
+            factor: (priced && self.factor.etas.is_empty()).then_some(self.factor.lu),
         }
     }
 }
@@ -1083,6 +1166,18 @@ fn art_mass(basis: &[usize], n_sf: usize, xb: &[f64]) -> f64 {
 /// (artificial-owned rows are not enforced).
 fn primal_feasible(basis: &[usize], n_sf: usize, xb: &[f64], dust: f64) -> bool {
     (0..basis.len()).all(|i| basis[i] >= n_sf || xb[i] >= -dust)
+}
+
+/// Column `j` of the standard form + artificials as sparse terms:
+/// structural and slack columns from the CSC mirror `at`, artificial
+/// column `n_sf + k` as the unit vector of row `art_rows[k]`.
+fn column_of<'a>(at: &'a Csr, n_sf: usize, art_rows: &[usize], j: usize) -> ColumnIter<'a> {
+    if j < n_sf {
+        let (idx, vals) = at.row(j);
+        ColumnIter::Structural { idx, vals, pos: 0 }
+    } else {
+        ColumnIter::Artificial(Some(art_rows[j - n_sf]))
+    }
 }
 
 /// Sparse column access that treats artificial columns as unit vectors.
@@ -1211,7 +1306,7 @@ fn finish_phase_two(
         let PhaseOutcome::Optimal = outcome else {
             break;
         };
-        if !solver.etas.is_empty() {
+        if !solver.factor.etas.is_empty() {
             solver.refactorize()?;
         }
         if primal_feasible(

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use socbuf_linalg::solve_transpose_cols;
+use socbuf_linalg::{solve_transpose_resumed, Columns, SparseLu};
 
 use crate::problem::{LpProblem, RowId, VarId};
 use crate::revised::{BasisSnapshot, LpEngine};
@@ -16,13 +16,21 @@ use crate::LpError;
 /// the shadow price of the global buffer-budget constraint), and the
 /// basic/nonbasic split that the K-switching structure analysis inspects.
 ///
-/// The duals solve `Bᵀ y = c_B` on the final basis `B`, gathered from
-/// the original constraint matrix as sparse columns. The solve
-/// ([`socbuf_linalg::solve_transpose_cols`]) costs time and memory in
-/// the basis's nonzeros, not in `m²`, and is bit-exact with the dense
-/// LU of `B`: the same pivots, the same summation order and the same
-/// signed zeros. A basis that kernel finds singular fails here too, at
-/// the same pivot column.
+/// The duals solve `Bᵀ y = c_B` on the final basis `B`, bit for bit as
+/// the dense LU of `B` would: the same pivots, the same summation order
+/// and the same signed zeros
+/// ([`socbuf_linalg::solve_transpose_resumed`]). A basis that kernel
+/// finds singular fails here too, at the same pivot column. The dense
+/// kernel's pivot rule differs from the engine's only in how it breaks
+/// exact ties, so when every row is active the elimination resumes
+/// after the pivots the engine's own final factor shares with it
+/// ([`socbuf_linalg::SparseLu::dense_prefix`]); in most solves that is
+/// the whole factor and no second elimination runs. Only the columns
+/// after the shared prefix are gathered from the original constraint
+/// matrix. Without a factor (the tableau engine, a redundant row, a
+/// solve that did not end on a fresh factor) the prefix is empty and
+/// the whole basis is gathered and eliminated. Cost and memory grow
+/// with the basis's nonzeros, not with `m²`.
 ///
 /// Sign conventions:
 /// * [`LpSolution::dual`] is `∂ objective / ∂ rhs` in the problem's own
@@ -62,7 +70,13 @@ impl LpSolution {
         basic: &BasicSolution,
         engine: LpEngine,
     ) -> Result<LpSolution, LpError> {
-        let dual = Arc::new(DualHalf::from_basic(p, sf, basic, engine)?);
+        let dual = Arc::new(DualHalf::from_basic(
+            p,
+            sf,
+            basic,
+            engine,
+            basic.factor.as_ref(),
+        )?);
         Ok(LpSolution::from_primal(p, sf, basic, engine, dual))
     }
 
@@ -102,18 +116,18 @@ impl LpSolution {
 }
 
 impl DualHalf {
-    fn from_basic(
+    /// Recovers the basis-only half of `basic`'s solution, resuming the
+    /// dual solve after the prefix `factor`, the engine's factor of the
+    /// final basis, shares with it (see [`LpSolution`]).
+    pub(crate) fn from_basic(
         p: &LpProblem,
         sf: &StandardForm,
         basic: &BasicSolution,
         engine: LpEngine,
+        factor: Option<&SparseLu>,
     ) -> Result<DualHalf, LpError> {
         let n = p.num_vars();
         // --- Recover duals from the final basis: solve Bᵀ y = c_B. ----
-        // The basis columns are gathered from the CSR standard form by
-        // one row sweep (scatter entries whose column is basic), and
-        // the sparse transposed solve answers bit for bit as the dense
-        // LU of the gathered basis would.
         let active_rows: Vec<usize> = (0..sf.a.rows()).filter(|&i| basic.row_active[i]).collect();
         let m_act = active_rows.len();
         let mut y_by_row = vec![0.0; sf.a.rows()];
@@ -128,16 +142,11 @@ impl DualHalf {
                 col_pos[col] = pos_col;
                 cb[pos_col] = sf.c[col];
             }
-            let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m_act];
-            for (pos_row, &r) in active_rows.iter().enumerate() {
-                for (col, v) in sf.a.iter_row(r) {
-                    let pos_col = col_pos[col];
-                    if pos_col != usize::MAX {
-                        cols[pos_col].push((pos_row, v));
-                    }
-                }
-            }
-            let y = solve_transpose_cols(m_act, &cols, &cb).map_err(|e| {
+            let resume = shared_prefix(basic, factor);
+            let shared = resume.map_or(0, |(_, shared)| shared);
+            let (start, entries) = gather_tail(sf, &active_rows, &col_pos, shared);
+            let tail = Columns::new(&start, &entries);
+            let y = solve_transpose_resumed(m_act, resume, tail, &cb).map_err(|e| {
                 LpError::InvalidModel(format!("final basis is numerically singular: {e}"))
             })?;
             for (pos, &i) in active_rows.iter().enumerate() {
@@ -211,6 +220,67 @@ impl DualHalf {
     pub(crate) fn snapshot(&self) -> &BasisSnapshot {
         &self.snapshot
     }
+
+    /// The row duals and reduced costs.
+    pub(crate) fn into_sensitivities(self) -> (Vec<f64>, Vec<f64>) {
+        (self.duals, self.reduced)
+    }
+}
+
+/// The engine's factor of the final basis and how many of its leading
+/// pivots the dual solve shares: all the factor agrees on when every
+/// row is active (the factor's columns are then the basis matrix's, in
+/// order), none otherwise.
+pub(crate) fn shared_prefix<'f>(
+    basic: &BasicSolution,
+    factor: Option<&'f SparseLu>,
+) -> Option<(&'f SparseLu, usize)> {
+    let lu = factor?;
+    let whole = basic.row_active.iter().all(|&active| active) && lu.dim() == basic.basis.len();
+    whole.then(|| (lu, lu.dense_prefix()))
+}
+
+/// Gathers the basis columns from position `shared` on, in
+/// [`Columns`] storage, by two sweeps over the CSR rows (count, then
+/// scatter), so each column lists its rows in increasing order, as the
+/// engine's factor read them. Nothing is swept when the prefix covers
+/// the whole basis.
+fn gather_tail(
+    sf: &StandardForm,
+    active_rows: &[usize],
+    col_pos: &[usize],
+    shared: usize,
+) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let cols = active_rows.len() - shared;
+    let mut start = vec![0usize; cols + 1];
+    if cols == 0 {
+        return (start, Vec::new());
+    }
+    let tail_col = |col: usize| col_pos[col].checked_sub(shared).filter(|&k| k < cols);
+    for &r in active_rows {
+        for (col, _) in sf.a.iter_row(r) {
+            if let Some(k) = tail_col(col) {
+                start[k + 1] += 1;
+            }
+        }
+    }
+    for k in 0..cols {
+        start[k + 1] += start[k];
+    }
+    // `start[k]` serves as column k's insertion cursor, which leaves it
+    // at column k + 1's start; shifting back restores the offsets.
+    let mut entries = vec![(0, 0.0); start[cols]];
+    for (pos_row, &r) in active_rows.iter().enumerate() {
+        for (col, v) in sf.a.iter_row(r) {
+            if let Some(k) = tail_col(col) {
+                entries[start[k]] = (pos_row, v);
+                start[k] += 1;
+            }
+        }
+    }
+    start.copy_within(0..cols, 1);
+    start[0] = 0;
+    (start, entries)
 }
 
 impl LpSolution {
