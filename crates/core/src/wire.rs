@@ -45,7 +45,10 @@
 //! therefore parses with one allocation, and its top-level fields' raw
 //! bytes ([`JsonDocument::raw`]) come from their nodes' spans.
 //! [`JsonValue::parse`] builds an owned tree from the tape for callers
-//! that keep or edit a value.
+//! that keep or edit a value. A duplicate key, compared unescaped, is
+//! refused; an object rescans its earlier keys for it while it has few
+//! and checks a set of their hashes past that, so the check stays
+//! linear in the key count.
 //!
 //! # Records
 //!
@@ -59,7 +62,10 @@
 //! renderer writes through [`ObjWriter`], which owns key quoting and
 //! separators. Unknown keys are refused in every record.
 
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::hash::BuildHasher as _;
 
 use socbuf_lp::{ChunkPolicy, LpEngine, ScalingStats};
 use socbuf_soc::templates::RandomArchParams;
@@ -1013,6 +1019,24 @@ impl<'a> JsonRead<'a> for JsonRef<'a> {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Members an object may have before [`Parser::duplicate`] stops
+/// rescanning its earlier keys and hashes them instead.
+const LINEAR_KEYS: usize = 16;
+
+/// The hashes of an object's keys so far.
+#[derive(Default)]
+struct KeyHashes {
+    state: RandomState,
+    seen: HashSet<u64>,
+}
+
+impl KeyHashes {
+    /// Adds `key`'s hash; `false` when it was already there.
+    fn insert(&mut self, key: &str) -> bool {
+        self.seen.insert(self.state.hash_one(key))
+    }
+}
+
 /// Recursive descent over the text, appending each value to the tape
 /// in document order.
 struct Parser<'t> {
@@ -1139,6 +1163,7 @@ impl Parser<'_> {
             return Ok(());
         }
         let mut len = 0;
+        let mut keys = None;
         loop {
             self.skip_ws();
             let key = self.nodes.len();
@@ -1149,7 +1174,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             self.value(depth + 1)?;
-            if let Some(dup) = self.duplicate(at, key) {
+            if let Some(dup) = self.duplicate(at, key, len, &mut keys) {
                 return Err(self.err(format!("duplicate key \"{dup}\"")));
             }
             len += 1;
@@ -1166,9 +1191,42 @@ impl Parser<'_> {
         }
     }
 
-    /// The key at tape index `key`, when an earlier member of the
-    /// object at `obj` has the same one (keys compare unescaped).
-    fn duplicate(&self, obj: usize, key: usize) -> Option<String> {
+    /// The key at tape index `key`, when one of the `earlier` members of
+    /// the object at `obj` has the same one (keys compare unescaped).
+    ///
+    /// Up to [`LINEAR_KEYS`] earlier members, the check rescans them.
+    /// Past that it first looks the key's hash up in `keys`, the hashes
+    /// of every earlier key, built on first use: a hash not seen before
+    /// is not a duplicate, and only a hash seen before (a duplicate, or
+    /// a collision) pays the rescan. So a flat object costs linear
+    /// time in its key count, not quadratic.
+    fn duplicate(
+        &self,
+        obj: usize,
+        key: usize,
+        earlier: usize,
+        keys: &mut Option<KeyHashes>,
+    ) -> Option<String> {
+        if earlier >= LINEAR_KEYS {
+            let name = string(self.text, &self.unescaped, &self.nodes[key]);
+            let keys = keys.get_or_insert_with(|| {
+                let mut keys = KeyHashes::default();
+                let mut at = obj + 1;
+                while at < key {
+                    keys.insert(string(self.text, &self.unescaped, &self.nodes[at]));
+                    at = self.nodes[at + 1].next;
+                }
+                keys
+            });
+            if keys.insert(name) {
+                return None;
+            }
+        }
+        self.rescan(obj, key)
+    }
+
+    /// [`Parser::duplicate`]'s rescan of every earlier key.
+    fn rescan(&self, obj: usize, key: usize) -> Option<String> {
         let name = string(self.text, &self.unescaped, &self.nodes[key]);
         let mut at = obj + 1;
         while at < key {
