@@ -18,7 +18,11 @@
 //! 1. The **raw key**: the request's `arch` bytes, `'\n'`, its `config`
 //!    bytes, exactly as they arrived. [`ContextCache::contains`] peeks
 //!    at it without counting. A raw hit solves on that context without
-//!    decoding the architecture or config and without rendering a key.
+//!    decoding the architecture or config and without building a key:
+//!    a [`RawKey`] borrows the two spans from the frame and compares
+//!    them against the stored keys in place, and
+//!    [`ContextCache::checkout_keyed`] hands the stored key back for
+//!    [`ContextCache::checkin`] to reuse.
 //! 2. On a raw miss, the request is decoded from the frame's tape and
 //!    looked up under the canonical [`cache_key`] of what it decoded to.
 //!    A partial config (`{"state_cap":16}`), reordered fields or extra
@@ -84,6 +88,58 @@ pub fn cache_key(arch: &Architecture, config: &SizingConfig) -> String {
     key
 }
 
+/// A key to look a context up under, compared against each stored
+/// key without building one.
+pub trait CacheLookup {
+    /// Whether `stored` is this key.
+    fn matches(&self, stored: &str) -> bool;
+}
+
+impl CacheLookup for str {
+    fn matches(&self, stored: &str) -> bool {
+        self == stored
+    }
+}
+
+impl CacheLookup for String {
+    fn matches(&self, stored: &str) -> bool {
+        self == stored
+    }
+}
+
+/// A `size` frame's raw cache key, borrowed from the frame: the `arch`
+/// value's bytes, `'\n'`, then the `config` value's bytes (see the
+/// module docs). It matches a stored key spelled that way without
+/// being built; its [`std::fmt::Display`] spells it out when a key
+/// must be owned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawKey<'a> {
+    arch: &'a str,
+    config: &'a str,
+}
+
+impl<'a> RawKey<'a> {
+    /// The raw key of the `arch` and `config` spans.
+    pub fn new(arch: &'a str, config: &'a str) -> RawKey<'a> {
+        RawKey { arch, config }
+    }
+}
+
+impl CacheLookup for RawKey<'_> {
+    fn matches(&self, stored: &str) -> bool {
+        stored.len() == self.arch.len() + 1 + self.config.len()
+            && stored.starts_with(self.arch)
+            && stored.as_bytes()[self.arch.len()] == b'\n'
+            && stored.ends_with(self.config)
+    }
+}
+
+impl std::fmt::Display for RawKey<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}\n{}", self.arch, self.config)
+    }
+}
+
 /// A bounded LRU of warm contexts plus hit/miss/pivot counters.
 #[derive(Debug)]
 pub struct ContextCache {
@@ -114,20 +170,30 @@ impl ContextCache {
 
     /// Whether a context is cached under `key`. Counts nothing and
     /// leaves the LRU order alone.
-    pub fn contains(&self, key: &str) -> bool {
+    pub fn contains<K: CacheLookup + ?Sized>(&self, key: &K) -> bool {
         let entries = self.entries.lock().expect("cache lock poisoned");
-        entries.iter().any(|(k, _)| k == key)
+        entries.iter().any(|(k, _)| key.matches(k))
     }
 
     /// Removes and returns the context for `key`, if cached. The caller
     /// owns it until [`ContextCache::checkin`] — see the module docs
     /// for why checkout removes.
-    pub fn checkout(&self, key: &str) -> Option<SolveContext> {
+    pub fn checkout<K: CacheLookup + ?Sized>(&self, key: &K) -> Option<SolveContext> {
+        self.checkout_keyed(key).map(|(_, ctx)| ctx)
+    }
+
+    /// [`ContextCache::checkout`], handing back the stored key with the
+    /// context, so a caller whose lookup key is borrowed checks the
+    /// context back in without building its key again.
+    pub fn checkout_keyed<K: CacheLookup + ?Sized>(
+        &self,
+        key: &K,
+    ) -> Option<(String, SolveContext)> {
         let mut entries = self.entries.lock().expect("cache lock poisoned");
-        match entries.iter().position(|(k, _)| k == key) {
+        match entries.iter().position(|(k, _)| key.matches(k)) {
             Some(i) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entries.remove(i).1)
+                Some(entries.remove(i))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -226,6 +292,30 @@ mod tests {
         cache.checkin("a".into(), ctx());
         assert!(cache.checkout("a").is_none());
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn a_raw_key_matches_the_key_it_spells() {
+        let cache = ContextCache::new(4);
+        let key = cache_key(&templates::figure1(), &SizingConfig::small());
+        let (arch, config) = key.split_once('\n').unwrap();
+        let raw = RawKey::new(arch, config);
+        assert_eq!(raw.to_string(), key);
+        assert!(!cache.contains(&raw));
+        cache.checkin(key.clone(), ctx());
+        assert!(cache.contains(&raw));
+        // A span that is a prefix or suffix of the stored one, or a
+        // config that swallowed the separator, is another key.
+        let short = RawKey::new(&arch[..arch.len() - 1], config);
+        let joined = format!("{arch}\n");
+        for other in [short, RawKey::new(&joined, &config[1..])] {
+            assert!(!cache.contains(&other), "{other}");
+        }
+        let (stored, taken) = cache.checkout_keyed(&raw).expect("raw hit");
+        assert_eq!(stored, key);
+        cache.checkin(stored, taken);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 0, 1));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{cache_key, CacheStats, ContextCache};
+pub use cache::{cache_key, CacheLookup, CacheStats, ContextCache, RawKey};
 pub use client::{
     ChunkReply, Client, ClientConfig, ClientError, RetryPolicy, ShardFleet, SizeReply,
     StreamEndReply, StreamMergeError,

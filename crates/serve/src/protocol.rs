@@ -108,6 +108,8 @@ use socbuf_core::wire::{
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
 
+use crate::cache::RawKey;
+
 /// The one protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 2;
 
@@ -466,17 +468,12 @@ impl<'t> RequestFrame<'t> {
     }
 
     /// A `size` frame's raw cache key: the `arch` value's bytes, `'\n'`,
-    /// then the `config` value's bytes, exactly as they arrived. `None`
-    /// when either field is missing. When the frame spells both
-    /// canonically this is [`crate::cache_key`] of what they decode to.
-    pub fn raw_size_key(&self) -> Option<String> {
-        let arch = self.doc.raw("arch")?;
-        let config = self.doc.raw("config")?;
-        let mut key = String::with_capacity(arch.len() + 1 + config.len());
-        key.push_str(arch);
-        key.push('\n');
-        key.push_str(config);
-        Some(key)
+    /// then the `config` value's bytes, exactly as they arrived,
+    /// borrowed from the frame. `None` when either field is missing.
+    /// When the frame spells both canonically this spells
+    /// [`crate::cache_key`] of what they decode to.
+    pub fn raw_size_key(&self) -> Option<RawKey<'_>> {
+        Some(RawKey::new(self.doc.raw("arch")?, self.doc.raw("config")?))
     }
 
     /// Decodes a `size` frame's architecture, then its config.
@@ -1073,26 +1070,27 @@ mod tests {
         let (arch, config) = frame.size_problem().unwrap();
         assert_eq!(frame.size_budget().unwrap(), 24);
         let key = crate::cache_key(&arch, &config);
-        assert_eq!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+        let raw = |frame: &RequestFrame| frame.raw_size_key().map(|k| k.to_string());
+        assert_eq!(raw(&frame), Some(key.clone()));
 
         // Whitespace between fields leaves the values' spans, and so the
         // raw key, alone; a partial config spells another raw key and
         // decodes to the same canonical one.
         let padded = text.replace(",\"config\":", " , \"config\" :\t");
         let frame = RequestFrame::parse(&padded).unwrap();
-        assert_eq!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+        assert_eq!(raw(&frame), Some(key.clone()));
         let partial = text.replace(
             &sizing_config_to_json(&SizingConfig::small()),
             "{\"effort_levels\":3,\"state_cap\":8}",
         );
         let frame = RequestFrame::parse(&partial).unwrap();
-        assert_ne!(frame.raw_size_key().as_deref(), Some(key.as_str()));
+        assert_ne!(raw(&frame), Some(key.clone()));
         let (arch, config) = frame.size_problem().unwrap();
         assert_eq!(crate::cache_key(&arch, &config), key);
 
         // A frame missing either field has no raw key.
         let frame = RequestFrame::parse("{\"v\":2,\"req\":\"size\",\"config\":{}}").unwrap();
-        assert_eq!(frame.raw_size_key(), None);
+        assert_eq!(raw(&frame), None);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use socbuf_core::{ExecutorHandle, SizingConfig, SolveContext};
 use socbuf_soc::Architecture;
 use socbuf_sweep::{chunk_report_json, plan_manifest, SweepError, WorkPool};
 
-use crate::cache::{cache_key, ContextCache};
+use crate::cache::{cache_key, ContextCache, RawKey};
 use crate::protocol::{
     read_frame, write_frame, Health, Request, RequestFrame, Response, StreamGauges, Trace, Verb,
     VerbCounts,
@@ -539,11 +539,17 @@ fn admit(shared: &Shared) -> Result<InflightToken<'_>, Box<Response>> {
     }
 }
 
+/// The key a `size` frame solves under.
+enum SizeKey<'t> {
+    /// The frame's raw key, borrowed, when a context is cached under it.
+    Raw(RawKey<'t>),
+    /// The canonical [`cache_key`] of what the frame decoded to.
+    Canonical(String),
+}
+
 /// A `size` frame, settled: valid, with the key it solves under.
-struct SizeQuery {
-    /// The raw key when a context is cached under it, otherwise the
-    /// canonical [`cache_key`] of what the frame decoded to.
-    key: String,
+struct SizeQuery<'t> {
+    key: SizeKey<'t>,
     /// The decoded architecture and config; `None` when the raw key was
     /// cached and nothing was decoded.
     decoded: Option<(Architecture, SizingConfig)>,
@@ -556,12 +562,15 @@ struct SizeQuery {
 /// in under the canonical key of a decoded architecture and config,
 /// and canonical text decodes back to the same text, so they are valid
 /// and mean exactly that context's architecture and config.
-fn settle_size(shared: &Shared, frame: &RequestFrame) -> Result<SizeQuery, WireError> {
+fn settle_size<'t>(shared: &Shared, frame: &'t RequestFrame) -> Result<SizeQuery<'t>, WireError> {
     let (key, decoded) = match frame.raw_size_key() {
-        Some(key) if shared.cache.contains(&key) => (key, None),
+        Some(raw) if shared.cache.contains(&raw) => (SizeKey::Raw(raw), None),
         _ => {
             let (arch, config) = frame.size_problem()?;
-            (cache_key(&arch, &config), Some((arch, config)))
+            (
+                SizeKey::Canonical(cache_key(&arch, &config)),
+                Some((arch, config)),
+            )
         }
     };
     Ok(SizeQuery {
@@ -596,11 +605,20 @@ fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Respo
         Ok(token) => token,
         Err(refusal) => return *refusal,
     };
-    let cached = shared.cache.checkout(&key);
+    // A hit hands back the stored key, which the context is checked
+    // back in under; a raw key is spelled out only on a miss.
+    let cached = match &key {
+        SizeKey::Raw(raw) => shared.cache.checkout_keyed(raw),
+        SizeKey::Canonical(key) => shared.cache.checkout_keyed(key),
+    };
     let warm = cached.is_some();
-    let mut ctx = match cached {
-        Some(ctx) => ctx,
+    let (key, mut ctx) = match cached {
+        Some(entry) => entry,
         None => {
+            let key = match key {
+                SizeKey::Raw(raw) => raw.to_string(),
+                SizeKey::Canonical(key) => key,
+            };
             // A raw key another request checked out since the lookup
             // in `settle_size` decodes now, from the same tape.
             let problem = match decoded {
@@ -612,7 +630,7 @@ fn serve_size(shared: &Shared, frame: &RequestFrame, received: Instant) -> Respo
                 Err(e) => return refuse(e),
             };
             config.executor = shared.executor.clone();
-            SolveContext::new(&arch, &config)
+            (key, SolveContext::new(&arch, &config))
         }
     };
     let queue_wait_us = received.elapsed().as_micros() as u64;
