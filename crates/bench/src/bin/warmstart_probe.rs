@@ -34,9 +34,13 @@
 //!   counted by [`socbuf_bench::alloc`]: `SolveContext::seeded` makes
 //!   at most [`SEEDED_ALLOCS`] allocations, a seeded chain start
 //!   (the copy plus its zero-pivot first point) at most
-//!   [`CHAIN_START_ALLOCS`], and a zero-pivot warm budget point at most
-//!   [`WARM_POINT_ALLOCS`]. Counts do not depend on the host, so these
-//!   gates have no single-core skip.
+//!   [`CHAIN_START_ALLOCS`], a zero-pivot warm budget point at most
+//!   [`WARM_POINT_ALLOCS`], a load point at most [`LOAD_POINT_ALLOCS`]
+//!   and a cold `size_buffers` at most [`COLD_SIZE_ALLOCS`] (its
+//!   `SizingLp::build` share is printed beside it). The LP's pivot loop
+//!   allocates nothing, so the last two count refactorizations, dual
+//!   recovery and the returned solutions, not pivots. Counts do not
+//!   depend on the host, so these gates have no single-core skip.
 
 use socbuf_bench::alloc::{count, CountingAlloc, Counts};
 use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
@@ -59,6 +63,23 @@ const CHAIN_START_ALLOCS: u64 = 60;
 /// Most allocations a zero-pivot warm budget point may make on
 /// `figure1`, the returned `SizingOutcome` included.
 const WARM_POINT_ALLOCS: u64 = 30;
+
+/// Most allocations a load point (a coefficient delta, re-solved warm)
+/// may make on `figure1`: the measured count plus a slack of 20.
+const LOAD_POINT_ALLOCS: u64 = LOAD_POINT_MEASURED + 20;
+
+/// What a load point allocated when [`LOAD_POINT_ALLOCS`] was set (664
+/// while every FTRAN, BTRAN, pricing pass and eta allocated).
+const LOAD_POINT_MEASURED: u64 = 132;
+
+/// Most allocations a cold `size_buffers` may make on `figure1`: the
+/// measured count plus a slack of 100.
+const COLD_SIZE_ALLOCS: u64 = COLD_SIZE_MEASURED + 100;
+
+/// What a cold `size_buffers` allocated when [`COLD_SIZE_ALLOCS`] was
+/// set, 801 of them in `SizingLp::build` (2,755 while the LP allocated
+/// per pivot).
+const COLD_SIZE_MEASURED: u64 = 1066;
 
 /// The CI grid: the paper's Table 1 budget range on the evaluation
 /// platform, sized so one serial pass takes O(seconds) in release.
@@ -188,9 +209,12 @@ struct ChainAllocs {
     chain_start: Counts,
     /// The next budget point on the copy.
     warm_point: Counts,
-    /// Then a load point (factor 1.1, a coefficient delta) on the copy;
-    /// printed, not gated.
+    /// Then a load point (factor 1.1, a coefficient delta) on the copy.
     load_point: Counts,
+    /// A cold `size_buffers` at budget 22.
+    cold_size: Counts,
+    /// The `SizingLp::build` inside it.
+    cold_build: Counts,
     /// Pivots of the chain start and of the warm point (0 when both
     /// answered on the kept factor).
     pivots: (usize, usize),
@@ -213,11 +237,15 @@ fn chain_allocs() -> ChainAllocs {
         copy.size_buffers_scaled(&scaled, 1.1, 25)
             .or_exit("load point")
     });
+    let (_, cold_size) = count(|| size_buffers(&arch, 22, &sizing).or_exit("cold point"));
+    let (_, cold_build) = count(|| SizingLp::build(&arch, 22, &sizing).or_exit("cold build"));
     ChainAllocs {
         seeded,
         chain_start,
         warm_point,
         load_point,
+        cold_size,
+        cold_build,
         pivots: (start.lp_iterations, point.lp_iterations),
     }
 }
@@ -228,6 +256,8 @@ fn print_chain_allocs(a: &ChainAllocs) {
         ("seeded chain start", a.chain_start),
         ("warm budget point", a.warm_point),
         ("load point (x1.1)", a.load_point),
+        ("cold size_buffers", a.cold_size),
+        ("  of which build", a.cold_build),
     ] {
         println!(
             "figure1 small(): {name:<18} {:>4} allocations, {:>6} bytes",
@@ -252,6 +282,8 @@ fn gate_chain_allocs(gate: &mut Gate) {
         ("seeded()", a.seeded, SEEDED_ALLOCS),
         ("a seeded chain start", a.chain_start, CHAIN_START_ALLOCS),
         ("a warm budget point", a.warm_point, WARM_POINT_ALLOCS),
+        ("a load point", a.load_point, LOAD_POINT_ALLOCS),
+        ("a cold size_buffers", a.cold_size, COLD_SIZE_ALLOCS),
     ] {
         gate.check(
             (1..=max).contains(&c.allocs),
