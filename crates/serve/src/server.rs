@@ -428,8 +428,8 @@ fn handle_connection(shared: Arc<Shared>, mut conn: Conn) {
                     received,
                     token,
                 } => {
-                    let alive = stream_sweep(&shared, &mut conn, &manifest, chunks, received);
-                    drop(token);
+                    let alive =
+                        stream_sweep(&shared, &mut conn, &manifest, chunks, received, token);
                     if !alive {
                         return;
                     }
@@ -689,12 +689,17 @@ impl From<SweepError> for StreamStop {
 /// previous frame was written (or solving started): what the client
 /// waited for this chunk. Summed over a stream they give its solve
 /// wall time. Returns `false` when the connection died mid-stream.
+///
+/// The stream's in-flight `token` is released before the summary frame
+/// is written, as a `size` reply's is: a client that sends its next
+/// request as soon as it reads the summary must find the slot free.
 fn stream_sweep(
     shared: &Shared,
     conn: &mut Conn,
     manifest: &CampaignManifest,
     chunks: Option<Vec<usize>>,
     received: Instant,
+    token: InflightToken<'_>,
 ) -> bool {
     let selected: Vec<usize> = chunks.unwrap_or_else(|| (0..manifest.chunks.len()).collect());
     // The in-flight count includes this stream's own token.
@@ -744,6 +749,7 @@ fn stream_sweep(
         Err(StreamStop::Disconnected) => return false,
     }
     .to_json();
+    drop(token);
     shared.count_stream_frame(&payload);
     write_frame(conn, &payload).is_ok()
 }
