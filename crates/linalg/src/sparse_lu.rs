@@ -255,30 +255,40 @@ impl SparseLu {
         self.dense_prefix
     }
 
+    /// A factor of an `n × n` matrix with no elimination step yet, with
+    /// room for `l_cap` entries of `L` and `u_cap` of `U`.
+    fn with_capacity(n: usize, l_cap: usize, u_cap: usize) -> SparseLu {
+        let mut l_start = Vec::with_capacity(n + 1);
+        l_start.push(0);
+        let mut u_start = Vec::with_capacity(n + 1);
+        u_start.push(0);
+        SparseLu {
+            n,
+            l_start,
+            l_row: Vec::with_capacity(l_cap),
+            l_pos: Vec::new(),
+            l_val: Vec::with_capacity(l_cap),
+            u_start,
+            u_pos: Vec::with_capacity(u_cap),
+            u_val: Vec::with_capacity(u_cap),
+            u_diag: Vec::with_capacity(n),
+            pivot_row: Vec::with_capacity(n),
+            position: vec![usize::MAX; n],
+            dense_prefix: n,
+        }
+    }
+
     /// A factor holding the first `shared` elimination steps of `from`
     /// and nothing after them, with the dense kernel's row order as
     /// those steps leave it.
     fn prefix_of(from: &SparseLu, shared: usize) -> (SparseLu, DenseOrder) {
         let n = from.n;
+        let mut lu = SparseLu::with_capacity(n, from.l_row.len(), from.u_pos.len());
         let (l_end, u_end) = (from.l_start[shared], from.u_start[shared]);
-        let mut lu = SparseLu {
-            n,
-            l_start: Vec::with_capacity(n + 1),
-            l_row: Vec::with_capacity(from.l_row.len()),
-            l_pos: Vec::new(),
-            l_val: Vec::with_capacity(from.l_val.len()),
-            u_start: Vec::with_capacity(n + 1),
-            u_pos: Vec::with_capacity(from.u_pos.len()),
-            u_val: Vec::with_capacity(from.u_val.len()),
-            u_diag: Vec::with_capacity(n),
-            pivot_row: Vec::with_capacity(n),
-            position: vec![usize::MAX; n],
-            dense_prefix: n,
-        };
-        lu.l_start.extend_from_slice(&from.l_start[..=shared]);
+        lu.l_start.extend_from_slice(&from.l_start[1..=shared]);
         lu.l_row.extend_from_slice(&from.l_row[..l_end]);
         lu.l_val.extend_from_slice(&from.l_val[..l_end]);
-        lu.u_start.extend_from_slice(&from.u_start[..=shared]);
+        lu.u_start.extend_from_slice(&from.u_start[1..=shared]);
         lu.u_pos.extend_from_slice(&from.u_pos[..u_end]);
         lu.u_val.extend_from_slice(&from.u_val[..u_end]);
         lu.u_diag.extend_from_slice(&from.u_diag[..shared]);
@@ -314,27 +324,11 @@ impl SparseLu {
         // engine's rule while it still agrees with the dense one.
         let (mut lu, dense) = match resume {
             Some((from, shared)) => SparseLu::prefix_of(from, shared),
+            // Room for as many entries in each of `L` and `U` as the
+            // columns hold; fill past that grows the buffers.
             None => {
-                // Bases carry little fill: each factor holds about as
-                // many entries as the columns do.
                 let nnz = cols.entries.len();
-                let mut lu = SparseLu {
-                    n,
-                    l_start: Vec::with_capacity(n + 1),
-                    l_row: Vec::with_capacity(nnz),
-                    l_pos: Vec::new(),
-                    l_val: Vec::with_capacity(nnz),
-                    u_start: Vec::with_capacity(n + 1),
-                    u_pos: Vec::with_capacity(nnz),
-                    u_val: Vec::with_capacity(nnz),
-                    u_diag: Vec::with_capacity(n),
-                    pivot_row: Vec::with_capacity(n),
-                    position: vec![usize::MAX; n],
-                    dense_prefix: n,
-                };
-                lu.l_start.push(0);
-                lu.u_start.push(0);
-                (lu, DenseOrder::new(n))
+                (SparseLu::with_capacity(n, nnz, nnz), DenseOrder::new(n))
             }
         };
         let mut dense = Some(dense);

@@ -250,7 +250,6 @@ impl BasisSnapshot {
 /// buffers keep their capacity across refactorizations, so recording an
 /// eta allocates only while the file grows past its longest length so
 /// far.
-#[derive(Default)]
 struct EtaFile {
     /// Pivot row of each eta.
     row: Vec<usize>,
@@ -263,6 +262,18 @@ struct EtaFile {
 }
 
 impl EtaFile {
+    /// An empty file with room for `etas` etas.
+    fn new(etas: usize) -> EtaFile {
+        let mut start = Vec::with_capacity(etas + 1);
+        start.push(0);
+        EtaFile {
+            row: Vec::with_capacity(etas),
+            pivot: Vec::with_capacity(etas),
+            start,
+            terms: Vec::new(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.row.len()
     }
@@ -328,10 +339,14 @@ struct Factor {
 }
 
 impl Factor {
-    fn new(lu: SparseLu) -> Factor {
-        let mut etas = EtaFile::default();
-        etas.clear();
-        Factor { lu, etas }
+    /// The factor `lu` with an empty eta file. The file never holds
+    /// more than `refactor_interval` etas; room for up to the default
+    /// cadence's is reserved, and a longer cadence grows the buffers.
+    fn new(lu: SparseLu, refactor_interval: usize) -> Factor {
+        Factor {
+            lu,
+            etas: EtaFile::new(refactor_interval.min(DEFAULT_REFACTOR_INTERVAL)),
+        }
     }
 
     /// `v ← B⁻¹ v` — one LU solve plus the eta sweep; `scratch` is the
@@ -464,13 +479,16 @@ enum PhaseOutcome {
     Unbounded(usize),
 }
 
+/// The refactorization cadence when [`SimplexOptions::refactor_interval`]
+/// is 0. The sparse refresh is cheap (O(m²/64 + flops)), so the cadence
+/// is tuned to keep the eta file — and with it the FTRAN/BTRAN sweep
+/// cost and float drift — short.
+const DEFAULT_REFACTOR_INTERVAL: usize = 64;
+
 /// [`SimplexOptions::refactor_interval`], with 0 meaning the default.
 fn refactor_interval(options: &SimplexOptions) -> usize {
     if options.refactor_interval == 0 {
-        // The sparse refresh is cheap (O(m²/64 + flops)), so the
-        // cadence is tuned to keep the eta file — and with it the
-        // FTRAN/BTRAN sweep cost and float drift — short.
-        64
+        DEFAULT_REFACTOR_INTERVAL
     } else {
         options.refactor_interval
     }
@@ -521,7 +539,7 @@ impl<'a> Revised<'a> {
             basis,
             banned: vec![false; total],
             in_basis,
-            factor: Factor::new(lu),
+            factor: Factor::new(lu, refactor_interval(options)),
             work,
             art_rows: sf.artificial_rows(),
             n_sf,
@@ -599,7 +617,7 @@ impl<'a> Revised<'a> {
             // (they are unpriced anyway); structural columns all may.
             banned: vec![false; total],
             in_basis,
-            factor: Factor::new(lu),
+            factor: Factor::new(lu, refactor_interval(options)),
             work,
             art_rows,
             n_sf,
