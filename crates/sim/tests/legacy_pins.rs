@@ -6,7 +6,9 @@
 //! engine's own output bit for bit on the four shared templates. Each
 //! template runs under every arbiter, three seeds, and with and without
 //! a calibrated timeout policy; every counter of every report is folded
-//! into one FNV-1a digest over `f64::to_bits`. These pins are the oracle
+//! into one FNV-1a digest over `f64::to_bits`. Seeded random
+//! architectures, run the same way, fold into one more digest, so the
+//! pins reach shapes the templates do not. These pins are the oracle
 //! the legacy loop is held to until the actor engine replaces it.
 //!
 //! `WeightedEffort` runs twice: once on a tie-heavy table (so the random
@@ -26,6 +28,7 @@ use socbuf_soc::{templates, Architecture, BufferAllocation};
 const SEEDS: [u64; 3] = [1, 7, 2005];
 const HORIZON: f64 = 400.0;
 const UNITS_PER_QUEUE: usize = 4;
+const RANDOM_ARCHITECTURES: u64 = 24;
 
 /// Every arbiter with the allocation it runs on: the uniform split,
 /// except the post-sizing policy, which runs on its own sized buffers.
@@ -51,6 +54,14 @@ fn runs(arch: &Architecture) -> Vec<(BufferAllocation, Arbiter)> {
 /// Digest of one template over arbiters × seeds × timeout off/on, with
 /// the requests it lost to full buffers and to timeouts.
 fn digest(arch: &Architecture) -> (u64, f64, f64) {
+    let mut h = Fnv::new();
+    let (lost_full, lost_timeout) = fold(&mut h, arch);
+    (h.0, lost_full, lost_timeout)
+}
+
+/// Folds every report of [`digest`]'s runs on `arch` into `h`; returns
+/// the requests lost to full buffers and to timeouts.
+fn fold(h: &mut Fnv, arch: &Architecture) -> (f64, f64) {
     let uniform = BufferAllocation::uniform(arch, UNITS_PER_QUEUE * arch.num_queues());
     let calibration = simulate_with(
         arch,
@@ -60,7 +71,6 @@ fn digest(arch: &Architecture) -> (u64, f64, f64) {
         &SimConfig::new(HORIZON, 11),
     );
     let spec = TimeoutSpec::from_calibration(&calibration);
-    let mut h = Fnv::new();
     let (mut lost_full, mut lost_timeout) = (0.0, 0.0);
     for (alloc, template) in runs(arch) {
         for seed in SEEDS {
@@ -74,7 +84,7 @@ fn digest(arch: &Architecture) -> (u64, f64, f64) {
             }
         }
     }
-    (h.0, lost_full, lost_timeout)
+    (lost_full, lost_timeout)
 }
 
 #[test]
@@ -105,4 +115,23 @@ fn legacy_templates_match_their_pins() {
         }
     }
     assert!(moved.is_empty(), "moved pins:\n{}", moved.join("\n"));
+}
+
+/// Seeded random architectures (the default generator parameters),
+/// every one run as a template is, folded into one digest. The
+/// templates share a few shapes; these add multi-homed processors,
+/// bridge chains and buses of every load.
+#[test]
+fn random_architectures_match_their_pin() {
+    let params = templates::RandomArchParams::default();
+    let mut h = Fnv::new();
+    let (mut lost_full, mut lost_timeout) = (0.0, 0.0);
+    for seed in 0..RANDOM_ARCHITECTURES {
+        let (full, timeout) = fold(&mut h, &templates::random_architecture(seed, &params));
+        lost_full += full;
+        lost_timeout += timeout;
+    }
+    assert!(lost_full > 0.0, "no full-buffer loss");
+    assert!(lost_timeout > 0.0, "no timeout shed");
+    assert_eq!(h.0, 0x9f3b_402c_8c51_4569, "moved pin: got {:#018x}", h.0);
 }
