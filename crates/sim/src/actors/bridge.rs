@@ -1,6 +1,6 @@
 //! Bridge actors: per-hop forwarding latency between buses.
 
-use crate::actors::scheduler::{ActorId, Msg};
+use crate::actors::scheduler::{index, Msg};
 use crate::actors::world::World;
 use crate::request::Request;
 
@@ -37,10 +37,10 @@ impl World<'_> {
         }
         self.evq.send(
             t + latency,
-            ActorId::Queue(dest_queue),
             Msg::Offer {
-                flow: req.flow,
-                hop: req.hop + 1,
+                queue: index(dest_queue),
+                flow: index(req.flow),
+                hop: index(req.hop + 1),
                 counted_origin: req.counted_origin,
             },
         );

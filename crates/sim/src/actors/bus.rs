@@ -7,7 +7,7 @@
 
 use socbuf_soc::{BusArbitration, QueueId};
 
-use crate::actors::scheduler::{ActorId, Msg};
+use crate::actors::scheduler::{index, Msg};
 use crate::actors::world::World;
 use crate::arbiter::QueueView;
 
@@ -128,7 +128,7 @@ impl World<'_> {
                         start: t,
                     };
                     let dt = self.exp(self.bus_rate(b));
-                    self.evq.send(t + dt, ActorId::Bus(b), Msg::Complete);
+                    self.evq.send(t + dt, Msg::Complete { bus: index(b) });
                     return;
                 }
                 let q = picked.id.index();
@@ -166,7 +166,7 @@ impl World<'_> {
             },
         };
         let dt = self.exp(self.bus_rate(b));
-        self.evq.send(t + dt, ActorId::Bus(b), Msg::Complete);
+        self.evq.send(t + dt, Msg::Complete { bus: index(b) });
     }
 
     /// The scheduled service completes: free the bus, finish the served

@@ -42,40 +42,41 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Destination of an envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum ActorId {
-    /// Traffic source of flow *i*.
-    Source(usize),
-    /// Queue actor of queue *i*.
-    Queue(usize),
-    /// Bus actor of bus *i*.
-    Bus(usize),
-}
-
-/// A message between actors.
-#[derive(Debug, Clone, Copy)]
+/// A message between actors. Each kind has exactly one kind of
+/// receiver, and its index travels in the payload, so a message cannot
+/// reach the wrong actor.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum Msg {
     /// Source self-message: emit the next arrival (epoch-stamped so a
     /// phase toggle can invalidate in-flight ticks).
     Tick {
+        /// Flow index of the source.
+        flow: u32,
         /// Source epoch this tick belongs to.
         epoch: u64,
     },
     /// Source self-message: flip the on-off phase.
-    Toggle,
+    Toggle {
+        /// Flow index of the source.
+        flow: u32,
+    },
     /// Bridge → queue: a request of `flow` arrives at its `hop`-th path
-    /// stop after the bridge's (non-zero) forwarding latency.
+    /// stop, `queue`, after the bridge's (non-zero) forwarding latency.
     Offer {
+        /// Receiving queue index.
+        queue: u32,
         /// Flow index.
-        flow: usize,
+        flow: u32,
         /// Path position of the receiving queue.
-        hop: usize,
+        hop: u32,
         /// The request's origin-window flag, frozen at its hop-0 offer.
         counted_origin: bool,
     },
     /// Bus self-message: the scheduled service completes now.
-    Complete,
+    Complete {
+        /// Bus index.
+        bus: u32,
+    },
 }
 
 /// One scheduled message.
@@ -85,10 +86,13 @@ pub(super) struct Envelope {
     pub time: f64,
     /// Emission counter (global, monotone).
     pub seq: u64,
-    /// Receiver.
-    pub dest: ActorId,
-    /// Payload.
+    /// Payload, receiver included.
     pub msg: Msg,
+}
+
+/// An actor index as a message carries it.
+pub(super) fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("actor index fits in u32")
 }
 
 impl PartialEq for Envelope {
@@ -120,16 +124,11 @@ pub(super) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Schedules `msg` for `dest` at `time`.
-    pub fn send(&mut self, time: f64, dest: ActorId, msg: Msg) {
+    /// Schedules `msg` for delivery at `time`.
+    pub fn send(&mut self, time: f64, msg: Msg) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Envelope {
-            time,
-            seq,
-            dest,
-            msg,
-        });
+        self.heap.push(Envelope { time, seq, msg });
     }
 
     /// Next envelope in `(time, seq)` order.
@@ -147,31 +146,35 @@ mod tests {
         let mut q = EventQueue::default();
         // Emitted out of time order on purpose; the three t=1 envelopes
         // must leave in send order whatever their message kind.
-        q.send(2.0, ActorId::Bus(0), Msg::Complete);
-        q.send(1.0, ActorId::Bus(1), Msg::Complete);
-        q.send(0.5, ActorId::Source(2), Msg::Toggle);
-        q.send(1.0, ActorId::Source(3), Msg::Tick { epoch: 0 });
-        q.send(
-            1.0,
-            ActorId::Queue(4),
-            Msg::Offer {
-                flow: 0,
-                hop: 1,
-                counted_origin: true,
-            },
-        );
-        let order: Vec<(ActorId, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.dest, e.seq))
+        let offer = Msg::Offer {
+            queue: 4,
+            flow: 0,
+            hop: 1,
+            counted_origin: true,
+        };
+        q.send(2.0, Msg::Complete { bus: 0 });
+        q.send(1.0, Msg::Complete { bus: 1 });
+        q.send(0.5, Msg::Toggle { flow: 2 });
+        q.send(1.0, Msg::Tick { flow: 3, epoch: 0 });
+        q.send(1.0, offer);
+        let order: Vec<(Msg, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.msg, e.seq))
             .collect();
         assert_eq!(
             order,
             vec![
-                (ActorId::Source(2), 2), // t=0.5
-                (ActorId::Bus(1), 1),    // t=1, first emitted
-                (ActorId::Source(3), 3), // t=1, second emitted
-                (ActorId::Queue(4), 4),  // t=1, third emitted
-                (ActorId::Bus(0), 0),    // t=2
+                (Msg::Toggle { flow: 2 }, 2),         // t=0.5
+                (Msg::Complete { bus: 1 }, 1),        // t=1, first emitted
+                (Msg::Tick { flow: 3, epoch: 0 }, 3), // t=1, second emitted
+                (offer, 4),                           // t=1, third emitted
+                (Msg::Complete { bus: 0 }, 0),        // t=2
             ]
         );
+    }
+
+    #[test]
+    fn an_envelope_is_as_small_as_its_time_seq_and_payload() {
+        assert_eq!(std::mem::size_of::<Msg>(), 16);
+        assert_eq!(std::mem::size_of::<Envelope>(), 32);
     }
 }

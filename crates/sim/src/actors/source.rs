@@ -4,7 +4,7 @@
 
 use socbuf_soc::TrafficShape;
 
-use crate::actors::scheduler::{ActorId, Msg};
+use crate::actors::scheduler::{index, Msg};
 use crate::actors::world::World;
 
 /// One flow's arrival process.
@@ -71,8 +71,8 @@ impl World<'_> {
             return; // orphaned by a phase toggle
         }
         let dt = self.exp(self.sources[f].epoch_rate());
-        self.evq
-            .send(t + dt, ActorId::Source(f), Msg::Tick { epoch });
+        let flow = index(f);
+        self.evq.send(t + dt, Msg::Tick { flow, epoch });
         let fid = self.arch.flow_ids().nth(f).expect("flow in range");
         let q0 = self.arch.flow_path(fid)[0].index();
         for _ in 0..self.sources[f].batch() {
@@ -88,16 +88,15 @@ impl World<'_> {
         };
         self.sources[f].phase_on = !self.sources[f].phase_on;
         self.sources[f].epoch += 1;
-        let epoch = self.sources[f].epoch;
+        let (flow, epoch) = (index(f), self.sources[f].epoch);
         if self.sources[f].phase_on {
             let dt = self.exp(self.sources[f].epoch_rate());
-            self.evq
-                .send(t + dt, ActorId::Source(f), Msg::Tick { epoch });
+            self.evq.send(t + dt, Msg::Tick { flow, epoch });
             let dtg = self.exp(1.0 / mean_on);
-            self.evq.send(t + dtg, ActorId::Source(f), Msg::Toggle);
+            self.evq.send(t + dtg, Msg::Toggle { flow });
         } else {
             let dtg = self.exp(1.0 / mean_off);
-            self.evq.send(t + dtg, ActorId::Source(f), Msg::Toggle);
+            self.evq.send(t + dtg, Msg::Toggle { flow });
         }
     }
 }

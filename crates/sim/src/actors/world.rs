@@ -8,7 +8,7 @@ use socbuf_soc::{Architecture, BufferAllocation, QueueId, TrafficShape};
 use crate::actors::bridge::BridgeActor;
 use crate::actors::bus::BusActor;
 use crate::actors::queue::QueueActor;
-use crate::actors::scheduler::{ActorId, Envelope, EventQueue, Msg};
+use crate::actors::scheduler::{index, Envelope, EventQueue, Msg};
 use crate::actors::source::SourceActor;
 use crate::arbiter::{Arbiter, QueueView};
 use crate::engine::{SimConfig, TimeoutSpec};
@@ -118,22 +118,14 @@ impl<'a> World<'a> {
     /// legacy engine's initial arrival seeding.
     pub fn init_sources(&mut self) {
         for fi in 0..self.sources.len() {
-            let shape = self.sources[fi].shape;
-            match shape {
-                TrafficShape::Poisson | TrafficShape::Burst { .. } => {
-                    let dt = self.exp(self.sources[fi].epoch_rate());
-                    self.evq
-                        .send(dt, ActorId::Source(fi), Msg::Tick { epoch: 0 });
-                }
-                TrafficShape::OnOff { mean_on, .. } => {
-                    // Start in the ON phase: first arrival, then the
-                    // first toggle.
-                    let dt = self.exp(self.sources[fi].epoch_rate());
-                    self.evq
-                        .send(dt, ActorId::Source(fi), Msg::Tick { epoch: 0 });
-                    let dtg = self.exp(1.0 / mean_on);
-                    self.evq.send(dtg, ActorId::Source(fi), Msg::Toggle);
-                }
+            let flow = index(fi);
+            // Every shape starts with an arrival; an on-off source starts
+            // in the ON phase, so its first toggle follows.
+            let dt = self.exp(self.sources[fi].epoch_rate());
+            self.evq.send(dt, Msg::Tick { flow, epoch: 0 });
+            if let TrafficShape::OnOff { mean_on, .. } = self.sources[fi].shape {
+                let dtg = self.exp(1.0 / mean_on);
+                self.evq.send(dtg, Msg::Toggle { flow });
             }
         }
     }
@@ -141,19 +133,22 @@ impl<'a> World<'a> {
     /// Delivers one envelope to its actor.
     pub fn dispatch(&mut self, env: Envelope) {
         let t = env.time;
-        match (env.dest, env.msg) {
-            (ActorId::Source(f), Msg::Tick { epoch }) => self.source_tick(f, epoch, t),
-            (ActorId::Source(f), Msg::Toggle) => self.source_toggle(f, t),
-            (
-                ActorId::Queue(q),
-                Msg::Offer {
-                    flow,
-                    hop,
-                    counted_origin,
-                },
-            ) => self.queue_offer(q, flow, hop, Some(counted_origin), t),
-            (ActorId::Bus(b), Msg::Complete) => self.bus_complete(b, t),
-            (dest, msg) => unreachable!("misrouted message {msg:?} for {dest:?}"),
+        match env.msg {
+            Msg::Tick { flow, epoch } => self.source_tick(flow as usize, epoch, t),
+            Msg::Toggle { flow } => self.source_toggle(flow as usize, t),
+            Msg::Offer {
+                queue,
+                flow,
+                hop,
+                counted_origin,
+            } => self.queue_offer(
+                queue as usize,
+                flow as usize,
+                hop as usize,
+                Some(counted_origin),
+                t,
+            ),
+            Msg::Complete { bus } => self.bus_complete(bus as usize, t),
         }
     }
 
