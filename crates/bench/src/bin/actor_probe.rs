@@ -1,71 +1,64 @@
-//! Developer probe for the actor-based simulator core: engine
-//! equivalence, extended-semantics determinism, and relative throughput
-//! of the actor engine against the legacy event loop.
+//! Developer probe for the actor-based simulator: the work a run does,
+//! extended-semantics determinism, and allocations per replication.
 //!
-//! `--smoke` runs the CI gate:
+//! `--smoke` runs the CI gate. Every check is a count or an identity,
+//! so none depends on the host:
 //!
-//! * **equivalence** — the actor engine must reproduce the legacy
-//!   engine's `SimReport` *exactly* (every counter bit-identical) on
-//!   the four shared templates across seeds and arbiters. This is the
-//!   refactor's load-bearing promise: same draws, same statistics,
-//!   different core.
+//! * **envelopes (exact)** — each template runs once at a fixed
+//!   configuration (uniform [`UNITS_PER_QUEUE`] units per queue,
+//!   `RandomNonempty`, seed 1, horizon [`ENVELOPE_HORIZON`]) and must
+//!   send exactly its pinned number of envelopes
+//!   ([`ENVELOPES`]). Only the passage of time travels as an envelope
+//!   (arrivals, phase flips, bridge latencies, service completions); a
+//!   same-instant hand-off routed back through the event queue, or a
+//!   change to the draw sequence, moves the count.
 //! * **determinism** — extended scenarios (priority arbitration,
-//!   locked transfers, bursty and on/off sources) have no legacy
-//!   oracle, so the gate is per-seed reproducibility plus the
-//!   conservation identity `offered = delivered + lost + in_flight`.
-//! * **throughput (enforced on every host)** — the actor engine sends
-//!   the same envelopes as the legacy loop's events (arrivals and
-//!   completions) plus phase toggles and latency crossings; the gate
-//!   requires it stay within [`ACTOR_SLOWDOWN_LIMIT`]× of the legacy
-//!   wall time on network_processor, so a scheduling regression — such
-//!   as same-instant hand-offs going back through the event queue —
-//!   cannot land silently. The ratio is the median over
-//!   [`SMOKE_PAIRS`] back-to-back pairs of runs at horizon
-//!   [`SMOKE_HORIZON`]: both engines run in-process on the same host,
-//!   and a pair shares its host's state, so a burst of load on a shared
-//!   runner moves one pair, not the median.
-//! * **allocations (enforced on every host)** — one replication at the
-//!   paper's horizon may make at most [`ALLOC_LIMIT`] heap allocations
-//!   on either engine, under Figure 3's constant-sizing and post-sizing
-//!   policies on figure1 and network_processor. The per-event path
-//!   allocates nothing, so the count is the run's fixed setup plus
-//!   buffer growth; an allocation per arbitration or per event runs
-//!   into the thousands. Counts do not depend on the host.
+//!   locked transfers, bursty and on/off sources, bridge latency) must
+//!   reproduce per seed and satisfy the conservation identity
+//!   `offered = delivered + lost + in_flight`.
+//! * **allocations** — one replication at the paper's horizon may make
+//!   at most [`ALLOC_LIMIT`] heap allocations, under Figure 3's
+//!   constant-sizing and post-sizing policies on figure1 and
+//!   network_processor. The per-event path allocates nothing, so the
+//!   count is the run's fixed setup plus buffer growth; an allocation
+//!   per arbitration or per event runs into the thousands.
+//!
+//! With no flag it prints the same checks plus each template's wall
+//! time per run.
 
 use socbuf_bench::alloc::{self, CountingAlloc};
 use socbuf_bench::paper_pipeline_config;
-use socbuf_bench::probe::{self, best_of, ratio, Gate, OrExit};
+use socbuf_bench::probe::{self, best_of, Gate, OrExit};
 use socbuf_core::{size_buffers, SizingConfig};
-use socbuf_sim::{
-    simulate_actors_with, simulate_with, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
-};
+use socbuf_sim::{simulate, simulate_counted, Arbiter, SimConfig, SimReport};
 use socbuf_soc::templates;
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
-use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Largest tolerated actor/legacy wall-time ratio in the smoke gate.
-/// Twenty consecutive smoke runs on a shared 2-core host measured
-/// 1.08-1.16x; the best-of-3 gate at horizon 5,000 this median
-/// replaced read 0.89-1.38x. Routing each grant and finish through the
-/// event queue again measured 2.7-3.1x and fails it.
-const ACTOR_SLOWDOWN_LIMIT: f64 = 1.48;
-
 /// Most heap allocations one paper-horizon replication may make.
 const ALLOC_LIMIT: u64 = 128;
 
-/// Alternated timing pairs in the smoke's slowdown gate.
-const SMOKE_PAIRS: usize = 15;
+/// Buffer units per queue of the envelope gate's uniform allocation.
+const UNITS_PER_QUEUE: usize = 6;
 
-/// Simulated horizon of each timed smoke run.
-const SMOKE_HORIZON: f64 = 40_000.0;
+/// Simulated horizon of the envelope gate's runs.
+const ENVELOPE_HORIZON: f64 = 1000.0;
+
+/// Envelopes each template's gate run sends, in
+/// [`probe::named_templates`] order.
+const ENVELOPES: [(&str, u64); 4] = [
+    ("figure1", 2_279),
+    ("amba", 3_545),
+    ("coreconnect", 5_202),
+    ("network_processor", 11_489),
+];
 
 /// A two-client priority bus with one bursty flow — exercises every
-/// extended declaration except on/off in one architecture.
+/// extended declaration in one architecture.
 fn extended_arch() -> Architecture {
     let mut b = ArchitectureBuilder::new();
     let x = b
@@ -99,69 +92,40 @@ fn extended_arch() -> Architecture {
     b.build().unwrap()
 }
 
-fn run_engine(engine: SimEngine, arch: &Architecture, horizon: f64, seed: u64) -> SimReport {
-    let alloc = BufferAllocation::uniform(arch, 4);
-    let mut arbiter = Arbiter::RandomNonempty;
+/// One `RandomNonempty` run on `units` per queue; returns the report
+/// and the envelopes it sent.
+fn run(arch: &Architecture, units: usize, horizon: f64, seed: u64) -> (SimReport, u64) {
+    let alloc = BufferAllocation::uniform(arch, units * arch.num_queues());
     let cfg = SimConfig::new(horizon, seed);
-    engine.simulate_with(arch, &alloc, &mut arbiter, None, &cfg)
+    simulate_counted(arch, &alloc, &mut Arbiter::RandomNonempty, None, &cfg)
 }
 
-/// The equivalence gate: every shared workload, both engines, exact
-/// report equality.
-fn check_equivalence(gate: &mut Gate, horizon: f64, verbose: bool) {
-    for (name, arch) in probe::named_templates() {
-        let alloc = BufferAllocation::uniform(&arch, 4);
-        // Calibrate the timeout thresholds from an untimed legacy run,
-        // exactly as the pipeline does before its timeout baseline.
-        let calibration = simulate_with(
-            &arch,
-            &alloc,
-            &mut Arbiter::LongestQueue,
-            None,
-            &SimConfig::new(horizon, 7),
+/// The envelope gate: every template sends exactly its pinned count.
+fn check_envelopes(gate: &mut Gate) {
+    for ((name, arch), (pinned_name, pinned)) in probe::named_templates().into_iter().zip(ENVELOPES)
+    {
+        assert_eq!(name, pinned_name, "envelope pins out of template order");
+        let (_, sent) = run(&arch, UNITS_PER_QUEUE, ENVELOPE_HORIZON, 1);
+        println!("{name:>18}: {sent} envelopes per run (pinned {pinned})");
+        gate.check(
+            sent == pinned,
+            format_args!("{name}: {sent} envelopes per run, pinned {pinned}"),
         );
-        let timeout = TimeoutSpec::from_calibration(&calibration);
-        for seed in [0u64, 17, 4242] {
-            for timeout in [None, Some(&timeout)] {
-                let cfg = SimConfig::new(horizon, seed);
-                let mut arb_l = Arbiter::LongestQueue;
-                let mut arb_a = Arbiter::LongestQueue;
-                let legacy = simulate_with(&arch, &alloc, &mut arb_l, timeout, &cfg);
-                let actors = simulate_actors_with(&arch, &alloc, &mut arb_a, timeout, &cfg);
-                let same = gate.check(
-                    legacy == actors,
-                    format_args!(
-                        "{name} seed {seed} timeout={}: engines disagree\n\
-                         legacy: {legacy:?}\nactors: {actors:?}",
-                        timeout.is_some()
-                    ),
-                );
-                if same && verbose {
-                    println!(
-                        "{name:>18} seed {seed} timeout={}: identical \
-                         (offered {:.0}, lost {:.0})",
-                        timeout.is_some(),
-                        legacy.total_offered,
-                        legacy.total_lost
-                    );
-                }
-            }
-        }
     }
 }
 
-/// Determinism + conservation on the extended architecture (no legacy
-/// oracle exists there).
+/// Determinism + conservation on the extended architecture.
 fn check_extended(gate: &mut Gate, horizon: f64, verbose: bool) {
     let arch = extended_arch();
     assert!(arch.uses_extended_semantics());
     for seed in [1u64, 99, 2005] {
-        let a = run_engine(SimEngine::Actors, &arch, horizon, seed);
-        let b = run_engine(SimEngine::Actors, &arch, horizon, seed);
+        let a = run(&arch, 4, horizon, seed);
+        let b = run(&arch, 4, horizon, seed);
         gate.check(
             a == b,
             format_args!("extended arch seed {seed} not reproducible"),
         );
+        let a = a.0;
         let residual = a.total_offered - a.total_delivered - a.total_lost - a.in_flight;
         if residual.abs() > 1e-9 || a.in_flight < 0.0 {
             gate.fail(format_args!(
@@ -177,38 +141,6 @@ fn check_extended(gate: &mut Gate, horizon: f64, verbose: bool) {
             );
         }
     }
-}
-
-/// Wall times of `pairs` back-to-back (legacy, actors) runs on one
-/// workload, seeding pair `i` with `i` and alternating which engine
-/// runs first, so neither always finds the other's warm caches.
-fn paired_times(arch: &Architecture, horizon: f64, pairs: usize) -> Vec<(Duration, Duration)> {
-    let time = |engine, seed| best_of(1, || run_engine(engine, arch, horizon, seed)).1;
-    (0..pairs as u64)
-        .map(|seed| {
-            if seed % 2 == 0 {
-                let legacy = time(SimEngine::Legacy, seed);
-                (legacy, time(SimEngine::Actors, seed))
-            } else {
-                let actors = time(SimEngine::Actors, seed);
-                (time(SimEngine::Legacy, seed), actors)
-            }
-        })
-        .collect()
-}
-
-/// The median actors/legacy ratio over `pairs`, with the best time of
-/// each engine.
-fn slowdown(arch: &Architecture, horizon: f64, pairs: usize) -> (f64, Duration, Duration) {
-    let times = paired_times(arch, horizon, pairs);
-    let mut ratios: Vec<f64> = times.iter().map(|&(l, a)| ratio(a, l)).collect();
-    ratios.sort_by(f64::total_cmp);
-    let best = |pick: fn(&(Duration, Duration)) -> Duration| times.iter().map(pick).min();
-    (
-        ratios[ratios.len() / 2],
-        best(|t| t.0).expect("at least one pair"),
-        best(|t| t.1).expect("at least one pair"),
-    )
 }
 
 /// The workloads of the allocation gate: a template, an allocation and
@@ -242,7 +174,7 @@ fn alloc_workloads() -> Vec<(&'static str, Architecture, BufferAllocation, Arbit
     ]
 }
 
-/// The allocation gate: both engines, every [`alloc_workloads`] entry.
+/// The allocation gate: every [`alloc_workloads`] entry.
 fn check_allocations(gate: &mut Gate) {
     let paper = paper_pipeline_config();
     let cfg = SimConfig {
@@ -251,58 +183,45 @@ fn check_allocations(gate: &mut Gate) {
         seed: paper.seed,
     };
     for (name, arch, alloc, arbiter) in alloc_workloads() {
-        for engine in [SimEngine::Legacy, SimEngine::Actors] {
-            let mut arbiter = arbiter.clone();
-            let (_, counts) =
-                alloc::count(|| engine.simulate_with(&arch, &alloc, &mut arbiter, None, &cfg));
-            println!(
-                "{name:>40} {engine:?}: {} allocations ({} bytes) per replication",
-                counts.allocs, counts.bytes
-            );
-            gate.check(
-                counts.allocs <= ALLOC_LIMIT,
-                format_args!(
-                    "{name} on {engine:?}: {} allocations per replication (limit {ALLOC_LIMIT})",
-                    counts.allocs
-                ),
-            );
-        }
+        let (_, counts) = alloc::count(|| simulate(&arch, &alloc, arbiter, &cfg));
+        println!(
+            "{name:>40}: {} allocations ({} bytes) per replication",
+            counts.allocs, counts.bytes
+        );
+        gate.check(
+            counts.allocs <= ALLOC_LIMIT,
+            format_args!(
+                "{name}: {} allocations per replication (limit {ALLOC_LIMIT})",
+                counts.allocs
+            ),
+        );
     }
 }
 
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
-    check_equivalence(gate, 2000.0, false);
+    check_envelopes(gate);
     check_extended(gate, 2000.0, false);
     check_allocations(gate);
-
-    let np = templates::network_processor();
-    let (r, legacy, actors) = slowdown(&np, SMOKE_HORIZON, SMOKE_PAIRS);
-    println!(
-        "np horizon {SMOKE_HORIZON}: best legacy {legacy:?}, best actors {actors:?}; \
-         median of {SMOKE_PAIRS} pairs {r:.2}x"
-    );
-    gate.check(
-        r <= ACTOR_SLOWDOWN_LIMIT,
-        format_args!("actor engine {r:.2}x slower than legacy (limit {ACTOR_SLOWDOWN_LIMIT}x)"),
-    );
 }
 
-/// Full table: per-template equivalence detail plus a throughput sweep.
+/// Full table: the gates' counts, then each template's wall time per
+/// run (best of 7) at horizon 20,000.
 fn full_probe() {
     // The full table reports mismatches; only `--smoke` exits on them.
     let mut gate = Gate::new();
-    check_equivalence(&mut gate, 2000.0, true);
+    check_envelopes(&mut gate);
+    println!();
     check_extended(&mut gate, 5000.0, true);
     println!();
     check_allocations(&mut gate);
     println!(
-        "\n{:>18} {:>12} {:>12} {:>7}",
-        "template", "legacy", "actors", "ratio"
+        "\n{:>18} {:>12} {:>10}",
+        "template", "ms per run", "envelopes"
     );
     for (name, arch) in probe::named_templates() {
-        let (r, legacy, actors) = slowdown(&arch, 20000.0, 7);
-        println!("{name:>18} {legacy:>12?} {actors:>12?} {r:>6.2}x");
+        let ((_, sent), time) = best_of(7, || run(&arch, UNITS_PER_QUEUE, 20_000.0, 1));
+        println!("{name:>18} {:>12.3} {sent:>10}", time.as_secs_f64() * 1e3);
     }
 }
 

@@ -15,7 +15,7 @@
 //! | `warmstart_probe` | developer probe: warm-chained vs cold-started sweeps and warm-sweep wall time across worker counts (not a paper artifact) |
 //! | `decomp_probe` | developer probe: block-angular decomposition vs the monolithic solve (not a paper artifact) |
 //! | `serve_probe` | developer probe: `socbuf-serve` round-trip latency, byte parity and warm-hit pivots (not a paper artifact) |
-//! | `actor_probe` | developer probe: actor vs legacy simulator wall time and per-seed agreement (not a paper artifact) |
+//! | `actor_probe` | developer probe: simulator envelopes per run, extended-semantics determinism and allocations per replication (not a paper artifact) |
 //! | `shard_probe` | developer probe: sharded campaigns over self-exec'd shard servers, byte-diffed against the serial run (not a paper artifact) |
 //! | `scale_probe` | developer probe: 10⁵-point streamed campaigns, byte identity, bounded residency and `BENCH_scale.json` (not a paper artifact) |
 //!

@@ -56,7 +56,8 @@ pub use error::CoreError;
 pub use formulation::{SizingConfig, SizingLp, SizingSolution};
 pub use pipeline::{
     evaluate_policies, evaluate_policies_sized, evaluate_policies_with, size_buffers,
-    PipelineConfig, PolicyComparison, ReplicationPool, SerialPool, SizingOutcome, SolveContext,
+    PipelineConfig, PolicyComparison, ReplicationPool, SerialPool, SimEngine, SizingOutcome,
+    SolveContext,
 };
 pub use report::SizingReport;
 pub use translate::Translation;
@@ -67,8 +68,3 @@ pub use translate::Translation;
 // re-exported so downstream crates — `socbuf-sweep` in particular —
 // need no direct `socbuf-lp` dependency.
 pub use socbuf_lp::{BasisSnapshot, ChunkPolicy, ExecutorHandle, LpEngine, SolveExecutor};
-
-// Simulator engine selector, re-exported for the same reason: it is a
-// field of [`PipelineConfig`], and downstream crates should not need a
-// direct `socbuf-sim` dependency to set it.
-pub use socbuf_sim::SimEngine;

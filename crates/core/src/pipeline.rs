@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use socbuf_lp::{BasisSnapshot, LpEngine, LpError, PreparedLp, SimplexOptions};
 use socbuf_sim::{
-    average_reports, replication_config, Arbiter, SimConfig, SimEngine, SimReport, TimeoutSpec,
+    average_reports, replication_config, simulate_with, Arbiter, SimConfig, SimReport, TimeoutSpec,
 };
 use socbuf_soc::{Architecture, BufferAllocation};
 
@@ -407,12 +407,23 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Independent replications to average (the paper uses 10).
     pub replications: usize,
-    /// Simulator core to execute replications on. The default
-    /// [`SimEngine::Auto`] picks the actor engine exactly when the
-    /// architecture declares extended semantics (traffic shapes,
-    /// arbitration modes, bridge latency) and the legacy engine
-    /// otherwise; both agree per-seed wherever both apply.
+    /// Deprecated and ignored: see [`SimEngine`].
     pub sim_engine: SimEngine,
+}
+
+/// Deprecated and ignored. The simulator has one engine, and every
+/// replication runs on it whatever this names. The type and
+/// [`PipelineConfig::sim_engine`] remain only because the `socbench`
+/// harness still names them; they go when it stops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SimEngine {
+    /// Ignored.
+    #[default]
+    Auto,
+    /// Ignored.
+    Legacy,
+    /// Ignored.
+    Actors,
 }
 
 impl Default for PipelineConfig {
@@ -527,12 +538,9 @@ impl ReplicationPool for SerialPool {
     }
 }
 
-/// `socbuf_sim::replicate`, routed through a [`ReplicationPool`] onto
-/// the configured [`SimEngine`].
-#[allow(clippy::too_many_arguments)]
+/// `socbuf_sim::replicate`, routed through a [`ReplicationPool`].
 fn replicate_on<P: ReplicationPool + ?Sized>(
     pool: &P,
-    engine: SimEngine,
     arch: &Architecture,
     alloc: &BufferAllocation,
     arbiter: &Arbiter,
@@ -543,7 +551,7 @@ fn replicate_on<P: ReplicationPool + ?Sized>(
     pool.run_replications(n, &|i| {
         let cfg = replication_config(config, i);
         let mut arb = arbiter.clone();
-        engine.simulate_with(arch, alloc, &mut arb, timeout, &cfg)
+        simulate_with(arch, alloc, &mut arb, timeout, &cfg)
     })
 }
 
@@ -611,7 +619,6 @@ pub fn evaluate_policies_sized<P: ReplicationPool + ?Sized>(
     let uniform = BufferAllocation::uniform(arch, budget);
     let pre_runs = replicate_on(
         pool,
-        config.sim_engine,
         arch,
         &uniform,
         &Arbiter::FixedSlot,
@@ -624,7 +631,6 @@ pub fn evaluate_policies_sized<P: ReplicationPool + ?Sized>(
     // "After": CTMDP allocation + K-switching arbitration.
     let post_runs = replicate_on(
         pool,
-        config.sim_engine,
         arch,
         &outcome.allocation,
         &Arbiter::WeightedEffort {
@@ -641,7 +647,6 @@ pub fn evaluate_policies_sized<P: ReplicationPool + ?Sized>(
     let spec = TimeoutSpec::from_calibration(&pre);
     let to_runs = replicate_on(
         pool,
-        config.sim_engine,
         arch,
         &uniform,
         &Arbiter::FixedSlot,
@@ -988,28 +993,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_is_transparent_on_plain_architectures() {
-        // Legacy and Actors agree per-seed, so the full pipeline output
-        // must be identical whichever engine executes it.
-        let arch = templates::figure1();
-        let mut cfg = PipelineConfig::small();
-        cfg.sim_engine = SimEngine::Legacy;
-        let legacy = evaluate_policies(&arch, 22, &cfg).unwrap();
-        cfg.sim_engine = SimEngine::Actors;
-        let actors = evaluate_policies(&arch, 22, &cfg).unwrap();
-        cfg.sim_engine = SimEngine::Auto;
-        let auto = evaluate_policies(&arch, 22, &cfg).unwrap();
-        assert_eq!(legacy.pre, actors.pre);
-        assert_eq!(legacy.post, actors.post);
-        assert_eq!(legacy.timeout, actors.timeout);
-        assert_eq!(legacy.pre, auto.pre);
-    }
-
-    #[test]
     fn pipeline_runs_extended_architectures_through_auto() {
-        // Bursty traffic + priority arbitration: the legacy engine
-        // refuses this architecture, but the default Auto engine routes
-        // it to the actor core and the whole sizing loop still runs.
+        // Bursty traffic + priority arbitration: the whole sizing loop
+        // runs and simulates every policy.
         use socbuf_soc::{BusArbitration, TrafficShape};
         let mut b = ArchitectureBuilder::new();
         let bus = b

@@ -171,8 +171,8 @@ impl World<'_> {
 
     /// The scheduled service completes: free the bus, finish the served
     /// queue's head (which commits statistics and hands the request on,
-    /// arbitrating the downstream bus if it is idle), then re-arm —
-    /// the legacy loop's order. The re-arm honours a live lock first,
+    /// arbitrating the downstream bus if it is idle), then re-arm — the
+    /// order `legacy_pins` freezes. The re-arm honours a live lock first,
     /// otherwise it reopens arbitration.
     pub(super) fn bus_complete(&mut self, b: usize, t: f64) {
         let lock = match std::mem::replace(&mut self.buses[b].state, BusState::Unlocked) {

@@ -42,10 +42,8 @@ impl QueueActor {
 
 impl World<'_> {
     /// A request is offered to queue `q` (fresh arrival or bridge
-    /// crossing). Mirrors the legacy engine's `offer` accounting
-    /// exactly; measurement flags are frozen here (see [`Request`]).
-    /// An accepted request arbitrates an idle bus at once, as the legacy
-    /// loop's `try_start_service` after its offer does.
+    /// crossing). Measurement flags are frozen here (see [`Request`]).
+    /// An accepted request arbitrates an idle bus at once.
     pub(super) fn queue_offer(
         &mut self,
         q: usize,

@@ -4,8 +4,7 @@
 //! # Determinism contract
 //!
 //! Every hand-off that takes simulated time travels as an [`Envelope`]
-//! through one shared [`EventQueue`], ordered by the pair `(time, seq)`
-//! — the same rule as the legacy engine's event heap:
+//! through one shared [`EventQueue`], ordered by the pair `(time, seq)`:
 //!
 //! 1. **time** — simulated delivery time (`f64`, total order via
 //!    `total_cmp`).
@@ -22,7 +21,7 @@
 //! phase flip (`Toggle`), a crossing over a bridge with a forwarding
 //! latency (`Offer`) and a bus's service completion (`Complete`). Every
 //! hand-off at the sender's own instant is a direct call, resolved in
-//! place in the order the legacy loop makes the same calls:
+//! place in the order whose draws `legacy_pins` freezes:
 //!
 //! * an offer accepted into a queue whose bus is idle arbitrates that
 //!   bus at once (and grants: shed, then start service);
@@ -31,13 +30,12 @@
 //!   the downstream bus — and only then re-arms the completing bus.
 //!
 //! So at a completion instant the downstream bus draws its arbitration
-//! and service samples before the completing bus re-arbitrates, exactly
-//! as the monolithic loop does. A source's burst arbitrates its bus at
-//! the first request rather than after the whole batch; that reads the
-//! same candidate set and makes the same draw, because an idle bus has
-//! every queue empty between envelopes (see the bus module's
-//! `BusState`). Exact float ties between independent continuous samples
-//! are set aside, as they are for the legacy heap's own `seq` order.
+//! and service samples before the completing bus re-arbitrates. A
+//! source's burst arbitrates its bus at the first request rather than
+//! after the whole batch; that reads the same candidate set and makes
+//! the same draw, because an idle bus has every queue empty between
+//! envelopes (see the bus module's `BusState`). Exact float ties between independent continuous samples
+//! are set aside: `seq` orders them by send.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -129,6 +127,11 @@ impl EventQueue {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Envelope { time, seq, msg });
+    }
+
+    /// Envelopes sent so far.
+    pub fn sent(&self) -> u64 {
+        self.seq
     }
 
     /// Next envelope in `(time, seq)` order.

@@ -62,7 +62,7 @@ impl SourceActor {
 
 impl World<'_> {
     /// An arrival epoch fires: schedule the next one (drawn *before* the
-    /// offers, matching the legacy engine's draw order), then offer the
+    /// offers), then offer the
     /// batch to the flow's first queue. The first accepted request of a
     /// batch arbitrates an idle bus in place; that makes the same draw as
     /// arbitrating after the whole batch (see the `scheduler` module).

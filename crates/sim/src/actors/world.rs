@@ -22,8 +22,7 @@ use crate::stats::{RawCounters, SimReport};
 /// one that happens at once is a direct call between handlers (see the
 /// `scheduler` module). The `World` is the context every handler runs
 /// in. The RNG is a single shared stream so the draw order — fixed by
-/// the envelope order — is reproducible and, on architectures without
-/// extended semantics, *identical* to the legacy engine's.
+/// the envelope order — is reproducible.
 pub(super) struct World<'a> {
     pub arch: &'a Architecture,
     pub arbiter: &'a mut Arbiter,
@@ -82,7 +81,7 @@ impl<'a> World<'a> {
         }
     }
 
-    /// An exponential sample at `rate` (same draw as the legacy engine).
+    /// An exponential sample at `rate`.
     pub fn exp(&mut self, rate: f64) -> f64 {
         debug_assert!(rate > 0.0);
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -113,9 +112,7 @@ impl<'a> World<'a> {
         self.arch.queue_ids().nth(q).expect("queue in range")
     }
 
-    /// Seeds the initial self-messages of every source, in flow order —
-    /// the same order (and, for Poisson shapes, the same draws) as the
-    /// legacy engine's initial arrival seeding.
+    /// Seeds the initial self-messages of every source, in flow order.
     pub fn init_sources(&mut self) {
         for fi in 0..self.sources.len() {
             let flow = index(fi);

@@ -1,17 +1,10 @@
-//! The discrete-event core: event heap, Poisson sources, exponential bus
-//! service, bounded buffers, loss accounting.
-
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+//! The simulator's entry points, its window and seed, and the timeout
+//! policy.
 
 use socbuf_soc::{Architecture, BufferAllocation, QueueId};
 
-use crate::arbiter::{Arbiter, QueueView};
-use crate::request::Request;
-use crate::stats::{RawCounters, SimReport};
+use crate::arbiter::Arbiter;
+use crate::stats::SimReport;
 
 /// Simulation window and seed.
 #[derive(Debug, Clone)]
@@ -96,235 +89,6 @@ impl TimeoutSpec {
     pub fn threshold(&self, queue: QueueId) -> f64 {
         self.thresholds[queue.index()]
     }
-
-    /// Number of queues this spec was calibrated for.
-    pub(crate) fn arity(&self) -> usize {
-        self.thresholds.len()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    /// A fresh request of `flow` materializes at its first queue.
-    Arrival { flow: usize },
-    /// The request in service on `bus` finishes.
-    Completion { bus: usize },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap behaviour inside BinaryHeap.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct Engine<'a> {
-    arch: &'a Architecture,
-    cap: Vec<usize>,
-    queues: Vec<VecDeque<Request>>,
-    /// Per bus: `Some((queue, service start time))` while busy; a `None`
-    /// queue is an idle slot burnt by a slotted (TDMA-style) arbiter.
-    busy: Vec<Option<(Option<usize>, f64)>>,
-    heap: BinaryHeap<Event>,
-    seq: u64,
-    rng: SmallRng,
-    /// The arbitration candidates, refilled at every service start so a
-    /// decision allocates nothing.
-    candidates: Vec<QueueView>,
-    warmup: f64,
-    stats: RawCounters,
-}
-
-impl<'a> Engine<'a> {
-    fn exp(&mut self, rate: f64) -> f64 {
-        debug_assert!(rate > 0.0);
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -u.ln() / rate
-    }
-
-    fn push_event(&mut self, time: f64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    fn measure(&self, t: f64) -> bool {
-        t >= self.warmup
-    }
-
-    /// Accumulates queue-length area up to `t` for time-average stats.
-    fn touch_queue(&mut self, q: usize, t: f64) {
-        let len = self.queues[q].len();
-        self.stats.touch_queue(q, len, t, self.warmup);
-    }
-
-    fn origin_of(&self, flow: usize) -> usize {
-        self.arch
-            .flow(self.arch.flow_ids().nth(flow).expect("flow in range"))
-            .src()
-            .index()
-    }
-
-    /// Attempts to place a request of `flow` into queue `q` at time `t`;
-    /// returns `true` on acceptance, accounting the loss otherwise.
-    ///
-    /// `carried_origin` is `None` for a fresh (hop 0) offer — the origin
-    /// flag is decided here — and `Some(counted_origin)` for a bridge
-    /// crossing, which carries the flag from the fresh offer unchanged.
-    fn offer(
-        &mut self,
-        q: usize,
-        flow: usize,
-        hop: usize,
-        t: f64,
-        carried_origin: Option<bool>,
-    ) -> bool {
-        let counted = self.measure(t);
-        let counted_origin = carried_origin.unwrap_or(counted);
-        let origin = self.origin_of(flow);
-        if counted {
-            self.stats.q_offered[q] += 1.0;
-            if carried_origin.is_none() {
-                self.stats.p_offered[origin] += 1.0;
-            }
-        }
-        if self.queues[q].len() >= self.cap[q] {
-            if counted {
-                self.stats.q_lost_full[q] += 1.0;
-            }
-            if counted_origin {
-                self.stats.p_lost[origin] += 1.0;
-            }
-            return false;
-        }
-        self.touch_queue(q, t);
-        self.queues[q].push_back(Request {
-            flow,
-            hop,
-            enqueued_at: t,
-            counted,
-            counted_origin,
-        });
-        if counted {
-            self.stats.q_accepted[q] += 1.0;
-        }
-        true
-    }
-
-    /// Starts service on `bus` if it is idle and has waiting requests.
-    fn try_start_service(
-        &mut self,
-        bus: usize,
-        t: f64,
-        arbiter: &mut Arbiter,
-        timeout: Option<&TimeoutSpec>,
-    ) {
-        if self.busy[bus].is_some() {
-            return;
-        }
-        let slotted = arbiter.is_slotted();
-        loop {
-            let bus_id = self.arch.bus_ids().nth(bus).expect("bus in range");
-            self.candidates.clear();
-            self.candidates.extend(
-                self.arch
-                    .bus_queue_ids(bus_id)
-                    .iter()
-                    .filter(|q| slotted || !self.queues[q.index()].is_empty())
-                    .map(|&q| QueueView {
-                        id: q,
-                        len: self.queues[q.index()].len(),
-                        capacity: self.cap[q.index()],
-                    }),
-            );
-            // Slotted arbiters only spin when at least one queue waits;
-            // otherwise the bus sleeps until the next arrival.
-            if slotted && self.candidates.iter().all(|c| c.len == 0) {
-                return;
-            }
-            let Some(pick) = arbiter.select(bus, &self.candidates, &mut self.rng) else {
-                return; // nothing to serve
-            };
-            let picked = self.candidates[pick];
-            if slotted && picked.len == 0 {
-                // Idle slot: the bus is held for one service time with
-                // nothing to show for it.
-                self.busy[bus] = Some((None, t));
-                let mu = self.arch.bus(bus_id).service_rate();
-                let dt = self.exp(mu);
-                self.push_event(t + dt, EventKind::Completion { bus });
-                return;
-            }
-            let q = picked.id.index();
-            // Timeout policy: shed stale heads before serving.
-            if let Some(spec) = timeout {
-                let threshold = self.thresholds_at(spec, q);
-                let mut dropped_any = false;
-                while let Some(head) = self.queues[q].front() {
-                    if t - head.enqueued_at > threshold {
-                        let dropped = *head;
-                        self.touch_queue(q, t);
-                        self.queues[q].pop_front();
-                        // Losses are keyed on the request's offer-time
-                        // flags, not on the clock at the drop: a request
-                        // offered before warmup never counts as lost, so
-                        // `lost ≤ offered` holds on every window.
-                        if dropped.counted {
-                            self.stats.q_lost_timeout[q] += 1.0;
-                        }
-                        if dropped.counted_origin {
-                            let origin = self.origin_of(dropped.flow);
-                            self.stats.p_lost[origin] += 1.0;
-                        }
-                        dropped_any = true;
-                    } else {
-                        break;
-                    }
-                }
-                if self.queues[q].is_empty() {
-                    if dropped_any {
-                        continue; // queue drained by timeouts; re-arbitrate
-                    }
-                    return;
-                }
-            }
-            // Serve the head (it stays in the queue until completion, so
-            // occupancy matches the M/M/1/K convention "K includes the
-            // request in service"). Waiting time is committed at
-            // completion, together with `served`, off the stored start
-            // time — both keyed on the same offer-time flag.
-            self.busy[bus] = Some((Some(q), t));
-            let mu = self.arch.bus(bus_id).service_rate();
-            let dt = self.exp(mu);
-            self.push_event(t + dt, EventKind::Completion { bus });
-            return;
-        }
-    }
-
-    fn thresholds_at(&self, spec: &TimeoutSpec, q: usize) -> f64 {
-        spec.threshold(self.arch.queue_ids().nth(q).expect("queue in range"))
-    }
 }
 
 /// Runs one simulation with the given arbiter and no timeout policy.
@@ -345,10 +109,7 @@ pub fn simulate(
 /// # Panics
 ///
 /// Panics if `alloc` or the timeout spec do not match the architecture's
-/// queue count, or `config` is malformed (`warmup ≥ horizon`), or the
-/// architecture declares extended semantics (non-Poisson traffic shapes,
-/// declared arbitration, bridge latency) this engine cannot execute — use
-/// [`crate::simulate_actors_with`] for those.
+/// queue count, or `config` is malformed (`warmup ≥ horizon`).
 pub fn simulate_with(
     arch: &Architecture,
     alloc: &BufferAllocation,
@@ -356,104 +117,34 @@ pub fn simulate_with(
     timeout: Option<&TimeoutSpec>,
     config: &SimConfig,
 ) -> SimReport {
+    simulate_counted(arch, alloc, arbiter, timeout, config).0
+}
+
+/// [`simulate_with`], also returning how many envelopes the run sent:
+/// the work it did, which depends only on its inputs. A same-instant
+/// hand-off routed back through the event queue shows up here as a
+/// larger count.
+///
+/// # Panics
+///
+/// As [`simulate_with`].
+pub fn simulate_counted(
+    arch: &Architecture,
+    alloc: &BufferAllocation,
+    arbiter: &mut Arbiter,
+    timeout: Option<&TimeoutSpec>,
+    config: &SimConfig,
+) -> (SimReport, u64) {
     assert!(
         config.warmup < config.horizon,
         "warmup must be shorter than the horizon"
-    );
-    assert!(
-        !arch.uses_extended_semantics(),
-        "architecture declares extended semantics (traffic shapes, arbitration or bridge \
-         latency); the legacy engine cannot execute them — use simulate_actors_with"
     );
     let nq = arch.num_queues();
     assert_eq!(alloc.as_slice().len(), nq, "allocation shape mismatch");
     if let Some(spec) = timeout {
         assert_eq!(spec.thresholds.len(), nq, "timeout spec shape mismatch");
     }
-
-    let mut eng = Engine {
-        arch,
-        cap: alloc.as_slice().to_vec(),
-        queues: vec![VecDeque::new(); nq],
-        busy: vec![None; arch.num_buses()],
-        heap: BinaryHeap::new(),
-        seq: 0,
-        rng: SmallRng::seed_from_u64(config.seed),
-        candidates: Vec::new(),
-        warmup: config.warmup,
-        stats: RawCounters::new(nq, arch.num_processors()),
-    };
-
-    // Seed the first arrival of every flow.
-    for (fi, f) in arch.flow_ids().enumerate() {
-        let rate = arch.flow(f).rate();
-        let dt = eng.exp(rate);
-        eng.push_event(dt, EventKind::Arrival { flow: fi });
-    }
-
-    while let Some(ev) = eng.heap.pop() {
-        let t = ev.time;
-        if t > config.horizon {
-            break;
-        }
-        match ev.kind {
-            EventKind::Arrival { flow } => {
-                // Schedule the next arrival of this flow.
-                let fid = arch.flow_ids().nth(flow).expect("flow in range");
-                let rate = arch.flow(fid).rate();
-                let dt = eng.exp(rate);
-                eng.push_event(t + dt, EventKind::Arrival { flow });
-
-                let path = arch.flow_path(fid);
-                let q0 = path[0].index();
-                let accepted = eng.offer(q0, flow, 0, t, None);
-                if accepted {
-                    let bus = arch.queue(path[0]).bus.index();
-                    eng.try_start_service(bus, t, arbiter, timeout);
-                }
-            }
-            EventKind::Completion { bus } => {
-                let (slot, start) = eng.busy[bus].take().expect("completion on idle bus");
-                let Some(q) = slot else {
-                    // An idle TDMA slot elapsed; grant the next one.
-                    eng.try_start_service(bus, t, arbiter, timeout);
-                    continue;
-                };
-                eng.touch_queue(q, t);
-                let req = eng.queues[q].pop_front().expect("served queue nonempty");
-                // `served` and the wait sample commit together, keyed on
-                // the same offer-time flag, so `mean_wait` averages over
-                // exactly the `served` population (no boundary straddle).
-                if req.counted {
-                    eng.stats.q_served[q] += 1.0;
-                    eng.stats.q_wait_sum[q] += start - req.enqueued_at;
-                }
-                let fid = arch.flow_ids().nth(req.flow).expect("flow in range");
-                let path = arch.flow_path(fid);
-                if req.hop + 1 < path.len() {
-                    // Cross the bridge into the next queue.
-                    let nq_idx = path[req.hop + 1].index();
-                    let accepted =
-                        eng.offer(nq_idx, req.flow, req.hop + 1, t, Some(req.counted_origin));
-                    if accepted {
-                        let next_bus = arch.queue(path[req.hop + 1]).bus.index();
-                        eng.try_start_service(next_bus, t, arbiter, timeout);
-                    }
-                } else if req.counted_origin {
-                    let origin = eng.origin_of(req.flow);
-                    eng.stats.p_delivered[origin] += 1.0;
-                }
-                eng.try_start_service(bus, t, arbiter, timeout);
-            }
-        }
-    }
-
-    // Close the queue-length integrals at the horizon.
-    for q in 0..nq {
-        eng.touch_queue(q, config.horizon);
-    }
-
-    eng.stats.into_report(config.horizon - config.warmup)
+    crate::actors::run(arch, alloc, arbiter, timeout, config)
 }
 
 #[cfg(test)]

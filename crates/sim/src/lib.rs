@@ -25,6 +25,16 @@
 //! Runs are deterministic per seed; [`replicate`] averages independent
 //! seeds (the paper repeats its experiment 10 times).
 //!
+//! One engine executes every architecture the builder accepts:
+//! component actors (sources, queues, buses, bridges) sequenced by a
+//! `(time, seq)`-ordered event queue. Beyond the paper's model it runs
+//! declared bus arbitration (strict priority, locked transfers), bursty
+//! and on-off traffic, and bridge forwarding latency. Its output on the
+//! paper's model is pinned bit for bit (`tests/legacy_pins.rs`), as it
+//! is on the extended scenarios (`tests/actor_pins.rs`).
+//! [`simulate_counted`] also returns the envelopes a run sent, a
+//! host-independent measure of the work it did.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,16 +49,15 @@
 //! assert!((report.total_offered - balance).abs() < 1e-9);
 //! ```
 
-pub mod actors;
+mod actors;
 mod arbiter;
 mod engine;
 mod error;
 mod request;
 mod stats;
 
-pub use actors::{simulate_actors, simulate_actors_with, SimEngine};
 pub use arbiter::{Arbiter, QueueView};
-pub use engine::{simulate, simulate_with, SimConfig, TimeoutSpec};
+pub use engine::{simulate, simulate_counted, simulate_with, SimConfig, TimeoutSpec};
 pub use error::SimError;
 pub use stats::{
     average_reports, replicate, replication_config, replication_seed, ProcStats, QueueStats,

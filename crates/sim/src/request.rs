@@ -1,10 +1,6 @@
-//! The in-flight request record shared by both simulation engines.
+//! The in-flight request record.
 
 /// One request making its way along a flow's queue path.
-///
-/// Both engines (the legacy event loop and the actor scheduler) move the
-/// same record through the system so their accounting is defined — and
-/// tested — identically.
 ///
 /// # Measurement flags
 ///

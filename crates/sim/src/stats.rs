@@ -86,10 +86,8 @@ impl SimReport {
     }
 }
 
-/// The raw statistic accumulators both engines write during a run,
-/// assembled into a [`SimReport`] at the horizon. Extracting them keeps
-/// the two engines' accounting *definitionally* identical — they share
-/// this code, not just a convention.
+/// The raw statistic accumulators a run writes, assembled into a
+/// [`SimReport`] at the horizon.
 #[derive(Debug, Clone)]
 pub(crate) struct RawCounters {
     pub q_offered: Vec<f64>,
@@ -220,7 +218,7 @@ pub fn replicate(
         .map(|i| {
             let cfg = replication_config(config, i);
             let mut arb = arbiter.clone();
-            crate::engine::simulate_with(arch, alloc, &mut arb, timeout, &cfg)
+            crate::simulate_with(arch, alloc, &mut arb, timeout, &cfg)
         })
         .collect()
 }
@@ -313,6 +311,42 @@ mod tests {
         assert_eq!(a, b);
         // Different seeds → (almost surely) different trajectories.
         assert_ne!(a[0], a[1]);
+    }
+
+    #[test]
+    fn replicate_runs_architectures_with_extended_semantics() {
+        // A bursty flow on a strict-priority bus: the builder accepts it
+        // and the pipeline simulates it, so `replicate` must run it too,
+        // calibrating a timeout policy off its own average.
+        use socbuf_soc::{ArchitectureBuilder, BusArbitration, FlowTarget, TrafficShape};
+        let mut b = ArchitectureBuilder::new();
+        let bus = b
+            .add_bus_with_arbitration("bus", 1.0, BusArbitration::Priority)
+            .unwrap();
+        let hot = b.add_processor("hot", &[bus], 1.0).unwrap();
+        let cold = b.add_processor("cold", &[bus], 1.0).unwrap();
+        b.add_flow_shaped(
+            hot,
+            FlowTarget::Bus(bus),
+            0.6,
+            TrafficShape::Burst { batch: 4 },
+        )
+        .unwrap();
+        b.add_flow(cold, FlowTarget::Bus(bus), 0.3).unwrap();
+        let arch = b.build().unwrap();
+        assert!(arch.uses_extended_semantics());
+        let alloc = BufferAllocation::uniform(&arch, 8);
+        let cfg = SimConfig::new(400.0, 5);
+        let base = replicate(&arch, &alloc, &Arbiter::RandomNonempty, None, &cfg, 3);
+        let spec = TimeoutSpec::from_calibration(&average_reports(&base));
+        let timed = replicate(&arch, &alloc, &Arbiter::FixedSlot, Some(&spec), &cfg, 3);
+        for r in base.iter().chain(&timed) {
+            assert!(r.total_offered > 0.0);
+            assert!(r.total_lost > 0.0, "bursts into 4-unit buffers lose");
+            let residual = r.total_offered - r.total_delivered - r.total_lost - r.in_flight;
+            assert!(residual.abs() < 1e-9, "requests not conserved: {residual}");
+            assert!(r.in_flight >= 0.0);
+        }
     }
 
     #[test]

@@ -1,20 +1,16 @@
-//! Cross-engine equivalence and extended-semantics scenario suite.
+//! Analytic and extended-semantics scenario suite.
 //!
-//! The actor engine must reproduce the legacy engine *exactly* (same
-//! seed ⇒ same report, bit for bit) on every architecture the legacy
-//! engine accepts, and must behave sensibly — conservation, closed-form
-//! agreement, qualitative orderings — on the extended semantics only it
-//! can execute (priority arbitration, locked transfers, bursty and
-//! on-off sources, bridge latency).
+//! The simulator must match the M/M/1/K closed form, reduce each
+//! degenerate extended declaration (`Burst { batch: 1 }`,
+//! `Locked { max_batch: 1 }`, a zero bridge latency) to the plain model
+//! bit for bit, and behave sensibly — conservation, qualitative
+//! orderings — on the extended semantics themselves (priority
+//! arbitration, locked transfers, bursty and on-off sources, bridge
+//! latency). `legacy_pins.rs` and `actor_pins.rs` pin its exact output.
 
-use socbuf_core::{size_buffers, SizingConfig};
-use socbuf_sim::{
-    simulate, simulate_actors, simulate_actors_with, simulate_with, Arbiter, SimConfig, SimEngine,
-    TimeoutSpec,
-};
+use socbuf_sim::{simulate, Arbiter, SimConfig};
 use socbuf_soc::{
-    templates, Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget,
-    TrafficShape,
+    Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
 
 fn conservation_ok(r: &socbuf_sim::SimReport) {
@@ -29,82 +25,6 @@ fn conservation_ok(r: &socbuf_sim::SimReport) {
     assert!(r.in_flight >= -1e-9);
 }
 
-/// Every shared template × every arbiter × several seeds: the two
-/// engines must agree exactly. `WeightedEffort` carries the efforts the
-/// pipeline's post-sizing policy runs with.
-#[test]
-fn engines_agree_on_all_shared_templates() {
-    let arches: Vec<(&str, Architecture)> = vec![
-        ("figure1", templates::figure1()),
-        ("network_processor", templates::network_processor()),
-        ("amba", templates::amba()),
-        ("coreconnect", templates::coreconnect()),
-    ];
-    for (name, arch) in &arches {
-        let alloc = BufferAllocation::uniform(arch, 6);
-        let efforts = size_buffers(arch, 6, &SizingConfig::small())
-            .expect("template sizes")
-            .efforts;
-        for seed in [0, 1, 17, 4242] {
-            let cfg = SimConfig::new(300.0, seed);
-            for arbiter in [
-                Arbiter::RandomNonempty,
-                Arbiter::LongestQueue,
-                Arbiter::FixedSlot,
-                Arbiter::round_robin(arch.num_buses()),
-                Arbiter::WeightedEffort {
-                    efforts: efforts.clone(),
-                },
-            ] {
-                let legacy = simulate(arch, &alloc, arbiter.clone(), &cfg);
-                let actors = simulate_actors(arch, &alloc, arbiter.clone(), &cfg);
-                assert_eq!(
-                    legacy, actors,
-                    "{name}, seed {seed}, arbiter {arbiter:?}: engines diverge"
-                );
-                conservation_ok(&actors);
-            }
-        }
-    }
-}
-
-/// The timeout policy (grant-time head shedding) follows the same
-/// re-arbitration draw sequence in both engines.
-#[test]
-fn engines_agree_under_timeout_policy() {
-    for (name, arch) in [
-        ("figure1", templates::figure1()),
-        ("amba", templates::amba()),
-    ] {
-        let alloc = BufferAllocation::uniform(&arch, 4);
-        let cfg = SimConfig::new(400.0, 11);
-        let base = simulate(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
-        let spec = TimeoutSpec::from_calibration(&base);
-        for seed in [2, 3, 5, 8, 13] {
-            let cfg = SimConfig::new(400.0, seed);
-            let mut a = Arbiter::RandomNonempty;
-            let mut b = Arbiter::RandomNonempty;
-            let legacy = simulate_with(&arch, &alloc, &mut a, Some(&spec), &cfg);
-            let actors = simulate_actors_with(&arch, &alloc, &mut b, Some(&spec), &cfg);
-            assert_eq!(legacy, actors, "{name}, seed {seed}: timeout runs diverge");
-        }
-    }
-}
-
-/// Randomly generated architectures keep the engines in lockstep too.
-#[test]
-fn engines_agree_on_random_architectures() {
-    let params = templates::RandomArchParams::default();
-    for arch_seed in 0..6 {
-        let arch = templates::random_architecture(arch_seed, &params);
-        let alloc = BufferAllocation::uniform(&arch, 5);
-        let cfg = SimConfig::new(200.0, 7 * arch_seed + 1);
-        let legacy = simulate(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
-        let actors = simulate_actors(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
-        assert_eq!(legacy, actors, "random arch {arch_seed}: engines diverge");
-    }
-}
-
 fn single_queue(lambda: f64, mu: f64) -> Architecture {
     let mut b = ArchitectureBuilder::new();
     let bus = b.add_bus("bus", mu).unwrap();
@@ -113,7 +33,7 @@ fn single_queue(lambda: f64, mu: f64) -> Architecture {
     b.build().unwrap()
 }
 
-/// The actor engine alone against the M/M/1/K closed form.
+/// The simulator against the M/M/1/K closed form.
 #[test]
 fn actor_engine_matches_mm1k_analytics() {
     let (lambda, mu, k) = (0.8, 1.0, 4usize);
@@ -124,7 +44,7 @@ fn actor_engine_matches_mm1k_analytics() {
         warmup: 2_000.0,
         seed: 20_240,
     };
-    let r = simulate_actors(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
+    let r = simulate(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
     let q = socbuf_markov::MM1K::new(lambda, mu, k).unwrap();
     let blocking = r.per_queue[0].lost_full / r.per_queue[0].offered;
     assert!(
@@ -158,8 +78,8 @@ fn shaped_single_queue(lambda: f64, mu: f64, shape: TrafficShape) -> Architectur
 }
 
 /// `Burst { batch: 1 }` declares extended semantics but replays the
-/// Poisson draw sequence exactly — it must match a plain Poisson run of
-/// the actor engine bit for bit.
+/// Poisson draw sequence exactly — it must match a plain Poisson run bit
+/// for bit.
 #[test]
 fn burst_of_one_is_poisson_exactly() {
     let poisson = single_queue(0.7, 1.0);
@@ -169,8 +89,8 @@ fn burst_of_one_is_poisson_exactly() {
         let cfg = SimConfig::new(500.0, seed);
         let alloc_p = BufferAllocation::uniform(&poisson, 5);
         let alloc_b = BufferAllocation::uniform(&burst1, 5);
-        let a = simulate_actors(&poisson, &alloc_p, Arbiter::RandomNonempty, &cfg);
-        let b = simulate_actors(&burst1, &alloc_b, Arbiter::RandomNonempty, &cfg);
+        let a = simulate(&poisson, &alloc_p, Arbiter::RandomNonempty, &cfg);
+        let b = simulate(&burst1, &alloc_b, Arbiter::RandomNonempty, &cfg);
         assert_eq!(a, b, "seed {seed}: Burst{{1}} differs from Poisson");
     }
 }
@@ -184,11 +104,11 @@ fn bursty_traffic_loses_more_than_poisson_at_equal_rate() {
     let bursty = shaped_single_queue(0.8, 1.0, TrafficShape::Burst { batch: 8 });
     let lp = {
         let alloc = BufferAllocation::uniform(&poisson, 4);
-        simulate_actors(&poisson, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&poisson, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     let lb = {
         let alloc = BufferAllocation::uniform(&bursty, 4);
-        simulate_actors(&bursty, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&bursty, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     conservation_ok(&lb);
     // Same average offered load...
@@ -219,11 +139,11 @@ fn onoff_traffic_preserves_rate_and_increases_loss() {
     );
     let lp = {
         let alloc = BufferAllocation::uniform(&poisson, 4);
-        simulate_actors(&poisson, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&poisson, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     let lo = {
         let alloc = BufferAllocation::uniform(&onoff, 4);
-        simulate_actors(&onoff, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&onoff, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     conservation_ok(&lo);
     let rel = (lo.total_offered - lp.total_offered).abs() / lp.total_offered;
@@ -256,9 +176,9 @@ fn priority_arbitration_favors_first_declared_queue() {
     let prio = two_client_bus(BusArbitration::Priority, 0.55, 0.55);
     let fair = two_client_bus(BusArbitration::External, 0.55, 0.55);
     let alloc = BufferAllocation::uniform(&prio, 8);
-    let rp = simulate_actors(&prio, &alloc, Arbiter::RandomNonempty, &cfg);
+    let rp = simulate(&prio, &alloc, Arbiter::RandomNonempty, &cfg);
     let alloc = BufferAllocation::uniform(&fair, 8);
-    let rf = simulate_actors(&fair, &alloc, Arbiter::RandomNonempty, &cfg);
+    let rf = simulate(&fair, &alloc, Arbiter::RandomNonempty, &cfg);
     conservation_ok(&rp);
     // Strict ordering between the two priority classes.
     assert!(
@@ -273,7 +193,7 @@ fn priority_arbitration_favors_first_declared_queue() {
     assert!(rp.per_queue[1].mean_wait > rf.per_queue[1].mean_wait);
     // Priority consumes no randomness for arbitration, so the run is
     // trivially deterministic across repeats.
-    let again = simulate_actors(
+    let again = simulate(
         &prio,
         &BufferAllocation::uniform(&prio, 8),
         Arbiter::RandomNonempty,
@@ -293,11 +213,11 @@ fn locked_transfers_hold_the_bus_across_completions() {
     let lock1 = two_client_bus(BusArbitration::Locked { max_batch: 1 }, 0.45, 0.45);
     let re = {
         let alloc = BufferAllocation::uniform(&ext, 8);
-        simulate_actors(&ext, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&ext, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     let r1 = {
         let alloc = BufferAllocation::uniform(&lock1, 8);
-        simulate_actors(&lock1, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&lock1, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     // A lock budget of one is no lock at all.
     assert_eq!(re, r1, "Locked{{1}} must equal External exactly");
@@ -333,11 +253,11 @@ fn locked_transfers_hold_the_bus_across_completions() {
         let cfg = SimConfig::new(20_000.0, seed);
         let rf = {
             let alloc = BufferAllocation::uniform(&fair, 16);
-            simulate_actors(&fair, &alloc, Arbiter::RandomNonempty, &cfg)
+            simulate(&fair, &alloc, Arbiter::RandomNonempty, &cfg)
         };
         let rl = {
             let alloc = BufferAllocation::uniform(&locked, 16);
-            simulate_actors(&locked, &alloc, Arbiter::RandomNonempty, &cfg)
+            simulate(&locked, &alloc, Arbiter::RandomNonempty, &cfg)
         };
         conservation_ok(&rl);
         for q in 0..2 {
@@ -383,11 +303,11 @@ fn bridge_latency_delays_but_conserves() {
     let slow = build(2.0);
     let rz = {
         let alloc = BufferAllocation::uniform(&zero, 10);
-        simulate_actors(&zero, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&zero, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     let rs = {
         let alloc = BufferAllocation::uniform(&slow, 10);
-        simulate_actors(&slow, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&slow, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     conservation_ok(&rz);
     conservation_ok(&rs);
@@ -403,28 +323,10 @@ fn bridge_latency_delays_but_conserves() {
     };
     let rp = {
         let alloc = BufferAllocation::uniform(&plain, 10);
-        simulate_actors(&plain, &alloc, Arbiter::RandomNonempty, &cfg)
+        simulate(&plain, &alloc, Arbiter::RandomNonempty, &cfg)
     };
     assert_eq!(rz, rp, "latency 0 must be bit-identical to no latency");
     // Positive latency still delivers the traffic (the bridge is a
     // delay, not a bottleneck).
     assert!(rs.total_delivered > 0.95 * rz.total_delivered);
-}
-
-/// `SimEngine::Auto` is safe to use blindly: it never panics on any
-/// architecture and matches the explicit engine choice.
-#[test]
-fn auto_engine_never_panics_and_matches_explicit_choice() {
-    let cfg = SimConfig::new(300.0, 1);
-    let plain = templates::figure1();
-    let extended = two_client_bus(BusArbitration::Priority, 0.3, 0.3);
-    let mut arb = Arbiter::RandomNonempty;
-    let alloc = BufferAllocation::uniform(&plain, 6);
-    let a = SimEngine::Auto.simulate_with(&plain, &alloc, &mut arb, None, &cfg);
-    let l = SimEngine::Legacy.simulate_with(&plain, &alloc, &mut arb, None, &cfg);
-    assert_eq!(a, l);
-    let alloc = BufferAllocation::uniform(&extended, 6);
-    let a = SimEngine::Auto.simulate_with(&extended, &alloc, &mut arb, None, &cfg);
-    let x = SimEngine::Actors.simulate_with(&extended, &alloc, &mut arb, None, &cfg);
-    assert_eq!(a, x);
 }

@@ -1,11 +1,10 @@
-//! Exact output pins for the actor engine's extended semantics.
+//! Exact output pins for the simulator's extended semantics.
 //!
-//! `actor_equivalence.rs` holds the actor engine to the legacy engine on
-//! every architecture both accept, but the scenarios only the actor
-//! engine can run (priority arbitration, locked transfers, bursty and
-//! on-off sources, bridge latency) are checked there only for shape:
-//! conservation, orderings, closed forms. This suite pins them bit for
-//! bit. Each named scenario runs under all five arbiters, three seeds,
+//! `legacy_pins.rs` freezes the simulator's output on the paper's model,
+//! but the scenarios beyond it (priority arbitration, locked transfers,
+//! bursty and on-off sources, bridge latency) are checked in
+//! `actor_equivalence.rs` only for shape: conservation, orderings,
+//! closed forms. This suite pins them bit for bit. Each named scenario runs under all five arbiters, three seeds,
 //! and with and without a calibrated timeout policy; every counter of
 //! every report is folded into one FNV-1a digest over `f64::to_bits`.
 //!
@@ -15,7 +14,7 @@
 mod common;
 
 use common::{tie_heavy_effort, Fnv};
-use socbuf_sim::{simulate_actors_with, Arbiter, SimConfig, TimeoutSpec};
+use socbuf_sim::{simulate_with, Arbiter, SimConfig, TimeoutSpec};
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
@@ -37,7 +36,7 @@ fn arbiters(arch: &Architecture) -> [Arbiter; 5] {
 /// the requests it lost to full buffers and to timeouts.
 fn digest(arch: &Architecture, units_per_queue: usize) -> (u64, f64, f64) {
     let alloc = BufferAllocation::uniform(arch, units_per_queue * arch.num_queues());
-    let calibration = simulate_actors_with(
+    let calibration = simulate_with(
         arch,
         &alloc,
         &mut Arbiter::RandomNonempty,
@@ -52,7 +51,7 @@ fn digest(arch: &Architecture, units_per_queue: usize) -> (u64, f64, f64) {
             let cfg = SimConfig::new(HORIZON, seed);
             for timeout in [None, Some(&spec)] {
                 let mut arbiter = template.clone();
-                let r = simulate_actors_with(arch, &alloc, &mut arbiter, timeout, &cfg);
+                let r = simulate_with(arch, &alloc, &mut arbiter, timeout, &cfg);
                 h.report(&r);
                 lost_full += r.per_queue.iter().map(|q| q.lost_full).sum::<f64>();
                 lost_timeout += r.per_queue.iter().map(|q| q.lost_timeout).sum::<f64>();

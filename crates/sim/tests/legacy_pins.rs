@@ -1,15 +1,15 @@
-//! Exact output pins for the legacy event loop.
+//! Exact output pins for the paper's model, frozen from the monolithic
+//! event loop the actor engine replaced.
 //!
-//! `actor_equivalence.rs` compares the two engines with each other, and
-//! both call the same `Arbiter::select`: a change that moves one RNG
-//! draw in both engines at once passes it. This suite pins the legacy
-//! engine's own output bit for bit on the four shared templates. Each
+//! The actor engine reproduced that loop bit for bit before the loop was
+//! deleted, so the loop's output is the simulator's oracle: a change that
+//! moves one RNG draw or one counter moves a pin. This suite pins that
+//! output on the four shared templates. Each
 //! template runs under every arbiter, three seeds, and with and without
 //! a calibrated timeout policy; every counter of every report is folded
 //! into one FNV-1a digest over `f64::to_bits`. Seeded random
 //! architectures, run the same way, fold into one more digest, so the
-//! pins reach shapes the templates do not. These pins are the oracle
-//! the legacy loop is held to until the actor engine replaces it.
+//! pins reach shapes the templates do not.
 //!
 //! `WeightedEffort` runs twice: once on a tie-heavy table (so the random
 //! tie-break draws often) and once as the pipeline's post-sizing policy,

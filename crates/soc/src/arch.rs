@@ -6,10 +6,9 @@ use crate::SocError;
 /// How a bus grants service among its queues.
 ///
 /// The default, [`BusArbitration::External`], leaves the choice to the
-/// simulator's runtime arbiter (the legacy engine's only mode). The
-/// other variants are *declared on the architecture* and executed by the
-/// actor-based simulator; the legacy event-loop engine cannot express
-/// them and refuses architectures that use them.
+/// simulator's runtime arbiter (the paper's model). The other variants
+/// are *declared on the architecture*, and the simulator executes them
+/// in place of the runtime arbiter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusArbitration {
     /// Arbitration is chosen at simulation time (`socbuf-sim`'s
@@ -114,7 +113,7 @@ impl Bridge {
     /// Deterministic forwarding latency: the delay between a request
     /// finishing service on the upstream bus and being offered to the
     /// bridge buffer. `0` (the default) is the paper's instantaneous
-    /// crossing; positive latencies are an actor-engine extension.
+    /// crossing; positive latencies extend the paper's model.
     pub fn latency(&self) -> f64 {
         self.latency
     }
@@ -135,9 +134,8 @@ pub enum FlowTarget {
 ///
 /// Every shape preserves the flow's declared *average* rate λ, so
 /// LP-sized buffers can be cross-validated under burstiness at the same
-/// offered load. Only [`TrafficShape::Poisson`] (the default, and the
-/// paper's model) is expressible by the legacy event-loop engine; the
-/// other shapes require the actor-based simulator.
+/// offered load. [`TrafficShape::Poisson`] is the default and the
+/// paper's model; the other shapes extend it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficShape {
     /// Memoryless Poisson arrivals at rate λ (the default).
@@ -418,13 +416,12 @@ impl Architecture {
         self.flows.iter().map(|f| f.rate).sum()
     }
 
-    /// `true` when the architecture declares behavior only the
-    /// actor-based simulator can execute: a non-Poisson traffic shape
-    /// (`Burst { batch: 1 }` counts as Poisson — it is the same
-    /// process), a non-[`BusArbitration::External`] bus, or a bridge
-    /// with positive forwarding latency. The legacy event-loop engine
-    /// refuses such architectures instead of silently ignoring the
-    /// declarations.
+    /// `true` when the architecture declares behavior beyond the paper's
+    /// model: a non-Poisson traffic shape (`Burst { batch: 1 }` counts as
+    /// Poisson — it is the same process), a
+    /// non-[`BusArbitration::External`] bus, or a bridge with positive
+    /// forwarding latency. The simulator executes these declarations;
+    /// the CTMDP sizing model does not see them.
     pub fn uses_extended_semantics(&self) -> bool {
         self.flows.iter().any(|f| !f.shape.is_poisson())
             || self

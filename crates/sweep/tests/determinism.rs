@@ -158,31 +158,6 @@ fn pooled_replications_match_the_serial_pipeline_bit_for_bit() {
 }
 
 #[test]
-fn actor_engine_sweep_matches_legacy_byte_for_byte() {
-    // On plain architectures the actor engine is a drop-in replacement
-    // for the legacy event loop (same draws, same statistics), so an
-    // entire simulating campaign must render byte-identically whichever
-    // engine the pipeline config names — and under `Auto`, which
-    // dispatches plain architectures to the legacy engine.
-    let arch = templates::figure1();
-    let run = |engine: socbuf_core::SimEngine| {
-        let mut sweep = BudgetSweep::new(&arch, vec![16, 22, 30]);
-        sweep.sizing = SizingConfig::small();
-        sweep.simulate = Some(PipelineConfig {
-            sim_engine: engine,
-            ..PipelineConfig::small()
-        });
-        sweep.run(&WorkPool::new(4)).unwrap()
-    };
-    let legacy = run(socbuf_core::SimEngine::Legacy);
-    let actors = run(socbuf_core::SimEngine::Actors);
-    let auto = run(socbuf_core::SimEngine::Auto);
-    assert_eq!(legacy.to_csv(), actors.to_csv());
-    assert_eq!(legacy.to_jsonl(), actors.to_jsonl());
-    assert_eq!(legacy.to_csv(), auto.to_csv());
-}
-
-#[test]
 fn extended_architecture_sweep_is_worker_count_independent() {
     // Extended semantics (priority arbitration, bursty flows) only run
     // on the actor engine; the determinism contract must hold there too.

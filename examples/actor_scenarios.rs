@@ -1,17 +1,15 @@
-//! Scenario shapes only the actor-based simulator core can express:
-//! priority arbitration, locked (batched) bus transfers, and bursty /
-//! on-off traffic sources.
+//! Scenario shapes beyond the paper's model: priority arbitration,
+//! locked (batched) bus transfers, and bursty / on-off traffic sources.
 //!
-//! The legacy event loop simulates exactly the paper's model — Poisson
-//! sources, externally arbitrated buses, zero-latency bridges. The
-//! actor core reproduces that model bit-for-bit (see the
-//! `actor_equivalence` suite) and then extends it with declarations on
-//! the architecture itself; `SimEngine::Auto` routes any architecture
-//! using them to the actor engine automatically.
+//! The paper's model is Poisson sources, externally arbitrated buses
+//! and zero-latency bridges. The simulator's output on it is pinned bit
+//! for bit (the `legacy_pins` suite); these scenarios extend it with
+//! declarations on the architecture itself, which `simulate_with` runs
+//! like any other architecture.
 //!
 //! Run with `cargo run --release --example actor_scenarios`.
 
-use socbuf::sim::{Arbiter, SimConfig, SimEngine};
+use socbuf::sim::{simulate_with, Arbiter, SimConfig};
 use socbuf::soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
@@ -37,9 +35,7 @@ fn two_clients(
 fn run(arch: &Architecture) -> socbuf::sim::SimReport {
     let alloc = BufferAllocation::uniform(arch, 6);
     let cfg = SimConfig::new(20_000.0, 2005);
-    // Auto picks the actor engine for every architecture built here —
-    // each one declares at least one extended semantic.
-    SimEngine::Auto.simulate_with(arch, &alloc, &mut Arbiter::RandomNonempty, None, &cfg)
+    simulate_with(arch, &alloc, &mut Arbiter::RandomNonempty, None, &cfg)
 }
 
 fn main() {

@@ -67,29 +67,6 @@ fn fixed_seed_snapshot_is_stable() {
 }
 
 #[test]
-fn actor_engine_reproduces_the_snapshot() {
-    // The pins above bind the *legacy* engine; the actor core must land
-    // on the identical report — same RNG stream, same statistics — so
-    // one set of pins covers both engines.
-    let arch = templates::figure1();
-    let alloc = BufferAllocation::uniform(&arch, 22);
-    let cfg = SimConfig {
-        horizon: 1000.0,
-        warmup: 100.0,
-        seed: 2005,
-    };
-    let legacy = simulate(&arch, &alloc, Arbiter::FixedSlot, &cfg);
-    let actors = socbuf::sim::SimEngine::Actors.simulate_with(
-        &arch,
-        &alloc,
-        &mut Arbiter::FixedSlot,
-        None,
-        &cfg,
-    );
-    assert_eq!(legacy, actors);
-}
-
-#[test]
 fn replications_differ_but_reseeding_reproduces() {
     // Different seeds must give different streams (otherwise the
     // replication average is a sham), and the same seed must reproduce
