@@ -119,8 +119,8 @@ fn check_extended(gate: &mut Gate, horizon: f64, verbose: bool) {
     let arch = extended_arch();
     assert!(arch.uses_extended_semantics());
     for seed in [1u64, 99, 2005] {
-        let a = run(&arch, 4, horizon, seed);
-        let b = run(&arch, 4, horizon, seed);
+        let a = run(&arch, 1, horizon, seed);
+        let b = run(&arch, 1, horizon, seed);
         gate.check(
             a == b,
             format_args!("extended arch seed {seed} not reproducible"),

@@ -11,14 +11,14 @@
 //! # The single-core skip policy
 //!
 //! Correctness gates (byte identity, engine agreement, certificates)
-//! hold everywhere and use [`Gate::check`]. Wall-time gates that need
+//! and count gates (`actor_probe`'s envelopes and allocations) hold
+//! everywhere and use [`Gate::check`]. Wall-time gates that need
 //! parallelism to win, or that shared single-core runners are too noisy
 //! to judge even at best of several repeats, use [`Gate::timed`]: it
 //! is enforced on hosts with ≥ 2 cores and prints one
 //! `<gate> gate SKIPPED: single-core host (…)` line otherwise. Ratio
 //! gates between two runs on the same host that are robust to runner
-//! speed (`actor_probe`'s slowdown bound, `lp_scaling_probe`'s 1.15×
-//! margin) stay [`Gate::check`]s.
+//! speed (`lp_scaling_probe`'s 1.15× margin) stay [`Gate::check`]s.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
