@@ -40,7 +40,13 @@
 //!   `SizingLp::build` share is printed beside it). The LP's pivot loop
 //!   allocates nothing, so the last two count refactorizations, dual
 //!   recovery and the returned solutions, not pivots. Counts do not
-//!   depend on the host, so these gates have no single-core skip.
+//!   depend on the host, so these gates have no single-core skip;
+//! * **pivot counts** — the same cold `size_buffers` takes exactly
+//!   [`COLD_SIZE_PIVOTS`] pivots and the load point exactly
+//!   [`LOAD_POINT_PIVOTS`]. Work that does not move a pivot (pricing
+//!   less, factoring faster) leaves them be; a change in either means
+//!   the solver now takes a different path, which must be explained,
+//!   not re-pinned.
 
 use socbuf_bench::alloc::{count, CountingAlloc, Counts};
 use socbuf_bench::probe::{self, best_of, ratio, smoke_sizing, Gate, OrExit};
@@ -80,6 +86,14 @@ const COLD_SIZE_ALLOCS: u64 = COLD_SIZE_MEASURED + 100;
 /// set, 801 of them in `SizingLp::build` (2,755 while the LP allocated
 /// per pivot).
 const COLD_SIZE_MEASURED: u64 = 1053;
+
+/// Pivots of the cold `size_buffers` at budget 22 on `figure1` at
+/// `SizingConfig::small()`.
+const COLD_SIZE_PIVOTS: usize = 90;
+
+/// Pivots of the load point (factor 1.1 at budget 25) along the seeded
+/// `figure1` chain.
+const LOAD_POINT_PIVOTS: usize = 2;
 
 /// The CI grid: the paper's Table 1 budget range on the evaluation
 /// platform, sized so one serial pass takes O(seconds) in release.
@@ -218,6 +232,8 @@ struct ChainAllocs {
     /// Pivots of the chain start and of the warm point (0 when both
     /// answered on the kept factor).
     pivots: (usize, usize),
+    /// Pivots of the load point and of the cold `size_buffers`.
+    work: (usize, usize),
 }
 
 fn chain_allocs() -> ChainAllocs {
@@ -233,11 +249,11 @@ fn chain_allocs() -> ChainAllocs {
     });
     let (point, warm_point) = count(|| copy.size_buffers(25).or_exit("warm budget point"));
     let scaled = arch.scale_rates(1.1, 1.0).or_exit("scaled figure1");
-    let (_, load_point) = count(|| {
+    let (load, load_point) = count(|| {
         copy.size_buffers_scaled(&scaled, 1.1, 25)
             .or_exit("load point")
     });
-    let (_, cold_size) = count(|| size_buffers(&arch, 22, &sizing).or_exit("cold point"));
+    let (cold, cold_size) = count(|| size_buffers(&arch, 22, &sizing).or_exit("cold point"));
     let (_, cold_build) = count(|| SizingLp::build(&arch, 22, &sizing).or_exit("cold build"));
     ChainAllocs {
         seeded,
@@ -247,6 +263,7 @@ fn chain_allocs() -> ChainAllocs {
         cold_size,
         cold_build,
         pivots: (start.lp_iterations, point.lp_iterations),
+        work: (load.lp_iterations, cold.lp_iterations),
     }
 }
 
@@ -264,6 +281,10 @@ fn print_chain_allocs(a: &ChainAllocs) {
             c.allocs, c.bytes
         );
     }
+    println!(
+        "figure1 small(): pivots of the load point {}, of the cold size_buffers {}",
+        a.work.0, a.work.1
+    );
 }
 
 /// The allocation-count gates. A zero count means the allocator is not
@@ -276,6 +297,14 @@ fn gate_chain_allocs(gate: &mut Gate) {
         format_args!(
             "seeded chain start / warm point took {:?} pivots (want 0, 0)",
             a.pivots
+        ),
+    );
+    gate.check(
+        a.work == (LOAD_POINT_PIVOTS, COLD_SIZE_PIVOTS),
+        format_args!(
+            "the load point / cold size_buffers took {:?} pivots (want {:?})",
+            a.work,
+            (LOAD_POINT_PIVOTS, COLD_SIZE_PIVOTS)
         ),
     );
     for (name, c, max) in [

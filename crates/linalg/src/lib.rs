@@ -63,7 +63,9 @@ pub use scaling::{
     geometric_mean_scaling, log_deviation, scaled_log_deviation, scaled_value_spread, value_spread,
     Equilibration,
 };
-pub use sparse_lu::{solve_transpose_cols, solve_transpose_resumed, Columns, SparseLu};
+pub use sparse_lu::{
+    solve_transpose_cols, solve_transpose_resumed, Columns, SparseLu, TransposeCache,
+};
 pub use tridiag::Tridiag;
 pub use vector::{axpy, dot, inf_norm, max_abs_diff, one_norm, scale, two_norm};
 

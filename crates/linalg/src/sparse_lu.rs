@@ -26,6 +26,15 @@
 //! `O(n + nnz(L) + nnz(U))` in caller buffers and allocate nothing;
 //! [`SparseLu::solve`] and [`SparseLu::solve_transpose`] wrap them.
 //!
+//! A simplex prices with one transposed solve per pivot, and between two
+//! pricings only a few entries of the right-hand side change bits.
+//! [`SparseLu::solve_transpose_cached`] keeps the last input and both
+//! sweeps' results in a [`TransposeCache`] and re-runs only the entries
+//! whose input changed bits or that read an entry which did, so its
+//! answer is bitwise [`SparseLu::solve_transpose_in_place`]'s at the cost
+//! of what moved (Hall & McKinnon's hyper-sparsity, without reordering a
+//! single sum).
+//!
 //! The same elimination serves the dense kernel's pivot rule
 //! ([`solve_transpose_cols`], [`solve_transpose_resumed`]), which
 //! picks the dense kernel's pivots and sums in its order, so its answer
@@ -37,7 +46,13 @@
 //! from scratch; [`solve_transpose_cols`] is the resume after an empty
 //! prefix.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::LinalgError;
+
+/// The id the next factor gets; 0 is no factor's. Ids only have to be
+/// unique and publish no other data, so the counter is `Relaxed`.
+static NEXT_FACTOR_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Sparse LU with partial pivoting: `P A = L U`, built from sparse
 /// columns.
@@ -84,6 +99,9 @@ pub struct SparseLu {
     /// How many leading pivots the dense kernel's rule picks the same
     /// way (see [`SparseLu::dense_prefix`]).
     dense_prefix: usize,
+    /// Unique per elimination (a clone, holding the same factor, shares
+    /// it): what tells a [`TransposeCache`] its factor was replaced.
+    id: u64,
 }
 
 /// Sparse columns in flat storage: column `j` holds the `(row, value)`
@@ -275,6 +293,7 @@ impl SparseLu {
             pivot_row: Vec::with_capacity(n),
             position: vec![usize::MAX; n],
             dense_prefix: n,
+            id: NEXT_FACTOR_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -555,6 +574,121 @@ impl SparseLu {
         Ok(())
     }
 
+    /// Solves `Aᵀ x = b` in place, bitwise as
+    /// [`SparseLu::solve_transpose_in_place`] does, re-running only what
+    /// changed since the last solve `cache` saw.
+    ///
+    /// The cache holds the last input `b` and, per elimination position,
+    /// the results of the forward sweep (`Uᵀ w = b`) and of the backward
+    /// sweep (`Lᵀ v = w`). An entry is a fixed sequence of float
+    /// operations on its own input and on the entries it reads, so if
+    /// none of those changed bits, neither did it. The forward sweep
+    /// re-runs entry `j` when `b_j` changed bits or a `w_k` that column
+    /// `j` of `U` reads did, lowest position first; the backward sweep
+    /// re-runs entry `k` when `w_k` changed bits or a `v_q` that column
+    /// `k` of `L` reads did, highest first. A re-run entry does the
+    /// in-place solve's sum over the same stored entries in the same
+    /// order, and an entry whose result keeps its bits wakes no reader.
+    /// The first solve on a factor runs every entry, in order, so it
+    /// wakes none. A cache last used with another factor (a
+    /// refactorization, say) starts over the same way, so a cache never
+    /// needs resetting. Who reads each position comes from a reverse
+    /// index of `U` and `L`, which the second solve on a factor builds.
+    /// [`TransposeCache::changed`] names the entries of `x` whose bits
+    /// the solve changed.
+    ///
+    /// The first solve on a factor costs what the in-place solve does,
+    /// and the second adds `O(nnz(L) + nnz(U))` for the index. After
+    /// that the cost is `O(n)` to compare the input and write the
+    /// answer, plus the stored entries of the columns that re-run. The
+    /// cache's buffers keep their capacity, so only a factor with more
+    /// entries than any before it makes the solve allocate.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] if `x` is not `self.dim()`
+    /// long.
+    pub fn solve_transpose_cached(
+        &self,
+        x: &mut [f64],
+        cache: &mut TransposeCache,
+    ) -> Result<(), LinalgError> {
+        self.check_len(x)?;
+        let n = self.n;
+        let full = cache.factor != self.id;
+        if full {
+            cache.reset(self);
+        } else if !cache.indexed {
+            cache.index(self);
+        }
+        cache.incremental = !full;
+        let words = n.div_ceil(64);
+        let TransposeCache {
+            last,
+            start,
+            readers,
+            marks,
+            ..
+        } = cache;
+        let (forward, rest) = marks.split_at_mut(words);
+        let (backward, changed) = rest.split_at_mut(words);
+        changed.fill(0);
+        for (j, (&b, last)) in x.iter().zip(last.iter_mut()).enumerate() {
+            if full || b.to_bits() != last[0].to_bits() {
+                last[0] = b;
+                mark(forward, j);
+            }
+        }
+        // Forward: an update only wakes later positions, which the scan
+        // reaches by rereading the current word.
+        for w in 0..words {
+            while forward[w] != 0 {
+                let j = w * 64 + forward[w].trailing_zeros() as usize;
+                forward[w] &= forward[w] - 1;
+                let mut acc = last[j][0];
+                for p in self.u_start[j]..self.u_start[j + 1] {
+                    acc -= self.u_val[p] * last[self.u_pos[p]][1];
+                }
+                let wj = acc / self.u_diag[j];
+                if full || wj.to_bits() != last[j][1].to_bits() {
+                    last[j][1] = wj;
+                    mark(backward, j);
+                    if !full {
+                        for &r in &readers[start[j]..start[j + 1]] {
+                            mark(forward, r);
+                        }
+                    }
+                }
+            }
+        }
+        // Backward: an update only wakes earlier positions, which the
+        // scan reaches the same way, highest bit first.
+        for w in (0..words).rev() {
+            while backward[w] != 0 {
+                let bit = 63 - backward[w].leading_zeros() as usize;
+                backward[w] &= !(1 << bit);
+                let k = w * 64 + bit;
+                let mut acc = last[k][1];
+                for p in self.l_start[k]..self.l_start[k + 1] {
+                    acc -= self.l_val[p] * last[self.l_pos[p]][2];
+                }
+                if full || acc.to_bits() != last[k][2].to_bits() {
+                    last[k][2] = acc;
+                    mark(changed, self.pivot_row[k]);
+                    if !full {
+                        for &r in &readers[start[n + k]..start[n + k + 1]] {
+                            mark(backward, r);
+                        }
+                    }
+                }
+            }
+        }
+        for (k, &r) in self.pivot_row.iter().enumerate() {
+            x[r] = last[k][2];
+        }
+        Ok(())
+    }
+
     /// `Aᵀ = Uᵀ Lᵀ P`: a forward sweep `Uᵀ w = b` over the columns of
     /// `U`, a backward sweep `Lᵀ v = w` in position space (the entries
     /// of `L`'s column `k` sit at strictly later positions), then
@@ -625,6 +759,109 @@ impl SparseLu {
             x[r] = w[k];
         }
     }
+}
+
+/// What [`SparseLu::solve_transpose_cached`] keeps between solves: the
+/// last input and both sweeps' results, the reverse index of the factor
+/// they belong to, and which entries of the last answer changed bits.
+/// One cache serves one sequence of solves; it allocates on its first
+/// solve and keeps its buffers after that.
+#[derive(Debug, Clone, Default)]
+pub struct TransposeCache {
+    /// The id of the factor the state belongs to; 0 before any solve.
+    factor: u64,
+    /// Whether `start` and `readers` index that factor.
+    indexed: bool,
+    /// Whether the last solve re-ran only what changed.
+    incremental: bool,
+    /// Per elimination position `j`: the last input `b_j`, the forward
+    /// result `w_j` and the backward result `v_j`.
+    last: Vec<[f64; 3]>,
+    /// Who reads each position, in compressed form: for `k < n`,
+    /// `readers[start[k]..start[k + 1]]` are the columns of `U` holding
+    /// position `k`; for `k = n + q`, the columns of `L` holding
+    /// position `q`.
+    start: Vec<usize>,
+    readers: Vec<usize>,
+    /// Three bitsets of `n.div_ceil(64)` words: the positions the
+    /// forward sweep must re-run, those the backward sweep must re-run,
+    /// and the entries of the last answer that changed bits.
+    marks: Vec<u64>,
+}
+
+impl TransposeCache {
+    /// An empty cache; its first solve runs in full.
+    pub fn new() -> TransposeCache {
+        TransposeCache::default()
+    }
+
+    /// The entries of the last answer whose bits differ from the answer
+    /// before it, in increasing order. `None` when the last solve ran in
+    /// full (the first on its factor), after which any entry may differ.
+    pub fn changed(&self) -> Option<impl Iterator<Item = usize> + '_> {
+        let words = self.last.len().div_ceil(64);
+        self.incremental.then(|| ones(&self.marks[2 * words..]))
+    }
+
+    /// Sizes the state for `lu`, whose first solve runs in full.
+    fn reset(&mut self, lu: &SparseLu) {
+        self.factor = lu.id;
+        self.indexed = false;
+        self.last.clear();
+        self.last.resize(lu.n, [0.0; 3]);
+        self.marks.clear();
+        self.marks.resize(3 * lu.n.div_ceil(64), 0);
+    }
+
+    /// Builds `lu`'s reverse index: a count per position, a prefix sum,
+    /// then a fill that advances each position's offset to the next
+    /// one's, shifted back after.
+    fn index(&mut self, lu: &SparseLu) {
+        let n = lu.n;
+        self.indexed = true;
+        let start = &mut self.start;
+        start.clear();
+        start.resize(2 * n + 1, 0);
+        for &k in &lu.u_pos {
+            start[k + 1] += 1;
+        }
+        for &q in &lu.l_pos {
+            start[n + q + 1] += 1;
+        }
+        for k in 0..2 * n {
+            start[k + 1] += start[k];
+        }
+        self.readers.clear();
+        self.readers.resize(start[2 * n], 0);
+        for j in 0..n {
+            for &k in &lu.u_pos[lu.u_start[j]..lu.u_start[j + 1]] {
+                self.readers[start[k]] = j;
+                start[k] += 1;
+            }
+            for &q in &lu.l_pos[lu.l_start[j]..lu.l_start[j + 1]] {
+                self.readers[start[n + q]] = j;
+                start[n + q] += 1;
+            }
+        }
+        start.copy_within(0..2 * n, 1);
+        start[0] = 0;
+    }
+}
+
+/// Sets bit `i` of a bitset.
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// The set bits of a bitset, in increasing order.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&b| {
+            let rest = b & (b - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |b| w * 64 + b.trailing_zeros() as usize)
+    })
 }
 
 /// Solves `Bᵀ x = b` for the `n × n` matrix `B` whose `j`-th column
@@ -836,6 +1073,77 @@ mod tests {
             let tail = Columns::new(&start, &entries);
             let got = solve_transpose_resumed(3, Some((&lu, shared)), tail, &b).unwrap();
             assert_eq!(bits(&got), bits(&want), "shared {shared}");
+        }
+    }
+
+    /// A column-diagonally-dominant `n × n` matrix with fill: column
+    /// `j` holds `diag` at row `j` and smaller entries at rows `j + 1`,
+    /// `j + 7` and `3j + 2` (mod `n`).
+    fn banded(n: usize, diag: f64) -> Vec<Vec<(usize, f64)>> {
+        (0..n)
+            .map(|j| {
+                let mut col = vec![(j, diag)];
+                for (r, v) in [
+                    ((j + 1) % n, -1.0),
+                    ((j + 7) % n, 0.5),
+                    ((3 * j + 2) % n, 0.25),
+                ] {
+                    if col.iter().all(|&(q, _)| q != r) {
+                        col.push((r, v));
+                    }
+                }
+                col
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_transpose_solves_are_bitwise_the_in_place_ones() {
+        let n = 70; // two bitset words
+        let lus = [
+            SparseLu::factor_cols(n, &banded(n, 4.0)).unwrap(),
+            SparseLu::factor_cols(n, &banded(n, 3.0)).unwrap(),
+        ];
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // (factor, edits to the input before the solve): no change, a
+        // zero of either sign, a sign flip of zero, a refactorization
+        // and a return to the first factor.
+        let steps: [(usize, &[(usize, f64)]); 9] = [
+            (0, &[]),
+            (0, &[(5, 2.0)]),
+            (0, &[]),
+            (0, &[(3, -0.0), (66, 0.0)]),
+            (0, &[(3, 0.0)]),
+            (0, &[(0, 7.0), (69, -1.5), (40, 1e-300)]),
+            (1, &[]),
+            (1, &[(69, -3.5)]),
+            (0, &[]),
+        ];
+        let mut cache = TransposeCache::new();
+        let mut b = vec![1.0; n];
+        let mut previous: Option<(usize, Vec<f64>)> = None;
+        for (step, &(f, edits)) in steps.iter().enumerate() {
+            for &(i, v) in edits {
+                b[i] = v;
+            }
+            let mut want = b.clone();
+            lus[f]
+                .solve_transpose_in_place(&mut want, &mut vec![0.0; n])
+                .unwrap();
+            let mut got = b.clone();
+            lus[f].solve_transpose_cached(&mut got, &mut cache).unwrap();
+            assert_eq!(bits(&got), bits(&want), "step {step}");
+            match &previous {
+                Some((g, last)) if *g == f => {
+                    let moved: Vec<usize> = (0..n)
+                        .filter(|&i| got[i].to_bits() != last[i].to_bits())
+                        .collect();
+                    let changed: Vec<usize> = cache.changed().expect("incremental").collect();
+                    assert_eq!(changed, moved, "step {step}");
+                }
+                _ => assert!(cache.changed().is_none(), "step {step} ran in full"),
+            }
+            previous = Some((f, got));
         }
     }
 
@@ -1055,6 +1363,28 @@ mod proptests {
         }
     }
 
+    /// A sequence of cached transposed solves, the input edited between
+    /// them (`b[i mod n] = RHS[v]` per `(i, v)`), against the in-place
+    /// solve, bit for bit.
+    fn check_cached(a: &Matrix, mut b: Vec<f64>, edits: &[(usize, usize)]) {
+        let n = a.rows();
+        let Ok(lu) = SparseLu::factor_cols(n, &cols_of(a)) else {
+            return;
+        };
+        let mut cache = TransposeCache::new();
+        for step in 0..=edits.len() {
+            if let Some(&(i, v)) = step.checked_sub(1).map(|e| &edits[e]) {
+                b[i % n] = RHS[v];
+            }
+            let mut want = b.clone();
+            lu.solve_transpose_in_place(&mut want, &mut vec![0.0; n])
+                .unwrap();
+            let mut got = b.clone();
+            lu.solve_transpose_cached(&mut got, &mut cache).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -1066,6 +1396,14 @@ mod proptests {
         #[test]
         fn resumed_dense_solves_are_bitwise_from_scratch_on_ties((a, b) in tied_sparse_system()) {
             check_resumes(&a, &b);
+        }
+
+        #[test]
+        fn cached_transpose_solves_are_bitwise_in_place_on_ties(
+            (a, b) in tied_sparse_system(),
+            edits in proptest::collection::vec((0usize..12, 0usize..RHS.len()), 6),
+        ) {
+            check_cached(&a, b, &edits);
         }
     }
 

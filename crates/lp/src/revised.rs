@@ -37,10 +37,22 @@
 //!   accumulates). Refactorization also re-derives the basic values
 //!   from the original right-hand side, so error cannot compound across
 //!   the run.
-//! * **Sparse pricing** — reduced costs are recomputed each iteration
-//!   as `d = c − Aᵀ y` by one pass over the CSR rows whose dual is
-//!   nonzero: `O(nnz)`, never `O(m · n)`. Entering columns are gathered
-//!   from a CSC mirror of `A` (one transpose, built once per solve).
+//! * **Incremental pricing** — each iteration prices only what moved
+//!   since the last pricing, and the result is bitwise a full pricing's
+//!   (see [`Revised::price`] for the argument). Between two pricings
+//!   only a handful of the duals change bits (Hall & McKinnon's
+//!   hyper-sparsity, "Hyper-sparsity in the revised simplex method and
+//!   how to exploit it", 2005). The transposed LU solve of `y = B⁻ᵀ c_B`
+//!   re-runs only the entries whose input or inputs changed bits
+//!   ([`socbuf_linalg::SparseLu::solve_transpose_cached`]), and a reduced
+//!   cost `d_j = c_j − a_jᵀ y` is recomputed only for the columns with
+//!   an entry in a row whose dual changed bits, as one dot over the CSC
+//!   mirror of `A` (one transpose, built once per solve, which also
+//!   serves the entering columns). The first pricing after a solve
+//!   start, a phase switch or a refactorization is a full pass: the
+//!   whole LU solve and a dot for every column, `O(nnz)`, never
+//!   `O(m · n)`. Under `debug_assertions` every pricing is checked
+//!   against a full one, bit for bit.
 //! * **Anti-cycling** — the same Dantzig-with-Bland-stall-fallback rule
 //!   as the tableau engine: after [`SimplexOptions::stall_switch`]
 //!   consecutive degenerate pivots both the entering *and* the leaving
@@ -58,8 +70,10 @@
 //!   regime, and with perturbation off — the default — it cannot fire.)
 //!
 //! Per-iteration cost is `O(nnz + m + nnz(L) + nnz(U) + eta terms)`
-//! (pricing plus two triangular solves and the eta sweeps, each `O(m)`
-//! at worst in the dense `y`, `d`, `a_q` and `w`) with no allocation,
+//! at worst (pricing plus two triangular solves and the eta sweeps,
+//! each `O(m)` at least in the dense `y`, `d`, `a_q` and `w`; an
+//! incremental pricing pays for the entries that moved) with no
+//! allocation,
 //! against the tableau's `O(m · n_total)` with `n_total` including the
 //! artificial columns; on the `network_processor` template at
 //! `state_cap ≥ 16` this is the difference measured by the
@@ -70,7 +84,7 @@
 //!
 //! [`LpProblem::solve`]: crate::LpProblem::solve
 
-use socbuf_linalg::{Columns, Csr, LinalgError, SparseLu};
+use socbuf_linalg::{Columns, Csr, LinalgError, SparseLu, TransposeCache};
 
 use crate::simplex::{BasicSolution, SimplexOptions};
 use crate::standard_form::StandardForm;
@@ -388,6 +402,9 @@ struct Work {
     w: Vec<f64>,
     /// The LU solves' scratch (`m`).
     scratch: Vec<f64>,
+    /// Pricing's transposed LU solve: its last input and results, and
+    /// which duals its last answer changed.
+    duals: TransposeCache,
     /// The basis columns gathered for a refactorization, in
     /// [`Columns`] storage.
     col_start: Vec<usize>,
@@ -404,6 +421,7 @@ impl Work {
             aq: vec![0.0; m],
             w: vec![0.0; m],
             scratch: vec![0.0; m],
+            duals: TransposeCache::new(),
             col_start: Vec::with_capacity(m + 1),
             col_entries: Vec::new(),
         }
@@ -450,6 +468,9 @@ struct Revised<'a> {
     in_basis: Vec<bool>,
     factor: Factor,
     work: Work,
+    /// The phase whose reduced costs `work.d` holds; `None` before the
+    /// first pricing.
+    priced: Option<Phase>,
     /// Row of each artificial column: column `n_sf + k` is the unit
     /// vector `e_{art_rows[k]}`.
     art_rows: Vec<usize>,
@@ -469,6 +490,7 @@ struct Revised<'a> {
     art_allowance: f64,
 }
 
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     One,
     Two,
@@ -541,6 +563,7 @@ impl<'a> Revised<'a> {
             in_basis,
             factor: Factor::new(lu, refactor_interval(options)),
             work,
+            priced: None,
             art_rows: sf.artificial_rows(),
             n_sf,
             tols: RevisedTolerances::derive(options.tolerance),
@@ -619,6 +642,7 @@ impl<'a> Revised<'a> {
             in_basis,
             factor: Factor::new(lu, refactor_interval(options)),
             work,
+            priced: None,
             art_rows,
             n_sf,
             tols,
@@ -709,11 +733,37 @@ impl<'a> Revised<'a> {
     /// Prices the current basis for `phase`: the basic costs into
     /// `work.cb`, the duals `y = B⁻ᵀ c_B` into `work.y`, and the reduced
     /// costs of all structural + slack columns, `d = c − Aᵀ y`, into
-    /// `work.d`, accumulated in `O(nnz)` by scattering each CSR row
-    /// with a nonzero dual. Artificial columns are never priced (they
-    /// are banned the moment they leave the basis).
-    fn price(&mut self, phase: &Phase) -> Result<(), LpError> {
+    /// `work.d`. Artificial columns are never priced (they are banned
+    /// the moment they leave the basis).
+    ///
+    /// Only what moved since the last pricing is recomputed, and the
+    /// result is bitwise what a full pricing gives: the full BTRAN
+    /// ([`SparseLu::solve_transpose_in_place`] after the eta sweep) and
+    /// one scatter `d_j −= y_i a_ij` of every CSR row whose dual is
+    /// nonzero, in increasing row order. The argument:
+    ///
+    /// * `y` runs the eta file's `E⁻ᵀ` sweep in full, then the LU's
+    ///   transposed solve through `work.duals`, which re-runs only the
+    ///   entries whose input, or an entry they read, changed bits
+    ///   ([`SparseLu::solve_transpose_cached`]). An entry whose operands
+    ///   all kept their bits would redo the same operations on them.
+    /// * `d_j` is computed as one dot over column `j` of the CSC mirror
+    ///   `at`. `Csr::transpose` stores a column's rows in increasing
+    ///   order, so the dot makes the scatter's subtractions on `d_j`, in
+    ///   the same order and with the same `y_i == 0` skip.
+    /// * `d_j` depends only on `c_j` (0 in phase 1) and the duals of
+    ///   the rows column `j` holds. So while the phase is the last
+    ///   pricing's, only the columns with an entry in a row whose dual
+    ///   changed bits are recomputed.
+    /// * Every column is recomputed at a solve's first pricing, on a
+    ///   phase switch, and after a refactorization: the first LU solve on
+    ///   a factor runs in full and names no changed duals.
+    ///
+    /// Under `debug_assertions` (and in this module's tests) every
+    /// pricing is compared with a full one, bit for bit.
+    fn price(&mut self, phase: Phase) -> Result<(), LpError> {
         let n_sf = self.n_sf;
+        let sf = self.sf;
         let work = &mut self.work;
         for (cb, &j) in work.cb.iter_mut().zip(&self.basis) {
             *cb = match phase {
@@ -726,7 +776,7 @@ impl<'a> Revised<'a> {
                 }
                 Phase::Two => {
                     if j < n_sf {
-                        self.sf.c[j]
+                        sf.c[j]
                     } else {
                         0.0
                     }
@@ -734,20 +784,62 @@ impl<'a> Revised<'a> {
             };
         }
         work.y.copy_from_slice(&work.cb);
-        self.factor.btran(&mut work.y, &mut work.scratch)?;
-        match phase {
-            Phase::One => work.d.fill(0.0),
-            Phase::Two => work.d.copy_from_slice(&self.sf.c),
-        }
-        for (i, &yi) in work.y.iter().enumerate() {
-            if yi == 0.0 {
-                continue;
+        self.factor.etas.btran(&mut work.y);
+        self.factor
+            .lu
+            .solve_transpose_cached(&mut work.y, &mut work.duals)
+            .map_err(|e| LpError::InvalidModel(format!("BTRAN failed: {e}")))?;
+        match work.duals.changed() {
+            Some(rows) if self.priced == Some(phase) => {
+                // A column in several changed rows is recomputed once:
+                // all of them are marked stale (NaN) first. Recomputing
+                // is idempotent, so a reduced cost that is itself NaN
+                // costs only repeats.
+                for i in rows {
+                    for &j in sf.a.row(i).0 {
+                        work.d[j] = f64::NAN;
+                    }
+                }
+                for i in work.duals.changed().into_iter().flatten() {
+                    for &j in sf.a.row(i).0 {
+                        if work.d[j].is_nan() {
+                            work.d[j] = reduced_cost(sf, &self.at, phase, &work.y, j);
+                        }
+                    }
+                }
             }
-            for (j, v) in self.sf.a.iter_row(i) {
-                work.d[j] -= yi * v;
+            _ => {
+                for (j, dj) in work.d.iter_mut().enumerate() {
+                    *dj = reduced_cost(sf, &self.at, phase, &work.y, j);
+                }
             }
         }
+        self.priced = Some(phase);
+        #[cfg(any(debug_assertions, test))]
+        self.assert_full_pricing(phase);
         Ok(())
+    }
+
+    /// Panics unless `work.y` and `work.d` hold, bit for bit, what a
+    /// full pricing of the current basis for `phase` gives: the BTRAN
+    /// through [`SparseLu::solve_transpose_in_place`] and the full
+    /// scatter.
+    #[cfg(any(debug_assertions, test))]
+    fn assert_full_pricing(&self, phase: Phase) {
+        let mut y = self.work.cb.clone();
+        let mut scratch = vec![0.0; y.len()];
+        self.factor
+            .btran(&mut y, &mut scratch)
+            .expect("the full BTRAN solves where the cached one did");
+        let mut d = vec![0.0; self.n_sf];
+        scatter_reduced_costs(self.sf, phase, &y, &mut d);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&self.work.y), bits(&y), "incremental duals moved");
+        assert_eq!(
+            bits(&self.work.d),
+            bits(&d),
+            "incremental reduced costs moved"
+        );
     }
 
     /// The entering column the last pricing picks: Bland's smallest
@@ -914,14 +1006,14 @@ impl<'a> Revised<'a> {
                     limit: max_iterations,
                 });
             }
-            self.price(&phase)?;
+            self.price(phase)?;
             let stalled = stall >= options.stall_switch;
             let Some(q) = self.enter(stalled) else {
                 // Eta-file drift can fake optimality; only a verdict from
                 // a fresh factorization is trusted.
                 if !self.factor.etas.is_empty() {
                     self.refactorize()?;
-                    self.price(&phase)?;
+                    self.price(phase)?;
                     if let Some(q) = self.enter(stalled) {
                         // Not optimal after all — take the pivot now.
                         if self.step(q, stalled, guard)?.is_none() {
@@ -1072,7 +1164,7 @@ impl<'a> Revised<'a> {
             // ρ = B⁻ᵀ e_r, then the pivot row α_j = ρ·a_j in O(nnz).
             self.btran_unit(r)?;
             self.row_of_inverse();
-            self.price(&Phase::Two)?;
+            self.price(Phase::Two)?;
             // Dual ratio test: minimize d_j / |α_j| over α_j < 0 (ties:
             // smallest column index, for determinism).
             let mut enter: Option<(usize, f64)> = None;
@@ -1136,6 +1228,43 @@ impl<'a> Revised<'a> {
             factor: (priced && self.factor.etas.is_empty()).then_some(self.factor.lu),
         }
     }
+}
+
+/// `d = c − Aᵀ y` for `phase` (`c = 0` in phase 1) by one scatter of
+/// every CSR row whose dual is nonzero, in increasing row order: the
+/// full pricing [`Revised::assert_full_pricing`] checks against.
+#[cfg(any(debug_assertions, test))]
+fn scatter_reduced_costs(sf: &StandardForm, phase: Phase, y: &[f64], d: &mut [f64]) {
+    match phase {
+        Phase::One => d.fill(0.0),
+        Phase::Two => d.copy_from_slice(&sf.c),
+    }
+    for (i, &yi) in y.iter().enumerate() {
+        if yi == 0.0 {
+            continue;
+        }
+        for (j, v) in sf.a.iter_row(i) {
+            d[j] -= yi * v;
+        }
+    }
+}
+
+/// `d_j = c_j − a_jᵀ y` for `phase` (`c = 0` in phase 1), as a dot
+/// over row `j` of the CSC mirror `at`, skipping zero duals. The rows
+/// come in increasing order, so the subtractions are, in order, those a
+/// scatter of `A`'s rows in increasing order makes on `d_j`.
+fn reduced_cost(sf: &StandardForm, at: &Csr, phase: Phase, y: &[f64], j: usize) -> f64 {
+    let mut dj = match phase {
+        Phase::One => 0.0,
+        Phase::Two => sf.c[j],
+    };
+    for (i, v) in at.iter_row(j) {
+        let yi = y[i];
+        if yi != 0.0 {
+            dj -= yi * v;
+        }
+    }
+    dj
 }
 
 /// Clamps negative basic values above `-dust` to zero: at that
@@ -1568,5 +1697,124 @@ mod tests {
         let loose = run_revised(&sf, &SimplexOptions::default()).unwrap();
         let obj = |b: &BasicSolution| -> f64 { (0..6).map(|j| (1.0 + j as f64) * b.x[j]).sum() };
         assert!((obj(&tight) - obj(&loose)).abs() < 1e-9);
+    }
+
+    // Every pricing in this module's tests checks itself against a full
+    // pricing (`Revised::assert_full_pricing`), in release builds too,
+    // so the tests below only need to reach each case and show which
+    // way the LU solve ran.
+
+    /// A 3 × 4 transportation problem, whose equality rows make phase 1
+    /// run, plus a column `z ≤ 10` of its own: its row's slack stays
+    /// basic, so that row's dual is 0 in both phases, while `z`'s
+    /// reduced cost moves from 0 to its cost at the switch.
+    fn transportation() -> LpProblem {
+        let mut p = LpProblem::new(Sense::Minimize);
+        let supply = [20.0, 30.0, 25.0];
+        let demand = [10.0, 25.0, 15.0, 25.0];
+        let x: Vec<Vec<_>> = (0..3)
+            .map(|i| {
+                (0..4)
+                    .map(|j| p.add_var(format!("x{i}{j}"), 1.0 + ((3 * i + 5 * j) % 7) as f64))
+                    .collect()
+            })
+            .collect();
+        for (i, &s) in supply.iter().enumerate() {
+            let terms: Vec<_> = x[i].iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(terms, Relation::Eq, s).unwrap();
+        }
+        for (j, &d) in demand.iter().enumerate() {
+            let terms: Vec<_> = x.iter().map(|row| (row[j], 1.0)).collect();
+            p.add_constraint(terms, Relation::Eq, d).unwrap();
+        }
+        let z = p.add_var("z", 5.0);
+        p.add_constraint([(z, 1.0)], Relation::Le, 10.0).unwrap();
+        p
+    }
+
+    #[test]
+    fn a_phase_switch_prices_the_reduced_costs_in_full() {
+        let sf = build_standard_form(&transportation()).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        let outcome = solver.run_phase(Phase::One, &opts, 1000).unwrap();
+        assert!(matches!(outcome, PhaseOutcome::Optimal));
+        assert!(solver.iterations > 0, "phase 1 pivoted");
+        // Phase 1 ended on a fresh factor that is still current, so the
+        // LU solve runs incrementally, while the reduced costs change
+        // cost vector: `z`'s must move though no dual of its row did.
+        solver.price(Phase::Two).unwrap();
+        assert!(solver.work.duals.changed().is_some());
+        let outcome = solver.run_phase(Phase::Two, &opts, 1000).unwrap();
+        assert!(matches!(outcome, PhaseOutcome::Optimal));
+    }
+
+    #[test]
+    fn a_refactorization_between_two_pricings_prices_in_full() {
+        let mut p = LpProblem::new(Sense::Maximize);
+        let x: Vec<_> = (0..5)
+            .map(|j| p.add_var(format!("x{j}"), 1.0 + j as f64))
+            .collect();
+        for k in 0..4 {
+            let terms: Vec<_> = x
+                .iter()
+                .map(|&v| (v, 1.0 + ((k + v.index()) % 3) as f64))
+                .collect();
+            p.add_constraint(terms, Relation::Le, 10.0 + k as f64)
+                .unwrap();
+        }
+        let sf = build_standard_form(&p).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        solver.price(Phase::Two).unwrap();
+        assert!(
+            solver.work.duals.changed().is_none(),
+            "a solve's first pricing"
+        );
+        let q = solver.enter(false).expect("not optimal at the slack basis");
+        assert_eq!(solver.step(q, false, true).unwrap(), Some(false));
+        solver.price(Phase::Two).unwrap();
+        assert!(
+            solver.work.duals.changed().is_some(),
+            "same factor, one eta"
+        );
+        solver.refactorize().unwrap();
+        solver.price(Phase::Two).unwrap();
+        assert!(solver.work.duals.changed().is_none(), "a new factor");
+        solver.price(Phase::Two).unwrap();
+        assert_eq!(
+            solver.work.duals.changed().unwrap().count(),
+            0,
+            "nothing moved"
+        );
+    }
+
+    #[test]
+    fn dual_repair_prices_incrementally() {
+        // max Σ x_j with x_j ≤ 1 and Σ x_j ≤ total: every x_j sits at its
+        // bound for a slack total; cutting the total to 1.5 leaves that
+        // basis primal infeasible, and repairing it takes dual pivots.
+        let problem = |total: f64| {
+            let mut p = LpProblem::new(Sense::Maximize);
+            let x: Vec<_> = (0..4).map(|j| p.add_var(format!("x{j}"), 1.0)).collect();
+            for &v in &x {
+                p.add_constraint([(v, 1.0)], Relation::Le, 1.0).unwrap();
+            }
+            let terms: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(terms, Relation::Le, total).unwrap();
+            p
+        };
+        let sf = build_standard_form(&problem(10.0)).unwrap();
+        let opts = SimplexOptions::default();
+        let cold = run_revised(&sf, &opts).unwrap();
+        let snapshot = BasisSnapshot::new(cold.basis, sf.a.cols(), LpEngine::Revised);
+        let sf = build_standard_form(&problem(1.5)).unwrap();
+        let mut solver = Revised::from_snapshot(&sf, &opts, &snapshot)
+            .unwrap()
+            .expect("the snapshot fits");
+        assert!(solver.dual_repair(100).unwrap(), "repaired");
+        assert!(solver.iterations >= 2, "{} dual pivots", solver.iterations);
+        // The repair's last pricing followed a pivot on the same factor.
+        assert!(solver.work.duals.changed().is_some());
     }
 }
