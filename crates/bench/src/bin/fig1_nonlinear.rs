@@ -3,8 +3,15 @@
 //! (the authors' Matlab 6.1 attempt failed); after buffer insertion and
 //! splitting, the system is a plain LP and solves in one shot.
 //!
+//! The bin gates the shape the reproduction meets: the nominal load
+//! converges undamped, the operating-point load's bridge ring does not
+//! converge in 200 undamped iterations, the heavily damped iteration
+//! (d = 0.1) does, and the split LP solves. It exits with the number of
+//! broken checks (`SMOKE FAIL: …` on stderr).
+//!
 //! Run with: `cargo run --release -p socbuf-bench --bin fig1_nonlinear`
 
+use socbuf_bench::probe::Gate;
 use socbuf_core::coupled::CoupledSystem;
 use socbuf_core::{size_buffers, CoreError, SizingConfig};
 use socbuf_soc::{templates, Architecture, ArchitectureBuilder, BufferAllocation, FlowTarget};
@@ -41,26 +48,36 @@ fn figure1_at_load() -> Architecture {
     b.build().unwrap()
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let arch = templates::figure1();
     let alloc = BufferAllocation::uniform(&arch, 22);
+    let mut gate = Gate::new();
 
     println!("=== E1: why the unsplit system is hard ===\n");
+    println!(
+        "paper: with the bridges unbuffered the steady state is quadratic and a naive \
+         solver\n       (Matlab 6.1) finds no solution; split and buffered, it is one LP"
+    );
     let coupled = CoupledSystem::build(&arch, &alloc);
     println!(
-        "unsplit system: {} queues, {} quadratic cross-bus product terms",
+        "\nunsplit system: {} queues, {} quadratic cross-bus product terms",
         coupled.num_queues(),
         coupled.quadratic_term_count()
     );
 
     println!("\nnominal (light) load, naive fixed-point iteration:");
-    match coupled.solve_fixed_point(1.0, 100, 1e-9) {
+    let nominal = coupled.solve_fixed_point(1.0, 100, 1e-9);
+    match &nominal {
         Ok(sol) => println!(
             "  converged after {} iterations — light load keeps the products benign",
             sol.iterations
         ),
         Err(e) => println!("  no convergence: {e}"),
     }
+    gate.check(
+        nominal.is_ok(),
+        "the nominal load did not converge undamped in 100 iterations",
+    );
 
     let hot = figure1_at_load();
     let hot_alloc = BufferAllocation::uniform(&hot, 22);
@@ -70,11 +87,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hot_coupled.quadratic_term_count()
     );
     println!("naive fixed-point iteration (undamped), 200 iterations:");
-    match hot_coupled.solve_fixed_point(1.0, 200, 1e-9) {
+    let undamped = hot_coupled.solve_fixed_point(1.0, 200, 1e-9);
+    match &undamped {
         Ok(sol) => println!(
             "  converged after {} iterations (final residual {:.2e})",
             sol.iterations,
-            sol.residuals.last().unwrap()
+            sol.residuals.last().expect("a converged run has residuals")
         ),
         Err(CoreError::CoupledDiverged {
             iterations,
@@ -83,24 +101,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  DID NOT CONVERGE after {iterations} iterations (residual {residual:.2e})");
             println!("  — reproducing the paper's 'we were not able to get solutions'");
         }
-        Err(e) => return Err(e.into()),
+        Err(e) => println!("  failed: {e}"),
     }
+    gate.check(
+        matches!(undamped, Err(CoreError::CoupledDiverged { .. })),
+        "the operating-point ring did not diverge in 200 undamped iterations",
+    );
 
     println!("\nheavily damped iteration (d = 0.1), 10000 iterations:");
-    match hot_coupled.solve_fixed_point(0.1, 10_000, 1e-9) {
+    let damped = hot_coupled.solve_fixed_point(0.1, 10_000, 1e-9);
+    match &damped {
         Ok(sol) => println!(
             "  converged after {} iterations — a heuristic fixed point, with no optimality guarantee",
             sol.iterations
         ),
         Err(e) => println!("  still no convergence: {e}"),
     }
+    gate.check(
+        damped.is_ok(),
+        "the damped iteration (d = 0.1) did not converge in 10000 iterations",
+    );
 
     println!("\nsplit + buffered formulation (the paper's methodology):");
-    let outcome = size_buffers(&arch, 22, &SizingConfig::default())?;
-    println!(
-        "  joint LP solved in {} simplex pivots; predicted weighted loss rate {:.5}",
-        outcome.lp_iterations, outcome.predicted_loss_rate
-    );
-    println!("  allocation: {:?}", outcome.allocation.as_slice());
-    Ok(())
+    match size_buffers(&arch, 22, &SizingConfig::default()) {
+        Ok(outcome) => {
+            println!(
+                "  joint LP solved in {} simplex pivots; predicted weighted loss rate {:.5}",
+                outcome.lp_iterations, outcome.predicted_loss_rate
+            );
+            println!("  allocation: {:?}", outcome.allocation.as_slice());
+        }
+        Err(e) => gate.fail(format_args!("the split LP did not solve: {e}")),
+    }
+    std::process::exit(gate.finish())
 }

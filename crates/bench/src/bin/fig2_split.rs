@@ -1,8 +1,12 @@
 //! Experiment E2 — the paper's **Figure 2**: splitting the Figure 1
 //! architecture at its bridges into four linear subsystems.
 //!
+//! The bin gates that count through `probe::Gate` and exits with the
+//! number of broken checks (`SMOKE FAIL: …` on stderr).
+//!
 //! Run with: `cargo run --release -p socbuf-bench --bin fig2_split`
 
+use socbuf_bench::probe::Gate;
 use socbuf_soc::dot::split_to_dot;
 use socbuf_soc::split::split;
 use socbuf_soc::templates;
@@ -48,11 +52,15 @@ fn main() {
                 .collect::<Vec<_>>()
         );
     }
-    assert_eq!(
-        parts.subsystems.len(),
-        4,
-        "the paper's example splits into 4"
-    );
-
     println!("--- Graphviz ---\n{}", split_to_dot(&arch, &parts));
+
+    let found = parts.subsystems.len();
+    println!("paper: Figure 2 splits the Figure 1 architecture into 4 subsystems");
+    println!("measured: {found} subsystems");
+    let mut gate = Gate::new();
+    gate.check(
+        found == 4,
+        format_args!("the split found {found} subsystems (the paper's Figure 2 has 4)"),
+    );
+    std::process::exit(gate.finish())
 }

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries and developer probes.
 //!
 //! The binaries in `src/bin/` regenerate the paper's artifacts:
 //!
@@ -21,8 +21,9 @@
 //!
 //! The seven developer probes share one harness, [`probe`]: flag
 //! dispatch (`--smoke` runs the CI gates, no flag the full table),
-//! best-of timing, gate accounting with one single-core skip policy,
-//! and the fixtures they have in common.
+//! best-of and alternated timing, gate accounting, and the fixtures
+//! they have in common. Every smoke gate is an identity or a count, so
+//! a smoke gives the same verdict on any host.
 //!
 //! # `BENCH_*.json`
 //!
@@ -45,16 +46,16 @@
 //!
 //! ```json
 //! {
-//!   "blocks": 32,                      // detected per-queue blocks
+//!   "blocks": 8,                       // detected per-bus blocks
 //!   "state_cap": 64,                   // CTMDP occupancy states per queue
-//!   "budget": 160,                     // total buffer budget (binds the coupling row)
+//!   "budget": 48,                      // total buffer budget (binds the coupling row)
 //!   "wall_ms": {
 //!     "monolithic_revised": 512.3,     // joint revised simplex solve
 //!     "decomposed_serial": 201.7,      // decomposed engine, blocks on one thread
 //!     "decomposed_pooled": 102.4       // decomposed engine, blocks over WorkPool::available()
 //!   },
 //!   "speedup_pooled_vs_monolithic": 5.0,
-//!   "multiplier_iterations": 12        // block sweeps spent in the multiplier search
+//!   "multiplier_iterations": 32        // block sweeps spent in the multiplier search
 //! }
 //! ```
 //!
@@ -96,8 +97,9 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// The host's available parallelism (1 when it cannot be determined)
-/// — what the probes' multi-core wall-time gates key on.
+/// The host's available parallelism (1 when it cannot be determined),
+/// printed beside every wall-time ratio and in the `BENCH_*.json`
+/// header.
 pub fn cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

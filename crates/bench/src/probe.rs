@@ -1,5 +1,6 @@
 //! The harness every developer probe (`*_probe`) is built on: flag
-//! dispatch, best-of timing, gate accounting and the shared fixtures.
+//! dispatch, best-of and alternated timing, gate accounting and the
+//! shared fixtures.
 //!
 //! A probe's `main` ends in one call, `probe::run(smoke, full)`
 //! (after [`crate::ShardProcess::worker_if_asked`] in the probes that
@@ -8,17 +9,17 @@
 //! [`Gate`], prints `smoke OK` when no gate failed, and exits with the
 //! failure count, so CI fails on any regression.
 //!
-//! # The single-core skip policy
+//! # Smokes decide from counts
 //!
-//! Correctness gates (byte identity, engine agreement, certificates)
-//! and count gates (`actor_probe`'s envelopes and allocations) hold
-//! everywhere and use [`Gate::check`]. Wall-time gates that need
-//! parallelism to win, or that shared single-core runners are too noisy
-//! to judge even at best of several repeats, use [`Gate::timed`]: it
-//! is enforced on hosts with ≥ 2 cores and prints one
-//! `<gate> gate SKIPPED: single-core host (…)` line otherwise. Ratio
-//! gates between two runs on the same host that are robust to runner
-//! speed (`lp_scaling_probe`'s 1.15× margin) stay [`Gate::check`]s.
+//! Every smoke gate is a [`Gate::check`] on something that does not
+//! depend on the host: byte identity, engine agreement, certificates,
+//! and exact counts of the work a claim rests on (pivots, multiplier
+//! sweeps, cache hits, simulator envelopes, allocations). A smoke
+//! therefore gives the same verdict on any host, whatever its core
+//! count or load. Wall-time ratios, the parallel ones above all, are
+//! printed by the full mode as the median and quartiles of
+//! [`RATIO_PAIRS`] alternated pairs ([`alternated_ratio`]); no gate
+//! reads them.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -46,26 +47,15 @@ pub fn flag(name: &str) -> bool {
 
 /// A smoke run's failure count. Every failed gate prints one
 /// `SMOKE FAIL: …` line on stderr.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Gate {
-    cores: usize,
     failures: usize,
 }
 
-impl Default for Gate {
-    fn default() -> Gate {
-        Gate::new()
-    }
-}
-
 impl Gate {
-    /// A gate with no failures, keyed to this host's core count.
+    /// A gate with no failures.
     pub fn new() -> Gate {
-        Gate::on(crate::cores())
-    }
-
-    fn on(cores: usize) -> Gate {
-        Gate { cores, failures: 0 }
+        Gate::default()
     }
 
     /// Failures recorded so far.
@@ -85,19 +75,6 @@ impl Gate {
             self.fail(msg);
         }
         ok
-    }
-
-    /// The wall-time gate `name`: a [`Gate::check`] whose failure names
-    /// the host's core count, on hosts with ≥ 2 cores. On one core it
-    /// records nothing and prints a `SKIPPED` line (see the module
-    /// docs).
-    pub fn timed(&mut self, name: &str, ok: bool, msg: impl Display) {
-        if self.cores < 2 {
-            println!("{name} gate SKIPPED: single-core host (every other gate still enforced)");
-        } else {
-            let cores = self.cores;
-            self.check(ok, format_args!("{msg} on a {cores}-core host"));
-        }
     }
 
     /// Prints `smoke OK` when nothing failed and returns the exit code:
@@ -128,6 +105,71 @@ pub fn best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
 /// `a / b` as a speed ratio, safe against a zero `b`.
 pub fn ratio(a: Duration, b: Duration) -> f64 {
     a.as_secs_f64() / b.as_secs_f64().max(1e-12)
+}
+
+/// How many alternated pairs a full-mode wall-time ratio is measured
+/// over.
+pub const RATIO_PAIRS: usize = 5;
+
+/// The median and quartiles of a set of samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (at least one), each quantile linearly
+    /// interpolated between the order statistics around it.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |p: f64| {
+            let pos = p * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            sorted[lo] + (pos - lo as f64) * (sorted[hi] - sorted[lo])
+        };
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+}
+
+impl Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.2}x (quartiles {:.2}-{:.2})",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+/// Times `a` and `b` over `pairs` pairs (at least one), alternating
+/// which of the two runs first so neither always inherits the other's
+/// warm caches, and returns the spread of the per-pair speed ratio
+/// `time(a) / time(b)`.
+pub fn alternated_ratio(pairs: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Spread {
+    let ratios: Vec<f64> = (0..pairs.max(1))
+        .map(|pair| {
+            let (ta, tb) = if pair % 2 == 0 {
+                let ta = best_of(1, &mut a).1;
+                (ta, best_of(1, &mut b).1)
+            } else {
+                let tb = best_of(1, &mut b).1;
+                (best_of(1, &mut a).1, tb)
+            };
+            ratio(ta, tb)
+        })
+        .collect();
+    Spread::of(&ratios)
 }
 
 /// Exits the probe with status 2 and `what: <error>` on stderr when a
@@ -172,22 +214,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timed_fails_on_two_cores_and_only_skips_on_one() {
-        let mut multi = Gate::on(2);
-        multi.timed("speedup", false, "too slow");
-        multi.timed("speedup", true, "fast enough");
-        assert_eq!(multi.finish(), 1);
-
-        let mut single = Gate::on(1);
-        single.timed("speedup", false, "too slow");
-        assert_eq!(single.finish(), 0);
-        single.check(false, "bytes differ");
-        assert_eq!(single.finish(), 1, "only the timed gate skips");
-    }
-
-    #[test]
     fn check_and_fail_count_toward_the_exit_code() {
-        let mut gate = Gate::on(2);
+        let mut gate = Gate::new();
         assert!(gate.check(true, "fine"));
         assert_eq!(gate.finish(), 0);
         assert!(!gate.check(false, "broken"));
@@ -221,5 +249,40 @@ mod tests {
             "ran"
         });
         assert_eq!((value, runs), ("ran", 1));
+    }
+
+    #[test]
+    fn spread_interpolates_the_quartiles() {
+        let five = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((five.q1, five.median, five.q3), (2.0, 3.0, 4.0));
+        let four = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((four.q1, four.median, four.q3), (1.75, 2.5, 3.25));
+        let one = Spread::of(&[7.0]);
+        assert_eq!((one.q1, one.median, one.q3), (7.0, 7.0, 7.0));
+        assert_eq!(five.to_string(), "3.00x (quartiles 2.00-4.00)");
+    }
+
+    #[test]
+    fn alternated_ratio_swaps_the_order_every_pair() {
+        let order = std::cell::RefCell::new(String::new());
+        alternated_ratio(
+            4,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "abbaabba");
+    }
+
+    #[test]
+    fn alternated_ratio_divides_the_first_runs_time_by_the_seconds() {
+        let slow = alternated_ratio(
+            RATIO_PAIRS,
+            || std::thread::sleep(Duration::from_millis(20)),
+            || {},
+        );
+        assert!(slow.q1 > 1.0, "{slow}");
+        assert!(slow.q1 <= slow.median && slow.median <= slow.q3);
+        let fast = alternated_ratio(0, || {}, || std::thread::sleep(Duration::from_millis(20)));
+        assert!(fast.q3 < 1.0, "one pair at zero: {fast}");
     }
 }

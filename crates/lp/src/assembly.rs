@@ -1,10 +1,9 @@
 //! Public entry points to the standard-form assembly paths.
 //!
 //! The solver itself always assembles sparsely; this module exposes both
-//! the sparse (CSR) and the historical dense assembly so callers — the
-//! `lp_solver` bench foremost — can measure what structure-aware
-//! assembly buys on occupation-measure-shaped programs, and so tests can
-//! check the two paths agree entry for entry.
+//! the sparse (CSR) and the historical dense assembly so tests can check
+//! the two paths agree entry for entry, the dense one serving as the
+//! reference.
 
 use socbuf_linalg::{Csr, Matrix};
 
@@ -34,8 +33,8 @@ pub fn assemble_sparse(p: &LpProblem) -> Result<Csr, LpError> {
 }
 
 /// Assembles the same constraint matrix densely — the pre-refactor code
-/// path, allocating the full `rows × cols` matrix. Kept for benchmarks
-/// and agreement tests; the solver never calls this.
+/// path, allocating the full `rows × cols` matrix. Kept as the agreement
+/// tests' reference; the solver never calls this.
 ///
 /// # Errors
 ///

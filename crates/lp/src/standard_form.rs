@@ -5,8 +5,8 @@
 //! coupling rows, so **conversion must never densify**: the sparse path
 //! assembles `A` directly into [`Csr`] storage in `O(nnz)` time and
 //! memory. A dense twin ([`build_dense_constraint_matrix`]) replicating
-//! the historical `Matrix`-based assembly is kept exclusively so the
-//! benches can measure what the refactor bought.
+//! the historical `Matrix`-based assembly is kept exclusively as the
+//! agreement tests' reference.
 //!
 //! # Equilibration and the unscaling contract
 //!
@@ -488,8 +488,8 @@ pub(crate) fn build_standard_form(p: &LpProblem) -> Result<StandardForm, LpError
 }
 
 /// Dense standard-form constraint matrix — the historical assembly path,
-/// kept for the `lp_solver` bench so the sparse/dense cost difference
-/// stays measurable. Allocates the full `m × (n + slacks)` matrix.
+/// kept as the reference the sparse assembly is checked against.
+/// Allocates the full `m × (n + slacks)` matrix.
 pub(crate) fn build_dense_constraint_matrix(p: &LpProblem) -> Result<Matrix, LpError> {
     let o = orient_rows(p);
     let m = o.raw.len();
