@@ -20,11 +20,12 @@
 //!
 //! Without a flag the probe prints the three solves' wall times and the
 //! monolithic vs pooled decomposed ratio over [`probe::RATIO_PAIRS`]
-//! alternated pairs. `--json` additionally writes the machine-readable
-//! trajectory to `BENCH_decomp.json` (schema documented in
-//! `socbuf_bench`'s crate docs) so perf can be tracked across commits.
+//! alternated pairs. `--json` additionally writes that ratio's median
+//! and quartiles, with the instance's counts, to `BENCH_decomp.json`
+//! (schema documented in `socbuf_bench`'s crate docs) so perf can be
+//! tracked across commits. Only this full mode writes the file.
 
-use socbuf_bench::probe::{self, alternated_ratio, best_of, ratio, Gate, OrExit};
+use socbuf_bench::probe::{self, alternated_ratio, best_of, ratio, Gate, OrExit, Spread};
 use socbuf_core::{ExecutorHandle, SizingConfig, SizingLp};
 use socbuf_lp::{solve_decomposed, LpEngine, LpProblem, SimplexOptions};
 use socbuf_soc::{Architecture, ArchitectureBuilder, FlowTarget};
@@ -116,8 +117,6 @@ struct ProbeRun {
     mono: Duration,
     serial: Duration,
     pooled: Duration,
-    /// Pooled decomposed vs monolithic revised — the headline number.
-    speedup: f64,
     /// Decomposed objectives, for the agreement gate.
     serial_obj: f64,
     pooled_obj: f64,
@@ -155,7 +154,6 @@ fn run_probe(p: &LpProblem, repeats: usize) -> ProbeRun {
         mono,
         serial,
         pooled,
-        speedup: ratio(mono, pooled),
         serial_obj,
         pooled_obj,
         fell_back: report.fell_back || pooled_report.fell_back,
@@ -183,7 +181,8 @@ fn print_table(run: &ProbeRun) {
     );
     println!(
         "  decomposed (pooled): {:?}  ({:.2}x)",
-        run.pooled, run.speedup
+        run.pooled,
+        ratio(run.mono, run.pooled)
     );
 }
 
@@ -227,15 +226,11 @@ fn smoke(gate: &mut Gate) {
             run.multiplier_iterations
         ),
     );
-
-    if probe::flag("--json") {
-        write_bench_json(&run);
-    }
 }
 
 /// The monolithic revised vs pooled decomposed wall-time ratio over
-/// alternated pairs.
-fn print_pooled_spread(p: &LpProblem) {
+/// alternated pairs, printed and returned.
+fn pooled_spread(p: &LpProblem) -> Spread {
     let (mono, pooled) = (probe_options(), decomposed_options(pooled()));
     let spread = alternated_ratio(
         probe::RATIO_PAIRS,
@@ -247,25 +242,26 @@ fn print_pooled_spread(p: &LpProblem) {
         probe::RATIO_PAIRS,
         socbuf_bench::cores()
     );
+    spread
 }
 
 /// Writes the machine-readable trajectory (schema in the crate docs).
-fn write_bench_json(run: &ProbeRun) {
+fn write_bench_json(run: &ProbeRun, spread: &Spread) {
     socbuf_bench::write_bench_json(
         "BENCH_decomp.json",
         &[
             format!("\"blocks\": {}", run.blocks),
             format!("\"state_cap\": {STATE_CAP}"),
             format!("\"budget\": {BUDGET}"),
-            format!(
-                "\"wall_ms\": {{\n    \"monolithic_revised\": {:.3},\n    \
-                 \"decomposed_serial\": {:.3},\n    \"decomposed_pooled\": {:.3}\n  }}",
-                run.mono.as_secs_f64() * 1e3,
-                run.serial.as_secs_f64() * 1e3,
-                run.pooled.as_secs_f64() * 1e3,
-            ),
-            format!("\"speedup_pooled_vs_monolithic\": {:.4}", run.speedup),
             format!("\"multiplier_iterations\": {}", run.multiplier_iterations),
+            format!(
+                "\"pooled_vs_monolithic\": {{\n    \"pairs\": {},\n    \"q1\": {:.4},\n    \
+                 \"median\": {:.4},\n    \"q3\": {:.4}\n  }}",
+                probe::RATIO_PAIRS,
+                spread.q1,
+                spread.median,
+                spread.q3
+            ),
         ],
     );
 }
@@ -281,9 +277,9 @@ fn main() {
             rel_diff(run.serial_obj, run.mono_obj),
             rel_diff(run.pooled_obj, run.mono_obj)
         );
-        print_pooled_spread(lp.problem());
+        let spread = pooled_spread(lp.problem());
         if probe::flag("--json") {
-            write_bench_json(&run);
+            write_bench_json(&run, &spread);
         }
     });
 }

@@ -21,7 +21,13 @@
 //! * **bounded residency** — the ordered-consumption window
 //!   (`peak_parked_chunks`) must stay within the pool's scheduling
 //!   window at 10⁴ and 10⁵ points alike: the ceiling is a constant of
-//!   the (workers, chunk) configuration, not of the campaign.
+//!   the (workers, chunk) configuration, not of the campaign;
+//! * **one decode per point** — every chunk of the 10⁴-point manifest
+//!   takes a coordinator's path, counted by [`socbuf_bench::alloc`]:
+//!   rendered with `chunk_report_json`, parsed into a `JsonDocument`,
+//!   decoded by `ChunkReport::from_json` and merged by
+//!   `StreamingReducer::ingest`. The path makes at most
+//!   [`ALLOCS_PER_POINT`] allocations per reduced point.
 //!
 //! Without flags, the full probe drives the same 10⁵-point manifest
 //! through 1/2/4 self-exec'd shard workers with `sweep_stream` frames
@@ -33,16 +39,20 @@
 use std::io;
 use std::time::Instant;
 
+use socbuf_bench::alloc::{self, CountingAlloc};
 use socbuf_bench::probe::{self, best_of, Gate, OrExit};
 use socbuf_bench::ShardProcess;
-use socbuf_core::wire::CampaignManifest;
+use socbuf_core::wire::{CampaignManifest, JsonDocument};
 use socbuf_core::SizingConfig;
 use socbuf_serve::{RetryPolicy, ShardFleet};
 use socbuf_soc::templates;
 use socbuf_sweep::{
-    run_manifest, run_manifest_sink, BudgetSweep, FileSpool, PointSink, ReportStream, SweepPoint,
-    WorkPool,
+    chunk_report_json, plan_manifest, run_manifest, run_manifest_sink, BudgetSweep, ChunkReport,
+    FileSpool, PointSink, ReportStream, StreamingReducer, SweepError, SweepPoint, WorkPool,
 };
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Declared chunk length: a coarse multiple of the base warm-chain
 /// length (4), so a 10⁵-point campaign streams ~400 chunk frames
@@ -54,6 +64,12 @@ const CHUNK_ITEMS: usize = 256;
 
 /// Workers for the in-process smoke passes.
 const SMOKE_WORKERS: usize = 2;
+
+/// Ceiling on allocations per reduced point on the coordinator's path
+/// (render, parse, decode, merge); the path makes ~1.1. A decode that
+/// copies each point into an owned JSON tree and decodes it again, with
+/// a renderer that formats each number into its own string, makes ~29.
+const ALLOCS_PER_POINT: f64 = 4.0;
 
 fn sizing() -> SizingConfig {
     SizingConfig::small()
@@ -105,6 +121,57 @@ fn streamed_peak(manifest: &CampaignManifest, pool: &WorkPool) -> usize {
     run.peak_parked_chunks
 }
 
+/// A sink that drops every point, so the count sees only the merge.
+struct Discard;
+
+impl PointSink for Discard {
+    fn accept(&mut self, _point: SweepPoint) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Allocations per reduced point of every chunk of `manifest` on a
+/// coordinator's path, counted around each chunk's render, parse,
+/// decode and merge (the solve is not counted).
+fn check_decode_allocations(gate: &mut Gate, manifest: &CampaignManifest, pool: &WorkPool) {
+    let mut reducer = StreamingReducer::new(manifest, Discard);
+    let mut total = 0;
+    let mut first = None;
+    let chunks: Vec<usize> = (0..manifest.chunks.len()).collect();
+    let plan = plan_manifest(manifest, pool).expect("plan");
+    plan.run_chunks(pool, &chunks, |chunk, solved| {
+        let (bytes, counts) = alloc::count(|| {
+            let text = chunk_report_json(manifest, chunk, &solved);
+            let doc = JsonDocument::parse(&text).expect("a rendered frame parses");
+            let report = ChunkReport::from_json(doc.value()).expect("a rendered frame decodes");
+            reducer
+                .ingest(report)
+                .expect("the reducer takes every chunk");
+            text.len()
+        });
+        first.get_or_insert((solved.len(), bytes, counts.allocs));
+        total += counts.allocs;
+        Ok::<(), SweepError>(())
+    })
+    .expect("counted run");
+    let (_, stats) = reducer.finish().expect("complete coverage");
+    let per_point = total as f64 / stats.points as f64;
+    let (n, bytes, allocs) = first.expect("at least one chunk");
+    println!(
+        "coordinator path: chunk 0 ({n} points, {bytes}-byte frame) {allocs} allocations; \
+         {} points in {} chunks, {} allocations, {per_point:.2} per point \
+         (limit {ALLOCS_PER_POINT})",
+        stats.points, stats.chunks, total
+    );
+    gate.check(
+        per_point <= ALLOCS_PER_POINT,
+        format_args!(
+            "the coordinator path made {per_point:.2} allocations per point \
+             (limit {ALLOCS_PER_POINT})"
+        ),
+    );
+}
+
 /// CI gate.
 fn smoke(gate: &mut Gate) {
     let pool = WorkPool::new(SMOKE_WORKERS);
@@ -150,7 +217,8 @@ fn smoke(gate: &mut Gate) {
     // bounds resident points by (window + 1) × chunk items.
     let window = 2 * SMOKE_WORKERS;
     let ceiling_points = (window + 1) * CHUNK_ITEMS;
-    let small_peak = streamed_peak(&manifest_of(10_000), &pool);
+    let small = manifest_of(10_000);
+    let small_peak = streamed_peak(&small, &pool);
     let big_peak = run.peak_parked_chunks;
     for (scale, peak) in [("10^4", small_peak), ("10^5", big_peak)] {
         gate.check(
@@ -162,6 +230,8 @@ fn smoke(gate: &mut Gate) {
         "peak parked chunks: 10^4-point run {small_peak}, 10^5-point run {big_peak} \
          (window {window}); resident ceiling {ceiling_points} points regardless of size"
     );
+
+    check_decode_allocations(gate, &small, &pool);
 }
 
 /// Full probe: the 10⁵-point manifest streamed off 1/2/4 shard

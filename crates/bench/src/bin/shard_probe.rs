@@ -58,7 +58,7 @@ fn fanout(manifest: &CampaignManifest, shards: &[&ShardProcess]) -> SweepReport 
         .run_manifest_to_sink(manifest, VecSink::new())
         .or_exit("fan-out failed");
     SweepReport {
-        kind: SweepKind::from_tag(manifest.shape.kind_tag()).expect("manifest kind"),
+        kind: SweepKind::of(&manifest.shape),
         points: sink.into_points(),
     }
 }

@@ -41,26 +41,28 @@
 //! }
 //! ```
 //!
-//! `decomp_probe --json` writes `BENCH_decomp.json`. Its fields after
-//! the header, all always present:
+//! `decomp_probe --json` (full mode only; `--smoke` writes no file)
+//! writes `BENCH_decomp.json`. Its fields after the header, all always
+//! present:
 //!
 //! ```json
 //! {
 //!   "blocks": 8,                       // detected per-bus blocks
 //!   "state_cap": 64,                   // CTMDP occupancy states per queue
 //!   "budget": 48,                      // total buffer budget (binds the coupling row)
-//!   "wall_ms": {
-//!     "monolithic_revised": 512.3,     // joint revised simplex solve
-//!     "decomposed_serial": 201.7,      // decomposed engine, blocks on one thread
-//!     "decomposed_pooled": 102.4       // decomposed engine, blocks over WorkPool::available()
-//!   },
-//!   "speedup_pooled_vs_monolithic": 5.0,
-//!   "multiplier_iterations": 32        // block sweeps spent in the multiplier search
+//!   "multiplier_iterations": 32,       // block sweeps spent in the multiplier search
+//!   "pooled_vs_monolithic": {          // monolithic revised wall time over pooled
+//!     "pairs": 5,                      //   decomposed wall time, per alternated pair
+//!     "q1": 3.1,                       //   (probe::alternated_ratio): its pair count,
+//!     "median": 3.6,                   //   first quartile, median and third quartile
+//!     "q3": 4.0
+//!   }
 //! }
 //! ```
 //!
-//! Wall times are best-of-repeats; everything else is deterministic and
-//! identical across runs and executors.
+//! The ratio's quartiles carry its spread on the host in the header;
+//! everything else is deterministic and identical across runs and
+//! executors.
 
 use std::io::BufRead;
 use std::net::SocketAddr;

@@ -176,9 +176,9 @@ impl std::error::Error for WireError {}
 /// canonical text.
 ///
 /// Frames decode from a [`JsonDocument`] without building one; an
-/// owned value is for callers that keep or edit a value (a chunk
-/// report's points, a test's mutated record). `&JsonValue` is read
-/// through [`JsonRead`], as a document is.
+/// owned value is for callers that keep or edit a value (a test's
+/// mutated record). `&JsonValue` is read through [`JsonRead`], as a
+/// document is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null` — also how non-finite floats travel (see [`push_f64`]).
@@ -555,13 +555,19 @@ impl<'a, V: JsonRead<'a>> Fields<'_, V> {
         self.req(key)?.arr(key)
     }
 
-    /// A required array field, each item decoded by `item` in order.
+    /// A required array field, each item decoded by `item` in order
+    /// into a vector sized once from the array's length.
     pub fn list<T>(
         &self,
         key: &str,
-        item: impl FnMut(V) -> Result<T, WireError>,
+        mut item: impl FnMut(V) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
-        self.items(key)?.map(item).collect()
+        let items = self.items(key)?;
+        let mut out = Vec::with_capacity(items.len());
+        for v in items {
+            out.push(item(v)?);
+        }
+        Ok(out)
     }
 }
 
@@ -1818,7 +1824,7 @@ pub fn sizing_outcome_from_json<'a, V: JsonRead<'a>>(
 }
 
 // ---------------------------------------------------------------------
-// Sharding codecs: campaign manifests and chunk reports
+// Sharding codecs: campaign manifests
 // ---------------------------------------------------------------------
 
 /// FNV-1a 64-bit hash — the manifest's config-hash function. Chosen for
@@ -1842,16 +1848,19 @@ pub fn config_hash_to_hex(hash: u64) -> String {
     format!("{hash:016x}")
 }
 
-/// Parses a config hash from its 16-hex-digit wire form; `what` names
-/// the field in errors.
+/// Parses a config hash from its wire form, 16 lowercase hex digits —
+/// the one spelling [`config_hash_to_hex`] renders, so an accepted hash
+/// renders back to its own text; `what` names the field in errors.
 ///
 /// # Errors
 ///
-/// [`WireError::Schema`] when `text` is not exactly 16 hex digits.
+/// [`WireError::Schema`] when `text` is not exactly 16 lowercase hex
+/// digits.
 pub fn config_hash_from_hex(text: &str, what: &str) -> Result<u64, WireError> {
-    if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
+    if text.len() != 16 || !text.bytes().all(lower_hex) {
         return Err(WireError::Schema(format!(
-            "{what}: expected 16 hex digits, got \"{text}\""
+            "{what}: expected 16 lowercase hex digits, got \"{text}\""
         )));
     }
     u64::from_str_radix(text, 16)
@@ -2445,133 +2454,24 @@ pub fn random_params_from_json<'a>(v: impl JsonRead<'a>) -> Result<RandomArchPar
     })
 }
 
-/// One executed chunk's results, as they travel from a shard back to
-/// the coordinator: the chunk's identity (campaign hash, kind, range)
-/// plus the point records as opaque JSON objects (the sweep layer owns
-/// the point schema; this codec only guarantees framing, coverage
-/// metadata, and per-point index integrity).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkReport {
-    /// The manifest's config hash — pins the report to its campaign.
-    pub config_hash: u64,
-    /// The campaign kind tag (`"budget"`, `"load"`, `"random"`).
-    pub kind: String,
-    /// Chunk index within the manifest.
-    pub chunk: usize,
-    /// First work-item index covered (inclusive).
-    pub start: usize,
-    /// One past the last work-item index covered.
-    pub end: usize,
-    /// One point object per item, in item order. Point objects carry no
-    /// `frontier` field — the frontier is a *global* property of the
-    /// merged report, recomputed by the reducer.
-    pub points: Vec<JsonValue>,
-}
-
-impl ChunkReport {
-    /// Serializes the report as one canonical JSON object.
-    pub fn to_json(&self) -> String {
-        render_chunk_report(
-            self.config_hash,
-            &self.kind,
-            self.chunk,
-            self.start..self.end,
-            &self.points,
-            |out, p| p.push(out),
-        )
-    }
-
-    /// Parses the canonical rendering.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Schema`] for shape violations: an empty or reversed
-    /// range, a point count that disagrees with the range, a point
-    /// whose `index` is not `start + position`, or a point carrying a
-    /// `frontier` field (which only the merged report may have).
-    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<ChunkReport, WireError> {
-        let f = v.fields(
-            "chunk report",
-            &["chunk", "kind", "config_hash", "start", "end", "points"],
-        )?;
-        let points = f.list("points", |p| Ok(p.to_value()))?;
-        let kind = f.str("kind")?;
-        if !matches!(kind, "budget" | "load" | "random") {
-            return Err(WireError::Schema(format!(
-                "chunk report: unknown kind \"{kind}\""
-            )));
-        }
-        let report = ChunkReport {
-            config_hash: config_hash_from_hex(f.str("config_hash")?, "config_hash")?,
-            kind: kind.to_string(),
-            chunk: f.usize("chunk")?,
-            start: f.usize("start")?,
-            end: f.usize("end")?,
-            points,
-        };
-        if report.end <= report.start {
-            return Err(WireError::Schema(format!(
-                "chunk report: empty range {}..{}",
-                report.start, report.end
-            )));
-        }
-        if report.points.len() != report.end - report.start {
-            return Err(WireError::Schema(format!(
-                "chunk report: range {}..{} needs {} points, got {}",
-                report.start,
-                report.end,
-                report.end - report.start,
-                report.points.len()
-            )));
-        }
-        for (i, p) in report.points.iter().enumerate() {
-            let what = format!("points[{i}]");
-            let index = p.member(&what, "index")?.usize("index")?;
-            if index != report.start + i {
-                return Err(WireError::Schema(format!(
-                    "chunk report: {what} has index {index}, expected {}",
-                    report.start + i
-                )));
-            }
-            if p.get("frontier").is_some() {
-                return Err(WireError::Schema(format!(
-                    "chunk report: {what} carries a \"frontier\" flag — the frontier is a \
-                     global property only the merged report may render"
-                )));
-            }
-        }
-        Ok(report)
-    }
-}
-
-/// Renders one chunk report from its identity and its points, each
-/// appended as canonical JSON by `push_point`. [`ChunkReport::to_json`]
-/// renders parsed points through it, and a shard renders solver output
-/// through it directly, so both produce the same bytes without a
-/// parse-and-re-render round trip.
-pub fn render_chunk_report<P>(
-    config_hash: u64,
-    kind: &str,
-    chunk: usize,
-    range: std::ops::Range<usize>,
-    points: &[P],
-    mut push_point: impl FnMut(&mut String, &P),
-) -> String {
-    ObjWriter::render(|w| {
-        w.usize("chunk", chunk)
-            .str("kind", kind)
-            .str("config_hash", &config_hash_to_hex(config_hash))
-            .usize("start", range.start)
-            .usize("end", range.end)
-            .list("points", points, |out, p| push_point(out, p));
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{size_buffers, SizingConfig};
     use socbuf_soc::templates;
+
+    #[test]
+    fn config_hashes_decode_only_in_the_spelling_they_render_in() {
+        let hex = config_hash_to_hex(0xab);
+        assert_eq!(hex, "00000000000000ab");
+        assert_eq!(config_hash_from_hex(&hex, "config_hash"), Ok(0xab));
+        assert_eq!(
+            config_hash_from_hex(&hex.to_uppercase(), "config_hash"),
+            Err(WireError::Schema(
+                "config_hash: expected 16 lowercase hex digits, got \"00000000000000AB\"".into()
+            ))
+        );
+    }
 
     #[test]
     fn f64_writer_handles_non_finite_and_roundtrips_finite() {

@@ -21,8 +21,8 @@ use std::ops::Range;
 
 use socbuf_core::wire::{
     architecture_from_json, architecture_to_json, random_params_from_json, random_params_to_json,
-    render_chunk_report, sizing_config_from_json, sizing_config_to_json, sizing_outcome_from_json,
-    sizing_outcome_to_json, CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError,
+    sizing_config_from_json, sizing_config_to_json, sizing_outcome_from_json,
+    sizing_outcome_to_json, CampaignManifest, JsonValue, ManifestShape, WireError,
 };
 use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_lp::LpEngine;
@@ -718,11 +718,4 @@ fn every_wire_record_refuses_unknown_keys_and_names_missing_ones() {
             }
         }
     }
-
-    // A chunk report owns its frame; its points belong to the sweep
-    // layer, which checks their fields itself.
-    let points = [tree("{\"index\":4}"), tree("{\"index\":5}")];
-    let text = render_chunk_report(0xab, "budget", 1, 4..6, &points, |out, p| p.push(out));
-    let decode_report = |v: &JsonValue| ChunkReport::from_json(v).map(drop);
-    assert_field_rules(&tree(&text), &[], "chunk report", &[], &[], &decode_report);
 }

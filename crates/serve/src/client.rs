@@ -20,12 +20,10 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use socbuf_core::wire::{
-    sizing_outcome_from_json, CampaignManifest, ChunkReport, JsonDocument, WireError,
-};
+use socbuf_core::wire::{sizing_outcome_from_json, CampaignManifest, JsonDocument, WireError};
 use socbuf_core::{SizingConfig, SizingOutcome};
 use socbuf_soc::Architecture;
-use socbuf_sweep::{MergeError, PointSink, ReduceStats, StreamingReducer};
+use socbuf_sweep::{ChunkReport, MergeError, PointSink, ReduceStats, StreamingReducer};
 
 use crate::protocol::{read_frame, write_frame, Health, Request, Response, Trace};
 
@@ -121,7 +119,8 @@ impl SizeReply {
 /// One decoded chunk frame of a `sweep_stream` answer.
 #[derive(Debug)]
 pub struct ChunkReply {
-    /// The decoded chunk report, ready for the merge reducer.
+    /// The decoded chunk report, its points typed, ready for the merge
+    /// reducer.
     pub report: ChunkReport,
     /// Canonical JSON of the chunk report — byte-for-byte what the
     /// server rendered.
@@ -383,12 +382,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport, protocol, or remote failures as [`ClientError`]. An
-    /// error frame mid-stream — the server's way of ending a failed
-    /// stream — surfaces as [`ClientError::Remote`]. Errors from
-    /// `on_chunk` propagate unchanged; the stream is abandoned with
-    /// frames possibly still in flight, so the connection should be
-    /// discarded afterwards.
+    /// Transport, protocol, or remote failures as [`ClientError`]. Each
+    /// chunk frame is decoded, points included, before `on_chunk` sees
+    /// it, so a frame with a bad point fails the stream as
+    /// [`ClientError::Wire`]. An error frame mid-stream — the server's
+    /// way of ending a failed stream — surfaces as
+    /// [`ClientError::Remote`]. Errors from `on_chunk` propagate
+    /// unchanged; the stream is abandoned with frames possibly still in
+    /// flight, so the connection should be discarded afterwards.
     pub fn sweep_stream(
         &mut self,
         manifest: &CampaignManifest,
@@ -588,7 +589,7 @@ impl ShardFleet {
                         client.with_retry(&retry, |c| {
                             c.sweep_stream(manifest, Some(&subset), |reply| {
                                 let mut guard = reducer.lock().expect("reducer mutex poisoned");
-                                guard.ingest(&reply.report).map_err(|e| {
+                                guard.ingest(reply.report).map_err(|e| {
                                     let mut slot =
                                         merge_failure.lock().expect("merge-failure mutex poisoned");
                                     if slot.is_none() {

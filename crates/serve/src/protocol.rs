@@ -71,7 +71,7 @@
 //! * `sweep_stream` → the one verb that answers with **more than one
 //!   frame**: each selected chunk arrives as its own
 //!   `{"v":2,"ok":true,"chunk_report":<report>,"trace":<trace>}` frame
-//!   (`report` as [`socbuf_core::wire::ChunkReport::to_json`]) in the
+//!   (`report` as [`socbuf_sweep::ChunkReport::to_json`]) in the
 //!   requested order, as soon as it is next, followed by a terminal
 //!   `{"v":2,"ok":true,"stream_end":{"config_hash":"…","frames":N,"points":N}}`
 //!   summary the client checks against what it consumed. A failure
@@ -736,7 +736,7 @@ pub enum Response {
     },
     /// One chunk frame of a `sweep_stream` answer: a canonical
     /// chunk-report document
-    /// ([`socbuf_core::wire::ChunkReport::to_json`]).
+    /// ([`socbuf_sweep::ChunkReport::to_json`]).
     Chunk {
         /// Canonical chunk-report JSON.
         report: String,
@@ -1353,8 +1353,10 @@ mod tests {
 
     /// Fields the frames carry as integers (an array's items count as
     /// its key), and every other field a frame carries a number in.
-    const INTEGER_KEYS: [&str; 40] = [
+    const INTEGER_KEYS: [&str; 42] = [
         "v",
+        "index",
+        "queues",
         "budget",
         "budgets",
         "chunks",
@@ -1395,7 +1397,11 @@ mod tests {
         "health",
         "drain",
     ];
-    const FLOAT_KEYS: [&str; 11] = [
+    const FLOAT_KEYS: [&str; 15] = [
+        "load_factor",
+        "offered_rate",
+        "predicted_loss",
+        "shadow_price",
         "service_rate",
         "weight",
         "rate",
@@ -1532,18 +1538,13 @@ mod tests {
         let chunk_reply = |text: &str| {
             Response::parse(text)?;
             let doc = JsonDocument::parse(text)?;
-            socbuf_core::wire::ChunkReport::from_json(doc.get("chunk_report").unwrap()).map(drop)
+            socbuf_sweep::ChunkReport::from_json(doc.get("chunk_report").unwrap()).map(drop)
         };
-        let report = socbuf_core::wire::render_chunk_report(
-            manifest.config_hash,
-            "budget",
-            1,
-            1..2,
-            &["{\"index\":1}"],
-            |out, p| out.push_str(p),
-        );
+        let pool = socbuf_sweep::WorkPool::serial();
+        let (report, _) = socbuf_sweep::execute_manifest_chunk_traced(&manifest, 0, &pool).unwrap();
+        let report = report.to_json();
         let chunk = Response::Chunk { report, trace }.to_json();
-        assert_field_kinds(&chunk, &["points"], &chunk_reply);
+        assert_field_kinds(&chunk, &[], &chunk_reply);
 
         let response = |text: &str| Response::parse(text).map(drop);
         let health = Health {

@@ -14,8 +14,8 @@
 //!   warm context, with every cache and per-verb counter pinned.
 
 use socbuf_core::wire::{
-    architecture_to_json, sizing_config_to_json, sizing_outcome_semantic_json, CampaignManifest,
-    ChunkReport, JsonValue,
+    architecture_to_json, config_hash_to_hex, sizing_config_to_json, sizing_outcome_semantic_json,
+    CampaignManifest, JsonValue,
 };
 use socbuf_core::{size_buffers, SizingConfig};
 use socbuf_serve::{
@@ -24,8 +24,8 @@ use socbuf_serve::{
 };
 use socbuf_soc::templates;
 use socbuf_sweep::{
-    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, BudgetSweep, ReportStream,
-    SweepReport, VecSink, WorkPool,
+    execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, BudgetSweep, ChunkReport,
+    ReportStream, SweepReport, VecSink, WorkPool,
 };
 
 /// The semantic bytes the server must reproduce for (arch, budget).
@@ -543,12 +543,13 @@ fn fleet_fan_out_merges_byte_identically() {
     shard_c.shutdown();
 }
 
-/// Each chunk of a serial run of `manifest`: its chunk-report JSON (the
-/// run's JSONL lines, parsed, without the merged report's global
-/// frontier flag) and its summed pivots.
+/// Each chunk of a serial run of `manifest`: its chunk-report JSON and
+/// its summed pivots. The frame is written out by hand around the run's
+/// JSONL lines, less the merged report's global frontier flag, so the
+/// reference shares no renderer with the chunk codec it checks.
 fn serial_chunks(manifest: &CampaignManifest) -> Vec<(String, usize)> {
     let serial = run_manifest(manifest, &WorkPool::serial()).unwrap();
-    let parsed: Vec<JsonValue> = serial
+    let lines: Vec<String> = serial
         .to_jsonl()
         .lines()
         .map(|line| match JsonValue::parse(line).unwrap() {
@@ -557,7 +558,8 @@ fn serial_chunks(manifest: &CampaignManifest) -> Vec<(String, usize)> {
                     .into_iter()
                     .filter(|(k, _)| k != "frontier")
                     .collect(),
-            ),
+            )
+            .render(),
             other => panic!("a point renders as an object, got {other:?}"),
         })
         .collect();
@@ -566,15 +568,15 @@ fn serial_chunks(manifest: &CampaignManifest) -> Vec<(String, usize)> {
         .iter()
         .enumerate()
         .map(|(chunk, range)| {
-            let json = ChunkReport {
-                config_hash: manifest.config_hash,
-                kind: serial.kind.tag().into(),
-                chunk,
-                start: range.start,
-                end: range.end,
-                points: parsed[range.start..range.end].to_vec(),
-            }
-            .to_json();
+            let json = format!(
+                "{{\"chunk\":{chunk},\"kind\":\"{}\",\"config_hash\":\"{}\",\"start\":{},\
+                 \"end\":{},\"points\":[{}]}}",
+                serial.kind.tag(),
+                config_hash_to_hex(manifest.config_hash),
+                range.start,
+                range.end,
+                lines[range.start..range.end].join(",")
+            );
             let pivots = serial.points[range.start..range.end]
                 .iter()
                 .map(|p| p.lp_iterations)

@@ -17,7 +17,7 @@
 //! RFC 8259 number edges.
 
 use socbuf_core::wire::{
-    render_chunk_report, CampaignManifest, JsonDocument, JsonRead, JsonValue, JsonView,
+    config_hash_to_hex, CampaignManifest, JsonDocument, JsonRead, JsonValue, JsonView,
     ManifestShape, WireError,
 };
 use socbuf_core::SizingConfig;
@@ -166,13 +166,11 @@ fn frames() -> Vec<(&'static str, String)> {
         ("manifest", load.to_json()),
         (
             "chunk report",
-            render_chunk_report(
-                manifest.config_hash,
-                "budget",
-                0,
-                0..2,
-                &POINTS,
-                |out, p| out.push_str(p),
+            format!(
+                "{{\"chunk\":0,\"kind\":\"budget\",\"config_hash\":\"{}\",\"start\":0,\
+                 \"end\":2,\"points\":[{}]}}",
+                config_hash_to_hex(manifest.config_hash),
+                POINTS.join(",")
             ),
         ),
     ]

@@ -299,8 +299,7 @@ impl CampaignPlan {
         pool: &WorkPool,
     ) -> Result<CampaignPlan, SweepError> {
         shape.validate().map_err(manifest_err)?;
-        let kind =
-            SweepKind::from_tag(shape.kind_tag()).expect("manifest kind tags mirror SweepKind");
+        let kind = SweepKind::of(&shape);
         let ranges = shape.chunk_policy().ranges(shape.items());
         let warm_start = shape.warm_start();
         let sizing = attach_pool(sizing, pool);

@@ -76,8 +76,9 @@
 //! [`CampaignManifest::validate_chunks`](socbuf_core::wire::CampaignManifest::validate_chunks)
 //! because a manifest's fields are public. A shard runs any subset of a
 //! manifest's chunks through [`CampaignPlan::run_chunks`] and renders
-//! each with [`chunk_report_json`]; [`merge_chunk_reports`] (or the
-//! streaming [`StreamingReducer`]) verifies coverage and reassembles —
+//! each with [`chunk_report_json`]; a coordinator decodes each frame
+//! once into a typed [`ChunkReport`], and [`merge_chunk_reports`] (or
+//! the streaming [`StreamingReducer`]) verifies coverage and reassembles —
 //! byte-identical to the serial run for any shard partition, because
 //! chunk boundaries are part of the campaign's meaning, not the
 //! executor's choice.
@@ -110,7 +111,8 @@ pub use pool::{OrderedRun, WorkPool};
 pub use report::{SimSummary, SweepKind, SweepPoint, SweepReport};
 pub use shard::{
     chunk_report_json, execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest,
-    run_manifest, run_manifest_sink, ChunkStats, MergeError, ReduceStats, StreamingReducer,
+    run_manifest, run_manifest_sink, ChunkReport, ChunkStats, MergeError, ReduceStats,
+    StreamingReducer,
 };
 pub use stream::{
     FileSpool, FrontierIndex, FrontierTracker, MemSpool, PointSink, ReportStream, Spool,

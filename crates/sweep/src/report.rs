@@ -11,11 +11,11 @@
 //! bare `NaN`/`inf` token (which is not JSON). CSV cells use the same
 //! writer, so a non-finite float reads `null` there too.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 #[cfg(test)]
 use socbuf_core::wire::JsonValue;
-use socbuf_core::wire::{push_f64, JsonRead, WireError};
+use socbuf_core::wire::{JsonRead, ManifestShape, WireError};
 
 /// Which campaign produced a report (decides the Pareto cost axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,11 @@ impl SweepKind {
             "random" => Some(SweepKind::Random),
             _ => None,
         }
+    }
+
+    /// The kind of campaign `shape` describes.
+    pub fn of(shape: &ManifestShape) -> SweepKind {
+        SweepKind::from_tag(shape.kind_tag()).expect("manifest kind tags mirror SweepKind")
     }
 }
 
@@ -281,26 +286,42 @@ impl SweepReport {
     }
 }
 
-/// Renders `v` through the shared wire-format number writer
-/// ([`socbuf_core::wire::push_f64`]): shortest round-trip decimal for
-/// finite values, `null` for non-finite ones. One writer serves every
-/// renderer here *and* the `socbuf-serve` codec, so "what does a float
-/// look like on the wire" has exactly one answer.
-fn num(v: f64) -> String {
-    let mut s = String::new();
-    push_f64(&mut s, v);
-    s
+/// Displays `v` as the shared wire-format number writer
+/// ([`socbuf_core::wire::push_f64`]) renders it: shortest round-trip
+/// decimal for finite values, `null` for non-finite ones. One rule
+/// serves every renderer here *and* the `socbuf-serve` codec, so "what
+/// does a float look like on the wire" has exactly one answer; it is
+/// displayed in place, so a rendered point allocates nothing per
+/// number.
+fn num(v: f64) -> impl Display {
+    struct Num(f64);
+    impl Display for Num {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            if self.0.is_finite() {
+                write!(f, "{}", self.0)
+            } else {
+                f.write_str("null")
+            }
+        }
+    }
+    Num(v)
 }
 
-fn join(xs: &[usize], sep: &str) -> String {
-    let mut s = String::new();
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(sep);
+/// Displays `xs` separated by `sep`, in place.
+fn join<'x>(xs: &'x [usize], sep: &'x str) -> impl Display + 'x {
+    struct Join<'x>(&'x [usize], &'x str);
+    impl Display for Join<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            for (i, x) in self.0.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(self.1)?;
+                }
+                write!(f, "{x}")?;
+            }
+            Ok(())
         }
-        let _ = write!(s, "{x}");
     }
-    s
+    Join(xs, sep)
 }
 
 /// The CSV header line shared by the batch and streaming renderers.
@@ -699,6 +720,28 @@ mod tests {
         let r = report(vec![cheap, rich]);
         assert_eq!(r.pareto_frontier(), vec![0, 1]);
         assert_eq!(r.points[1].effective_loss(), 4.0);
+    }
+
+    #[test]
+    fn numbers_display_as_the_wire_writer_renders_them() {
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            0.1,
+            -2.5e-7,
+            1e300,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut wire = String::new();
+            socbuf_core::wire::push_f64(&mut wire, v);
+            assert_eq!(num(v).to_string(), wire, "{v}");
+        }
+        assert_eq!(join(&[3, 0, 12], "|").to_string(), "3|0|12");
+        assert_eq!(join(&[], ",").to_string(), "");
     }
 
     /// `doc` with the point, or its `nested` object, edited by `edit`.

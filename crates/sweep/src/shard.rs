@@ -12,6 +12,12 @@
 //!   reports cover the manifest's chunk partition exactly (no gaps, no
 //!   overlaps, no foreign campaigns) and reassembles the points.
 //!
+//! This module owns the chunk frame: its framing (campaign hash, kind,
+//! range) and its points, which are [`SweepPoint`]s rendered and read
+//! by the same point codec as a report's JSONL lines. A frame off the
+//! wire is decoded once, straight from the parsed document, into typed
+//! points; the reducer only checks coverage and moves them.
+//!
 //! The contract pinned by the test-suite and `shard_probe --smoke`:
 //! merged CSV/JSONL bytes equal the serial single-host bytes for *any*
 //! assignment of chunks to shards, because chunk boundaries (and with
@@ -44,7 +50,7 @@
 use std::collections::BTreeMap;
 
 use socbuf_core::wire::{
-    render_chunk_report, CampaignManifest, ChunkReport, JsonDocument, WireError,
+    config_hash_from_hex, config_hash_to_hex, CampaignManifest, JsonRead, ObjWriter, WireError,
 };
 
 use crate::campaign::{manifest_err, CampaignPlan, SinkRun, SweepError};
@@ -113,10 +119,131 @@ pub struct ChunkStats {
     pub pivots: usize,
 }
 
+/// One executed chunk's results, as they travel from a shard back to
+/// the coordinator: the chunk's identity (campaign hash, kind, range)
+/// and its points, in item order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkReport {
+    /// The manifest's config hash — pins the report to its campaign.
+    pub config_hash: u64,
+    /// The campaign kind.
+    pub kind: SweepKind,
+    /// Chunk index within the manifest.
+    pub chunk: usize,
+    /// First work-item index covered (inclusive).
+    pub start: usize,
+    /// One past the last work-item index covered.
+    pub end: usize,
+    /// One point per item, in item order. Their `lp_iterations` are 0:
+    /// pivot counts are trace-only and never travel (see
+    /// [`SweepPoint::lp_iterations`]). The wire form carries no
+    /// `frontier` flag either — the frontier is a *global* property of
+    /// the merged report, recomputed by the reducer.
+    pub points: Vec<SweepPoint>,
+}
+
+impl ChunkReport {
+    /// Serializes the report as one canonical JSON object.
+    pub fn to_json(&self) -> String {
+        render_chunk_report(
+            self.config_hash,
+            self.kind,
+            self.chunk,
+            self.start..self.end,
+            &self.points,
+        )
+    }
+
+    /// Parses the canonical rendering, decoding each point once, from
+    /// the reader it is given.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Schema`] for shape violations: an unknown key or
+    /// kind, an empty or reversed range, a point count that disagrees
+    /// with the range, a point whose `index` is not `start + position`,
+    /// a point carrying a `frontier` flag (which only the merged report
+    /// may have), or a point the sweep point codec refuses.
+    pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<ChunkReport, WireError> {
+        let f = v.fields(
+            "chunk report",
+            &["chunk", "kind", "config_hash", "start", "end", "points"],
+        )?;
+        let items = f.items("points")?;
+        let tag = f.str("kind")?;
+        let kind = SweepKind::from_tag(tag)
+            .ok_or_else(|| WireError::Schema(format!("chunk report: unknown kind \"{tag}\"")))?;
+        let config_hash = config_hash_from_hex(f.str("config_hash")?, "config_hash")?;
+        let chunk = f.usize("chunk")?;
+        let (start, end) = (f.usize("start")?, f.usize("end")?);
+        if end <= start {
+            return Err(WireError::Schema(format!(
+                "chunk report: empty range {start}..{end}"
+            )));
+        }
+        if items.len() != end - start {
+            return Err(WireError::Schema(format!(
+                "chunk report: range {start}..{end} needs {} points, got {}",
+                end - start,
+                items.len()
+            )));
+        }
+        let mut points = Vec::with_capacity(items.len());
+        for (i, p) in items.enumerate() {
+            let index = p
+                .get("index")
+                .ok_or_else(|| WireError::Schema(format!("points[{i}]: missing field \"index\"")))?
+                .usize("index")?;
+            if index != start + i {
+                return Err(WireError::Schema(format!(
+                    "chunk report: points[{i}] has index {index}, expected {}",
+                    start + i
+                )));
+            }
+            if p.get("frontier").is_some() {
+                return Err(WireError::Schema(format!(
+                    "chunk report: points[{i}] carries a \"frontier\" flag — the frontier is a \
+                     global property only the merged report may render"
+                )));
+            }
+            points.push(sweep_point_from_json(p, kind)?);
+        }
+        Ok(ChunkReport {
+            config_hash,
+            kind,
+            chunk,
+            start,
+            end,
+            points,
+        })
+    }
+}
+
+/// The one chunk-frame renderer: [`ChunkReport::to_json`] and
+/// [`chunk_report_json`] both write through it.
+fn render_chunk_report(
+    config_hash: u64,
+    kind: SweepKind,
+    chunk: usize,
+    range: std::ops::Range<usize>,
+    points: &[SweepPoint],
+) -> String {
+    ObjWriter::render(|w| {
+        w.usize("chunk", chunk)
+            .str("kind", kind.tag())
+            .str("config_hash", &config_hash_to_hex(config_hash))
+            .usize("start", range.start)
+            .usize("end", range.end)
+            .list("points", points, |out, p| {
+                push_point_json(out, kind, p, None)
+            });
+    })
+}
+
 /// Renders chunk `chunk` of `manifest` as its canonical chunk-report
-/// document, straight from the solved points — byte-identical to
-/// [`ChunkReport::to_json`] of the same points parsed back, with no
-/// parse on the way. Points carry no `frontier` flag (see
+/// document, straight from the solved points: the bytes
+/// [`ChunkReport::to_json`] gives for the same points, without building
+/// the report. Points carry no `frontier` flag (see
 /// [`ChunkReport::points`]).
 ///
 /// # Panics
@@ -127,22 +254,20 @@ pub fn chunk_report_json(
     chunk: usize,
     points: &[SweepPoint],
 ) -> String {
-    let tag = manifest.shape.kind_tag();
-    let kind = SweepKind::from_tag(tag).expect("manifest kind tags mirror SweepKind");
     let range = manifest.chunks[chunk];
     render_chunk_report(
         manifest.config_hash,
-        tag,
+        SweepKind::of(&manifest.shape),
         chunk,
         range.start..range.end,
         points,
-        |out, p| push_point_json(out, kind, p, None),
     )
 }
 
-/// Executes one manifest chunk and returns its chunk-tagged wire
-/// report (what a reducer verifies), alongside the trace-only
-/// [`ChunkStats`] the wire report never carries.
+/// Executes one manifest chunk and returns its chunk-tagged report
+/// (what a reducer verifies), alongside the trace-only [`ChunkStats`]
+/// the report never carries. The report's points have
+/// `lp_iterations` 0, as a decoded frame's do.
 ///
 /// # Errors
 ///
@@ -162,10 +287,18 @@ pub fn execute_manifest_chunk_traced(
         points: solved.len(),
         pivots: solved.iter().map(|p| p.lp_iterations).sum(),
     };
-    let text = chunk_report_json(manifest, chunk, &solved);
-    let report = JsonDocument::parse(&text)
-        .and_then(|doc| ChunkReport::from_json(doc.value()))
-        .expect("the chunk renderer emits a valid chunk report");
+    for p in &mut solved {
+        p.lp_iterations = 0;
+    }
+    let range = manifest.chunks[chunk];
+    let report = ChunkReport {
+        config_hash: manifest.config_hash,
+        kind: SweepKind::of(&manifest.shape),
+        chunk,
+        start: range.start,
+        end: range.end,
+        points: solved,
+    };
     Ok((report, stats))
 }
 
@@ -208,7 +341,7 @@ pub enum MergeError {
         /// The manifest's kind tag.
         expected: &'static str,
         /// The report's kind tag.
-        got: String,
+        got: &'static str,
     },
     /// No report covers this manifest chunk — a coverage gap.
     MissingChunk {
@@ -235,15 +368,6 @@ pub enum MergeError {
         expected: (usize, usize),
         /// The report's `(start, end)`.
         got: (usize, usize),
-    },
-    /// A report point failed to parse back into a [`SweepPoint`].
-    ///
-    /// [`SweepPoint`]: crate::report::SweepPoint
-    BadPoint {
-        /// The report's chunk index.
-        chunk: usize,
-        /// The underlying wire error.
-        source: WireError,
     },
     /// The downstream [`PointSink`] refused a merged point — an I/O
     /// failure on the streaming path, not a coverage violation.
@@ -291,9 +415,6 @@ impl std::fmt::Display for MergeError {
                 "chunk {chunk}: range {}..{} does not match the manifest's {}..{}",
                 got.0, got.1, expected.0, expected.1
             ),
-            MergeError::BadPoint { chunk, source } => {
-                write!(f, "chunk {chunk}: bad point: {source}")
-            }
             MergeError::Sink { source } => write!(f, "merge sink failed: {source}"),
         }
     }
@@ -302,7 +423,6 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MergeError::BadPoint { source, .. } => Some(source),
             MergeError::Sink { source } => Some(source),
             _ => None,
         }
@@ -341,7 +461,6 @@ pub struct ReduceStats {
 pub struct StreamingReducer<S: PointSink> {
     sink: S,
     kind: SweepKind,
-    expected_kind: &'static str,
     config_hash: u64,
     /// The manifest's declared `(start, end)` per chunk.
     chunks: Vec<(usize, usize)>,
@@ -358,15 +477,12 @@ impl<S: PointSink> StreamingReducer<S> {
     /// A reducer expecting exactly `manifest`'s chunk partition,
     /// flushing merged points into `sink`.
     pub fn new(manifest: &CampaignManifest, sink: S) -> StreamingReducer<S> {
-        let expected_kind = manifest.shape.kind_tag();
-        let kind = SweepKind::from_tag(expected_kind).expect("manifest kind tags mirror SweepKind");
         let chunks: Vec<(usize, usize)> =
             manifest.chunks.iter().map(|c| (c.start, c.end)).collect();
         let seen = vec![false; chunks.len()];
         StreamingReducer {
             sink,
-            kind,
-            expected_kind,
+            kind: SweepKind::of(&manifest.shape),
             config_hash: manifest.config_hash,
             chunks,
             seen,
@@ -395,16 +511,19 @@ impl<S: PointSink> StreamingReducer<S> {
         self.next
     }
 
-    /// Verifies one report and flushes whatever in-order run it
-    /// completes. Order of arrival is irrelevant to the merged output.
+    /// Verifies one report's coverage and flushes whatever in-order run
+    /// it completes, moving its typed points into the sink: the points
+    /// were decoded with the frame ([`ChunkReport::from_json`]), so a
+    /// shard thread pays for the decode before it takes the reducer.
+    /// Order of arrival is irrelevant to the merged output.
     ///
     /// # Errors
     ///
     /// The report's first violation — unknown chunk, foreign config
-    /// hash, wrong kind, wrong range, duplicate, unparseable point —
-    /// or [`MergeError::Sink`] if the downstream sink fails while this
+    /// hash, wrong kind, wrong range, duplicate — or
+    /// [`MergeError::Sink`] if the downstream sink fails while this
     /// report's run flushes.
-    pub fn ingest(&mut self, report: &ChunkReport) -> Result<(), MergeError> {
+    pub fn ingest(&mut self, report: ChunkReport) -> Result<(), MergeError> {
         let num_chunks = self.chunks.len();
         if report.chunk >= num_chunks {
             return Err(MergeError::UnknownChunk {
@@ -419,11 +538,11 @@ impl<S: PointSink> StreamingReducer<S> {
                 got: report.config_hash,
             });
         }
-        if report.kind != self.expected_kind {
+        if report.kind != self.kind {
             return Err(MergeError::KindMismatch {
                 chunk: report.chunk,
-                expected: self.expected_kind,
-                got: report.kind.clone(),
+                expected: self.kind.tag(),
+                got: report.kind.tag(),
             });
         }
         let want = self.chunks[report.chunk];
@@ -439,20 +558,11 @@ impl<S: PointSink> StreamingReducer<S> {
                 chunk: report.chunk,
             });
         }
-        let mut points = Vec::with_capacity(report.points.len());
-        for v in &report.points {
-            points.push(sweep_point_from_json(v, self.kind).map_err(|source| {
-                MergeError::BadPoint {
-                    chunk: report.chunk,
-                    source,
-                }
-            })?);
-        }
         self.seen[report.chunk] = true;
         self.chunks_in += 1;
-        self.resident += points.len();
+        self.resident += report.points.len();
         self.peak_resident = self.peak_resident.max(self.resident);
-        self.parked.insert(report.chunk, points);
+        self.parked.insert(report.chunk, report.points);
         // Flush the in-order run this report may have completed.
         while let Some(run) = self.parked.remove(&self.next) {
             self.resident -= run.len();
@@ -502,8 +612,10 @@ impl<S: PointSink> StreamingReducer<S> {
 /// # Errors
 ///
 /// The first violation found, reports scanned in the order given
-/// (each report fully verified — coverage checks *and* point parse —
-/// before the next is looked at), then gaps in chunk order.
+/// (each report's coverage fully verified before the next is looked
+/// at), then gaps in chunk order. Points are not checked here: a
+/// [`ChunkReport`] holds typed points, so a bad point was refused when
+/// its frame was decoded.
 pub fn merge_chunk_reports(
     manifest: &CampaignManifest,
     reports: &[ChunkReport],
@@ -511,7 +623,7 @@ pub fn merge_chunk_reports(
     let mut reducer = StreamingReducer::new(manifest, VecSink::new());
     let kind = reducer.kind;
     for r in reports {
-        reducer.ingest(r)?;
+        reducer.ingest(r.clone())?;
     }
     let (sink, _) = reducer.finish()?;
     Ok(SweepReport {

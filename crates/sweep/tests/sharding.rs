@@ -4,13 +4,13 @@
 //! (CSV and JSONL), and the reducer refuses incomplete, overlapping,
 //! or foreign coverage.
 
-use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue};
+use socbuf_core::wire::{CampaignManifest, JsonValue};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::shard::MergeError;
 use socbuf_sweep::{
     execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest, run_manifest, BudgetSweep,
-    LoadSweep, RandomCampaign, SweepError, WorkPool,
+    ChunkReport, LoadSweep, RandomCampaign, SweepError, SweepKind, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -179,7 +179,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
 
     // Wrong kind tag.
     let mut foreign = reports.clone();
-    foreign[1].kind = "load".into();
+    foreign[1].kind = SweepKind::Load;
     match merge_chunk_reports(&manifest, &foreign) {
         Err(MergeError::KindMismatch { chunk: 1, .. }) => {}
         other => panic!("expected KindMismatch(1), got {other:?}"),

@@ -15,13 +15,13 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue};
+use socbuf_core::wire::{CampaignManifest, JsonValue};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates;
 use socbuf_sweep::{
     execute_manifest_chunk_traced, merge_chunk_reports, run_manifest, run_manifest_sink,
-    BudgetSweep, FileSpool, LoadSweep, MergeError, RandomCampaign, ReportStream, StreamingReducer,
-    SweepReport, VecSink, WorkPool,
+    BudgetSweep, ChunkReport, FileSpool, LoadSweep, MergeError, RandomCampaign, ReportStream,
+    StreamingReducer, SweepReport, VecSink, WorkPool,
 };
 
 fn small() -> SizingConfig {
@@ -173,7 +173,7 @@ proptest! {
             socbuf_sweep::SweepKind::Budget, Vec::new());
         let mut reducer = StreamingReducer::new(&fx.manifest, stream);
         for &c in &order {
-            reducer.ingest(&fx.reports[c]).unwrap();
+            reducer.ingest(fx.reports[c].clone()).unwrap();
         }
         let (stream, stats) = reducer.finish().unwrap();
         prop_assert_eq!(stats.chunks, fx.reports.len());
@@ -197,7 +197,7 @@ proptest! {
         let fx = merge_fixture();
         let mut reducer = StreamingReducer::new(&fx.manifest, VecSink::new());
         for report in &fx.reports[..split] {
-            reducer.ingest(report).unwrap();
+            reducer.ingest(report.clone()).unwrap();
             prop_assert_eq!(reducer.resident_points(), 0);
         }
         let longest = fx
@@ -227,14 +227,14 @@ proptest! {
                 // Duplicate: the same chunk streamed twice.
                 0 => {
                     for &c in &order {
-                        reducer.ingest(&fx.reports[c])?;
+                        reducer.ingest(fx.reports[c].clone())?;
                     }
-                    reducer.ingest(&fx.reports[victim])?;
+                    reducer.ingest(fx.reports[victim].clone())?;
                 }
                 // Missing: one chunk never arrives.
                 1 => {
                     for &c in order.iter().filter(|&&c| c != victim) {
-                        reducer.ingest(&fx.reports[c])?;
+                        reducer.ingest(fx.reports[c].clone())?;
                     }
                     reducer.finish().map(|_| ())?;
                     return Ok(());
@@ -243,25 +243,25 @@ proptest! {
                 2 => {
                     let mut bad = fx.reports[victim].clone();
                     bad.config_hash ^= 1;
-                    reducer.ingest(&bad)?;
+                    reducer.ingest(bad)?;
                 }
                 // Foreign kind.
                 3 => {
                     let mut bad = fx.reports[victim].clone();
-                    bad.kind = "load".into();
-                    reducer.ingest(&bad)?;
+                    bad.kind = socbuf_sweep::SweepKind::Load;
+                    reducer.ingest(bad)?;
                 }
                 // Tampered range.
                 4 => {
                     let mut bad = fx.reports[victim].clone();
                     bad.start += 1;
-                    reducer.ingest(&bad)?;
+                    reducer.ingest(bad)?;
                 }
                 // Chunk index beyond the partition.
                 _ => {
                     let mut bad = fx.reports[victim].clone();
                     bad.chunk = 9;
-                    reducer.ingest(&bad)?;
+                    reducer.ingest(bad)?;
                 }
             }
             Ok(())
@@ -321,7 +321,7 @@ fn a_coarsened_warm_budget_manifest_renders_the_default_chunking_bytes() {
         let (report, _) = execute_manifest_chunk_traced(&coarse, c, &pool).unwrap();
         let wire = JsonValue::parse(&report.to_json()).unwrap();
         reducer
-            .ingest(&ChunkReport::from_json(&wire).unwrap())
+            .ingest(ChunkReport::from_json(&wire).unwrap())
             .unwrap();
     }
     let (stream, stats) = reducer.finish().unwrap();

@@ -9,9 +9,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use socbuf_core::wire::{CampaignManifest, ChunkReport, JsonValue, ManifestShape, WireError};
+use socbuf_core::wire::{CampaignManifest, JsonValue, ManifestShape, WireError};
 use socbuf_core::SizingConfig;
 use socbuf_soc::templates::{self, RandomArchParams};
+use socbuf_sweep::{ChunkReport, SweepKind, SweepPoint};
 
 fn small() -> SizingConfig {
     SizingConfig::small()
@@ -57,21 +58,32 @@ fn shape_from(
     }
 }
 
-/// A synthetic chunk report: the codec treats points as opaque objects
-/// (only `index` integrity and the absence of `frontier` matter), so
-/// arbitrary payload fields exercise it fully without running solves.
+/// A synthetic chunk report: typed points built from sampled numbers,
+/// so the codec's framing and its point decode are exercised without
+/// running solves.
 fn report_from(config_hash: u64, kind: usize, start: usize, payloads: &[f64]) -> ChunkReport {
+    let kind = [SweepKind::Budget, SweepKind::Load, SweepKind::Random][kind % 3];
     let points = payloads
         .iter()
         .enumerate()
-        .map(|(i, value)| {
-            JsonValue::parse(&format!("{{\"index\":{},\"payload\":{value}}}", start + i))
-                .expect("synthetic point is valid JSON")
+        .map(|(i, &value)| SweepPoint {
+            index: start + i,
+            budget: 8 + i,
+            load_factor: value / 4.0,
+            arch_seed: (kind == SweepKind::Random).then_some(1_000 + i as u64),
+            queues: 2,
+            offered_rate: value,
+            predicted_loss: value / 1e3,
+            shadow_price: -value / 7.0,
+            budget_row_relaxed: i % 2 == 1,
+            lp_iterations: 0,
+            allocation: vec![3, 5 + i],
+            sim: None,
         })
         .collect();
     ChunkReport {
         config_hash,
-        kind: ["budget", "load", "random"][kind % 3].to_string(),
+        kind,
         chunk: start / payloads.len().max(1),
         start,
         end: start + payloads.len(),
@@ -247,6 +259,7 @@ proptest! {
     ) {
         let report = report_from(config_hash as u64, kind, start, &payloads[..len]);
         let mut bad = report.clone();
+        let mut flagged = false;
         let expect = match which {
             // Drop a point: count no longer covers the range.
             0 => {
@@ -255,22 +268,13 @@ proptest! {
             }
             // Renumber a point: index integrity.
             1 => {
-                let mut p = String::new();
-                bad.points[0].push(&mut p);
-                bad.points[0] = JsonValue::parse(&p.replacen(
-                    &format!("\"index\":{}", bad.start),
-                    &format!("\"index\":{}", bad.start + 7000),
-                    1,
-                )).unwrap();
+                bad.points[0].index = bad.start + 7000;
                 "expected"
             }
-            // A point claiming the global frontier flag (points are
-            // flat objects, so the first '}' closes them).
+            // A point claiming the global frontier flag, which no typed
+            // report renders, so it goes into the text.
             2 => {
-                let mut p = String::new();
-                bad.points[0].push(&mut p);
-                bad.points[0] =
-                    JsonValue::parse(&p.replacen('}', ",\"frontier\":true}", 1)).unwrap();
+                flagged = true;
                 "frontier"
             }
             // A reversed (empty) range.
@@ -280,7 +284,10 @@ proptest! {
                 "empty range"
             }
         };
-        let rendered = bad.to_json();
+        let mut rendered = bad.to_json();
+        if flagged {
+            rendered = rendered.replacen("\"points\":[{", "\"points\":[{\"frontier\":true,", 1);
+        }
         match ChunkReport::from_json(&JsonValue::parse(&rendered).unwrap()) {
             Err(WireError::Schema(msg)) => prop_assert!(
                 msg.contains(expect),
@@ -288,6 +295,40 @@ proptest! {
             ),
             other => panic!("corrupted report accepted: {other:?}"),
         }
+    }
+}
+
+/// The field rules of the chunk frame, on a canonical rendering: an
+/// extra key `zz` is refused by name, and dropping any key gives
+/// `chunk report: missing field "<key>"`. (The point codec's own field
+/// rules are pinned beside it, in the sweep report's unit tests.)
+#[test]
+fn chunk_report_refuses_unknown_keys_and_names_missing_ones() {
+    let doc = JsonValue::parse(&report_from(0xab, 0, 4, &[1.5, 2.5]).to_json()).unwrap();
+    ChunkReport::from_json(&doc).expect("the canonical text decodes");
+    let JsonValue::Obj(fields) = &doc else {
+        panic!("a chunk report is an object")
+    };
+    let with = |fields: Vec<(String, JsonValue)>| ChunkReport::from_json(&JsonValue::Obj(fields));
+    let mut extra = fields.clone();
+    extra.push(("zz".into(), JsonValue::Num(1.0)));
+    match with(extra) {
+        Err(WireError::Schema(msg)) => {
+            assert!(
+                msg.starts_with("chunk report: unknown field \"zz\""),
+                "{msg}"
+            )
+        }
+        other => panic!("an extra key must be refused by name, got {other:?}"),
+    }
+    for (key, _) in fields {
+        let dropped = fields.iter().filter(|(k, _)| k != key).cloned().collect();
+        let want = format!("chunk report: missing field \"{key}\"");
+        assert_eq!(
+            with(dropped),
+            Err(WireError::Schema(want)),
+            "dropping {key}"
+        );
     }
 }
 
