@@ -560,13 +560,11 @@ impl<'a, V: JsonRead<'a>> Fields<'_, V> {
     pub fn list<T>(
         &self,
         key: &str,
-        mut item: impl FnMut(V) -> Result<T, WireError>,
+        item: impl FnMut(V) -> Result<T, WireError>,
     ) -> Result<Vec<T>, WireError> {
         let items = self.items(key)?;
         let mut out = Vec::with_capacity(items.len());
-        for v in items {
-            out.push(item(v)?);
-        }
+        items.map(item).try_for_each(|v| v.map(|v| out.push(v)))?;
         Ok(out)
     }
 }
@@ -1857,8 +1855,7 @@ pub fn config_hash_to_hex(hash: u64) -> String {
 /// [`WireError::Schema`] when `text` is not exactly 16 lowercase hex
 /// digits.
 pub fn config_hash_from_hex(text: &str, what: &str) -> Result<u64, WireError> {
-    let lower_hex = |b: u8| b.is_ascii_digit() || (b'a'..=b'f').contains(&b);
-    if text.len() != 16 || !text.bytes().all(lower_hex) {
+    if text.len() != 16 || !text.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return Err(WireError::Schema(format!(
             "{what}: expected 16 lowercase hex digits, got \"{text}\""
         )));

@@ -15,7 +15,9 @@ use std::fmt::{self, Display, Write as _};
 
 #[cfg(test)]
 use socbuf_core::wire::JsonValue;
-use socbuf_core::wire::{JsonRead, ManifestShape, WireError};
+use socbuf_core::wire::{JsonRead, ManifestShape, ObjWriter, WireError};
+
+use crate::stream::ReportStream;
 
 /// Which campaign produced a report (decides the Pareto cost axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,18 +206,7 @@ impl SweepReport {
     /// [`crate::stream::ReportStream`] writer, so batch and streamed
     /// CSV bytes are identical by construction.
     pub fn to_csv(&self) -> String {
-        let mut stream = crate::stream::ReportStream::csv(self.kind, Vec::new());
-        for p in &self.points {
-            stream.push(p).expect("in-memory stream cannot fail");
-        }
-        let (buf, _) = stream.finish().expect("in-memory stream cannot fail");
-        String::from_utf8(buf).expect("renderers emit UTF-8")
-    }
-
-    /// Appends one point as a self-contained JSON object — the shared
-    /// body of [`SweepReport::to_jsonl`] and [`SweepReport::to_json`].
-    fn push_point_json(&self, out: &mut String, p: &SweepPoint, frontier: bool) {
-        push_point_json(out, self.kind, p, Some(frontier));
+        self.render(ReportStream::csv(self.kind, Vec::new()))
     }
 
     /// JSON-lines rendering: one self-contained object per point. Every
@@ -226,7 +217,11 @@ impl SweepReport {
     /// [`crate::stream::ReportStream`] writer, so batch and streamed
     /// JSONL bytes are identical by construction.
     pub fn to_jsonl(&self) -> String {
-        let mut stream = crate::stream::ReportStream::jsonl(self.kind, Vec::new());
+        self.render(ReportStream::jsonl(self.kind, Vec::new()))
+    }
+
+    /// Every point through `stream`, as the rendered text.
+    fn render(&self, mut stream: ReportStream<Vec<u8>>) -> String {
         for p in &self.points {
             stream.push(p).expect("in-memory stream cannot fail");
         }
@@ -238,18 +233,13 @@ impl SweepReport {
     /// `{"kind":…,"points":[…]}`, with the same per-point objects as
     /// [`SweepReport::to_jsonl`].
     pub fn to_json(&self) -> String {
-        let on_frontier = self.frontier_mask();
-        let mut out = String::from("{\"kind\":\"");
-        out.push_str(self.kind.tag());
-        out.push_str("\",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            self.push_point_json(&mut out, p, on_frontier[i]);
-        }
-        out.push_str("]}");
-        out
+        let points = self.points.iter().zip(self.frontier_mask());
+        ObjWriter::render(|w| {
+            w.str("kind", self.kind.tag())
+                .list("points", points, |out, (p, flag)| {
+                    push_point_json(out, self.kind, p, Some(flag))
+                });
+        })
     }
 
     /// A fixed-width text table of the Pareto frontier (budget, loss,
@@ -286,42 +276,42 @@ impl SweepReport {
     }
 }
 
-/// Displays `v` as the shared wire-format number writer
+/// Displays what its closure writes, in place: a rendered point
+/// formats each number and list straight into its output.
+struct Show<F>(F);
+
+impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> Display for Show<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.0)(f)
+    }
+}
+
+/// `v` as the shared wire-format number writer
 /// ([`socbuf_core::wire::push_f64`]) renders it: shortest round-trip
 /// decimal for finite values, `null` for non-finite ones. One rule
 /// serves every renderer here *and* the `socbuf-serve` codec, so "what
-/// does a float look like on the wire" has exactly one answer; it is
-/// displayed in place, so a rendered point allocates nothing per
-/// number.
+/// does a float look like on the wire" has exactly one answer.
 fn num(v: f64) -> impl Display {
-    struct Num(f64);
-    impl Display for Num {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            if self.0.is_finite() {
-                write!(f, "{}", self.0)
-            } else {
-                f.write_str("null")
-            }
+    Show(move |f: &mut fmt::Formatter<'_>| {
+        if v.is_finite() {
+            write!(f, "{v}")
+        } else {
+            f.write_str("null")
         }
-    }
-    Num(v)
+    })
 }
 
-/// Displays `xs` separated by `sep`, in place.
+/// `xs` separated by `sep`.
 fn join<'x>(xs: &'x [usize], sep: &'x str) -> impl Display + 'x {
-    struct Join<'x>(&'x [usize], &'x str);
-    impl Display for Join<'_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            for (i, x) in self.0.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(self.1)?;
-                }
-                write!(f, "{x}")?;
+    Show(move |f: &mut fmt::Formatter<'_>| {
+        for (i, x) in xs.iter().enumerate() {
+            if i > 0 {
+                f.write_str(sep)?;
             }
-            Ok(())
+            write!(f, "{x}")?;
         }
-    }
-    Join(xs, sep)
+        Ok(())
+    })
 }
 
 /// The CSV header line shared by the batch and streaming renderers.

@@ -12,11 +12,8 @@
 //!   reports cover the manifest's chunk partition exactly (no gaps, no
 //!   overlaps, no foreign campaigns) and reassembles the points.
 //!
-//! This module owns the chunk frame: its framing (campaign hash, kind,
-//! range) and its points, which are [`SweepPoint`]s rendered and read
-//! by the same point codec as a report's JSONL lines. A frame off the
-//! wire is decoded once, straight from the parsed document, into typed
-//! points; the reducer only checks coverage and moves them.
+//! A [`ChunkReport`] holds typed [`SweepPoint`]s: a frame is decoded
+//! once, from its parsed document, and the reducer only moves them.
 //!
 //! The contract pinned by the test-suite and `shard_probe --smoke`:
 //! merged CSV/JSONL bytes equal the serial single-host bytes for *any*
@@ -154,8 +151,7 @@ impl ChunkReport {
         )
     }
 
-    /// Parses the canonical rendering, decoding each point once, from
-    /// the reader it is given.
+    /// Parses the canonical rendering, decoding each point once.
     ///
     /// # Errors
     ///
@@ -219,8 +215,7 @@ impl ChunkReport {
     }
 }
 
-/// The one chunk-frame renderer: [`ChunkReport::to_json`] and
-/// [`chunk_report_json`] both write through it.
+/// The chunk frame's one renderer.
 fn render_chunk_report(
     config_hash: u64,
     kind: SweepKind,
@@ -240,11 +235,9 @@ fn render_chunk_report(
     })
 }
 
-/// Renders chunk `chunk` of `manifest` as its canonical chunk-report
-/// document, straight from the solved points: the bytes
-/// [`ChunkReport::to_json`] gives for the same points, without building
-/// the report. Points carry no `frontier` flag (see
-/// [`ChunkReport::points`]).
+/// Renders chunk `chunk` of `manifest` from its solved points: the
+/// bytes [`ChunkReport::to_json`] gives for them, without building the
+/// report.
 ///
 /// # Panics
 ///
@@ -287,9 +280,7 @@ pub fn execute_manifest_chunk_traced(
         points: solved.len(),
         pivots: solved.iter().map(|p| p.lp_iterations).sum(),
     };
-    for p in &mut solved {
-        p.lp_iterations = 0;
-    }
+    solved.iter_mut().for_each(|p| p.lp_iterations = 0);
     let range = manifest.chunks[chunk];
     let report = ChunkReport {
         config_hash: manifest.config_hash,
@@ -512,10 +503,8 @@ impl<S: PointSink> StreamingReducer<S> {
     }
 
     /// Verifies one report's coverage and flushes whatever in-order run
-    /// it completes, moving its typed points into the sink: the points
-    /// were decoded with the frame ([`ChunkReport::from_json`]), so a
-    /// shard thread pays for the decode before it takes the reducer.
-    /// Order of arrival is irrelevant to the merged output.
+    /// it completes, moving its points (decoded with their frame) into
+    /// the sink. Order of arrival is irrelevant to the merged output.
     ///
     /// # Errors
     ///
@@ -613,18 +602,15 @@ impl<S: PointSink> StreamingReducer<S> {
 ///
 /// The first violation found, reports scanned in the order given
 /// (each report's coverage fully verified before the next is looked
-/// at), then gaps in chunk order. Points are not checked here: a
-/// [`ChunkReport`] holds typed points, so a bad point was refused when
-/// its frame was decoded.
+/// at), then gaps in chunk order. A bad point was refused when its
+/// frame was decoded.
 pub fn merge_chunk_reports(
     manifest: &CampaignManifest,
     reports: &[ChunkReport],
 ) -> Result<SweepReport, MergeError> {
     let mut reducer = StreamingReducer::new(manifest, VecSink::new());
     let kind = reducer.kind;
-    for r in reports {
-        reducer.ingest(r.clone())?;
-    }
+    reports.iter().try_for_each(|r| reducer.ingest(r.clone()))?;
     let (sink, _) = reducer.finish()?;
     Ok(SweepReport {
         kind,
