@@ -142,7 +142,7 @@ pub struct ChunkReport {
 impl ChunkReport {
     /// Serializes the report as one canonical JSON object.
     pub fn to_json(&self) -> String {
-        render_chunk_report(
+        render_chunk_frame(
             self.config_hash,
             self.kind,
             self.chunk,
@@ -216,7 +216,7 @@ impl ChunkReport {
 }
 
 /// The chunk frame's one renderer.
-fn render_chunk_report(
+fn render_chunk_frame(
     config_hash: u64,
     kind: SweepKind,
     chunk: usize,
@@ -248,7 +248,7 @@ pub fn chunk_report_json(
     points: &[SweepPoint],
 ) -> String {
     let range = manifest.chunks[chunk];
-    render_chunk_report(
+    render_chunk_frame(
         manifest.config_hash,
         SweepKind::of(&manifest.shape),
         chunk,
