@@ -108,7 +108,7 @@ fn smoke(gate: &mut Gate) {
             report.expect("a single-chunk stream carries one frame")
         })
         .collect();
-    match merge_chunk_reports(&manifest, &reports[..reports.len() - 1]) {
+    match merge_chunk_reports(&manifest, reports[..reports.len() - 1].to_vec()) {
         Err(MergeError::MissingChunk { .. }) => {}
         other => gate.fail(format_args!(
             "dropped chunk not rejected as a coverage gap: {other:?}"
@@ -116,7 +116,7 @@ fn smoke(gate: &mut Gate) {
     }
     let mut dup = reports.clone();
     dup.push(reports[0].clone());
-    match merge_chunk_reports(&manifest, &dup) {
+    match merge_chunk_reports(&manifest, dup) {
         Err(MergeError::DuplicateChunk { .. }) => {}
         other => gate.fail(format_args!(
             "duplicated chunk not rejected as overlap: {other:?}"

@@ -20,7 +20,7 @@
 //!
 //! # Numbers
 //!
-//! All floats go through one shared writer, [`push_f64`]:
+//! All floats go through one shared writer, [`push_f64`] ([`num`] as a `Display`):
 //!
 //! * finite values render via `f64`'s `Display` (shortest decimal that
 //!   round-trips, so bit-identical inputs give byte-identical text);
@@ -99,11 +99,23 @@ const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 /// Readers treat the `null` as "value exists but is not a finite
 /// number" and map it back to `f64::NAN`.
 pub fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+    let _ = write!(out, "{}", num(v));
+}
+
+/// `v` as [`push_f64`] writes it, for renderers that format with
+/// `write!`: a float has one spelling on the wire and in every report.
+pub fn num(v: f64) -> impl std::fmt::Display {
+    struct Num(f64);
+    impl std::fmt::Display for Num {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            if self.0.is_finite() {
+                write!(f, "{}", self.0)
+            } else {
+                f.write_str("null")
+            }
+        }
     }
+    Num(v)
 }
 
 /// Appends `s` as a JSON string literal, escaping everything JSON

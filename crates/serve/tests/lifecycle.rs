@@ -709,7 +709,7 @@ fn sweep_stream_reproduces_batch_bytes_and_moves_the_streaming_gauges() {
         .unwrap();
     assert_eq!(end.frames as usize, manifest.chunks.len());
     assert_eq!(end.points as usize, manifest.items());
-    let merged = merge_chunk_reports(&manifest, &reports).unwrap();
+    let merged = merge_chunk_reports(&manifest, reports.clone()).unwrap();
     assert_eq!(merged.to_csv(), serial.to_csv());
     assert_eq!(merged.to_jsonl(), serial.to_jsonl());
 
@@ -796,7 +796,7 @@ fn unix_socket_transport_serves_identically() {
     let manifest = budget_manifest(&arch, &config, vec![24, 28, 32]);
     let (frames, _) = stream(&mut client, &manifest, None).unwrap();
     let reports: Vec<ChunkReport> = frames.into_iter().map(|f| f.report).collect();
-    let frontier = merge_chunk_reports(&manifest, &reports).unwrap();
+    let frontier = merge_chunk_reports(&manifest, reports).unwrap();
     assert!(!frontier.pareto_frontier().is_empty());
     assert!(frontier.frontier_table().contains("budget"));
 

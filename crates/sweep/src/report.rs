@@ -2,7 +2,7 @@
 //! extraction, and deterministic CSV / JSON / JSON-lines rendering.
 //!
 //! Every float in every renderer goes through the workspace's one
-//! shared number writer, [`socbuf_core::wire::push_f64`]: finite
+//! shared number writer, [`socbuf_core::wire::num`]: finite
 //! values render via `f64`'s `Display` (shortest round-trip decimal),
 //! so two reports with bit-identical numbers serialize to
 //! byte-identical text — the property the determinism suite compares —
@@ -15,7 +15,7 @@ use std::fmt::{self, Display, Write as _};
 
 #[cfg(test)]
 use socbuf_core::wire::JsonValue;
-use socbuf_core::wire::{JsonRead, ManifestShape, ObjWriter, WireError};
+use socbuf_core::wire::{num, JsonRead, ManifestShape, ObjWriter, WireError};
 
 use crate::stream::ReportStream;
 
@@ -284,21 +284,6 @@ impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> Display for Show<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         (self.0)(f)
     }
-}
-
-/// `v` as the shared wire-format number writer
-/// ([`socbuf_core::wire::push_f64`]) renders it: shortest round-trip
-/// decimal for finite values, `null` for non-finite ones. One rule
-/// serves every renderer here *and* the `socbuf-serve` codec, so "what
-/// does a float look like on the wire" has exactly one answer.
-fn num(v: f64) -> impl Display {
-    Show(move |f: &mut fmt::Formatter<'_>| {
-        if v.is_finite() {
-            write!(f, "{v}")
-        } else {
-            f.write_str("null")
-        }
-    })
 }
 
 /// `xs` separated by `sep`.
@@ -710,28 +695,6 @@ mod tests {
         let r = report(vec![cheap, rich]);
         assert_eq!(r.pareto_frontier(), vec![0, 1]);
         assert_eq!(r.points[1].effective_loss(), 4.0);
-    }
-
-    #[test]
-    fn numbers_display_as_the_wire_writer_renders_them() {
-        for v in [
-            0.0,
-            -0.0,
-            1.0,
-            0.1,
-            -2.5e-7,
-            1e300,
-            5e-324,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ] {
-            let mut wire = String::new();
-            socbuf_core::wire::push_f64(&mut wire, v);
-            assert_eq!(num(v).to_string(), wire, "{v}");
-        }
-        assert_eq!(join(&[3, 0, 12], "|").to_string(), "3|0|12");
-        assert_eq!(join(&[], ",").to_string(), "");
     }
 
     /// `doc` with the point, or its `nested` object, edited by `edit`.

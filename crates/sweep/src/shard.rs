@@ -159,7 +159,8 @@ impl ChunkReport {
     /// kind, an empty or reversed range, a point count that disagrees
     /// with the range, a point whose `index` is not `start + position`,
     /// a point carrying a `frontier` flag (which only the merged report
-    /// may have), or a point the sweep point codec refuses.
+    /// may have), or a point the sweep point codec refuses (its message
+    /// then names the point's position and the chunk).
     pub fn from_json<'a>(v: impl JsonRead<'a>) -> Result<ChunkReport, WireError> {
         let f = v.fields(
             "chunk report",
@@ -202,7 +203,12 @@ impl ChunkReport {
                      global property only the merged report may render"
                 )));
             }
-            points.push(sweep_point_from_json(p, kind)?);
+            points.push(sweep_point_from_json(p, kind).map_err(|e| match e {
+                WireError::Schema(m) => {
+                    WireError::Schema(format!("chunk {chunk}: points[{i}]: {m}"))
+                }
+                e => e,
+            })?);
         }
         Ok(ChunkReport {
             config_hash,
@@ -606,11 +612,11 @@ impl<S: PointSink> StreamingReducer<S> {
 /// frame was decoded.
 pub fn merge_chunk_reports(
     manifest: &CampaignManifest,
-    reports: &[ChunkReport],
+    reports: impl IntoIterator<Item = ChunkReport>,
 ) -> Result<SweepReport, MergeError> {
     let mut reducer = StreamingReducer::new(manifest, VecSink::new());
     let kind = reducer.kind;
-    reports.iter().try_for_each(|r| reducer.ingest(r.clone()))?;
+    reports.into_iter().try_for_each(|r| reducer.ingest(r))?;
     let (sink, _) = reducer.finish()?;
     Ok(SweepReport {
         kind,

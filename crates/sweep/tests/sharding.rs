@@ -45,7 +45,7 @@ fn budget_merge_is_byte_identical_for_any_chunk_assignment() {
     // ran {0,2}, shard B ran {1}" split the smoke probe exercises —
     // must merge to the same bytes.
     for order in [vec![0, 1, 2], vec![2, 0, 1], vec![1, 2, 0]] {
-        let merged = merge_chunk_reports(&manifest, &all_chunks(&manifest, &order)).unwrap();
+        let merged = merge_chunk_reports(&manifest, all_chunks(&manifest, &order)).unwrap();
         assert_eq!(merged.to_csv(), serial.to_csv(), "order {order:?}");
         assert_eq!(merged.to_jsonl(), serial.to_jsonl(), "order {order:?}");
     }
@@ -71,7 +71,7 @@ fn load_merge_is_byte_identical_across_the_wire() {
             ChunkReport::from_json(&JsonValue::parse(&r.to_json()).unwrap()).unwrap()
         })
         .collect();
-    let merged = merge_chunk_reports(&manifest, &reports).unwrap();
+    let merged = merge_chunk_reports(&manifest, reports).unwrap();
     assert_eq!(merged.to_csv(), serial.to_csv());
     assert_eq!(merged.to_jsonl(), serial.to_jsonl());
 }
@@ -87,7 +87,7 @@ fn random_merge_is_byte_identical() {
     // Independent policy: one chunk per seed.
     assert_eq!(manifest.chunks.len(), 5);
     let serial = campaign.run(&WorkPool::serial()).unwrap();
-    let merged = merge_chunk_reports(&manifest, &all_chunks(&manifest, &[4, 3, 2, 1, 0])).unwrap();
+    let merged = merge_chunk_reports(&manifest, all_chunks(&manifest, &[4, 3, 2, 1, 0])).unwrap();
     assert_eq!(merged.to_csv(), serial.to_csv());
     assert_eq!(merged.to_jsonl(), serial.to_jsonl());
 }
@@ -140,7 +140,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     let reports = all_chunks(&manifest, &[0, 1, 2]);
 
     // Dropped chunk → coverage gap.
-    match merge_chunk_reports(&manifest, &reports[..2]) {
+    match merge_chunk_reports(&manifest, reports[..2].to_vec()) {
         Err(MergeError::MissingChunk { chunk: 2 }) => {}
         other => panic!("expected MissingChunk(2), got {other:?}"),
     }
@@ -148,7 +148,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     // Duplicated chunk → overlap.
     let mut dup = reports.clone();
     dup.push(reports[1].clone());
-    match merge_chunk_reports(&manifest, &dup) {
+    match merge_chunk_reports(&manifest, dup) {
         Err(MergeError::DuplicateChunk { chunk: 1 }) => {}
         other => panic!("expected DuplicateChunk(1), got {other:?}"),
     }
@@ -156,7 +156,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     // Stale config hash → foreign campaign.
     let mut stale = reports.clone();
     stale[0].config_hash ^= 1;
-    match merge_chunk_reports(&manifest, &stale) {
+    match merge_chunk_reports(&manifest, stale) {
         Err(MergeError::HashMismatch { chunk: 0, .. }) => {}
         other => panic!("expected HashMismatch(0), got {other:?}"),
     }
@@ -164,7 +164,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     // Tampered range → partition mismatch.
     let mut shifted = reports.clone();
     shifted[2].start += 1;
-    match merge_chunk_reports(&manifest, &shifted) {
+    match merge_chunk_reports(&manifest, shifted) {
         Err(MergeError::RangeMismatch { chunk: 2, .. }) => {}
         other => panic!("expected RangeMismatch(2), got {other:?}"),
     }
@@ -172,7 +172,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     // Chunk index beyond the partition.
     let mut unknown = reports.clone();
     unknown[0].chunk = 9;
-    match merge_chunk_reports(&manifest, &unknown) {
+    match merge_chunk_reports(&manifest, unknown) {
         Err(MergeError::UnknownChunk { chunk: 9, .. }) => {}
         other => panic!("expected UnknownChunk(9), got {other:?}"),
     }
@@ -180,7 +180,7 @@ fn reducer_rejects_dropped_duplicated_and_foreign_chunks() {
     // Wrong kind tag.
     let mut foreign = reports.clone();
     foreign[1].kind = SweepKind::Load;
-    match merge_chunk_reports(&manifest, &foreign) {
+    match merge_chunk_reports(&manifest, foreign) {
         Err(MergeError::KindMismatch { chunk: 1, .. }) => {}
         other => panic!("expected KindMismatch(1), got {other:?}"),
     }

@@ -185,7 +185,7 @@ proptest! {
         // And the batch wrapper agrees with the batch reducer.
         let arrival: Vec<ChunkReport> =
             order.iter().map(|&c| fx.reports[c].clone()).collect();
-        let merged = merge_chunk_reports(&fx.manifest, &arrival).unwrap();
+        let merged = merge_chunk_reports(&fx.manifest, arrival).unwrap();
         prop_assert_eq!(merged.to_csv(), fx.csv.clone());
         prop_assert_eq!(merged.to_jsonl(), fx.jsonl.clone());
     }

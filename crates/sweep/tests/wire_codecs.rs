@@ -332,6 +332,30 @@ fn chunk_report_refuses_unknown_keys_and_names_missing_ones() {
     }
 }
 
+/// A point the point codec refuses is named by its position and its
+/// chunk, so a fleet failure says where in the campaign the bad point
+/// sits.
+#[test]
+fn a_refused_point_is_named_by_its_position_and_chunk() {
+    let mut doc = JsonValue::parse(&report_from(0xab, 0, 4, &[1.5, 2.5]).to_json()).unwrap();
+    let JsonValue::Obj(fields) = &mut doc else {
+        panic!("a chunk report is an object")
+    };
+    let Some((_, JsonValue::Arr(points))) = fields.iter_mut().find(|(k, _)| k == "points") else {
+        panic!("a chunk report has a points list")
+    };
+    let JsonValue::Obj(second) = &mut points[1] else {
+        panic!("a point is an object")
+    };
+    second.retain(|(k, _)| k != "budget");
+    assert_eq!(
+        ChunkReport::from_json(&doc),
+        Err(WireError::Schema(
+            "chunk 2: points[1]: point: missing field \"budget\"".into()
+        ))
+    );
+}
+
 #[test]
 fn coarsened_chunk_partitions_are_accepted_and_misaligned_ones_named() {
     // 10 items under warm chains of 4: base partition 0..4, 4..8, 8..10.

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reports.push(chunk.report);
         Ok(())
     })?;
-    let frontier = merge_chunk_reports(&manifest, &reports)?;
+    let frontier = merge_chunk_reports(&manifest, reports)?;
     println!("\n--- Pareto frontier over budgets 160/240/320 ---");
     print!("{}", frontier.frontier_table());
 
