@@ -35,11 +35,12 @@
 //!   at most [`SEEDED_ALLOCS`] allocations, a seeded chain start
 //!   (the copy plus its zero-pivot first point) at most
 //!   [`CHAIN_START_ALLOCS`], a zero-pivot warm budget point at most
-//!   [`WARM_POINT_ALLOCS`], a load point at most [`LOAD_POINT_ALLOCS`]
-//!   and a cold `size_buffers` at most [`COLD_SIZE_ALLOCS`] (its
-//!   `SizingLp::build` share is printed beside it). The LP's pivot loop
-//!   allocates nothing, so the last two count refactorizations, dual
-//!   recovery and the returned solutions, not pivots;
+//!   [`WARM_POINT_ALLOCS`], a load point at most [`LOAD_POINT_ALLOCS`],
+//!   a cold `size_buffers` at most [`COLD_SIZE_ALLOCS`] and that
+//!   size's `SizingLp::build` at most [`COLD_BUILD_ALLOCS`]. The LP's
+//!   pivot loop allocates nothing once its eta file has grown, so the
+//!   load point and the cold size count refactorizations, dual recovery
+//!   and the returned solutions, not pivots;
 //! * **pivot counts** — the same cold `size_buffers` takes exactly
 //!   [`COLD_SIZE_PIVOTS`] pivots and the load point exactly
 //!   [`LOAD_POINT_PIVOTS`]. Work that does not move a pivot (pricing
@@ -73,14 +74,21 @@ const CHAIN_START_ALLOCS: u64 = 60;
 const WARM_POINT_ALLOCS: u64 = 30;
 
 /// Most allocations a load point (a coefficient delta, re-solved warm)
-/// may make on `figure1`. It measures 136 (664 while every FTRAN,
-/// BTRAN, pricing pass and eta allocated).
+/// may make on `figure1`. It measures 144 (664 while every FTRAN,
+/// BTRAN, pricing pass and eta allocated; 136 before the eta file kept
+/// a reader index for its incremental sweep).
 const LOAD_POINT_ALLOCS: u64 = 152;
 
 /// Most allocations a cold `size_buffers` may make on `figure1`. It
-/// measures 1,058, 801 of them in `SizingLp::build` (2,755 while the LP
-/// allocated per pivot).
-const COLD_SIZE_ALLOCS: u64 = 1153;
+/// measures 384, 115 of them in `SizingLp::build` (1,058 while the
+/// build formatted a name per variable, 2,755 while the LP allocated
+/// per pivot).
+const COLD_SIZE_ALLOCS: u64 = 424;
+
+/// Most allocations the `SizingLp::build` of that cold `size_buffers`
+/// may make. It measures 115 (801 while it formatted a name per
+/// variable and filled a `Vec` per row of each triplet batch).
+const COLD_BUILD_ALLOCS: u64 = 128;
 
 /// Pivots of the cold `size_buffers` at budget 22 on `figure1` at
 /// `SizingConfig::small()`.
@@ -304,6 +312,7 @@ fn gate_chain_allocs(gate: &mut Gate) {
         ("a warm budget point", a.warm_point, WARM_POINT_ALLOCS),
         ("a load point", a.load_point, LOAD_POINT_ALLOCS),
         ("a cold size_buffers", a.cold_size, COLD_SIZE_ALLOCS),
+        ("its SizingLp::build", a.cold_build, COLD_BUILD_ALLOCS),
     ] {
         gate.check(
             (1..=max).contains(&c.allocs),

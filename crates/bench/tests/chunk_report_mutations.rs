@@ -76,7 +76,7 @@ fn frames() -> Vec<(&'static str, String)> {
     ]
     .into_iter()
     .map(|(name, manifest)| {
-        let (report, _) = execute_manifest_chunk_traced(&manifest, 0, &pool).unwrap();
+        let report = execute_manifest_chunk_traced(&manifest, 0, &pool).unwrap();
         (name, report.to_json())
     })
     .collect()

@@ -19,6 +19,7 @@
 //! availability factors of *other* buses — products of unknowns; see
 //! [`crate::coupled`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use socbuf_lp::{
@@ -143,22 +144,53 @@ pub(crate) struct Layout {
 /// The part of a [`Layout`] no retarget changes.
 #[derive(Debug)]
 struct LayoutShape {
-    /// `vars[q][n][a]` — occupation variables. State 0 has one action.
-    vars: Vec<Vec<Vec<VarId>>>,
+    /// The occupation variables, queue by queue, then state by state,
+    /// then action by action ([`LayoutShape::state_vars`]). State 0 has
+    /// one action, every other state one per effort level.
+    vars: Vec<VarId>,
     efforts: Vec<f64>,
     bus_rows: Vec<RowId>,
     /// Always the LP's last row, so dropping it leaves every other
     /// [`RowId`] valid.
     budget_row: RowId,
-    /// `cut_rows[q][j]` — the level-crossing row between states `j` and
-    /// `j+1` of queue `q`; its birth-side coefficients carry λ, which is
-    /// what a load-factor retarget rewrites in place.
-    cut_rows: Vec<Vec<RowId>>,
+    /// `cut_rows[q * state_cap + j]` — the level-crossing row between
+    /// states `j` and `j+1` of queue `q`; its birth-side coefficients
+    /// carry λ, which is what a load-factor retarget rewrites in place.
+    cut_rows: Vec<RowId>,
     weights: Vec<f64>,
     state_cap: usize,
     alpha: f64,
-    /// Number of LP variables (all of them occupation variables).
-    num_vars: usize,
+}
+
+/// Variables per queue: one for state 0, one per effort level for each
+/// of the states `1..=state_cap`.
+fn block_len(state_cap: usize, levels: usize) -> usize {
+    1 + state_cap * levels
+}
+
+/// Where queue `q`'s variables at occupancy `n` sit in the variable
+/// order, in action order.
+fn state_span(state_cap: usize, levels: usize, q: usize, n: usize) -> Range<usize> {
+    let first = q * block_len(state_cap, levels);
+    match n {
+        0 => first..first + 1,
+        n => {
+            let start = first + 1 + (n - 1) * levels;
+            start..start + levels
+        }
+    }
+}
+
+impl LayoutShape {
+    /// Queue `q`'s variables at occupancy `n`, in action order.
+    fn state_vars(&self, q: usize, n: usize) -> &[VarId] {
+        &self.vars[state_span(self.state_cap, self.efforts.len(), q, n)]
+    }
+
+    /// Number of queues.
+    fn num_queues(&self) -> usize {
+        self.weights.len()
+    }
 }
 
 /// A solution of the joint LP read queue by queue into flat arrays:
@@ -280,125 +312,136 @@ impl SizingLp {
         }
         // The split certifies the block structure; the LP below relies on
         // it (bridge buffers are independent blocks on their own buses).
-        let parts = split(arch);
-        debug_assert!(!parts.subsystems.is_empty());
+        // Only debug builds compute it: release builds never read it.
+        debug_assert!(!split(arch).subsystems.is_empty());
 
         let n = config.state_cap;
         let levels = config.effort_levels;
         let efforts: Vec<f64> = (0..levels)
             .map(|a| a as f64 / (levels - 1) as f64)
             .collect();
-
-        let mut lp = LpProblem::new(Sense::Minimize);
-        let mut vars: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(arch.num_queues());
-        let mut cut_rows: Vec<Vec<RowId>> = Vec::with_capacity(arch.num_queues());
-        let mut weights = Vec::with_capacity(arch.num_queues());
-        let mut lambdas = Vec::with_capacity(arch.num_queues());
-
+        let block_len = block_len(n, levels);
+        let nq = arch.num_queues();
+        let mut weights = Vec::with_capacity(nq);
+        let mut lambdas = Vec::with_capacity(nq);
         for q in arch.queues() {
-            let lambda = q.offered_rate;
-            let mu = arch.bus(q.bus).service_rate();
-            let w = queue_weight(arch, q.id);
-            weights.push(w);
-            lambdas.push(lambda);
+            weights.push(queue_weight(arch, q.id));
+            lambdas.push(q.offered_rate);
+        }
 
-            // Variables: state 0 has the single idle action; states 1..=N
-            // have all effort levels. Loss cost sits on the full state.
-            let mut block: Vec<Vec<VarId>> = Vec::with_capacity(n + 1);
-            for state in 0..=n {
-                let acts = if state == 0 { 1 } else { levels };
-                let mut row = Vec::with_capacity(acts);
-                for a in 0..acts {
-                    let cost = if state == n { w * lambda } else { 0.0 };
-                    row.push(lp.add_var(format!("x_q{}_n{}_a{}", q.id.index(), state, a), cost));
-                }
-                block.push(row);
+        // Variables: state 0 has the single idle action; states 1..=N
+        // have all effort levels. Loss cost sits on the full state. They
+        // are named `x_q{q}_n{state}_a{action}`, on demand.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let costs = (0..nq * block_len).map(|k| {
+            let q = k / block_len;
+            if k % block_len > (n - 1) * levels {
+                weights[q] * lambdas[q]
+            } else {
+                0.0
             }
+        });
+        let vars = lp.add_vars(costs, move |k| {
+            let (q, k) = (k / block_len, k % block_len);
+            let (state, a) = match k {
+                0 => (0, 0),
+                k => (1 + (k - 1) / levels, (k - 1) % levels),
+            };
+            format!("x_q{q}_n{state}_a{a}")
+        });
+        let state_vars = |q: usize, state: usize| &vars[state_span(n, levels, q, state)];
 
-            // Level-crossing (cut) equations: probability flow up across
-            // the n|n+1 boundary equals the flow down,
-            //   λ·Σ_a x(n,a) = μ·Σ_a e_a·x(n+1,a).
-            // For a birth–death block this is equivalent to global
-            // balance but the rows are linearly *independent*, which
-            // keeps the system consistent under the simplex solver's
-            // degeneracy-breaking rhs perturbation.
-            //
-            // The whole block — n cut rows plus the normalization row —
-            // goes through the sparse triplet builder in one batch, so
-            // LP assembly stays O(nnz) per block and the block-diagonal
-            // structure reaches the solver's CSR standard form intact.
-            let mut triplets: Vec<(usize, VarId, f64)> = Vec::new();
+        // Level-crossing (cut) equations: probability flow up across the
+        // n|n+1 boundary equals the flow down,
+        //   λ·Σ_a x(n,a) = μ·Σ_a e_a·x(n+1,a).
+        // For a birth–death block this is equivalent to global balance
+        // but the rows are linearly *independent*, which keeps the system
+        // consistent under the simplex solver's degeneracy-breaking rhs
+        // perturbation.
+        //
+        // Each block — n cut rows plus the normalization row — goes
+        // through the sparse triplet builder in one batch, so LP assembly
+        // stays O(nnz) per block and the block-diagonal structure reaches
+        // the solver's CSR standard form intact.
+        let relations = vec![Relation::Eq; n + 1];
+        let mut rhs = vec![0.0; n + 1];
+        rhs[n] = 1.0;
+        let mut triplets: Vec<(usize, VarId, f64)> = Vec::new();
+        let mut cut_rows = Vec::with_capacity(nq * n);
+        for (qi, q) in arch.queues().iter().enumerate() {
+            let lambda = lambdas[qi];
+            let mu = arch.bus(q.bus).service_rate();
+            triplets.clear();
             for j in 0..n {
-                for &v in &block[j] {
+                for &v in state_vars(qi, j) {
                     triplets.push((j, v, lambda));
                 }
-                for (a, &v) in block[j + 1].iter().enumerate() {
+                for (a, &v) in state_vars(qi, j + 1).iter().enumerate() {
                     if efforts[a] > 0.0 {
                         triplets.push((j, v, -efforts[a] * mu));
                     }
                 }
             }
             // Block normalization as row n of the batch.
-            for v in block.iter().flatten() {
-                triplets.push((n, *v, 1.0));
+            for &v in &vars[qi * block_len..(qi + 1) * block_len] {
+                triplets.push((n, v, 1.0));
             }
-            let mut rhs = vec![0.0; n + 1];
-            rhs[n] = 1.0;
             let ids =
-                lp.add_constraints_from_triplets(triplets, &vec![Relation::Eq; n + 1], &rhs)?;
+                lp.add_constraints_from_triplets(triplets.iter().copied(), &relations, &rhs)?;
             // Rows 0..n of the batch are the cut rows (row n is the
             // normalization) — remembered for in-place load retargets.
-            cut_rows.push(ids[..n].to_vec());
-
-            vars.push(block);
+            cut_rows.extend_from_slice(&ids[..n]);
         }
 
         // Per-bus effort rows.
+        let mut terms: Vec<(VarId, f64)> = Vec::new();
         let mut bus_rows = Vec::with_capacity(arch.num_buses());
         for bus in arch.bus_ids() {
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            terms.clear();
             for &qid in arch.bus_queue_ids(bus) {
-                let block = &vars[qid.index()];
-                for (state, row) in block.iter().enumerate().skip(1) {
-                    let _ = state;
-                    for (a, &v) in row.iter().enumerate() {
+                for state in 1..=n {
+                    for (a, &v) in state_vars(qid.index(), state).iter().enumerate() {
                         if efforts[a] > 0.0 {
                             terms.push((v, efforts[a]));
                         }
                     }
                 }
             }
-            let row = lp.add_constraint(terms, Relation::Le, config.bus_effort_limit)?;
+            let row =
+                lp.add_constraint(terms.iter().copied(), Relation::Le, config.bus_effort_limit)?;
             bus_rows.push(row);
         }
 
         // Global budget row: Σ E[occupancy] ≤ α·budget. It must stay
         // the last row (see `Layout::solve_relaxed`).
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        for block in &vars {
-            for (state, row) in block.iter().enumerate().skip(1) {
-                for &v in row {
+        terms.clear();
+        for q in 0..nq {
+            for state in 1..=n {
+                for &v in state_vars(q, state) {
                     terms.push((v, state as f64));
                 }
             }
         }
-        let budget_row = lp.add_constraint(terms, Relation::Le, config.alpha * budget as f64)?;
+        let budget_row = lp.add_constraint(
+            terms.iter().copied(),
+            Relation::Le,
+            config.alpha * budget as f64,
+        )?;
 
-        let num_vars = lp.num_vars();
+        let shape = LayoutShape {
+            vars,
+            efforts,
+            bus_rows,
+            budget_row,
+            cut_rows,
+            weights,
+            state_cap: n,
+            alpha: config.alpha,
+        };
         Ok(SizingLp {
             lp,
             layout: Layout {
-                shape: Arc::new(LayoutShape {
-                    vars,
-                    efforts,
-                    bus_rows,
-                    budget_row,
-                    cut_rows,
-                    weights,
-                    state_cap: n,
-                    alpha: config.alpha,
-                    num_vars,
-                }),
+                shape: Arc::new(shape),
                 lambdas,
             },
             engine: config.engine,
@@ -544,20 +587,19 @@ impl Layout {
             }
             self.lambdas[q] = lambda;
             let mu = nominal.bus(queue.bus).service_rate();
-            let block = &shape.vars[q];
             for j in 0..n {
                 terms.clear();
-                for &v in &block[j] {
+                for &v in shape.state_vars(q, j) {
                     terms.push((v, lambda));
                 }
-                for (a, &v) in block[j + 1].iter().enumerate() {
+                for (a, &v) in shape.state_vars(q, j + 1).iter().enumerate() {
                     if shape.efforts[a] > 0.0 {
                         terms.push((v, -shape.efforts[a] * mu));
                     }
                 }
-                prepared.set_row_coeffs(shape.cut_rows[q][j], &terms)?;
+                prepared.set_row_coeffs(shape.cut_rows[q * n + j], &terms)?;
             }
-            for &v in &block[n] {
+            for &v in shape.state_vars(q, n) {
                 prepared.set_objective_coeff(v, shape.weights[q] * lambda)?;
             }
         }
@@ -603,21 +645,21 @@ impl Layout {
     /// was dropped (its shadow price is then 0).
     pub(crate) fn interpret(&self, sol: &LpSolution, relaxed: bool, out: &mut Reading) {
         let shape = &*self.shape;
-        let (nq, states) = (shape.vars.len(), shape.state_cap + 1);
+        let (nq, states) = (shape.num_queues(), shape.state_cap + 1);
         out.states = states;
         // Cleared, then reserved whole, so a fresh reading allocates
         // each buffer once and a reused one not at all.
         out.occupation.clear();
-        out.occupation.reserve(shape.num_vars);
+        out.occupation.reserve(shape.vars.len());
         out.marginals.clear();
         out.marginals.reserve(nq * states);
         out.efforts.clear();
         out.efforts.reserve(nq * states);
         out.queue_loss_rates.clear();
         out.queue_loss_rates.reserve(nq);
-        for (q, block) in shape.vars.iter().enumerate() {
+        for q in 0..nq {
             let first = out.marginals.len();
-            for row in block {
+            for row in (0..states).map(|n| shape.state_vars(q, n)) {
                 let at = out.occupation.len();
                 out.occupation
                     .extend(row.iter().map(|&v| sol.value(v).max(0.0)));
@@ -671,13 +713,13 @@ impl Layout {
     pub(crate) fn to_solution(&self, r: &Reading) -> SizingSolution {
         let shape = &*self.shape;
         let mut values = r.occupation.iter().copied();
-        let occupation = shape
-            .vars
-            .iter()
-            .map(|block| {
-                block
-                    .iter()
-                    .map(|row| values.by_ref().take(row.len()).collect())
+        let occupation = (0..shape.num_queues())
+            .map(|q| {
+                (0..r.states)
+                    .map(|n| {
+                        let row = shape.state_vars(q, n);
+                        values.by_ref().take(row.len()).collect()
+                    })
                     .collect()
             })
             .collect();
@@ -970,7 +1012,7 @@ mod tests {
             socbuf_lp::PreparedLp::new_with_scaling(problem, cfg.equilibrate).unwrap();
         let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
         let basis = prepared.solve_with(options).unwrap().basis_snapshot();
-        let cut_rows: Vec<RowId> = layout.shape.cut_rows.iter().flatten().copied().collect();
+        let cut_rows = layout.shape.cut_rows.clone();
         let coefficients = |p: &LpProblem| {
             let terms: Vec<Vec<(usize, u64)>> = cut_rows
                 .iter()
@@ -1041,6 +1083,28 @@ mod tests {
                 lp.num_vars()
             );
         }
+    }
+
+    #[test]
+    fn variables_are_named_by_queue_state_and_action() {
+        let arch = socbuf_soc::templates::figure1();
+        let cfg = SizingConfig::small();
+        let lp = SizingLp::build(&arch, 22, &cfg).unwrap();
+        let shape = &lp.layout.shape;
+        let p = lp.problem();
+        assert_eq!(p.var_name(shape.state_vars(0, 0)[0]), "x_q0_n0_a0");
+        assert_eq!(p.var_name(shape.state_vars(2, 5)[1]), "x_q2_n5_a1");
+        let last = arch.num_queues() - 1;
+        let full = shape.state_vars(last, cfg.state_cap);
+        assert_eq!(
+            p.var_name(full[cfg.effort_levels - 1]),
+            format!("x_q{last}_n{}_a{}", cfg.state_cap, cfg.effort_levels - 1)
+        );
+        // The loss cost sits on the full state only.
+        let cost = shape.weights[last] * arch.queues()[last].offered_rate;
+        assert!(full.iter().all(|&v| p.objective_coeff(v) == cost));
+        let below = shape.state_vars(last, cfg.state_cap - 1);
+        assert!(below.iter().all(|&v| p.objective_coeff(v) == 0.0));
     }
 
     #[test]

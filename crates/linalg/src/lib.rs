@@ -64,7 +64,7 @@ pub use scaling::{
     Equilibration,
 };
 pub use sparse_lu::{
-    solve_transpose_cols, solve_transpose_resumed, Columns, SparseLu, TransposeCache,
+    solve_transpose_cols, solve_transpose_resumed, Columns, Reach, SparseLu, TransposeCache,
 };
 pub use tridiag::Tridiag;
 pub use vector::{axpy, dot, inf_norm, max_abs_diff, one_norm, scale, two_norm};

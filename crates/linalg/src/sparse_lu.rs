@@ -26,6 +26,16 @@
 //! `O(n + nnz(L) + nnz(U))` in caller buffers and allocate nothing;
 //! [`SparseLu::solve`] and [`SparseLu::solve_transpose`] wrap them.
 //!
+//! A simplex FTRANs one sparse column per pivot, and its answer is
+//! sparse too. [`SparseLu::solve_reached`] applies only the columns of
+//! `L` and `U` the solve reaches from the column's rows (Gilbert &
+//! Peierls, "Sparse partial pivoting in time proportional to arithmetic
+//! operations", 1988), finds the forward sweep's reach through byte
+//! flags as the elimination finds its pattern, and flags the nonzeros
+//! of its answer in a [`Reach`]. It applies each column exactly when,
+//! and in the order, the in-place solve does, so every nonzero of its
+//! answer is bitwise the in-place solve's.
+//!
 //! A simplex prices with one transposed solve per pivot, and between two
 //! pricings only a few entries of the right-hand side change bits.
 //! [`SparseLu::solve_transpose_cached`] keeps the last input and both
@@ -201,15 +211,20 @@ struct Pattern {
 }
 
 impl Pattern {
-    /// Adds row `r` to column `j`'s pattern.
-    fn mark(&mut self, j: usize, r: usize, position: &[usize]) {
+    /// Adds row `r` to column `j`'s pattern. Returns the position of a
+    /// row new to the pattern that an earlier column pivoted, for the
+    /// caller to add to `pivoted`.
+    fn mark(&mut self, j: usize, r: usize, position: &[usize]) -> Option<usize> {
         if self.seen[r] == j {
-            return;
+            return None;
         }
         self.seen[r] = j;
         match position[r] {
-            usize::MAX => self.touched.push(r),
-            k => self.pivoted[k / 64] |= 1 << (k % 64),
+            usize::MAX => {
+                self.touched.push(r);
+                None
+            }
+            k => Some(k),
         }
     }
 }
@@ -368,17 +383,22 @@ impl SparseLu {
                         cols: n,
                     });
                 }
-                pattern.mark(j, r, &lu.position);
+                if let Some(k) = pattern.mark(j, r, &lu.position) {
+                    mark(&mut pattern.pivoted, k);
+                }
                 work[r] += v;
             }
             // Left-looking elimination: apply every earlier column whose
             // pivot row holds a nonzero, lowest position first. An
             // update only marks positions above the one applying it, so
-            // rereading the current word picks them up in order.
+            // scanning the current word from a copy in a register, which
+            // takes the marks that fall in it, keeps the order (and
+            // spares each mark a wait on the store before it).
             for w in 0..j.div_ceil(64) {
-                while pattern.pivoted[w] != 0 {
-                    let k = w * 64 + pattern.pivoted[w].trailing_zeros() as usize;
-                    pattern.pivoted[w] &= pattern.pivoted[w] - 1;
+                let mut word = std::mem::take(&mut pattern.pivoted[w]);
+                while word != 0 {
+                    let k = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
                     let prow = lu.pivot_row[k];
                     let ukj = work[prow];
                     work[prow] = 0.0;
@@ -387,7 +407,11 @@ impl SparseLu {
                     }
                     for p in lu.l_start[k]..lu.l_start[k + 1] {
                         let r = lu.l_row[p];
-                        pattern.mark(j, r, &lu.position);
+                        match pattern.mark(j, r, &lu.position) {
+                            Some(q) if q / 64 == w => word |= 1 << (q % 64),
+                            Some(q) => mark(&mut pattern.pivoted, q),
+                            None => {}
+                        }
                         work[r] -= lu.l_val[p] * ukj;
                     }
                     lu.u_pos.push(k);
@@ -538,6 +562,122 @@ impl SparseLu {
             }
             for p in self.u_start[j]..self.u_start[j + 1] {
                 work[self.u_pos[p]] -= self.u_val[p] * xj;
+            }
+        }
+        Ok(())
+    }
+
+    /// Solves `A x = b` in place for a sparse `b`, visiting only the
+    /// positions the solve reaches from `b`'s rows: the reached-set
+    /// solve of Gilbert & Peierls (1988), with the reach found as it
+    /// goes. `rows` names every row where `b` may be nonzero (any
+    /// order, repeats allowed), and `x` must be zero at every other row.
+    ///
+    /// On return `x` holds the solution and `reach` flags every position
+    /// where it is nonzero ([`Reach::drain_nonzeros`] lists them). Each
+    /// nonzero is bitwise [`SparseLu::solve_in_place`]'s answer, and
+    /// every other entry is zero: the forward sweep applies column `k`
+    /// of `L` to the positions it reaches, lowest first, exactly when
+    /// the in-place solve would (`z_k ≠ 0`), and the backward sweep
+    /// applies column `j` of `U`, highest first, exactly when `x_j ≠ 0`,
+    /// so each entry gets the in-place solve's operations in its order.
+    /// A position neither sweep reaches is zero in both solves; only the
+    /// sign of such a zero may differ, as the in-place solve divides it
+    /// by the position's pivot.
+    ///
+    /// The forward sweep queues positions as one byte each in `reach`
+    /// and scans them eight at a time, lowest first, as the elimination
+    /// reads its pattern: an update only queues positions after the one
+    /// applying it, so the scan keeps the order. It moves each `z_k ≠ 0`
+    /// into `reach`'s own accumulator, which every solve leaves zero.
+    /// The backward sweep then reads that accumulator down from the
+    /// last position the forward sweep left nonzero, dividing only at
+    /// the nonzeros. It queues nothing: its `U` updates are most of a
+    /// solve's work (a simplex basis's `U` carries the fill of its dense
+    /// rows), and a queue mark per update cost more than the scan it
+    /// saves. The cost is the stored entries of the columns applied, a
+    /// byte scan of `n / 8` words and one compare per position below
+    /// the last the forward sweep reached; the in-place solve also
+    /// gathers and divides at all `n` positions and tests all `n` of
+    /// the forward sweep.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] if `x` is not `self.dim()`
+    /// long; [`LinalgError::IndexOutOfRange`] for a row `≥ self.dim()`.
+    pub fn solve_reached(
+        &self,
+        x: &mut [f64],
+        rows: impl IntoIterator<Item = usize>,
+        reach: &mut Reach,
+    ) -> Result<(), LinalgError> {
+        self.check_len(x)?;
+        let n = self.n;
+        reach.size(n);
+        let Reach { flags, acc } = reach;
+        for r in rows {
+            if r >= n {
+                flags.fill(0);
+                return Err(LinalgError::IndexOutOfRange {
+                    row: r,
+                    col: 0,
+                    rows: n,
+                    cols: 1,
+                });
+            }
+            flags[self.position[r]] = 1;
+        }
+        // Forward: L z = P b. Row `pivot_row[k]` is final once position
+        // `k` is reached (later columns only touch later positions), so
+        // its `z_k` moves to the accumulator and the row is cleared for
+        // the answer. Behind the scan, a flag queues `k` for the
+        // backward sweep.
+        let mut last = None;
+        for w in 0..n.div_ceil(8) {
+            let mut word = flag_word(flags, w);
+            while word != 0 {
+                let b = word.trailing_zeros() as usize / 8;
+                word &= !(0xff << (8 * b));
+                let k = 8 * w + b;
+                let r = self.pivot_row[k];
+                let zk = x[r];
+                x[r] = 0.0;
+                flags[k] = 0;
+                if zk == 0.0 {
+                    continue;
+                }
+                acc[k] = zk;
+                last = Some(k);
+                let col = self.l_start[k]..self.l_start[k + 1];
+                let l_col = self.l_row[col.clone()].iter().zip(&self.l_pos[col.clone()]);
+                for ((&r, &i), &l) in l_col.zip(&self.l_val[col]) {
+                    x[r] -= l * zk;
+                    queue(flags, &mut word, w, i);
+                }
+            }
+        }
+        // Backward: U x = z, down from the last position the forward
+        // sweep left nonzero (`U` only reaches earlier ones). A position
+        // whose sum is zero is skipped, as the in-place solve skips its
+        // zero `x_j`; a flag now marks a nonzero of the answer.
+        let Some(last) = last else {
+            return Ok(());
+        };
+        for j in (0..=last).rev() {
+            let a = acc[j];
+            if a == 0.0 {
+                continue;
+            }
+            acc[j] = 0.0;
+            let xj = a / self.u_diag[j];
+            if xj == 0.0 {
+                continue;
+            }
+            x[j] = xj;
+            flags[j] = 1;
+            let col = self.u_start[j]..self.u_start[j + 1];
+            for (&i, &u) in self.u_pos[col.clone()].iter().zip(&self.u_val[col]) {
+                acc[i] -= u * xj;
             }
         }
         Ok(())
@@ -846,6 +986,79 @@ impl TransposeCache {
         start.copy_within(0..2 * n, 1);
         start[0] = 0;
     }
+}
+
+/// The positions a [`SparseLu::solve_reached`] reached, one byte each,
+/// and the accumulator of its backward sweep. Between solves the
+/// accumulator is zero and a flag marks a nonzero of the last answer;
+/// a caller that updates the answer further flags what it writes
+/// ([`Reach::mark`]) and lists the nonzeros with
+/// [`Reach::drain_nonzeros`], which clears the flags for the next
+/// solve. One serves any sequence of solves; it grows to the largest
+/// dimension it has seen and keeps its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct Reach {
+    /// One byte per position, rounded up to whole 8-byte words.
+    flags: Vec<u8>,
+    acc: Vec<f64>,
+}
+
+impl Reach {
+    /// An empty reach.
+    pub fn new() -> Reach {
+        Reach::default()
+    }
+
+    /// Room for `n` positions, the new ones unflagged and zero.
+    fn size(&mut self, n: usize) {
+        if self.acc.len() < n {
+            self.flags.resize(n.div_ceil(8) * 8, 0);
+            self.acc.resize(n, 0.0);
+        }
+    }
+
+    /// Flags position `i` of the answer, which must be below the last
+    /// solve's dimension.
+    pub fn mark(&mut self, i: usize) {
+        self.flags[i] = 1;
+    }
+
+    /// Appends to `out` the flagged positions where `x` is nonzero, in
+    /// increasing order, and clears every flag.
+    pub fn drain_nonzeros(&mut self, x: &[f64], out: &mut Vec<usize>) {
+        for w in 0..x.len().div_ceil(8) {
+            let mut word = flag_word(&self.flags, w);
+            if word == 0 {
+                continue;
+            }
+            self.flags[8 * w..8 * w + 8].fill(0);
+            while word != 0 {
+                let b = word.trailing_zeros() as usize / 8;
+                word &= !(0xff << (8 * b));
+                if x[8 * w + b] != 0.0 {
+                    out.push(8 * w + b);
+                }
+            }
+        }
+    }
+}
+
+/// The flags of 8-byte word `w` as one integer, flag `b` of the word in
+/// byte `b`. A sweep scans a word from a copy in a register: rereading
+/// it after a one-byte store would wait on the store.
+fn flag_word(flags: &[u8], w: usize) -> u64 {
+    let bytes: [u8; 8] = flags[8 * w..8 * w + 8]
+        .try_into()
+        .expect("flags come in whole words");
+    u64::from_le_bytes(bytes)
+}
+
+/// Flags position `i` for the sweep scanning word `w` from `word`:
+/// stored, and added to `word` too when it falls in that word. A plain
+/// store, so a run of updates never waits on the one before it.
+fn queue(flags: &mut [u8], word: &mut u64, w: usize, i: usize) {
+    flags[i] = 1;
+    *word |= u64::from(i / 8 == w) << (8 * (i % 8));
 }
 
 /// Sets bit `i` of a bitset.
@@ -1342,6 +1555,51 @@ mod proptests {
         prop_assert_eq!(bits(&x), bits(&lu.solve_transpose(b).unwrap()));
     }
 
+    /// Two reached-set solves through one [`Reach`], against the
+    /// in-place solve with NaN-filled scratch: `b` keeps the entries
+    /// whose `keep` is 0 (a quarter, on average) and zeroes the rest,
+    /// and the rows passed name the kept entries twice and some zeros
+    /// once. The second solve keeps what the first zeroed and starts
+    /// from the reach the first left. Every nonzero of the in-place
+    /// answer must come back bitwise, every other entry zero, and the
+    /// reach must list exactly the nonzeros, ascending.
+    fn check_reached(a: &Matrix, b: &[f64], keep: &[usize]) {
+        let n = a.rows();
+        let Ok(lu) = SparseLu::factor_cols(n, &cols_of(a)) else {
+            return;
+        };
+        let mut reach = Reach::new();
+        for kept in [0, 1] {
+            let on = |i: usize| (keep[i] == 0) == (kept == 0);
+            let sparse: Vec<f64> = (0..n).map(|i| if on(i) { b[i] } else { 0.0 }).collect();
+            let rows = (0..n)
+                .filter(|&i| on(i))
+                .chain((0..n).filter(|&i| on(i) || keep[i] == 1));
+            let mut want = sparse.clone();
+            lu.solve_in_place(&mut want, &mut vec![f64::NAN; n])
+                .unwrap();
+            let mut got = sparse.clone();
+            lu.solve_reached(&mut got, rows, &mut reach).unwrap();
+            for i in 0..n {
+                if want[i] == 0.0 {
+                    prop_assert_eq!(got[i], 0.0, "entry {} of solve {}", i, kept);
+                } else {
+                    prop_assert_eq!(
+                        got[i].to_bits(),
+                        want[i].to_bits(),
+                        "entry {} of solve {}",
+                        i,
+                        kept
+                    );
+                }
+            }
+            let mut nonzeros = Vec::new();
+            reach.drain_nonzeros(&got, &mut nonzeros);
+            let want_nonzeros: Vec<usize> = (0..n).filter(|&i| want[i] != 0.0).collect();
+            prop_assert_eq!(nonzeros, want_nonzeros, "solve {}", kept);
+        }
+    }
+
     /// Every resume of the dense-rule solve from an agreeing prefix of
     /// the engine's factor against the solve from scratch, bit for bit,
     /// errors included.
@@ -1399,6 +1657,14 @@ mod proptests {
         }
 
         #[test]
+        fn reached_solves_are_bitwise_in_place_on_ties(
+            (a, b) in tied_sparse_system(),
+            keep in proptest::collection::vec(0usize..4, 12),
+        ) {
+            check_reached(&a, &b, &keep);
+        }
+
+        #[test]
         fn cached_transpose_solves_are_bitwise_in_place_on_ties(
             (a, b) in tied_sparse_system(),
             edits in proptest::collection::vec((0usize..12, 0usize..RHS.len()), 6),
@@ -1416,6 +1682,14 @@ mod proptests {
         #[test]
         fn resumed_dense_solves_are_bitwise_from_scratch((a, x) in dd_sparse_system()) {
             check_resumes(&a, &x);
+        }
+
+        #[test]
+        fn reached_solves_are_bitwise_in_place(
+            (a, x) in dd_sparse_system(),
+            keep in proptest::collection::vec(0usize..4, 12),
+        ) {
+            check_reached(&a, &x, &keep);
         }
 
         #[test]

@@ -1,4 +1,6 @@
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use socbuf_linalg::Csr;
@@ -66,9 +68,28 @@ impl fmt::Display for Relation {
 /// between clones of a problem.
 #[derive(Debug, Clone, Default)]
 struct Vars {
+    /// The name each variable was given; empty (no heap) for a variable
+    /// of a batch in `batches`, which names it on demand.
     names: Vec<String>,
+    batches: Vec<NamedBatch>,
     lower: Vec<f64>,
     upper: Vec<Option<f64>>,
+}
+
+/// The variables of one [`LpProblem::add_vars`] call and how to name
+/// them: variable `vars.start + k` is `name(k)`.
+#[derive(Clone)]
+struct NamedBatch {
+    vars: Range<usize>,
+    name: Arc<dyn Fn(usize) -> String + Send + Sync>,
+}
+
+impl fmt::Debug for NamedBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NamedBatch")
+            .field("vars", &self.vars)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The constraint sparsity pattern and row relations, which no delta
@@ -172,6 +193,39 @@ impl LpProblem {
         id
     }
 
+    /// Adds one variable with bounds `[0, +∞)` per coefficient of
+    /// `objective`, in order, and returns their handles. Their names are
+    /// made only when asked for: [`LpProblem::var_name`] of the batch's
+    /// `k`-th variable is `name(k)`. A formulation whose variables
+    /// follow a pattern so stores no name per variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient is not finite.
+    pub fn add_vars(
+        &mut self,
+        objective: impl IntoIterator<Item = f64>,
+        name: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> Vec<VarId> {
+        let first = self.num_vars();
+        let objective = objective.into_iter();
+        self.obj.reserve(objective.size_hint().0);
+        let vars = Arc::make_mut(&mut self.vars);
+        for c in objective {
+            assert!(c.is_finite(), "objective coefficient must be finite");
+            self.obj.push(c);
+        }
+        let end = self.obj.len();
+        vars.names.resize(end, String::new());
+        vars.lower.resize(end, 0.0);
+        vars.upper.resize(end, None);
+        vars.batches.push(NamedBatch {
+            vars: first..end,
+            name: Arc::new(name),
+        });
+        (first..end).map(VarId).collect()
+    }
+
     /// Adds a constraint `Σ coeff·var  relation  rhs`. Duplicate variable
     /// terms are accumulated.
     ///
@@ -190,7 +244,8 @@ impl LpProblem {
                 "right-hand side {rhs} is not finite"
             )));
         }
-        let mut dense: Vec<(usize, f64)> = Vec::new();
+        let terms = terms.into_iter();
+        let mut dense: Vec<(usize, f64)> = Vec::with_capacity(terms.size_hint().0);
         for (v, c) in terms {
             if v.0 >= self.num_vars() {
                 return Err(LpError::InvalidModel(format!(
@@ -201,7 +256,7 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "coefficient {c} of variable '{}' is not finite",
-                    self.vars.names[v.0]
+                    self.var_name(v)
                 )));
             }
             dense.push((v.0, c));
@@ -243,7 +298,8 @@ impl LpProblem {
                 )));
             }
         }
-        let mut buckets: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_rows];
+        let triplets = triplets.into_iter();
+        let mut batch: Vec<(usize, usize, f64)> = Vec::with_capacity(triplets.size_hint().0);
         for (row, v, c) in triplets {
             if row >= num_rows {
                 return Err(LpError::InvalidModel(format!(
@@ -259,14 +315,32 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "coefficient {c} of variable '{}' is not finite",
-                    self.vars.names[v.0]
+                    self.var_name(v)
                 )));
             }
-            buckets[row].push((v.0, c));
+            batch.push((row, v.0, c));
         }
+        // A stable counting sort by row into one buffer: row `r`'s terms
+        // land in `terms[start[r]..start[r + 1]]` in arrival order, which
+        // is what the accumulation of duplicates sums in.
+        let mut start = vec![0; num_rows + 1];
+        for &(row, _, _) in &batch {
+            start[row + 1] += 1;
+        }
+        for r in 0..num_rows {
+            start[r + 1] += start[r];
+        }
+        let mut terms = vec![(0, 0.0); batch.len()];
+        for &(row, v, c) in &batch {
+            terms[start[row]] = (v, c);
+            start[row] += 1;
+        }
+        // Each offset now sits at its row's end, the next row's start.
         let mut ids = Vec::with_capacity(num_rows);
-        for ((mut bucket, &relation), &r) in buckets.into_iter().zip(relations).zip(rhs) {
-            ids.push(self.push_row_sorted(&mut bucket, relation, r));
+        let mut from = 0;
+        for ((&end, &relation), &r) in start.iter().zip(relations).zip(rhs) {
+            ids.push(self.push_row_sorted(&mut terms[from..end], relation, r));
+            from = end;
         }
         Ok(ids)
     }
@@ -332,13 +406,17 @@ impl LpProblem {
     }
 
     /// Sorts, accumulates duplicates and drops zeros, then stores the row.
+    /// The sort is stable, so duplicates sum in arrival order; terms that
+    /// arrive sorted are left as they are.
     fn push_row_sorted(
         &mut self,
         dense: &mut [(usize, f64)],
         relation: Relation,
         rhs: f64,
     ) -> RowId {
-        dense.sort_by_key(|&(i, _)| i);
+        if !dense.is_sorted_by_key(|&(i, _)| i) {
+            dense.sort_by_key(|&(i, _)| i);
+        }
         let pattern = Arc::make_mut(&mut self.pattern);
         let start = pattern.cols.len();
         for &(i, c) in dense.iter() {
@@ -410,8 +488,12 @@ impl LpProblem {
     /// # Panics
     ///
     /// Panics if `v` does not belong to this problem.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars.names[v.0]
+    pub fn var_name(&self, v: VarId) -> Cow<'_, str> {
+        let vars = &self.vars;
+        match vars.batches.iter().find(|b| b.vars.contains(&v.0)) {
+            Some(batch) => Cow::Owned((batch.name)(v.0 - batch.vars.start)),
+            None => Cow::Borrowed(&vars.names[v.0]),
+        }
     }
 
     /// Objective coefficient of a variable.
@@ -673,6 +755,58 @@ mod tests {
         let (terms, rel, rhs) = p.row(ids[1]);
         assert_eq!((rel, rhs), (Relation::Le, 5.0));
         assert_eq!(terms, vec![(x, 4.0), (y, 1.0)]); // 2 − 1 accumulated
+    }
+
+    #[test]
+    fn triplet_batches_keep_empty_rows_and_sum_in_arrival_order() {
+        let mut p = LpProblem::new(Sense::Minimize);
+        let x = p.add_var("x", 1.0);
+        let y = p.add_var("y", 1.0);
+        // Row 0 sums 1 + 1e16 − 1e16 in arrival order, which rounds to
+        // 0 and drops the term; summed as 1e16 − 1e16 + 1 it would keep
+        // it. Row 1 gets no triplet.
+        let ids = p
+            .add_constraints_from_triplets(
+                [
+                    (2, y, 5.0),
+                    (0, x, 1.0),
+                    (0, x, 1e16),
+                    (2, x, 7.0),
+                    (0, x, -1e16),
+                    (0, y, 2.0),
+                ],
+                &[Relation::Le; 3],
+                &[1.0, 2.0, 3.0],
+            )
+            .unwrap();
+        assert_eq!(p.row(ids[0]).0, vec![(y, 2.0)]);
+        assert_eq!(p.row(ids[1]), (vec![], Relation::Le, 2.0));
+        assert_eq!(p.row(ids[2]).0, vec![(x, 7.0), (y, 5.0)]);
+    }
+
+    #[test]
+    fn a_batch_of_variables_is_named_on_demand() {
+        let mut p = LpProblem::new(Sense::Minimize);
+        let x = p.add_var("x", 1.0);
+        let batch = p.add_vars([0.0, 2.0, 3.0], |k| format!("b{k}"));
+        let z = p.add_var("z", 0.0);
+        assert_eq!(batch, [VarId(1), VarId(2), VarId(3)]);
+        assert_eq!(p.var_name(x), "x");
+        assert_eq!(p.var_name(batch[2]), "b2");
+        assert_eq!(p.var_name(z), "z");
+        assert_eq!(p.objective_coeff(batch[1]), 2.0);
+        assert_eq!(p.bounds(batch[1]), (0.0, None));
+        // Errors name a batch variable through the same rule, and a
+        // clone shares it.
+        let err = p
+            .add_constraint([(batch[1], f64::NAN)], Relation::Le, 1.0)
+            .unwrap_err();
+        assert!(err.to_string().contains("'b1'"), "{err}");
+        let err = p
+            .add_constraints_from_triplets([(0, batch[0], f64::INFINITY)], &[Relation::Le], &[1.0])
+            .unwrap_err();
+        assert!(err.to_string().contains("'b0'"), "{err}");
+        assert_eq!(p.clone().var_name(batch[0]), "b0");
     }
 
     #[test]

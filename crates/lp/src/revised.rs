@@ -20,12 +20,12 @@
 //!   eta's terms sit in a single `(index, value)` buffer with an offset
 //!   per eta, cleared but not freed by a refactorization.
 //! * **One work set per solve** — `c_B`, `y`, the reduced costs `d`, a
-//!   pivot row `α`, the entering column `a_q`, its FTRAN `w` and the
-//!   LU solves' scratch are sized once when the solve starts. Every
-//!   pricing pass, FTRAN and BTRAN of both phases, of the artificial
-//!   drive-out and of the dual repair writes into them, through
-//!   [`socbuf_linalg::SparseLu::solve_in_place`] and its transpose, so
-//!   a pivot allocates nothing. A refactorization gathers the basis
+//!   pivot row `α`, the entering column's FTRAN `w` with its nonzero
+//!   list and the LU solves' scratch are sized once when the solve
+//!   starts. Every pricing pass, FTRAN and BTRAN of both phases, of the
+//!   artificial drive-out and of the dual repair writes into them, so a
+//!   pivot allocates nothing once the eta file has grown to its longest
+//!   length. A refactorization gathers the basis
 //!   columns into two flat buffers of the same set
 //!   ([`socbuf_linalg::Columns`]), not a `Vec` per column, and only the
 //!   new factor itself is allocated. The buffers live and die with the
@@ -42,8 +42,9 @@
 //!   (see [`Revised::price`] for the argument). Between two pricings
 //!   only a handful of the duals change bits (Hall & McKinnon's
 //!   hyper-sparsity, "Hyper-sparsity in the revised simplex method and
-//!   how to exploit it", 2005). The transposed LU solve of `y = B⁻ᵀ c_B`
-//!   re-runs only the entries whose input or inputs changed bits
+//!   how to exploit it", 2005). The eta file's sweep re-runs only the
+//!   etas whose inputs changed bits, the transposed LU solve of
+//!   `y = B⁻ᵀ c_B` only the entries whose input or inputs did
 //!   ([`socbuf_linalg::SparseLu::solve_transpose_cached`]), and a reduced
 //!   cost `d_j = c_j − a_jᵀ y` is recomputed only for the columns with
 //!   an entry in a row whose dual changed bits, as one dot over the CSC
@@ -68,23 +69,37 @@
 //!   in one engine but not the other, agreement loosens to the
 //!   reperturbation scale. None of the pinned corpora reach that
 //!   regime, and with perturbation off — the default — it cannot fire.)
+//! * **Per-pivot passes over the nonzeros** — the entering column's
+//!   FTRAN visits only the positions it reaches
+//!   ([`socbuf_linalg::SparseLu::solve_reached`], Gilbert & Peierls'
+//!   reached-set solve, then the eta file over those positions) and
+//!   leaves the ascending list of `w`'s nonzeros. The ratio test, the
+//!   `x_B` update and the recorded eta walk that list: each of them
+//!   acts only where `w_i ≠ 0`, so the list gives them the positions a
+//!   scan of all of `w` would act on, in the same order, and the same
+//!   operations there. The entering scan tests a column's reduced cost
+//!   before its status, and skips eight columns at a time when none
+//!   beats the best so far. Under `debug_assertions` every FTRAN is
+//!   checked against the dense one, every nonzero bit for bit.
 //!
 //! Per-iteration cost is `O(nnz + m + nnz(L) + nnz(U) + eta terms)`
-//! at worst (pricing plus two triangular solves and the eta sweeps,
-//! each `O(m)` at least in the dense `y`, `d`, `a_q` and `w`; an
-//! incremental pricing pays for the entries that moved) with no
-//! allocation,
-//! against the tableau's `O(m · n_total)` with `n_total` including the
-//! artificial columns; on the `network_processor` template at
-//! `state_cap ≥ 16` this is the difference measured by the
-//! `lp_scaling_probe` smoke check. An optimal solve ends on a fresh
+//! at worst (pricing plus two triangular solves and the eta sweeps)
+//! with no allocation. A pivot pays for what it touches: the stored
+//! entries of the `L`, `U` and eta columns its FTRAN applies, the
+//! duals and reduced costs that moved, and `O(m)` only in copies of
+//! the basic costs and in the entering scan's one test per eight
+//! columns. That is against the tableau's `O(m · n_total)` with
+//! `n_total` including the artificial columns; on the
+//! `network_processor` template at `state_cap ≥ 16` this is the
+//! difference measured by the `lp_scaling_probe` smoke check. An
+//! optimal solve ends on a fresh
 //! factor of its final basis, which the dual recovery
 //! ([`crate::LpSolution`]) resumes from instead of factoring the basis
 //! again.
 //!
 //! [`LpProblem::solve`]: crate::LpProblem::solve
 
-use socbuf_linalg::{Columns, Csr, LinalgError, SparseLu, TransposeCache};
+use socbuf_linalg::{Columns, Csr, LinalgError, Reach, SparseLu, TransposeCache};
 
 use crate::simplex::{BasicSolution, SimplexOptions};
 use crate::standard_form::StandardForm;
@@ -258,89 +273,224 @@ impl BasisSnapshot {
 
 /// The product-form eta file as one arena of terms. Eta `e` records a
 /// pivot: after it, `B⁻¹_new = E⁻¹ B⁻¹_old` where `E` is the identity
-/// with column `row[e]` replaced by the FTRAN-ed entering column `w`.
-/// Stored sparsely — `w` inherits the basis column's sparsity, and the
-/// eta sweep should cost what the data costs, not `O(m)` per eta. The
-/// buffers keep their capacity across refactorizations, so recording an
-/// eta allocates only while the file grows past its longest length so
-/// far.
+/// with column `etas[e].row` replaced by the FTRAN-ed entering column
+/// `w`. Stored sparsely — `w` inherits the basis column's sparsity, and
+/// the eta sweep should cost what the data costs, not `O(m)` per eta.
+/// The buffers keep their capacity across refactorizations, so
+/// recording an eta allocates only while the file grows past its
+/// longest length so far.
+///
+/// The file also keeps what pricing's sweep needs to re-run only the
+/// etas whose inputs changed bits ([`EtaFile::btran_priced`]): each
+/// eta's last output, and for each row the etas that read it.
 struct EtaFile {
-    /// Pivot row of each eta.
-    row: Vec<usize>,
-    /// `w[row]` — the pivot element of each eta.
-    pivot: Vec<f64>,
-    /// Eta `e`'s nonzero off-pivot entries of `w` are
-    /// `terms[start[e]..start[e + 1]]` as `(index, value)`.
-    start: Vec<usize>,
+    etas: Vec<Eta>,
+    /// Eta `e`'s nonzero off-pivot entries of `w`, as `(index, value)`:
+    /// `terms[etas[e - 1].end..etas[e].end]` (from 0 for the first).
     terms: Vec<(usize, f64)>,
+    /// Who reads each row, as lists newest eta first: `head[i]` is the
+    /// first node of row `i`'s list and node `p` is `reads[p] = (eta,
+    /// next node)`, [`NO_READER`] ending a list. An eta reads its own
+    /// row, where its sum starts, and the row of each of its terms.
+    /// Nodes are `u32` pairs, half a term's size: the index grows with
+    /// the terms.
+    head: Vec<u32>,
+    reads: Vec<(u32, u32)>,
+    /// How many etas the last pricing sweep ran; the file has only
+    /// grown since.
+    swept: usize,
+    /// The basic costs that sweep started from.
+    last_cb: Vec<f64>,
 }
 
+/// One eta of an [`EtaFile`].
+#[derive(Clone, Copy)]
+struct Eta {
+    /// Pivot row.
+    row: usize,
+    /// `w[row]`, the pivot element.
+    pivot: f64,
+    /// End of its terms in [`EtaFile::terms`].
+    end: usize,
+    /// The first node of row `row`'s reader list older than this eta:
+    /// the etas that may read its output.
+    below: u32,
+    /// Its output at the last pricing sweep.
+    out: f64,
+    /// Whether the running pricing sweep must re-run it.
+    stale: bool,
+}
+
+/// Ends a reader list of [`EtaFile`].
+const NO_READER: u32 = u32::MAX;
+
 impl EtaFile {
-    /// An empty file with room for `etas` etas.
-    fn new(etas: usize) -> EtaFile {
-        let mut start = Vec::with_capacity(etas + 1);
-        start.push(0);
+    /// An empty file over `m` rows with room for `etas` etas.
+    fn new(m: usize, etas: usize) -> EtaFile {
         EtaFile {
-            row: Vec::with_capacity(etas),
-            pivot: Vec::with_capacity(etas),
-            start,
+            etas: Vec::with_capacity(etas),
             terms: Vec::new(),
+            head: vec![NO_READER; m],
+            reads: Vec::new(),
+            swept: 0,
+            last_cb: vec![0.0; m],
         }
     }
 
     fn len(&self) -> usize {
-        self.row.len()
+        self.etas.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.row.is_empty()
+        self.etas.is_empty()
     }
 
     fn clear(&mut self) {
-        self.row.clear();
-        self.pivot.clear();
+        self.etas.clear();
         self.terms.clear();
-        self.start.clear();
-        self.start.push(0);
+        self.head.fill(NO_READER);
+        self.reads.clear();
+        self.swept = 0;
+    }
+
+    /// Eta `e`'s terms.
+    fn terms(&self, e: usize) -> &[(usize, f64)] {
+        let start = e.checked_sub(1).map_or(0, |p| self.etas[p].end);
+        &self.terms[start..self.etas[e].end]
     }
 
     /// Records the eta of a pivot on row `row` with the FTRAN-ed column
-    /// `w`.
-    fn push(&mut self, row: usize, w: &[f64]) {
-        self.row.push(row);
-        self.pivot.push(w[row]);
-        for (i, &wi) in w.iter().enumerate() {
-            if i != row && wi != 0.0 {
-                self.terms.push((i, wi));
+    /// `w`, whose nonzeros sit at the ascending positions `nonzeros`:
+    /// the terms a scan of all of `w` would store, in its order.
+    fn push(&mut self, row: usize, w: &[f64], nonzeros: &[usize]) {
+        let e = self.len();
+        for &i in nonzeros {
+            if i != row {
+                self.terms.push((i, w[i]));
+                self.read(e, i);
             }
         }
-        self.start.push(self.terms.len());
+        self.etas.push(Eta {
+            row,
+            pivot: w[row],
+            end: self.terms.len(),
+            below: self.head[row],
+            out: 0.0,
+            stale: true,
+        });
+        self.read(e, row);
+    }
+
+    /// Adds eta `e` to the front of row `i`'s reader list.
+    fn read(&mut self, e: usize, i: usize) {
+        let node = u32::try_from(self.reads.len()).expect("fewer than 2³² reads");
+        let e = u32::try_from(e).expect("fewer than 2³² etas");
+        self.reads.push((e, self.head[i]));
+        self.head[i] = node;
     }
 
     /// Applies every `E⁻¹` in place, oldest first (FTRAN).
     fn ftran(&self, v: &mut [f64]) {
-        for e in 0..self.len() {
-            let row = self.row[e];
-            let vr = v[row] / self.pivot[e];
-            v[row] = vr;
+        for (e, eta) in self.etas.iter().enumerate() {
+            let vr = v[eta.row] / eta.pivot;
+            v[eta.row] = vr;
             if vr == 0.0 {
                 continue;
             }
-            for &(i, wi) in &self.terms[self.start[e]..self.start[e + 1]] {
+            for &(i, wi) in self.terms(e) {
                 v[i] -= wi * vr;
             }
         }
     }
 
-    /// Applies every `E⁻ᵀ` in place, newest first (BTRAN).
+    /// [`EtaFile::ftran`] on a `v` whose nonzeros `reach` flags, flagging
+    /// each position a term writes: the same operations in the same
+    /// order on every nonzero. An eta whose row holds a zero leaves it
+    /// (the full sweep divides it by the pivot, which can only flip its
+    /// sign) and applies no term, as there.
+    fn ftran_reached(&self, v: &mut [f64], reach: &mut Reach) {
+        for (e, eta) in self.etas.iter().enumerate() {
+            if v[eta.row] == 0.0 {
+                continue;
+            }
+            let vr = v[eta.row] / eta.pivot;
+            v[eta.row] = vr;
+            if vr == 0.0 {
+                continue;
+            }
+            for &(i, wi) in self.terms(e) {
+                v[i] -= wi * vr;
+                reach.mark(i);
+            }
+        }
+    }
+
+    /// Applies every `E⁻ᵀ` in place, newest first (BTRAN): the full
+    /// sweep [`EtaFile::btran_priced`] is checked against.
     fn btran(&self, v: &mut [f64]) {
-        for e in (0..self.len()).rev() {
-            let row = self.row[e];
-            let mut acc = v[row];
-            for &(i, wi) in &self.terms[self.start[e]..self.start[e + 1]] {
+        for (e, eta) in self.etas.iter().enumerate().rev() {
+            let mut acc = v[eta.row];
+            for &(i, wi) in self.terms(e) {
                 acc -= wi * v[i];
             }
-            v[row] = acc / self.pivot[e];
+            v[eta.row] = acc / eta.pivot;
+        }
+    }
+
+    /// [`EtaFile::btran`] on the basic costs `v` of a pricing, bit for
+    /// bit, re-running only the etas whose inputs changed bits since
+    /// the last pricing's sweep.
+    ///
+    /// Eta `e` reads `v` at its row and at its terms' rows, each as the
+    /// newest eta above it that writes the row left it, or as the basic
+    /// cost where none does, and writes its row. Its output is a fixed
+    /// sequence of float operations on those inputs, so if none changed
+    /// bits, neither did it, and its last output is written back without
+    /// a sum. An eta re-runs when it is new since the last sweep, when a
+    /// basic cost it reads changed bits, or when the eta it reads a row
+    /// from re-ran and changed bits (a new eta counts as changed).
+    /// Waking the readers of a row stops at the next eta that writes it:
+    /// older readers read that eta instead. A refactorization empties
+    /// the file, so the next sweep runs every eta.
+    fn btran_priced(&mut self, v: &mut [f64]) {
+        if self.swept > 0 {
+            for i in 0..v.len() {
+                if v[i].to_bits() != self.last_cb[i].to_bits() {
+                    self.wake(self.head[i], i);
+                }
+            }
+        }
+        self.last_cb.copy_from_slice(v);
+        for e in (0..self.len()).rev() {
+            let eta = self.etas[e];
+            if eta.stale {
+                let mut acc = v[eta.row];
+                for &(i, wi) in self.terms(e) {
+                    acc -= wi * v[i];
+                }
+                let out = acc / eta.pivot;
+                if e >= self.swept || out.to_bits() != eta.out.to_bits() {
+                    self.wake(eta.below, eta.row);
+                }
+                self.etas[e].out = out;
+                self.etas[e].stale = false;
+            }
+            v[eta.row] = self.etas[e].out;
+        }
+        self.swept = self.len();
+    }
+
+    /// Marks stale the readers of row `row` from node `p` on, up to and
+    /// including the next eta that writes the row.
+    fn wake(&mut self, mut p: u32, row: usize) {
+        while p != NO_READER {
+            let (e, next) = self.reads[p as usize];
+            let eta = &mut self.etas[e as usize];
+            eta.stale = true;
+            if eta.row == row {
+                break;
+            }
+            p = next;
         }
     }
 }
@@ -358,13 +508,14 @@ impl Factor {
     /// cadence's is reserved, and a longer cadence grows the buffers.
     fn new(lu: SparseLu, refactor_interval: usize) -> Factor {
         Factor {
+            etas: EtaFile::new(lu.dim(), refactor_interval.min(DEFAULT_REFACTOR_INTERVAL)),
             lu,
-            etas: EtaFile::new(refactor_interval.min(DEFAULT_REFACTOR_INTERVAL)),
         }
     }
 
     /// `v ← B⁻¹ v` — one LU solve plus the eta sweep; `scratch` is the
-    /// LU's work buffer.
+    /// LU's work buffer. Dense: for `x_B`, and the reference of the
+    /// entering column's reached-set FTRAN.
     fn ftran(&self, v: &mut [f64], scratch: &mut [f64]) -> Result<(), LpError> {
         self.lu
             .solve_in_place(v, scratch)
@@ -396,10 +547,13 @@ struct Work {
     d: Vec<f64>,
     /// A pivot row `α_j = ρ·a_j` over the same columns (`n_sf`).
     alpha: Vec<f64>,
-    /// The entering column, dense (`m`).
-    aq: Vec<f64>,
-    /// Its FTRAN, `w = B⁻¹ a_q` (`m`).
+    /// The entering column's FTRAN, `w = B⁻¹ a_q` (`m`), zero outside
+    /// `w_nonzeros`.
     w: Vec<f64>,
+    /// The positions where `w` is nonzero, ascending.
+    w_nonzeros: Vec<usize>,
+    /// The reached-set FTRAN's flags and accumulator.
+    reach: Reach,
     /// The LU solves' scratch (`m`).
     scratch: Vec<f64>,
     /// Pricing's transposed LU solve: its last input and results, and
@@ -418,8 +572,9 @@ impl Work {
             y: vec![0.0; m],
             d: vec![0.0; n_sf],
             alpha: vec![0.0; n_sf],
-            aq: vec![0.0; m],
             w: vec![0.0; m],
+            w_nonzeros: Vec::with_capacity(m),
+            reach: Reach::new(),
             scratch: vec![0.0; m],
             duals: TransposeCache::new(),
             col_start: Vec::with_capacity(m + 1),
@@ -674,22 +829,56 @@ impl<'a> Revised<'a> {
         art_mass_bound(&self.tols, self.perturbation, &self.b) + self.art_allowance
     }
 
-    /// Scatters column `j` of the standard form + artificials into the
-    /// dense `work.aq` and FTRANs it into `work.w`.
+    /// FTRANs column `j` of the standard form + artificials into
+    /// `work.w` on the current factor, and lists its nonzeros in
+    /// `work.w_nonzeros`. Only the columns of `L`, `U` and the eta file
+    /// the column reaches are applied: the LU's reached-set solve, then
+    /// the eta file over what it flagged. Every nonzero is bitwise what
+    /// the dense FTRAN gives ([`SparseLu::solve_reached`]); under
+    /// `debug_assertions` each FTRAN is checked against it.
     fn ftran_column(&mut self, j: usize) -> Result<(), LpError> {
         let work = &mut self.work;
-        work.aq.fill(0.0);
-        for (i, v) in column_of(&self.at, self.n_sf, &self.art_rows, j) {
-            work.aq[i] = v;
+        for &i in &work.w_nonzeros {
+            work.w[i] = 0.0;
         }
-        self.refresh_w()
+        let column = column_of(&self.at, self.n_sf, &self.art_rows, j);
+        for (i, v) in column.clone() {
+            work.w[i] = v;
+        }
+        self.factor
+            .lu
+            .solve_reached(&mut work.w, column.map(|(i, _)| i), &mut work.reach)
+            .map_err(|e| LpError::InvalidModel(format!("FTRAN failed: {e}")))?;
+        self.factor.etas.ftran_reached(&mut work.w, &mut work.reach);
+        work.w_nonzeros.clear();
+        work.reach.drain_nonzeros(&work.w, &mut work.w_nonzeros);
+        #[cfg(any(debug_assertions, test))]
+        self.assert_full_ftran(j);
+        Ok(())
     }
 
-    /// Recomputes `work.w = B⁻¹ work.aq` on the current factor.
-    fn refresh_w(&mut self) -> Result<(), LpError> {
-        let work = &mut self.work;
-        work.w.copy_from_slice(&work.aq);
-        self.factor.ftran(&mut work.w, &mut work.scratch)
+    /// Panics unless `work.w` holds what the dense FTRAN of column `j`
+    /// gives ([`SparseLu::solve_in_place`], then the full eta sweep),
+    /// bitwise at every nonzero and zero elsewhere, and
+    /// `work.w_nonzeros` lists exactly its nonzeros, ascending.
+    #[cfg(any(debug_assertions, test))]
+    fn assert_full_ftran(&self, j: usize) {
+        let m = self.m();
+        let mut w = vec![0.0; m];
+        for (i, v) in column_of(&self.at, self.n_sf, &self.art_rows, j) {
+            w[i] = v;
+        }
+        self.factor
+            .ftran(&mut w, &mut vec![0.0; m])
+            .expect("the dense FTRAN solves where the reached one did");
+        for (i, (&got, &want)) in self.work.w.iter().zip(&w).enumerate() {
+            assert!(
+                got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
+                "reached FTRAN of column {j} moved entry {i}: {got:e} vs {want:e}"
+            );
+        }
+        let nonzeros: Vec<usize> = (0..m).filter(|&i| w[i] != 0.0).collect();
+        assert_eq!(self.work.w_nonzeros, nonzeros, "FTRAN nonzeros moved");
     }
 
     /// `work.y = B⁻ᵀ e_r`, the BTRAN-ed unit row `ρ`.
@@ -742,11 +931,14 @@ impl<'a> Revised<'a> {
     /// one scatter `d_j −= y_i a_ij` of every CSR row whose dual is
     /// nonzero, in increasing row order. The argument:
     ///
-    /// * `y` runs the eta file's `E⁻ᵀ` sweep in full, then the LU's
+    /// * `y` runs the eta file's `E⁻ᵀ` sweep, which re-runs only the
+    ///   etas whose inputs changed bits and writes back the last output
+    ///   of every other ([`EtaFile::btran_priced`]), then the LU's
     ///   transposed solve through `work.duals`, which re-runs only the
     ///   entries whose input, or an entry they read, changed bits
-    ///   ([`SparseLu::solve_transpose_cached`]). An entry whose operands
-    ///   all kept their bits would redo the same operations on them.
+    ///   ([`SparseLu::solve_transpose_cached`]). An eta or entry whose
+    ///   operands all kept their bits would redo the same operations on
+    ///   them.
     /// * `d_j` is computed as one dot over column `j` of the CSC mirror
     ///   `at`. `Csr::transpose` stores a column's rows in increasing
     ///   order, so the dot makes the scatter's subtractions on `d_j`, in
@@ -759,8 +951,9 @@ impl<'a> Revised<'a> {
     ///   phase switch, and after a refactorization: the first LU solve on
     ///   a factor runs in full and names no changed duals.
     ///
-    /// Under `debug_assertions` (and in this module's tests) every
-    /// pricing is compared with a full one, bit for bit.
+    /// Under `debug_assertions` (and in this module's tests) every eta
+    /// sweep is compared with [`EtaFile::btran`] and every pricing with
+    /// a full one, bit for bit.
     fn price(&mut self, phase: Phase) -> Result<(), LpError> {
         let n_sf = self.n_sf;
         let sf = self.sf;
@@ -784,7 +977,13 @@ impl<'a> Revised<'a> {
             };
         }
         work.y.copy_from_slice(&work.cb);
-        self.factor.etas.btran(&mut work.y);
+        self.factor.etas.btran_priced(&mut work.y);
+        #[cfg(any(debug_assertions, test))]
+        {
+            let mut full = work.cb.clone();
+            self.factor.etas.btran(&mut full);
+            assert_eq!(bits(&work.y), bits(&full), "incremental eta sweep moved");
+        }
         self.factor
             .lu
             .solve_transpose_cached(&mut work.y, &mut work.duals)
@@ -833,7 +1032,6 @@ impl<'a> Revised<'a> {
             .expect("the full BTRAN solves where the cached one did");
         let mut d = vec![0.0; self.n_sf];
         scatter_reduced_costs(self.sf, phase, &y, &mut d);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&self.work.y), bits(&y), "incremental duals moved");
         assert_eq!(
             bits(&self.work.d),
@@ -844,25 +1042,49 @@ impl<'a> Revised<'a> {
 
     /// The entering column the last pricing picks: Bland's smallest
     /// eligible index when `stalled`, else Dantzig's most negative
-    /// reduced cost. `None` = optimal.
+    /// reduced cost, ties to the lower index. `None` = optimal.
+    ///
+    /// Each column tests its reduced cost first: few columns beat the
+    /// best so far, so most never read `banned` or `in_basis`, and
+    /// Dantzig's scan passes over eight columns at once when none of
+    /// their reduced costs does. The tests are pure and joined by `&&`,
+    /// so their order cannot change which column passes them all; a
+    /// column passed over fails the first; and the scan still runs in
+    /// increasing index order, so a tie still goes to the lower index.
     fn enter(&self, stalled: bool) -> Option<usize> {
         let d = &self.work.d;
         if stalled {
             return d
                 .iter()
                 .enumerate()
-                .find(|&(j, &dj)| !self.banned[j] && !self.in_basis[j] && dj < -self.tols.base)
+                .find(|&(j, &dj)| dj < -self.tols.base && !self.banned[j] && !self.in_basis[j])
                 .map(|(j, _)| j);
         }
         let mut best = None;
         let mut best_val = -self.tols.base;
-        for (j, &dj) in d.iter().enumerate() {
-            if !self.banned[j] && !self.in_basis[j] && dj < best_val {
-                best_val = dj;
-                best = Some(j);
+        let chunks = d.chunks_exact(8);
+        let tail = d.len() - chunks.remainder().len();
+        for (c, chunk) in chunks.enumerate() {
+            // Most chunks hold no reduced cost below the best so far;
+            // one branch-free test per chunk passes over them.
+            let chunk: &[f64; 8] = chunk.try_into().expect("chunks of 8");
+            if chunk.iter().any(|&dj| dj < best_val) {
+                self.dantzig(8 * c..8 * c + 8, &mut best_val, &mut best);
             }
         }
+        self.dantzig(tail..d.len(), &mut best_val, &mut best);
         best
+    }
+
+    /// Dantzig's scan of `enter` over the columns `range`, in order.
+    fn dantzig(&self, range: std::ops::Range<usize>, best_val: &mut f64, best: &mut Option<usize>) {
+        for j in range {
+            let dj = self.work.d[j];
+            if dj < *best_val && !self.banned[j] && !self.in_basis[j] {
+                *best_val = dj;
+                *best = Some(j);
+            }
+        }
     }
 
     /// Ratio test on `w = B⁻¹ a_q` (`work.w`). Two-pass Harris style
@@ -874,10 +1096,15 @@ impl<'a> Revised<'a> {
     /// In phase 2 a basic artificial sitting at zero must never grow
     /// again: any entering column touching its row pivots the artificial
     /// out first via a degenerate (θ = 0) pivot.
+    ///
+    /// Every pass walks `w`'s nonzeros, ascending: each test below
+    /// fails on `w_i = 0`, so a scan of all of `w` would act on these
+    /// positions only, in the same order.
     fn leave(&self, bland: bool, guard_artificials: bool) -> Option<usize> {
         let w = &self.work.w;
+        let nonzeros = || self.work.w_nonzeros.iter().map(|&i| (i, w[i]));
         if guard_artificials {
-            for (i, &wi) in w.iter().enumerate() {
+            for (i, wi) in nonzeros() {
                 if self.basis[i] >= self.n_sf && wi.abs() > self.tols.artificial_guard {
                     // The θ = 0 contract: a guarded artificial must be
                     // sitting at (numerical) zero — see `art_mass_bound`
@@ -895,7 +1122,7 @@ impl<'a> Revised<'a> {
         }
         let tol = self.tols.base;
         let mut min_ratio = f64::INFINITY;
-        for (i, &wi) in w.iter().enumerate() {
+        for (i, wi) in nonzeros() {
             if wi > tol {
                 min_ratio = min_ratio.min(self.xb[i].max(0.0) / wi);
             }
@@ -905,7 +1132,7 @@ impl<'a> Revised<'a> {
         }
         let window = tol * (1.0 + min_ratio.abs());
         let mut best: Option<(usize, f64)> = None;
-        for (i, &wi) in w.iter().enumerate() {
+        for (i, wi) in nonzeros() {
             if wi > tol && self.xb[i].max(0.0) / wi <= min_ratio + window {
                 let better = match best {
                     None => true,
@@ -938,16 +1165,16 @@ impl<'a> Revised<'a> {
     /// `basis[r] ← q`, records the eta and honors the refactorization
     /// cadence. Dual pivots pass the unclamped `θ = x_B[r] / w[r]`
     /// (both negative at a dual step, so θ ≥ 0 still, but the primal
-    /// clamp would zero it out).
+    /// clamp would zero it out). The update and the eta walk `w`'s
+    /// nonzeros, ascending: the positions a scan of all of `w` acts on,
+    /// in its order.
     fn pivot_with_theta(&mut self, r: usize, q: usize, theta: f64) -> Result<(), LpError> {
-        let w = &self.work.w;
+        let (w, nonzeros) = (&self.work.w, &self.work.w_nonzeros);
         if theta > 0.0 {
-            for (i, &wi) in w.iter().enumerate() {
-                if wi != 0.0 {
-                    self.xb[i] -= theta * wi;
-                    if self.xb[i].abs() < self.tols.value_snap {
-                        self.xb[i] = 0.0;
-                    }
+            for &i in nonzeros {
+                self.xb[i] -= theta * w[i];
+                if self.xb[i].abs() < self.tols.value_snap {
+                    self.xb[i] = 0.0;
                 }
             }
         }
@@ -960,7 +1187,7 @@ impl<'a> Revised<'a> {
         }
         self.basis[r] = q;
         self.in_basis[q] = true;
-        self.factor.etas.push(r, w);
+        self.factor.etas.push(r, w, nonzeros);
         self.iterations += 1;
         if self.factor.etas.len() >= self.refactor_interval {
             self.refactorize()?;
@@ -1063,7 +1290,7 @@ impl<'a> Revised<'a> {
         // factorization once and redo the FTRAN before giving up.
         if self.work.w[r].abs() < self.tols.pivot_refresh && !self.factor.etas.is_empty() {
             self.refactorize()?;
-            self.refresh_w()?;
+            self.ftran_column(q)?;
             r = match self.leave(bland, guard) {
                 Some(r) => r,
                 None => return Ok(None),
@@ -1249,6 +1476,12 @@ fn scatter_reduced_costs(sf: &StandardForm, phase: Phase, y: &[f64], d: &mut [f6
     }
 }
 
+/// The bits of each entry of `v`, for bitwise comparisons.
+#[cfg(any(debug_assertions, test))]
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// `d_j = c_j − a_jᵀ y` for `phase` (`c = 0` in phase 1), as a dot
 /// over row `j` of the CSC mirror `at`, skipping zero duals. The rows
 /// come in increasing order, so the subtractions are, in order, those a
@@ -1328,6 +1561,7 @@ fn column_of<'a>(at: &'a Csr, n_sf: usize, art_rows: &[usize], j: usize) -> Colu
 }
 
 /// Sparse column access that treats artificial columns as unit vectors.
+#[derive(Clone)]
 enum ColumnIter<'a> {
     Structural {
         idx: &'a [usize],
@@ -1816,5 +2050,112 @@ mod tests {
         assert!(solver.iterations >= 2, "{} dual pivots", solver.iterations);
         // The repair's last pricing followed a pivot on the same factor.
         assert!(solver.work.duals.changed().is_some());
+    }
+
+    #[test]
+    fn a_phase_switch_on_a_grown_eta_file_re_runs_what_it_reads() {
+        // Two phase-1 pivots, each priced, then a phase-2 pricing on the
+        // same factor: the basic costs change on every row (the
+        // artificials' 1 becomes 0, the entered columns' 0 their cost),
+        // so etas no pivot since added must re-run for what they read.
+        let sf = build_standard_form(&transportation()).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        for _ in 0..2 {
+            solver.price(Phase::One).unwrap();
+            let q = solver.enter(false).expect("phase 1 is not done");
+            solver.step(q, false, false).unwrap().expect("a pivot");
+        }
+        solver.price(Phase::One).unwrap();
+        assert_eq!(solver.factor.etas.swept, 2);
+        solver.price(Phase::Two).unwrap();
+    }
+
+    #[test]
+    fn an_ftran_after_a_refactorization_starts_clean() {
+        // At the starting basis (B = I) column `x00` holds rows 0 and 3
+        // and `x12` rows 1 and 5, so after `x00` pivots in, `x12`'s FTRAN
+        // on the refactored basis shares no position with the last one:
+        // an entry the first left behind would show in the check against
+        // the dense FTRAN every FTRAN runs in tests.
+        let sf = build_standard_form(&transportation()).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        solver.price(Phase::One).unwrap();
+        let (x00, x12) = (0, 6);
+        assert_eq!(solver.step(x00, false, false).unwrap(), Some(false));
+        assert_eq!(solver.work.w_nonzeros, [0, 3]);
+        solver.refactorize().unwrap();
+        solver.ftran_column(x12).unwrap();
+        assert_eq!(solver.work.w_nonzeros, [1, 5]);
+        // And on the eta file: the same FTRAN after one more pivot.
+        let q = solver.enter(false).expect("phase 1 is not done");
+        solver.step(q, false, false).unwrap().expect("a pivot");
+        solver.ftran_column(x12).unwrap();
+        assert!(!solver.factor.etas.is_empty());
+    }
+
+    #[test]
+    fn dual_pivots_update_x_b_over_the_nonzeros() {
+        // max Σ x_j with x_j ≤ 1 and Σ x_j ≤ total: the optimum for a
+        // slack total is every x_j at its bound; at a total of 2.5 that
+        // basis is infeasible. Two dual pivots, then the repair stops at
+        // its budget, so x_B is what the pivots' updates left: it must
+        // agree with B⁻¹b computed afresh on the new basis.
+        let problem = |total: f64| {
+            let mut p = LpProblem::new(Sense::Maximize);
+            let x: Vec<_> = (0..6).map(|j| p.add_var(format!("x{j}"), 1.0)).collect();
+            for &v in &x {
+                p.add_constraint([(v, 1.0)], Relation::Le, 1.0).unwrap();
+            }
+            let terms: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+            p.add_constraint(terms, Relation::Le, total).unwrap();
+            p
+        };
+        let sf = build_standard_form(&problem(10.0)).unwrap();
+        let opts = SimplexOptions::default();
+        let cold = run_revised(&sf, &opts).unwrap();
+        let snapshot = BasisSnapshot::new(cold.basis, sf.a.cols(), LpEngine::Revised);
+        let sf = build_standard_form(&problem(2.5)).unwrap();
+        let mut solver = Revised::from_snapshot(&sf, &opts, &snapshot)
+            .unwrap()
+            .expect("the snapshot fits");
+        assert!(!solver.dual_repair(2).unwrap(), "stopped at its budget");
+        assert_eq!(solver.iterations, 2);
+        assert_eq!(solver.factor.etas.len(), 2);
+        let updated = solver.xb.clone();
+        solver.refactorize().unwrap();
+        for (i, (&got, &want)) in updated.iter().zip(&solver.xb).enumerate() {
+            assert!((got - want).abs() < 1e-12, "x_B[{i}]: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn enter_breaks_a_tie_to_the_lower_column() {
+        // At the slack basis the reduced costs are the negated costs:
+        // columns 3 and 11 tie for the most negative, in different
+        // chunks of the pre-test; column 1 is the first eligible one.
+        let costs = [
+            0.0, 0.5, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.5, 0.0, 2.0, 0.0,
+        ];
+        let mut p = LpProblem::new(Sense::Maximize);
+        let x: Vec<_> = costs
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| p.add_var(format!("x{j}"), c))
+            .collect();
+        let terms: Vec<_> = x.iter().map(|&v| (v, 1.0)).collect();
+        p.add_constraint(terms, Relation::Le, 1.0).unwrap();
+        let sf = build_standard_form(&p).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        solver.price(Phase::Two).unwrap();
+        assert_eq!(solver.work.d[3], solver.work.d[11]);
+        assert_eq!(solver.enter(false), Some(3), "Dantzig, lower of the tie");
+        assert_eq!(solver.enter(true), Some(1), "Bland");
+        solver.banned[3] = true;
+        assert_eq!(solver.enter(false), Some(11), "the tie's other column");
+        solver.in_basis[11] = true;
+        assert_eq!(solver.enter(false), Some(9));
     }
 }

@@ -1541,7 +1541,7 @@ mod tests {
             socbuf_sweep::ChunkReport::from_json(doc.get("chunk_report").unwrap()).map(drop)
         };
         let pool = socbuf_sweep::WorkPool::serial();
-        let (report, _) = socbuf_sweep::execute_manifest_chunk_traced(&manifest, 0, &pool).unwrap();
+        let report = socbuf_sweep::execute_manifest_chunk_traced(&manifest, 0, &pool).unwrap();
         let report = report.to_json();
         let chunk = Response::Chunk { report, trace }.to_json();
         assert_field_kinds(&chunk, &[], &chunk_reply);

@@ -527,7 +527,7 @@ fn fleet_fan_out_merges_byte_identically() {
     let shard_c = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client_c = Client::connect_tcp(shard_c.tcp_addr().unwrap()).unwrap();
     let (frames, _) = stream(&mut client_c, &manifest, Some(&[0])).unwrap();
-    let (local, _) = execute_manifest_chunk_traced(&manifest, 0, &WorkPool::serial()).unwrap();
+    let local = execute_manifest_chunk_traced(&manifest, 0, &WorkPool::serial()).unwrap();
     assert_eq!(frames.len(), 1);
     assert!(!frames[0].trace.warm, "a chunk's warm chain starts cold");
     assert_eq!(

@@ -111,8 +111,7 @@ pub use pool::{OrderedRun, WorkPool};
 pub use report::{SimSummary, SweepKind, SweepPoint, SweepReport};
 pub use shard::{
     chunk_report_json, execute_manifest_chunk_traced, merge_chunk_reports, plan_manifest,
-    run_manifest, run_manifest_sink, ChunkReport, ChunkStats, MergeError, ReduceStats,
-    StreamingReducer,
+    run_manifest, run_manifest_sink, ChunkReport, MergeError, ReduceStats, StreamingReducer,
 };
 pub use stream::{
     FileSpool, FrontierIndex, FrontierTracker, MemSpool, PointSink, ReportStream, Spool,

@@ -25,8 +25,7 @@
 //! also start from its point 0, which every executor solves the same
 //! way, whether or not it runs chunk 0. Pivot counts do vary with
 //! chunking, which is why they are trace-only and never rendered (see
-//! [`SweepPoint::lp_iterations`]); [`execute_manifest_chunk_traced`]
-//! reports them beside one chunk's report.
+//! [`SweepPoint::lp_iterations`]).
 //!
 //! Every execution entry point here goes through [`plan_manifest`]: the
 //! manifest's shape is planned exactly as a local campaign's is, and
@@ -100,20 +99,6 @@ pub fn run_manifest(
     pool: &WorkPool,
 ) -> Result<SweepReport, SweepError> {
     plan_manifest(manifest, pool)?.run(pool)
-}
-
-/// Solver-effort trace for one executed chunk — measurement the wire
-/// report deliberately omits (pivot counts vary with chunking, so they
-/// can never be part of the byte-identity contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkStats {
-    /// Points solved in the chunk.
-    pub points: usize,
-    /// Total simplex pivots across the chunk's points, its first point
-    /// included: a cold start's pivots, or 0 when a warm budget
-    /// campaign's anchor answered it. A budget campaign's anchor is
-    /// counted in chunk 0 only, even when another chunk solved it.
-    pub pivots: usize,
 }
 
 /// One executed chunk's results, as they travel from a shard back to
@@ -264,9 +249,9 @@ pub fn chunk_report_json(
 }
 
 /// Executes one manifest chunk and returns its chunk-tagged report
-/// (what a reducer verifies), alongside the trace-only [`ChunkStats`]
-/// the report never carries. The report's points have
-/// `lp_iterations` 0, as a decoded frame's do.
+/// (what a reducer verifies). The report's points have `lp_iterations`
+/// 0, as a decoded frame's do: pivot counts vary with chunking, so the
+/// byte-identity contract never carries them.
 ///
 /// # Errors
 ///
@@ -276,16 +261,12 @@ pub fn execute_manifest_chunk_traced(
     manifest: &CampaignManifest,
     chunk: usize,
     pool: &WorkPool,
-) -> Result<(ChunkReport, ChunkStats), SweepError> {
+) -> Result<ChunkReport, SweepError> {
     let mut solved = Vec::new();
     plan_manifest(manifest, pool)?.run_chunks(pool, &[chunk], |_, points| {
         solved = points;
         Ok::<(), SweepError>(())
     })?;
-    let stats = ChunkStats {
-        points: solved.len(),
-        pivots: solved.iter().map(|p| p.lp_iterations).sum(),
-    };
     solved.iter_mut().for_each(|p| p.lp_iterations = 0);
     let range = manifest.chunks[chunk];
     let report = ChunkReport {
@@ -296,7 +277,7 @@ pub fn execute_manifest_chunk_traced(
         end: range.end,
         points: solved,
     };
-    Ok((report, stats))
+    Ok(report)
 }
 
 /// Runs the whole campaign locally, streaming points into `sink` in

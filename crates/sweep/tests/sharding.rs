@@ -30,7 +30,7 @@ fn all_chunks(manifest: &CampaignManifest, order: &[usize]) -> Vec<ChunkReport> 
     let pool = WorkPool::serial();
     order
         .iter()
-        .map(|&c| execute_manifest_chunk_traced(manifest, c, &pool).unwrap().0)
+        .map(|&c| execute_manifest_chunk_traced(manifest, c, &pool).unwrap())
         .collect()
 }
 
@@ -67,7 +67,7 @@ fn load_merge_is_byte_identical_across_the_wire() {
     // Chunk reports round-trip through their JSON wire form too.
     let reports: Vec<ChunkReport> = (0..wire.chunks.len())
         .map(|c| {
-            let (r, _) = execute_manifest_chunk_traced(&wire, c, &WorkPool::serial()).unwrap();
+            let r = execute_manifest_chunk_traced(&wire, c, &WorkPool::serial()).unwrap();
             ChunkReport::from_json(&JsonValue::parse(&r.to_json()).unwrap()).unwrap()
         })
         .collect();

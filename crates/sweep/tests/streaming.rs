@@ -132,7 +132,7 @@ fn merge_fixture() -> &'static MergeFixture {
         let pool = WorkPool::serial();
         let reports = (0..manifest.chunks.len())
             .map(|c| {
-                let (r, _) = execute_manifest_chunk_traced(&manifest, c, &pool).unwrap();
+                let r = execute_manifest_chunk_traced(&manifest, c, &pool).unwrap();
                 ChunkReport::from_json(&JsonValue::parse(&r.to_json()).unwrap()).unwrap()
             })
             .collect();
@@ -318,7 +318,7 @@ fn a_coarsened_warm_budget_manifest_renders_the_default_chunking_bytes() {
     let stream = ReportStream::jsonl(socbuf_sweep::SweepKind::Budget, Vec::new());
     let mut reducer = StreamingReducer::new(&coarse, stream);
     for c in (0..coarse.chunks.len()).rev() {
-        let (report, _) = execute_manifest_chunk_traced(&coarse, c, &pool).unwrap();
+        let report = execute_manifest_chunk_traced(&coarse, c, &pool).unwrap();
         let wire = JsonValue::parse(&report.to_json()).unwrap();
         reducer
             .ingest(ChunkReport::from_json(&wire).unwrap())
