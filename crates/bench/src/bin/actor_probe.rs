@@ -23,18 +23,24 @@
 //!   count is the run's fixed setup plus buffer growth; an allocation
 //!   per arbitration or per event runs into the thousands.
 //!
-//! With no flag it prints the same checks plus each template's wall
-//! time per run.
+//! With no flag it prints the same checks plus two timing tables, each
+//! in ms per run and ns per envelope (the simulator's per-envelope
+//! layer): every template's gate configuration at horizon 20,000, and
+//! the Figure-3 policy mix at the paper's window ([`figure3_mix`]).
 
 use socbuf_bench::alloc::{self, CountingAlloc};
 use socbuf_bench::paper_pipeline_config;
 use socbuf_bench::probe::{self, best_of, Gate, OrExit};
 use socbuf_core::{size_buffers, SizingConfig};
-use socbuf_sim::{simulate, simulate_counted, Arbiter, SimConfig, SimReport};
+use socbuf_sim::{
+    average_reports, replication_config, simulate, simulate_counted, Arbiter, SimConfig, SimReport,
+    TimeoutSpec,
+};
 use socbuf_soc::templates;
 use socbuf_soc::{
     Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
 };
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -176,12 +182,7 @@ fn alloc_workloads() -> Vec<(&'static str, Architecture, BufferAllocation, Arbit
 
 /// The allocation gate: every [`alloc_workloads`] entry.
 fn check_allocations(gate: &mut Gate) {
-    let paper = paper_pipeline_config();
-    let cfg = SimConfig {
-        horizon: paper.horizon,
-        warmup: paper.warmup,
-        seed: paper.seed,
-    };
+    let cfg = paper_sim_config();
     for (name, arch, alloc, arbiter) in alloc_workloads() {
         let (_, counts) = alloc::count(|| simulate(&arch, &alloc, arbiter, &cfg));
         println!(
@@ -198,6 +199,98 @@ fn check_allocations(gate: &mut Gate) {
     }
 }
 
+/// The paper's simulation window and seed.
+fn paper_sim_config() -> SimConfig {
+    let paper = paper_pipeline_config();
+    SimConfig {
+        horizon: paper.horizon,
+        warmup: paper.warmup,
+        seed: paper.seed,
+    }
+}
+
+/// Runs the paper's replications of one policy; returns their reports
+/// and the envelopes they sent in total.
+fn replications(
+    arch: &Architecture,
+    alloc: &BufferAllocation,
+    arbiter: &Arbiter,
+    timeout: Option<&TimeoutSpec>,
+) -> (Vec<SimReport>, u64) {
+    let cfg = paper_sim_config();
+    let mut sent = 0;
+    let reports = (0..paper_pipeline_config().replications)
+        .map(|i| {
+            let mut arb = arbiter.clone();
+            let (report, n) =
+                simulate_counted(arch, alloc, &mut arb, timeout, &replication_config(&cfg, i));
+            sent += n;
+            report
+        })
+        .collect();
+    (reports, sent)
+}
+
+/// One timing row: a run's wall time and envelopes, in ms per run and
+/// ns per envelope.
+fn print_timing(name: &str, label: &str, time: Duration, runs: usize, sent: u64) {
+    let secs = time.as_secs_f64();
+    println!(
+        "{name:>18} {label:>28} {:>10.3} {:>10} {:>8.1}",
+        secs * 1e3 / runs as f64,
+        sent / runs as u64,
+        secs * 1e9 / sent as f64
+    );
+}
+
+/// The Figure-3 policy mix on every template at the paper's window and
+/// a budget of 3 units per queue: uniform buffers under `FixedSlot`,
+/// `size_buffers(small())` under `WeightedEffort`, and uniform
+/// `FixedSlot` with the timeout calibrated from the averaged first
+/// policy, the pipeline's three policies. Each policy's replications
+/// are timed best of 15, then the template's three are summed.
+fn figure3_mix() {
+    let reps = paper_pipeline_config().replications;
+    println!(
+        "\nFigure-3 policy mix, {reps} replications per policy (best of 15)\n\
+         {:>18} {:>28} {:>10} {:>10} {:>8}",
+        "template", "policy", "ms per run", "envelopes", "ns/env"
+    );
+    let (mut all_time, mut all_sent, mut all_runs) = (Duration::ZERO, 0, 0);
+    for (name, arch) in probe::named_templates() {
+        let budget = 3 * arch.num_queues();
+        let uniform = BufferAllocation::uniform(&arch, budget);
+        let sized = size_buffers(&arch, budget, &SizingConfig::small()).or_exit("sizing");
+        let (pre, _) = replications(&arch, &uniform, &Arbiter::FixedSlot, None);
+        let spec = TimeoutSpec::from_calibration(&average_reports(&pre));
+        let post = Arbiter::WeightedEffort {
+            efforts: sized.efforts,
+        };
+        let policies = [
+            ("uniform FixedSlot", &uniform, &Arbiter::FixedSlot, None),
+            ("sized WeightedEffort", &sized.allocation, &post, None),
+            (
+                "uniform FixedSlot timeout",
+                &uniform,
+                &Arbiter::FixedSlot,
+                Some(&spec),
+            ),
+        ];
+        let (mut time, mut sent) = (Duration::ZERO, 0);
+        for (label, alloc, arbiter, timeout) in policies {
+            let ((_, n), t) = best_of(15, || replications(&arch, alloc, arbiter, timeout));
+            print_timing(name, label, t, reps, n);
+            time += t;
+            sent += n;
+        }
+        print_timing(name, "mix", time, 3 * reps, sent);
+        all_time += time;
+        all_sent += sent;
+        all_runs += 3 * reps;
+    }
+    print_timing("all", "mix", all_time, all_runs, all_sent);
+}
+
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
     check_envelopes(gate);
@@ -206,7 +299,7 @@ fn smoke(gate: &mut Gate) {
 }
 
 /// Full table: the gates' counts, then each template's wall time per
-/// run (best of 7) at horizon 20,000.
+/// run (best of 7) at horizon 20,000, then the Figure-3 mix.
 fn full_probe() {
     // The full table reports mismatches; only `--smoke` exits on them.
     let mut gate = Gate::new();
@@ -216,13 +309,14 @@ fn full_probe() {
     println!();
     check_allocations(&mut gate);
     println!(
-        "\n{:>18} {:>12} {:>10}",
-        "template", "ms per run", "envelopes"
+        "\n{:>18} {:>28} {:>10} {:>10} {:>8}",
+        "template", "configuration", "ms per run", "envelopes", "ns/env"
     );
     for (name, arch) in probe::named_templates() {
         let ((_, sent), time) = best_of(7, || run(&arch, UNITS_PER_QUEUE, 20_000.0, 1));
-        println!("{name:>18} {:>12.3} {sent:>10}", time.as_secs_f64() * 1e3);
+        print_timing(name, "gate, horizon 20,000", time, 1, sent);
     }
+    figure3_mix();
 }
 
 fn main() {

@@ -452,11 +452,17 @@ impl PipelineConfig {
         }
     }
 
-    /// The replication and warmup checks every evaluation makes before
-    /// it simulates (and, when it sizes too, before it sizes).
+    /// The replication and window checks every evaluation makes before
+    /// it simulates (and, when it sizes too, before it sizes): the
+    /// simulator's own contract, which it enforces by panicking.
     fn validate_simulation(&self) -> Result<(), CoreError> {
         if self.replications == 0 {
             return Err(CoreError::BadConfig("replications must be ≥ 1".into()));
+        }
+        if !(self.horizon > 0.0 && self.horizon.is_finite()) {
+            return Err(CoreError::BadConfig(
+                "horizon must be positive and finite".into(),
+            ));
         }
         if !(self.warmup >= 0.0 && self.warmup < self.horizon) {
             return Err(CoreError::BadConfig(
@@ -597,7 +603,7 @@ pub fn evaluate_policies_with<P: ReplicationPool + ?Sized>(
 ///
 /// # Errors
 ///
-/// [`CoreError::BadConfig`] for invalid replication/warmup settings;
+/// [`CoreError::BadConfig`] for invalid replication or window settings;
 /// simulation itself is infallible for a validated architecture.
 pub fn evaluate_policies_sized<P: ReplicationPool + ?Sized>(
     arch: &Architecture,
@@ -1028,6 +1034,27 @@ mod tests {
         let mut cfg = PipelineConfig::small();
         cfg.warmup = cfg.horizon;
         assert!(evaluate_policies(&arch, 10, &cfg).is_err());
+    }
+
+    #[test]
+    fn simulation_windows_the_event_loop_cannot_run_are_refused() {
+        // Checked directly: an evaluation that let these through would
+        // simulate forever rather than fail.
+        let mut cfg = PipelineConfig::small();
+        cfg.horizon = f64::INFINITY;
+        match cfg.validate_simulation() {
+            Err(CoreError::BadConfig(msg)) => assert!(msg.contains("horizon"), "{msg}"),
+            other => panic!("infinite horizon: expected BadConfig, got {other:?}"),
+        }
+        for horizon in [0.0, -1.0, f64::NAN] {
+            cfg.horizon = horizon;
+            cfg.warmup = 0.0;
+            assert!(cfg.validate_simulation().is_err(), "horizon {horizon}");
+        }
+        let mut cfg = PipelineConfig::small();
+        cfg.warmup = -1.0;
+        assert!(cfg.validate_simulation().is_err());
+        assert!(PipelineConfig::small().validate_simulation().is_ok());
     }
 
     #[test]

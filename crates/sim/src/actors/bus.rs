@@ -7,6 +7,7 @@
 
 use socbuf_soc::{BusArbitration, QueueId};
 
+use crate::actors::queue::QueueActor;
 use crate::actors::scheduler::{index, Msg};
 use crate::actors::world::World;
 use crate::arbiter::QueueView;
@@ -62,24 +63,67 @@ pub(super) enum BusState {
     },
 }
 
-/// One bus: its arbitration mode, grant state and queues.
+/// One bus: its arbitration mode, service rate, grant state and queues.
 #[derive(Debug)]
-pub(super) struct BusActor {
+pub(super) struct BusActor<'a> {
     pub mode: BusArbitration,
+    /// Service completions per unit time while busy.
+    pub rate: f64,
     pub state: BusState,
     /// The bus's queues in declaration order (= priority order).
-    pub queue_ids: Vec<QueueId>,
+    pub queue_ids: &'a [QueueId],
 }
 
-impl BusActor {
-    pub fn new(mode: BusArbitration, queue_ids: &[QueueId]) -> Self {
+impl<'a> BusActor<'a> {
+    pub fn new(mode: BusArbitration, rate: f64, queue_ids: &'a [QueueId]) -> Self {
         BusActor {
             mode,
+            rate,
             state: BusState::Unlocked,
-            queue_ids: queue_ids.to_vec(),
+            queue_ids,
         }
     }
 }
+
+/// A bus's queues, viewed in place for its arbiter.
+#[derive(Clone)]
+struct QueueViews<'w> {
+    ids: std::slice::Iter<'w, QueueId>,
+    queues: &'w [QueueActor],
+}
+
+impl QueueViews<'_> {
+    fn view(&self, id: QueueId) -> QueueView {
+        let queue = &self.queues[id.index()];
+        QueueView {
+            id,
+            len: queue.buf.len(),
+            capacity: queue.cap,
+        }
+    }
+}
+
+impl Iterator for QueueViews<'_> {
+    type Item = QueueView;
+
+    fn next(&mut self) -> Option<QueueView> {
+        let &id = self.ids.next()?;
+        Some(self.view(id))
+    }
+
+    /// Skips without reading the skipped queues, so a draw among every
+    /// queue (a slotted arbiter's) goes straight to its pick.
+    fn nth(&mut self, n: usize) -> Option<QueueView> {
+        let &id = self.ids.nth(n)?;
+        Some(self.view(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl ExactSizeIterator for QueueViews<'_> {}
 
 impl World<'_> {
     /// Runs one arbitration decision and grants the winner (if any).
@@ -98,36 +142,26 @@ impl World<'_> {
                 }
             }
             BusArbitration::External | BusArbitration::Locked { .. } => {
-                let slotted = self.arbiter.is_slotted();
-                self.candidates.clear();
-                self.candidates.extend(
-                    self.buses[b]
-                        .queue_ids
-                        .iter()
-                        .map(|&id| QueueView {
-                            id,
-                            len: self.queues[id.index()].buf.len(),
-                            capacity: self.queues[id.index()].cap,
-                        })
-                        .filter(|c| slotted || c.len > 0),
-                );
+                let views = QueueViews {
+                    ids: self.buses[b].queue_ids.iter(),
+                    queues: &self.queues,
+                };
                 // Slotted arbiters only spin when at least one queue
                 // waits; otherwise the bus sleeps until the next offer.
-                if slotted && self.candidates.iter().all(|c| c.len == 0) {
+                if self.arbiter.is_slotted() && views.clone().all(|c| c.len == 0) {
                     return;
                 }
-                let Some(pick) = self.arbiter.select(b, &self.candidates, &mut self.rng) else {
+                let Some(picked) = self.arbiter.select(b, views, &mut self.rng) else {
                     return; // nothing to serve
                 };
-                let picked = self.candidates[pick];
-                if slotted && picked.len == 0 {
-                    // Idle slot: hold the bus one service time for
-                    // nothing.
+                if picked.len == 0 {
+                    // Idle slot (only a slotted arbiter picks an empty
+                    // queue): hold the bus one service time for nothing.
                     self.buses[b].state = BusState::Busy {
                         queue: None,
                         start: t,
                     };
-                    let dt = self.exp(self.bus_rate(b));
+                    let dt = self.exp(self.buses[b].rate);
                     self.evq.send(t + dt, Msg::Complete { bus: index(b) });
                     return;
                 }
@@ -165,7 +199,7 @@ impl World<'_> {
                 start: t,
             },
         };
-        let dt = self.exp(self.bus_rate(b));
+        let dt = self.exp(self.buses[b].rate);
         self.evq.send(t + dt, Msg::Complete { bus: index(b) });
     }
 
@@ -202,12 +236,5 @@ impl World<'_> {
             }
             _ => self.bus_arbitrate(b, t),
         }
-    }
-
-    /// Service rate of bus `b`.
-    fn bus_rate(&self, b: usize) -> f64 {
-        self.arch
-            .bus(self.arch.bus_ids().nth(b).expect("bus in range"))
-            .service_rate()
     }
 }

@@ -56,7 +56,9 @@ pub(crate) fn run(
 ) -> (SimReport, u64) {
     let mut world = World::new(arch, alloc, arbiter, timeout, config);
     world.init_sources();
-    while let Some(env) = world.evq.pop() {
+    // Each envelope stays on the heap's top while it is dispatched; its
+    // handler's first send takes its place (see the `scheduler` module).
+    while let Some(env) = world.evq.next() {
         if env.time > config.horizon {
             break;
         }
@@ -98,6 +100,22 @@ mod tests {
             horizon: 10.0,
             warmup: 10.0,
             seed: 0,
+        };
+        simulate(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "warmup must not be negative")]
+    fn a_negative_warmup_panics() {
+        // Occupancy integrates from t = 0 while the window would span
+        // `horizon - warmup`: a warmup of -1000 over a horizon of 1000
+        // halved `time_avg_len` (0.8027 against 1.6054 at warmup 0).
+        let arch = single_queue(0.8, 1.0);
+        let alloc = BufferAllocation::uniform(&arch, 4);
+        let cfg = SimConfig {
+            horizon: 1000.0,
+            warmup: -1000.0,
+            seed: 3,
         };
         simulate(&arch, &alloc, Arbiter::RandomNonempty, &cfg);
     }

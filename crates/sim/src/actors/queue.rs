@@ -27,14 +27,17 @@ use crate::request::Request;
 pub(super) struct QueueActor {
     pub bus: usize,
     pub cap: usize,
+    /// The timeout policy's threshold; infinite without the policy.
+    pub threshold: f64,
     pub buf: std::collections::VecDeque<Request>,
 }
 
 impl QueueActor {
-    pub fn new(bus: usize, cap: usize) -> Self {
+    pub fn new(bus: usize, cap: usize, threshold: f64) -> Self {
         QueueActor {
             bus,
             cap,
+            threshold,
             buf: std::collections::VecDeque::new(),
         }
     }
@@ -54,7 +57,7 @@ impl World<'_> {
     ) {
         let counted = self.measure(t);
         let counted_origin = carried_origin.unwrap_or(counted);
-        let origin = self.origin_of(flow);
+        let origin = self.sources[flow].origin;
         if counted {
             self.stats.q_offered[q] += 1.0;
             if carried_origin.is_none() {
@@ -100,12 +103,10 @@ impl World<'_> {
     }
 
     /// The bus is granting queue `q`: shed stale heads under the
-    /// timeout policy. Returns whether any head was shed.
+    /// timeout policy (none without it: no wait exceeds an infinite
+    /// threshold). Returns whether any head was shed.
     pub(super) fn queue_shed(&mut self, q: usize, t: f64) -> bool {
-        let Some(spec) = self.timeout else {
-            return false;
-        };
-        let threshold = spec.threshold(self.queue_id(q));
+        let threshold = self.queues[q].threshold;
         let mut shed = false;
         while let Some(&head) = self.queues[q].buf.front() {
             if t - head.enqueued_at <= threshold {
@@ -117,8 +118,7 @@ impl World<'_> {
                 self.stats.q_lost_timeout[q] += 1.0;
             }
             if head.counted_origin {
-                let origin = self.origin_of(head.flow);
-                self.stats.p_lost[origin] += 1.0;
+                self.stats.p_lost[self.sources[head.flow].origin] += 1.0;
             }
             shed = true;
         }
@@ -136,14 +136,12 @@ impl World<'_> {
             self.stats.q_served[q] += 1.0;
             self.stats.q_wait_sum[q] += start - req.enqueued_at;
         }
-        let fid = self.arch.flow_ids().nth(req.flow).expect("flow in range");
-        let path = self.arch.flow_path(fid);
+        let source = &self.sources[req.flow];
+        let (path, bridges, origin) = (source.path, source.bridges, source.origin);
         if req.hop + 1 < path.len() {
-            let bridge = self.arch.route(fid).bridges[req.hop].index();
             let dest_queue = path[req.hop + 1].index();
-            self.bridge_forward(bridge, req, dest_queue, t);
+            self.bridge_forward(bridges[req.hop].index(), req, dest_queue, t);
         } else if req.counted_origin {
-            let origin = self.origin_of(req.flow);
             self.stats.p_delivered[origin] += 1.0;
         }
     }

@@ -6,10 +6,23 @@
 //! Every hand-off that takes simulated time travels as an [`Envelope`]
 //! through one shared [`EventQueue`], ordered by the pair `(time, seq)`:
 //!
-//! 1. **time** — simulated delivery time (`f64`, total order via
-//!    `total_cmp`).
+//! 1. **time** — simulated delivery time, compared by its bits. Every
+//!    send is at `t + dt` with `dt > 0` from a non-negative start (the
+//!    first arrivals at `dt`), so times are finite and non-negative, and
+//!    there the IEEE-754 bit pattern, read as an integer, orders as the
+//!    number does. `send` checks this in debug builds.
 //! 2. **seq** — a globally monotone emission counter breaking ties in
 //!    send order.
+//!
+//! `seq` makes every key unique, so the order in which envelopes pop
+//! depends only on the keys, never on the heap's shape. The dispatch
+//! loop leaves the envelope it dispatches on top of the heap, and the
+//! handler's first send overwrites it in place (one sift-down instead
+//! of a pop's sift plus a push); it is popped only if the handler sent
+//! nothing. That pops what pop-then-push pops: the dispatched envelope
+//! is the minimum, and every send during its dispatch is at a time no
+//! earlier and with a larger `seq`, so it stays the minimum until it is
+//! replaced, and the heap then holds the same set of keys.
 //!
 //! Because `seq` is assigned at send time from a single counter and the
 //! queue is drained by a single dispatch loop, a run is a pure function
@@ -34,8 +47,9 @@
 //! source's burst arbitrates its bus at the first request rather than
 //! after the whole batch; that reads the same candidate set and makes
 //! the same draw, because an idle bus has every queue empty between
-//! envelopes (see the bus module's `BusState`). Exact float ties between independent continuous samples
-//! are set aside: `seq` orders them by send.
+//! envelopes (see the bus module's `BusState`). Exact float ties between
+//! independent continuous samples are set aside: `seq` orders them by
+//! send.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -106,27 +120,46 @@ impl PartialOrd for Envelope {
 }
 impl Ord for Envelope {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behaviour inside BinaryHeap.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed for min-heap behaviour inside BinaryHeap. Times are
+        // finite and non-negative (checked at send), where bit order is
+        // numeric order.
+        (other.time.to_bits(), other.seq).cmp(&(self.time.to_bits(), self.seq))
     }
 }
 
 /// The single shared message queue all actors send through.
+///
+/// The envelope being dispatched stays on top of the heap until its
+/// handler's first send overwrites it in place, or until the next
+/// [`EventQueue::next`] removes it if the handler sent nothing.
 #[derive(Debug, Default)]
 pub(super) struct EventQueue {
     heap: BinaryHeap<Envelope>,
     seq: u64,
+    /// The heap's top is the envelope being dispatched, not yet
+    /// replaced by a send.
+    top_dispatched: bool,
+    /// Time of the envelope being dispatched (0 before the first).
+    now: f64,
 }
 
 impl EventQueue {
-    /// Schedules `msg` for delivery at `time`.
+    /// Schedules `msg` for delivery at `time`. The first send of a
+    /// dispatch takes the dispatched envelope's slot on top of the heap.
     pub fn send(&mut self, time: f64, msg: Msg) {
+        debug_assert!(
+            time.is_finite() && time.is_sign_positive() && time >= self.now,
+            "envelope sent for t={time} while dispatching t={}",
+            self.now
+        );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Envelope { time, seq, msg });
+        let env = Envelope { time, seq, msg };
+        if std::mem::take(&mut self.top_dispatched) {
+            *self.heap.peek_mut().expect("dispatched envelope on top") = env;
+        } else {
+            self.heap.push(env);
+        }
     }
 
     /// Envelopes sent so far.
@@ -134,15 +167,94 @@ impl EventQueue {
         self.seq
     }
 
-    /// Next envelope in `(time, seq)` order.
-    pub fn pop(&mut self) -> Option<Envelope> {
-        self.heap.pop()
+    /// Next envelope in `(time, seq)` order, to be dispatched now: it
+    /// stays on top of the heap until a send replaces it.
+    pub fn next(&mut self) -> Option<Envelope> {
+        if std::mem::take(&mut self.top_dispatched) {
+            self.heap.pop();
+        }
+        let env = *self.heap.peek()?;
+        self.top_dispatched = true;
+        self.now = env.time;
+        Some(env)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The queue a plain dispatch loop keeps: pop the next envelope,
+    /// then push whatever its handler sends.
+    #[derive(Default)]
+    struct PopThenPush {
+        heap: BinaryHeap<Envelope>,
+        seq: u64,
+    }
+
+    impl PopThenPush {
+        fn send(&mut self, time: f64, msg: Msg) {
+            self.heap.push(Envelope {
+                time,
+                seq: self.seq,
+                msg,
+            });
+            self.seq += 1;
+        }
+    }
+
+    fn key(env: Option<Envelope>) -> Option<(u64, u64, Msg)> {
+        env.map(|e| (e.time.to_bits(), e.seq, e.msg))
+    }
+
+    #[test]
+    fn in_place_dispatch_pops_in_the_pop_then_push_order() {
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut q, mut reference) = (EventQueue::default(), PopThenPush::default());
+            for flow in 0..rng.gen_range(1..5usize) {
+                let t = 0.25 * rng.gen_range(1..4usize) as f64;
+                let msg = Msg::Toggle { flow: index(flow) };
+                q.send(t, msg);
+                reference.send(t, msg);
+            }
+            let mut dispatched = 0;
+            loop {
+                let (env, expected) = (q.next(), reference.heap.pop());
+                assert_eq!(
+                    key(env),
+                    key(expected),
+                    "seed {seed}, dispatch {dispatched}"
+                );
+                let Some(env) = env else { break };
+                dispatched += 1;
+                // The handler sends nothing, one envelope or several, at
+                // the dispatched time itself, on a coarse grid that ties
+                // other pending envelopes, or anywhere later; past 300
+                // dispatches it only drains.
+                let sends = match rng.gen_range(0..6usize) {
+                    _ if dispatched > 300 => 0,
+                    0 | 1 => 0,
+                    2 | 3 => 1,
+                    k => k - 2,
+                };
+                for bus in 0..sends {
+                    let t = match rng.gen_range(0..3usize) {
+                        0 => env.time,
+                        1 => env.time + 0.25 * rng.gen_range(1..4usize) as f64,
+                        _ => env.time + rng.gen_range(0.0..2.0),
+                    };
+                    let msg = Msg::Complete { bus: index(bus) };
+                    q.send(t, msg);
+                    reference.send(t, msg);
+                }
+                assert_eq!(q.sent(), reference.seq, "seed {seed}");
+            }
+            assert!(dispatched > 0, "seed {seed} dispatched nothing");
+        }
+    }
 
     #[test]
     fn envelopes_pop_in_time_seq_order() {
@@ -160,7 +272,7 @@ mod tests {
         q.send(0.5, Msg::Toggle { flow: 2 });
         q.send(1.0, Msg::Tick { flow: 3, epoch: 0 });
         q.send(1.0, offer);
-        let order: Vec<(Msg, u64)> = std::iter::from_fn(|| q.pop())
+        let order: Vec<(Msg, u64)> = std::iter::from_fn(|| q.next())
             .map(|e| (e.msg, e.seq))
             .collect();
         assert_eq!(

@@ -2,7 +2,7 @@
 //! arrival processes, driven by their own `Tick` and `Toggle`
 //! envelopes; every offer a source makes is a direct call.
 
-use socbuf_soc::TrafficShape;
+use socbuf_soc::{BridgeId, Flow, QueueId, TrafficShape};
 
 use crate::actors::scheduler::{index, Msg};
 use crate::actors::world::World;
@@ -24,21 +24,33 @@ use crate::actors::world::World;
 ///   exactly.
 /// * `OnOff { mean_on, mean_off }` — exponential phase sojourns; while
 ///   ON, epochs at rate λ·(mean_on+mean_off)/mean_on; silent while OFF.
+///
+/// The source also carries its flow's route, resolved once per run, so
+/// its requests are routed and charged without an architecture lookup.
 #[derive(Debug)]
-pub(super) struct SourceActor {
+pub(super) struct SourceActor<'a> {
     pub rate: f64,
     pub shape: TrafficShape,
     pub phase_on: bool,
     pub epoch: u64,
+    /// Index of the originating processor, charged with every outcome.
+    pub origin: usize,
+    /// The flow's queue path, source queue first.
+    pub path: &'a [QueueId],
+    /// The bridge after each path stop but the last.
+    pub bridges: &'a [BridgeId],
 }
 
-impl SourceActor {
-    pub fn new(rate: f64, shape: TrafficShape) -> Self {
+impl<'a> SourceActor<'a> {
+    pub fn new(flow: &Flow, path: &'a [QueueId], bridges: &'a [BridgeId]) -> Self {
         SourceActor {
-            rate,
-            shape,
+            rate: flow.rate(),
+            shape: flow.shape(),
             phase_on: true,
             epoch: 0,
+            origin: flow.src().index(),
+            path,
+            bridges,
         }
     }
 
@@ -73,8 +85,7 @@ impl World<'_> {
         let dt = self.exp(self.sources[f].epoch_rate());
         let flow = index(f);
         self.evq.send(t + dt, Msg::Tick { flow, epoch });
-        let fid = self.arch.flow_ids().nth(f).expect("flow in range");
-        let q0 = self.arch.flow_path(fid)[0].index();
+        let q0 = self.sources[f].path[0].index();
         for _ in 0..self.sources[f].batch() {
             self.queue_offer(q0, f, 0, None, t);
         }

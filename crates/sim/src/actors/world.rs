@@ -3,14 +3,14 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use socbuf_soc::{Architecture, BufferAllocation, QueueId, TrafficShape};
+use socbuf_soc::{Architecture, BufferAllocation, TrafficShape};
 
 use crate::actors::bridge::BridgeActor;
 use crate::actors::bus::BusActor;
 use crate::actors::queue::QueueActor;
 use crate::actors::scheduler::{index, Envelope, EventQueue, Msg};
 use crate::actors::source::SourceActor;
-use crate::arbiter::{Arbiter, QueueView};
+use crate::arbiter::Arbiter;
 use crate::engine::{SimConfig, TimeoutSpec};
 use crate::stats::{RawCounters, SimReport};
 
@@ -22,21 +22,18 @@ use crate::stats::{RawCounters, SimReport};
 /// one that happens at once is a direct call between handlers (see the
 /// `scheduler` module). The `World` is the context every handler runs
 /// in. The RNG is a single shared stream so the draw order — fixed by
-/// the envelope order — is reproducible.
+/// the envelope order — is reproducible. What the architecture and the
+/// timeout policy fix for the run (routes, service rates, thresholds) is
+/// resolved once here and held by the actor that reads it.
 pub(super) struct World<'a> {
-    pub arch: &'a Architecture,
     pub arbiter: &'a mut Arbiter,
-    pub timeout: Option<&'a TimeoutSpec>,
     pub warmup: f64,
     pub rng: SmallRng,
     pub evq: EventQueue,
-    pub sources: Vec<SourceActor>,
+    pub sources: Vec<SourceActor<'a>>,
     pub queues: Vec<QueueActor>,
-    pub buses: Vec<BusActor>,
+    pub buses: Vec<BusActor<'a>>,
     pub bridges: Vec<BridgeActor>,
-    /// The arbitration candidates, refilled by every bus decision so a
-    /// decision allocates nothing.
-    pub candidates: Vec<QueueView>,
     pub stats: RawCounters,
 }
 
@@ -45,17 +42,23 @@ impl<'a> World<'a> {
         arch: &'a Architecture,
         alloc: &BufferAllocation,
         arbiter: &'a mut Arbiter,
-        timeout: Option<&'a TimeoutSpec>,
+        timeout: Option<&TimeoutSpec>,
         config: &SimConfig,
     ) -> Self {
         let queues = arch
             .queues()
             .iter()
-            .map(|spec| QueueActor::new(spec.bus.index(), alloc.units(spec.id)))
+            .map(|spec| {
+                let threshold = timeout.map_or(f64::INFINITY, |to| to.threshold(spec.id));
+                QueueActor::new(spec.bus.index(), alloc.units(spec.id), threshold)
+            })
             .collect();
         let buses = arch
             .bus_ids()
-            .map(|b| BusActor::new(arch.bus(b).arbitration(), arch.bus_queue_ids(b)))
+            .map(|b| {
+                let bus = arch.bus(b);
+                BusActor::new(bus.arbitration(), bus.service_rate(), arch.bus_queue_ids(b))
+            })
             .collect();
         let bridges = arch
             .bridge_ids()
@@ -63,12 +66,10 @@ impl<'a> World<'a> {
             .collect();
         let sources = arch
             .flow_ids()
-            .map(|f| SourceActor::new(arch.flow(f).rate(), arch.flow(f).shape()))
+            .map(|f| SourceActor::new(arch.flow(f), arch.flow_path(f), &arch.route(f).bridges))
             .collect();
         World {
-            arch,
             arbiter,
-            timeout,
             warmup: config.warmup,
             rng: SmallRng::seed_from_u64(config.seed),
             evq: EventQueue::default(),
@@ -76,7 +77,6 @@ impl<'a> World<'a> {
             queues,
             buses,
             bridges,
-            candidates: Vec::new(),
             stats: RawCounters::new(arch.num_queues(), arch.num_processors()),
         }
     }
@@ -93,23 +93,10 @@ impl<'a> World<'a> {
         t >= self.warmup
     }
 
-    /// Originating processor index of `flow`.
-    pub fn origin_of(&self, flow: usize) -> usize {
-        self.arch
-            .flow(self.arch.flow_ids().nth(flow).expect("flow in range"))
-            .src()
-            .index()
-    }
-
     /// Accumulates queue-length area of queue `q` up to `t`.
     pub fn touch_queue(&mut self, q: usize, t: f64) {
         let len = self.queues[q].buf.len();
         self.stats.touch_queue(q, len, t, self.warmup);
-    }
-
-    /// Queue handle of position `q` (for [`TimeoutSpec::threshold`]).
-    pub fn queue_id(&self, q: usize) -> QueueId {
-        self.arch.queue_ids().nth(q).expect("queue in range")
     }
 
     /// Seeds the initial self-messages of every source, in flow order.
@@ -151,7 +138,7 @@ impl<'a> World<'a> {
 
     /// Closes the occupancy integrals and assembles the report.
     pub fn into_report(mut self, config: &SimConfig) -> SimReport {
-        for q in 0..self.arch.num_queues() {
+        for q in 0..self.queues.len() {
             self.touch_queue(q, config.horizon);
         }
         self.stats.into_report(config.horizon - config.warmup)

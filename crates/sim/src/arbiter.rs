@@ -59,52 +59,52 @@ impl Arbiter {
         }
     }
 
-    /// `true` for backlog-blind arbiters that must be offered *all*
-    /// queues (empty ones included) and may burn an idle slot.
+    /// `true` for backlog-blind arbiters that pick among *all* of a
+    /// bus's queues (empty ones included) and may burn an idle slot.
     pub fn is_slotted(&self) -> bool {
         matches!(self, Arbiter::FixedSlot)
     }
 
-    /// Picks the index (into `candidates`) of the queue to serve, or
-    /// `None` when `candidates` is empty.
+    /// Picks the queue to serve among the views of a bus's `queues`, or
+    /// `None` when there is none to pick.
     ///
     /// `bus_index` is the position of the bus making the decision;
-    /// `candidates` are its non-empty queues in a stable order — except
-    /// for slotted arbiters ([`Arbiter::is_slotted`]), which are offered
-    /// every queue and may select an empty one (an idle slot).
-    pub fn select(
+    /// `queues` views every one of its queues in a stable order. Slotted
+    /// arbiters ([`Arbiter::is_slotted`]) pick among all of them and may
+    /// select an empty one (an idle slot); every other arbiter picks
+    /// among the non-empty ones. A decision reads the views in place and
+    /// allocates nothing: each arbiter makes its passes over clones of
+    /// the iterator, and a random pick counts its candidates (a slotted
+    /// arbiter takes the iterator's length), draws an index and takes
+    /// the candidate at it.
+    #[inline]
+    pub fn select<I>(
         &mut self,
         bus_index: usize,
-        candidates: &[QueueView],
+        queues: I,
         rng: &mut SmallRng,
-    ) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
+    ) -> Option<QueueView>
+    where
+        I: IntoIterator<Item = QueueView>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let queues = queues.into_iter();
+        let mut nonempty = queues.clone().filter(|c| c.len > 0);
         match self {
-            Arbiter::FixedSlot => Some(rng.gen_range(0..candidates.len())),
-            Arbiter::RandomNonempty => Some(rng.gen_range(0..candidates.len())),
+            Arbiter::FixedSlot => uniform(queues.clone(), queues.len(), rng),
+            Arbiter::RandomNonempty => uniform(nonempty.clone(), nonempty.count(), rng),
             Arbiter::LongestQueue => {
-                let mut best = 0;
-                for (i, c) in candidates.iter().enumerate().skip(1) {
-                    if c.len > candidates[best].len {
-                        best = i;
-                    }
-                }
-                Some(best)
+                nonempty.reduce(|best, c| if c.len > best.len { c } else { best })
             }
             Arbiter::RoundRobin { next } => {
                 let ptr = &mut next[bus_index];
                 // Serve the first candidate whose queue index is >= ptr
                 // (cyclically), then advance the pointer past it.
-                let chosen = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.id.index() >= *ptr)
-                    .map(|(i, _)| i)
-                    .next()
-                    .unwrap_or(0);
-                *ptr = candidates[chosen].id.index() + 1;
+                let chosen = nonempty
+                    .clone()
+                    .find(|c| c.id.index() >= *ptr)
+                    .or_else(|| nonempty.next())?;
+                *ptr = chosen.id.index() + 1;
                 Some(chosen)
             }
             Arbiter::WeightedEffort { efforts } => {
@@ -116,25 +116,31 @@ impl Arbiter {
                     let idx = c.len.min(curve.len() - 1);
                     curve[idx].max(0.0)
                 };
-                let best = candidates.iter().map(weight).fold(0.0_f64, f64::max);
+                let best = nonempty.clone().map(|c| weight(&c)).fold(0.0_f64, f64::max);
                 if best <= 1e-12 {
                     // All below threshold: stay work-conserving.
-                    return Some(rng.gen_range(0..candidates.len()));
+                    return uniform(nonempty.clone(), nonempty.count(), rng);
                 }
-                // Max-priority with uniform tie-breaking: count the ties,
-                // draw one, and walk to it (no per-decision buffer).
-                let is_tie = |c: &&QueueView| weight(c) >= best - 1e-12;
-                let ties = candidates.iter().filter(is_tie).count();
-                let k = rng.gen_range(0..ties);
-                candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| is_tie(c))
-                    .nth(k)
-                    .map(|(i, _)| i)
+                // Max-priority with uniform tie-breaking.
+                let ties = nonempty.filter(|c| weight(c) >= best - 1e-12);
+                uniform(ties.clone(), ties.count(), rng)
             }
         }
     }
+}
+
+/// A uniform pick among the `n` `candidates`: draw an index (no draw
+/// when there is none) and walk to it.
+#[inline]
+fn uniform(
+    mut candidates: impl Iterator<Item = QueueView>,
+    n: usize,
+    rng: &mut SmallRng,
+) -> Option<QueueView> {
+    if n == 0 {
+        return None;
+    }
+    candidates.nth(rng.gen_range(0..n))
 }
 
 #[cfg(test)]
@@ -151,6 +157,12 @@ mod tests {
                 capacity: 10,
             })
             .collect()
+    }
+
+    /// The position in `views` of the queue `arb` selects among them.
+    fn pick(arb: &mut Arbiter, views: &[QueueView], rng: &mut SmallRng) -> Option<usize> {
+        let picked = arb.select(0, views.iter().copied(), rng)?;
+        views.iter().position(|v| *v == picked)
     }
 
     fn queue_id(i: usize) -> QueueId {
@@ -175,15 +187,35 @@ mod tests {
     #[test]
     fn empty_candidates_yield_none() {
         let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(Arbiter::RandomNonempty.select(0, &[], &mut rng), None);
-        assert_eq!(Arbiter::LongestQueue.select(0, &[], &mut rng), None);
+        assert_eq!(pick(&mut Arbiter::RandomNonempty, &[], &mut rng), None);
+        assert_eq!(pick(&mut Arbiter::LongestQueue, &[], &mut rng), None);
+    }
+
+    #[test]
+    fn only_slotted_arbiters_pick_empty_queues() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let v = views(&[0, 3, 0, 2]);
+        let mut slots = [0usize; 4];
+        for _ in 0..400 {
+            let pick_nonempty = pick(&mut Arbiter::RandomNonempty, &v, &mut rng);
+            assert!(matches!(pick_nonempty, Some(1 | 3)), "{pick_nonempty:?}");
+            slots[pick(&mut Arbiter::FixedSlot, &v, &mut rng).unwrap()] += 1;
+        }
+        assert!(slots.iter().all(|&n| n > 50), "{slots:?}");
+        assert_eq!(pick(&mut Arbiter::LongestQueue, &v, &mut rng), Some(1));
+        let mut rr = Arbiter::round_robin(1);
+        assert_eq!(pick(&mut rr, &v, &mut rng), Some(1));
+        assert_eq!(pick(&mut rr, &v, &mut rng), Some(3));
+        let idle = views(&[0, 0]);
+        assert_eq!(pick(&mut Arbiter::RandomNonempty, &idle, &mut rng), None);
+        assert!(pick(&mut Arbiter::FixedSlot, &idle, &mut rng).is_some());
     }
 
     #[test]
     fn longest_queue_picks_max() {
         let mut rng = SmallRng::seed_from_u64(1);
         let v = views(&[2, 7, 3]);
-        assert_eq!(Arbiter::LongestQueue.select(0, &v, &mut rng), Some(1));
+        assert_eq!(pick(&mut Arbiter::LongestQueue, &v, &mut rng), Some(1));
     }
 
     #[test]
@@ -191,10 +223,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let mut rr = Arbiter::round_robin(1);
         let v = views(&[1, 1, 1]);
-        let a = rr.select(0, &v, &mut rng).unwrap();
-        let b = rr.select(0, &v, &mut rng).unwrap();
-        let c = rr.select(0, &v, &mut rng).unwrap();
-        let d = rr.select(0, &v, &mut rng).unwrap();
+        let a = pick(&mut rr, &v, &mut rng).unwrap();
+        let b = pick(&mut rr, &v, &mut rng).unwrap();
+        let c = pick(&mut rr, &v, &mut rng).unwrap();
+        let d = pick(&mut rr, &v, &mut rng).unwrap();
         assert_eq!((a, b, c), (0, 1, 2));
         assert_eq!(d, 0); // wrapped around
     }
@@ -218,13 +250,13 @@ mod tests {
         // Queue 0 below threshold: never selected.
         let v = views(&[3, 4]);
         for _ in 0..50 {
-            assert_eq!(arb.select(0, &v, &mut rng), Some(1));
+            assert_eq!(pick(&mut arb, &v, &mut rng), Some(1));
         }
         // Queue 0 above threshold: both selectable.
         let v = views(&[5, 4]);
         let mut saw0 = false;
         for _ in 0..100 {
-            if arb.select(0, &v, &mut rng) == Some(0) {
+            if pick(&mut arb, &v, &mut rng) == Some(0) {
                 saw0 = true;
             }
         }
@@ -240,7 +272,7 @@ mod tests {
         let v = views(&[1, 2]);
         let mut counts = [0usize; 2];
         for _ in 0..200 {
-            counts[arb.select(0, &v, &mut rng).unwrap()] += 1;
+            counts[pick(&mut arb, &v, &mut rng).unwrap()] += 1;
         }
         assert!(counts[0] > 50 && counts[1] > 50, "{counts:?}");
     }
@@ -251,7 +283,7 @@ mod tests {
         let v = views(&[1, 9, 3]);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[Arbiter::RandomNonempty.select(0, &v, &mut rng).unwrap()] += 1;
+            counts[pick(&mut Arbiter::RandomNonempty, &v, &mut rng).unwrap()] += 1;
         }
         for c in counts {
             assert!((800..1200).contains(&c), "{counts:?}");

@@ -9,9 +9,10 @@ use crate::stats::SimReport;
 /// Simulation window and seed.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Total simulated time.
+    /// Total simulated time (positive and finite).
     pub horizon: f64,
-    /// Initial transient to discard from statistics.
+    /// Initial transient to discard from statistics (`0 ≤ warmup <
+    /// horizon`).
     pub warmup: f64,
     /// RNG seed (runs are deterministic per seed).
     pub seed: u64,
@@ -109,7 +110,11 @@ pub fn simulate(
 /// # Panics
 ///
 /// Panics if `alloc` or the timeout spec do not match the architecture's
-/// queue count, or `config` is malformed (`warmup ≥ horizon`).
+/// queue count, or `config` is malformed: the horizon must be positive
+/// and finite (sources re-arm forever, so an infinite horizon never
+/// ends), and `0 ≤ warmup < horizon` (occupancy integrates from t = 0,
+/// so a negative warmup would stretch the window past the time
+/// simulated).
 pub fn simulate_with(
     arch: &Architecture,
     alloc: &BufferAllocation,
@@ -135,6 +140,11 @@ pub fn simulate_counted(
     timeout: Option<&TimeoutSpec>,
     config: &SimConfig,
 ) -> (SimReport, u64) {
+    assert!(
+        config.horizon > 0.0 && config.horizon.is_finite(),
+        "horizon must be positive and finite"
+    );
+    assert!(config.warmup >= 0.0, "warmup must not be negative");
     assert!(
         config.warmup < config.horizon,
         "warmup must be shorter than the horizon"
