@@ -46,7 +46,7 @@ use std::time::Duration;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Most heap allocations one paper-horizon replication may make.
-const ALLOC_LIMIT: u64 = 128;
+const ALLOC_LIMIT: u64 = 64;
 
 /// Buffer units per queue of the envelope gate's uniform allocation.
 const UNITS_PER_QUEUE: usize = 6;

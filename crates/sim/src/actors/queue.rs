@@ -4,6 +4,7 @@
 use crate::actors::bus::BusState;
 use crate::actors::world::World;
 use crate::request::Request;
+use crate::stats::QueueStats;
 
 /// One bounded contention buffer (a processor's transmit queue or a
 /// bridge buffer).
@@ -23,6 +24,10 @@ use crate::request::Request;
 ///   commit `served` and the wait sample together (see
 ///   [`crate::QueueStats`]'s measurement convention), and hand the
 ///   request to its bridge or count the delivery.
+///
+/// The queue keeps its own [`QueueStats`]. Until the horizon,
+/// `mean_wait` holds the sum of the counted waits and `time_avg_len`
+/// the occupancy area; [`QueueActor::into_stats`] divides them.
 #[derive(Debug)]
 pub(super) struct QueueActor {
     pub bus: usize,
@@ -30,6 +35,9 @@ pub(super) struct QueueActor {
     /// The timeout policy's threshold; infinite without the policy.
     pub threshold: f64,
     pub buf: std::collections::VecDeque<Request>,
+    stats: QueueStats,
+    /// When the occupancy area was last brought up to date.
+    last_t: f64,
 }
 
 impl QueueActor {
@@ -39,7 +47,32 @@ impl QueueActor {
             cap,
             threshold,
             buf: std::collections::VecDeque::new(),
+            stats: QueueStats::default(),
+            last_t: 0.0,
         }
+    }
+
+    /// Adds the occupancy area up to `t`, clipped to the window that
+    /// starts at `warmup`.
+    pub fn touch(&mut self, t: f64, warmup: f64) {
+        let from = self.last_t.max(warmup);
+        if t > from {
+            self.stats.time_avg_len += self.buf.len() as f64 * (t - from);
+        }
+        self.last_t = t;
+    }
+
+    /// The queue's statistics over the window `[warmup, horizon]`.
+    pub fn into_stats(mut self, warmup: f64, horizon: f64) -> QueueStats {
+        self.touch(horizon, warmup);
+        let mut s = self.stats;
+        s.mean_wait = if s.served > 0.0 {
+            s.mean_wait / s.served
+        } else {
+            0.0
+        };
+        s.time_avg_len /= horizon - warmup;
+        s
     }
 }
 
@@ -58,23 +91,24 @@ impl World<'_> {
         let counted = self.measure(t);
         let counted_origin = carried_origin.unwrap_or(counted);
         let origin = self.sources[flow].origin;
-        if counted {
-            self.stats.q_offered[q] += 1.0;
-            if carried_origin.is_none() {
-                self.stats.p_offered[origin] += 1.0;
-            }
+        if counted && carried_origin.is_none() {
+            self.procs[origin].offered += 1.0;
         }
-        if self.queues[q].buf.len() >= self.queues[q].cap {
+        let queue = &mut self.queues[q];
+        if counted {
+            queue.stats.offered += 1.0;
+        }
+        if queue.buf.len() >= queue.cap {
             if counted {
-                self.stats.q_lost_full[q] += 1.0;
+                queue.stats.lost_full += 1.0;
             }
             if counted_origin {
-                self.stats.p_lost[origin] += 1.0;
+                self.procs[origin].lost += 1.0;
             }
             return;
         }
-        self.touch_queue(q, t);
-        self.queues[q].buf.push_back(Request {
+        queue.touch(t, self.warmup);
+        queue.buf.push_back(Request {
             flow,
             hop,
             enqueued_at: t,
@@ -82,7 +116,7 @@ impl World<'_> {
             counted_origin,
         });
         if counted {
-            self.stats.q_accepted[q] += 1.0;
+            queue.stats.accepted += 1.0;
         }
         // Only an idle bus arbitrates here; a busy one reaches its own
         // arbitration point (see `BusState`). An idle bus leaves no
@@ -106,19 +140,19 @@ impl World<'_> {
     /// timeout policy (none without it: no wait exceeds an infinite
     /// threshold). Returns whether any head was shed.
     pub(super) fn queue_shed(&mut self, q: usize, t: f64) -> bool {
-        let threshold = self.queues[q].threshold;
+        let queue = &mut self.queues[q];
         let mut shed = false;
-        while let Some(&head) = self.queues[q].buf.front() {
-            if t - head.enqueued_at <= threshold {
+        while let Some(&head) = queue.buf.front() {
+            if t - head.enqueued_at <= queue.threshold {
                 break;
             }
-            self.touch_queue(q, t);
-            self.queues[q].buf.pop_front();
+            queue.touch(t, self.warmup);
+            queue.buf.pop_front();
             if head.counted {
-                self.stats.q_lost_timeout[q] += 1.0;
+                queue.stats.lost_timeout += 1.0;
             }
             if head.counted_origin {
-                self.stats.p_lost[self.sources[head.flow].origin] += 1.0;
+                self.procs[self.sources[head.flow].origin].lost += 1.0;
             }
             shed = true;
         }
@@ -127,14 +161,12 @@ impl World<'_> {
 
     /// Service of queue `q`'s head (started at `start`) completed.
     pub(super) fn queue_finish(&mut self, q: usize, start: f64, t: f64) {
-        self.touch_queue(q, t);
-        let req = self.queues[q]
-            .buf
-            .pop_front()
-            .expect("finished queue nonempty");
+        let queue = &mut self.queues[q];
+        queue.touch(t, self.warmup);
+        let req = queue.buf.pop_front().expect("finished queue nonempty");
         if req.counted {
-            self.stats.q_served[q] += 1.0;
-            self.stats.q_wait_sum[q] += start - req.enqueued_at;
+            queue.stats.served += 1.0;
+            queue.stats.mean_wait += start - req.enqueued_at;
         }
         let source = &self.sources[req.flow];
         let (path, bridges, origin) = (source.path, source.bridges, source.origin);
@@ -142,7 +174,7 @@ impl World<'_> {
             let dest_queue = path[req.hop + 1].index();
             self.bridge_forward(bridges[req.hop].index(), req, dest_queue, t);
         } else if req.counted_origin {
-            self.stats.p_delivered[origin] += 1.0;
+            self.procs[origin].delivered += 1.0;
         }
     }
 }

@@ -12,10 +12,11 @@ use crate::actors::scheduler::{index, Envelope, EventQueue, Msg};
 use crate::actors::source::SourceActor;
 use crate::arbiter::Arbiter;
 use crate::engine::{SimConfig, TimeoutSpec};
-use crate::stats::{RawCounters, SimReport};
+use crate::stats::{ProcStats, SimReport};
 
 /// All simulation state: the actors, the scheduler's event queue, the
-/// shared RNG and the statistics sink.
+/// shared RNG and the per-processor counters (each queue counts on
+/// itself).
 ///
 /// Actors own their dynamic state (buffers, bus grants, source phases).
 /// A hand-off that takes time travels as an [`EventQueue`] envelope;
@@ -34,7 +35,7 @@ pub(super) struct World<'a> {
     pub queues: Vec<QueueActor>,
     pub buses: Vec<BusActor<'a>>,
     pub bridges: Vec<BridgeActor>,
-    pub stats: RawCounters,
+    pub procs: Vec<ProcStats>,
 }
 
 impl<'a> World<'a> {
@@ -77,7 +78,7 @@ impl<'a> World<'a> {
             queues,
             buses,
             bridges,
-            stats: RawCounters::new(arch.num_queues(), arch.num_processors()),
+            procs: vec![ProcStats::default(); arch.num_processors()],
         }
     }
 
@@ -91,12 +92,6 @@ impl<'a> World<'a> {
     /// `true` when `t` is inside the measured window.
     pub fn measure(&self, t: f64) -> bool {
         t >= self.warmup
-    }
-
-    /// Accumulates queue-length area of queue `q` up to `t`.
-    pub fn touch_queue(&mut self, q: usize, t: f64) {
-        let len = self.queues[q].buf.len();
-        self.stats.touch_queue(q, len, t, self.warmup);
     }
 
     /// Seeds the initial self-messages of every source, in flow order.
@@ -137,10 +132,12 @@ impl<'a> World<'a> {
     }
 
     /// Closes the occupancy integrals and assembles the report.
-    pub fn into_report(mut self, config: &SimConfig) -> SimReport {
-        for q in 0..self.queues.len() {
-            self.touch_queue(q, config.horizon);
-        }
-        self.stats.into_report(config.horizon - config.warmup)
+    pub fn into_report(self, config: &SimConfig) -> SimReport {
+        let per_queue = self
+            .queues
+            .into_iter()
+            .map(|q| q.into_stats(config.warmup, config.horizon))
+            .collect();
+        SimReport::new(config.horizon - config.warmup, per_queue, self.procs)
     }
 }

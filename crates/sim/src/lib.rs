@@ -22,8 +22,9 @@
 //! * losses are attributed to the *originating* processor, which is how
 //!   the paper's Figure 3 reports them.
 //!
-//! Runs are deterministic per seed; [`replicate`] averages independent
-//! seeds (the paper repeats its experiment 10 times).
+//! Runs are deterministic per seed. [`replicate`] runs independent
+//! seeds and returns each run's report, and [`average_reports`] averages
+//! them (the paper repeats its experiment 10 times).
 //!
 //! One engine executes every architecture the builder accepts:
 //! component actors (sources, queues, buses, bridges) sequenced by a
@@ -52,13 +53,11 @@
 mod actors;
 mod arbiter;
 mod engine;
-mod error;
 mod request;
 mod stats;
 
 pub use arbiter::{Arbiter, QueueView};
 pub use engine::{simulate, simulate_counted, simulate_with, SimConfig, TimeoutSpec};
-pub use error::SimError;
 pub use stats::{
     average_reports, replicate, replication_config, replication_seed, ProcStats, QueueStats,
     SimReport,

@@ -11,7 +11,8 @@
 ///
 /// * [`counted`](Request::counted) — this hop's offer happened inside the
 ///   measured window. Keys all **per-queue** accounting (`offered`,
-///   `accepted`, `lost_*`, `served`, `wait_sum`). Reset at every hop.
+///   `accepted`, `lost_*`, `served` and the waits behind `mean_wait`).
+///   Reset at every hop.
 /// * [`counted_origin`](Request::counted_origin) — the *fresh* offer (hop
 ///   0) happened inside the window. Keys all **per-processor** accounting
 ///   (`offered`, `lost`, `delivered`) and is carried unchanged across

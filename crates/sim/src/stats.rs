@@ -76,87 +76,14 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Total loss fraction (lost / offered); `0` when nothing was offered.
-    pub fn loss_fraction(&self) -> f64 {
-        if self.total_offered <= 0.0 {
-            0.0
-        } else {
-            self.total_lost / self.total_offered
-        }
-    }
-}
-
-/// The raw statistic accumulators a run writes, assembled into a
-/// [`SimReport`] at the horizon.
-#[derive(Debug, Clone)]
-pub(crate) struct RawCounters {
-    pub q_offered: Vec<f64>,
-    pub q_accepted: Vec<f64>,
-    pub q_lost_full: Vec<f64>,
-    pub q_lost_timeout: Vec<f64>,
-    pub q_served: Vec<f64>,
-    pub q_wait_sum: Vec<f64>,
-    pub q_area: Vec<f64>,
-    pub q_last_t: Vec<f64>,
-    pub p_offered: Vec<f64>,
-    pub p_lost: Vec<f64>,
-    pub p_delivered: Vec<f64>,
-}
-
-impl RawCounters {
-    /// Zeroed counters for `nq` queues and `np` processors.
-    pub fn new(nq: usize, np: usize) -> Self {
-        RawCounters {
-            q_offered: vec![0.0; nq],
-            q_accepted: vec![0.0; nq],
-            q_lost_full: vec![0.0; nq],
-            q_lost_timeout: vec![0.0; nq],
-            q_served: vec![0.0; nq],
-            q_wait_sum: vec![0.0; nq],
-            q_area: vec![0.0; nq],
-            q_last_t: vec![0.0; nq],
-            p_offered: vec![0.0; np],
-            p_lost: vec![0.0; np],
-            p_delivered: vec![0.0; np],
-        }
-    }
-
-    /// Accumulates queue-length area for queue `q` holding `len`
-    /// requests up to `t` (clipped to the post-warmup window).
-    pub fn touch_queue(&mut self, q: usize, len: usize, t: f64, warmup: f64) {
-        let from = self.q_last_t[q].max(warmup);
-        if t > from {
-            self.q_area[q] += len as f64 * (t - from);
-        }
-        self.q_last_t[q] = t;
-    }
-
-    /// Finalizes the counters into a report over a window of
-    /// `measured_time`.
-    pub fn into_report(self, measured_time: f64) -> SimReport {
-        let nq = self.q_offered.len();
-        let per_queue: Vec<QueueStats> = (0..nq)
-            .map(|q| QueueStats {
-                offered: self.q_offered[q],
-                accepted: self.q_accepted[q],
-                lost_full: self.q_lost_full[q],
-                lost_timeout: self.q_lost_timeout[q],
-                served: self.q_served[q],
-                mean_wait: if self.q_served[q] > 0.0 {
-                    self.q_wait_sum[q] / self.q_served[q]
-                } else {
-                    0.0
-                },
-                time_avg_len: self.q_area[q] / measured_time,
-            })
-            .collect();
-        let per_proc: Vec<ProcStats> = (0..self.p_offered.len())
-            .map(|p| ProcStats {
-                offered: self.p_offered[p],
-                lost: self.p_lost[p],
-                delivered: self.p_delivered[p],
-            })
-            .collect();
+    /// The report of one run over a window of `measured_time`: its
+    /// finished per-queue records and its per-processor counters, whose
+    /// totals it sums.
+    pub(crate) fn new(
+        measured_time: f64,
+        per_queue: Vec<QueueStats>,
+        per_proc: Vec<ProcStats>,
+    ) -> Self {
         let total_offered: f64 = per_proc.iter().map(|p| p.offered).sum();
         let total_delivered: f64 = per_proc.iter().map(|p| p.delivered).sum();
         let total_lost: f64 = per_proc.iter().map(|p| p.lost).sum();
@@ -168,6 +95,15 @@ impl RawCounters {
             total_delivered,
             total_lost,
             in_flight: total_offered - total_delivered - total_lost,
+        }
+    }
+
+    /// Total loss fraction (lost / offered); `0` when nothing was offered.
+    pub fn loss_fraction(&self) -> f64 {
+        if self.total_offered <= 0.0 {
+            0.0
+        } else {
+            self.total_lost / self.total_offered
         }
     }
 }
@@ -251,11 +187,10 @@ pub fn average_reports(reports: &[SimReport]) -> SimReport {
         total_lost: 0.0,
         in_flight: 0.0,
     };
-    // Pooled numerators/denominators for the ratio statistics.
-    let mut wait_sum = vec![0.0; nq];
-    let mut area_sum = vec![0.0; nq];
+    // The ratio statistics pool in place: `mean_wait` sums waits and
+    // `time_avg_len` sums area until the division below.
     let mut served_sum = vec![0.0; nq];
-    let mut time_sum = vec![0.0; nq];
+    let mut time_sum = 0.0;
     for r in reports {
         assert_eq!(r.per_queue.len(), nq, "queue shape mismatch");
         assert_eq!(r.per_proc.len(), np, "processor shape mismatch");
@@ -264,16 +199,21 @@ pub fn average_reports(reports: &[SimReport]) -> SimReport {
         avg.total_delivered += r.total_delivered / n;
         avg.total_lost += r.total_lost / n;
         avg.in_flight += r.in_flight / n;
-        for (q, (a, s)) in avg.per_queue.iter_mut().zip(&r.per_queue).enumerate() {
+        time_sum += r.measured_time;
+        for ((a, s), served) in avg
+            .per_queue
+            .iter_mut()
+            .zip(&r.per_queue)
+            .zip(&mut served_sum)
+        {
             a.offered += s.offered / n;
             a.accepted += s.accepted / n;
             a.lost_full += s.lost_full / n;
             a.lost_timeout += s.lost_timeout / n;
             a.served += s.served / n;
-            wait_sum[q] += s.mean_wait * s.served;
-            served_sum[q] += s.served;
-            area_sum[q] += s.time_avg_len * r.measured_time;
-            time_sum[q] += r.measured_time;
+            a.mean_wait += s.mean_wait * s.served;
+            *served += s.served;
+            a.time_avg_len += s.time_avg_len * r.measured_time;
         }
         for (a, p) in avg.per_proc.iter_mut().zip(&r.per_proc) {
             a.offered += p.offered / n;
@@ -281,14 +221,14 @@ pub fn average_reports(reports: &[SimReport]) -> SimReport {
             a.delivered += p.delivered / n;
         }
     }
-    for (q, a) in avg.per_queue.iter_mut().enumerate() {
-        a.mean_wait = if served_sum[q] > 0.0 {
-            wait_sum[q] / served_sum[q]
+    for (a, served) in avg.per_queue.iter_mut().zip(served_sum) {
+        a.mean_wait = if served > 0.0 {
+            a.mean_wait / served
         } else {
             0.0
         };
-        a.time_avg_len = if time_sum[q] > 0.0 {
-            area_sum[q] / time_sum[q]
+        a.time_avg_len = if time_sum > 0.0 {
+            a.time_avg_len / time_sum
         } else {
             0.0
         };

@@ -8,9 +8,11 @@
 //! arbitration, locked transfers, bursty and on-off sources, bridge
 //! latency). `legacy_pins.rs` and `actor_pins.rs` pin its exact output.
 
-use socbuf_sim::{simulate, Arbiter, SimConfig};
+use socbuf_core::{size_buffers, SizingConfig};
+use socbuf_sim::{simulate, simulate_with, Arbiter, SimConfig, TimeoutSpec};
 use socbuf_soc::{
-    Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget, TrafficShape,
+    templates, Architecture, ArchitectureBuilder, BufferAllocation, BusArbitration, FlowTarget,
+    TrafficShape,
 };
 
 fn conservation_ok(r: &socbuf_sim::SimReport) {
@@ -329,4 +331,70 @@ fn bridge_latency_delays_but_conserves() {
     // Positive latency still delivers the traffic (the bridge is a
     // delay, not a bottleneck).
     assert!(rs.total_delivered > 0.95 * rz.total_delivered);
+}
+
+/// Each queue keeps its own ledger: every counted offer is accepted or
+/// lost to a full buffer, and a counted request leaves by service or
+/// timeout at most once. Each processor's outcomes stay within what it
+/// offered. A counter bumped on another queue's or processor's record
+/// breaks an identity here even when the totals still balance.
+#[test]
+fn every_queue_and_processor_balances_its_own_ledger() {
+    let (mut lost_full, mut lost_timeout) = (0.0, 0.0);
+    for arch in [
+        templates::figure1(),
+        templates::amba(),
+        templates::coreconnect(),
+        templates::network_processor(),
+    ] {
+        let budget = 4 * arch.num_queues();
+        let uniform = BufferAllocation::uniform(&arch, budget);
+        let sized = size_buffers(&arch, budget, &SizingConfig::small()).expect("template sizes");
+        let calibration = simulate(
+            &arch,
+            &uniform,
+            Arbiter::RandomNonempty,
+            &SimConfig::new(400.0, 11),
+        );
+        let spec = TimeoutSpec::from_calibration(&calibration);
+        let cfg = SimConfig::new(400.0, 7);
+        let runs = [
+            (&uniform, Arbiter::FixedSlot),
+            (&uniform, Arbiter::RandomNonempty),
+            (&uniform, Arbiter::LongestQueue),
+            (&uniform, Arbiter::round_robin(arch.num_buses())),
+            (
+                &sized.allocation,
+                Arbiter::WeightedEffort {
+                    efforts: sized.efforts,
+                },
+            ),
+        ];
+        for (alloc, arbiter) in runs {
+            for timeout in [None, Some(&spec)] {
+                let r = simulate_with(&arch, alloc, &mut arbiter.clone(), timeout, &cfg);
+                conservation_ok(&r);
+                let timed = timeout.is_some();
+                for (i, q) in r.per_queue.iter().enumerate() {
+                    assert_eq!(
+                        q.offered,
+                        q.accepted + q.lost_full,
+                        "queue {i} under {arbiter:?}, timeout {timed}: {q:?}"
+                    );
+                    assert!(
+                        q.served + q.lost_timeout <= q.accepted,
+                        "queue {i} under {arbiter:?}, timeout {timed}: {q:?}"
+                    );
+                    lost_full += q.lost_full;
+                    lost_timeout += q.lost_timeout;
+                }
+                for (i, p) in r.per_proc.iter().enumerate() {
+                    assert!(p.delivered + p.lost <= p.offered, "processor {i}: {p:?}");
+                }
+            }
+        }
+    }
+    // The identities only guard the paths the runs take.
+    assert!(lost_full > 0.0, "no full-buffer loss");
+    assert!(lost_timeout > 0.0, "no timeout shed");
 }
