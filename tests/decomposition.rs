@@ -228,3 +228,91 @@ proptest! {
         assert_lp_agreement(lp.problem(), &format!("joint LP seed {seed}"));
     }
 }
+
+/// One decomposed solve, reduced to what must not move: the report's
+/// block count, coupling row, multiplier sweeps and fallback flag, the
+/// pivot count and the objective's bits (or the error, for an LP the
+/// engines agree is unsolvable).
+fn pin_line(label: &str, p: &LpProblem) -> String {
+    let opts = SimplexOptions {
+        perturbation: 1e-6,
+        max_iterations: 200_000,
+        ..SimplexOptions::default()
+    };
+    match solve_decomposed(p, &opts) {
+        Ok((sol, r)) => format!(
+            "{label}: blocks {} coupling {:?} sweeps {} fell_back {} pivots {} obj {:#018x}",
+            r.blocks,
+            r.coupling_row,
+            r.multiplier_iterations,
+            r.fell_back,
+            sol.iterations(),
+            sol.objective().to_bits()
+        ),
+        Err(e) => format!("{label}: error {e}"),
+    }
+}
+
+/// The budget-row-relaxed LP of `lp`: what `SizingLp`'s relaxation
+/// solves, the budget row being the last one.
+fn relaxed(lp: &SizingLp) -> LpProblem {
+    let mut p = lp.problem().clone();
+    p.pop_row().expect("the sizing LP has a budget row");
+    p
+}
+
+/// What [`decomposed_solves_are_pinned`] must read, one [`pin_line`] per
+/// case.
+const DECOMPOSED_PINS: [&str; 17] = [
+    "figure1: blocks 7 coupling Some(97) sweeps 1 fell_back false pivots 90 obj 0x3efb9a6ed1296e7e",
+    "figure1 relaxed: blocks 7 coupling None sweeps 1 fell_back false pivots 90 obj 0x3efb9a6ed1296e7e",
+    "amba: blocks 2 coupling Some(47) sweeps 1 fell_back false pivots 45 obj 0x3f5ee66f2460ba17",
+    "amba relaxed: blocks 2 coupling None sweeps 1 fell_back false pivots 45 obj 0x3f5ee66f2460ba6c",
+    "coreconnect: blocks 2 coupling Some(65) sweeps 1 fell_back false pivots 63 obj 0x3f23216bcdf393cd",
+    "coreconnect relaxed: blocks 2 coupling None sweeps 1 fell_back false pivots 63 obj 0x3f23216bcdf3905e",
+    "network_processor: blocks 6 coupling Some(258) sweeps 1 fell_back false pivots 252 obj 0x3f0a5b7bf3320af3",
+    "network_processor relaxed: blocks 6 coupling None sweeps 1 fell_back false pivots 252 obj 0x3f0a5b7bf331dfba",
+    "one bus: blocks 1 coupling None sweeps 0 fell_back true pivots 9 obj 0x3f89d592691b1099",
+    "seed 0: blocks 1 coupling None sweeps 0 fell_back true pivots 64 obj 0x3fd4a1e91868b678",
+    "seed 1: blocks 4 coupling Some(67) sweeps 1 fell_back false pivots 63 obj 0x3fac37dec62ac8b1",
+    "seed 2: blocks 1 coupling None sweeps 0 fell_back true pivots 63 obj 0x3ec2dfdc91850967",
+    "seed 3: blocks 1 coupling None sweeps 0 fell_back true pivots 71 obj 0x3ff0bfc766a040cf",
+    "seed 4: blocks 4 coupling Some(76) sweeps 1 fell_back false pivots 72 obj 0x3f9039d2efcfc113",
+    "seed 5: blocks 4 coupling Some(85) sweeps 1 fell_back false pivots 82 obj 0x3fe47874ccc2a767",
+    "seed 6: blocks 4 coupling Some(58) sweeps 1 fell_back false pivots 54 obj 0x3f354da37beec2aa",
+    "seed 7: blocks 4 coupling Some(94) sweeps 1 fell_back false pivots 97 obj 0x3fe5cbb00b427464",
+];
+
+#[test]
+fn decomposed_solves_are_pinned() {
+    let small = cfg(LpEngine::Decomposed);
+    let mut lines = Vec::new();
+    // The templates on a tight budget (the smallest whole budget whose
+    // LP is feasible at `small()`), and each one's relaxed LP.
+    for (name, arch, budget) in [
+        ("figure1", templates::figure1(), 5),
+        ("amba", templates::amba(), 6),
+        ("coreconnect", templates::coreconnect(), 4),
+        ("network_processor", templates::network_processor(), 10),
+    ] {
+        let lp = SizingLp::build(&arch, budget, &small).unwrap();
+        lines.push(pin_line(name, lp.problem()));
+        lines.push(pin_line(&format!("{name} relaxed"), &relaxed(&lp)));
+    }
+    // One bus: a single block, so the engine falls back.
+    {
+        use socbuf::soc::{ArchitectureBuilder, FlowTarget};
+        let mut b = ArchitectureBuilder::new();
+        let bus = b.add_bus("bus", 1.0).unwrap();
+        let p = b.add_processor("p", &[bus], 1.0).unwrap();
+        b.add_flow(p, FlowTarget::Bus(bus), 0.7).unwrap();
+        let lp = SizingLp::build(&b.build().unwrap(), 12, &small).unwrap();
+        lines.push(pin_line("one bus", lp.problem()));
+    }
+    for seed in 0..8u64 {
+        let arch = templates::random_architecture(seed, &RandomArchParams::default());
+        let lp = SizingLp::build(&arch, 6 * arch.num_queues(), &small).unwrap();
+        lines.push(pin_line(&format!("seed {seed}"), lp.problem()));
+    }
+    assert_eq!(lines, DECOMPOSED_PINS);
+}
