@@ -8,9 +8,10 @@
 //!
 //! * **agreement** — the decomposed solve must match the monolithic
 //!   revised objective to 1e-9 relative, must actually exploit the
-//!   structure (no monolithic fallback; one block per bus, `BUSES` in
-//!   all) and must price the coupling row with a genuinely bound
-//!   multiplier search on this tight budget;
+//!   structure the sizing LP declares (no monolithic fallback; one
+//!   block per bus, `BUSES` in all; the budget row, the LP's last, as
+//!   the coupling row) and must price the coupling row with a genuinely
+//!   bound multiplier search on this tight budget;
 //! * **work** — the monolithic revised solve takes exactly
 //!   [`MONO_PIVOTS`] pivots and the multiplier search exactly
 //!   [`MULTIPLIER_ITERATIONS`] block sweeps. The blocks are 8
@@ -111,6 +112,7 @@ fn pooled() -> ExecutorHandle {
 
 struct ProbeRun {
     blocks: usize,
+    coupling_row: Option<usize>,
     multiplier_iterations: usize,
     mono_pivots: usize,
     mono_obj: f64,
@@ -144,10 +146,11 @@ fn run_probe(p: &LpProblem, repeats: usize) -> ProbeRun {
     let (pooled_obj, pooled, pooled_report) = decomposed(pooled());
     assert_eq!(
         report.blocks, pooled_report.blocks,
-        "executors must not change the detected structure"
+        "executors must not change the declared structure"
     );
     ProbeRun {
         blocks: report.blocks,
+        coupling_row: report.coupling_row,
         multiplier_iterations: report.multiplier_iterations,
         mono_pivots,
         mono_obj,
@@ -188,7 +191,8 @@ fn print_table(run: &ProbeRun) {
 
 /// CI-sized gate.
 fn smoke(gate: &mut Gate) {
-    let run = run_probe(probe_lp().problem(), 1);
+    let lp = probe_lp();
+    let run = run_probe(lp.problem(), 1);
     print_table(&run);
 
     // --- Agreement: exactness is unconditional. -----------------------
@@ -199,6 +203,14 @@ fn smoke(gate: &mut Gate) {
     gate.check(
         run.blocks == BUSES,
         format_args!("expected {BUSES} blocks (one per bus), got {}", run.blocks),
+    );
+    let budget_row = lp.num_rows() - 1;
+    gate.check(
+        run.coupling_row == Some(budget_row),
+        format_args!(
+            "expected the budget row {budget_row} as the coupling row, got {:?}",
+            run.coupling_row
+        ),
     );
     for (label, obj) in [("serial", run.serial_obj), ("pooled", run.pooled_obj)] {
         let diff = rel_diff(obj, run.mono_obj);

@@ -80,14 +80,15 @@ const WARM_POINT_ALLOCS: u64 = 30;
 const LOAD_POINT_ALLOCS: u64 = 152;
 
 /// Most allocations a cold `size_buffers` may make on `figure1`. It
-/// measures 384, 115 of them in `SizingLp::build` (1,058 while the
+/// measures 386, 117 of them in `SizingLp::build` (1,058 while the
 /// build formatted a name per variable, 2,755 while the LP allocated
 /// per pivot).
 const COLD_SIZE_ALLOCS: u64 = 424;
 
 /// Most allocations the `SizingLp::build` of that cold `size_buffers`
-/// may make. It measures 115 (801 while it formatted a name per
-/// variable and filled a `Vec` per row of each triplet batch).
+/// may make. It measures 117, 2 of them the declared block of each
+/// variable and row (801 while it formatted a name per variable and
+/// filled a `Vec` per row of each triplet batch).
 const COLD_BUILD_ALLOCS: u64 = 128;
 
 /// Pivots of the cold `size_buffers` at budget 22 on `figure1` at

@@ -428,6 +428,18 @@ impl SizingLp {
             config.alpha * budget as f64,
         )?;
 
+        // One block per bus: its queues' variables, their cut and
+        // normalization rows, and the bus row. The budget row links
+        // them.
+        let queue_bus = |q: usize| arch.queues()[q].bus.index();
+        lp.declare_blocks(
+            (0..nq).flat_map(|q| std::iter::repeat_n(queue_bus(q), block_len)),
+            (0..nq)
+                .flat_map(|q| std::iter::repeat_n(Some(queue_bus(q)), n + 1))
+                .chain(arch.bus_ids().map(|bus| Some(bus.index())))
+                .chain([None]),
+        )?;
+
         let shape = LayoutShape {
             vars,
             efforts,
@@ -801,7 +813,6 @@ pub(crate) fn solve_ladder(
             engine,
             equilibrate,
             executor: executor.clone(),
-            ..SimplexOptions::default()
         },
         SimplexOptions {
             perturbation: 1e-4,
@@ -810,7 +821,6 @@ pub(crate) fn solve_ladder(
             engine,
             equilibrate,
             executor: executor.clone(),
-            ..SimplexOptions::default()
         },
     ]
 }

@@ -1,19 +1,20 @@
 //! Block-angular decomposition — the third [`LpEngine`] backend.
 //!
 //! The occupation-measure LPs this workspace exists for are
-//! block-diagonal per queue: every CTMDP block has its own cut,
-//! normalization and effort rows, and exactly **one** global budget row
-//! couples the blocks. This module exploits that structure the textbook
-//! way — dualize the coupling row and let the blocks separate:
+//! block-diagonal per bus: a bus's queues have their own cut and
+//! normalization rows and share the bus's effort row, and exactly
+//! **one** global budget row couples the buses. This module exploits
+//! that structure the textbook way — dualize the coupling row and let
+//! the blocks separate:
 //!
-//! 1. **Detect** the structure with a union-find over variables: merge
-//!    the variables of every row; if the problem splits into ≥ 2
-//!    components after removing one candidate `≤` row (tried in reverse
-//!    creation order — the budget row is added last), that row is the
-//!    coupling row and each component is a block. Problems that are
-//!    already separable skip the multiplier search; problems with no
-//!    such structure run the monolithic revised path (tagged
-//!    [`LpEngine::Decomposed`]), so the engine is **total** over
+//! 1. **Read** the structure the problem declares
+//!    ([`LpProblem::declare_blocks`]; the sizing formulation declares
+//!    one block per bus and its budget row as the coupling row). Blocks
+//!    are numbered by their smallest variable. A problem without a
+//!    coupling row is separable and skips the multiplier search. A
+//!    problem that declares nothing, fewer than two blocks, or a row
+//!    reaching outside its block runs the monolithic revised path
+//!    (tagged [`LpEngine::Decomposed`]), so the engine is **total** over
 //!    arbitrary LPs and the cross-engine oracle corpora apply to it
 //!    unchanged.
 //! 2. **Search** the budget multiplier `t ≥ 0`. Each block solves
@@ -46,12 +47,12 @@
 //! never bytes — the property the sweep determinism suite pins with the
 //! decomposed engine selected.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::prepared::PreparedLp;
 use crate::problem::{LpProblem, Relation, RowId, Sense, VarId};
 use crate::revised::{run_revised, run_revised_warm, BasisSnapshot, LpEngine};
-use crate::sched::ChunkPolicy;
 use crate::simplex::SimplexOptions;
 use crate::solution::LpSolution;
 use crate::standard_form::build_standard_form;
@@ -116,29 +117,31 @@ impl std::fmt::Debug for ExecutorHandle {
 /// `decomp_probe` records.
 #[derive(Debug, Clone)]
 pub struct DecompReport {
-    /// Number of independent blocks detected (1 when the problem did not
-    /// decompose and the monolithic fallback ran).
+    /// Number of independent blocks the problem declared (1 when it did
+    /// not decompose and the monolithic fallback ran).
     pub blocks: usize,
-    /// Creation-order index of the detected coupling row, if any.
+    /// Creation-order index of the declared coupling row, if any.
     pub coupling_row: Option<usize>,
     /// Final budget multiplier the search settled on.
     pub multiplier: f64,
     /// Number of multiplier iterations (full sweeps of block solves).
     pub multiplier_iterations: usize,
-    /// Whether the solve fell back to the monolithic revised path
-    /// (undecomposable structure, or persistent block-level failure).
+    /// Whether the solve fell back to the monolithic revised path (no
+    /// usable declared structure, or persistent block-level failure).
     pub fell_back: bool,
 }
 
-/// The detected block-angular structure of a problem.
+/// The declared block-angular structure of a problem, blocks numbered
+/// by their smallest variable.
 struct Structure {
-    /// Creation-order index of the single coupling row removed to
-    /// separate the blocks; `None` when the problem is separable as-is.
+    /// Creation-order index of the one row linking the blocks; `None`
+    /// when the problem is separable as it stands.
     coupling: Option<usize>,
     blocks: Vec<BlockShape>,
 }
 
 /// One block: which joint variables and user rows it owns.
+#[derive(Default)]
 struct BlockShape {
     /// Joint variable indices, ascending.
     vars: Vec<usize>,
@@ -146,121 +149,31 @@ struct BlockShape {
     rows: Vec<usize>,
 }
 
-fn uf_find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
+/// The structure `p` declares ([`LpProblem::declare_blocks`]). `None`
+/// when it declares none, fewer than two blocks, no rows, a row in a
+/// block that owns no variable, or a linking row that is not the one
+/// `≤` row.
+fn declared(p: &LpProblem) -> Option<Structure> {
+    let (var_block, row_block) = p.declared_blocks()?;
+    let mut number = HashMap::new();
+    let mut blocks: Vec<BlockShape> = Vec::new();
+    for (j, label) in var_block.iter().enumerate() {
+        let b = *number.entry(label).or_insert_with(|| {
+            blocks.push(BlockShape::default());
+            blocks.len() - 1
+        });
+        blocks[b].vars.push(j);
     }
-    x
-}
-
-fn uf_union(parent: &mut [usize], a: usize, b: usize) {
-    let (ra, rb) = (uf_find(parent, a), uf_find(parent, b));
-    if ra != rb {
-        parent[ra] = rb;
-    }
-}
-
-/// Components of the variable graph when `skip` (a user-row index) is
-/// left out; `None` for fewer than two components.
-fn components(rows: &[Vec<usize>], n: usize, skip: Option<usize>) -> Option<Vec<usize>> {
-    let mut parent: Vec<usize> = (0..n).collect();
-    for (i, vars) in rows.iter().enumerate() {
-        if Some(i) == skip {
-            continue;
-        }
-        for w in vars.windows(2) {
-            uf_union(&mut parent, w[0], w[1]);
-        }
-    }
-    // Renumber roots by first appearance so block order is deterministic
-    // (ascending smallest member).
-    let mut label = vec![usize::MAX; n];
-    let mut count = 0;
-    let mut comp = vec![0usize; n];
-    for j in 0..n {
-        let r = uf_find(&mut parent, j);
-        if label[r] == usize::MAX {
-            label[r] = count;
-            count += 1;
-        }
-        comp[j] = label[r];
-    }
-    if count >= 2 {
-        Some(comp)
-    } else {
-        None
-    }
-}
-
-/// How many candidate coupling rows the detector tries before giving up
-/// (reverse creation order, `≤` rows only — the sizing formulation adds
-/// its budget row last).
-const COUPLING_CANDIDATES: usize = 8;
-
-/// Detects block-angular structure. Returns `None` when the problem has
-/// no exploitable structure (single component even after removing every
-/// candidate coupling row, or degenerate shapes).
-fn detect(p: &LpProblem) -> Option<Structure> {
-    let n = p.num_vars();
-    let m = p.num_rows();
-    if n < 2 || m == 0 {
+    if blocks.len() < 2 || row_block.is_empty() {
         return None;
     }
-    let mut row_vars: Vec<Vec<usize>> = Vec::with_capacity(m);
-    let mut row_rel: Vec<Relation> = Vec::with_capacity(m);
-    for r in p.row_ids() {
-        let (terms, rel, _) = p.row(r);
-        if terms.is_empty() {
-            // A variable-free row (vacuous or contradictory) breaks the
-            // block assignment; let the monolithic path judge it.
-            return None;
+    let mut coupling = None;
+    for (i, label) in row_block.iter().enumerate() {
+        match label {
+            Some(label) => blocks[*number.get(label)?].rows.push(i),
+            None if coupling.is_none() && p.row_relation(i) == Relation::Le => coupling = Some(i),
+            None => return None,
         }
-        row_vars.push(terms.iter().map(|&(v, _)| v.index()).collect());
-        row_rel.push(rel);
-    }
-
-    let (coupling, comp) = if let Some(comp) = components(&row_vars, n, None) {
-        (None, comp)
-    } else {
-        let mut found = None;
-        let mut tried = 0;
-        for i in (0..m).rev() {
-            if row_rel[i] != Relation::Le || row_vars[i].len() < 2 {
-                continue;
-            }
-            tried += 1;
-            if let Some(comp) = components(&row_vars, n, Some(i)) {
-                found = Some((Some(i), comp));
-                break;
-            }
-            if tried >= COUPLING_CANDIDATES {
-                break;
-            }
-        }
-        found?
-    };
-
-    let nblocks = comp.iter().max().map_or(0, |&c| c + 1);
-    let mut blocks: Vec<BlockShape> = (0..nblocks)
-        .map(|_| BlockShape {
-            vars: Vec::new(),
-            rows: Vec::new(),
-        })
-        .collect();
-    for (j, &c) in comp.iter().enumerate() {
-        blocks[c].vars.push(j);
-    }
-    for (i, vars) in row_vars.iter().enumerate() {
-        if Some(i) == coupling {
-            continue;
-        }
-        let c = comp[vars[0]];
-        debug_assert!(
-            vars.iter().all(|&j| comp[j] == c),
-            "row {i} straddles blocks"
-        );
-        blocks[c].rows.push(i);
     }
     Some(Structure { coupling, blocks })
 }
@@ -291,13 +204,14 @@ struct BlockState {
     status: BlockStatus,
 }
 
-/// Builds the per-block problems. `None` when any block fails to
-/// assemble (the monolithic path then judges the joint problem).
+/// Builds the per-block problems. `None` when a row reaches outside
+/// its block or any block fails to assemble (the monolithic path then
+/// judges the joint problem).
 fn build_blocks(
     p: &LpProblem,
     structure: Structure,
     equilibrate: bool,
-) -> Option<(Vec<Mutex<BlockState>>, Vec<f64>, f64)> {
+) -> Option<(Vec<Mutex<BlockState>>, f64)> {
     // Coupling coefficients and rhs in joint variable indexing.
     let mut g = vec![0.0f64; p.num_vars()];
     let mut budget = f64::INFINITY;
@@ -322,9 +236,14 @@ fn build_blocks(
             let (terms, rel, rhs) = p.row(RowId(ri));
             let bt: Vec<(VarId, f64)> = terms
                 .iter()
-                .map(|&(v, c)| (VarId(local[v.index()]), c))
-                .collect();
+                .map(|&(v, c)| {
+                    (local[v.index()] != usize::MAX).then(|| (VarId(local[v.index()]), c))
+                })
+                .collect::<Option<_>>()?;
             bp.add_constraint(bt, rel, rhs).ok()?;
+        }
+        for &j in &shape.vars {
+            local[j] = usize::MAX;
         }
         let base_obj: Vec<f64> = shape
             .vars
@@ -344,7 +263,7 @@ fn build_blocks(
             status: BlockStatus::Optimal,
         }));
     }
-    Some((states, g, budget))
+    Some((states, budget))
 }
 
 /// Re-prices one block for multiplier `t` and re-solves it (warm when a
@@ -408,15 +327,11 @@ fn sweep_blocks(
     opts: &SimplexOptions,
     executor: &ExecutorHandle,
 ) -> Sweep {
-    // Blocks fan out under the workspace scheduling policy (chunks of
-    // one — each block is a whole LP, so batching would only serialize
-    // independent heavy solves).
-    let policy = ChunkPolicy::BLOCK_SOLVE;
-    executor.run(policy.num_chunks(states.len()), &|c| {
-        for i in policy.chunk_range(c, states.len()) {
-            let mut state = states[i].lock().expect("block state poisoned");
-            solve_block(&mut state, t, sign, opts);
-        }
+    // One job per block: each is a whole LP, so batching blocks would
+    // only serialize independent heavy solves.
+    executor.run(states.len(), &|i| {
+        let mut state = states[i].lock().expect("block state poisoned");
+        solve_block(&mut state, t, sign, opts);
     });
     let mut agg = Sweep {
         phi: 0.0,
@@ -571,11 +486,11 @@ pub fn solve_decomposed(
         multiplier_iterations: 0,
         fell_back: false,
     };
-    let Some(structure) = detect(p) else {
+    let Some(structure) = declared(p) else {
         return solve_monolithic(p, options, report);
     };
     let coupling = structure.coupling;
-    let Some((states, _g, budget)) = build_blocks(p, structure, options.equilibrate) else {
+    let Some((states, budget)) = build_blocks(p, structure, options.equilibrate) else {
         return solve_monolithic(p, options, report);
     };
     let mut report = DecompReport {
@@ -712,7 +627,8 @@ mod tests {
     const TOL: f64 = 1e-6;
 
     /// `blocks` independent 2-variable blocks under one budget row:
-    /// max Σ (3x_k + 5y_k) s.t. x_k + y_k ≤ 4, Σ (x_k + 2 y_k) ≤ B.
+    /// max Σ (3x_k + 5y_k) s.t. x_k + y_k ≤ 4, Σ (x_k + 2 y_k) ≤ B,
+    /// declared so.
     fn block_angular(blocks: usize, budget: f64) -> LpProblem {
         let mut p = LpProblem::new(Sense::Maximize);
         let mut coupling = Vec::new();
@@ -725,6 +641,11 @@ mod tests {
             coupling.push((y, 2.0));
         }
         p.add_constraint(coupling, Relation::Le, budget).unwrap();
+        p.declare_blocks(
+            (0..blocks).flat_map(|k| [k, k]),
+            (0..blocks).map(Some).chain([None]),
+        )
+        .unwrap();
         p
     }
 
@@ -770,7 +691,7 @@ mod tests {
         let opts = SimplexOptions::default();
         let mono = p.solve().unwrap();
         let (sol, report) = solve_decomposed(&p, &opts).unwrap();
-        let row = RowId(report.coupling_row.expect("coupling detected"));
+        let row = RowId(report.coupling_row.expect("coupling row declared"));
         assert!(
             (sol.dual(row) - mono.dual(row)).abs() <= 1e-6 * (1.0 + mono.dual(row).abs()),
             "decomposed dual {} vs monolithic {}",
@@ -794,6 +715,7 @@ mod tests {
         let y = p.add_var_bounded("y", -2.0, 0.0, Some(5.0));
         p.add_constraint([(x, 1.0)], Relation::Le, 2.0).unwrap();
         p.add_constraint([(y, 1.0)], Relation::Le, 4.0).unwrap();
+        p.declare_blocks([0, 1], [Some(0), Some(1)]).unwrap();
         let report = assert_agrees(&p);
         assert_eq!(report.blocks, 2);
         assert_eq!(report.coupling_row, None);
@@ -802,8 +724,51 @@ mod tests {
     }
 
     #[test]
+    fn popping_the_coupling_row_leaves_separable_blocks() {
+        let mut p = block_angular(3, 6.0);
+        p.pop_row().unwrap();
+        let report = assert_agrees(&p);
+        assert_eq!((report.blocks, report.coupling_row), (3, None));
+        assert!(!report.fell_back);
+    }
+
+    #[test]
+    fn misdeclared_blocks_fall_back() {
+        let declare = |vars: [usize; 6], rows: [Option<usize>; 4]| {
+            let mut p = block_angular(3, 6.0);
+            p.declare_blocks(vars, rows).unwrap();
+            p
+        };
+        for (label, p) in [
+            (
+                "one block",
+                declare([0; 6], [Some(0), Some(0), Some(0), None]),
+            ),
+            // x1 is declared in block 0, but block 1's row reaches it.
+            (
+                "a row outside its block",
+                declare([0, 0, 0, 1, 2, 2], [Some(0), Some(1), Some(2), None]),
+            ),
+            // A row in a block that owns no variable.
+            (
+                "a row-only block",
+                declare([0, 0, 1, 1, 2, 2], [Some(0), Some(1), Some(3), None]),
+            ),
+            (
+                "two linking rows",
+                declare([0, 0, 1, 1, 2, 2], [Some(0), Some(1), None, None]),
+            ),
+        ] {
+            let report = assert_agrees(&p);
+            assert!(report.fell_back, "{label}");
+            assert_eq!(report.blocks, 1, "{label}");
+        }
+    }
+
+    #[test]
     fn dense_problem_falls_back_to_monolithic() {
-        // Every row touches every variable: nothing to decompose.
+        // Every row touches every variable and no blocks are declared:
+        // the problem is solved whole.
         let mut p = LpProblem::new(Sense::Maximize);
         let x = p.add_var("x", 3.0);
         let y = p.add_var("y", 5.0);
@@ -832,6 +797,8 @@ mod tests {
         let mut p = block_angular(2, 100.0);
         let x0 = VarId(0);
         p.add_constraint([(x0, 1.0)], Relation::Ge, 10.0).unwrap();
+        p.declare_blocks([0, 0, 1, 1], [Some(0), Some(1), None, Some(0)])
+            .unwrap();
         assert!(matches!(p.solve(), Err(LpError::Infeasible { .. })));
         assert!(matches!(
             solve_decomposed(&p, &opts),
@@ -847,6 +814,7 @@ mod tests {
         p.add_constraint([(y, 1.0)], Relation::Ge, 0.0).unwrap();
         p.add_constraint([(x, -1.0), (y, -1.0)], Relation::Le, 5.0)
             .unwrap();
+        p.declare_blocks([0, 1], [Some(0), Some(1), None]).unwrap();
         assert!(matches!(p.solve(), Err(LpError::Unbounded { .. })));
         assert!(matches!(
             solve_decomposed(&p, &opts),
@@ -870,6 +838,11 @@ mod tests {
             coupling.push((y, 1.0));
         }
         p.add_constraint(coupling, Relation::Le, 9.0).unwrap();
+        p.declare_blocks(
+            (0..3).flat_map(|k| [k, k]),
+            [Some(0), Some(1), Some(2), None],
+        )
+        .unwrap();
         let report = assert_agrees(&p);
         assert_eq!(report.blocks, 3);
         assert!(!report.fell_back);
@@ -877,7 +850,7 @@ mod tests {
 
     #[test]
     fn mixed_bounded_and_singleton_blocks_agree() {
-        // A variable that appears only in the coupling row forms its own
+        // A variable that appears only in the coupling row is its own
         // single-variable block with zero rows.
         let mut p = LpProblem::new(Sense::Maximize);
         let x = p.add_var_bounded("x", 2.0, 0.0, Some(3.0));
@@ -887,6 +860,7 @@ mod tests {
             .unwrap();
         p.add_constraint([(x, 1.0), (y, 2.0), (lone, 3.0)], Relation::Le, 6.0)
             .unwrap();
+        p.declare_blocks([0, 0, 1], [Some(0), None]).unwrap();
         let report = assert_agrees(&p);
         assert_eq!(report.blocks, 2);
         assert!(!report.fell_back);

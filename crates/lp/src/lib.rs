@@ -53,14 +53,15 @@
 //!   costs one triangular solve.
 //!
 //! * **block-angular decomposition** ([`LpEngine::Decomposed`], entry
-//!   point [`solve_decomposed`]) — detects the
-//!   per-queue block structure behind the single budget row, prices the
-//!   coupling out with a deterministic monotone multiplier search over
+//!   point [`solve_decomposed`]) — reads the block structure a problem
+//!   declares ([`LpProblem::declare_blocks`]; the sizing LP declares one
+//!   block per bus behind its single budget row), prices the coupling
+//!   out with a deterministic monotone multiplier search over
 //!   warm-started per-block revised solves (optionally fanned out over a
 //!   [`SolveExecutor`]), then certifies exactness with one warm-started
-//!   revised solve on the original joint standard form; problems without
-//!   the structure fall back to the monolithic path, so the engine is
-//!   total over arbitrary LPs.
+//!   revised solve on the original joint standard form; problems that
+//!   declare no usable structure fall back to the monolithic path, so
+//!   the engine is total over arbitrary LPs.
 //!
 //! Simplex (rather than an interior-point method) matters here: the
 //! K-switching structure theorem the paper leans on speaks about *basic*

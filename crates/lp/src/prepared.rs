@@ -123,8 +123,6 @@ pub struct DualRecoveryAudit {
 struct KeptBasis {
     lu: Arc<SparseLu>,
     dual: Arc<DualHalf>,
-    /// The tolerance the basis was priced under.
-    tolerance: f64,
 }
 
 impl PreparedLp {
@@ -360,7 +358,7 @@ impl PreparedLp {
     /// [`crate::LpSolution::basis_snapshot`].
     ///
     /// A snapshot equal to [`PreparedLp::kept_basis`] (solved under the
-    /// same tolerance and engine) first takes the rhs-only shortcut
+    /// same engine) first takes the rhs-only shortcut
     /// described in the module docs; its answer is bitwise the full warm
     /// path's.
     ///
@@ -396,15 +394,13 @@ impl PreparedLp {
     /// gives. Nothing is kept or dropped by the call.
     ///
     /// `None` when no basis is kept, when it was priced under another
-    /// engine or tolerance than `options`, or when it is no longer
+    /// engine than `options`, or when it is no longer
     /// primal feasible for the current right-hand sides. The caller
     /// then solves some other way; this never repairs a basis.
     pub fn solve_kept(&self, options: &SimplexOptions) -> Option<LpSolution> {
         let kept = self.kept.as_ref()?;
         let basis = kept.dual.snapshot();
-        if basis.engine() != options.engine
-            || kept.tolerance.to_bits() != options.tolerance.to_bits()
-        {
+        if basis.engine() != options.engine {
             return None;
         }
         let basic = resolve_on_factor(&self.sf, options, basis.rows(), &kept.lu)?;
@@ -465,7 +461,6 @@ impl PreparedLp {
             self.kept = Some(KeptBasis {
                 lu: Arc::new(lu),
                 dual: Arc::clone(sol.dual_half()),
-                tolerance: options.tolerance,
             });
         }
         Ok(sol)

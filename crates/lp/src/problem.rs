@@ -92,8 +92,8 @@ impl fmt::Debug for NamedBatch {
     }
 }
 
-/// The constraint sparsity pattern and row relations, which no delta
-/// changes either. Row `r`'s variables are
+/// The constraint sparsity pattern, row relations and declared block
+/// structure, which no delta changes either. Row `r`'s variables are
 /// `cols[row_start[r]..row_start[r + 1]]`, sorted and deduplicated.
 /// Shared between clones of a problem.
 #[derive(Debug, Clone)]
@@ -101,6 +101,12 @@ struct Pattern {
     row_start: Vec<usize>,
     cols: Vec<usize>,
     relations: Vec<Relation>,
+    /// The block of each variable, as [`LpProblem::declare_blocks`]
+    /// was given it; empty when no structure is declared.
+    var_block: Vec<usize>,
+    /// The block of each row, `None` for a row linking blocks; empty
+    /// when no structure is declared.
+    row_block: Vec<Option<usize>>,
 }
 
 impl Default for Pattern {
@@ -109,7 +115,16 @@ impl Default for Pattern {
             row_start: vec![0],
             cols: Vec::new(),
             relations: Vec::new(),
+            var_block: Vec::new(),
+            row_block: Vec::new(),
         }
+    }
+}
+
+impl Pattern {
+    fn drop_blocks(&mut self) {
+        self.var_block.clear();
+        self.row_block.clear();
     }
 }
 
@@ -392,6 +407,7 @@ impl LpProblem {
         }
         let mut ids = Vec::with_capacity(a.rows());
         let pattern = Arc::make_mut(&mut self.pattern);
+        pattern.drop_blocks();
         for ((i, &relation), &r) in (0..a.rows()).zip(relations).zip(rhs) {
             ids.push(RowId(self.rhs.len()));
             for (j, c) in a.iter_row(i) {
@@ -418,6 +434,7 @@ impl LpProblem {
             dense.sort_by_key(|&(i, _)| i);
         }
         let pattern = Arc::make_mut(&mut self.pattern);
+        pattern.drop_blocks();
         let start = pattern.cols.len();
         for &(i, c) in dense.iter() {
             if pattern.cols.len() > start && pattern.cols.last() == Some(&i) {
@@ -446,16 +463,66 @@ impl LpProblem {
 
     /// Removes the most recently added constraint row, returning its
     /// handle (`None` when there are no rows). Every other [`RowId`]
-    /// keeps meaning the same row.
+    /// keeps meaning the same row. Popping a row that links blocks
+    /// keeps the declared block structure ([`LpProblem::declare_blocks`]);
+    /// popping any other row drops it.
     pub fn pop_row(&mut self) -> Option<RowId> {
         self.rhs.pop()?;
         let pattern = Arc::make_mut(&mut self.pattern);
+        if pattern.row_block.pop() != Some(None) {
+            pattern.drop_blocks();
+        }
         pattern.row_start.pop();
         pattern.relations.pop();
         let end = *pattern.row_start.last().expect("row_start starts at 0");
         pattern.cols.truncate(end);
         self.coeffs.truncate(end);
         Some(RowId(self.rhs.len()))
+    }
+
+    /// Declares the problem block-angular: variable `j` belongs to
+    /// block `var_block[j]` and row `i` to block `row_block[i]`, or
+    /// links blocks where that is `None`. Blocks are named by any
+    /// numbers; [`crate::solve_decomposed`] numbers them by their
+    /// smallest variable. It is what the decomposed engine splits the
+    /// problem by, and an undeclared problem is solved whole. Adding a
+    /// variable or a row drops the declaration, and so does popping a
+    /// row that does not link blocks. Clones share it.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::InvalidModel`] unless `var_block` names one block per
+    /// variable and `row_block` one entry per row; nothing is declared
+    /// then.
+    pub fn declare_blocks(
+        &mut self,
+        var_block: impl IntoIterator<Item = usize>,
+        row_block: impl IntoIterator<Item = Option<usize>>,
+    ) -> Result<(), LpError> {
+        let (n, m) = (self.num_vars(), self.num_rows());
+        let pattern = Arc::make_mut(&mut self.pattern);
+        pattern.drop_blocks();
+        pattern.var_block.reserve_exact(n);
+        pattern.var_block.extend(var_block.into_iter().take(n + 1));
+        pattern.row_block.reserve_exact(m);
+        pattern.row_block.extend(row_block.into_iter().take(m + 1));
+        if pattern.var_block.len() != n || pattern.row_block.len() != m {
+            let declared = (pattern.var_block.len(), pattern.row_block.len());
+            pattern.drop_blocks();
+            return Err(LpError::InvalidModel(format!(
+                "declared blocks for {} variables and {} rows of a problem with {n} and {m}",
+                declared.0, declared.1
+            )));
+        }
+        Ok(())
+    }
+
+    /// The declared block of each variable and of each row (see
+    /// [`LpProblem::declare_blocks`]); `None` when nothing is declared.
+    pub(crate) fn declared_blocks(&self) -> Option<(&[usize], &[Option<usize>])> {
+        let pattern = &*self.pattern;
+        (!pattern.var_block.is_empty() && pattern.var_block.len() == self.num_vars())
+            .then_some((&pattern.var_block, &pattern.row_block))
     }
 
     /// Optimization sense of this problem.
@@ -683,6 +750,50 @@ mod tests {
         assert_eq!(p.var_name(y), "y");
         assert_eq!(p.bounds(y), (0.5, Some(3.0)));
         assert_eq!(grown.row(RowId(1)).0, vec![(x, 1.0), (z, 4.0)]);
+    }
+
+    #[test]
+    fn a_declaration_names_every_variable_and_row_and_follows_the_rows() {
+        let mut p = LpProblem::new(Sense::Minimize);
+        let x = p.add_var("x", 1.0);
+        let y = p.add_var("y", 1.0);
+        p.add_constraint([(x, 1.0)], Relation::Le, 1.0).unwrap();
+        p.add_constraint([(x, 1.0), (y, 1.0)], Relation::Le, 3.0)
+            .unwrap();
+        assert!(p.declare_blocks([0], [Some(0), None]).is_err());
+        assert!(p.declare_blocks([0, 1], [Some(0)]).is_err());
+        assert!(p.declare_blocks([0, 1, 1], [Some(0), None]).is_err());
+        assert!(
+            p.declared_blocks().is_none(),
+            "a failed declaration declares nothing"
+        );
+
+        p.declare_blocks([7, 3], [Some(7), None]).unwrap();
+        let shared = p.clone();
+        assert_eq!(
+            shared.declared_blocks(),
+            Some((&[7, 3][..], &[Some(7), None][..]))
+        );
+        // Popping the linking row keeps the blocks; popping a block's
+        // row, adding a row or adding a variable drops them.
+        let mut popped = p.clone();
+        popped.pop_row();
+        assert_eq!(
+            popped.declared_blocks(),
+            Some((&[7, 3][..], &[Some(7)][..]))
+        );
+        popped.pop_row();
+        assert!(popped.declared_blocks().is_none());
+        let mut grown = p.clone();
+        grown.add_constraint([(y, 1.0)], Relation::Le, 2.0).unwrap();
+        assert!(grown.declared_blocks().is_none());
+        let mut widened = p.clone();
+        widened.add_var("z", 0.0);
+        assert!(widened.declared_blocks().is_none());
+        assert!(
+            shared.declared_blocks().is_some(),
+            "clones never see each other's edits"
+        );
     }
 
     #[test]

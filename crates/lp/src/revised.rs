@@ -31,7 +31,7 @@
 //!   new factor itself is allocated. The buffers live and die with the
 //!   solve.
 //! * **Refactorization cadence** — the eta file is collapsed back into
-//!   a fresh LU every [`SimplexOptions::refactor_interval`] pivots (a
+//!   a fresh LU every [`REFACTOR_INTERVAL`] pivots (a
 //!   Bartels–Golub-style refresh: rebuilding the factorization bounds
 //!   both the eta-file length and the floating-point drift it
 //!   accumulates). Refactorization also re-derives the basic values
@@ -101,7 +101,7 @@
 
 use socbuf_linalg::{Columns, Csr, LinalgError, Reach, SparseLu, TransposeCache};
 
-use crate::simplex::{BasicSolution, SimplexOptions};
+use crate::simplex::{BasicSolution, SimplexOptions, TOLERANCE};
 use crate::standard_form::StandardForm;
 use crate::LpError;
 
@@ -124,13 +124,15 @@ pub enum LpEngine {
     /// pivot. Kept as the cross-check oracle and for tiny dense
     /// problems where the tableau's simplicity wins.
     Tableau,
-    /// Block-angular decomposition (the `decompose` module): detects the
-    /// block structure behind a single coupling row, prices the coupling
+    /// Block-angular decomposition (the `decompose` module): reads the
+    /// block structure the problem declares
+    /// ([`crate::LpProblem::declare_blocks`]) behind a single coupling
+    /// row, prices the coupling
     /// out with a monotone multiplier search over independent per-block
     /// revised-simplex solves (parallel when an executor is attached),
     /// and finishes with one warm-started joint revised solve so status,
     /// objective, duals and certificates are exactly those of the joint
-    /// problem. Problems without the structure fall back to the
+    /// problem. Problems that declare no usable structure fall back to the
     /// monolithic revised path, so the engine is total over arbitrary
     /// LPs.
     Decomposed,
@@ -154,58 +156,48 @@ impl std::fmt::Display for LpEngine {
 }
 
 /// The numerical thresholds of the revised engine, consolidated in one
-/// place and derived from [`SimplexOptions::tolerance`] (`tol` below;
-/// default `1e-9`). Before this struct existed the same magnitudes were
-/// scattered through the module as magic literals, which made them
-/// impossible to retune coherently when a caller tightens or loosens
-/// the base tolerance.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RevisedTolerances {
-    /// The caller's base feasibility/optimality tolerance, applied to
+/// place ([`TOLS`]) and derived from the one feasibility/optimality
+/// tolerance every engine shares (`tol` below, `1e-9`).
+struct RevisedTolerances {
+    /// The base feasibility/optimality tolerance, applied to
     /// pricing (a reduced cost above `-base` is optimal), the ratio
     /// test and degeneracy detection. Equal to `tol`.
-    pub base: f64,
+    base: f64,
     /// Negative basic values above `-feasibility_dust` right after a
     /// refactorization are clamped to zero: at that magnitude they are
     /// factorization round-off, not genuine infeasibility. Equal to
     /// `tol`.
-    pub feasibility_dust: f64,
+    feasibility_dust: f64,
     /// A pivot element smaller than this triggers one defensive
     /// refactorization before the pivot is trusted — a suspiciously
     /// small pivot usually means eta-file drift rather than a genuinely
     /// singular direction. Equal to `tol`.
-    pub pivot_refresh: f64,
+    pivot_refresh: f64,
     /// Hard floor for an acceptable pivot element *after* the defensive
     /// refresh; anything smaller is numerical breakdown and aborts the
     /// solve. Two orders below `tol`.
-    pub pivot_reject: f64,
+    pivot_reject: f64,
     /// Basic values within this of zero are snapped to exactly zero
     /// after a pivot update, keeping degeneracy (and therefore the
     /// Bland stall switch) sharp. Four orders below `tol`.
-    pub value_snap: f64,
+    value_snap: f64,
     /// Threshold for pivots that move artificial variables (the θ = 0
     /// guard and the post-phase-1 drive-out): never below `1e-7`
     /// regardless of `tol`, because these pivots feed directly into
     /// row-redundancy decisions where an over-tight threshold turns
     /// round-off into a structural verdict.
-    pub artificial_guard: f64,
+    artificial_guard: f64,
 }
 
-impl RevisedTolerances {
-    /// Derives the full set from the base tolerance. With the default
-    /// `1e-9` this reproduces the engine's historical constants
-    /// (`1e-9`, `1e-11`, `1e-13`, `1e-7`) exactly.
-    pub(crate) fn derive(tolerance: f64) -> RevisedTolerances {
-        RevisedTolerances {
-            base: tolerance,
-            feasibility_dust: tolerance,
-            pivot_refresh: tolerance,
-            pivot_reject: tolerance * 1e-2,
-            value_snap: tolerance * 1e-4,
-            artificial_guard: tolerance.max(1e-7),
-        }
-    }
-}
+/// The revised engine's thresholds: `1e-9`, `1e-11`, `1e-13` and `1e-7`.
+const TOLS: RevisedTolerances = RevisedTolerances {
+    base: TOLERANCE,
+    feasibility_dust: TOLERANCE,
+    pivot_refresh: TOLERANCE,
+    pivot_reject: TOLERANCE * 1e-2,
+    value_snap: TOLERANCE * 1e-4,
+    artificial_guard: TOLERANCE.max(1e-7),
+};
 
 /// A solved LP's simplex basis, exportable from
 /// [`crate::LpSolution::basis_snapshot`] and re-importable through
@@ -503,12 +495,11 @@ struct Factor {
 }
 
 impl Factor {
-    /// The factor `lu` with an empty eta file. The file never holds
-    /// more than `refactor_interval` etas; room for up to the default
-    /// cadence's is reserved, and a longer cadence grows the buffers.
-    fn new(lu: SparseLu, refactor_interval: usize) -> Factor {
+    /// The factor `lu` with an empty eta file, with room reserved for
+    /// the [`REFACTOR_INTERVAL`] etas it can grow to.
+    fn new(lu: SparseLu) -> Factor {
         Factor {
-            etas: EtaFile::new(lu.dim(), refactor_interval.min(DEFAULT_REFACTOR_INTERVAL)),
+            etas: EtaFile::new(lu.dim(), REFACTOR_INTERVAL),
             lu,
         }
     }
@@ -631,8 +622,6 @@ struct Revised<'a> {
     art_rows: Vec<usize>,
     /// First artificial column index (`n_sf`).
     n_sf: usize,
-    tols: RevisedTolerances,
-    refactor_interval: usize,
     iterations: usize,
     /// The solve's rhs perturbation magnitude (for the artificial-mass
     /// bound; see [`Revised::art_mass_bound`]).
@@ -656,20 +645,10 @@ enum PhaseOutcome {
     Unbounded(usize),
 }
 
-/// The refactorization cadence when [`SimplexOptions::refactor_interval`]
-/// is 0. The sparse refresh is cheap (O(m²/64 + flops)), so the cadence
-/// is tuned to keep the eta file — and with it the FTRAN/BTRAN sweep
-/// cost and float drift — short.
-const DEFAULT_REFACTOR_INTERVAL: usize = 64;
-
-/// [`SimplexOptions::refactor_interval`], with 0 meaning the default.
-fn refactor_interval(options: &SimplexOptions) -> usize {
-    if options.refactor_interval == 0 {
-        DEFAULT_REFACTOR_INTERVAL
-    } else {
-        options.refactor_interval
-    }
-}
+/// Pivots between basis refactorizations. The sparse refresh is cheap
+/// (O(m²/64 + flops)), so the cadence is tuned to keep the eta file —
+/// and with it the FTRAN/BTRAN sweep cost and float drift — short.
+const REFACTOR_INTERVAL: usize = 64;
 
 impl<'a> Revised<'a> {
     fn new(sf: &'a StandardForm, options: &SimplexOptions) -> Result<Self, LpError> {
@@ -716,13 +695,11 @@ impl<'a> Revised<'a> {
             basis,
             banned: vec![false; total],
             in_basis,
-            factor: Factor::new(lu, refactor_interval(options)),
+            factor: Factor::new(lu),
             work,
             priced: None,
             art_rows: sf.artificial_rows(),
             n_sf,
-            tols: RevisedTolerances::derive(options.tolerance),
-            refactor_interval: refactor_interval(options),
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
@@ -783,8 +760,7 @@ impl<'a> Revised<'a> {
         if lu.solve_in_place(&mut xb, &mut work.scratch).is_err() {
             return Ok(None);
         }
-        let tols = RevisedTolerances::derive(options.tolerance);
-        clamp_dust(&mut xb, tols.feasibility_dust);
+        clamp_dust(&mut xb, TOLS.feasibility_dust);
         Ok(Some(Revised {
             sf,
             at,
@@ -795,13 +771,11 @@ impl<'a> Revised<'a> {
             // (they are unpriced anyway); structural columns all may.
             banned: vec![false; total],
             in_basis,
-            factor: Factor::new(lu, refactor_interval(options)),
+            factor: Factor::new(lu),
             work,
             priced: None,
             art_rows,
             n_sf,
-            tols,
-            refactor_interval: refactor_interval(options),
             iterations: 0,
             perturbation: options.perturbation,
             art_allowance: 0.0,
@@ -826,7 +800,7 @@ impl<'a> Revised<'a> {
     /// problem's — [`finish_phase_two`] returns
     /// [`LpError::ResidualArtificial`] instead.
     fn art_mass_bound(&self) -> f64 {
-        art_mass_bound(&self.tols, self.perturbation, &self.b) + self.art_allowance
+        art_mass_bound(self.perturbation, &self.b) + self.art_allowance
     }
 
     /// FTRANs column `j` of the standard form + artificials into
@@ -915,7 +889,7 @@ impl<'a> Revised<'a> {
         self.factor.etas.clear();
         self.xb.copy_from_slice(&self.b);
         self.factor.ftran(&mut self.xb, &mut self.work.scratch)?;
-        clamp_dust(&mut self.xb, self.tols.feasibility_dust);
+        clamp_dust(&mut self.xb, TOLS.feasibility_dust);
         Ok(())
     }
 
@@ -1057,11 +1031,11 @@ impl<'a> Revised<'a> {
             return d
                 .iter()
                 .enumerate()
-                .find(|&(j, &dj)| dj < -self.tols.base && !self.banned[j] && !self.in_basis[j])
+                .find(|&(j, &dj)| dj < -TOLS.base && !self.banned[j] && !self.in_basis[j])
                 .map(|(j, _)| j);
         }
         let mut best = None;
-        let mut best_val = -self.tols.base;
+        let mut best_val = -TOLS.base;
         let chunks = d.chunks_exact(8);
         let tail = d.len() - chunks.remainder().len();
         for (c, chunk) in chunks.enumerate() {
@@ -1105,7 +1079,7 @@ impl<'a> Revised<'a> {
         let nonzeros = || self.work.w_nonzeros.iter().map(|&i| (i, w[i]));
         if guard_artificials {
             for (i, wi) in nonzeros() {
-                if self.basis[i] >= self.n_sf && wi.abs() > self.tols.artificial_guard {
+                if self.basis[i] >= self.n_sf && wi.abs() > TOLS.artificial_guard {
                     // The θ = 0 contract: a guarded artificial must be
                     // sitting at (numerical) zero — see `art_mass_bound`
                     // for the documented tolerance.
@@ -1120,7 +1094,7 @@ impl<'a> Revised<'a> {
                 }
             }
         }
-        let tol = self.tols.base;
+        let tol = TOLS.base;
         let mut min_ratio = f64::INFINITY;
         for (i, wi) in nonzeros() {
             if wi > tol {
@@ -1173,7 +1147,7 @@ impl<'a> Revised<'a> {
         if theta > 0.0 {
             for &i in nonzeros {
                 self.xb[i] -= theta * w[i];
-                if self.xb[i].abs() < self.tols.value_snap {
+                if self.xb[i].abs() < TOLS.value_snap {
                     self.xb[i] = 0.0;
                 }
             }
@@ -1189,7 +1163,7 @@ impl<'a> Revised<'a> {
         self.in_basis[q] = true;
         self.factor.etas.push(r, w, nonzeros);
         self.iterations += 1;
-        if self.factor.etas.len() >= self.refactor_interval {
+        if self.factor.etas.len() >= REFACTOR_INTERVAL {
             self.refactorize()?;
         }
         Ok(())
@@ -1288,7 +1262,7 @@ impl<'a> Revised<'a> {
         };
         // A pivot element this small signals eta-file drift: refresh the
         // factorization once and redo the FTRAN before giving up.
-        if self.work.w[r].abs() < self.tols.pivot_refresh && !self.factor.etas.is_empty() {
+        if self.work.w[r].abs() < TOLS.pivot_refresh && !self.factor.etas.is_empty() {
             self.refactorize()?;
             self.ftran_column(q)?;
             r = match self.leave(bland, guard) {
@@ -1296,13 +1270,13 @@ impl<'a> Revised<'a> {
                 None => return Ok(None),
             };
         }
-        if self.work.w[r].abs() < self.tols.pivot_reject {
+        if self.work.w[r].abs() < TOLS.pivot_reject {
             return Err(LpError::InvalidModel(format!(
                 "revised simplex: pivot element {:.3e} too small (column {q})",
                 self.work.w[r]
             )));
         }
-        let degenerate = self.xb[r].abs() <= self.tols.base;
+        let degenerate = self.xb[r].abs() <= TOLS.base;
         self.pivot(r, q)?;
         Ok(Some(degenerate))
     }
@@ -1325,13 +1299,13 @@ impl<'a> Revised<'a> {
                     continue;
                 }
                 let mag = uj.abs();
-                if mag > self.tols.artificial_guard && best.is_none_or(|(_, bv)| mag > bv) {
+                if mag > TOLS.artificial_guard && best.is_none_or(|(_, bv)| mag > bv) {
                     best = Some((j, mag));
                 }
             }
             if let Some((j, _)) = best {
                 self.ftran_column(j)?;
-                if self.work.w[i].abs() > self.tols.artificial_guard {
+                if self.work.w[i].abs() > TOLS.artificial_guard {
                     // Degenerate pivot: the artificial sits at ~0.
                     self.xb[i] = 0.0;
                     self.pivot(i, j)?;
@@ -1357,7 +1331,7 @@ impl<'a> Revised<'a> {
     /// two-phase path, which also owns the infeasibility verdict.
     fn dual_repair(&mut self, max_pivots: usize) -> Result<bool, LpError> {
         let m = self.m();
-        let feas = self.tols.feasibility_dust;
+        let feas = TOLS.feasibility_dust;
         let mut pivots = 0usize;
         loop {
             // Leaving row: most negative basic value (ties: lowest row —
@@ -1396,7 +1370,7 @@ impl<'a> Revised<'a> {
             // smallest column index, for determinism).
             let mut enter: Option<(usize, f64)> = None;
             for (j, &aj) in self.work.alpha.iter().enumerate() {
-                if self.in_basis[j] || self.banned[j] || aj >= -self.tols.pivot_refresh {
+                if self.in_basis[j] || self.banned[j] || aj >= -TOLS.pivot_refresh {
                     continue;
                 }
                 let ratio = self.work.d[j].max(0.0) / -aj;
@@ -1410,7 +1384,7 @@ impl<'a> Revised<'a> {
                 return Ok(false);
             };
             self.ftran_column(q)?;
-            if self.work.w[r] >= -self.tols.pivot_reject {
+            if self.work.w[r] >= -TOLS.pivot_reject {
                 // The FTRAN disagrees with the BTRAN row: eta drift.
                 // Refresh once and retry the whole step; give up if the
                 // factorization is already fresh.
@@ -1518,8 +1492,8 @@ fn b_scale(b: &[f64]) -> f64 {
 
 /// The θ = 0 guard's redundancy bound before any re-perturbation
 /// allowance; see [`Revised::art_mass_bound`].
-fn art_mass_bound(tols: &RevisedTolerances, perturbation: f64, b: &[f64]) -> f64 {
-    crate::simplex::breakdown_threshold(tols.base, perturbation, b.len()) * b_scale(b)
+fn art_mass_bound(perturbation: f64, b: &[f64]) -> f64 {
+    crate::simplex::breakdown_threshold(perturbation, b.len()) * b_scale(b)
 }
 
 // The helpers below read a basis in either numbering: the solver's
@@ -1602,7 +1576,7 @@ pub(crate) fn run_revised(
         // No rows at all (the LU kernel rejects 0 × 0 input): with
         // x ≥ 0 unconstrained, the optimum is x = 0 unless some cost is
         // negative, in which case that column is an unbounded ray.
-        if let Some(col) = sf.c.iter().position(|&c| c < -options.tolerance) {
+        if let Some(col) = sf.c.iter().position(|&c| c < -TOLS.base) {
             return Err(LpError::Unbounded { column: col });
         }
         return Ok(BasicSolution {
@@ -1637,8 +1611,7 @@ pub(crate) fn run_revised(
             .filter(|&i| solver.basis[i] >= solver.n_sf)
             .map(|i| solver.xb[i].max(0.0))
             .sum();
-        let infeas_threshold =
-            crate::simplex::breakdown_threshold(options.tolerance, options.perturbation, m);
+        let infeas_threshold = crate::simplex::breakdown_threshold(options.perturbation, m);
         if phase1_obj > infeas_threshold {
             return Err(LpError::Infeasible {
                 residual: phase1_obj,
@@ -1694,7 +1667,7 @@ fn finish_phase_two(
             &solver.basis,
             solver.n_sf,
             &solver.xb,
-            solver.tols.feasibility_dust,
+            TOLS.feasibility_dust,
         ) {
             break;
         }
@@ -1810,13 +1783,12 @@ pub(crate) fn resolve_on_factor(
     lu: &SparseLu,
 ) -> Option<BasicSolution> {
     let n_sf = sf.a.cols();
-    let tols = RevisedTolerances::derive(options.tolerance);
     let b = sf.perturbed_b(options.perturbation);
     let mut xb = lu.solve(&b).ok()?;
-    clamp_dust(&mut xb, tols.feasibility_dust);
+    clamp_dust(&mut xb, TOLS.feasibility_dust);
     if art_residual(basis, n_sf, &xb) > 1e-3 * b_scale(&b)
-        || !primal_feasible(basis, n_sf, &xb, tols.feasibility_dust)
-        || art_mass(basis, n_sf, &xb) > art_mass_bound(&tols, options.perturbation, &b)
+        || !primal_feasible(basis, n_sf, &xb, TOLS.feasibility_dust)
+        || art_mass(basis, n_sf, &xb) > art_mass_bound(options.perturbation, &b)
     {
         return None;
     }
@@ -1914,23 +1886,31 @@ mod tests {
 
     #[test]
     fn refactorization_cadence_is_exercised() {
-        // Force refactorization every 2 pivots on a problem needing more
-        // pivots than that; the answer must not change.
+        // The 7-D Klee–Minty cube: Dantzig pricing walks all 2^7 = 128
+        // of its vertices, well past one refactorization, and the
+        // optimum is the last one, x_7 = 5^7.
+        let d = 7;
         let mut p = LpProblem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..6)
-            .map(|j| p.add_var_bounded(format!("x{j}"), 1.0 + j as f64, 0.0, Some(2.0)))
+        let x: Vec<_> = (0..d)
+            .map(|j| p.add_var(format!("x{j}"), f64::from(1 << (d - 1 - j))))
             .collect();
-        let terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-        p.add_constraint(terms, Relation::Le, 7.0).unwrap();
+        for i in 0..d {
+            let mut terms: Vec<_> = (0..i)
+                .map(|j| (x[j], f64::from(1 << (i - j + 1))))
+                .collect();
+            terms.push((x[i], 1.0));
+            p.add_constraint(terms, Relation::Le, 5f64.powi(i as i32 + 1))
+                .unwrap();
+        }
         let sf = build_standard_form(&p).unwrap();
-        let opts = SimplexOptions {
-            refactor_interval: 2,
-            ..SimplexOptions::default()
-        };
-        let tight = run_revised(&sf, &opts).unwrap();
-        let loose = run_revised(&sf, &SimplexOptions::default()).unwrap();
-        let obj = |b: &BasicSolution| -> f64 { (0..6).map(|j| (1.0 + j as f64) * b.x[j]).sum() };
-        assert!((obj(&tight) - obj(&loose)).abs() < 1e-9);
+        let basic = run_revised(&sf, &SimplexOptions::default()).unwrap();
+        assert!(
+            basic.iterations > REFACTOR_INTERVAL,
+            "{} pivots",
+            basic.iterations
+        );
+        assert!((basic.x[d - 1] - 5f64.powi(d as i32)).abs() < 1e-6);
+        assert!(basic.x[..d - 1].iter().all(|v| v.abs() < 1e-6));
     }
 
     // Every pricing in this module's tests checks itself against a full

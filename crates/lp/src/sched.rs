@@ -1,12 +1,11 @@
 //! The workspace's one chunked-scheduling policy.
 //!
-//! Three fan-out sites schedule independent work in chunks: the sweep
-//! campaigns (warm-start chains of consecutive points), the decomposed
-//! engine's per-block solves, and the shard executor (chunks as the
-//! unit of cross-process dispatch). Before this module each site carried
-//! its own constant; now all three consume a [`ChunkPolicy`], so the
-//! chunk length — and the determinism argument that goes with it — lives
-//! in exactly one place.
+//! Two fan-out sites schedule independent work in chunks: the sweep
+//! campaigns (warm-start chains of consecutive points) and the shard
+//! executor (chunks as the unit of cross-process dispatch). Both
+//! consume a [`ChunkPolicy`], so the chunk length — and the determinism
+//! argument that goes with it — lives in exactly one place. (The
+//! decomposed engine runs one job per block and needs no policy.)
 //!
 //! The load-bearing property: a policy's chunk boundaries depend only on
 //! the item count, never on worker count, host count, or timing. Chunk
@@ -42,10 +41,6 @@ impl ChunkPolicy {
     /// item): nothing is shared between neighbours, so the scheduling
     /// unit is a single item.
     pub const INDEPENDENT: ChunkPolicy = ChunkPolicy { chunk_len: 1 };
-
-    /// Decomposition block solves: each block is a whole LP — heavy and
-    /// self-contained — so batching blocks would only serialize them.
-    pub const BLOCK_SOLVE: ChunkPolicy = ChunkPolicy { chunk_len: 1 };
 
     /// A policy with an explicit chunk length (≥ 1).
     ///

@@ -22,14 +22,15 @@ use crate::standard_form::{build_standard_form, StandardForm};
 use crate::LpError;
 use crate::LpProblem;
 
-/// Tuning knobs for the simplex solvers (both engines).
+/// The feasibility/optimality tolerance of every engine.
+pub(crate) const TOLERANCE: f64 = 1e-9;
+
+/// Tuning knobs for the LP engines (all three; see [`LpEngine`]).
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Maximum number of pivots across both phases. `0` selects an
     /// automatic limit of `max(20_000, 50 * (rows + cols))`.
     pub max_iterations: usize,
-    /// Feasibility/optimality tolerance.
-    pub tolerance: f64,
     /// Number of consecutive degenerate pivots after which pricing
     /// switches from Dantzig to Bland's anti-cycling rule.
     pub stall_switch: usize,
@@ -56,12 +57,6 @@ pub struct SimplexOptions {
     pub equilibrate: bool,
     /// Which solver implementation to run; see [`LpEngine`].
     pub engine: LpEngine,
-    /// Revised engine only: pivots between basis refactorizations
-    /// (`0` = automatic, currently 64 — the sparse refresh is cheap, so
-    /// the cadence is tuned to bound eta-file length and float drift
-    /// rather than amortize factorization cost). The tableau engine
-    /// ignores this.
-    pub refactor_interval: usize,
     /// Decomposed engine only: where the independent per-block solves of
     /// one multiplier iteration run. The default serial handle evaluates
     /// blocks in index order on the calling thread; attaching a pool
@@ -75,12 +70,10 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
             max_iterations: 0,
-            tolerance: 1e-9,
             stall_switch: 40,
             perturbation: 0.0,
             equilibrate: true,
             engine: LpEngine::default(),
-            refactor_interval: 0,
             executor: ExecutorHandle::serial(),
         }
     }
@@ -117,8 +110,8 @@ pub(crate) fn reperturb_eps(perturbation: f64, reperturbs: usize) -> f64 {
 /// one: an engine-local copy would let the two engines' status verdicts
 /// drift apart silently, breaking the cross-engine agreement contract
 /// the oracle suites pin.
-pub(crate) fn breakdown_threshold(tolerance: f64, perturbation: f64, m: usize) -> f64 {
-    tolerance.max(1e-7).max(perturbation * 50.0 * m as f64)
+pub(crate) fn breakdown_threshold(perturbation: f64, m: usize) -> f64 {
+    TOLERANCE.max(1e-7).max(perturbation * 50.0 * m as f64)
 }
 
 /// Final state of a simplex run, in standard-form coordinates.
@@ -524,7 +517,7 @@ pub(crate) fn run_simplex(
     let n_sf = sf.a.cols();
     let n_art: usize = sf.needs_artificial.iter().filter(|&&x| x).count();
     let total = n_sf + n_art;
-    let tol = options.tolerance;
+    let tol = TOLERANCE;
     let max_iterations = if options.max_iterations == 0 {
         20_000.max(50 * (m + total))
     } else {
@@ -606,7 +599,7 @@ pub(crate) fn run_simplex(
             .filter(|&i| t.active[i] && t.basis[i] >= n_sf)
             .map(|i| t.b[i])
             .sum();
-        let infeas_threshold = breakdown_threshold(tol, options.perturbation, m);
+        let infeas_threshold = breakdown_threshold(options.perturbation, m);
         if phase1_obj > infeas_threshold {
             return Err(LpError::Infeasible {
                 residual: phase1_obj,
@@ -748,7 +741,7 @@ pub(crate) fn run_simplex(
         let ax: f64 = sf.a.iter_row(i).map(|(j, v)| v * x[j]).sum();
         residual += (ax - b0[i]).abs();
     }
-    let bound = breakdown_threshold(tol, options.perturbation, m)
+    let bound = breakdown_threshold(options.perturbation, m)
         * (1.0 + b0.iter().map(|v| v.abs()).sum::<f64>())
         + t.reperturb_mass;
     if residual > bound {

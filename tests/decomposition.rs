@@ -1,12 +1,12 @@
 //! The decomposed engine against the monolithic revised engine, on the
 //! paper's own problem shapes.
 //!
-//! `LpEngine::Decomposed` detects the per-queue block structure behind
-//! the sizing LP's single budget row, prices the coupling out with a
-//! monotone multiplier search over independent block solves, and
-//! certifies exactness with one warm-started revised solve on the
-//! original joint standard form. This suite pins the engine's whole
-//! contract:
+//! `LpEngine::Decomposed` reads the block structure `SizingLp::build`
+//! declares (one block per bus) behind the sizing LP's single budget
+//! row, prices the coupling out with a monotone multiplier search over
+//! independent block solves, and certifies exactness with one
+//! warm-started revised solve on the original joint standard form.
+//! This suite pins the engine's whole contract:
 //!
 //! * status + 1e-9 relative objective agreement with the monolithic
 //!   revised engine on templates, random architectures and the
@@ -118,9 +118,9 @@ fn assert_sizing_agreement(arch: &Architecture, budget: usize, label: &str) {
 #[test]
 fn decomposition_detects_the_sizing_lps_block_structure() {
     // The joint LP has per-bus effort rows *and* the budget row on top
-    // of the per-queue blocks; on a single-bus-per-queue architecture
-    // with >1 bus the budget row is the one coupling row and every
-    // queue lands in its own block.
+    // of the per-queue rows; a bus's effort row ties its queues into
+    // one block, so on an architecture with >1 bus the budget row is
+    // the one coupling row and every bus is a block.
     let arch = templates::figure1();
     let lp = SizingLp::build(&arch, 22, &cfg(LpEngine::Decomposed)).unwrap();
     let report = assert_lp_agreement(lp.problem(), "figure1 joint LP")
