@@ -12,7 +12,7 @@
 //!   scheduling);
 //! * **agreement** — every warm point must carry the same status flags
 //!   as its cold twin and an objective within 1e-6 relative (the
-//!   perturbation-ladder scale; on this well-conditioned grid the
+//!   rhs-perturbation scale; on this well-conditioned grid the
 //!   observed difference is ~1e-15);
 //! * **grid work** — the warm-chained grid takes exactly
 //!   [`WARM_GRID_PIVOTS`] pivots in all, on every worker count, and the
@@ -54,6 +54,7 @@
 
 use socbuf_bench::alloc::{count, CountingAlloc, Counts};
 use socbuf_bench::probe::{self, alternated_ratio, best_of, ratio, smoke_sizing, Gate, OrExit};
+use socbuf_core::formulation::ALPHA;
 use socbuf_core::{size_buffers, SizingConfig, SizingLp, SolveContext};
 use socbuf_lp::{LpSolution, PreparedLp, SimplexOptions};
 use socbuf_soc::{templates, Architecture};
@@ -131,9 +132,9 @@ fn sweep(
     ))
 }
 
-/// The solve ladder's first rung, which every point of the grid solves
-/// on.
-fn first_rung() -> SimplexOptions {
+/// The simplex options every sizing solve runs with, which every point
+/// of the grid solves on.
+fn sizing_options() -> SimplexOptions {
     SimplexOptions {
         perturbation: 1e-6,
         max_iterations: 30_000,
@@ -160,7 +161,7 @@ fn kept_basis_identity(
 ) {
     let lp = SizingLp::build(arch, grid[0], sizing).expect("grid point builds");
     let budget_row = lp.problem().row_ids().last().expect("budget row");
-    let opts = first_rung();
+    let opts = sizing_options();
     let prepare = || PreparedLp::new_with_scaling(lp.problem().clone(), sizing.equilibrate);
     let mut chained = prepare().expect("assembles");
     let mut snapshot = match chained.solve_with(&opts) {
@@ -169,7 +170,7 @@ fn kept_basis_identity(
     };
     let (mut identical, mut shortcuts) = (0, 0);
     for &budget in &grid[1..] {
-        let rhs = sizing.alpha * budget as f64;
+        let rhs = ALPHA * budget as f64;
         chained.set_rhs(budget_row, rhs).expect("budget move");
         let kept = chained.kept_basis() == Some(&snapshot);
         let mut fresh = prepare().expect("assembles");

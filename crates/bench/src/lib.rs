@@ -8,7 +8,6 @@
 //! | `fig2_split` | Figure 2 — the four split subsystems |
 //! | `fig3_loss_rates` | Figure 3 — per-processor losses under three policies |
 //! | `table1_budget_sweep` | Table 1 — pre/post losses at budgets 160/320/640 |
-//! | `ablation_alpha` | sensitivity to the budget-row tightness α |
 //! | `ablation_granularity` | sensitivity to CTMDP state/effort granularity |
 //! | `ablation_allocators` | uniform vs traffic-proportional vs CTMDP allocation |
 //! | `lp_scaling_probe` | developer probe: joint-LP pivot scaling (not a paper artifact) |

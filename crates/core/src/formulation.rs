@@ -11,7 +11,8 @@
 //! * **bus rows** — for every bus, the expected granted effort over all
 //!   its queues is at most 1 (the bus serves one request at a time),
 //! * **budget row** — total expected occupancy is at most
-//!   `α · budget`, the LP-level image of the finite buffer pool.
+//!   `α · budget` with `α =` [`ALPHA`], the LP-level image of the finite
+//!   buffer pool.
 //!
 //! The split (`socbuf-soc::split`) is what makes the blocks *linear*:
 //! bridge buffers decouple adjacent buses, so a block's rates involve
@@ -32,19 +33,21 @@ use socbuf_soc::{Architecture, Client};
 use crate::translate::QueueCurves;
 use crate::CoreError;
 
-/// Tuning knobs of the sizing formulation.
+/// Budget-row tightness: the LP bounds total expected occupancy by
+/// `ALPHA · budget`. On the four templates the row is relaxed, slack,
+/// or binding at a zero shadow price at every integer budget, so the
+/// value moves no allocation there.
+pub const ALPHA: f64 = 0.5;
+
+/// Tuning knobs of the sizing formulation. The budget-row tightness
+/// ([`ALPHA`]), the translation's occupancy quantile (0.98) and the
+/// per-bus effort limit (1, the physical bus) are fixed.
 #[derive(Debug, Clone)]
 pub struct SizingConfig {
     /// Per-queue occupancy cap `N` in the CTMDP blocks (states `0..=N`).
     pub state_cap: usize,
     /// Number of effort levels `L ≥ 2` (efforts `0, 1/(L−1), …, 1`).
     pub effort_levels: usize,
-    /// Budget-row tightness: `Σ E[occupancy] ≤ α · budget`.
-    pub alpha: f64,
-    /// Occupancy quantile used by the translation step (e.g. `0.98`).
-    pub quantile: f64,
-    /// Per-bus expected-effort limit (1.0 = the physical bus).
-    pub bus_effort_limit: f64,
     /// LP engine the joint solve runs on. Defaults to the sparse
     /// revised simplex; [`LpEngine::Tableau`] selects the dense oracle
     /// engine (what the golden-artifact cross-checks compare against).
@@ -70,9 +73,6 @@ impl Default for SizingConfig {
         SizingConfig {
             state_cap: 20,
             effort_levels: 4,
-            alpha: 0.5,
-            quantile: 0.98,
-            bus_effort_limit: 1.0,
             engine: LpEngine::default(),
             equilibrate: true,
             executor: ExecutorHandle::serial(),
@@ -98,23 +98,6 @@ impl SizingConfig {
         if self.effort_levels < 2 {
             return Err(CoreError::BadConfig("effort_levels must be ≥ 2".into()));
         }
-        if !(0.0 < self.alpha && self.alpha <= 1.0) {
-            return Err(CoreError::BadConfig(format!(
-                "alpha must lie in (0, 1], got {}",
-                self.alpha
-            )));
-        }
-        if !(0.5 <= self.quantile && self.quantile < 1.0) {
-            return Err(CoreError::BadConfig(format!(
-                "quantile must lie in [0.5, 1), got {}",
-                self.quantile
-            )));
-        }
-        if self.bus_effort_limit <= 0.0 {
-            return Err(CoreError::BadConfig(
-                "bus_effort_limit must be positive".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -124,9 +107,8 @@ impl SizingConfig {
 pub struct SizingLp {
     lp: LpProblem,
     layout: Layout,
-    engine: LpEngine,
-    equilibrate: bool,
-    executor: ExecutorHandle,
+    /// What [`SizingLp::solve`] runs (`solve_options`).
+    options: SimplexOptions,
 }
 
 /// Where each queue's variables and rows sit in the joint LP, and the
@@ -159,7 +141,6 @@ struct LayoutShape {
     cut_rows: Vec<RowId>,
     weights: Vec<f64>,
     state_cap: usize,
-    alpha: f64,
 }
 
 /// Variables per queue: one for state 0, one per effort level for each
@@ -393,7 +374,8 @@ impl SizingLp {
             cut_rows.extend_from_slice(&ids[..n]);
         }
 
-        // Per-bus effort rows.
+        // Per-bus effort rows: a bus grants at most one unit of effort
+        // in expectation.
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         let mut bus_rows = Vec::with_capacity(arch.num_buses());
         for bus in arch.bus_ids() {
@@ -407,9 +389,7 @@ impl SizingLp {
                     }
                 }
             }
-            let row =
-                lp.add_constraint(terms.iter().copied(), Relation::Le, config.bus_effort_limit)?;
-            bus_rows.push(row);
+            bus_rows.push(lp.add_constraint(terms.iter().copied(), Relation::Le, 1.0)?);
         }
 
         // Global budget row: Σ E[occupancy] ≤ α·budget. It must stay
@@ -422,11 +402,8 @@ impl SizingLp {
                 }
             }
         }
-        let budget_row = lp.add_constraint(
-            terms.iter().copied(),
-            Relation::Le,
-            config.alpha * budget as f64,
-        )?;
+        let budget_row =
+            lp.add_constraint(terms.iter().copied(), Relation::Le, ALPHA * budget as f64)?;
 
         // One block per bus: its queues' variables, their cut and
         // normalization rows, and the bus row. The budget row links
@@ -448,7 +425,6 @@ impl SizingLp {
             cut_rows,
             weights,
             state_cap: n,
-            alpha: config.alpha,
         };
         Ok(SizingLp {
             lp,
@@ -456,16 +432,14 @@ impl SizingLp {
                 shape: Arc::new(shape),
                 lambdas,
             },
-            engine: config.engine,
-            equilibrate: config.equilibrate,
-            executor: config.executor.clone(),
+            options: solve_options(config),
         })
     }
 
     /// The LP engine [`SizingLp::solve`] will run (from the
     /// [`SizingConfig`] this LP was built with).
     pub fn engine(&self) -> LpEngine {
-        self.engine
+        self.options.engine
     }
 
     /// Number of LP variables.
@@ -492,7 +466,8 @@ impl SizingLp {
         (self.lp, self.layout)
     }
 
-    /// Solves the joint LP cold, climbing the solve ladder. If the
+    /// Solves the joint LP cold, once, with the options every sizing
+    /// solve runs (rhs perturbation 1e-6, at most 30,000 pivots). If the
     /// budget row makes the program infeasible (a very small budget
     /// cannot hold the minimum possible expected occupancy), it is
     /// dropped and the solve retried — the translation step still
@@ -500,22 +475,21 @@ impl SizingLp {
     ///
     /// # Errors
     ///
-    /// Propagates LP failures other than budget infeasibility.
+    /// Propagates LP failures other than budget infeasibility, as the
+    /// engine reports them (an iteration limit or a residual artificial
+    /// is not retried).
     pub fn solve(&self) -> Result<SizingSolution, CoreError> {
-        let mut reading = Reading::default();
-        self.solve_into(&mut reading)?;
-        Ok(self.layout.to_solution(&reading))
+        self.solve_with_options(&self.options)
     }
 
     /// [`SizingLp::solve`], read into `out`.
     pub(crate) fn solve_into(&self, out: &mut Reading) -> Result<(), CoreError> {
-        climb_ladder(self.engine, self.equilibrate, &self.executor, |options| {
-            self.solve_rung(options, out)
-        })
+        self.solve_options_into(&self.options, out)
     }
 
-    /// Solves with explicit simplex options (one ladder rung). The same
-    /// budget-row relaxation as [`SizingLp::solve`] applies.
+    /// Solves with explicit simplex options instead of the ones
+    /// [`SizingLp::solve`] uses. The same budget-row relaxation
+    /// applies.
     ///
     /// # Errors
     ///
@@ -525,11 +499,15 @@ impl SizingLp {
         options: &SimplexOptions,
     ) -> Result<SizingSolution, CoreError> {
         let mut reading = Reading::default();
-        self.solve_rung(options, &mut reading)?;
+        self.solve_options_into(options, &mut reading)?;
         Ok(self.layout.to_solution(&reading))
     }
 
-    fn solve_rung(&self, options: &SimplexOptions, out: &mut Reading) -> Result<(), CoreError> {
+    fn solve_options_into(
+        &self,
+        options: &SimplexOptions,
+        out: &mut Reading,
+    ) -> Result<(), CoreError> {
         match self.lp.solve_with(options) {
             Ok(sol) => {
                 self.layout.interpret(&sol, false, out);
@@ -552,7 +530,8 @@ impl Layout {
     /// budget and load factor — the in-place alternative to rebuilding
     /// the whole formulation per sweep point:
     ///
-    /// * the budget row's rhs moves to `α · budget` (RHS-only delta);
+    /// * the budget row's rhs moves to [`ALPHA`]` · budget` (RHS-only
+    ///   delta);
     /// * each queue's cut-row birth-side coefficients and full-state loss
     ///   cost are rescaled to `λ_nominal · factor` (a pattern-preserving
     ///   coefficient delta). A queue whose λ is bit-equal to the one the
@@ -587,7 +566,7 @@ impl Layout {
         factor: f64,
     ) -> Result<(), LpError> {
         let shape = &*self.shape;
-        prepared.set_rhs(shape.budget_row, shape.alpha * budget as f64)?;
+        prepared.set_rhs(shape.budget_row, ALPHA * budget as f64)?;
         let n = shape.state_cap;
         // One row's terms at a time, in pattern order; allocated only
         // when some queue's λ moved.
@@ -639,8 +618,8 @@ impl Layout {
     }
 
     /// Occupation mass below which a state counts as *unreached* when
-    /// extracting effort curves. The solve ladder perturbs the rhs at
-    /// the 1e-6..1e-4 scale, which parks that much probability dust in
+    /// extracting effort curves. The solve perturbs the rhs at the 1e-6
+    /// scale (`solve_options`), which parks that much probability dust in
     /// arbitrary (often zero-effort) actions of states the optimal
     /// policy never visits; dividing dust by dust yields effort curves
     /// with dead zones that the translation step's birth–death
@@ -752,77 +731,26 @@ impl Layout {
     }
 }
 
-/// Climbs the solve ladder: runs `attempt` at each rung in order until
-/// one succeeds. An iteration limit, or numerical breakdown on the θ=0
-/// redundancy contract (a residual artificial), moves to the next rung;
-/// any other error ends the climb. When every rung fails, the last
-/// rung's error is reported.
+/// The simplex options every sizing solve runs with, cold or warm, on
+/// a fresh [`SizingLp`] or a [`crate::SolveContext`] chain: one set, so
+/// a point solved either way reports the same error. An iteration limit
+/// or a residual artificial is reported by name, not retried.
 ///
 /// Occupation-measure LPs are massively degenerate (hundreds of
-/// zero-rhs balance rows); the rhs perturbation keeps simplex making
-/// strict progress. Marginals are renormalized downstream, so the
-/// O(1e-6) wobble is immaterial. Individual instances can still stall
-/// under a particular perturbation pattern, so a ladder of increasingly
-/// aggressive settings backs the first attempt up.
-///
-/// This is the only loop over the rungs: a cold [`SizingLp::solve`] and
-/// a [`crate::SolveContext`] chain supply only how one rung is
-/// attempted, so a point solved cold or warm attempts the same sequence
-/// of perturbation settings and reports the same error.
-pub(crate) fn climb_ladder<T>(
-    engine: LpEngine,
-    equilibrate: bool,
-    executor: &ExecutorHandle,
-    mut attempt: impl FnMut(&SimplexOptions) -> Result<T, CoreError>,
-) -> Result<T, CoreError> {
-    let mut last_err = None;
-    for options in &solve_ladder(engine, equilibrate, executor) {
-        match attempt(options) {
-            Ok(solved) => return Ok(solved),
-            Err(CoreError::Lp(LpError::IterationLimit { .. })) => {
-                last_err = Some(CoreError::Lp(LpError::IterationLimit {
-                    limit: options.max_iterations,
-                }));
-            }
-            Err(e @ CoreError::Lp(LpError::ResidualArtificial { .. })) => last_err = Some(e),
-            Err(e) => return Err(e),
-        }
+/// zero-rhs balance rows), and the rhs perturbation keeps the simplex
+/// making strict progress; after 40 degenerate pivots in a row both
+/// engines fall back to Bland's rule, which guarantees termination.
+/// The reported solution is the optimum of the perturbed problem: its
+/// occupation breaks cut rows by up to ~1e-6, which moves the reported
+/// loss by up to ~2 % at [`SizingConfig::small`].
+pub(crate) fn solve_options(config: &SizingConfig) -> SimplexOptions {
+    SimplexOptions {
+        perturbation: 1e-6,
+        max_iterations: 30_000,
+        engine: config.engine,
+        equilibrate: config.equilibrate,
+        executor: config.executor.clone(),
     }
-    Err(last_err.expect("ladder is non-empty"))
-}
-
-/// The rungs [`climb_ladder`] climbs, least perturbed first.
-pub(crate) fn solve_ladder(
-    engine: LpEngine,
-    equilibrate: bool,
-    executor: &ExecutorHandle,
-) -> [SimplexOptions; 3] {
-    [
-        SimplexOptions {
-            perturbation: 1e-6,
-            max_iterations: 30_000,
-            engine,
-            equilibrate,
-            executor: executor.clone(),
-            ..SimplexOptions::default()
-        },
-        SimplexOptions {
-            perturbation: 1e-5,
-            max_iterations: 60_000,
-            stall_switch: 20,
-            engine,
-            equilibrate,
-            executor: executor.clone(),
-        },
-        SimplexOptions {
-            perturbation: 1e-4,
-            max_iterations: 200_000,
-            stall_switch: 10,
-            engine,
-            equilibrate,
-            executor: executor.clone(),
-        },
-    ]
 }
 
 /// Loss weight of a queue: the processor's weight for transmit queues;
@@ -870,12 +798,6 @@ mod tests {
         assert!(SizingLp::build(&arch, 10, &c).is_err());
         let mut c = SizingConfig::small();
         c.effort_levels = 1;
-        assert!(SizingLp::build(&arch, 10, &c).is_err());
-        let mut c = SizingConfig::small();
-        c.alpha = 0.0;
-        assert!(SizingLp::build(&arch, 10, &c).is_err());
-        let mut c = SizingConfig::small();
-        c.quantile = 1.0;
         assert!(SizingLp::build(&arch, 10, &c).is_err());
         assert!(SizingLp::build(&arch, 0, &SizingConfig::small()).is_err());
     }
@@ -993,9 +915,9 @@ mod tests {
         let (problem, mut layout) = SizingLp::build(&built_arch, 50, &cfg).unwrap().into_parts();
         let mut prepared = socbuf_lp::PreparedLp::new(problem).unwrap();
         layout.retarget(&mut prepared, &arch, 50, 2.0).unwrap();
-        let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
         let mut reading = Reading::default();
-        layout.interpret(&prepared.solve_with(options).unwrap(), false, &mut reading);
+        let sol = prepared.solve_with(&solve_options(&cfg)).unwrap();
+        layout.interpret(&sol, false, &mut reading);
         let warm = layout.to_solution(&reading);
         let cold = SizingLp::build(&arch.scale_rates(2.0, 1.0).unwrap(), 50, &cfg)
             .unwrap()
@@ -1020,8 +942,10 @@ mod tests {
         let (problem, mut layout) = SizingLp::build(&arch, 22, &cfg).unwrap().into_parts();
         let mut prepared =
             socbuf_lp::PreparedLp::new_with_scaling(problem, cfg.equilibrate).unwrap();
-        let options = &solve_ladder(cfg.engine, cfg.equilibrate, &cfg.executor)[0];
-        let basis = prepared.solve_with(options).unwrap().basis_snapshot();
+        let basis = prepared
+            .solve_with(&solve_options(&cfg))
+            .unwrap()
+            .basis_snapshot();
         let cut_rows = layout.shape.cut_rows.clone();
         let coefficients = |p: &LpProblem| {
             let terms: Vec<Vec<(usize, u64)>> = cut_rows
@@ -1042,7 +966,7 @@ mod tests {
         layout.retarget(&mut prepared, &arch, 31, 1.0).unwrap();
         assert_eq!(coefficients(prepared.problem()), before);
         let (_, _, rhs) = prepared.problem().row(layout.shape.budget_row);
-        assert_eq!(rhs, cfg.alpha * 31.0);
+        assert_eq!(rhs, ALPHA * 31.0);
         assert_eq!(prepared.kept_basis(), Some(&basis));
 
         layout.retarget(&mut prepared, &arch, 31, 1.1).unwrap();

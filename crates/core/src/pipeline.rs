@@ -10,7 +10,7 @@ use socbuf_sim::{
 };
 use socbuf_soc::{Architecture, BufferAllocation};
 
-use crate::formulation::{climb_ladder, solve_ladder, Layout, Reading, SizingConfig, SizingLp};
+use crate::formulation::{solve_options, Layout, Reading, SizingConfig, SizingLp};
 use crate::translate::{queue_keys, translate_with, TranslateScratch, Translation};
 use crate::CoreError;
 
@@ -76,7 +76,7 @@ pub fn size_buffers(
 /// (budget = RHS-only delta on the budget row; load factor =
 /// pattern-preserving rescale of the cut rows and loss costs) and
 /// re-enters the revised simplex from the previous point's optimal
-/// basis. Every solve climbs the same perturbation ladder, and a point
+/// basis. Every solve runs the same simplex options, and a point
 /// the warm form reports infeasible is confirmed on its own cold LP, so
 /// a warm-started point reports the same status and (to solver
 /// precision) the same optimal objective a cold point would — warm
@@ -155,7 +155,7 @@ struct WarmState {
 }
 
 impl WarmState {
-    /// One ladder rung on the cached form: warm from the last basis when
+    /// One solve on the cached form: warm from the last basis when
     /// the engine can re-enter from one, cold otherwise. `fresh` says the
     /// form was built for this very point, so a cold infeasible answer
     /// is final and the budget row is relaxed at once.
@@ -210,8 +210,7 @@ impl SolveContext {
     /// A copy of this context for a chain that starts at another point.
     /// The copy's first solve retargets the copied form and tries only
     /// the rhs-only shortcut on the factor this context kept
-    /// ([`socbuf_lp::PreparedLp::solve_kept`]) on the ladder's first
-    /// rung. If the shortcut answers, the point costs one triangular
+    /// ([`socbuf_lp::PreparedLp::solve_kept`]). If the shortcut answers, the point costs one triangular
     /// solve and zero pivots. If it cannot (the basis is infeasible at
     /// the new point, or the retarget was a coefficient delta, which
     /// drops the factor), the copy solves cold exactly as a fresh
@@ -302,7 +301,6 @@ impl SolveContext {
             scaled.unwrap_or(&self.family.arch),
             reading,
             budget,
-            &self.config,
             &self.family.keys,
             &mut self.scratch.translate,
         )?;
@@ -336,6 +334,7 @@ impl SolveContext {
         let nominal = &self.family.arch;
         let point_arch = scaled.unwrap_or(nominal);
         let out = &mut self.scratch.reading;
+        let options = solve_options(&self.config);
         // Build at the chain's first point, and whenever the structure
         // drifted so the cached form cannot take the retarget (not for
         // budget/load deltas, but e.g. a λ of exactly 0 would). The
@@ -354,9 +353,7 @@ impl SolveContext {
         // basis repair; cold when it cannot answer.
         if std::mem::take(&mut self.seeded) && !fresh {
             let state = self.state.as_mut().expect("retargeted above");
-            let config = &self.config;
-            let [first, ..] = solve_ladder(config.engine, config.equilibrate, &config.executor);
-            if let Some(sol) = state.prepared.solve_kept(&first) {
+            if let Some(sol) = state.prepared.solve_kept(&options) {
                 state.basis = Some(sol.basis_snapshot());
                 state.layout.interpret(&sol, false, out);
                 return Ok(());
@@ -374,19 +371,13 @@ impl SolveContext {
             });
         }
         let state = self.state.as_mut().expect("built above");
-        let config = &self.config;
-        match climb_ladder(
-            config.engine,
-            config.equilibrate,
-            &config.executor,
-            |options| state.attempt(options, fresh, out),
-        ) {
+        match state.attempt(&options, fresh, out) {
             // A warm or retargeted form reported the budget row infeasible:
             // confirm on this point's own cold LP, which relaxes the row
             // if it agrees. The cached form and basis stay valid for the
             // next point of the chain.
             Err(CoreError::Lp(LpError::Infeasible { .. })) => {
-                SizingLp::build(point_arch, budget, config)?.solve_into(out)
+                SizingLp::build(point_arch, budget, &self.config)?.solve_into(out)
             }
             solved => solved,
         }

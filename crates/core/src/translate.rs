@@ -4,7 +4,7 @@
 //!
 //! Each queue's stationary occupancy marginal (under the optimal
 //! K-switching policy) yields a *requirement*: the smallest buffer
-//! length covering the configured quantile of the occupancy law. The
+//! length covering the 0.98 quantile of the occupancy law. The
 //! finite pool is then apportioned to the requirements with the
 //! largest-remainder method, so the allocation sums to the budget
 //! exactly — the integer-feasibility step the LP cannot do by itself.
@@ -15,6 +15,9 @@ use socbuf_soc::{Architecture, BufferAllocation};
 
 use crate::formulation::{SizingConfig, SizingSolution};
 use crate::CoreError;
+
+/// The occupancy quantile a queue's requirement covers.
+const QUANTILE: f64 = 0.98;
 
 /// The translated solution: an exact-budget integer allocation plus the
 /// effort curves for the simulator's K-switching arbiter.
@@ -34,7 +37,9 @@ pub struct Translation {
 ///
 /// Queues with traffic always receive at least one unit when the budget
 /// allows (a zero-length buffer loses everything); the remainder is
-/// split in proportion to the quantile requirements.
+/// split in proportion to the quantile requirements. The translation
+/// reads no setting of the configuration the solution was solved
+/// under.
 ///
 /// # Errors
 ///
@@ -44,13 +49,12 @@ pub fn translate(
     arch: &Architecture,
     solution: &SizingSolution,
     budget: usize,
-    config: &SizingConfig,
+    _config: &SizingConfig,
 ) -> Result<Translation, CoreError> {
     translate_with(
         arch,
         solution,
         budget,
-        config,
         &queue_keys(arch),
         &mut TranslateScratch::default(),
     )
@@ -107,7 +111,6 @@ pub(crate) fn translate_with(
     arch: &Architecture,
     solution: &impl QueueCurves,
     budget: usize,
-    config: &SizingConfig,
     keys: &[String],
     scratch: &mut TranslateScratch,
 ) -> Result<Translation, CoreError> {
@@ -160,7 +163,7 @@ pub(crate) fn translate_with(
             solution.effort(qi),
             [birth, death, marginal],
         );
-        requirements.push(quantile_requirement(marginal, config.quantile));
+        requirements.push(quantile_requirement(marginal, QUANTILE));
     }
 
     shares.clear();

@@ -1681,18 +1681,16 @@ pub fn sizing_config_to_json(config: &SizingConfig) -> String {
     ObjWriter::render(|w| {
         w.usize("state_cap", config.state_cap)
             .usize("effort_levels", config.effort_levels)
-            .f64("alpha", config.alpha)
-            .f64("quantile", config.quantile)
-            .f64("bus_effort_limit", config.bus_effort_limit)
             .str("engine", &config.engine.to_string())
             .bool("equilibrate", config.equilibrate);
     })
 }
 
 /// Parses a [`SizingConfig`]. Missing fields take their defaults (so
-/// `{}` is the default configuration); unknown fields are rejected.
-/// Range validation (state_cap ≥ 2, α ∈ (0,1], …) stays where it
-/// always was — in the sizing pipeline's own `validate` — so wire and
+/// `{}` is the default configuration); unknown fields are rejected,
+/// the formulation's fixed settings (`alpha`, `quantile`,
+/// `bus_effort_limit`) among them. Range validation (state_cap ≥ 2,
+/// effort_levels ≥ 2) stays where it always was — in the sizing pipeline's own `validate` — so wire and
 /// local configs fail identically.
 ///
 /// # Errors
@@ -1701,24 +1699,12 @@ pub fn sizing_config_to_json(config: &SizingConfig) -> String {
 pub fn sizing_config_from_json<'a, V: JsonRead<'a>>(v: V) -> Result<SizingConfig, WireError> {
     let f = v.fields(
         "config",
-        &[
-            "state_cap",
-            "effort_levels",
-            "alpha",
-            "quantile",
-            "bus_effort_limit",
-            "engine",
-            "equilibrate",
-        ],
+        &["state_cap", "effort_levels", "engine", "equilibrate"],
     )?;
     let d = SizingConfig::default();
-    let finite = V::finite_f64;
     Ok(SizingConfig {
         state_cap: f.opt_or("state_cap", d.state_cap, V::usize)?,
         effort_levels: f.opt_or("effort_levels", d.effort_levels, V::usize)?,
-        alpha: f.opt_or("alpha", d.alpha, finite)?,
-        quantile: f.opt_or("quantile", d.quantile, finite)?,
-        bus_effort_limit: f.opt_or("bus_effort_limit", d.bus_effort_limit, finite)?,
         engine: f.opt_or("engine", d.engine, |x, k| lp_engine_from_tag(x.str(k)?))?,
         equilibrate: f.opt_or("equilibrate", d.equilibrate, V::bool)?,
         ..d
@@ -2942,9 +2928,6 @@ mod tests {
             let config = SizingConfig {
                 state_cap: 12,
                 effort_levels: 5,
-                alpha: 0.75,
-                quantile: 0.9,
-                bus_effort_limit: 0.8,
                 engine,
                 equilibrate: false,
                 ..SizingConfig::default()

@@ -24,9 +24,13 @@
 //!    basis across multiplier iterations. The aggregate coupling usage
 //!    `Φ(t) = Σ g·x(t)` is monotone non-increasing in `t`, so a
 //!    doubling bracket plus bisection finds the smallest multiplier at
-//!    which the blocks' independent optima respect the budget. Block
-//!    solves within one iteration are independent; an attached
-//!    [`SolveExecutor`] (see [`ExecutorHandle`]) fans them out.
+//!    which the blocks' independent optima respect the budget. Before
+//!    bracketing, one probe sweep prices each block by its coupling
+//!    usage alone: if even the least usage the blocks can reach exceeds
+//!    the budget, the joint problem is infeasible and the monolithic
+//!    path reports it at once. Block solves within one sweep are
+//!    independent; an attached [`SolveExecutor`] (see
+//!    [`ExecutorHandle`]) fans them out.
 //! 3. **Finish exactly.** The search is *strictly an accelerator*: the
 //!    per-block optimal bases are stitched into one joint
 //!    [`BasisSnapshot`] (block columns map to joint columns, the
@@ -141,7 +145,7 @@ struct Structure {
 }
 
 /// One block: which joint variables and user rows it owns.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct BlockShape {
     /// Joint variable indices, ascending.
     vars: Vec<usize>,
@@ -189,6 +193,7 @@ enum BlockStatus {
 /// Mutable per-block solver state. Each multiplier iteration locks each
 /// block's state exactly once from the job that owns its index, so an
 /// executor cannot introduce contention or ordering effects.
+#[derive(Clone)]
 struct BlockState {
     prepared: PreparedLp,
     shape: BlockShape,
@@ -347,6 +352,43 @@ fn sweep_blocks(
         }
     }
     agg
+}
+
+/// The least coupling usage the blocks can reach, and the pivots it
+/// took to find: every block minimizes its usage `gᵦ·xᵦ` alone, warm
+/// from its latest basis, on a copy of its state, so the multiplier
+/// search's own bases stay as they were.
+fn least_usage(
+    states: &[Mutex<BlockState>],
+    sign: f64,
+    opts: &SimplexOptions,
+    executor: &ExecutorHandle,
+) -> (Sweep, usize) {
+    let probes: Vec<Mutex<BlockState>> = states
+        .iter()
+        .map(|slot| {
+            let mut probe = slot.lock().expect("block state poisoned").clone();
+            // Priced at t = 1 from a zero base, each block's objective
+            // is its coupling usage alone.
+            for k in 0..probe.base_obj.len() {
+                if probe.couple[k] == 0.0 && probe.base_obj[k] != 0.0 {
+                    probe
+                        .prepared
+                        .set_objective_coeff(VarId(k), 0.0)
+                        .expect("block variable by construction");
+                }
+                probe.base_obj[k] = 0.0;
+            }
+            probe.pivots = 0;
+            Mutex::new(probe)
+        })
+        .collect();
+    let sweep = sweep_blocks(&probes, 1.0, sign, opts, executor);
+    let pivots = probes
+        .iter()
+        .map(|slot| slot.lock().expect("block state poisoned").pivots)
+        .sum();
+    (sweep, pivots)
 }
 
 /// Stitches the blocks' optimal bases into a joint [`BasisSnapshot`].
@@ -523,7 +565,16 @@ pub fn solve_decomposed(
         return solve_monolithic(p, options, report);
     }
     let satisfied = |s: &Sweep| !s.unbounded && s.phi <= budget + cpl_tol;
+    // Pivots of the probe below, which is not a multiplier iteration.
+    let mut probe_pivots = 0;
     if coupling.is_some() && !satisfied(&first) {
+        // No multiplier brings the usage below the least the blocks can
+        // reach: past the budget, the joint problem is infeasible.
+        let (least, pivots) = least_usage(&states, sign, &block_opts, executor);
+        if least.failed || (!least.unbounded && least.phi > budget + cpl_tol) {
+            return solve_monolithic(p, options, report);
+        }
+        probe_pivots = pivots;
         // Bracket: double until the blocks' optima respect the budget.
         let mut t_lo = 0.0f64;
         let mut t_hi = 1.0f64;
@@ -611,6 +662,7 @@ pub fn solve_decomposed(
         ..options.clone()
     };
     let mut basic = run_revised_warm(&joint_sf, &finish_opts, &snapshot)?;
+    basic.iterations += probe_pivots;
     for slot in &states {
         basic.iterations += slot.lock().expect("block state poisoned").pivots;
     }

@@ -27,8 +27,8 @@ pub enum LpError {
     /// feasibility within tolerance, but the final basis's
     /// artificial-owned rows no longer look like mere round-off of
     /// dependent rows. This is numerical breakdown (distinct from
-    /// proven infeasibility); callers typically retry with a stronger
-    /// perturbation rung or a rebuilt formulation.
+    /// proven infeasibility), reported as is: no engine retries with
+    /// other options.
     ResidualArtificial {
         /// Total artificial mass left on the final basis.
         residual: f64,

@@ -55,20 +55,16 @@
 //!   `O(m · n)`. Under `debug_assertions` every pricing is checked
 //!   against a full one, bit for bit.
 //! * **Anti-cycling** — the same Dantzig-with-Bland-stall-fallback rule
-//!   as the tableau engine: after [`SimplexOptions::stall_switch`]
-//!   consecutive degenerate pivots both the entering *and* the leaving
-//!   choice switch to Bland's smallest-index rule, which guarantees
-//!   termination; pricing returns to Dantzig once a pivot makes strict
-//!   progress. The deterministic right-hand-side perturbation
-//!   ([`SimplexOptions::perturbation`]) comes from the shared
-//!   `StandardForm::perturbed_b`, so both engines *start from* the
-//!   identical perturbed problem and their optimal objectives agree to
-//!   solver precision — the property the cross-engine oracle tests pin
-//!   down. (Caveat: the deep-stall *re*-perturbation escape hatch is
-//!   engine-local state; on an instance degenerate enough to trigger it
-//!   in one engine but not the other, agreement loosens to the
-//!   reperturbation scale. None of the pinned corpora reach that
-//!   regime, and with perturbation off — the default — it cannot fire.)
+//!   as the tableau engine: after 40 consecutive degenerate pivots both
+//!   the entering *and* the leaving choice switch to Bland's
+//!   smallest-index rule, which guarantees termination; pricing returns
+//!   to Dantzig once a pivot makes strict progress. The deterministic
+//!   right-hand-side perturbation ([`SimplexOptions::perturbation`])
+//!   comes from the shared `StandardForm::perturbed_b` and is the only
+//!   change either engine makes to the posed right-hand side, so both
+//!   engines solve the identical perturbed problem and their optimal
+//!   objectives agree to solver precision — the property the
+//!   cross-engine oracle tests pin down.
 //! * **Per-pivot passes over the nonzeros** — the entering column's
 //!   FTRAN visits only the positions it reaches
 //!   ([`socbuf_linalg::SparseLu::solve_reached`], Gilbert & Peierls'
@@ -101,7 +97,7 @@
 
 use socbuf_linalg::{Columns, Csr, LinalgError, Reach, SparseLu, TransposeCache};
 
-use crate::simplex::{BasicSolution, SimplexOptions, TOLERANCE};
+use crate::simplex::{BasicSolution, SimplexOptions, STALL_SWITCH, TOLERANCE};
 use crate::standard_form::StandardForm;
 use crate::LpError;
 
@@ -626,12 +622,6 @@ struct Revised<'a> {
     /// The solve's rhs perturbation magnitude (for the artificial-mass
     /// bound; see [`Revised::art_mass_bound`]).
     perturbation: f64,
-    /// Extra artificial mass legitimately introduced by deep-stall
-    /// re-perturbations (which add positive rhs noise to *every* basic
-    /// row, artificial-owned ones included) — accounted for so the
-    /// final-basis artificial-mass check stays sharp without outlawing
-    /// the escape hatch.
-    art_allowance: f64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -702,7 +692,6 @@ impl<'a> Revised<'a> {
             n_sf,
             iterations: 0,
             perturbation: options.perturbation,
-            art_allowance: 0.0,
         })
     }
 
@@ -778,7 +767,6 @@ impl<'a> Revised<'a> {
             n_sf,
             iterations: 0,
             perturbation: options.perturbation,
-            art_allowance: 0.0,
         }))
     }
 
@@ -792,15 +780,13 @@ impl<'a> Revised<'a> {
     /// numerically redundant: any value on them is round-off of their
     /// linear dependence on the enforced rows, bounded by the phase-1
     /// infeasibility threshold scaled to the right-hand side's
-    /// magnitude, plus whatever positive noise the deep-stall
-    /// re-perturbation escape hatch deliberately injected
-    /// (`art_allowance`). Mass beyond this bound means the guard's
+    /// magnitude. Mass beyond this bound means the guard's
     /// "redundant, hence ignorable" premise has broken down, and the
     /// solve must not silently report the relaxation's optimum as the
     /// problem's — [`finish_phase_two`] returns
     /// [`LpError::ResidualArtificial`] instead.
     fn art_mass_bound(&self) -> f64 {
-        art_mass_bound(self.perturbation, &self.b) + self.art_allowance
+        art_mass_bound(self.perturbation, &self.b)
     }
 
     /// FTRANs column `j` of the standard form + artificials into
@@ -1169,38 +1155,10 @@ impl<'a> Revised<'a> {
         Ok(())
     }
 
-    /// Adds a positive, feasibility-preserving perturbation to the
-    /// basic values *and* the stored right-hand side (via `b += B·δ`,
-    /// keeping `x_B = B⁻¹ b` exact) — the deep-stall escape hatch shared
-    /// conceptually with the tableau engine's `reperturb`.
-    fn reperturb(&mut self, eps: f64) {
-        let m = self.m();
-        for i in 0..m {
-            let r = crate::simplex::reperturb_factor(i);
-            let delta = eps * r * (1.0 + self.xb[i].abs());
-            self.xb[i] += delta;
-            if self.basis[i] >= self.n_sf {
-                // Noise on an artificial-owned (redundant) row is mass
-                // the final-basis check must knowingly allow.
-                self.art_allowance += delta;
-            }
-            // b += δ_i · B e_i = δ_i · a_{basis[i]}.
-            for (row, v) in column_of(&self.at, self.n_sf, &self.art_rows, self.basis[i]) {
-                self.b[row] += delta * v;
-            }
-        }
-    }
-
     /// Runs one phase to optimality / unboundedness.
-    fn run_phase(
-        &mut self,
-        phase: Phase,
-        options: &SimplexOptions,
-        max_iterations: usize,
-    ) -> Result<PhaseOutcome, LpError> {
+    fn run_phase(&mut self, phase: Phase, max_iterations: usize) -> Result<PhaseOutcome, LpError> {
         let guard = matches!(phase, Phase::Two);
         let mut stall = 0usize;
-        let mut reperturbs = 0usize;
         loop {
             if self.iterations >= max_iterations {
                 return Err(LpError::IterationLimit {
@@ -1208,7 +1166,7 @@ impl<'a> Revised<'a> {
                 });
             }
             self.price(phase)?;
-            let stalled = stall >= options.stall_switch;
+            let stalled = stall >= STALL_SWITCH;
             let Some(q) = self.enter(stalled) else {
                 // Eta-file drift can fake optimality; only a verdict from
                 // a fresh factorization is trusted.
@@ -1242,12 +1200,6 @@ impl<'a> Revised<'a> {
                 stall += 1;
             } else {
                 stall = 0;
-            }
-            if options.perturbation > 0.0 && stall >= 4 * options.stall_switch && reperturbs < 24 {
-                let eps = crate::simplex::reperturb_eps(options.perturbation, reperturbs);
-                self.reperturb(eps);
-                stall = 0;
-                reperturbs += 1;
             }
         }
     }
@@ -1490,8 +1442,7 @@ fn b_scale(b: &[f64]) -> f64 {
     1.0 + b.iter().map(|v| v.abs()).sum::<f64>()
 }
 
-/// The θ = 0 guard's redundancy bound before any re-perturbation
-/// allowance; see [`Revised::art_mass_bound`].
+/// The θ = 0 guard's redundancy bound; see [`Revised::art_mass_bound`].
 fn art_mass_bound(perturbation: f64, b: &[f64]) -> f64 {
     crate::simplex::breakdown_threshold(perturbation, b.len()) * b_scale(b)
 }
@@ -1598,7 +1549,7 @@ pub(crate) fn run_revised(
     let mut solver = Revised::new(sf, options)?;
 
     if n_art > 0 {
-        match solver.run_phase(Phase::One, options, max_iterations)? {
+        match solver.run_phase(Phase::One, max_iterations)? {
             PhaseOutcome::Optimal => {}
             PhaseOutcome::Unbounded(_) => {
                 // Phase-1 objective is bounded below by 0; cannot happen.
@@ -1620,8 +1571,8 @@ pub(crate) fn run_revised(
         solver.drive_out_artificials()?;
     }
 
-    let outcome = solver.run_phase(Phase::Two, options, max_iterations)?;
-    finish_phase_two(solver, outcome, options, max_iterations)
+    let outcome = solver.run_phase(Phase::Two, max_iterations)?;
+    finish_phase_two(solver, outcome, max_iterations)
 }
 
 /// Shared tail of the cold and warm solves: confirms the phase-2
@@ -1645,11 +1596,10 @@ pub(crate) fn run_revised(
 /// optimum of a *relaxation*, so the solve returns
 /// [`LpError::ResidualArtificial`] instead of passing silently (the
 /// warm path falls back to a cold solve on this error; the cold path
-/// surfaces it to the caller's retry ladder).
+/// reports it to the caller).
 fn finish_phase_two(
     mut solver: Revised<'_>,
     mut outcome: PhaseOutcome,
-    options: &SimplexOptions,
     max_iterations: usize,
 ) -> Result<BasicSolution, LpError> {
     let m = solver.m();
@@ -1673,7 +1623,7 @@ fn finish_phase_two(
         }
         let pivots = solver.iterations;
         match solver.dual_repair(4 * m + 100) {
-            Ok(true) => outcome = solver.run_phase(Phase::Two, options, max_iterations)?,
+            Ok(true) => outcome = solver.run_phase(Phase::Two, max_iterations)?,
             Ok(false) | Err(LpError::InvalidModel(_)) => {
                 priced = solver.iterations == pivots;
                 break;
@@ -1749,8 +1699,8 @@ pub(crate) fn run_revised_warm(
     } else {
         options.max_iterations
     };
-    match solver.run_phase(Phase::Two, options, max_iterations) {
-        Ok(outcome) => match finish_phase_two(solver, outcome, options, max_iterations) {
+    match solver.run_phase(Phase::Two, max_iterations) {
+        Ok(outcome) => match finish_phase_two(solver, outcome, max_iterations) {
             // The snapshot's redundancy verdict broke down (residual
             // artificial mass beyond the θ = 0 bound): let cold phase 1
             // re-decide which rows are genuinely redundant.
@@ -1951,7 +1901,7 @@ mod tests {
         let sf = build_standard_form(&transportation()).unwrap();
         let opts = SimplexOptions::default();
         let mut solver = Revised::new(&sf, &opts).unwrap();
-        let outcome = solver.run_phase(Phase::One, &opts, 1000).unwrap();
+        let outcome = solver.run_phase(Phase::One, 1000).unwrap();
         assert!(matches!(outcome, PhaseOutcome::Optimal));
         assert!(solver.iterations > 0, "phase 1 pivoted");
         // Phase 1 ended on a fresh factor that is still current, so the
@@ -1959,7 +1909,7 @@ mod tests {
         // cost vector: `z`'s must move though no dual of its row did.
         solver.price(Phase::Two).unwrap();
         assert!(solver.work.duals.changed().is_some());
-        let outcome = solver.run_phase(Phase::Two, &opts, 1000).unwrap();
+        let outcome = solver.run_phase(Phase::Two, 1000).unwrap();
         assert!(matches!(outcome, PhaseOutcome::Optimal));
     }
 

@@ -25,15 +25,24 @@ use crate::LpProblem;
 /// The feasibility/optimality tolerance of every engine.
 pub(crate) const TOLERANCE: f64 = 1e-9;
 
+/// Consecutive degenerate pivots after which both engines switch
+/// pricing and the ratio test from Dantzig's rule to Bland's
+/// smallest-index rule, which guarantees termination.
+pub(crate) const STALL_SWITCH: usize = 40;
+
 /// Tuning knobs for the LP engines (all three; see [`LpEngine`]).
+///
+/// The anti-cycling rule is fixed: after 40 consecutive degenerate
+/// pivots both engines price and pick the leaving row by Bland's
+/// smallest-index rule until a pivot makes strict progress, which
+/// guarantees termination. No engine re-perturbs or retries: the
+/// perturbation set here is the only change made to the posed
+/// right-hand side, and a failure is reported as it happened.
 #[derive(Debug, Clone)]
 pub struct SimplexOptions {
     /// Maximum number of pivots across both phases. `0` selects an
     /// automatic limit of `max(20_000, 50 * (rows + cols))`.
     pub max_iterations: usize,
-    /// Number of consecutive degenerate pivots after which pricing
-    /// switches from Dantzig to Bland's anti-cycling rule.
-    pub stall_switch: usize,
     /// Magnitude of the deterministic right-hand-side perturbation used
     /// to break massive degeneracy (`0.0` = off, the default). Highly
     /// degenerate equality systems — occupation-measure LPs chief among
@@ -70,7 +79,6 @@ impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
             max_iterations: 0,
-            stall_switch: 40,
             perturbation: 0.0,
             equilibrate: true,
             engine: LpEngine::default(),
@@ -88,19 +96,6 @@ impl SimplexOptions {
             ..self.clone()
         }
     }
-}
-
-/// Per-row factor of the deep-stall *re*-perturbation (Fibonacci
-/// hashing), shared by both engines for the same reason
-/// `StandardForm::perturbed_b` is: the formula must not drift apart
-/// between them.
-pub(crate) fn reperturb_factor(i: usize) -> f64 {
-    ((i.wrapping_mul(0x9e3779b9) >> 7) % 997 + 1) as f64 / 997.0
-}
-
-/// Escalating magnitude of the `k`-th re-perturbation, shared likewise.
-pub(crate) fn reperturb_eps(perturbation: f64, reperturbs: usize) -> f64 {
-    perturbation * (1u64 << reperturbs.min(12)) as f64
 }
 
 /// The absolute threshold separating round-off from structural
@@ -141,10 +136,6 @@ struct Tableau {
     /// Columns that may never (re-)enter the basis (artificials in ph. 2).
     banned: Vec<bool>,
     tol: f64,
-    /// Total noise mass injected by deep-stall re-perturbations — the
-    /// deactivated-row residual bound must knowingly allow it (the
-    /// tableau's analog of the revised engine's `art_allowance`).
-    reperturb_mass: f64,
 }
 
 impl Tableau {
@@ -218,20 +209,6 @@ impl Tableau {
             if self.active[i] {
                 self.d[self.basis[i]] = 0.0;
             }
-        }
-    }
-
-    /// Adds positive pseudo-random noise to the canonical rhs of every
-    /// active row — feasibility-preserving degeneracy breaking.
-    fn reperturb(&mut self, eps: f64) {
-        for i in 0..self.a.rows() {
-            if !self.active[i] {
-                continue;
-            }
-            let r = reperturb_factor(i);
-            let delta = eps * r * (1.0 + self.b[i].abs());
-            self.b[i] += delta;
-            self.reperturb_mass += delta;
         }
     }
 
@@ -464,18 +441,15 @@ fn run_phase(
     t: &mut Tableau,
     iterations: &mut usize,
     max_iterations: usize,
-    stall_switch: usize,
-    perturbation: f64,
 ) -> Result<PhaseOutcome, LpError> {
     let mut stall = 0usize;
-    let mut reperturbs = 0usize;
     loop {
         if *iterations >= max_iterations {
             return Err(LpError::IterationLimit {
                 limit: max_iterations,
             });
         }
-        let stalled = stall >= stall_switch;
+        let stalled = stall >= STALL_SWITCH;
         let enter = if stalled {
             t.enter_bland()
         } else {
@@ -494,15 +468,6 @@ fn run_phase(
             stall += 1;
         } else {
             stall = 0;
-        }
-        // Deep stall: the initial perturbation has been cancelled away.
-        // Re-perturb the canonical rhs (positive amounts keep the basis
-        // feasible) with growing magnitude and go back to Dantzig.
-        if perturbation > 0.0 && stall >= 4 * stall_switch && reperturbs < 24 {
-            let eps = reperturb_eps(perturbation, reperturbs);
-            t.reperturb(eps);
-            stall = 0;
-            reperturbs += 1;
         }
     }
 }
@@ -559,7 +524,6 @@ pub(crate) fn run_simplex(
         active: vec![true; m],
         banned: vec![false; total],
         tol,
-        reperturb_mass: 0.0,
     };
 
     let mut iterations = 0usize;
@@ -576,13 +540,7 @@ pub(crate) fn run_simplex(
         let mut verdict = PhaseOutcome::Optimal;
         for attempt in 0..2 {
             t.canonicalize_costs(&c1);
-            verdict = run_phase(
-                &mut t,
-                &mut iterations,
-                max_iterations,
-                options.stall_switch,
-                options.perturbation,
-            )?;
+            verdict = run_phase(&mut t, &mut iterations, max_iterations)?;
             match verdict {
                 PhaseOutcome::Optimal => break,
                 PhaseOutcome::Unbounded(_) if attempt == 0 => continue,
@@ -647,13 +605,7 @@ pub(crate) fn run_simplex(
     let mut verdict = PhaseOutcome::Optimal;
     for attempt in 0..2 {
         t.canonicalize_costs(&c2);
-        verdict = run_phase(
-            &mut t,
-            &mut iterations,
-            max_iterations,
-            options.stall_switch,
-            options.perturbation,
-        )?;
+        verdict = run_phase(&mut t, &mut iterations, max_iterations)?;
         match verdict {
             PhaseOutcome::Optimal => break,
             PhaseOutcome::Unbounded(_) if attempt == 0 => continue,
@@ -701,13 +653,7 @@ pub(crate) fn run_simplex(
             break;
         }
         t.canonicalize_costs(&c2);
-        verdict = run_phase(
-            &mut t,
-            &mut iterations,
-            max_iterations,
-            options.stall_switch,
-            options.perturbation,
-        )?;
+        verdict = run_phase(&mut t, &mut iterations, max_iterations)?;
     }
     if let PhaseOutcome::Unbounded(col) = verdict {
         return Err(LpError::Unbounded { column: col });
@@ -742,8 +688,7 @@ pub(crate) fn run_simplex(
         residual += (ax - b0[i]).abs();
     }
     let bound = breakdown_threshold(options.perturbation, m)
-        * (1.0 + b0.iter().map(|v| v.abs()).sum::<f64>())
-        + t.reperturb_mass;
+        * (1.0 + b0.iter().map(|v| v.abs()).sum::<f64>());
     if residual > bound {
         return Err(LpError::ResidualArtificial { residual, bound });
     }

@@ -26,8 +26,9 @@ use socbuf_lp::{LpProblem, LpSolution, PreparedLp, SimplexOptions};
 use socbuf_soc::templates::{self, random_architecture, RandomArchParams};
 use socbuf_soc::Architecture;
 
-/// The solve ladder's first rung, on which every corpus LP solves.
-fn first_rung(config: &SizingConfig) -> SimplexOptions {
+/// The simplex options every sizing solve runs with, on which every
+/// corpus LP solves.
+fn sizing_options(config: &SizingConfig) -> SimplexOptions {
     SimplexOptions {
         perturbation: 1e-6,
         max_iterations: 30_000,
@@ -75,7 +76,7 @@ fn audit(prepared: &PreparedLp, sol: &LpSolution, label: &str) -> (usize, usize)
 /// pins.
 fn cold(p: LpProblem, config: &SizingConfig, label: &str) -> Option<(usize, usize)> {
     let mut prepared = PreparedLp::new_with_scaling(p, config.equilibrate).expect("assembles");
-    let sol = prepared.solve_with(&first_rung(config)).ok()?;
+    let sol = prepared.solve_with(&sizing_options(config)).ok()?;
     Some(audit(&prepared, &sol, label))
 }
 
@@ -114,7 +115,7 @@ fn a_figure1_load_chain_recovers_duals_bitwise_on_each_factor() {
     let arch = templates::figure1();
     let config = SizingConfig::small();
     let build = |factor: f64| sizing_lp(&arch.scale_rates(factor, 1.0).unwrap(), 22, &config);
-    let opts = first_rung(&config);
+    let opts = sizing_options(&config);
     let mut prepared = PreparedLp::new_with_scaling(build(0.5), config.equilibrate).unwrap();
     let first = prepared.solve_with(&opts).unwrap();
     let mut basis = first.basis_snapshot();

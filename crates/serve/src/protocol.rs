@@ -1397,7 +1397,7 @@ mod tests {
         "health",
         "drain",
     ];
-    const FLOAT_KEYS: [&str; 15] = [
+    const FLOAT_KEYS: [&str; 12] = [
         "load_factor",
         "offered_rate",
         "predicted_loss",
@@ -1405,9 +1405,6 @@ mod tests {
         "service_rate",
         "weight",
         "rate",
-        "alpha",
-        "quantile",
-        "bus_effort_limit",
         "efforts",
         "predicted_loss_rate",
         "budget_shadow_price",

@@ -874,8 +874,17 @@ fn malformed_size_frames() -> Vec<(&'static str, String, &'static str)> {
             size_frame(Some(&a), Some("{\"cap\":8}"), Some("24")),
             concat!(
                 r#"{"v":2,"ok":false,"error":"schema error: config: unknown field \"cap\" "#,
-                r#"(expected one of [\"state_cap\", \"effort_levels\", \"alpha\", "#,
-                r#"\"quantile\", \"bus_effort_limit\", \"engine\", \"equilibrate\"])"}"#
+                r#"(expected one of [\"state_cap\", \"effort_levels\", \"engine\", "#,
+                r#"\"equilibrate\"])"}"#
+            ),
+        ),
+        (
+            "config with the fixed budget-row tightness",
+            size_frame(Some(&a), Some("{\"alpha\":0.5}"), Some("24")),
+            concat!(
+                r#"{"v":2,"ok":false,"error":"schema error: config: unknown field \"alpha\" "#,
+                r#"(expected one of [\"state_cap\", \"effort_levels\", \"engine\", "#,
+                r#"\"equilibrate\"])"}"#
             ),
         ),
         (

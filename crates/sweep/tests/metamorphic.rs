@@ -139,13 +139,11 @@ proptest! {
     }
 
     /// The warm-started sweep keeps the same monotone shape. Warm and
-    /// cold solves of one point agree to solver precision (both end on
-    /// a strict primal-feasible optimal basis of the same perturbed
-    /// problem), so the guard is only slightly looser than the cold
-    /// property's: 1e-6-relative, covering the one legitimate
-    /// divergence left — a warm chain that converges at an earlier
-    /// perturbation-ladder rung than its cold twin solves a less
-    /// perturbed problem.
+    /// cold solves of one point run the same simplex options and agree
+    /// to solver precision (both end on a strict primal-feasible
+    /// optimal basis of the same perturbed problem), so the guard is
+    /// only slightly looser than the cold property's: 1e-6-relative,
+    /// the scale of the right-hand-side perturbation both solve under.
     #[test]
     fn warm_started_loss_is_monotone_up_to_solver_noise(seed in 0usize..10_000) {
         let arch = random_architecture(seed as u64, &RandomArchParams::default());

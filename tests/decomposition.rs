@@ -17,8 +17,14 @@
 //!   (infeasible) budget row — behaving exactly like the revised path,
 //!   budget-relax semantics included.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use socbuf::lp::{solve_decomposed, verify_optimality, LpEngine, LpProblem, SimplexOptions};
+use socbuf::lp::{
+    solve_decomposed, verify_optimality, ExecutorHandle, LpEngine, LpError, LpProblem,
+    SimplexOptions, SolveExecutor,
+};
 use socbuf::sizing::{size_buffers, SizingConfig, SizingLp};
 use socbuf::soc::templates::{self, RandomArchParams};
 use socbuf::soc::Architecture;
@@ -195,6 +201,38 @@ fn relaxed_budget_row_keeps_parity_with_revised() {
         dec.predicted_loss_rate,
         mono.predicted_loss_rate
     );
+}
+
+/// Counts the block sweeps a decomposed solve runs: each sweep hands
+/// the executor one batch of block solves.
+#[derive(Default)]
+struct SweepCounter(AtomicUsize);
+
+impl SolveExecutor for SweepCounter {
+    fn run_indexed(&self, n: usize, job: &(dyn Fn(usize) + Sync)) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        (0..n).for_each(job);
+    }
+}
+
+#[test]
+fn a_budget_no_block_can_meet_is_infeasible_after_two_sweeps() {
+    // amba at `small()` cannot hold its least expected occupancy in
+    // α · 5 units. The t = 0 sweep misses the budget and the probe of
+    // the blocks' least usage proves no multiplier can meet it, so the
+    // monolithic path reports `Infeasible` without a multiplier search.
+    let lp = SizingLp::build(&templates::amba(), 5, &cfg(LpEngine::Decomposed)).unwrap();
+    let counter = Arc::new(SweepCounter::default());
+    let opts = SimplexOptions {
+        perturbation: 1e-6,
+        max_iterations: 30_000,
+        executor: ExecutorHandle::new(counter.clone()),
+        ..SimplexOptions::default()
+    };
+    let got = solve_decomposed(lp.problem(), &opts).map(|_| ());
+    assert!(matches!(got, Err(LpError::Infeasible { .. })), "{got:?}");
+    let sweeps = counter.0.load(Ordering::Relaxed);
+    assert!(sweeps <= 2, "{sweeps} block sweeps");
 }
 
 #[test]

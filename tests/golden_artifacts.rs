@@ -51,9 +51,6 @@ fn golden_config(engine: LpEngine) -> SizingConfig {
     SizingConfig {
         state_cap: 8,
         effort_levels: 3,
-        alpha: 0.5,
-        quantile: 0.98,
-        bus_effort_limit: 1.0,
         engine,
         // The default. These templates are well conditioned, so the
         // equilibration trigger never fires and every golden value

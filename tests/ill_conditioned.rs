@@ -24,8 +24,8 @@ use socbuf::lp::{verify_optimality, LpEngine, LpError, PreparedLp, SimplexOption
 use socbuf::sizing::{size_buffers, SizingConfig, SizingLp, SolveContext};
 use socbuf::soc::templates;
 
-/// The solve-ladder's first rung, with the engine and equilibration
-/// knob explicit. Perturbation 1e-6 mirrors what the sizing pipeline
+/// The sizing solve's rhs perturbation, with the engine and
+/// equilibration knob explicit. Perturbation 1e-6 mirrors what the sizing pipeline
 /// actually runs with, so certificates are checked at 1e-4 (comfortably
 /// above perturbation dust, far below any genuine violation — the bug
 /// class this suite polices produced violations of 1e-4..1e0).
