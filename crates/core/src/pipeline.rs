@@ -210,12 +210,13 @@ impl SolveContext {
     /// A copy of this context for a chain that starts at another point.
     /// The copy's first solve retargets the copied form and tries only
     /// the rhs-only shortcut on the factor this context kept
-    /// ([`socbuf_lp::PreparedLp::solve_kept`]). If the shortcut answers, the point costs one triangular
-    /// solve and zero pivots. If it cannot (the basis is infeasible at
-    /// the new point, or the retarget was a coefficient delta, which
-    /// drops the factor), the copy solves cold exactly as a fresh
-    /// context would, without attempting a warm repair. Later solves on
-    /// the copy warm-start as usual.
+    /// ([`socbuf_lp::PreparedLp::solve_kept`]). If the shortcut
+    /// answers, the point costs one triangular solve and zero pivots.
+    /// If it cannot (the basis is infeasible at the new point, or the
+    /// retarget was a coefficient delta, which drops the factor), the
+    /// copy solves cold exactly as a fresh context would, without
+    /// attempting a warm repair. Later solves on the copy warm-start as
+    /// usual.
     ///
     /// A context with no kept factor (never solved, last point relaxed,
     /// or an engine that keeps none) yields a fresh context.

@@ -128,7 +128,8 @@ pub struct DecompReport {
     pub coupling_row: Option<usize>,
     /// Final budget multiplier the search settled on.
     pub multiplier: f64,
-    /// Number of multiplier iterations (full sweeps of block solves).
+    /// Number of multiplier iterations (full sweeps of block solves;
+    /// the least-usage probe is not one).
     pub multiplier_iterations: usize,
     /// Whether the solve fell back to the monolithic revised path (no
     /// usable declared structure, or persistent block-level failure).
