@@ -46,7 +46,12 @@
 //!   [`LOAD_POINT_PIVOTS`]. Work that does not move a pivot (pricing
 //!   less, factoring faster) leaves them and the grid counts be; a
 //!   change in any of them means the solver now takes a different
-//!   path, which must be explained, not re-pinned.
+//!   path, which must be explained, not re-pinned;
+//! * **pricing counts** — that cold size's LP, solved once, prices
+//!   exactly as [`COLD_LP_PRICING`] says: pricings, the ones that
+//!   recomputed every reduced cost, and reduced costs recomputed.
+//!   Pricing only what moved changes no pivot and no bit, so no other
+//!   gate sees it slip back to full passes; these counts do.
 //!
 //! Without a flag the probe prints the wall time of each grid per
 //! worker count, the 8- vs 1-worker warm-sweep ratio over
@@ -56,7 +61,7 @@ use socbuf_bench::alloc::{count, CountingAlloc, Counts};
 use socbuf_bench::probe::{self, alternated_ratio, best_of, ratio, smoke_sizing, Gate, OrExit};
 use socbuf_core::formulation::ALPHA;
 use socbuf_core::{size_buffers, SizingConfig, SizingLp, SolveContext};
-use socbuf_lp::{LpSolution, PreparedLp, SimplexOptions};
+use socbuf_lp::{LpSolution, PreparedLp, PricingCounts, SimplexOptions};
 use socbuf_soc::{templates, Architecture};
 use socbuf_sweep::{BudgetSweep, SweepReport, WorkPool};
 
@@ -75,15 +80,17 @@ const CHAIN_START_ALLOCS: u64 = 60;
 const WARM_POINT_ALLOCS: u64 = 30;
 
 /// Most allocations a load point (a coefficient delta, re-solved warm)
-/// may make on `figure1`. It measures 144 (664 while every FTRAN,
+/// may make on `figure1`. It measures 148 (664 while every FTRAN,
 /// BTRAN, pricing pass and eta allocated; 136 before the eta file kept
-/// a reader index for its incremental sweep).
+/// a reader index for its incremental sweep; 144 before pricing kept
+/// its sweep input, `ρ` and a stamp per column in buffers of their own
+/// and indexed every factor for its transposed solve).
 const LOAD_POINT_ALLOCS: u64 = 152;
 
 /// Most allocations a cold `size_buffers` may make on `figure1`. It
-/// measures 386, 117 of them in `SizingLp::build` (1,058 while the
+/// measures 389, 117 of them in `SizingLp::build` (1,058 while the
 /// build formatted a name per variable, 2,755 while the LP allocated
-/// per pivot).
+/// per pivot, 386 before pricing's three buffers).
 const COLD_SIZE_ALLOCS: u64 = 424;
 
 /// Most allocations the `SizingLp::build` of that cold `size_buffers`
@@ -95,6 +102,16 @@ const COLD_BUILD_ALLOCS: u64 = 128;
 /// Pivots of the cold `size_buffers` at budget 22 on `figure1` at
 /// `SizingConfig::small()`.
 const COLD_SIZE_PIVOTS: usize = 90;
+
+/// The revised engine's pricing work on the LP of that cold
+/// `size_buffers`, solved once: pricings, how many recomputed every
+/// reduced cost, and the reduced costs recomputed. A pricing that goes
+/// back to full passes moves no pivot and no bit, only these counts.
+const COLD_LP_PRICING: PricingCounts = PricingCounts {
+    pricings: 93,
+    full: 2,
+    reduced_costs: 2203,
+};
 
 /// Pivots of the load point (factor 1.1 at budget 25) along the seeded
 /// `figure1` chain.
@@ -288,6 +305,32 @@ fn print_chain_allocs(a: &ChainAllocs) {
     );
 }
 
+/// Pivots and pricing counts of the cold `size_buffers`' LP (`figure1`,
+/// `SizingConfig::small()`, budget 22), built and solved once with the
+/// sizing options.
+fn cold_lp_work() -> (usize, PricingCounts) {
+    let arch = templates::figure1();
+    let lp = SizingLp::build(&arch, 22, &SizingConfig::small()).or_exit("cold build");
+    let sol = lp
+        .problem()
+        .solve_with(&sizing_options())
+        .or_exit("cold LP");
+    (sol.iterations(), sol.pricing_counts())
+}
+
+/// The pricing-count gate: exact, as the pivot counts are.
+fn gate_cold_lp_pricing(gate: &mut Gate) {
+    let (pivots, counts) = cold_lp_work();
+    println!("figure1 small(): the cold size's LP, {pivots} pivots: {counts:?}");
+    gate.check(
+        pivots == COLD_SIZE_PIVOTS && counts == COLD_LP_PRICING,
+        format_args!(
+            "the cold size's LP took {pivots} pivots and priced {counts:?} \
+             (want {COLD_SIZE_PIVOTS} and {COLD_LP_PRICING:?})"
+        ),
+    );
+}
+
 /// The allocation-count gates. A zero count means the allocator is not
 /// installed, which fails the gate instead of passing it.
 fn gate_chain_allocs(gate: &mut Gate) {
@@ -384,6 +427,7 @@ fn smoke(gate: &mut Gate) {
 
     // --- Allocation counts along a seeded figure1 chain. ---------------
     gate_chain_allocs(gate);
+    gate_cold_lp_pricing(gate);
 
     // --- Zero-pivot points along a SolveContext chain. -----------------
     let zero = zero_pivot_points(&np, &grid, &sizing);

@@ -39,11 +39,12 @@
 //! A simplex prices with one transposed solve per pivot, and between two
 //! pricings only a few entries of the right-hand side change bits.
 //! [`SparseLu::solve_transpose_cached`] keeps the last input and both
-//! sweeps' results in a [`TransposeCache`] and re-runs only the entries
-//! whose input changed bits or that read an entry which did, so its
-//! answer is bitwise [`SparseLu::solve_transpose_in_place`]'s at the cost
-//! of what moved (Hall & McKinnon's hyper-sparsity, without reordering a
-//! single sum).
+//! sweeps' results in a [`TransposeCache`]. Told which inputs may have
+//! moved, it compares only those, re-runs only the entries whose input
+//! changed bits or that read an entry which did, and writes only the
+//! entries of the answer whose bits change. So its answer is bitwise
+//! [`SparseLu::solve_transpose_in_place`]'s at the cost of what moved
+//! (Hall & McKinnon's hyper-sparsity, without reordering a single sum).
 //!
 //! The same elimination serves the dense kernel's pivot rule
 //! ([`solve_transpose_cols`], [`solve_transpose_resumed`]), which
@@ -714,7 +715,7 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Solves `Aᵀ x = b` in place, bitwise as
+    /// Solves `Aᵀ x = b` into `x`, bitwise as
     /// [`SparseLu::solve_transpose_in_place`] does, re-running only what
     /// changed since the last solve `cache` saw.
     ///
@@ -729,54 +730,124 @@ impl SparseLu {
     /// `k` of `L` reads did, highest first. A re-run entry does the
     /// in-place solve's sum over the same stored entries in the same
     /// order, and an entry whose result keeps its bits wakes no reader.
-    /// The first solve on a factor runs every entry, in order, so it
-    /// wakes none. A cache last used with another factor (a
+    /// The first solve on a factor runs every entry, in the in-place
+    /// solve's loops. A cache last used with another factor (a
     /// refactorization, say) starts over the same way, so a cache never
     /// needs resetting. Who reads each position comes from a reverse
-    /// index of `U` and `L`, which the second solve on a factor builds.
-    /// [`TransposeCache::changed`] names the entries of `x` whose bits
-    /// the solve changed.
+    /// index of `U` and `L`, which the first solve on a factor builds
+    /// as it reads their entries.
+    ///
+    /// `moved` names the positions where `b` may differ from the last
+    /// input (any order, repeats allowed): only those are compared, and
+    /// `b` must keep the last input's bits everywhere else. `None`
+    /// compares every position. The first solve on a factor reads all of
+    /// `b` whatever `moved` says.
+    ///
+    /// `x` holds an earlier answer on entry, and the solve writes only
+    /// the entries whose bits differ from it; [`TransposeCache::changed`]
+    /// names them. The first solve on a factor compares every entry with
+    /// what `x` holds, so `x` may be any vector then, the last answer on
+    /// another factor say. After that `x` must hold the answer of the
+    /// cache's last solve: an entry that does not re-run is not read.
     ///
     /// The first solve on a factor costs what the in-place solve does,
-    /// and the second adds `O(nnz(L) + nnz(U))` for the index. After
-    /// that the cost is `O(n)` to compare the input and write the
-    /// answer, plus the stored entries of the columns that re-run. The
-    /// cache's buffers keep their capacity, so only a factor with more
-    /// entries than any before it makes the solve allocate.
+    /// plus a store per stored entry for the index. After that the cost
+    /// is the `moved` positions, the stored entries of the
+    /// columns that re-run, and a scan of three bitsets of `n / 64`
+    /// words. The cache's buffers keep their capacity, so only a factor
+    /// with more entries than any before it makes the solve allocate.
     ///
     /// # Errors
     ///
-    /// [`LinalgError::DimensionMismatch`] if `x` is not `self.dim()`
-    /// long.
+    /// [`LinalgError::DimensionMismatch`] if `b` or `x` is not
+    /// `self.dim()` long; [`LinalgError::IndexOutOfRange`] for a moved
+    /// position `≥ self.dim()`, after which the cache starts over.
     pub fn solve_transpose_cached(
         &self,
+        b: &[f64],
+        moved: Option<&[usize]>,
         x: &mut [f64],
         cache: &mut TransposeCache,
     ) -> Result<(), LinalgError> {
+        self.check_len(b)?;
         self.check_len(x)?;
         let n = self.n;
         let full = cache.factor != self.id;
         if full {
             cache.reset(self);
-        } else if !cache.indexed {
-            cache.index(self);
         }
-        cache.incremental = !full;
         let words = n.div_ceil(64);
         let TransposeCache {
             last,
-            start,
-            readers,
+            head,
+            links,
             marks,
             ..
         } = cache;
         let (forward, rest) = marks.split_at_mut(words);
         let (backward, changed) = rest.split_at_mut(words);
         changed.fill(0);
-        for (j, (&b, last)) in x.iter().zip(last.iter_mut()).enumerate() {
-            if full || b.to_bits() != last[0].to_bits() {
-                last[0] = b;
-                mark(forward, j);
+        if full {
+            // Both sweeps of the in-place solve, keeping every result,
+            // and putting each entry they read at the front of its
+            // position's reader list: the reverse index, at the cost of
+            // a store beside each product. Stored entry `p` of `U` is
+            // link `p`, of `L` link `nnz(U) + p`.
+            let (u_links, l_links) = links.split_at_mut(self.u_pos.len());
+            for j in 0..n {
+                let mut acc = b[j];
+                for p in self.u_start[j]..self.u_start[j + 1] {
+                    let k = self.u_pos[p];
+                    acc -= self.u_val[p] * last[k][1];
+                    u_links[p] = (j as u32, head[k]);
+                    head[k] = p as u32;
+                }
+                last[j] = [b[j], acc / self.u_diag[j], 0.0];
+            }
+            let offset = self.u_pos.len();
+            for k in (0..n).rev() {
+                let mut acc = last[k][1];
+                for p in self.l_start[k]..self.l_start[k + 1] {
+                    let q = self.l_pos[p];
+                    acc -= self.l_val[p] * last[q][2];
+                    l_links[p] = (k as u32, head[n + q]);
+                    head[n + q] = (offset + p) as u32;
+                }
+                last[k][2] = acc;
+                let r = self.pivot_row[k];
+                if acc.to_bits() != x[r].to_bits() {
+                    x[r] = acc;
+                    mark(changed, r);
+                }
+            }
+            return Ok(());
+        }
+        match moved {
+            Some(moved) => {
+                for &j in moved {
+                    let Some(last) = last.get_mut(j) else {
+                        forward.fill(0);
+                        cache.factor = 0;
+                        return Err(LinalgError::IndexOutOfRange {
+                            row: j,
+                            col: 0,
+                            rows: n,
+                            cols: 1,
+                        });
+                    };
+                    if b[j].to_bits() != last[0].to_bits() {
+                        last[0] = b[j];
+                        mark(forward, j);
+                    }
+                }
+            }
+            None => {
+                for (j, (&b, last)) in b.iter().zip(last.iter_mut()).enumerate() {
+                    if b.to_bits() != last[0].to_bits() {
+                        last[0] = b;
+                        mark(forward, j);
+                    }
+                }
             }
         }
         // Forward: an update only wakes later positions, which the scan
@@ -790,19 +861,18 @@ impl SparseLu {
                     acc -= self.u_val[p] * last[self.u_pos[p]][1];
                 }
                 let wj = acc / self.u_diag[j];
-                if full || wj.to_bits() != last[j][1].to_bits() {
+                if wj.to_bits() != last[j][1].to_bits() {
                     last[j][1] = wj;
                     mark(backward, j);
-                    if !full {
-                        for &r in &readers[start[j]..start[j + 1]] {
-                            mark(forward, r);
-                        }
+                    for r in readers(head, links, j) {
+                        mark(forward, r);
                     }
                 }
             }
         }
         // Backward: an update only wakes earlier positions, which the
-        // scan reaches the same way, highest bit first.
+        // scan reaches the same way, highest bit first. An entry whose
+        // bits change is written to the answer.
         for w in (0..words).rev() {
             while backward[w] != 0 {
                 let bit = 63 - backward[w].leading_zeros() as usize;
@@ -812,19 +882,16 @@ impl SparseLu {
                 for p in self.l_start[k]..self.l_start[k + 1] {
                     acc -= self.l_val[p] * last[self.l_pos[p]][2];
                 }
-                if full || acc.to_bits() != last[k][2].to_bits() {
+                if acc.to_bits() != last[k][2].to_bits() {
                     last[k][2] = acc;
-                    mark(changed, self.pivot_row[k]);
-                    if !full {
-                        for &r in &readers[start[n + k]..start[n + k + 1]] {
-                            mark(backward, r);
-                        }
+                    let r = self.pivot_row[k];
+                    x[r] = acc;
+                    mark(changed, r);
+                    for r in readers(head, links, n + k) {
+                        mark(backward, r);
                     }
                 }
             }
-        }
-        for (k, &r) in self.pivot_row.iter().enumerate() {
-            x[r] = last[k][2];
         }
         Ok(())
     }
@@ -910,19 +977,15 @@ impl SparseLu {
 pub struct TransposeCache {
     /// The id of the factor the state belongs to; 0 before any solve.
     factor: u64,
-    /// Whether `start` and `readers` index that factor.
-    indexed: bool,
-    /// Whether the last solve re-ran only what changed.
-    incremental: bool,
     /// Per elimination position `j`: the last input `b_j`, the forward
     /// result `w_j` and the backward result `v_j`.
     last: Vec<[f64; 3]>,
-    /// Who reads each position, in compressed form: for `k < n`,
-    /// `readers[start[k]..start[k + 1]]` are the columns of `U` holding
-    /// position `k`; for `k = n + q`, the columns of `L` holding
-    /// position `q`.
-    start: Vec<usize>,
-    readers: Vec<usize>,
+    /// Who reads each position, as lists: for `k < n`, the list from
+    /// `head[k]` holds the columns of `U` holding position `k`; for
+    /// `k = n + q`, the columns of `L` holding position `q`. Link `p` is
+    /// `links[p] = (column, next link)`, [`NO_LINK`] ending a list.
+    head: Vec<u32>,
+    links: Vec<(u32, u32)>,
     /// Three bitsets of `n.div_ceil(64)` words: the positions the
     /// forward sweep must re-run, those the backward sweep must re-run,
     /// and the entries of the last answer that changed bits.
@@ -935,57 +998,48 @@ impl TransposeCache {
         TransposeCache::default()
     }
 
-    /// The entries of the last answer whose bits differ from the answer
-    /// before it, in increasing order. `None` when the last solve ran in
-    /// full (the first on its factor), after which any entry may differ.
-    pub fn changed(&self) -> Option<impl Iterator<Item = usize> + '_> {
+    /// The entries of `x` whose bits the last solve changed, in
+    /// increasing order.
+    pub fn changed(&self) -> impl Iterator<Item = usize> + '_ {
         let words = self.last.len().div_ceil(64);
-        self.incremental.then(|| ones(&self.marks[2 * words..]))
+        ones(&self.marks[2 * words..])
     }
 
-    /// Sizes the state for `lu`, whose first solve runs in full.
+    /// Sizes the state for `lu`, whose first solve runs in full and
+    /// indexes it.
     fn reset(&mut self, lu: &SparseLu) {
+        assert!(
+            lu.n.max(lu.u_pos.len() + lu.l_pos.len()) < NO_LINK as usize,
+            "a reader list numbers columns and links in 32 bits"
+        );
         self.factor = lu.id;
-        self.indexed = false;
-        self.last.clear();
         self.last.resize(lu.n, [0.0; 3]);
+        self.head.clear();
+        self.head.resize(2 * lu.n, NO_LINK);
+        self.links.clear();
+        self.links
+            .resize(lu.u_pos.len() + lu.l_pos.len(), (NO_LINK, NO_LINK));
         self.marks.clear();
         self.marks.resize(3 * lu.n.div_ceil(64), 0);
     }
+}
 
-    /// Builds `lu`'s reverse index: a count per position, a prefix sum,
-    /// then a fill that advances each position's offset to the next
-    /// one's, shifted back after.
-    fn index(&mut self, lu: &SparseLu) {
-        let n = lu.n;
-        self.indexed = true;
-        let start = &mut self.start;
-        start.clear();
-        start.resize(2 * n + 1, 0);
-        for &k in &lu.u_pos {
-            start[k + 1] += 1;
-        }
-        for &q in &lu.l_pos {
-            start[n + q + 1] += 1;
-        }
-        for k in 0..2 * n {
-            start[k + 1] += start[k];
-        }
-        self.readers.clear();
-        self.readers.resize(start[2 * n], 0);
-        for j in 0..n {
-            for &k in &lu.u_pos[lu.u_start[j]..lu.u_start[j + 1]] {
-                self.readers[start[k]] = j;
-                start[k] += 1;
-            }
-            for &q in &lu.l_pos[lu.l_start[j]..lu.l_start[j + 1]] {
-                self.readers[start[n + q]] = j;
-                start[n + q] += 1;
-            }
-        }
-        start.copy_within(0..2 * n, 1);
-        start[0] = 0;
-    }
+/// Ends a reader list of a [`TransposeCache`].
+const NO_LINK: u32 = u32::MAX;
+
+/// The columns on the reader list of position `k` (see
+/// [`TransposeCache`]'s `head`).
+fn readers<'a>(
+    head: &[u32],
+    links: &'a [(u32, u32)],
+    k: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut link = head[k];
+    std::iter::from_fn(move || {
+        let (column, next) = *links.get(link as usize)?;
+        link = next;
+        Some(column as usize)
+    })
 }
 
 /// The positions a [`SparseLu::solve_reached`] reached, one byte each,
@@ -1334,7 +1388,10 @@ mod tests {
         ];
         let mut cache = TransposeCache::new();
         let mut b = vec![1.0; n];
-        let mut previous: Option<(usize, Vec<f64>)> = None;
+        // The answer persists between solves, each writing only the
+        // entries whose bits change.
+        let mut got = vec![f64::NAN; n];
+        let mut previous = got.clone();
         for (step, &(f, edits)) in steps.iter().enumerate() {
             for &(i, v) in edits {
                 b[i] = v;
@@ -1343,21 +1400,39 @@ mod tests {
             lus[f]
                 .solve_transpose_in_place(&mut want, &mut vec![0.0; n])
                 .unwrap();
-            let mut got = b.clone();
-            lus[f].solve_transpose_cached(&mut got, &mut cache).unwrap();
+            // Name the edited positions (a full solve ignores them),
+            // every other one too.
+            let moved: Vec<usize> = edits.iter().map(|&(i, _)| i).collect();
+            let moved = (step % 3 != 2).then_some(&moved[..]);
+            lus[f]
+                .solve_transpose_cached(&b, moved, &mut got, &mut cache)
+                .unwrap();
             assert_eq!(bits(&got), bits(&want), "step {step}");
-            match &previous {
-                Some((g, last)) if *g == f => {
-                    let moved: Vec<usize> = (0..n)
-                        .filter(|&i| got[i].to_bits() != last[i].to_bits())
-                        .collect();
-                    let changed: Vec<usize> = cache.changed().expect("incremental").collect();
-                    assert_eq!(changed, moved, "step {step}");
-                }
-                _ => assert!(cache.changed().is_none(), "step {step} ran in full"),
-            }
-            previous = Some((f, got));
+            // Whether the factor is new or not, the changed entries are
+            // those whose bits differ from the answer before.
+            let moved: Vec<usize> = (0..n)
+                .filter(|&i| got[i].to_bits() != previous[i].to_bits())
+                .collect();
+            assert_eq!(cache.changed().collect::<Vec<_>>(), moved, "step {step}");
+            previous.clone_from(&got);
         }
+        assert!(
+            lus[0]
+                .solve_transpose_cached(&b, Some(&[n]), &mut got, &mut cache)
+                .is_err(),
+            "a moved position out of range"
+        );
+        // The cache starts over: the next solve reads all of `b`, even a
+        // position no list names.
+        b[1] = -2.0;
+        let mut want = b.clone();
+        lus[0]
+            .solve_transpose_in_place(&mut want, &mut vec![0.0; n])
+            .unwrap();
+        lus[0]
+            .solve_transpose_cached(&b, Some(&[]), &mut got, &mut cache)
+            .unwrap();
+        assert_eq!(bits(&got), bits(&want), "an error starts the cache over");
     }
 
     #[test]
@@ -1630,6 +1705,7 @@ mod proptests {
             return;
         };
         let mut cache = TransposeCache::new();
+        let mut got = vec![f64::NAN; n];
         for step in 0..=edits.len() {
             if let Some(&(i, v)) = step.checked_sub(1).map(|e| &edits[e]) {
                 b[i % n] = RHS[v];
@@ -1637,8 +1713,11 @@ mod proptests {
             let mut want = b.clone();
             lu.solve_transpose_in_place(&mut want, &mut vec![0.0; n])
                 .unwrap();
-            let mut got = b.clone();
-            lu.solve_transpose_cached(&mut got, &mut cache).unwrap();
+            // Odd steps name the edited position, even ones compare all.
+            let moved = step.checked_sub(1).map(|e| [edits[e].0 % n]);
+            let moved = moved.as_ref().filter(|_| step % 2 == 1);
+            lu.solve_transpose_cached(&b, moved.map(|m| &m[..]), &mut got, &mut cache)
+                .unwrap();
             prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
         }
     }

@@ -104,7 +104,7 @@ pub use decompose::{solve_decomposed, DecompReport, ExecutorHandle, SolveExecuto
 pub use error::LpError;
 pub use prepared::{DualRecoveryAudit, PreparedLp};
 pub use problem::{LpProblem, Relation, RowId, Sense, VarId};
-pub use revised::{BasisSnapshot, LpEngine};
+pub use revised::{BasisSnapshot, LpEngine, PricingCounts};
 pub use sched::ChunkPolicy;
 pub use simplex::SimplexOptions;
 pub use solution::LpSolution;

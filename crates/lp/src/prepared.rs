@@ -79,7 +79,9 @@ use std::sync::Arc;
 use socbuf_linalg::SparseLu;
 
 use crate::problem::{LpProblem, RowId, VarId};
-use crate::revised::{resolve_on_factor, run_revised, run_revised_warm, BasisSnapshot, LpEngine};
+use crate::revised::{
+    resolve_on_factor, run_revised, run_revised_warm, BasisSnapshot, LpEngine, PricingCounts,
+};
 use crate::simplex::{run_simplex, BasicSolution, SimplexOptions};
 use crate::solution::{shared_prefix, DualHalf, LpSolution};
 use crate::standard_form::{build_standard_form, StandardForm};
@@ -436,6 +438,7 @@ impl PreparedLp {
             basis: snapshot.rows().to_vec(),
             row_active: snapshot.rows().iter().map(|&c| c != usize::MAX).collect(),
             iterations: 0,
+            pricing: PricingCounts::default(),
             factor: None,
         };
         let shared = shared_prefix(&basic, Some(&kept.lu)).map_or(0, |(_, shared)| shared);

@@ -19,17 +19,18 @@
 //!   plus one sweep over the etas. The eta file is one arena: every
 //!   eta's terms sit in a single `(index, value)` buffer with an offset
 //!   per eta, cleared but not freed by a refactorization.
-//! * **One work set per solve** — `c_B`, `y`, the reduced costs `d`, a
-//!   pivot row `α`, the entering column's FTRAN `w` with its nonzero
-//!   list and the LU solves' scratch are sized once when the solve
-//!   starts. Every pricing pass, FTRAN and BTRAN of both phases, of the
-//!   artificial drive-out and of the dual repair writes into them, so a
-//!   pivot allocates nothing once the eta file has grown to its longest
-//!   length. A refactorization gathers the basis
-//!   columns into two flat buffers of the same set
-//!   ([`socbuf_linalg::Columns`]), not a `Vec` per column, and only the
-//!   new factor itself is allocated. The buffers live and die with the
-//!   solve.
+//! * **One work set per solve** — `c_B` with its moved rows, the eta
+//!   sweep's answer, `y`, the reduced costs `d` with a stamp per
+//!   column, a BTRAN-ed unit row `ρ` and the pivot row `α`, the
+//!   entering column's FTRAN `w` with its nonzero list and the LU
+//!   solves' scratch are sized once when the solve starts. Every
+//!   pricing pass, FTRAN and BTRAN of both phases, of the artificial
+//!   drive-out and of the dual repair writes into them, so a pivot
+//!   allocates nothing once the eta file has grown to its longest
+//!   length. A refactorization gathers the basis columns into two flat
+//!   buffers of the same set ([`socbuf_linalg::Columns`]), not a `Vec`
+//!   per column, and only the new factor itself is allocated. The
+//!   buffers live and die with the solve.
 //! * **Refactorization cadence** — the eta file is collapsed back into
 //!   a fresh LU every [`REFACTOR_INTERVAL`] pivots (a
 //!   Bartels–Golub-style refresh: rebuilding the factorization bounds
@@ -38,22 +39,30 @@
 //!   from the original right-hand side, so error cannot compound across
 //!   the run.
 //! * **Incremental pricing** — each iteration prices only what moved
-//!   since the last pricing, and the result is bitwise a full pricing's
-//!   (see [`Revised::price`] for the argument). Between two pricings
-//!   only a handful of the duals change bits (Hall & McKinnon's
-//!   hyper-sparsity, "Hyper-sparsity in the revised simplex method and
-//!   how to exploit it", 2005). The eta file's sweep re-runs only the
-//!   etas whose inputs changed bits, the transposed LU solve of
-//!   `y = B⁻ᵀ c_B` only the entries whose input or inputs did
-//!   ([`socbuf_linalg::SparseLu::solve_transpose_cached`]), and a reduced
-//!   cost `d_j = c_j − a_jᵀ y` is recomputed only for the columns with
-//!   an entry in a row whose dual changed bits, as one dot over the CSC
-//!   mirror of `A` (one transpose, built once per solve, which also
-//!   serves the entering columns). The first pricing after a solve
-//!   start, a phase switch or a refactorization is a full pass: the
-//!   whole LU solve and a dot for every column, `O(nnz)`, never
-//!   `O(m · n)`. Under `debug_assertions` every pricing is checked
-//!   against a full one, bit for bit.
+//!   since the last pricing, starting from the positions that moved,
+//!   and the result is bitwise a full pricing's (see [`Revised::price`]
+//!   for the argument). Between two pricings a pivot changes one basic
+//!   cost and only a handful of the duals change bits (Hall &
+//!   McKinnon's hyper-sparsity, "Hyper-sparsity in the revised simplex
+//!   method and how to exploit it", 2005). The basic costs `c_B` are
+//!   kept, and a pivot lists the one it changes. The eta file's sweep
+//!   starts from that list and re-runs only the etas whose inputs
+//!   changed bits; the transposed LU solve of `y = B⁻ᵀ c_B` compares
+//!   only the inputs the sweep lists, re-runs only the entries whose
+//!   input or inputs changed, and writes only the duals whose bits
+//!   change ([`socbuf_linalg::SparseLu::solve_transpose_cached`]); and
+//!   a reduced cost `d_j = c_j − a_jᵀ y` is recomputed only for the
+//!   columns with an entry in a row whose dual changed bits, as one dot
+//!   over the CSC mirror of `A` (one transpose, built once per solve,
+//!   which also serves the entering columns). After a refactorization
+//!   the LU solve runs in full on the new factor, but still names only
+//!   the duals whose bits moved. A solve's first pricing and a phase
+//!   switch are full passes: the basic costs, the whole sweep and LU
+//!   solve, and a dot for every column, `O(nnz)`, never `O(m · n)`.
+//!   [`crate::LpSolution::pricing_counts`] reports how many pricings
+//!   ran in full and how many reduced costs were recomputed. Under
+//!   `debug_assertions` every pricing is checked against a full one,
+//!   bit for bit.
 //! * **Anti-cycling** — the same Dantzig-with-Bland-stall-fallback rule
 //!   as the tableau engine: after 40 consecutive degenerate pivots both
 //!   the entering *and* the leaving choice switch to Bland's
@@ -74,19 +83,21 @@
 //!   acts only where `w_i ≠ 0`, so the list gives them the positions a
 //!   scan of all of `w` would act on, in the same order, and the same
 //!   operations there. The entering scan tests a column's reduced cost
-//!   before its status, and skips eight columns at a time when none
-//!   beats the best so far. Under `debug_assertions` every FTRAN is
-//!   checked against the dense one, every nonzero bit for bit.
+//!   before its status, and skips eight columns at a time, with one
+//!   branch-free test, when none beats the best so far. Under
+//!   `debug_assertions` every FTRAN is checked against the dense one,
+//!   every nonzero bit for bit.
 //!
 //! Per-iteration cost is `O(nnz + m + nnz(L) + nnz(U) + eta terms)`
 //! at worst (pricing plus two triangular solves and the eta sweeps)
 //! with no allocation. A pivot pays for what it touches: the stored
-//! entries of the `L`, `U` and eta columns its FTRAN applies, the
-//! duals and reduced costs that moved, and `O(m)` only in copies of
-//! the basic costs and in the entering scan's one test per eight
-//! columns. That is against the tableau's `O(m · n_total)` with
-//! `n_total` including the artificial columns; on the
-//! `network_processor` template at `state_cap ≥ 16` this is the
+//! entries of the `L`, `U` and eta columns its FTRAN applies, one step
+//! per eta of the pricing sweep, the duals and reduced costs that
+//! moved with the stored entries they read, and `O(n)` only in the
+//! entering scan's one test per eight columns (plus three bitsets of
+//! `m / 64` words in the LU solve). That is against the tableau's
+//! `O(m · n_total)` with `n_total` including the artificial columns; on
+//! the `network_processor` template at `state_cap ≥ 16` this is the
 //! difference measured by the `lp_scaling_probe` smoke check. An
 //! optimal solve ends on a fresh
 //! factor of its final basis, which the dual recovery
@@ -259,6 +270,22 @@ impl BasisSnapshot {
     }
 }
 
+/// What the revised engine's pricing did over one solve, read from
+/// [`crate::LpSolution::pricing_counts`]: a trace-only record for
+/// probes and tests, never rendered, as the pivot count is. The tableau
+/// engine prices its whole reduced-cost row each pivot and reports
+/// zeros; the decomposed engine reports its joint finishing solve.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PricingCounts {
+    /// Pricings of the solve, incremental and full.
+    pub pricings: usize,
+    /// Pricings that recomputed every reduced cost: the first of a
+    /// solve and the first after a phase switch.
+    pub full: usize,
+    /// Reduced costs recomputed, over all pricings.
+    pub reduced_costs: usize,
+}
+
 /// The product-form eta file as one arena of terms. Eta `e` records a
 /// pivot: after it, `B⁻¹_new = E⁻¹ B⁻¹_old` where `E` is the identity
 /// with column `etas[e].row` replaced by the FTRAN-ed entering column
@@ -287,8 +314,6 @@ struct EtaFile {
     /// How many etas the last pricing sweep ran; the file has only
     /// grown since.
     swept: usize,
-    /// The basic costs that sweep started from.
-    last_cb: Vec<f64>,
 }
 
 /// One eta of an [`EtaFile`].
@@ -321,7 +346,6 @@ impl EtaFile {
             head: vec![NO_READER; m],
             reads: Vec::new(),
             swept: 0,
-            last_cb: vec![0.0; m],
         }
     }
 
@@ -333,7 +357,13 @@ impl EtaFile {
         self.etas.is_empty()
     }
 
-    fn clear(&mut self) {
+    /// Empties the file. `v` held the last pricing sweep's answer on
+    /// the basic costs `cb`; the rows the etas wrote get their basic
+    /// cost back, so `v` is that sweep's answer on the empty file.
+    fn clear(&mut self, v: &mut [f64], cb: &[f64]) {
+        for eta in &self.etas {
+            v[eta.row] = cb[eta.row];
+        }
         self.etas.clear();
         self.terms.clear();
         self.head.fill(NO_READER);
@@ -425,30 +455,49 @@ impl EtaFile {
         }
     }
 
-    /// [`EtaFile::btran`] on the basic costs `v` of a pricing, bit for
-    /// bit, re-running only the etas whose inputs changed bits since
-    /// the last pricing's sweep.
+    /// [`EtaFile::btran`] of a pricing's basic costs `cb` into `v`, bit
+    /// for bit, re-running only the etas whose inputs changed bits since
+    /// the last pricing's sweep, whose answer `v` holds.
     ///
-    /// Eta `e` reads `v` at its row and at its terms' rows, each as the
-    /// newest eta above it that writes the row left it, or as the basic
-    /// cost where none does, and writes its row. Its output is a fixed
-    /// sequence of float operations on those inputs, so if none changed
-    /// bits, neither did it, and its last output is written back without
-    /// a sum. An eta re-runs when it is new since the last sweep, when a
-    /// basic cost it reads changed bits, or when the eta it reads a row
-    /// from re-ran and changed bits (a new eta counts as changed).
-    /// Waking the readers of a row stops at the next eta that writes it:
-    /// older readers read that eta instead. A refactorization empties
-    /// the file, so the next sweep runs every eta.
-    fn btran_priced(&mut self, v: &mut [f64]) {
-        if self.swept > 0 {
-            for i in 0..v.len() {
-                if v[i].to_bits() != self.last_cb[i].to_bits() {
+    /// `moved` lists the rows whose basic cost may have changed bits
+    /// since that sweep; `None` means any may have, and then `v` is
+    /// rebuilt from `cb` and every eta re-runs. Eta `e` reads `v` at its
+    /// row and at its terms' rows, each as the newest eta above it that
+    /// writes the row left it, or as the basic cost where none does, and
+    /// writes its row. So the sweep first puts the basic cost back on
+    /// every eta's row, and the etas, newest first, overwrite it. An
+    /// eta's output is a fixed sequence of float operations on its
+    /// inputs, so if none changed bits, neither did it, and its last
+    /// output is written back without a sum. An eta re-runs when it is
+    /// new since the last sweep, when a basic cost it reads changed
+    /// bits, or when the eta it reads a row from re-ran and changed bits
+    /// (a new eta counts as changed). Waking the readers of a row stops
+    /// at the next eta that writes it: older readers read that eta
+    /// instead. A refactorization empties the file, so the next sweep
+    /// runs every eta.
+    ///
+    /// The sweep appends to `moved` the row of each eta whose output
+    /// changed bits, so that it lists every row where `v` may now differ
+    /// from the last answer. The cost is the moved rows, one step per
+    /// eta and the terms of the etas that re-run.
+    fn btran_priced(&mut self, cb: &[f64], v: &mut [f64], mut moved: Option<&mut Vec<usize>>) {
+        match moved.as_deref() {
+            Some(rows) => {
+                for &i in rows {
+                    v[i] = cb[i];
                     self.wake(self.head[i], i);
                 }
             }
+            None => {
+                v.copy_from_slice(cb);
+                for eta in &mut self.etas {
+                    eta.stale = true;
+                }
+            }
         }
-        self.last_cb.copy_from_slice(v);
+        for eta in &self.etas {
+            v[eta.row] = cb[eta.row];
+        }
         for e in (0..self.len()).rev() {
             let eta = self.etas[e];
             if eta.stale {
@@ -459,6 +508,9 @@ impl EtaFile {
                 let out = acc / eta.pivot;
                 if e >= self.swept || out.to_bits() != eta.out.to_bits() {
                     self.wake(eta.below, eta.row);
+                    if let Some(moved) = moved.as_deref_mut() {
+                        moved.push(eta.row);
+                    }
                 }
                 self.etas[e].out = out;
                 self.etas[e].stale = false;
@@ -526,12 +578,23 @@ impl Factor {
 /// into these buffers, sized once when the solve starts, so a pivot
 /// allocates nothing.
 struct Work {
-    /// Basic costs `c_B` (`m`).
+    /// Basic costs `c_B` of the last pricing's phase (`m`), kept current
+    /// by each pivot since.
     cb: Vec<f64>,
-    /// Duals `y = B⁻ᵀ c_B`, or a BTRAN-ed unit row `ρ = B⁻ᵀ e_r` (`m`).
+    /// The rows whose basic cost a pivot changed since the last pricing
+    /// (at most `m`), to which the pricing's eta sweep adds the rows
+    /// where it may have changed `lu_in` (at most one per eta).
+    cb_moved: Vec<usize>,
+    /// The eta file's sweep of `c_B`, the LU solve's input (`m`).
+    lu_in: Vec<f64>,
+    /// Duals `y = B⁻ᵀ c_B` (`m`), written only where they change.
     y: Vec<f64>,
+    /// A BTRAN-ed unit row `ρ = B⁻ᵀ e_r` (`m`).
+    rho: Vec<f64>,
     /// Reduced costs of the structural and slack columns (`n_sf`).
     d: Vec<f64>,
+    /// Per column, the pricing that last recomputed its reduced cost.
+    priced_at: Vec<usize>,
     /// A pivot row `α_j = ρ·a_j` over the same columns (`n_sf`).
     alpha: Vec<f64>,
     /// The entering column's FTRAN, `w = B⁻¹ a_q` (`m`), zero outside
@@ -556,8 +619,12 @@ impl Work {
     fn new(m: usize, n_sf: usize) -> Work {
         Work {
             cb: vec![0.0; m],
+            cb_moved: Vec::with_capacity(m + REFACTOR_INTERVAL),
+            lu_in: vec![0.0; m],
             y: vec![0.0; m],
+            rho: vec![0.0; m],
             d: vec![0.0; n_sf],
+            priced_at: vec![0; n_sf],
             alpha: vec![0.0; n_sf],
             w: vec![0.0; m],
             w_nonzeros: Vec::with_capacity(m),
@@ -610,9 +677,12 @@ struct Revised<'a> {
     in_basis: Vec<bool>,
     factor: Factor,
     work: Work,
-    /// The phase whose reduced costs `work.d` holds; `None` before the
-    /// first pricing.
+    /// The phase of the last pricing: `work.d` holds its reduced costs,
+    /// and `work.cb` its basic costs, kept current by each pivot since.
+    /// `None` before the first pricing.
     priced: Option<Phase>,
+    /// What pricing did so far.
+    counts: PricingCounts,
     /// Row of each artificial column: column `n_sf + k` is the unit
     /// vector `e_{art_rows[k]}`.
     art_rows: Vec<usize>,
@@ -688,6 +758,7 @@ impl<'a> Revised<'a> {
             factor: Factor::new(lu),
             work,
             priced: None,
+            counts: PricingCounts::default(),
             art_rows: sf.artificial_rows(),
             n_sf,
             iterations: 0,
@@ -763,6 +834,7 @@ impl<'a> Revised<'a> {
             factor: Factor::new(lu),
             work,
             priced: None,
+            counts: PricingCounts::default(),
             art_rows,
             n_sf,
             iterations: 0,
@@ -841,20 +913,21 @@ impl<'a> Revised<'a> {
         assert_eq!(self.work.w_nonzeros, nonzeros, "FTRAN nonzeros moved");
     }
 
-    /// `work.y = B⁻ᵀ e_r`, the BTRAN-ed unit row `ρ`.
+    /// `work.rho = B⁻ᵀ e_r`, the BTRAN-ed unit row `ρ`, in a buffer of
+    /// its own: the duals in `work.y` carry over to the next pricing.
     fn btran_unit(&mut self, r: usize) -> Result<(), LpError> {
         let work = &mut self.work;
-        work.y.fill(0.0);
-        work.y[r] = 1.0;
-        self.factor.btran(&mut work.y, &mut work.scratch)
+        work.rho.fill(0.0);
+        work.rho[r] = 1.0;
+        self.factor.btran(&mut work.rho, &mut work.scratch)
     }
 
-    /// `work.alpha = ρᵀ A` for the `ρ` in `work.y`, in `O(nnz)` over
+    /// `work.alpha = ρᵀ A` for the `ρ` in `work.rho`, in `O(nnz)` over
     /// the rows where `ρ` is nonzero.
     fn row_of_inverse(&mut self) {
         let work = &mut self.work;
         work.alpha.fill(0.0);
-        for (i, &ri) in work.y.iter().enumerate() {
+        for (i, &ri) in work.rho.iter().enumerate() {
             if ri == 0.0 {
                 continue;
             }
@@ -872,33 +945,41 @@ impl<'a> Revised<'a> {
             .factor_basis(&self.at, self.n_sf, &self.art_rows, &self.basis)
             .map_err(|e| LpError::InvalidModel(format!("basis refactorization failed: {e}")))?;
         self.factor.lu = lu;
-        self.factor.etas.clear();
+        let work = &mut self.work;
+        self.factor.etas.clear(&mut work.lu_in, &work.cb);
         self.xb.copy_from_slice(&self.b);
         self.factor.ftran(&mut self.xb, &mut self.work.scratch)?;
         clamp_dust(&mut self.xb, TOLS.feasibility_dust);
         Ok(())
     }
 
-    /// Prices the current basis for `phase`: the basic costs into
-    /// `work.cb`, the duals `y = B⁻ᵀ c_B` into `work.y`, and the reduced
-    /// costs of all structural + slack columns, `d = c − Aᵀ y`, into
+    /// Prices the current basis for `phase`: the basic costs in
+    /// `work.cb`, the duals `y = B⁻ᵀ c_B` in `work.y`, and the reduced
+    /// costs of all structural + slack columns, `d = c − Aᵀ y`, in
     /// `work.d`. Artificial columns are never priced (they are banned
     /// the moment they leave the basis).
     ///
-    /// Only what moved since the last pricing is recomputed, and the
-    /// result is bitwise what a full pricing gives: the full BTRAN
-    /// ([`SparseLu::solve_transpose_in_place`] after the eta sweep) and
-    /// one scatter `d_j −= y_i a_ij` of every CSR row whose dual is
-    /// nonzero, in increasing row order. The argument:
+    /// Only what moved since the last pricing is recomputed, from the
+    /// positions that moved, and the result is bitwise what a full
+    /// pricing gives: the full BTRAN ([`SparseLu::solve_transpose_in_place`]
+    /// after the eta sweep) and one scatter `d_j −= y_i a_ij` of every
+    /// CSR row whose dual is nonzero, in increasing row order. The
+    /// argument:
     ///
-    /// * `y` runs the eta file's `E⁻ᵀ` sweep, which re-runs only the
-    ///   etas whose inputs changed bits and writes back the last output
-    ///   of every other ([`EtaFile::btran_priced`]), then the LU's
-    ///   transposed solve through `work.duals`, which re-runs only the
-    ///   entries whose input, or an entry they read, changed bits
-    ///   ([`SparseLu::solve_transpose_cached`]). An eta or entry whose
-    ///   operands all kept their bits would redo the same operations on
-    ///   them.
+    /// * `c_B` is kept: a pivot writes the one basic cost it changes and
+    ///   lists its row. It is rebuilt in full only when the phase is not
+    ///   the last pricing's: at a solve's start, from a snapshot or
+    ///   cold, and at a phase switch.
+    /// * The eta file's `E⁻ᵀ` sweep starts from the listed rows and
+    ///   re-runs only the etas whose inputs changed bits, writing back
+    ///   the last output of every other ([`EtaFile::btran_priced`]). It
+    ///   lists the rows where its answer may have moved.
+    /// * The LU's transposed solve through `work.duals` compares only
+    ///   those rows, re-runs only the entries whose input, or an entry
+    ///   they read, changed bits, and writes into `work.y` only the
+    ///   duals whose bits change ([`SparseLu::solve_transpose_cached`]).
+    ///   An eta or entry whose operands all kept their bits would redo
+    ///   the same operations on them.
     /// * `d_j` is computed as one dot over column `j` of the CSC mirror
     ///   `at`. `Csr::transpose` stores a column's rows in increasing
     ///   order, so the dot makes the scatter's subtractions on `d_j`, in
@@ -906,10 +987,18 @@ impl<'a> Revised<'a> {
     /// * `d_j` depends only on `c_j` (0 in phase 1) and the duals of
     ///   the rows column `j` holds. So while the phase is the last
     ///   pricing's, only the columns with an entry in a row whose dual
-    ///   changed bits are recomputed.
-    /// * Every column is recomputed at a solve's first pricing, on a
-    ///   phase switch, and after a refactorization: the first LU solve on
-    ///   a factor runs in full and names no changed duals.
+    ///   changed bits are recomputed, in one walk over those rows that
+    ///   stamps each column it recomputes.
+    /// * Every column is recomputed at a solve's first pricing and on a
+    ///   phase switch. After a refactorization the LU solve runs in full
+    ///   on the new factor, but it compares each dual with the last
+    ///   answer and names those whose bits moved, so only their columns
+    ///   are recomputed, as after a pivot.
+    ///
+    /// So an incremental pricing on a factor it has priced before costs
+    /// the moved rows, one step per eta, the stored entries of what
+    /// re-runs and the changed duals' columns; no pass over all `m` rows
+    /// or `n` columns.
     ///
     /// Under `debug_assertions` (and in this module's tests) every eta
     /// sweep is compared with [`EtaFile::btran`] and every pricing with
@@ -918,60 +1007,55 @@ impl<'a> Revised<'a> {
         let n_sf = self.n_sf;
         let sf = self.sf;
         let work = &mut self.work;
-        for (cb, &j) in work.cb.iter_mut().zip(&self.basis) {
-            *cb = match phase {
-                Phase::One => {
-                    if j >= n_sf {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-                Phase::Two => {
-                    if j < n_sf {
-                        sf.c[j]
-                    } else {
-                        0.0
-                    }
-                }
-            };
+        let same_phase = self.priced == Some(phase);
+        if !same_phase {
+            for (cb, &j) in work.cb.iter_mut().zip(&self.basis) {
+                *cb = basic_cost(sf, n_sf, phase, j);
+            }
         }
-        work.y.copy_from_slice(&work.cb);
-        self.factor.etas.btran_priced(&mut work.y);
+        self.factor.etas.btran_priced(
+            &work.cb,
+            &mut work.lu_in,
+            same_phase.then_some(&mut work.cb_moved),
+        );
         #[cfg(any(debug_assertions, test))]
         {
             let mut full = work.cb.clone();
             self.factor.etas.btran(&mut full);
-            assert_eq!(bits(&work.y), bits(&full), "incremental eta sweep moved");
+            assert_eq!(
+                bits(&work.lu_in),
+                bits(&full),
+                "incremental eta sweep moved"
+            );
         }
         self.factor
             .lu
-            .solve_transpose_cached(&mut work.y, &mut work.duals)
+            .solve_transpose_cached(
+                &work.lu_in,
+                same_phase.then_some(&work.cb_moved[..]),
+                &mut work.y,
+                &mut work.duals,
+            )
             .map_err(|e| LpError::InvalidModel(format!("BTRAN failed: {e}")))?;
-        match work.duals.changed() {
-            Some(rows) if self.priced == Some(phase) => {
-                // A column in several changed rows is recomputed once:
-                // all of them are marked stale (NaN) first. Recomputing
-                // is idempotent, so a reduced cost that is itself NaN
-                // costs only repeats.
-                for i in rows {
-                    for &j in sf.a.row(i).0 {
-                        work.d[j] = f64::NAN;
-                    }
-                }
-                for i in work.duals.changed().into_iter().flatten() {
-                    for &j in sf.a.row(i).0 {
-                        if work.d[j].is_nan() {
-                            work.d[j] = reduced_cost(sf, &self.at, phase, &work.y, j);
-                        }
+        work.cb_moved.clear();
+        self.counts.pricings += 1;
+        if same_phase {
+            let stamp = self.counts.pricings;
+            for i in work.duals.changed() {
+                for &j in sf.a.row(i).0 {
+                    if work.priced_at[j] != stamp {
+                        work.priced_at[j] = stamp;
+                        work.d[j] = reduced_cost(sf, &self.at, phase, &work.y, j);
+                        self.counts.reduced_costs += 1;
                     }
                 }
             }
-            _ => {
-                for (j, dj) in work.d.iter_mut().enumerate() {
-                    *dj = reduced_cost(sf, &self.at, phase, &work.y, j);
-                }
+        } else {
+            for (j, dj) in work.d.iter_mut().enumerate() {
+                *dj = reduced_cost(sf, &self.at, phase, &work.y, j);
             }
+            self.counts.full += 1;
+            self.counts.reduced_costs += n_sf;
         }
         self.priced = Some(phase);
         #[cfg(any(debug_assertions, test))]
@@ -979,13 +1063,19 @@ impl<'a> Revised<'a> {
         Ok(())
     }
 
-    /// Panics unless `work.y` and `work.d` hold, bit for bit, what a
-    /// full pricing of the current basis for `phase` gives: the BTRAN
-    /// through [`SparseLu::solve_transpose_in_place`] and the full
-    /// scatter.
+    /// Panics unless `work.cb`, `work.y` and `work.d` hold, bit for
+    /// bit, what a full pricing of the current basis for `phase` gives:
+    /// the basic costs rebuilt from the basis, the BTRAN through
+    /// [`SparseLu::solve_transpose_in_place`] and the full scatter.
     #[cfg(any(debug_assertions, test))]
     fn assert_full_pricing(&self, phase: Phase) {
-        let mut y = self.work.cb.clone();
+        let cb: Vec<f64> = self
+            .basis
+            .iter()
+            .map(|&j| basic_cost(self.sf, self.n_sf, phase, j))
+            .collect();
+        assert_eq!(bits(&self.work.cb), bits(&cb), "kept basic costs moved");
+        let mut y = cb;
         let mut scratch = vec![0.0; y.len()];
         self.factor
             .btran(&mut y, &mut scratch)
@@ -1026,9 +1116,11 @@ impl<'a> Revised<'a> {
         let tail = d.len() - chunks.remainder().len();
         for (c, chunk) in chunks.enumerate() {
             // Most chunks hold no reduced cost below the best so far;
-            // one branch-free test per chunk passes over them.
+            // one branch-free test per chunk passes over them. The eight
+            // compares are joined by `|`, not `any`, which would branch
+            // after each.
             let chunk: &[f64; 8] = chunk.try_into().expect("chunks of 8");
-            if chunk.iter().any(|&dj| dj < best_val) {
+            if chunk.iter().fold(false, |any, &dj| any | (dj < best_val)) {
                 self.dantzig(8 * c..8 * c + 8, &mut best_val, &mut best);
             }
         }
@@ -1147,6 +1239,17 @@ impl<'a> Revised<'a> {
         }
         self.basis[r] = q;
         self.in_basis[q] = true;
+        if let Some(phase) = self.priced {
+            // The one basic cost the pivot changes. At most `m` pivots
+            // come between two pricings (a drive-out's, one per row), so
+            // the list stays within the capacity it was given.
+            let c = basic_cost(self.sf, self.n_sf, phase, q);
+            let (cb, moved) = (&mut self.work.cb, &mut self.work.cb_moved);
+            if c.to_bits() != cb[r].to_bits() {
+                cb[r] = c;
+                moved.push(r);
+            }
+        }
         self.factor.etas.push(r, w, nonzeros);
         self.iterations += 1;
         if self.factor.etas.len() >= REFACTOR_INTERVAL {
@@ -1378,6 +1481,7 @@ impl<'a> Revised<'a> {
             basis,
             row_active,
             iterations: self.iterations,
+            pricing: self.counts,
             factor: (priced && self.factor.etas.is_empty()).then_some(self.factor.lu),
         }
     }
@@ -1411,7 +1515,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// `d_j = c_j − a_jᵀ y` for `phase` (`c = 0` in phase 1), as a dot
 /// over row `j` of the CSC mirror `at`, skipping zero duals. The rows
 /// come in increasing order, so the subtractions are, in order, those a
-/// scatter of `A`'s rows in increasing order makes on `d_j`.
+/// scatter of `A`'s rows in increasing order makes on `d_j`. A zero
+/// dual's term is subtracted as `+0`, which leaves every value, `−0`
+/// included, as the skip does, without a branch on the dual.
 fn reduced_cost(sf: &StandardForm, at: &Csr, phase: Phase, y: &[f64], j: usize) -> f64 {
     let mut dj = match phase {
         Phase::One => 0.0,
@@ -1419,11 +1525,19 @@ fn reduced_cost(sf: &StandardForm, at: &Csr, phase: Phase, y: &[f64], j: usize) 
     };
     for (i, v) in at.iter_row(j) {
         let yi = y[i];
-        if yi != 0.0 {
-            dj -= yi * v;
-        }
+        dj -= if yi != 0.0 { yi * v } else { 0.0 };
     }
     dj
+}
+
+/// The cost of column `j` (artificials `≥ n_sf`) in `phase`: 1 for an
+/// artificial in phase 1, the objective's in phase 2, 0 otherwise.
+fn basic_cost(sf: &StandardForm, n_sf: usize, phase: Phase, j: usize) -> f64 {
+    match phase {
+        Phase::One if j >= n_sf => 1.0,
+        Phase::Two if j < n_sf => sf.c[j],
+        _ => 0.0,
+    }
 }
 
 /// Clamps negative basic values above `-dust` to zero: at that
@@ -1535,6 +1649,7 @@ pub(crate) fn run_revised(
             basis: Vec::new(),
             row_active: Vec::new(),
             iterations: 0,
+            pricing: PricingCounts::default(),
             factor: None,
         });
     }
@@ -1756,6 +1871,7 @@ pub(crate) fn resolve_on_factor(
         basis: basis.to_vec(),
         row_active,
         iterations: 0,
+        pricing: PricingCounts::default(),
         factor: None,
     })
 }
@@ -1907,14 +2023,15 @@ mod tests {
         // Phase 1 ended on a fresh factor that is still current, so the
         // LU solve runs incrementally, while the reduced costs change
         // cost vector: `z`'s must move though no dual of its row did.
+        let full = solver.counts.full;
         solver.price(Phase::Two).unwrap();
-        assert!(solver.work.duals.changed().is_some());
+        assert_eq!(solver.counts.full, full + 1);
         let outcome = solver.run_phase(Phase::Two, 1000).unwrap();
         assert!(matches!(outcome, PhaseOutcome::Optimal));
     }
 
     #[test]
-    fn a_refactorization_between_two_pricings_prices_in_full() {
+    fn a_refactorization_between_two_pricings_reprices_the_moved_duals() {
         let mut p = LpProblem::new(Sense::Maximize);
         let x: Vec<_> = (0..5)
             .map(|j| p.add_var(format!("x{j}"), 1.0 + j as f64))
@@ -1930,27 +2047,82 @@ mod tests {
         let sf = build_standard_form(&p).unwrap();
         let opts = SimplexOptions::default();
         let mut solver = Revised::new(&sf, &opts).unwrap();
+        let n = sf.a.cols();
         solver.price(Phase::Two).unwrap();
-        assert!(
-            solver.work.duals.changed().is_none(),
-            "a solve's first pricing"
-        );
+        assert_eq!(solver.counts.full, 1, "a solve's first pricing");
         let q = solver.enter(false).expect("not optimal at the slack basis");
         assert_eq!(solver.step(q, false, true).unwrap(), Some(false));
         solver.price(Phase::Two).unwrap();
-        assert!(
-            solver.work.duals.changed().is_some(),
-            "same factor, one eta"
-        );
+        assert_eq!(solver.counts.full, 1, "same factor, one eta");
+        // The LU solve on the new factor runs in full and compares each
+        // dual with the last: only the columns of the rows whose duals
+        // moved bits are repriced (every pricing checks itself).
+        let y = solver.work.y.clone();
         solver.refactorize().unwrap();
+        let before = solver.counts.reduced_costs;
         solver.price(Phase::Two).unwrap();
-        assert!(solver.work.duals.changed().is_none(), "a new factor");
+        let mut moved: Vec<usize> = (0..y.len())
+            .filter(|&i| solver.work.y[i].to_bits() != y[i].to_bits())
+            .flat_map(|i| sf.a.row(i).0.to_vec())
+            .collect();
+        moved.sort_unstable();
+        moved.dedup();
+        assert_eq!(solver.counts.reduced_costs - before, moved.len());
         solver.price(Phase::Two).unwrap();
-        assert_eq!(
-            solver.work.duals.changed().unwrap().count(),
-            0,
-            "nothing moved"
-        );
+        assert_eq!(solver.work.duals.changed().count(), 0, "nothing moved");
+        let counts = solver.counts;
+        assert_eq!((counts.pricings, counts.full), (4, 1));
+        assert!(counts.reduced_costs < 2 * n, "{counts:?}");
+    }
+
+    #[test]
+    fn a_unit_btran_between_two_pricings_leaves_the_duals() {
+        // The drive-out and the dual repair BTRAN a unit row between
+        // two pricings. The next pricing writes only the duals that
+        // change, so ρ must not land in the duals' buffer: every pricing
+        // checks itself against a full one.
+        let sf = build_standard_form(&transportation()).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        solver.price(Phase::One).unwrap();
+        for r in 0..2 {
+            let y = solver.work.y.clone();
+            solver.btran_unit(r).unwrap();
+            solver.row_of_inverse();
+            assert_eq!(bits(&solver.work.y), bits(&y), "ρ of row {r}");
+            let q = solver.enter(false).expect("phase 1 is not done");
+            solver.step(q, false, false).unwrap().expect("a pivot");
+            solver.price(Phase::One).unwrap();
+        }
+        assert_eq!(solver.counts.full, 1, "{:?}", solver.counts);
+    }
+
+    #[test]
+    fn a_phase_two_pivot_changes_one_basic_cost() {
+        let sf = build_standard_form(&transportation()).unwrap();
+        let opts = SimplexOptions::default();
+        let mut solver = Revised::new(&sf, &opts).unwrap();
+        assert!(matches!(
+            solver.run_phase(Phase::One, 1000).unwrap(),
+            PhaseOutcome::Optimal
+        ));
+        solver.price(Phase::Two).unwrap();
+        for _ in 0..2 {
+            let (basis, cb) = (solver.basis.clone(), solver.work.cb.clone());
+            let q = solver.enter(false).expect("phase 2 is not done");
+            solver.step(q, false, true).unwrap().expect("a pivot");
+            let r = (0..basis.len()).find(|&i| solver.basis[i] != basis[i]);
+            let r = r.expect("a basis change");
+            let moved: Vec<usize> = (0..cb.len())
+                .filter(|&i| solver.work.cb[i].to_bits() != cb[i].to_bits())
+                .collect();
+            assert_eq!(moved, [r]);
+            assert_eq!(solver.work.cb_moved, [r]);
+            assert_eq!(solver.work.cb[r], sf.c[q]);
+            // The pricing checks the kept costs against a rebuild.
+            solver.price(Phase::Two).unwrap();
+            assert!(solver.work.cb_moved.is_empty());
+        }
     }
 
     #[test]
@@ -1978,8 +2150,10 @@ mod tests {
             .expect("the snapshot fits");
         assert!(solver.dual_repair(100).unwrap(), "repaired");
         assert!(solver.iterations >= 2, "{} dual pivots", solver.iterations);
-        // The repair's last pricing followed a pivot on the same factor.
-        assert!(solver.work.duals.changed().is_some());
+        // Only the repair's first pricing, on the snapshot's basis, ran
+        // in full.
+        assert_eq!(solver.counts.full, 1, "{:?}", solver.counts);
+        assert!(solver.counts.pricings >= 2);
     }
 
     #[test]

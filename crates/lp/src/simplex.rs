@@ -16,7 +16,7 @@
 use socbuf_linalg::{Lu, Matrix, SparseLu};
 
 use crate::decompose::ExecutorHandle;
-use crate::revised::{run_revised, LpEngine};
+use crate::revised::{run_revised, LpEngine, PricingCounts};
 use crate::solution::LpSolution;
 use crate::standard_form::{build_standard_form, StandardForm};
 use crate::LpError;
@@ -119,6 +119,8 @@ pub(crate) struct BasicSolution {
     pub row_active: Vec<bool>,
     /// Total pivot count over both phases.
     pub iterations: usize,
+    /// What the revised engine's pricing did (zeros from the tableau).
+    pub pricing: PricingCounts,
     /// A fresh factorization of the final basis, when the engine ends on
     /// one it priced optimal (the revised engine; see
     /// [`crate::PreparedLp`] for who keeps it).
@@ -698,6 +700,7 @@ pub(crate) fn run_simplex(
         basis: t.basis,
         row_active: t.active,
         iterations,
+        pricing: PricingCounts::default(),
         factor: None,
     })
 }

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use socbuf_linalg::{solve_transpose_resumed, Columns, SparseLu};
 
 use crate::problem::{LpProblem, RowId, VarId};
-use crate::revised::{BasisSnapshot, LpEngine};
+use crate::revised::{BasisSnapshot, LpEngine, PricingCounts};
 use crate::simplex::BasicSolution;
 use crate::standard_form::{ScalingStats, StandardForm};
 use crate::LpError;
@@ -48,6 +48,7 @@ pub struct LpSolution {
     /// same half to every re-solve that ends on this basis.
     dual: Arc<DualHalf>,
     iterations: usize,
+    pricing: PricingCounts,
     engine: LpEngine,
     scaling: ScalingStats,
 }
@@ -104,6 +105,7 @@ impl LpSolution {
             objective,
             dual,
             iterations: basic.iterations,
+            pricing: basic.pricing,
             engine,
             scaling: sf.scaling_stats,
         }
@@ -343,6 +345,14 @@ impl LpSolution {
     /// Total simplex pivots used across both phases.
     pub fn iterations(&self) -> usize {
         self.iterations
+    }
+
+    /// What the revised engine's pricing did over the solve: pricings,
+    /// how many ran in full, and the reduced costs recomputed. A
+    /// trace-only record, as [`LpSolution::iterations`] is: probes gate
+    /// it, nothing renders it.
+    pub fn pricing_counts(&self) -> PricingCounts {
+        self.pricing
     }
 
     /// Which engine produced this solution (both satisfy the same
